@@ -94,8 +94,11 @@ def certainty_equivalent(value: float, gamma: float) -> float:
 
 
 def shock_path(p: ModelParams, seed: int, run: int, idx: int) -> ShockPath:
-    """Counter-based Gaussian stream for path idx of run (seeded, order-free)."""
-    key = np.random.SeedSequence((seed & (2**63 - 1), run, idx)).generate_state(2, np.uint64)
+    """Counter-based Gaussian stream for path idx of run (seeded, order-free).
+
+    The seed enters as its residue mod 2**64, one distinct key per 64-bit seed.
+    """
+    key = np.random.SeedSequence((seed % 2**64, run, idx)).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return ShockPath(Z=rng.standard_normal((p.K, p.n)),
                      Ztilde=rng.standard_normal((p.K, p.d)))
@@ -216,8 +219,9 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     """Dual bound: mean of per-path inner optima under the configured penalty.
 
     Paths whose inner solve stops at the iteration cap keep the best iterate
-    (which understates the inner maximum and weakens the bound) and are
-    counted in flagged_paths; accept runs only when that count stays rare.
+    and are counted in flagged_paths.  That iterate understates the inner
+    maximum, which biases the bound down and can make it no upper bound at
+    all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
     results = _run_tasks(_upper_task, p, vg, cfg, workers)
     values = [[v for (v, _) in task] for task in results]

@@ -75,11 +75,13 @@ def _load_grid(args):
     except (ValueError, KeyError) as exc:
         raise CliError(EXIT_INPUT, f"bad grid file: {exc}")
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 other = ModelParams.from_dict(json.load(fh))
-            except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-                raise CliError(EXIT_INPUT, f"bad config: {exc}")
+        except FileNotFoundError as exc:
+            raise CliError(EXIT_INPUT, f"config not found: {exc}")
+        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+            raise CliError(EXIT_INPUT, f"bad config: {exc}")
         if other.content_hash() != params.content_hash():
             raise CliError(EXIT_CONSISTENCY,
                            "params hash mismatch between --config and the grid file")

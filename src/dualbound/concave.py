@@ -9,10 +9,9 @@ exact Hessians are supplied analytically by the callers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -60,27 +59,11 @@ class LinearConstraints:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Concave objective: value (-inf outside the domain), gradient, optional Hessian.
-
-    When `hessian` is None a central-difference Hessian of the gradient is
-    used; fine for test problems, production callers pass the analytic one.
-    """
+    """Concave objective: value (-inf outside the domain), gradient and Hessian."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def hess(self, x: np.ndarray) -> np.ndarray:
-        if self.hessian is not None:
-            return self.hessian(x)
-        m = x.size
-        H = np.empty((m, m))
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            H[:, j] = (self.gradient(x + e) - self.gradient(x - e)) / (2 * h)
-        return 0.5 * (H + H.T)
+    hessian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -110,7 +93,8 @@ def maximize(
     m_rows = A.shape[0]
     x = np.array(x0, dtype=float)
     s = b - A @ x
-    if (s.size and np.min(s) <= 0.0) or not np.isfinite(oracle.value(x)):
+    fx = float(oracle.value(x))
+    if (s.size and np.min(s) <= 0.0) or not np.isfinite(fx):
         return Solution(x=x, f=-np.inf, kkt_residual=np.inf, iterations=0, status=STATUS_INFEASIBLE)
     if m_rows == 0:
         raise ValueError("unconstrained problems are not supported; add at least one row")
@@ -119,17 +103,11 @@ def maximize(
     t = 1.0
     t_cap = 2.0 * m_rows / tol  # at the cap the duality measure m/t is tol/2
     total_newton = 0
-    best_x, best_f = x.copy(), float(oracle.value(x))
+    # The accepted point carries its objective, slacks and log-barrier sum, so
+    # each Newton step evaluates the oracle only at line-search trial points.
+    log_s = np.sum(np.log(s))
+    best_x, best_f = x.copy(), fx
     trace: list = []
-
-    def barrier_val(xv: np.ndarray) -> float:
-        fv = oracle.value(xv)
-        if not np.isfinite(fv):
-            return -np.inf
-        sv = b - A @ xv
-        if np.min(sv) <= 0.0:
-            return -np.inf
-        return fv + np.sum(np.log(sv)) / t
 
     while True:
         # Centering: damped Newton on f(x) + (1/t) sum log s_i.  Intermediate
@@ -139,13 +117,12 @@ def maximize(
             if total_newton >= max_newton:
                 return Solution(x=best_x, f=best_f, kkt_residual=_kkt(oracle, A, best_x, b, t),
                                 iterations=total_newton, status=STATUS_MAX_ITER, trace_f=trace)
-            s = b - A @ x
             inv_s = 1.0 / s
             grad_f = oracle.gradient(x)
             g = grad_f - (A.T @ inv_s) / t
             if float(np.max(np.abs(g))) <= 0.5 * tol * max(1.0, float(np.max(np.abs(grad_f)))):
                 break
-            H = oracle.hess(x) - (A.T * (inv_s**2)) @ A / t
+            H = oracle.hessian(x) - (A.T * (inv_s**2)) @ A / t
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
@@ -155,7 +132,7 @@ def maximize(
             if dec2 <= 0.0:
                 break  # float noise floor of the Newton system; as centered as we get
             total_newton += 1
-            base = barrier_val(x)
+            base = fx + log_s / t
             # Fraction-to-boundary cap keeps the first trial step well scaled.
             Astep = A @ step
             tight = Astep > 0.0
@@ -165,23 +142,27 @@ def maximize(
             accepted = False
             for _ in range(60):
                 cand = x + alpha * step
-                val = barrier_val(cand)
-                if np.isfinite(val) and val >= base + 0.25 * alpha * dec2:
-                    x = cand
-                    accepted = True
-                    break
+                f_cand = float(oracle.value(cand))
+                if np.isfinite(f_cand):
+                    s_cand = b - A @ cand
+                    if np.min(s_cand) > 0.0:
+                        log_cand = np.sum(np.log(s_cand))
+                        val = f_cand + log_cand / t
+                        if np.isfinite(val) and val >= base + 0.25 * alpha * dec2:
+                            x, s, fx, log_s = cand, s_cand, f_cand, log_cand
+                            accepted = True
+                            break
                 alpha *= 0.5
-            fx = float(oracle.value(x))
             if fx > best_f:
                 best_f, best_x = fx, x.copy()
             if not accepted or dec2 / 2.0 <= 1e-12 * (1.0 + abs(base)):
                 break
-        trace.append(float(oracle.value(x)))
+        trace.append(fx)
         gap = m_rows / t
         if gap <= max(1e-3, tol):
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
-            polished = _active_set_polish(oracle, A, b, x, float(oracle.value(x)))
+            polished = _active_set_polish(oracle, A, b, x, fx)
             if polished is not None:
                 x_pol, f_pol, kkt_pol, its = polished
                 total_newton += its
@@ -192,7 +173,7 @@ def maximize(
         if gap <= tol:
             kkt = _kkt(oracle, A, x, b, t)
             if kkt <= tol:
-                return Solution(x=x, f=float(oracle.value(x)), kkt_residual=kkt,
+                return Solution(x=x, f=fx, kkt_residual=kkt,
                                 iterations=total_newton, status=STATUS_CONVERGED, trace_f=trace)
             if t >= t_cap:
                 # Duality measure is below tol but stationarity was not certified.
@@ -248,21 +229,27 @@ def _polish_on_face(oracle: ObjectiveOracle, A: np.ndarray, b: np.ndarray,
                     active: np.ndarray, x0: np.ndarray):
     """Equality-constrained Newton on the face A_act x = b_act.
 
+    Newton contracts on a face that holds the optimum.  A step no shorter than
+    the one before marks a wrong face (off the optimum's face the objective can
+    lack curvature and the iterates diverge), unless the step is at rounding
+    level, where the face is solved and the step test ends the loop.
     Returns (x, f, multipliers, relative stationarity, steps) or None when the
-    iteration leaves the objective domain.
+    iteration leaves the objective domain or stops contracting.
     """
     Aa = A[active]
     ba = b[active]
     x = x0.copy()
-    nu_a = np.zeros(len(active))
     m = x.size
+    KKT = np.zeros((m + len(active), m + len(active)))
+    KKT[:m, m:] = Aa.T
+    KKT[m:, :m] = Aa
+    nu_a = np.zeros(len(active))
     steps = 0
+    last = np.inf
     for _ in range(12):
         g = oracle.gradient(x)
-        H = oracle.hess(x)
-        KKT = np.block([[H, Aa.T], [Aa, np.zeros((len(active), len(active)))]]) \
-            if len(active) else H
-        rhs = np.concatenate([-g, ba - Aa @ x]) if len(active) else -g
+        KKT[:m, :m] = oracle.hessian(x)
+        rhs = np.concatenate([-g, ba - Aa @ x])
         if not (np.all(np.isfinite(KKT)) and np.all(np.isfinite(rhs))):
             return None
         try:
@@ -277,25 +264,28 @@ def _polish_on_face(oracle: ObjectiveOracle, A: np.ndarray, b: np.ndarray,
         dx = sol_vec[:m]
         nu_a = -sol_vec[m:]  # block system solves grad f + Aa' nu = 0
         steps += 1
+        size = float(np.max(np.abs(dx)))
+        if size >= last and size > 1e-12 * (1.0 + float(np.max(np.abs(x)))):
+            return None
+        last = size
         alpha = 1.0
         moved = False
         for _ in range(30):
             cand = x + alpha * dx
-            if np.isfinite(oracle.value(cand)):
-                x = cand
+            f_cand = oracle.value(cand)
+            if np.isfinite(f_cand):
+                x, f_x = cand, f_cand
                 moved = True
                 break
             alpha *= 0.5
         if not moved:
             return None
-        if float(np.max(np.abs(dx))) <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
+        if size <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
             break
-    f_new = float(oracle.value(x))
     grad = oracle.gradient(x)
     scale = max(1.0, float(np.max(np.abs(grad))))
-    stationarity = (float(np.max(np.abs(grad - Aa.T @ nu_a))) if len(active)
-                    else float(np.max(np.abs(grad)))) / scale
-    return x, f_new, nu_a, stationarity, steps
+    stationarity = float(np.max(np.abs(grad - Aa.T @ nu_a))) / scale
+    return x, float(f_x), nu_a, stationarity, steps
 
 
 def _kkt(oracle: ObjectiveOracle, A: np.ndarray, x: np.ndarray, b: np.ndarray, t: float) -> float:
@@ -308,31 +298,3 @@ def _kkt(oracle: ObjectiveOracle, A: np.ndarray, x: np.ndarray, b: np.ndarray, t
     grad = oracle.gradient(x)
     scale = max(1.0, float(np.max(np.abs(grad))))
     return float(np.max(np.abs(grad - A.T @ nu))) / scale
-
-
-@dataclass
-class KKTReport:
-    stationarity: float
-    comp_slack: float
-    feasibility: float
-    multipliers: np.ndarray
-    active: np.ndarray
-
-
-def check_kkt(sol: Solution, oracle: ObjectiveOracle, cons: LinearConstraints,
-              tol: float = 1e-8) -> KKTReport:
-    """Reconstruct multipliers on near-active rows by nonnegative least squares."""
-    A, b = cons.expanded()
-    x = sol.x
-    s = b - A @ x
-    active = np.flatnonzero(s <= 1e-6 * (1.0 + np.abs(b)))
-    grad = oracle.gradient(x)
-    nu = np.zeros(A.shape[0])
-    if active.size:
-        nu_act, _ = nnls(A[active].T, grad)
-        nu[active] = nu_act
-    stationarity = float(np.linalg.norm(grad - A.T @ nu))
-    comp_slack = float(np.dot(nu, s))
-    feasibility = cons.max_violation(x)
-    return KKTReport(stationarity=stationarity, comp_slack=comp_slack,
-                     feasibility=feasibility, multipliers=nu, active=active)

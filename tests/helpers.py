@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from dualbound import dp_solver, finite_mdp, market
+import numpy as np
+from scipy.optimize import nnls
+
+from dualbound import concave, dp_solver, finite_mdp, market
 
 
 def matching_mdp() -> finite_mdp.FiniteMDP:
@@ -183,3 +186,48 @@ def synthetic_value_grid(p, policy_pi=None, policy_c=None, J0=None):
     pi = np.zeros((p.K, G, p.n)) if policy_pi is None else np.tile(policy_pi, (p.K, G, 1))
     c = np.zeros((p.K, G)) if policy_c is None else np.full((p.K, G), policy_c)
     return dp_solver.ValueGrid(grid=grid, J=J, node_slope=node_slope, policy_pi=pi, policy_c=c)
+
+
+def fd_hessian(gradient, h_rel=1e-6):
+    """Symmetrized central-difference Hessian of `gradient`, for test oracles."""
+    def hessian(x):
+        m = x.size
+        H = np.empty((m, m))
+        h = h_rel * max(1.0, float(np.linalg.norm(x)))
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = h
+            H[:, j] = (gradient(x + e) - gradient(x - e)) / (2 * h)
+        return 0.5 * (H + H.T)
+    return hessian
+
+
+@dataclass
+class KKTReport:
+    stationarity: float
+    comp_slack: float
+    feasibility: float
+    multipliers: np.ndarray
+    active: np.ndarray
+
+
+def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
+              cons: concave.LinearConstraints, active_tol: float = 1e-6) -> KKTReport:
+    """Reconstruct multipliers on near-active rows by nonnegative least squares.
+
+    A row is near-active when its slack is at most active_tol * (1 + |b_i|).
+    """
+    A, b = cons.expanded()
+    x = sol.x
+    s = b - A @ x
+    active = np.flatnonzero(s <= active_tol * (1.0 + np.abs(b)))
+    grad = oracle.gradient(x)
+    nu = np.zeros(A.shape[0])
+    if active.size:
+        nu_act, _ = nnls(A[active].T, grad)
+        nu[active] = nu_act
+    stationarity = float(np.linalg.norm(grad - A.T @ nu))
+    comp_slack = float(np.dot(nu, s))
+    feasibility = cons.max_violation(x)
+    return KKTReport(stationarity=stationarity, comp_slack=comp_slack,
+                     feasibility=feasibility, multipliers=nu, active=active)

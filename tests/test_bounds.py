@@ -54,6 +54,9 @@ class TestShockStreams:
         assert not np.array_equal(base.Z, shock_path(p_set1, 99, 1, 0).Z)
         assert not np.array_equal(base.Z, shock_path(p_set1, 100, 0, 0).Z)
 
+    def test_negative_seed_has_its_own_stream(self, p_set1):
+        assert not np.array_equal(shock_path(p_set1, -1, 0, 0).Z, shock_path(p_set1, 2**63 - 1, 0, 0).Z)
+
     def test_shapes(self, p_set1):
         sp = shock_path(p_set1, 0, 0, 0)
         assert sp.Z.shape == (10, 3) and sp.Ztilde.shape == (10, 1)

@@ -201,5 +201,10 @@ class TestExitCodes:
     def test_missing_grid_file(self, tmp_path):
         assert run_cli("lower", "--grid", str(tmp_path / "none.json"), "--seed", "0") == 2
 
+    def test_missing_config_next_to_grid(self, grid_file_set1, tmp_path, capsys):
+        assert run_cli("lower", "--grid", grid_file_set1, "--config", str(tmp_path / "none.json"),
+                       "--seed", "1") == 2
+        assert "config not found" in capsys.readouterr().err
+
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbound import concave, dp_solver
+from dualbound import bounds, concave, dp_solver, penalties
 from dualbound.concave import LinearConstraints, ObjectiveOracle, maximize
 
-from helpers import node_objective_grid_search, qp_active_set_oracle, single_asset_params
+from helpers import (check_kkt, fd_hessian, node_objective_grid_search, qp_active_set_oracle,
+                     single_asset_params)
 
 
 def bowl_oracle(center):
@@ -41,7 +42,7 @@ class TestMaximize:
         sol = maximize(oracle, cons, np.array([0.5]), tol=1e-8)
         assert sol.status == concave.STATUS_CONVERGED
         assert sol.x[0] == pytest.approx(2.0, abs=1e-7)
-        report = concave.check_kkt(sol, oracle, cons)
+        report = check_kkt(sol, oracle, cons)
         # multiplier of the active row x <= 2 is f'(2) = 1/2
         assert report.multipliers[0] == pytest.approx(0.5, abs=1e-6)
         assert report.stationarity <= 1e-6
@@ -106,9 +107,88 @@ class TestMaximize:
         assert sol.status == concave.STATUS_CONVERGED
         ref_val, _ = qp_active_set_oracle(P, q, A, b)
         assert sol.f == pytest.approx(ref_val, abs=1e-6)
-        report = concave.check_kkt(sol, oracle, cons, tol=tol)
+        report = check_kkt(sol, oracle, cons)
         assert report.stationarity <= 10 * max(tol, tol * np.abs(q).max())
         assert report.feasibility <= 1e-9
+
+    def test_polish_gives_up_early_on_a_diverging_wrong_face(self, monkeypatch):
+        # log C + log W with W = 1 + r'p - C and both r_i < 0: the optimum is
+        # p = 0, C = 1/2.  At the first crossovers the slacks of p_i >= 0 are
+        # still above the near-active cut, so the guessed face is empty; there
+        # the KKT matrix is the Hessian, of rank 2 in R^3, and Newton diverges.
+        r = np.array([-0.05, -0.03])
+        a = np.array([r[0], r[1], -1.0])
+
+        def wealth(x):
+            return 1.0 + r @ x[:2] - x[2]
+
+        def value(x):
+            W = wealth(x)
+            return float(np.log(x[2]) + np.log(W)) if W > 0 and x[2] > 0 else -np.inf
+
+        def hessian(x):
+            H = -np.outer(a, a) / wealth(x) ** 2
+            H[2, 2] -= 1.0 / x[2] ** 2
+            return H
+
+        # One Hessian call per face Newton step, i.e. per KKT solve.
+        attempts = []
+        in_polish = [False]
+
+        def counting_hessian(x):
+            if in_polish[0]:
+                attempts[-1][0] += 1
+            return hessian(x)
+
+        polish = concave._active_set_polish
+
+        def counted_polish(*args):
+            attempts.append([0, None])
+            in_polish[0] = True
+            try:
+                attempts[-1][1] = polish(*args)
+            finally:
+                in_polish[0] = False
+            return attempts[-1][1]
+
+        monkeypatch.setattr(concave, "_active_set_polish", counted_polish)
+        oracle = ObjectiveOracle(
+            value=value,
+            gradient=lambda x: a / wealth(x) + np.array([0.0, 0.0, 1.0 / x[2]]),
+            hessian=counting_hessian,
+        )
+        cons = LinearConstraints(A=np.ones((1, 3)), b=np.array([1.0]), nonneg_mask=np.ones(3, dtype=bool))
+        sol = maximize(oracle, cons, np.array([0.2, 0.2, 0.2]), tol=1e-8)
+        assert sol.status == concave.STATUS_CONVERGED
+        np.testing.assert_allclose(sol.x, [0.0, 0.0, 0.5], atol=1e-7)
+        assert sol.f == pytest.approx(2.0 * np.log(0.5), abs=1e-10)
+        abandoned = [solves for solves, result in attempts if result is None]
+        assert abandoned, "the wrong face should have been abandoned"
+        assert max(abandoned) <= 3
+        assert sum(solves for solves, _ in attempts) < 12
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_set1_inner_problems_converge_and_verify(self, kind, p_set1, vg_set1):
+        policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        for i in range(2):
+            base = bounds.shock_path(p_set1, 5, 0, i)
+            for sp in (base, base.antithetic()):
+                ctx = penalties.build_context(p_set1, vg_set1, policy, sp)
+                form = penalties.penalty_form(kind, ctx, p_set1)
+                oracle, cons, x0 = bounds.assemble_inner(p_set1, form, ctx)
+                sol = maximize(oracle, cons, x0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+                assert sol.status == concave.STATUS_CONVERGED
+                tight = maximize(oracle, cons, x0, tol=bounds.INNER_TOL / 100,
+                                 max_newton=bounds.INNER_MAX_NEWTON)
+                assert sol.f == pytest.approx(tight.f, abs=bounds.INNER_TOL)
+                # A barrier exit leaves active slacks near 1e-6, beyond the
+                # default near-active cut.  Rows with slack above the 1e-3 cut
+                # carry barrier multipliers 1/(t s) summing to at most about
+                # rows * tol / 1e-3 = 5e-5.
+                report = check_kkt(sol, oracle, cons, active_tol=1e-3)
+                grad_scale = max(1.0, float(np.max(np.abs(oracle.gradient(sol.x)))))
+                assert report.stationarity <= 1e-4 * grad_scale
+                assert report.feasibility <= 1e-9
 
 
 class TestOracleGradients:
@@ -129,11 +209,7 @@ class TestOracleGradients:
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_finite_difference_hessian_fallback(self):
-        oracle = ObjectiveOracle(
-            value=lambda x: -float(x @ x),
-            gradient=lambda x: -2.0 * x,
-        )
-        H = oracle.hess(np.array([0.3, -0.7]))
+        H = fd_hessian(lambda x: -2.0 * x)(np.array([0.3, -0.7]))
         np.testing.assert_allclose(H, -2.0 * np.eye(2), atol=1e-6)
 
 
