@@ -6,7 +6,9 @@ eliminating wealth by forward substitution).  Statistics follow the
 run-of-runs protocol: per-run means over paths, mean and standard error
 across run means.  Path i of run r draws its Gaussians from a counter-based
 generator keyed by (seed, r, i); the antithetic partner negates the draws,
-so results are independent of worker count and replayable per path.
+so results are independent of worker count and replayable per path.  A
+lower-bound run simulates its paths in fixed-size batches, each path
+bit-identical to its one-path simulation.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import concave, dp_solver, penalties
-from .market import ModelParams, ShockPath, simulate_policy_path
+from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths
 
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
+LOWER_CHUNK_PAIRS = 64  # paths (antithetic pairs) per lower-bound simulation batch
 
 CSV_COLUMNS = (
     "parameter_set", "gamma", "bound_type", "penalty", "value_mean", "value_stderr",
@@ -104,16 +107,21 @@ def shock_path(p: ModelParams, seed: int, run: int, idx: int) -> ShockPath:
                      Ztilde=rng.standard_normal((p.K, p.d)))
 
 
-def path_utility(p: ModelParams, C: np.ndarray, W_K: float) -> float:
-    """Realized objective of one trajectory: discounted CRRA of consumption and bequest."""
+def path_utility(p: ModelParams, C: np.ndarray, W_K):
+    """Realized objective: discounted CRRA of consumption and bequest.
+
+    C is (K,) with a float W_K for one trajectory (returns a float), or
+    (N, K) with W_K of shape (N,) for N trajectories (returns an array).
+    """
     gamma = p.gamma
     k = np.arange(p.K)
-    total = 0.0
+    W_K = np.asarray(W_K, dtype=float)
+    total = np.zeros(W_K.shape)
     if p.alpha > 0.0:
-        total += p.alpha * p.delta * float(np.sum(p.beta ** (k * p.delta) * C ** (1.0 - gamma))) / (1.0 - gamma)
+        total += p.alpha * p.delta * np.sum(p.beta ** (k * p.delta) * C ** (1.0 - gamma), axis=-1) / (1.0 - gamma)
     if p.alpha < 1.0:
         total += (1.0 - p.alpha) * p.beta ** (p.K * p.delta) * W_K ** (1.0 - gamma) / (1.0 - gamma)
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 # Worker-process state, installed once per process by the pool initializer so
@@ -133,17 +141,28 @@ def _path_legs(p, cfg, r, i):
     return (base, base.antithetic()) if cfg.antithetic else (base,)
 
 
-def _lower_task(args):
-    r, i = args
+def _lower_task(r):
+    """Mean utility over the legs of run r, in (path, base/antithetic) order."""
     p, cfg, policy = _STATE["p"], _STATE["cfg"], _STATE["policy"]
-    out = []
-    for sp in _path_legs(p, cfg, r, i):
+    legs = 2 if cfg.antithetic else 1
+    values = np.empty(cfg.paths_per_run * legs)
+    for start in range(0, cfg.paths_per_run, LOWER_CHUNK_PAIRS):
+        stop = min(start + LOWER_CHUNK_PAIRS, cfg.paths_per_run)
+        Z = np.empty(((stop - start) * legs, p.K, p.n))
+        Ztilde = np.empty(((stop - start) * legs, p.K, p.d))
+        for j, i in enumerate(range(start, stop)):
+            base = shock_path(p, cfg.seed, r, i)
+            Z[j * legs], Ztilde[j * legs] = base.Z, base.Ztilde
+            if cfg.antithetic:
+                np.negative(base.Z, out=Z[j * legs + 1])
+                np.negative(base.Ztilde, out=Ztilde[j * legs + 1])
         try:
-            path = simulate_policy_path(p, policy, sp)
-        except Exception as exc:
+            path = simulate_paths(p, policy, Z, Ztilde)
+        except AdmissibilityError as exc:
+            i = start + exc.row // legs
             raise PathError(f"lower-bound path failed (seed={cfg.seed}, run={r}, path={i}): {exc}") from exc
-        out.append(path_utility(p, path.C, float(path.W[-1])))
-    return out
+        values[start * legs:stop * legs] = path_utility(p, path.C, path.W[:, -1])
+    return float(np.mean(values))
 
 
 def _upper_task(args):
@@ -162,8 +181,7 @@ def _upper_task(args):
     return out
 
 
-def _run_tasks(task_fn, p, vg, cfg, workers):
-    tasks = [(r, i) for r in range(cfg.runs) for i in range(cfg.paths_per_run)]
+def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
     if workers <= 1:
         _init_worker(p, vg, cfg)
         return [task_fn(t) for t in tasks]
@@ -208,9 +226,9 @@ def _estimate(kind: str, cfg: RunConfig, p: ModelParams, run_means: np.ndarray,
 
 def lower_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
-    """Expected utility of the grid policy, by policy simulation."""
-    results = _run_tasks(_lower_task, p, vg, cfg, workers)
-    run_means, total = _collect(cfg, results)
+    """Expected utility of the grid policy, by policy simulation (one task per run)."""
+    run_means = np.array(_run_tasks(_lower_task, list(range(cfg.runs)), p, vg, cfg, workers))
+    total = cfg.runs * cfg.paths_per_run * (2 if cfg.antithetic else 1)
     return _estimate("lower", cfg, p, run_means, total, flagged=0)
 
 
@@ -223,7 +241,8 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
-    results = _run_tasks(_upper_task, p, vg, cfg, workers)
+    tasks = [(r, i) for r in range(cfg.runs) for i in range(cfg.paths_per_run)]
+    results = _run_tasks(_upper_task, tasks, p, vg, cfg, workers)
     values = [[v for (v, _) in task] for task in results]
     flagged = sum(fl for task in results for (_, fl) in task)
     run_means, total = _collect(cfg, values)

@@ -48,7 +48,9 @@ def _load_params(args) -> ModelParams:
                 data = json.load(fh)
         except FileNotFoundError as exc:
             raise CliError(EXIT_INPUT, f"config not found: {exc}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(EXIT_INPUT, f"config is not valid JSON: {exc}")
         try:
             params = ModelParams.from_dict(data)
@@ -70,6 +72,8 @@ def _load_grid(args):
         vg, params = dp_solver.load_value_grid(args.grid)
     except FileNotFoundError as exc:
         raise CliError(EXIT_INPUT, f"grid file not found: {exc}")
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read grid file: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"grid file is not valid JSON: {exc}")
     except (ValueError, KeyError) as exc:
@@ -80,6 +84,8 @@ def _load_grid(args):
                 other = ModelParams.from_dict(json.load(fh))
         except FileNotFoundError as exc:
             raise CliError(EXIT_INPUT, f"config not found: {exc}")
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
         except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
             raise CliError(EXIT_INPUT, f"bad config: {exc}")
         if other.content_hash() != params.content_hash():
@@ -216,6 +222,8 @@ def cmd_verify_finite(args) -> int:
             mdp = finite_mdp.FiniteMDP.from_json(fh.read())
     except FileNotFoundError as exc:
         raise CliError(EXIT_INPUT, f"mdp file not found: {exc}")
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read mdp file: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_INPUT, f"mdp file is not valid JSON: {exc}")
     except (ValueError, KeyError, TypeError) as exc:
@@ -255,6 +263,8 @@ def cmd_report(args) -> int:
                 rows.extend(list(_csv.DictReader(fh)))
         except FileNotFoundError as exc:
             raise CliError(EXIT_INPUT, f"csv not found: {exc}")
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot read csv: {exc}")
     groups: dict = {}
     for row in rows:
         key = (row["parameter_set"], row["gamma"])

@@ -244,53 +244,77 @@ def backward_recursion(
     return ValueGrid(grid=grid, J=J, node_slope=node_slope, policy_pi=policy_pi, policy_c=policy_c)
 
 
-def interpolate_J(vg: ValueGrid, k: int, phi: float) -> float:
-    """Piecewise-linear nodal interpolation; linear continuation beyond the grid."""
-    g, J = vg.grid, vg.J[k]
-    if phi <= g[0]:
-        return float(J[0] + (phi - g[0]) * (J[1] - J[0]) / (g[1] - g[0]))
-    if phi >= g[-1]:
-        return float(J[-1] + (phi - g[-1]) * (J[-1] - J[-2]) / (g[-1] - g[-2]))
-    return float(np.interp(phi, g, J))
+def _segments(g: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """Index j of the grid segment [g[j], g[j+1]] holding x; edge segments extend outward."""
+    j = np.searchsorted(g, x, side=side) - 1
+    return np.minimum(np.maximum(j, 0), g.size - 2)
 
 
-def gradient_J(vg: ValueGrid, k: int, phi: float) -> float:
-    """Slope of the interpolant; averaged adjacent slopes exactly at interior nodes."""
-    g, J = vg.grid, vg.J[k if k < vg.K else vg.K]
-    seg = np.diff(J) / np.diff(g)
-    if phi <= g[0]:
-        return float(seg[0])
-    if phi >= g[-1]:
-        return float(seg[-1])
-    idx = int(np.searchsorted(g, phi))
-    if phi == g[idx]:
-        return float(0.5 * (seg[idx - 1] + seg[idx]))
-    return float(seg[idx - 1])
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
 
-def policy_lookup(vg: ValueGrid, k: int, phi: float, p: ModelParams) -> tuple:
+def interpolate_J(vg: ValueGrid, k, phi):
+    """Piecewise-linear nodal interpolation; linear continuation beyond the grid.
+
+    k (a stage or an array of stages) broadcasts against phi (one state or
+    an array of states); a scalar k and phi give a float.  Inside the grid
+    this is np.interp, exact at the nodes.
+    """
+    g, J = vg.grid, vg.J
+    x = np.asarray(phi, dtype=float)
+    j = _segments(g, x, "right")
+    slope = (J[k, j + 1] - J[k, j]) / (g[j + 1] - g[j])
+    anchor = np.where(x >= g[-1], g.size - 1, j)
+    return _scalar_or_array(J[k, anchor] + (x - g[anchor]) * slope)
+
+
+def gradient_J(vg: ValueGrid, k, phi):
+    """Slope of the interpolant; averaged adjacent slopes exactly at interior nodes.
+
+    k and phi broadcast as in `interpolate_J`.
+    """
+    g, J = vg.grid, vg.J
+    k = np.minimum(k, vg.K)
+    x = np.asarray(phi, dtype=float)
+    j = _segments(g, x, "left")  # g[j] < x <= g[j+1] inside the grid
+    left = (J[k, j + 1] - J[k, j]) / (g[j + 1] - g[j])
+    i = np.minimum(j + 1, g.size - 2)  # the segment right of node j+1
+    right = (J[k, i + 1] - J[k, i]) / (g[i + 1] - g[i])
+    at_node = (x == g[j + 1]) & (x < g[-1])
+    return _scalar_or_array(np.where(at_node, 0.5 * (left + right), left))
+
+
+def policy_lookup(vg: ValueGrid, k: int, phi, p: ModelParams) -> tuple:
     """Componentwise interpolation of the nodal policy, projected back into A.
 
     Beyond the outermost nodes the nearest nodal policy is used (constant
-    extrapolation) before projection.
+    extrapolation) before projection.  phi is one state, giving (pi[n], c),
+    or an (N,) array of states, giving (pi[N, n], c[N]).
     """
     g = vg.grid
-    x = min(max(phi, g[0]), g[-1])
-    pi = np.array([np.interp(x, g, vg.policy_pi[k, :, j]) for j in range(vg.policy_pi.shape[2])])
-    c = float(np.interp(x, g, vg.policy_c[k]))
-    pi = np.maximum(pi, 0.0)
-    total = float(np.sum(pi))
-    if total > 1.0:
-        pi = pi / total
-        total = 1.0
-    c = min(max(c, 0.0), p.R_f * (1.0 - total))
+    x = np.asarray(phi, dtype=float).reshape(-1)  # np.interp extrapolates constantly
+    n = vg.policy_pi.shape[2]
+    pi = np.empty((x.size, n))
+    for j in range(n):
+        pi[:, j] = np.interp(x, g, vg.policy_pi[k, :, j])
+    c = np.interp(x, g, vg.policy_c[k])
+    np.maximum(pi, 0.0, out=pi)
+    total = pi.sum(axis=-1)
+    pi /= np.maximum(total, 1.0)[:, None]  # back onto the simplex where 1'pi > 1
+    c = np.minimum(np.maximum(c, 0.0), p.R_f * (1.0 - np.minimum(total, 1.0)))
+    if np.ndim(phi) == 0:
+        return pi[0], float(c[0])
     return pi, c
 
 
 def make_grid_policy(vg: ValueGrid, p: ModelParams):
-    """Stage policy callback for simulation; wealth-independent under CRRA."""
+    """Stage policy callback for simulation; wealth-independent under CRRA.
 
-    def policy(k: int, phi: float, W: float):
+    Takes one state or an (N,) batch of states, like `policy_lookup`.
+    """
+
+    def policy(k: int, phi, W):
         return policy_lookup(vg, k, phi, p)
 
     return policy
@@ -323,6 +347,14 @@ def value_grid_from_dict(data: dict) -> tuple:
         policy_pi=np.asarray(data["policy_pi"], dtype=float),
         policy_c=np.asarray(data["policy_c"], dtype=float),
     )
+    grid = vg.grid
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+        raise ValueError("value-grid file is corrupt: grid must be strictly increasing with at least two nodes")
+    G = grid.size
+    for name, shape in (("J", (p.K + 1, G)), ("policy_pi", (p.K, G, p.n)), ("policy_c", (p.K, G))):
+        if getattr(vg, name).shape != shape:
+            raise ValueError(f"value-grid file is corrupt: {name} has shape "
+                             f"{getattr(vg, name).shape}, expected {shape}")
     return vg, p
 
 

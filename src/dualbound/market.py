@@ -2,19 +2,22 @@
 
 The model family is a one-dimensional Ornstein-Uhlenbeck market state driving
 the drift of n risky assets, advanced on a fixed grid of K periods of length
-delta.  All stepping functions are stateless; path simulation applies a policy
-callback stage by stage and enforces the admissible set
+delta.  All stepping functions are stateless and take one path or a batch of
+paths along a leading axis.  Path simulation applies a policy callback stage
+by stage, to a whole batch of paths at once, and enforces the admissible set
 
     A = {(pi, c) : pi >= 0, c >= 0, c <= R_f (1 - 1'pi)}
 
-with strictly positive wealth along the way.
+with strictly positive wealth along the way.  Per-path arithmetic is
+elementwise or a reduction over the last axis, never a product across the
+batch, so every path comes out bit-identical at any batch size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,10 +27,14 @@ FEAS_TOL = 1e-9
 
 
 class AdmissibilityError(ValueError):
-    """A policy decision left the admissible set, or wealth hit the floor."""
+    """A policy decision left the admissible set, or wealth hit the floor.
 
-    def __init__(self, stage: int, message: str):
+    `row` is the index of the failing path within its simulated batch.
+    """
+
+    def __init__(self, stage: int, message: str, row: int = 0):
         self.stage = stage
+        self.row = row
         super().__init__(f"stage {stage}: {message}")
 
 
@@ -243,7 +250,6 @@ class ShockPath:
 
     Z: np.ndarray
     Ztilde: np.ndarray
-    antithetic_of: Optional["ShockPath"] = None
 
     def __post_init__(self):
         Z = np.asarray(self.Z, dtype=float)
@@ -259,12 +265,15 @@ class ShockPath:
 
     def antithetic(self) -> "ShockPath":
         """Elementwise negation; exact in IEEE arithmetic."""
-        return ShockPath(Z=-self.Z, Ztilde=-self.Ztilde, antithetic_of=self)
+        return ShockPath(Z=-self.Z, Ztilde=-self.Ztilde)
 
 
 @dataclass
 class MarketPath:
-    """A simulated trajectory: states, gross returns, wealth and consumption."""
+    """Simulated trajectories: states, gross returns, wealth and consumption.
+
+    Shapes are for one path; a batch of N paths carries a leading N axis.
+    """
 
     phi: np.ndarray    # (K+1,)
     R: np.ndarray      # (K, n); row k is the gross return over period [k, k+1]
@@ -273,76 +282,130 @@ class MarketPath:
     Pi: np.ndarray     # (K, n) invested amounts Pi_k = pi_k * W_k
 
 
-def step_state(phi_k: float, z: np.ndarray, ztilde, p: ModelParams) -> float:
-    """Advance the market state one period: OU drift plus both shock loadings."""
-    zt = float(np.asarray(ztilde).reshape(-1)[0]) if np.ndim(ztilde) else float(ztilde)
+def step_state(phi_k, z: np.ndarray, ztilde, p: ModelParams):
+    """Advance the market state one period: OU drift plus both shock loadings.
+
+    phi_k is a state or an (N,) batch of states, with z of shape (..., n)
+    and ztilde of shape (..., d) or a scalar.
+    """
+    zt = np.asarray(ztilde, dtype=float)
+    if zt.ndim:
+        zt = zt[..., 0]
     drift = -p.lam * phi_k * p.delta
-    diff = (float(np.dot(p.sigma_phi1, z)) + p.sigma_phi2 * zt) * p.sqrt_delta
+    diff = ((p.sigma_phi1 * z).sum(axis=-1) + p.sigma_phi2 * zt) * p.sqrt_delta
     return phi_k + drift + diff
 
 
-def log_return_mean(phi_k: float, p: ModelParams) -> np.ndarray:
-    """Per-period mean of log gross returns at state phi_k."""
-    mu_k = p.mu0 + p.mu1 * phi_k
+def log_return_mean(phi_k, p: ModelParams) -> np.ndarray:
+    """Per-period mean of log gross returns at state phi_k (shape (..., n))."""
+    mu_k = p.mu0 + p.mu1 * np.asarray(phi_k, dtype=float)[..., None]
     return (mu_k - 0.5 * p.sigma_sq) * p.delta
 
 
-def step_return(phi_k: float, z: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Gross returns over one period given state phi_k and shock z."""
-    log_r = log_return_mean(phi_k, p) + (p.sigma @ z) * p.sqrt_delta
-    return np.exp(log_r)
+def step_return(phi_k, z: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Gross returns over one period given state phi_k and shock z (..., n)."""
+    sigma_z = (p.sigma * z[..., None, :]).sum(axis=-1)
+    return np.exp(log_return_mean(phi_k, p) + sigma_z * p.sqrt_delta)
 
 
-def step_wealth(W_k: float, Pi_k: np.ndarray, C_k: float, R_next: np.ndarray, p: ModelParams) -> float:
+def step_wealth(W_k, Pi_k: np.ndarray, C_k, R_next: np.ndarray, p: ModelParams):
     """Wealth recursion in invested amounts; exactly linear in (Pi_k, C_k)."""
-    return W_k * p.R_f + float(np.dot(R_next - p.R_f, Pi_k)) - C_k
+    return W_k * p.R_f + ((R_next - p.R_f) * Pi_k).sum(axis=-1) - C_k
+
+
+def _admissibility(pi: np.ndarray, c, p: ModelParams, tol: float) -> tuple:
+    """Masks (negative pi, negative c, over budget) and the budget R_f(1 - 1'pi),
+    over the leading axes of pi (..., n) and c (...)."""
+    budget = p.R_f * (1.0 - np.sum(pi, axis=-1))
+    return np.any(pi < -tol, axis=-1), c < -tol, c > budget + tol, budget
 
 
 def check_admissible(pi: np.ndarray, c: float, p: ModelParams, tol: float = FEAS_TOL) -> Optional[str]:
     """Return a violation description for (pi, c) outside A, or None."""
-    if np.any(pi < -tol):
+    pi = np.asarray(pi, dtype=float)
+    neg_pi, neg_c, over, budget = _admissibility(pi, c, p, tol)
+    if neg_pi:
         return f"pi has negative component {float(np.min(pi)):.3e}"
-    if c < -tol:
-        return f"c = {c:.3e} is negative"
-    budget = p.R_f * (1.0 - float(np.sum(pi)))
-    if c > budget + tol:
-        return f"c = {c:.6g} exceeds budget R_f(1 - 1'pi) = {budget:.6g}"
+    if neg_c:
+        return f"c = {float(c):.3e} is negative"
+    if over:
+        return f"c = {float(c):.6g} exceeds budget R_f(1 - 1'pi) = {float(budget):.6g}"
     return None
 
 
 Policy = Callable[[int, float, float], tuple]
+BatchPolicy = Callable[[int, np.ndarray, np.ndarray], tuple]
+
+
+def as_batch_policy(policy: Policy) -> BatchPolicy:
+    """Adapt a one-path policy `(k, phi, W) -> (pi, c)` to a batch of one path."""
+
+    def batch(k, phi, W):
+        pi, c = policy(k, phi[0], W[0])
+        return np.asarray(pi, dtype=float)[None], np.asarray(c, dtype=float).reshape(1)
+
+    return batch
+
+
+def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: np.ndarray) -> MarketPath:
+    """Run `policy(k, phi[N], W[N]) -> (pi[N, n], c[N])` along N shock paths.
+
+    Z is (N, K, n) and Ztilde (N, K, d); the result carries a leading N axis.
+    States and returns do not depend on the decisions, so they are stepped
+    first; the admissibility of every decision and the wealth floor are
+    checked once the paths are complete.  Raises AdmissibilityError for the
+    lowest-numbered failing path (its `row`), naming the stage of its first
+    failure.
+    """
+    K = p.K
+    Z = np.asarray(Z, dtype=float)
+    Ztilde = np.asarray(Ztilde, dtype=float)
+    if Z.shape[1] != K:
+        raise ValueError(f"shock path has {Z.shape[1]} stages, params have K={K}")
+    N = Z.shape[0]
+    phi = np.empty((N, K + 1))
+    phi[:, 0] = p.phi0
+    for k in range(K):
+        phi[:, k + 1] = step_state(phi[:, k], Z[:, k], Ztilde[:, k], p)
+    R = step_return(phi[:, :K], Z, p)
+    W = np.empty((N, K + 1))
+    W[:, 0] = p.W0
+    C = np.empty((N, K))
+    Pi = np.empty((N, K, p.n))
+    raw_pi = np.empty((N, K, p.n))
+    raw_c = np.empty((N, K))
+    for k in range(K):
+        pi_k, c_k = policy(k, phi[:, k], W[:, k])
+        raw_pi[:, k] = pi_k
+        raw_c[:, k] = c_k
+        # Clip float-level fuzz so the wealth recursion sees a point of A.
+        pi_k = np.maximum(raw_pi[:, k], 0.0)
+        c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), p.R_f * (1.0 - pi_k.sum(axis=-1)))
+        Pi[:, k] = W[:, k, None] * pi_k
+        C[:, k] = W[:, k] * c_k
+        W[:, k + 1] = step_wealth(W[:, k], Pi[:, k], C[:, k], R[:, k], p)
+    # Failure events in time order: decision k at 2k, wealth W_{k+1} at 2k+1.
+    events = np.empty((N, 2 * K), dtype=bool)
+    neg_pi, neg_c, over, _ = _admissibility(raw_pi, raw_c, p, FEAS_TOL)
+    events[:, 0::2] = neg_pi | neg_c | over
+    events[:, 1::2] = W[:, 1:] <= WEALTH_FLOOR
+    failed = np.flatnonzero(events.any(axis=1))
+    if failed.size:
+        row = int(failed[0])
+        first = int(np.argmax(events[row]))
+        k = first // 2
+        if first % 2 == 0:
+            raise AdmissibilityError(k, check_admissible(raw_pi[row, k], raw_c[row, k], p), row=row)
+        raise AdmissibilityError(
+            k + 1, f"wealth {W[row, k + 1]:.3e} at or below floor {WEALTH_FLOOR:g}", row=row)
+    return MarketPath(phi=phi, R=R, W=W, C=C, Pi=Pi)
 
 
 def simulate_policy_path(p: ModelParams, policy: Policy, shocks: ShockPath) -> MarketPath:
     """Run `policy(k, phi_k, W_k) -> (pi, c)` along one shock path.
 
-    Raises AdmissibilityError naming the stage if the policy leaves A or
-    wealth falls to the floor.
+    The N = 1 call of `simulate_paths`.  Raises AdmissibilityError naming the
+    stage if the policy leaves A or wealth falls to the floor.
     """
-    K = p.K
-    if shocks.K != K:
-        raise ValueError(f"shock path has {shocks.K} stages, params have K={K}")
-    phi = np.empty(K + 1)
-    W = np.empty(K + 1)
-    R = np.empty((K, p.n))
-    C = np.empty(K)
-    Pi = np.empty((K, p.n))
-    phi[0] = p.phi0
-    W[0] = p.W0
-    for k in range(K):
-        pi_k, c_k = policy(k, phi[k], W[k])
-        pi_k = np.asarray(pi_k, dtype=float)
-        violation = check_admissible(pi_k, c_k, p)
-        if violation is not None:
-            raise AdmissibilityError(k, violation)
-        # Clip float-level fuzz so the wealth recursion sees a point of A.
-        pi_k = np.maximum(pi_k, 0.0)
-        c_k = min(max(c_k, 0.0), p.R_f * (1.0 - float(np.sum(pi_k))))
-        Pi[k] = W[k] * pi_k
-        C[k] = W[k] * c_k
-        R[k] = step_return(phi[k], shocks.Z[k], p)
-        phi[k + 1] = step_state(phi[k], shocks.Z[k], shocks.Ztilde[k], p)
-        W[k + 1] = step_wealth(W[k], Pi[k], C[k], R[k], p)
-        if W[k + 1] <= WEALTH_FLOOR:
-            raise AdmissibilityError(k + 1, f"wealth {W[k + 1]:.3e} at or below floor {WEALTH_FLOOR:g}")
-    return MarketPath(phi=phi, R=R, W=W, C=C, Pi=Pi)
+    b = simulate_paths(p, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None])
+    return MarketPath(phi=b.phi[0], R=b.R[0], W=b.W[0], C=b.C[0], Pi=b.Pi[0])

@@ -18,17 +18,15 @@ Both have zero mean under any non-anticipative policy, which
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 import numpy as np
 
 from . import dp_solver
-from .market import ModelParams, ShockPath, simulate_policy_path
-
-logger = logging.getLogger(__name__)
+from .market import ModelParams, ShockPath, as_batch_policy, simulate_paths
 
 PENALTY_KINDS = ("zero", "m1", "m2")
+FEAS_CHUNK_PAIRS = 128  # antithetic pairs whose contexts are built in one batch
 
 
 @dataclass(frozen=True)
@@ -70,64 +68,72 @@ class PenaltyContext:
         return self.phi.shape[0]
 
 
-def build_context(p: ModelParams, vg: dp_solver.ValueGrid, policy, shocks: ShockPath) -> PenaltyContext:
-    """Run the baseline policy along the shocks and evaluate J and its slope."""
-    path = simulate_policy_path(p, policy, shocks)
+def build_contexts(p: ModelParams, vg: dp_solver.ValueGrid, policy, Z: np.ndarray,
+                   Ztilde: np.ndarray) -> list:
+    """Contexts of N baseline trajectories, simulated as one batch.
+
+    `policy(k, phi[N], W[N]) -> (pi[N, n], c[N])` is a batch policy; Z is
+    (N, K, n) and Ztilde (N, K, d).  Context i is bit-identical to the one
+    `build_context` gives for path i alone.
+    """
+    path = simulate_paths(p, policy, Z, Ztilde)
     K = p.K
-    J = np.array([dp_solver.interpolate_J(vg, k, path.phi[k]) for k in range(K)])
-    gradJ = np.array([dp_solver.gradient_J(vg, k, path.phi[k]) for k in range(K)])
-    return PenaltyContext(
-        phi=path.phi[:K].copy(),
-        W=path.W[:K].copy(),
-        Pi=path.Pi.copy(),
-        C=path.C.copy(),
-        R=path.R.copy(),
-        J=J,
-        gradJ=gradJ,
-        Z=shocks.Z,
-        Ztilde=shocks.Ztilde,
-    )
+    stages = np.arange(K)
+    J = dp_solver.interpolate_J(vg, stages, path.phi[:, :K])
+    gradJ = dp_solver.gradient_J(vg, stages, path.phi[:, :K])
+    return [
+        PenaltyContext(phi=path.phi[i, :K], W=path.W[i, :K], Pi=path.Pi[i], C=path.C[i], R=path.R[i],
+                       J=J[i], gradJ=gradJ[i], Z=Z[i], Ztilde=Ztilde[i])
+        for i in range(Z.shape[0])
+    ]
 
 
-def _shock_terms(ctx: PenaltyContext, p: ModelParams) -> tuple:
-    """Per-stage scalars grad J_k(phi_k) * (loading . shock) * sqrt(delta)."""
+def build_context(p: ModelParams, vg: dp_solver.ValueGrid, policy, shocks: ShockPath) -> PenaltyContext:
+    """Run the one-path policy `(k, phi, W) -> (pi, c)` along the shocks and
+    evaluate J and its slope; the N = 1 call of `build_contexts`."""
+    return build_contexts(p, vg, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None])[0]
+
+
+def _stage_terms(ctx: PenaltyContext, p: ModelParams) -> tuple:
+    """Per-stage discount beta^(k delta) and shock term grad J_k(phi_k) *
+    (loadings . shocks) * sqrt(delta), summed over both state loadings."""
     sd = p.sqrt_delta
+    disc = p.beta ** (np.arange(ctx.K) * p.delta)
     base1 = ctx.gradJ * (ctx.Z @ p.sigma_phi1) * sd
     base2 = ctx.gradJ * (p.sigma_phi2 * ctx.Ztilde[:, 0]) * sd
-    return base1, base2
+    return disc, base1 + base2
+
+
+def _m1(ctx: PenaltyContext, p: ModelParams, disc: np.ndarray, base: np.ndarray) -> PenaltyForm:
+    gamma = p.gamma
+    constant = float(np.sum(disc * ctx.W ** (1.0 - gamma) * base))
+    sigZ = ctx.Z @ p.sigma.T * p.sqrt_delta  # row k = (sigma Z_{k+1})' sqrt(delta)
+    lin_Pi = (disc * (1.0 - gamma) * ctx.W ** (-gamma) * ctx.J)[:, None] * sigZ
+    return PenaltyForm(constant=constant, lin_Pi=lin_Pi, lin_C=np.zeros(ctx.K))
 
 
 def m1_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
     """Discretized value-function penalty; only the Pi_k coefficients depend on decisions."""
-    K, n = ctx.K, p.n
-    gamma = p.gamma
-    disc = p.beta ** (np.arange(K) * p.delta)
-    base1, base2 = _shock_terms(ctx, p)
-    constant = float(np.sum(disc * ctx.W ** (1.0 - gamma) * (base1 + base2)))
-    sigZ = ctx.Z @ p.sigma.T * p.sqrt_delta  # row k = (sigma Z_{k+1})' sqrt(delta)
-    lin_Pi = (disc * (1.0 - gamma) * ctx.W ** (-gamma) * ctx.J)[:, None] * sigZ
-    return PenaltyForm(constant=constant, lin_Pi=lin_Pi, lin_C=np.zeros(K))
+    return _m1(ctx, p, *_stage_terms(ctx, p))
 
 
 def m2_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
     """M1 with the decision-independent terms linearized around the previous
     stage's baseline decisions; anchored so that it equals M1 at the baseline."""
-    K, n = ctx.K, p.n
+    K = ctx.K
     gamma = p.gamma
-    disc = p.beta ** (np.arange(K) * p.delta)
-    base1, base2 = _shock_terms(ctx, p)
-    base = base1 + base2
-    m1 = m1_form(ctx, p)
+    disc, base = _stage_terms(ctx, p)
+    m1 = _m1(ctx, p, disc, base)
+    # Stage k >= 1 linearizes in (Pi_{k-1}, C_{k-1}) at frozen W_{k-1}:
+    # d/dPi_{k-1} W_k = R_k - R_f, d/dC_{k-1} W_k = -1.
+    slope = disc[1:] * (1.0 - gamma) * ctx.W[1:] ** (-gamma) * base[1:]
+    excess_prev = ctx.R[:-1] - p.R_f
     lin_Pi = m1.lin_Pi.copy()
+    lin_Pi[:-1] += slope[:, None] * excess_prev
     lin_C = np.zeros(K)
-    constant = m1.constant
-    for k in range(1, K):
-        # d/dPi_{k-1} W_k = R_k - R_f, d/dC_{k-1} W_k = -1, at frozen W_{k-1}.
-        slope = disc[k] * (1.0 - gamma) * ctx.W[k] ** (-gamma) * base[k]
-        excess_prev = ctx.R[k - 1] - p.R_f
-        lin_Pi[k - 1] += slope * excess_prev
-        lin_C[k - 1] += -slope
-        constant += -slope * (float(np.dot(excess_prev, ctx.Pi[k - 1])) - ctx.C[k - 1])
+    lin_C[:-1] = -slope
+    anchor = np.sum(excess_prev * ctx.Pi[:-1], axis=1) - ctx.C[:-1]
+    constant = m1.constant - float(np.sum(slope * anchor))
     return PenaltyForm(constant=constant, lin_Pi=lin_Pi, lin_C=lin_C)
 
 
@@ -161,7 +167,10 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
     Samples n_paths antithetic pairs, evaluates the penalty at the baseline
     decisions, and passes iff |mean| <= 3 * stderr (pair averages are the
     i.i.d. observations).  `kind` is one of PENALTY_KINDS or a callable
-    (ctx, params) -> PenaltyForm for custom penalties.
+    (ctx, params) -> PenaltyForm for custom penalties; either is applied to
+    one leg at a time.  `policy` is a batch policy (see `build_contexts`),
+    by default the grid policy.  The pairs come from one sequential stream
+    keyed by the seed; chunks of pairs are simulated as one batch.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
@@ -172,23 +181,22 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
     if policy is None:
         policy = dp_solver.make_grid_policy(vg, p)
     rng = np.random.Generator(np.random.Philox(key=np.random.SeedSequence(
-        (seed, 0x7EA5)).generate_state(2, np.uint64)))
+        (seed % 2**64, 0x7EA5)).generate_state(2, np.uint64)))
+    K, n, d = p.K, p.n, p.d
     pair_means = np.empty(n_paths)
-    leg_ratio_log: list = []
-    for i in range(n_paths):
-        shocks = ShockPath(Z=rng.standard_normal((p.K, p.n)),
-                           Ztilde=rng.standard_normal((p.K, p.d)))
-        vals = []
-        for sp in (shocks, shocks.antithetic()):
-            ctx = build_context(p, vg, policy, sp)
-            form = form_fn(ctx, p)
-            vals.append(form.evaluate(ctx.Pi, ctx.C))
-        pair_means[i] = 0.5 * (vals[0] + vals[1])
-        if i < 16 and max(abs(vals[0]), abs(vals[1])) > 0:
-            leg_ratio_log.append(abs(pair_means[i]) / max(abs(vals[0]), abs(vals[1])))
-    if leg_ratio_log:
-        logger.debug("antithetic pair-mean to leg magnitude ratios (first pairs): %s",
-                     np.array2string(np.asarray(leg_ratio_log), precision=3))
+    for start in range(0, n_paths, FEAS_CHUNK_PAIRS):
+        m = min(FEAS_CHUNK_PAIRS, n_paths - start)
+        # Pair i draws its K*n return shocks, then its K*d state shocks.
+        draws = rng.standard_normal((m, K * (n + d)))
+        Z = np.empty((m, 2, K, n))
+        Ztilde = np.empty((m, 2, K, d))
+        Z[:, 0] = draws[:, :K * n].reshape(m, K, n)
+        Ztilde[:, 0] = draws[:, K * n:].reshape(m, K, d)
+        np.negative(Z[:, 0], out=Z[:, 1])
+        np.negative(Ztilde[:, 0], out=Ztilde[:, 1])
+        ctxs = build_contexts(p, vg, policy, Z.reshape(2 * m, K, n), Ztilde.reshape(2 * m, K, d))
+        vals = np.array([form_fn(ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in ctxs])
+        pair_means[start:start + m] = 0.5 * (vals[0::2] + vals[1::2])
     mean = float(np.mean(pair_means))
     stderr = float(np.std(pair_means, ddof=1) / math.sqrt(n_paths))
     passed = abs(mean) <= 3.0 * stderr or (mean == 0.0 and stderr == 0.0)

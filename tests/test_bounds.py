@@ -114,6 +114,54 @@ class TestLowerBound:
         parallel = lower_bound(p_set1, vg_set1, cfg, workers=2)
         assert np.array_equal(serial.run_means, parallel.run_means)
 
+    @pytest.mark.parametrize("chunk", [3, bounds.LOWER_CHUNK_PAIRS])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_means_equal_single_path_recomputation(self, p_set1, vg_set1, monkeypatch, chunk, workers):
+        monkeypatch.setattr(bounds, "LOWER_CHUNK_PAIRS", chunk)
+        cfg = RunConfig(paths_per_run=10, runs=3, seed=31, gamma=1.5)
+        est = lower_bound(p_set1, vg_set1, cfg, workers=workers)
+        policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        expect = []
+        for r in range(cfg.runs):
+            vals = []
+            for i in range(cfg.paths_per_run):
+                base = shock_path(p_set1, cfg.seed, r, i)
+                for sp in (base, base.antithetic()):
+                    path = market.simulate_policy_path(p_set1, policy, sp)
+                    vals.append(path_utility(p_set1, path.C, float(path.W[-1])))
+            expect.append(float(np.mean(vals)))
+        assert np.array_equal(est.run_means, expect)
+        assert est.total_paths == 60
+
+    def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
+        # Consumption 0.01 up to phi = 1, rising to the whole budget at phi = 2:
+        # wealth reaches zero on the paths whose state climbs far enough.
+        p = market.parameter_set(1)
+        vg = synthetic_value_grid(p, policy_c=0.01)
+        policy_c = vg.policy_c.copy()
+        policy_c[:, -1] = 5.0
+        vg = dp_solver.ValueGrid(grid=vg.grid, J=vg.J, node_slope=vg.node_slope,
+                                 policy_pi=vg.policy_pi, policy_c=policy_c)
+        cfg = RunConfig(paths_per_run=12, runs=3, seed=6)
+        policy = dp_solver.make_grid_policy(vg, p)
+
+        def first_failure():
+            for r in range(cfg.runs):
+                for i in range(cfg.paths_per_run):
+                    base = shock_path(p, cfg.seed, r, i)
+                    for sp in (base, base.antithetic()):
+                        try:
+                            market.simulate_policy_path(p, policy, sp)
+                        except market.AdmissibilityError as exc:
+                            return r, i, str(exc)
+
+        r, i, message = first_failure()
+        monkeypatch.setattr(bounds, "LOWER_CHUNK_PAIRS", 2)
+        assert (r, i) == (1, 3)  # the second path of its chunk, in the second run
+        with pytest.raises(bounds.PathError) as err:
+            lower_bound(p, vg, cfg)
+        assert f"(seed=6, run={r}, path={i}): {message}" in str(err.value)
+
 
 class TestAssembleInner:
     def _setup(self, p, vg, seed=0, kind="m1"):

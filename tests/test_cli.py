@@ -152,6 +152,11 @@ class TestFeasibilityCmd:
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "m1" and report["passed"] is True
 
+    def test_negative_seed(self, grid_file_set1, capsys):
+        assert run_cli("feasibility", "--grid", grid_file_set1, "--paths", "100",
+                       "--seed", "-1", "--out", "-") == 0
+        assert json.loads(capsys.readouterr().out)["n_pairs"] == 100
+
 
 class TestVerifyFinite:
     def test_matching_mdp_passes_with_expected_triple(self, mdp_file, capsys):
@@ -208,3 +213,23 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--config", "{dir}", "--grid-nodes", "5"),
+        ("lower", "--grid", "{dir}", "--seed", "1"),
+        ("lower", "--grid", "{grid}", "--config", "{dir}", "--seed", "1"),
+        ("verify-finite", "{dir}"),
+        ("report", "{dir}"),
+    ])
+    def test_directory_argument_exits_2(self, grid_file_set1, tmp_path, capsys, argv):
+        args = [a.format(dir=tmp_path, grid=grid_file_set1) for a in argv]
+        assert run_cli(*args) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_malformed_grid_file_exits_2(self, grid_file_set1, tmp_path, capsys):
+        data = json.loads(open(grid_file_set1).read())
+        data["grid"] = data["grid"][::-1]
+        bad = tmp_path / "bad_grid.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("lower", "--grid", str(bad), "--seed", "1") == 2
+        assert "strictly increasing" in capsys.readouterr().err

@@ -170,6 +170,37 @@ class TestPolicyLookup:
         assert c_hi == pytest.approx(c_edge, abs=1e-12)
 
 
+class TestBatchedLookups:
+    """Array calls agree exactly with one-state calls, including off the grid."""
+
+    PHI = np.array([-3.1, -2.0, -1.37, -0.2, 0.0, 0.2, 0.61, 1.8, 2.0, 2.9])
+
+    def test_interpolant_and_slope(self, vg_set1):
+        for k in (0, 4, vg_set1.K):
+            J = interpolate_J(vg_set1, k, self.PHI)
+            dJ = gradient_J(vg_set1, k, self.PHI)
+            assert np.array_equal(J, [interpolate_J(vg_set1, k, x) for x in self.PHI])
+            assert np.array_equal(dJ, [gradient_J(vg_set1, k, x) for x in self.PHI])
+
+    def test_interpolant_is_np_interp_inside_the_grid(self, vg_set1):
+        inside = self.PHI[np.abs(self.PHI) < 2.0]
+        assert np.array_equal(interpolate_J(vg_set1, 3, inside), np.interp(inside, vg_set1.grid, vg_set1.J[3]))
+
+    def test_stage_array_broadcasts(self, vg_set1):
+        stages = np.arange(vg_set1.K)
+        phi = np.tile(self.PHI[:, None], (1, vg_set1.K))
+        for fn in (interpolate_J, gradient_J):
+            expect = np.stack([fn(vg_set1, k, self.PHI) for k in stages], axis=1)
+            assert np.array_equal(fn(vg_set1, stages, phi), expect)
+
+    def test_policy_lookup(self, p_set1, vg_set1):
+        pi, c = policy_lookup(vg_set1, 2, self.PHI, p_set1)
+        assert pi.shape == (self.PHI.size, p_set1.n) and c.shape == (self.PHI.size,)
+        for i, x in enumerate(self.PHI):
+            pi_i, c_i = policy_lookup(vg_set1, 2, x, p_set1)
+            assert np.array_equal(pi[i], pi_i) and c[i] == c_i
+
+
 class TestBackwardRecursion:
     def test_terminal_row_is_constant(self, p_set1, vg_set1):
         expect = (1 - p_set1.alpha) / (1 - p_set1.gamma)
@@ -248,4 +279,18 @@ class TestSerialization:
         data = value_grid_to_dict(vg_set1, p_set1)
         data["params"]["gamma"] = 9.0
         with pytest.raises(ValueError, match="hash"):
+            value_grid_from_dict(data)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("grid", lambda g: g[::-1], "strictly increasing"),
+        ("grid", lambda g: np.concatenate([g[:3], g[2:]]), "strictly increasing"),
+        ("J", lambda a: a[:, :-1], "J has shape"),
+        ("J", lambda a: a[:-1], "J has shape"),
+        ("policy_pi", lambda a: a[..., :2], "policy_pi has shape"),
+        ("policy_c", lambda a: a[:-1], "policy_c has shape"),
+    ])
+    def test_malformed_arrays_rejected(self, p_set1, vg_set1, field, value, match):
+        data = value_grid_to_dict(vg_set1, p_set1)
+        data[field] = value(np.asarray(data[field])).tolist()
+        with pytest.raises(ValueError, match=match):
             value_grid_from_dict(data)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbound import market
+from dualbound import bounds, dp_solver, market
 from dualbound.market import AdmissibilityError, ModelParams, ShockPath, parameter_set
 
 from helpers import single_asset_params
@@ -228,6 +228,48 @@ class TestSimulate:
             assert np.all(path.C >= 0.0)
 
 
+class TestSimulatePaths:
+    """The batch simulator against its own N = 1 calls, row by row."""
+
+    @staticmethod
+    def _legs(p, seed, pairs):
+        legs = []
+        for i in range(pairs):
+            base = bounds.shock_path(p, seed, 0, i)
+            legs += [base, base.antithetic()]
+        return legs
+
+    @pytest.mark.parametrize("set_id", [1, 2])
+    def test_every_row_equals_its_single_path_simulation(self, set_id):
+        p = parameter_set(set_id, gamma=1.5)
+        vg = dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5))
+        policy = dp_solver.make_grid_policy(vg, p)
+        legs = self._legs(p, seed=17, pairs=60)
+        batch = market.simulate_paths(p, policy, np.array([sp.Z for sp in legs]),
+                                      np.array([sp.Ztilde for sp in legs]))
+        for i, sp in enumerate(legs):
+            one = market.simulate_policy_path(p, policy, sp)
+            for name in ("phi", "R", "W", "C", "Pi"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), (i, name)
+        if set_id == 2:  # both extrapolation branches are exercised
+            assert batch.phi.min() < vg.grid[0] and batch.phi.max() > vg.grid[-1]
+
+    def test_first_failing_row_and_stage_are_reported(self):
+        p = parameter_set(1)
+        Z = np.zeros((3, 10, 3))
+        Zt = np.zeros((3, 10, 1))
+
+        def policy(k, phi, W):
+            c = np.zeros(phi.shape)
+            c[1] = 2.0 if k == 6 else 0.0   # budget violation, row 1, stage 6
+            c[2] = p.R_f if k == 2 else 0.0  # wealth hits the floor, row 2, stage 3
+            return np.zeros(phi.shape + (3,)), c
+
+        with pytest.raises(AdmissibilityError, match="stage 6: c = 2 exceeds budget") as err:
+            market.simulate_paths(p, policy, Z, Zt)
+        assert err.value.row == 1 and err.value.stage == 6
+
+
 class TestShockPath:
     def test_antithetic_is_exact_negation(self):
         rng = np.random.default_rng(0)
@@ -235,7 +277,6 @@ class TestShockPath:
         anti = sp.antithetic()
         assert np.array_equal(anti.Z, -sp.Z)
         assert np.array_equal(anti.Ztilde, -sp.Ztilde)
-        assert anti.antithetic_of is sp
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

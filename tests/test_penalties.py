@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -246,6 +245,29 @@ class TestFeasibility:
         assert not rep.passed
         assert rep.mean == pytest.approx(1.0, abs=0.2)
 
+    @pytest.mark.parametrize("kind", ["m1", "m2"])
+    def test_equals_sequential_single_pair_recomputation(self, p_set1, vg_set1, kind):
+        n_pairs = penalties.FEAS_CHUNK_PAIRS + 22  # one full chunk and a partial one
+        rep = feasibility_check(kind, p_set1, vg_set1, n_paths=n_pairs, seed=4)
+        policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        key = np.random.SeedSequence((4, 0x7EA5)).generate_state(2, np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        pair_means = np.empty(n_pairs)
+        for i in range(n_pairs):
+            shocks = ShockPath(Z=rng.standard_normal((10, 3)), Ztilde=rng.standard_normal((10, 1)))
+            vals = []
+            for sp in (shocks, shocks.antithetic()):
+                ctx = build_context(p_set1, vg_set1, policy, sp)
+                vals.append(penalty_form(kind, ctx, p_set1).evaluate(ctx.Pi, ctx.C))
+            pair_means[i] = 0.5 * (vals[0] + vals[1])
+        assert rep.mean == float(np.mean(pair_means))
+        assert rep.stderr == float(np.std(pair_means, ddof=1) / math.sqrt(n_pairs))
+
+    def test_negative_seed_has_its_own_stream(self, p_set1, vg_set1):
+        neg = feasibility_check("m1", p_set1, vg_set1, n_paths=100, seed=-1)
+        assert neg.mean == feasibility_check("m1", p_set1, vg_set1, n_paths=100, seed=2**64 - 1).mean
+        assert neg.mean != feasibility_check("m1", p_set1, vg_set1, n_paths=100, seed=1).mean
+
     def test_requires_enough_paths(self, p_set1, vg_set1):
         with pytest.raises(ValueError, match="100"):
             feasibility_check("m1", p_set1, vg_set1, n_paths=10, seed=0)
@@ -253,8 +275,3 @@ class TestFeasibility:
     def test_unknown_kind_rejected(self, p_set1, vg_set1):
         with pytest.raises(ValueError, match="unknown penalty kind"):
             feasibility_check("m3", p_set1, vg_set1, n_paths=100, seed=0)
-
-    def test_antithetic_cancellation_is_logged_not_asserted(self, p_set1, vg_set1, caplog):
-        with caplog.at_level(logging.DEBUG, logger="dualbound.penalties"):
-            feasibility_check("m1", p_set1, vg_set1, n_paths=100, seed=5)
-        assert any("antithetic" in rec.message for rec in caplog.records)
