@@ -236,7 +236,7 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
     """Dual bound: mean of per-path inner optima under the configured penalty.
 
-    Paths whose inner solve stops at the iteration cap keep the best iterate
+    Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
@@ -299,49 +299,51 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
         mask[pi_slice(k)] = True
     cons = concave.LinearConstraints(A=A, b=b, nonneg_mask=mask)
 
+    # The utility terms are CRRA in Y = (C_0, ..., C_{K-1}, W_K), which is
+    # affine in x; one stacked product per call gives Y and the penalty's
+    # linear part.
     gamma = p.gamma
     c_idx = np.array([c_index(k) for k in range(K)])
-    disc_c = p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta)
-    disc_T = (1.0 - p.alpha) * p.beta ** (K * p.delta)
     lin = np.zeros(D)
     for k in range(K):
         lin[pi_slice(k)] = form.lin_Pi[k]
         lin[c_index(k)] = form.lin_C[k]
+    P = np.zeros((D, K + 2))
+    P[c_idx, np.arange(K)] = 1.0
+    P[:, K] = a_term
+    P[:, K + 1] = lin
+    z0 = np.zeros(K + 2)
+    z0[K] = w_const[K]
+    z0[K + 1] = form.constant
+    weights = np.append(p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta),
+                        (1.0 - p.alpha) * p.beta ** (K * p.delta))
+    value_weights = weights / (1.0 - gamma)
+    dY = np.ascontiguousarray(P[:, :K + 1].T)                # dY/dx, (K+1, D)
+    grad_rows = weights[:, None] * dY                        # gradient: Y^-gamma @ grad_rows - lin
+    hess_cols = np.ascontiguousarray(-gamma * grad_rows.T)   # Hessian: (hess_cols * Y^(-gamma-1)) @ dY
 
-    def wealth_K(x):
-        return w_const[K] + float(np.dot(a_term, x))
+    def utility_args(X):
+        """Y and the penalty lin'x + constant."""
+        Z = (X[:, None, :] @ P)[:, 0] + z0
+        return Z[:, :K + 1], Z[:, K + 1]
 
-    def value(x):
-        C = x[c_idx]
-        WK = wealth_K(x)
-        if WK <= 0.0 or np.min(C) <= 0.0:
-            return -np.inf
-        v = -form.constant - float(np.dot(lin, x))
-        if p.alpha > 0.0:
-            v += float(np.dot(disc_c, C ** (1.0 - gamma))) / (1.0 - gamma)
-        if p.alpha < 1.0:
-            v += disc_T * WK ** (1.0 - gamma) / (1.0 - gamma)
-        return v
+    def value(X, rows):
+        Y, penalty = utility_args(X)
+        if (Y > 0.0).all():
+            return (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty
+        inside = Y.min(axis=1) > 0.0
+        if not inside.any():
+            return np.full(X.shape[0], -np.inf)
+        Y = np.where(inside[:, None], Y, 1.0)
+        return np.where(inside, (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
 
-    def gradient(x):
-        C = x[c_idx]
-        WK = wealth_K(x)
-        g = -lin.copy()
-        if p.alpha > 0.0:
-            g[c_idx] += disc_c * C ** (-gamma)
-        if p.alpha < 1.0:
-            g += disc_T * WK ** (-gamma) * a_term
-        return g
+    def gradient(X, rows):
+        Y, _ = utility_args(X)
+        return ((Y ** (-gamma))[:, None, :] @ grad_rows)[:, 0] - lin
 
-    def hessian(x):
-        C = x[c_idx]
-        WK = wealth_K(x)
-        H = np.zeros((D, D))
-        if p.alpha > 0.0:
-            H[c_idx, c_idx] = -gamma * disc_c * C ** (-gamma - 1.0)
-        if p.alpha < 1.0:
-            H += (-gamma * disc_T * WK ** (-gamma - 1.0)) * np.outer(a_term, a_term)
-        return H
+    def hessian(X, rows):
+        Y, _ = utility_args(X)
+        return (hess_cols * (Y ** (-gamma - 1.0))[:, None, :]) @ dY
 
     oracle = concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 

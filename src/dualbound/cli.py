@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-max", type=float, default=2.0)
     sp.add_argument("--quad", type=int, default=3, help="quadrature points per dimension")
     sp.add_argument("--debug-solver", action="store_true",
-                    help="dump per-node solver iteration traces to stderr")
+                    help="log one line per node (k, phi, Newton steps, status, KKT residual) to stderr")
     add_common(sp)
     sp.set_defaults(fn=cmd_solve)
 

@@ -1,14 +1,23 @@
-"""Maximize a smooth concave objective over a small dense polyhedron.
+"""Maximize smooth concave objectives over small dense polyhedra, in lockstep batches.
 
-Log-barrier interior-point method with damped Newton centering and
-backtracking line search.  Problems here are tiny (dimension <= ~40, a few
-dozen inequality rows), so dense linear algebra per Newton step is cheap and
-exact Hessians are supplied analytically by the callers.
+Log-barrier interior-point method with damped Newton centering, backtracking
+line search and an active-set crossover.  `maximize_batch` solves B problems
+of one dimension D and one row count m together.  Every problem keeps its own
+iterate, Newton count, line search, active face and exit; the barrier weight
+t is shared because every problem still running has passed the same
+centering stages.  The arithmetic of a problem depends only on that problem
+(stacked BLAS slices and last-axis reductions), so a problem solved in a
+batch gives bit for bit the result of its own one-problem solve, and
+`maximize` is that one-problem call.
+
+Problems here are tiny (dimension <= ~40, up to ~130 inequality rows), so
+dense linear algebra per Newton step is cheap and exact Hessians are
+supplied analytically by the callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -16,6 +25,15 @@ import numpy as np
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_INFEASIBLE = "infeasible"
+
+MU = 20.0              # barrier weight growth per centering stage
+CROSSOVER_GAP = 1e-3   # duality measure m/t at which the crossover is first tried
+MAX_CENTERING = 80     # Newton steps per centering stage
+MAX_FACES = 6          # active faces tried per crossover
+MAX_FACE_NEWTON = 12   # Newton steps per face
+# Step lengths 2^-1 ... 2^-29 of a face Newton step after the full step,
+# tried a few at a time.
+_HALVINGS = np.split(0.5 ** np.arange(1, 30), [3])
 
 
 @dataclass(frozen=True)
@@ -59,11 +77,23 @@ class LinearConstraints:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Concave objective: value (-inf outside the domain), gradient and Hessian."""
+    """Concave objectives of a batch of problems, one point per problem.
 
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
+    Each callable takes X[N, D] and rows[N], the indices of the problems the
+    points belong to, and returns values f[N] (-inf outside a problem's
+    domain), gradients [N, D] or Hessians [N, D, D].  Row i of the output
+    may depend only on X[i] and problem rows[i].
+    """
+
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def stacked_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Products M[i] @ v[i] of (B, m, D) and (B, D) stacks, one BLAS call per
+    slice, so row i depends only on M[i] and v[i] (a batch oracle's rows must)."""
+    return np.matmul(M, v[:, :, None])[:, :, 0]
 
 
 @dataclass
@@ -73,7 +103,6 @@ class Solution:
     kkt_residual: float
     iterations: int
     status: str
-    trace_f: list = field(default_factory=list)
 
 
 def maximize(
@@ -85,216 +114,407 @@ def maximize(
 ) -> Solution:
     """Barrier method for  max f(x)  s.t.  A x <= b, masked x_i >= 0.
 
-    x0 must be strictly feasible and inside the oracle's domain.  Converged
-    means the barrier duality measure (rows / t) and the gradient-based KKT
-    residual both fall below tol.
+    The one-problem call of `maximize_batch`; the oracle is evaluated with
+    rows = [0].
     """
     A, b = cons.expanded()
-    m_rows = A.shape[0]
-    x = np.array(x0, dtype=float)
-    s = b - A @ x
-    fx = float(oracle.value(x))
-    if (s.size and np.min(s) <= 0.0) or not np.isfinite(fx):
-        return Solution(x=x, f=-np.inf, kkt_residual=np.inf, iterations=0, status=STATUS_INFEASIBLE)
-    if m_rows == 0:
+    x0 = np.asarray(x0, dtype=float)
+    return maximize_batch(oracle, A[None], b[None], x0[None], tol=tol, max_newton=max_newton)[0]
+
+
+def maximize_batch(
+    oracle: ObjectiveOracle,
+    A: np.ndarray,
+    b: np.ndarray,
+    X0: np.ndarray,
+    tol: float = 1e-8,
+    max_newton: int = 200,
+) -> list:
+    """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
+
+    A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
+    X0[i] must be strictly feasible and inside the domain of f_i, else that
+    problem is reported infeasible.  Converged means the barrier duality
+    measure (m / t) and the gradient-based KKT residual both fall below tol,
+    or that the active-set crossover verified the KKT conditions to tol.
+    """
+    A = np.ascontiguousarray(A, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    X = np.array(X0, dtype=float)
+    if A.shape[1] == 0:
         raise ValueError("unconstrained problems are not supported; add at least one row")
+    out: list = [None] * A.shape[0]
+    # A trial point outside a problem's domain or feasible set evaluates to
+    # NaN or -inf and is rejected, so invalid-value warnings are silenced.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.arange(A.shape[0])
+        S = b - stacked_matvec(A, X)
+        F = oracle.value(X, rows)
+        live = _Live.start(rows, A, b, X, S, F)
+        infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
+        if infeasible.any():
+            for i in np.flatnonzero(infeasible):
+                out[i] = Solution(x=X[i].copy(), f=-np.inf, kkt_residual=np.inf, iterations=0,
+                                  status=STATUS_INFEASIBLE)
+            live.split(infeasible)
+        _barrier(oracle, live, tol, max_newton, out)
+    return out
 
-    mu = 20.0
+
+def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int, out: list) -> None:
+    """Centering stages at growing t, each followed by the exit tests."""
+    m = live.A.shape[1]
     t = 1.0
-    t_cap = 2.0 * m_rows / tol  # at the cap the duality measure m/t is tol/2
-    total_newton = 0
-    # The accepted point carries its objective, slacks and log-barrier sum, so
-    # each Newton step evaluates the oracle only at line-search trial points.
-    log_s = np.sum(np.log(s))
-    best_x, best_f = x.copy(), fx
-    trace: list = []
-
-    while True:
+    t_cap = 2.0 * m / tol  # at the cap the duality measure m/t is tol/2
+    while live.size:
         # Centering: damped Newton on f(x) + (1/t) sum log s_i.  Intermediate
         # stages center lightly (decrement stop); the final accuracy comes from
-        # the active-set polish below.
-        for _ in range(80):
-            if total_newton >= max_newton:
-                return Solution(x=best_x, f=best_f, kkt_residual=_kkt(oracle, A, best_x, b, t),
-                                iterations=total_newton, status=STATUS_MAX_ITER, trace_f=trace)
-            inv_s = 1.0 / s
-            grad_f = oracle.gradient(x)
-            g = grad_f - (A.T @ inv_s) / t
-            if float(np.max(np.abs(g))) <= 0.5 * tol * max(1.0, float(np.max(np.abs(grad_f)))):
-                break
-            H = oracle.hessian(x) - (A.T * (inv_s**2)) @ A / t
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                jitter = 1e-12 * (1.0 + float(np.abs(H).max()))
-                step = np.linalg.solve(H - jitter * np.eye(H.shape[0]), -g)
-            dec2 = float(np.dot(g, step))  # Newton decrement^2; >= 0 for concave models
-            if dec2 <= 0.0:
-                break  # float noise floor of the Newton system; as centered as we get
-            total_newton += 1
-            base = fx + log_s / t
-            # Fraction-to-boundary cap keeps the first trial step well scaled.
-            Astep = A @ step
-            tight = Astep > 0.0
-            alpha = 1.0
-            if np.any(tight):
-                alpha = min(1.0, 0.99 * float(np.min(s[tight] / Astep[tight])))
-            accepted = False
-            for _ in range(60):
-                cand = x + alpha * step
-                f_cand = float(oracle.value(cand))
-                if np.isfinite(f_cand):
-                    s_cand = b - A @ cand
-                    if np.min(s_cand) > 0.0:
-                        log_cand = np.sum(np.log(s_cand))
-                        val = f_cand + log_cand / t
-                        if np.isfinite(val) and val >= base + 0.25 * alpha * dec2:
-                            x, s, fx, log_s = cand, s_cand, f_cand, log_cand
-                            accepted = True
-                            break
-                alpha *= 0.5
-            if fx > best_f:
-                best_f, best_x = fx, x.copy()
-            if not accepted or dec2 / 2.0 <= 1e-12 * (1.0 + abs(base)):
-                break
-        trace.append(fx)
-        gap = m_rows / t
-        if gap <= max(1e-3, tol):
+        # the active-set crossover.
+        _center(oracle, live, t, tol, max_newton, out)
+        gap = m / t
+        done = np.zeros(live.size, dtype=bool)
+        if gap <= max(CROSSOVER_GAP, tol):
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
-            polished = _active_set_polish(oracle, A, b, x, fx)
-            if polished is not None:
-                x_pol, f_pol, kkt_pol, its = polished
-                total_newton += its
-                trace.append(f_pol)
-                if kkt_pol <= tol:
-                    return Solution(x=x_pol, f=f_pol, kkt_residual=kkt_pol,
-                                    iterations=total_newton, status=STATUS_CONVERGED, trace_f=trace)
+            for j, polished in enumerate(_polish(oracle, live)):
+                if polished is None:
+                    continue
+                x, f, kkt, steps = polished
+                live.newton[j] += steps
+                if kkt <= tol:
+                    out[live.rows[j]] = Solution(x=x.copy(), f=float(f), kkt_residual=float(kkt),
+                                                 iterations=int(live.newton[j]), status=STATUS_CONVERGED)
+                    done[j] = True
         if gap <= tol:
-            kkt = _kkt(oracle, A, x, b, t)
-            if kkt <= tol:
-                return Solution(x=x, f=fx, kkt_residual=kkt,
-                                iterations=total_newton, status=STATUS_CONVERGED, trace_f=trace)
-            if t >= t_cap:
-                # Duality measure is below tol but stationarity was not certified.
-                return Solution(x=best_x, f=best_f, kkt_residual=kkt,
-                                iterations=total_newton, status=STATUS_MAX_ITER, trace_f=trace)
-        t = min(t * mu, t_cap)
+            kkt = _kkt(oracle, live.A, live.AT, live.b, live.X, live.rows, t)
+            for j in np.flatnonzero(~done):
+                if kkt[j] <= tol:
+                    out[live.rows[j]] = _result(live, j, float(kkt[j]), STATUS_CONVERGED)
+                    done[j] = True
+                elif t >= t_cap:
+                    # Duality measure is below tol but stationarity was not certified.
+                    out[live.rows[j]] = _result(live, j, float(kkt[j]), STATUS_MAX_ITER)
+                    done[j] = True
+        if done.any():
+            live.split(done)
+        t = min(t * MU, t_cap)
 
 
-def _active_set_polish(oracle: ObjectiveOracle, A: np.ndarray, b: np.ndarray,
-                       x0: np.ndarray, f0: float):
-    """Newton crossover onto the active face guessed from the barrier point.
+class _Live:
+    """Per-problem state of a set of running problems, one row each.
 
-    Runs a small active-set loop: rows violated by the face optimum are added,
-    rows with negative multipliers are dropped.  A result is returned only
-    when the full KKT conditions verify (feasibility of every row within
-    tolerance, nonnegative multipliers, objective not worse than the barrier
-    point), so a wrong guess is harmless.
-    Returns (x, f, relative_stationarity, newton_steps) or None.
+    The accepted point carries its objective, slacks and log-barrier sum, so
+    each Newton step evaluates the oracle only at line-search trial points.
+    Rows may be split off and merged back in any order: `rows` names the
+    problem of each row.
     """
-    s = b - A @ x0
+
+    # val is f + (1/t) sum log s at the current barrier weight t.
+    FIELDS = ("rows", "A", "AT", "b", "X", "S", "F", "log_s", "val", "newton")
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    @classmethod
+    def start(cls, rows, A, b, X, S, F) -> "_Live":
+        log_s = np.log(S).sum(axis=1)
+        return cls(rows=rows, A=A, AT=np.ascontiguousarray(A.transpose(0, 2, 1)), b=b, X=X, S=S, F=F,
+                   log_s=log_s, val=F + log_s, newton=np.zeros(rows.size, dtype=int))
+
+    @property
+    def size(self) -> int:
+        return self.rows.size
+
+    def split(self, mask: np.ndarray) -> "_Live":
+        """Remove the masked rows and return them as a set of their own."""
+        gone = _Live(**{name: getattr(self, name)[mask] for name in self.FIELDS})
+        keep = ~mask
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[keep])
+        return gone
+
+    def merge(self, parts: list) -> None:
+        parts = [self] + [q for q in parts if q.size]
+        if len(parts) > 1:
+            for name in self.FIELDS:
+                setattr(self, name, np.concatenate([getattr(q, name) for q in parts]))
+
+
+def _result(live: _Live, j: int, kkt: float, status: str) -> Solution:
+    return Solution(x=live.X[j].copy(), f=float(live.F[j]), kkt_residual=kkt,
+                    iterations=int(live.newton[j]), status=status)
+
+
+def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int, out: list) -> None:
+    """One centering stage at barrier weight t, each problem to its own stop.
+
+    Rows that stop centering are split off and merged back at the end.
+    Problems that reach max_newton get their current iterate in `out` and
+    leave `live`.  The per-row stopping and acceptance tests run on Python
+    floats (`tolist`), the same IEEE arithmetic as on arrays but without a
+    call per test.
+    """
+    live.val = live.F + live.log_s / t  # barrier objective at the accepted point
+    parked = []
+    half_tol = 0.5 * tol
+    check_cap = 0
+    for it in range(MAX_CENTERING):
+        if it >= check_cap and live.size:
+            capped = live.newton >= max_newton
+            if capped.any():
+                gone = live.split(capped)
+                kkt = _kkt(oracle, gone.A, gone.AT, gone.b, gone.X, gone.rows, t)
+                for j in range(gone.size):
+                    out[gone.rows[j]] = _result(gone, j, float(kkt[j]), STATUS_MAX_ITER)
+            check_cap = it + (int((max_newton - live.newton).min()) if live.size else 0)
+        if live.size == 0:
+            break
+        inv_s = 1.0 / live.S
+        w = inv_s / t
+        grad_f = oracle.gradient(live.X, live.rows)
+        g = grad_f - stacked_matvec(live.AT, w)
+        H = oracle.hessian(live.X, live.rows) - (live.AT * (w * inv_s)[:, None, :]) @ live.A
+        moving = [gm > half_tol * max(1.0, fm)
+                  for gm, fm in zip(np.abs(g).max(axis=1).tolist(), np.abs(grad_f).max(axis=1).tolist())]
+        step = _newton_step(H, g, moving)
+        dec2 = (g * step).sum(axis=1)  # Newton decrement^2; >= 0 for concave models
+        # A non-positive decrement is the float noise floor of the Newton
+        # system: as centered as we get.
+        moving = [m and d > 0.0 for m, d in zip(moving, dec2.tolist())]
+        if not all(moving):
+            if not any(moving):
+                break
+            keep = np.array(moving)
+            parked.append(live.split(~keep))
+            step, dec2 = step[keep], dec2[keep]
+        live.newton += 1
+        base = live.val.tolist()
+        accepted = _line_search(oracle, live, step, dec2, t)
+        # Stop where the step failed or the decrement^2 / 2 is at rounding level.
+        stop = [not a or d <= 2e-12 * (1.0 + abs(v)) for a, d, v in zip(accepted, dec2.tolist(), base)]
+        if any(stop):
+            if all(stop):
+                break
+            parked.append(live.split(np.array(stop)))
+    live.merge(parked)
+
+
+def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> list:
+    """Backtracking on f + (1/t) sum log s from the fraction-to-boundary step.
+
+    Accepted rows of `live` move to their trial point; returns the list of
+    per-row acceptances.  A trial with a nonpositive slack has a NaN or -inf
+    barrier value and is rejected.
+    """
+    # Fraction-to-boundary cap keeps the first trial step well scaled.
+    alpha = 0.99 / np.maximum((stacked_matvec(live.A, step) / live.S).max(axis=1), 0.99)
+    x, A, b, rows = live.X, live.A, live.b, live.rows
+    armijo = 0.25 * alpha * dec2
+    base = live.val
+    trial = None
+    for attempt in range(60):
+        if attempt:
+            alpha = alpha * 0.5
+            armijo = 0.25 * alpha * dec2
+        cand = x + alpha[:, None] * step
+        f_cand = oracle.value(cand, rows)
+        s_cand = b - stacked_matvec(A, cand)
+        log_cand = np.log(s_cand).sum(axis=1)
+        val = f_cand + log_cand / t
+        ok = [v >= h for v, h in zip(val.tolist(), (base + armijo).tolist())]
+        if trial is None:
+            if all(ok):
+                live.X, live.S, live.F, live.log_s, live.val = cand, s_cand, f_cand, log_cand, val
+                return ok
+            trial = np.arange(live.size)
+            accepted = np.zeros(live.size, dtype=bool)
+            live.val = live.val.copy()
+        if any(ok):
+            ok = np.array(ok)
+            j = trial[ok]
+            live.X[j], live.S[j], live.F[j], live.log_s[j], live.val[j] = (
+                cand[ok], s_cand[ok], f_cand[ok], log_cand[ok], val[ok])
+            accepted[j] = True
+            keep = ~ok
+            trial, x, step, alpha, base, dec2, A, b, rows = (
+                trial[keep], x[keep], step[keep], alpha[keep], base[keep], dec2[keep], A[keep], b[keep], rows[keep])
+            if trial.size == 0:
+                break
+    return accepted.tolist()
+
+
+def _newton_step(H: np.ndarray, g: np.ndarray, need: list) -> np.ndarray:
+    """Solve H[i] step[i] = -g[i]; a singular H[i] is retried with a small
+    diagonal jitter where the step is needed (`need[i]`), else left zero."""
+    rhs = -g[:, :, None]
+    try:
+        return np.linalg.solve(H, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(g)
+    for i in np.flatnonzero(need):
+        try:
+            step[i] = np.linalg.solve(H[i:i + 1], rhs[i:i + 1])[0, :, 0]
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * (1.0 + float(np.abs(H[i]).max()))
+            step[i] = np.linalg.solve((H[i] - jitter * np.eye(H.shape[1]))[None], rhs[i:i + 1])[0, :, 0]
+    return step
+
+
+def _kkt(oracle: ObjectiveOracle, A, AT, b, X, rows, t: float) -> np.ndarray:
+    """Stationarity residuals with the barrier multipliers nu_i = 1/(t s_i),
+    measured relative to the gradient scale (absolute on O(1) problems)."""
+    s = b - stacked_matvec(A, X)
+    nu = 1.0 / (t * s)
+    grad = oracle.gradient(X, rows)
+    scale = np.maximum(1.0, np.abs(grad).max(axis=1))
+    res = np.abs(grad - stacked_matvec(AT, nu)).max(axis=1) / scale
+    res[s.min(axis=1) <= 0.0] = np.inf
+    return res
+
+
+def _polish(oracle: ObjectiveOracle, live: _Live) -> list:
+    """Newton crossover of every live problem onto the active face guessed
+    from its barrier point.
+
+    Runs a small active-set loop per problem: rows violated by the face
+    optimum are added, rows with negative multipliers are dropped.  A result
+    is kept only when the full KKT conditions verify (feasibility of every
+    row within tolerance, nonnegative multipliers, objective not worse than
+    the barrier point), so a wrong guess is harmless.  Every face starts
+    from the barrier point; the problems on faces with the same number of
+    rows take their face Newton steps together.
+    Returns, per problem, (x, f, relative_stationarity, newton_steps) or None.
+    """
+    A, b, X0, F0 = live.A, live.b, live.X, live.F
+    n = live.size
     b_scale = 1.0 + np.abs(b)
-    active = set(np.flatnonzero(s <= 1e-5 * b_scale).tolist())
-    total_steps = 0
-    seen = set()
-    for _ in range(6):
-        key = frozenset(active)
-        if key in seen:
-            return None
-        seen.add(key)
-        act = np.array(sorted(active), dtype=int)
-        result = _polish_on_face(oracle, A, b, act, x0)
-        if result is None:
-            return None
-        x, f_new, nu_a, stationarity, steps = result
-        total_steps += steps
-        s_new = b - A @ x
-        violated = np.flatnonzero(s_new < -1e-10 * b_scale)
-        if violated.size:
-            active |= set(violated.tolist())
-            continue
-        nu_floor = -1e-8 * (1.0 + (float(np.max(np.abs(nu_a))) if len(act) else 0.0))
-        negative = [int(act[j]) for j in np.flatnonzero(nu_a < nu_floor)] if len(act) else []
-        if negative:
-            active -= set(negative)
-            continue
-        if np.isfinite(f_new) and f_new >= f0 - 1e-10 * (1.0 + abs(f0)):
-            return x, f_new, stationarity, total_steps
-        return None
-    return None
+    face = (b - stacked_matvec(A, X0)) <= 1e-5 * b_scale
+    seen = [set() for _ in range(n)]
+    steps = [0] * n
+    result = [None] * n
+    act_of = [None] * n
+    pending = range(n)
+    for _ in range(MAX_FACES):
+        groups: dict = {}
+        for j in pending:
+            key = face[j].tobytes()
+            if key not in seen[j]:
+                seen[j].add(key)
+                act_of[j] = np.flatnonzero(face[j])
+                groups.setdefault(act_of[j].size, []).append(j)
+        if not groups:
+            break
+        ended = []
+        for members in groups.values():
+            grp = np.array(members)
+            idx = np.array([act_of[j] for j in members])
+            ended += _face_newton(oracle, A[grp[:, None], idx], b[grp[:, None], idx], X0[grp], live.rows[grp], grp)
+        pending = []
+        for j, x, f_new, nu_a, stationarity, face_steps in ended:
+            # The face optimum is KKT for the whole problem if no row is
+            # violated and no multiplier is negative.
+            steps[j] += face_steps
+            violated = (b[j] - A[j] @ x) < -1e-10 * b_scale[j]
+            if violated.any():
+                face[j] |= violated
+                pending.append(j)
+                continue
+            act = act_of[j]
+            nu_floor = -1e-8 * (1.0 + (float(np.max(np.abs(nu_a))) if act.size else 0.0))
+            negative = act[nu_a < nu_floor]
+            if negative.size:
+                face[j, negative] = False
+                pending.append(j)
+                continue
+            f0 = F0[j]
+            if np.isfinite(f_new) and f_new >= f0 - 1e-10 * (1.0 + abs(f0)):
+                result[j] = (x, f_new, stationarity, steps[j])
+    return result
 
 
-def _polish_on_face(oracle: ObjectiveOracle, A: np.ndarray, b: np.ndarray,
-                    active: np.ndarray, x0: np.ndarray):
-    """Equality-constrained Newton on the face A_act x = b_act.
+def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
+    """Equality-constrained Newton on the faces Aa[i] x = ba[i], in lockstep.
 
     Newton contracts on a face that holds the optimum.  A step no shorter than
     the one before marks a wrong face (off the optimum's face the objective can
     lack curvature and the iterates diverge), unless the step is at rounding
-    level, where the face is solved and the step test ends the loop.
-    Returns (x, f, multipliers, relative stationarity, steps) or None when the
-    iteration leaves the objective domain or stops contracting.
+    level, where the face is solved and the step test ends the loop.  A face
+    that stops contracting or leaves the objective domain is dropped.
+    Returns (problem, x, f, multipliers, relative stationarity, steps) for
+    each face solved.
     """
-    Aa = A[active]
-    ba = b[active]
-    x = x0.copy()
-    m = x.size
-    KKT = np.zeros((m + len(active), m + len(active)))
-    KKT[:m, m:] = Aa.T
-    KKT[m:, :m] = Aa
-    nu_a = np.zeros(len(active))
-    steps = 0
-    last = np.inf
-    for _ in range(12):
-        g = oracle.gradient(x)
-        KKT[:m, :m] = oracle.hessian(x)
-        rhs = np.concatenate([-g, ba - Aa @ x])
-        if not (np.all(np.isfinite(KKT)) and np.all(np.isfinite(rhs))):
-            return None
+    G, k, D = Aa.shape
+    KKT = np.zeros((G, D + k, D + k))
+    KKT[:, :D, D:] = Aa.transpose(0, 2, 1)
+    KKT[:, D:, :D] = Aa
+    last = [np.inf] * G
+    ended = []
+    for step in range(1, MAX_FACE_NEWTON + 1):
+        g = oracle.gradient(x, rows)
+        KKT[:, :D, :D] = oracle.hessian(x, rows)
+        sol = _kkt_solve(KKT, np.concatenate([-g, ba - stacked_matvec(Aa, x)], axis=1))
+        dx = sol[:, :D]
+        nu = -sol[:, D:]  # block system solves grad f + Aa' nu = 0
+        size = np.abs(dx).max(axis=1).tolist()
+        ok = [fin and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, sz, la, xm in
+              zip(np.isfinite(sol).all(axis=1).tolist(), size, last, np.abs(x).max(axis=1).tolist())]
+        last = size
+        # The first trial point inside the objective domain is taken.
+        cand = x + dx
+        f = oracle.value(cand, rows)
+        moved = [o and fin for o, fin in zip(ok, np.isfinite(f).tolist())]
+        if moved != ok:
+            # Backtracking: the points of a few halvings at a time are
+            # evaluated together, and the first inside the domain is taken.
+            trial = np.flatnonzero(np.array(ok) & ~np.array(moved))
+            for alphas in _HALVINGS:
+                T, H = trial.size, alphas.size
+                points = x[trial, None, :] + alphas[:, None] * dx[trial, None, :]
+                f_h = oracle.value(points.reshape(T * H, D), np.repeat(rows[trial], H)).reshape(T, H)
+                inside = np.isfinite(f_h)
+                first = inside.argmax(axis=1)
+                found = inside[np.arange(T), first]
+                j, h = trial[found], first[found]
+                cand[j], f[j] = points[found, h], f_h[found, h]
+                for i in j.tolist():
+                    moved[i] = True
+                trial = trial[~found]
+                if trial.size == 0:
+                    break
+        x = cand
+        end = [step == MAX_FACE_NEWTON or not mv or sz <= 1e-14 * (1.0 + xm)
+               for mv, sz, xm in zip(moved, size, np.abs(x).max(axis=1).tolist())]
+        if not any(end):
+            continue
+        end = np.array(end)
+        fin = np.flatnonzero(end & np.array(moved))
+        if fin.size:
+            grad = oracle.gradient(x[fin], rows[fin])
+            scale = np.maximum(1.0, np.abs(grad).max(axis=1))
+            stationarity = np.abs(grad - stacked_matvec(Aa[fin].transpose(0, 2, 1), nu[fin])).max(axis=1) / scale
+            ended += [(problems[i], x[i], f[i], nu[i], stationarity[q], step) for q, i in enumerate(fin)]
+        keep = ~end
+        if not keep.any():
+            break
+        last = [la for la, kp in zip(last, keep.tolist()) if kp]
+        x, rows, problems, Aa, ba, KKT = x[keep], rows[keep], problems[keep], Aa[keep], ba[keep], KKT[keep]
+    return ended
+
+
+def _kkt_solve(KKT: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stacked face systems; a singular one falls back to least squares."""
+    try:
+        return np.linalg.solve(KKT, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    sol = np.full(rhs.shape, np.nan)
+    for i in range(len(rhs)):
         try:
-            sol_vec = np.linalg.solve(KKT, rhs)
+            sol[i] = np.linalg.solve(KKT[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
             try:
-                sol_vec, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+                sol[i] = np.linalg.lstsq(KKT[i], rhs[i], rcond=None)[0]
             except np.linalg.LinAlgError:
-                return None
-        if not np.all(np.isfinite(sol_vec)):
-            return None
-        dx = sol_vec[:m]
-        nu_a = -sol_vec[m:]  # block system solves grad f + Aa' nu = 0
-        steps += 1
-        size = float(np.max(np.abs(dx)))
-        if size >= last and size > 1e-12 * (1.0 + float(np.max(np.abs(x)))):
-            return None
-        last = size
-        alpha = 1.0
-        moved = False
-        for _ in range(30):
-            cand = x + alpha * dx
-            f_cand = oracle.value(cand)
-            if np.isfinite(f_cand):
-                x, f_x = cand, f_cand
-                moved = True
-                break
-            alpha *= 0.5
-        if not moved:
-            return None
-        if size <= 1e-14 * (1.0 + float(np.max(np.abs(x)))):
-            break
-    grad = oracle.gradient(x)
-    scale = max(1.0, float(np.max(np.abs(grad))))
-    stationarity = float(np.max(np.abs(grad - Aa.T @ nu_a))) / scale
-    return x, float(f_x), nu_a, stationarity, steps
-
-
-def _kkt(oracle: ObjectiveOracle, A: np.ndarray, x: np.ndarray, b: np.ndarray, t: float) -> float:
-    """Stationarity residual with the barrier multipliers nu_i = 1/(t s_i),
-    measured relative to the gradient scale (absolute on O(1) problems)."""
-    s = b - A @ x
-    if np.min(s) <= 0.0:
-        return np.inf
-    nu = 1.0 / (t * s)
-    grad = oracle.gradient(x)
-    scale = max(1.0, float(np.max(np.abs(grad))))
-    return float(np.max(np.abs(grad - A.T @ nu))) / scale
+                pass
+    return sol

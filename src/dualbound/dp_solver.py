@@ -3,8 +3,9 @@
 The market state is discretized on a sorted node grid; its one-step law is a
 row-stochastic cell-mass matrix.  Return expectations use a tensorized
 Gauss-Hermite rule frozen at the current node, taken independently of the
-state expectation.  Each node maximization is a small concave program solved
-by the barrier engine, warm-started from the neighboring node.
+state expectation.  Each node maximization is a small concave program; the
+G nodes of a stage are solved together as one lockstep batch of the barrier
+engine, each warm-started from its own optimum at stage k+1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .market import ModelParams
 
 logger = logging.getLogger(__name__)
 
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 U_FLOOR = 1e-10  # lower guard on portfolio growth at quadrature nodes
 
 DEFAULT_GRID = np.linspace(-2.0, 2.0, 21)
@@ -65,18 +66,11 @@ def build_quadrature(q: int, n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class PhiTransition:
-    """Row-stochastic transition of the state grid."""
+def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Row-stochastic (G, G) transition of the state grid.
 
-    P: np.ndarray
-    stage_independent: bool = True
-
-
-def build_phi_transition(grid: np.ndarray, p: ModelParams) -> PhiTransition:
-    """Discretize N(phi_i (1 - lam*delta), phi_step_var) onto midpoint cells.
-
-    Cell j collects the normal mass between the midpoints around node j; the
+    Discretizes N(phi_i (1 - lam*delta), phi_step_var) onto midpoint cells:
+    cell j collects the normal mass between the midpoints around node j; the
     outermost cells extend to +-infinity.  A zero-variance law degenerates to
     unit mass on the nearest node.
     """
@@ -91,7 +85,7 @@ def build_phi_transition(grid: np.ndarray, p: ModelParams) -> PhiTransition:
     if var <= 0.0:
         for i, m in enumerate(means):
             P[i, int(np.argmin(np.abs(grid - m)))] = 1.0
-        return PhiTransition(P=P)
+        return P
     sd = math.sqrt(var)
     for i, m in enumerate(means):
         cdf = ndtr((mids - m) / sd)
@@ -100,16 +94,15 @@ def build_phi_transition(grid: np.ndarray, p: ModelParams) -> PhiTransition:
         row[1:-1] = np.diff(cdf)
         row[-1] = 1.0 - cdf[-1]
         P[i] = row / row.sum()
-    return PhiTransition(P=P)
+    return P
 
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Nodal values, slopes, and policy of the backward recursion."""
+    """Nodal values and policy of the backward recursion."""
 
     grid: np.ndarray        # (G,)
     J: np.ndarray           # (K+1, G)
-    node_slope: np.ndarray  # (K, G), averaged-segment slopes at the nodes
     policy_pi: np.ndarray   # (K, G, n)
     policy_c: np.ndarray    # (K, G)
 
@@ -118,130 +111,155 @@ class ValueGrid:
         return self.J.shape[0] - 1
 
 
-def node_returns(p: ModelParams, quad: QuadratureRule, phi: float) -> np.ndarray:
-    """Gross returns at every joint quadrature node, state frozen at phi."""
-    mu_k = p.mu0 + p.mu1 * phi
-    log_r = (mu_k - 0.5 * p.sigma_sq) * p.delta + (quad.nodes @ p.sigma.T) * p.sqrt_delta
+def node_returns(p: ModelParams, quad: QuadratureRule, phi) -> np.ndarray:
+    """Gross returns at every joint quadrature node, state frozen at phi.
+
+    One state gives (Q, n); an (G,) array of states gives (G, Q, n).
+    """
+    mu_k = p.mu0 + p.mu1 * np.asarray(phi, dtype=float)[..., None]
+    log_r = ((mu_k - 0.5 * p.sigma_sq) * p.delta)[..., None, :] + (quad.nodes @ p.sigma.T) * p.sqrt_delta
     return np.exp(log_r)
 
 
-def bellman_node_problem(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: float):
-    """Oracle and constraints of one node maximization over x = (pi, c).
+def bellman_oracle(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: np.ndarray) -> concave.ObjectiveOracle:
+    """Objectives of a batch of node maximizations over x = (pi, c).
 
-    Objective: alpha*delta*c^(1-gamma)/(1-gamma) + beta^delta * EJ * E_q[u^(1-gamma)]
+    Node i has returns Rq[i] (Q, n) and continuation value EJ[i]:
+    alpha*delta*c^(1-gamma)/(1-gamma) + beta^delta * EJ * E_q[u^(1-gamma)]
     with u = R_f + (Rq - R_f)'pi - c, guarded away from zero at every node.
     """
     n = p.n
     gamma = p.gamma
-    excess = Rq - p.R_f
-    disc = p.beta**p.delta
+    excess = Rq - p.R_f                                            # (B, Q, n)
+    ext = np.concatenate([excess, -np.ones(excess.shape[:2] + (1,))], axis=2)
+    ext_T = np.ascontiguousarray(ext.transpose(0, 2, 1))           # (B, n+1, Q)
+    excess_T = np.ascontiguousarray(ext_T[:, :n])                  # (B, n, Q)
+    scale = p.beta**p.delta * np.asarray(EJ, dtype=float)          # (B,)
     a_cons = p.alpha * p.delta
 
-    def growth(x):
-        return p.R_f + excess @ x[:n] - x[n]
+    def growth(X, rows):
+        return p.R_f + concave.stacked_matvec(excess[rows], X[:, :n]) - X[:, n:]
 
-    def value(x):
-        c = x[n]
-        u = growth(x)
-        if np.min(u) <= 0.0 or (a_cons > 0.0 and c <= 0.0):
-            return -np.inf
-        v = disc * EJ * float(np.dot(wq, u ** (1.0 - gamma)))
+    def value(X, rows):
+        c = X[:, n]
+        u = growth(X, rows)
+        inside = u.min(axis=1) > 0.0
+        if a_cons > 0.0:
+            inside &= c > 0.0
+        everywhere = inside.all()
+        if not everywhere:
+            u, c = np.where(inside[:, None], u, 1.0), np.where(inside, c, 1.0)
+        v = scale[rows] * (wq * u ** (1.0 - gamma)).sum(axis=1)
         if a_cons > 0.0:
             v += a_cons * c ** (1.0 - gamma) / (1.0 - gamma)
-        return v
+        return v if everywhere else np.where(inside, v, -np.inf)
 
-    def gradient(x):
-        c = x[n]
-        u = growth(x)
-        wu = wq * u ** (-gamma)
-        coef = disc * EJ * (1.0 - gamma)
-        g = np.empty(n + 1)
-        g[:n] = coef * (excess.T @ wu)
-        g[n] = -coef * float(np.sum(wu))
+    def gradient(X, rows):
+        c = X[:, n]
+        wu = wq * growth(X, rows) ** (-gamma)
+        coef = scale[rows] * (1.0 - gamma)
+        g = np.empty(X.shape)
+        g[:, :n] = coef[:, None] * concave.stacked_matvec(excess_T[rows], wu)
+        g[:, n] = -coef * wu.sum(axis=1)
         if a_cons > 0.0:
-            g[n] += a_cons * c ** (-gamma)
+            g[:, n] += a_cons * c ** (-gamma)
         return g
 
-    def hessian(x):
-        c = x[n]
-        u = growth(x)
-        wu2 = wq * u ** (-gamma - 1.0)
-        coef = disc * EJ * (1.0 - gamma) * (-gamma)
-        ext = np.hstack([excess, -np.ones((excess.shape[0], 1))])
-        H = coef * (ext.T * wu2) @ ext
+    def hessian(X, rows):
+        c = X[:, n]
+        coef = scale[rows] * (1.0 - gamma) * (-gamma)
+        wu2 = coef[:, None] * wq * growth(X, rows) ** (-gamma - 1.0)
+        H = (ext_T[rows] * wu2[:, None, :]) @ ext[rows]
         if a_cons > 0.0:
-            H[n, n] += a_cons * (-gamma) * c ** (-gamma - 1.0)
+            H[:, n, n] += a_cons * (-gamma) * c ** (-gamma - 1.0)
         return H
 
-    # Rows: budget c + R_f 1'pi <= R_f, then the growth guards per node.
+    return concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
+
+
+def node_constraints(p: ModelParams, Rq: np.ndarray) -> concave.LinearConstraints:
+    """Rows of one node: budget c + R_f 1'pi <= R_f, then the growth guards
+    u >= U_FLOOR per quadrature node, with pi, c >= 0."""
+    n = p.n
+    excess = Rq - p.R_f
     A = np.vstack([
         np.concatenate([np.full(n, p.R_f), [1.0]]),
         np.hstack([-excess, np.ones((excess.shape[0], 1))]),
     ])
     b = np.concatenate([[p.R_f], np.full(excess.shape[0], p.R_f - U_FLOOR)])
-    cons = concave.LinearConstraints(A=A, b=b, nonneg_mask=np.ones(n + 1, dtype=bool))
-    oracle = concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
-    return oracle, cons
+    return concave.LinearConstraints(A=A, b=b, nonneg_mask=np.ones(n + 1, dtype=bool))
 
 
-def _default_start(n: int, eps: float = 1e-3) -> np.ndarray:
-    return np.concatenate([np.full(n, eps / n), [eps]])
+def bellman_node_problem(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: float):
+    """Oracle (a batch of one) and constraints of one node maximization."""
+    return bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)), node_constraints(p, Rq)
 
 
-def _pick_start(candidates, cons: concave.LinearConstraints, oracle) -> np.ndarray:
-    for cand in candidates:
-        if cand is None:
-            continue
-        s = cons.slack(cand)
-        if np.min(s) > 1e-11 and np.isfinite(oracle.value(cand)):
-            return cand
-    raise RuntimeError("no strictly feasible start found")
+def _default_start(p: ModelParams, eps: float = 1e-3) -> np.ndarray:
+    """Small positive (pi, c), scaled by R_f when R_f < 1 so the budget holds."""
+    return min(1.0, p.R_f) * np.concatenate([np.full(p.n, eps / p.n), [eps]])
 
 
 def backward_recursion(
     p: ModelParams,
     grid: Optional[np.ndarray] = None,
     quad: Optional[QuadratureRule] = None,
-    pt: Optional[PhiTransition] = None,
-    solver: Callable = concave.maximize,
+    pt: Optional[np.ndarray] = None,
+    solver: Optional[Callable] = None,
     node_tol: float = 1e-8,
 ) -> ValueGrid:
-    """Solve the stage recursion on the grid, storing values, slopes and policy."""
+    """Solve the stage recursion on the grid, storing values and policy.
+
+    Node returns and constraints depend only on phi, so they are built once.
+    Each stage solves its G nodes as one `concave.maximize_batch` call.
+    Node i starts from its stage k+1 optimum shrunk toward the default start
+    (the default start alone at stage K-1, or where the shrunk point is not
+    strictly feasible).  A per-node `solver(oracle, cons, x0, tol=)`, such as
+    a wrapped `concave.maximize`, is called instead G times per stage in node
+    order with the same problems and starts, and gives the same grid.
+    pt is the (G, G) transition of `build_phi_transition`.
+    """
     grid = DEFAULT_GRID.copy() if grid is None else np.asarray(grid, dtype=float)
     quad = quad if quad is not None else build_quadrature(DEFAULT_QUAD_POINTS, p.n)
     pt = pt if pt is not None else build_phi_transition(grid, p)
     G = grid.size
     K = p.K
     J = np.empty((K + 1, G))
-    node_slope = np.empty((K, G))
     policy_pi = np.empty((K, G, p.n))
     policy_c = np.empty((K, G))
     J[K] = (1.0 - p.alpha) / (1.0 - p.gamma)
-    default = _default_start(p.n)
+    Rq = node_returns(p, quad, grid)
+    cons = [node_constraints(p, Rq[i]) for i in range(G)]
+    A = np.stack([c.expanded()[0] for c in cons])
+    b = np.stack([c.expanded()[1] for c in cons])
+    rows = np.arange(G)
+    default = _default_start(p)
+    X = np.tile(default, (G, 1))
     for k in range(K - 1, -1, -1):
-        EJ_nodes = pt.P @ J[k + 1]
-        prev = None
-        for i in range(G):
-            Rq = node_returns(p, quad, grid[i])
-            oracle, cons = bellman_node_problem(p, Rq, quad.weights, float(EJ_nodes[i]))
-            shrunk = None if prev is None else 0.999 * prev + 0.001 * default
-            x0 = _pick_start([shrunk, default], cons, oracle)
-            sol = solver(oracle, cons, x0, tol=node_tol)
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug("node k=%d phi=%+.3f: %d newton steps, kkt %.2e, f trace %s",
-                             k, grid[i], sol.iterations, sol.kkt_residual,
-                             np.array2string(np.asarray(sol.trace_f), precision=10))
+        EJ = pt @ J[k + 1]
+        oracle = bellman_oracle(p, Rq, quad.weights, EJ)
+        if k < K - 1:
+            shrunk = 0.999 * X + 0.001 * default
+            slack = b - concave.stacked_matvec(A, shrunk)
+            ok = (slack.min(axis=1) > 1e-11) & np.isfinite(oracle.value(shrunk, rows))
+            X = np.where(ok[:, None], shrunk, default)
+        if solver is None:
+            sols = concave.maximize_batch(oracle, A, b, X, tol=node_tol)
+        else:
+            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), cons[i], X[i], tol=node_tol)
+                    for i in range(G)]
+        if logger.isEnabledFor(logging.DEBUG):
+            for i, sol in enumerate(sols):
+                logger.debug("node k=%d phi=%+.3f: %d newton steps, %s, kkt %.2e",
+                             k, grid[i], sol.iterations, sol.status, sol.kkt_residual)
+        for i, sol in enumerate(sols):
             if sol.status != concave.STATUS_CONVERGED:
                 raise NodeSolveError(k, float(grid[i]), sol.status)
-            J[k, i] = sol.f
-            policy_pi[k, i] = sol.x[: p.n]
-            policy_c[k, i] = sol.x[p.n]
-            prev = sol.x
-        seg = np.diff(J[k]) / np.diff(grid)
-        node_slope[k, 0] = seg[0]
-        node_slope[k, -1] = seg[-1]
-        node_slope[k, 1:-1] = 0.5 * (seg[:-1] + seg[1:])
-    return ValueGrid(grid=grid, J=J, node_slope=node_slope, policy_pi=policy_pi, policy_c=policy_c)
+        X = np.array([sol.x for sol in sols])
+        J[k] = [sol.f for sol in sols]
+        policy_pi[k] = X[:, : p.n]
+        policy_c[k] = X[:, p.n]
+    return ValueGrid(grid=grid, J=J, policy_pi=policy_pi, policy_c=policy_c)
 
 
 def _segments(g: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
@@ -327,7 +345,6 @@ def value_grid_to_dict(vg: ValueGrid, p: ModelParams) -> dict:
         "params": p.to_dict(),
         "grid": vg.grid.tolist(),
         "J": vg.J.tolist(),
-        "node_slope": vg.node_slope.tolist(),
         "policy_pi": vg.policy_pi.tolist(),
         "policy_c": vg.policy_c.tolist(),
     }
@@ -343,7 +360,6 @@ def value_grid_from_dict(data: dict) -> tuple:
     vg = ValueGrid(
         grid=np.asarray(data["grid"], dtype=float),
         J=np.asarray(data["J"], dtype=float),
-        node_slope=np.asarray(data["node_slope"], dtype=float),
         policy_pi=np.asarray(data["policy_pi"], dtype=float),
         policy_c=np.asarray(data["policy_c"], dtype=float),
     )

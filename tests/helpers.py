@@ -182,10 +182,26 @@ def synthetic_value_grid(p, policy_pi=None, policy_c=None, J0=None):
     G = 5
     grid = np.linspace(-2.0, 2.0, G)
     J = np.tile(np.linspace(-1.2, -0.8, G), (p.K + 1, 1)) if J0 is None else np.tile(J0, (p.K + 1, 1))
-    node_slope = np.zeros((p.K, G))
     pi = np.zeros((p.K, G, p.n)) if policy_pi is None else np.tile(policy_pi, (p.K, G, 1))
     c = np.zeros((p.K, G)) if policy_c is None else np.full((p.K, G), policy_c)
-    return dp_solver.ValueGrid(grid=grid, J=J, node_slope=node_slope, policy_pi=pi, policy_c=c)
+    return dp_solver.ValueGrid(grid=grid, J=J, policy_pi=pi, policy_c=c)
+
+
+ROW0 = np.zeros(1, dtype=int)
+
+
+def at_point(fn, x):
+    """Evaluate a callable of a one-problem batch oracle at one point."""
+    return fn(np.asarray(x, dtype=float)[None], ROW0)[0]
+
+
+def pointwise_oracle(value, gradient, hessian) -> concave.ObjectiveOracle:
+    """Batch oracle of one objective, evaluated one point at a time."""
+    return concave.ObjectiveOracle(
+        value=lambda X, rows: np.array([value(x) for x in X]),
+        gradient=lambda X, rows: np.array([gradient(x) for x in X]),
+        hessian=lambda X, rows: np.array([hessian(x) for x in X]),
+    )
 
 
 def fd_hessian(gradient, h_rel=1e-6):
@@ -221,7 +237,7 @@ def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
     x = sol.x
     s = b - A @ x
     active = np.flatnonzero(s <= active_tol * (1.0 + np.abs(b)))
-    grad = oracle.gradient(x)
+    grad = at_point(oracle.gradient, x)
     nu = np.zeros(A.shape[0])
     if active.size:
         nu_act, _ = nnls(A[active].T, grad)

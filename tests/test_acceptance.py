@@ -15,6 +15,7 @@ from dualbound.bounds import RunConfig, certainty_equivalent, duality_gap
 from dualbound.cli import main as cli_main
 
 from helpers import (
+    at_point,
     inner_objective_grid_search,
     matching_mdp,
     node_objective_grid_search,
@@ -198,7 +199,7 @@ def test_criterion_8_oracle_equivalence():
     vg2 = dp_solver.backward_recursion(p, grid=grid5, quad=quad, pt=pt)
     worst_node = 0.0
     for i, phi in enumerate(grid5):
-        EJ = float((pt.P @ vg2.J[1])[i])
+        EJ = float((pt @ vg2.J[1])[i])
         Rq = dp_solver.node_returns(p, quad, phi)
         ref, _, _ = node_objective_grid_search(p, Rq, quad.weights, EJ, step=1e-3)
         worst_node = max(worst_node, abs(vg2.J[0, i] - ref))
@@ -218,11 +219,11 @@ def test_criterion_9_gradient_checks(p_set1, vg_set1):
     worst = 0.0
     for _ in range(100):
         x = _feasible_inner_point(rng, p_set1, ctx)
-        g = oracle.gradient(x)
+        g = at_point(oracle.gradient, x)
         j = int(rng.integers(x.size))
         e = np.zeros(x.size)
         e[j] = h
-        fd = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
+        fd = (at_point(oracle.value, x + e) - at_point(oracle.value, x - e)) / (2 * h)
         worst = max(worst, abs(g[j] - fd) / max(1e-8, abs(fd)))
     quad = dp_solver.build_quadrature(3, p_set1.n)
     Rq = dp_solver.node_returns(p_set1, quad, 0.2)
@@ -231,11 +232,11 @@ def test_criterion_9_gradient_checks(p_set1, vg_set1):
     for _ in range(100):
         pi, c = random_feasible_fractions(rng, p_set1)
         x = np.concatenate([pi, [max(c, 1e-3)]])
-        g = node_oracle.gradient(x)
+        g = at_point(node_oracle.gradient, x)
         j = int(rng.integers(x.size))
         e = np.zeros(x.size)
         e[j] = h
-        fd = (node_oracle.value(x + e) - node_oracle.value(x - e)) / (2 * h)
+        fd = (at_point(node_oracle.value, x + e) - at_point(node_oracle.value, x - e)) / (2 * h)
         worst_node = max(worst_node, abs(g[j] - fd) / max(1e-8, abs(fd)))
     ok = worst <= 1e-5 and worst_node <= 1e-5
     report(9, ok, f"inner objective rel err <= {worst:.2e}, "

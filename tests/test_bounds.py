@@ -15,6 +15,7 @@ from dualbound.bounds import (
     upper_bound,
 )
 from helpers import (
+    at_point,
     inner_objective_grid_search,
     random_feasible_fractions,
     single_asset_params,
@@ -140,8 +141,7 @@ class TestLowerBound:
         vg = synthetic_value_grid(p, policy_c=0.01)
         policy_c = vg.policy_c.copy()
         policy_c[:, -1] = 5.0
-        vg = dp_solver.ValueGrid(grid=vg.grid, J=vg.J, node_slope=vg.node_slope,
-                                 policy_pi=vg.policy_pi, policy_c=policy_c)
+        vg = dp_solver.ValueGrid(grid=vg.grid, J=vg.J, policy_pi=vg.policy_pi, policy_c=policy_c)
         cfg = RunConfig(paths_per_run=12, runs=3, seed=6)
         policy = dp_solver.make_grid_policy(vg, p)
 
@@ -175,7 +175,7 @@ class TestAssembleInner:
         for seed in range(5):
             _, _, (oracle, cons, x0) = self._setup(p_set1, vg_set1, seed=seed)
             assert np.min(cons.slack(x0)) > 0.0
-            assert np.isfinite(oracle.value(x0))
+            assert np.isfinite(at_point(oracle.value, x0))
 
     def test_gradient_matches_finite_differences(self, p_set1, vg_set1):
         ctx, form, (oracle, cons, x0) = self._setup(p_set1, vg_set1, seed=2, kind="m2")
@@ -184,11 +184,11 @@ class TestAssembleInner:
         for _ in range(20):
             # random strictly feasible point built from admissible fractions
             x = _random_inner_point(rng, p_set1, ctx)
-            g = oracle.gradient(x)
+            g = at_point(oracle.gradient, x)
             for j in rng.choice(x.size, size=6, replace=False):
                 e = np.zeros(x.size)
                 e[j] = h
-                fd = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
+                fd = (at_point(oracle.value, x + e) - at_point(oracle.value, x - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_objective_at_baseline_is_utility_minus_penalty(self, p_set1, vg_set1):
@@ -201,7 +201,7 @@ class TestAssembleInner:
             oracle, cons, _ = assemble_inner(p_set1, form, ctx)
             x_base = np.concatenate([np.concatenate([ctx.Pi[k], [ctx.C[k]]]) for k in range(10)])
             direct = path_utility(p_set1, path.C, float(path.W[-1])) - form.evaluate(ctx.Pi, ctx.C)
-            assert oracle.value(x_base) == pytest.approx(direct, rel=1e-11)
+            assert at_point(oracle.value, x_base) == pytest.approx(direct, rel=1e-11)
 
     def test_single_period_matches_grid_search(self):
         p = single_asset_params(gamma=1.5, K=1)

@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import numpy as np
@@ -62,6 +63,15 @@ class TestSolve:
             assert run_cli("solve", "--set", "1", "--gamma", "1.5",
                            "--grid-nodes", "5", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_debug_solver_prints_one_line_per_node(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dualbound.dp_solver"):
+            assert run_cli("solve", "--set", "1", "--grid-nodes", "5", "--debug-solver") == 0
+        lines = [r.getMessage() for r in caplog.records if r.name == "dualbound.dp_solver"]
+        assert len(lines) == market.parameter_set(1).K * 5
+        pattern = re.compile(r"^node k=\d+ phi=[+-]\d\.\d{3}: \d+ newton steps, converged, kkt \S+$")
+        assert all(pattern.match(line) for line in lines), lines[:3]
+        assert {line.split()[1] for line in lines} == {f"k={k}" for k in range(10)}
 
     def test_all_cash_closed_form_printed(self, tmp_path, capsys):
         params = market.parameter_set(1, gamma=1.5).to_dict()
@@ -225,6 +235,20 @@ class TestExitCodes:
         args = [a.format(dir=tmp_path, grid=grid_file_set1) for a in argv]
         assert run_cli(*args) == 2
         assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r_f, code", [(-9.995, 0), (-9.99999999999, 3)])
+    def test_gross_riskfree_rate_near_zero(self, tmp_path, capsys, r_f, code):
+        # R_f = 1 + r_f * delta is 5e-4, then 1e-12: the default start is scaled
+        # into the budget; with no strictly feasible start the node fails.
+        params = market.parameter_set(1, gamma=1.5).to_dict()
+        params.update(r_f=r_f, K=2)
+        cfg = tmp_path / "low_rf.json"
+        cfg.write_text(json.dumps(params))
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "node solve failed at stage k=1, phi=-2 (status=infeasible)" in err
 
     def test_malformed_grid_file_exits_2(self, grid_file_set1, tmp_path, capsys):
         data = json.loads(open(grid_file_set1).read())

@@ -4,15 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbound import bounds, concave, dp_solver, penalties
-from dualbound.concave import LinearConstraints, ObjectiveOracle, maximize
+from dualbound.concave import LinearConstraints, maximize
 
-from helpers import (check_kkt, fd_hessian, node_objective_grid_search, qp_active_set_oracle,
-                     single_asset_params)
+from helpers import (at_point, check_kkt, fd_hessian, node_objective_grid_search, pointwise_oracle,
+                     qp_active_set_oracle, single_asset_params)
 
 
 def bowl_oracle(center):
     center = np.asarray(center, dtype=float)
-    return ObjectiveOracle(
+    return pointwise_oracle(
         value=lambda x: -float(np.sum((x - center) ** 2)),
         gradient=lambda x: -2.0 * (x - center),
         hessian=lambda x: -2.0 * np.eye(len(center)),
@@ -32,7 +32,7 @@ class TestMaximize:
         assert sol.kkt_residual <= 1e-8
 
     def test_log_objective_active_constraint(self):
-        oracle = ObjectiveOracle(
+        oracle = pointwise_oracle(
             value=lambda x: float(np.log(x[0])) if x[0] > 0 else -np.inf,
             gradient=lambda x: np.array([1.0 / x[0]]),
             hessian=lambda x: np.array([[-1.0 / x[0] ** 2]]),
@@ -66,13 +66,22 @@ class TestMaximize:
         assert sol.f >= ref - 1e-12
         assert sol.f == pytest.approx(ref, abs=1e-4)
 
-    def test_objective_trace_monotone_across_centerings(self):
+    def test_objective_trace_monotone_across_centerings(self, monkeypatch):
         p = single_asset_params(gamma=3.0)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.4)
         oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.25)
+        center = concave._center
+        trace = []
+
+        def traced_center(oracle, live, *args):
+            center(oracle, live, *args)
+            trace.extend(live.F.tolist())
+
+        monkeypatch.setattr(concave, "_center", traced_center)
         sol = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=1e-8)
-        trace = np.asarray(sol.trace_f)
+        trace = np.asarray(trace + [sol.f])
+        assert trace.size >= 3
         assert np.all(np.diff(trace) >= -1e-10 * (1.0 + np.abs(trace[:-1])))
 
     def test_halving_tol_does_not_lose_objective(self):
@@ -96,7 +105,7 @@ class TestMaximize:
         n_rows = int(rng.integers(1, 5))
         A = rng.normal(size=(n_rows, m))
         b = A @ np.zeros(m) + rng.uniform(0.5, 2.0, size=n_rows)  # origin strictly feasible
-        oracle = ObjectiveOracle(
+        oracle = pointwise_oracle(
             value=lambda x: float(-0.5 * x @ P @ x + q @ x),
             gradient=lambda x: -P @ x + q,
             hessian=lambda x: -P,
@@ -140,19 +149,20 @@ class TestMaximize:
                 attempts[-1][0] += 1
             return hessian(x)
 
-        polish = concave._active_set_polish
+        polish = concave._polish
 
         def counted_polish(*args):
             attempts.append([0, None])
             in_polish[0] = True
             try:
-                attempts[-1][1] = polish(*args)
+                results = polish(*args)
             finally:
                 in_polish[0] = False
-            return attempts[-1][1]
+            attempts[-1][1] = results[0]
+            return results
 
-        monkeypatch.setattr(concave, "_active_set_polish", counted_polish)
-        oracle = ObjectiveOracle(
+        monkeypatch.setattr(concave, "_polish", counted_polish)
+        oracle = pointwise_oracle(
             value=value,
             gradient=lambda x: a / wealth(x) + np.array([0.0, 0.0, 1.0 / x[2]]),
             hessian=counting_hessian,
@@ -186,7 +196,7 @@ class TestMaximize:
                 # carry barrier multipliers 1/(t s) summing to at most about
                 # rows * tol / 1e-3 = 5e-5.
                 report = check_kkt(sol, oracle, cons, active_tol=1e-3)
-                grad_scale = max(1.0, float(np.max(np.abs(oracle.gradient(sol.x)))))
+                grad_scale = max(1.0, float(np.max(np.abs(at_point(oracle.gradient, sol.x)))))
                 assert report.stationarity <= 1e-4 * grad_scale
                 assert report.feasibility <= 1e-9
 
@@ -201,11 +211,11 @@ class TestOracleGradients:
         h = 1e-6
         for _ in range(100):
             x = np.array([rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.3)])
-            g = oracle.gradient(x)
+            g = at_point(oracle.gradient, x)
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fd = (oracle.value(x + e) - oracle.value(x - e)) / (2 * h)
+                fd = (at_point(oracle.value, x + e) - at_point(oracle.value, x - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_finite_difference_hessian_fallback(self):

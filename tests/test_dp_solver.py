@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.stats import norm
 
-from dualbound import dp_solver, market
+from dualbound import concave, dp_solver, market
 from dualbound.dp_solver import (
     ValueGrid,
     backward_recursion,
@@ -56,13 +56,13 @@ class TestPhiTransition:
     def test_degenerate_dynamics_give_identity(self):
         p = single_asset_params(lam=0.0, sigma_phi1=0.0, sigma_phi2=0.0)
         pt = build_phi_transition(np.linspace(-2, 2, 9), p)
-        np.testing.assert_allclose(pt.P, np.eye(9))
+        np.testing.assert_allclose(pt, np.eye(9))
 
     def test_rows_are_stochastic(self):
         p = market.parameter_set(2)
         pt = build_phi_transition(np.linspace(-2, 2, 21), p)
-        assert np.all(pt.P >= 0)
-        np.testing.assert_allclose(pt.P.sum(axis=1), np.ones(21), atol=1e-12)
+        assert np.all(pt >= 0)
+        np.testing.assert_allclose(pt.sum(axis=1), np.ones(21), atol=1e-12)
 
     def test_row_masses_match_cdf_cell_integrals(self):
         # Independent oracle: numerical quadrature of the normal density per cell.
@@ -78,13 +78,13 @@ class TestPhiTransition:
             lo = edges[j] if np.isfinite(edges[j]) else mean - 12 * sd
             hi = edges[j + 1] if np.isfinite(edges[j + 1]) else mean + 12 * sd
             mass, _ = scipy_quad(lambda x: norm.pdf(x, mean, sd), lo, hi, epsabs=1e-14)
-            assert pt.P[i, j] == pytest.approx(mass, abs=1e-12)
+            assert pt[i, j] == pytest.approx(mass, abs=1e-12)
 
     def test_flat_density_limit_spreads_over_cells(self):
         p = single_asset_params(sigma_phi1=0.0, sigma_phi2=300.0, lam=0.0)
         grid = np.linspace(-2, 2, 11)
         pt = build_phi_transition(grid, p)
-        interior = pt.P[5, 1:-1]
+        interior = pt[5, 1:-1]
         # interior cells have equal width, so the masses flatten out
         assert interior.max() - interior.min() <= 1e-4
 
@@ -99,10 +99,7 @@ class TestInterpolation:
     def vg(self):
         grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         J = np.array([[1.0, 2.0, 4.0, 5.0, 7.0], [0.0, 0.0, 0.0, 0.0, 0.0]])
-        seg = np.diff(J[0]) / np.diff(grid)
-        slope = np.array([[seg[0], *(0.5 * (seg[:-1] + seg[1:])), seg[-1]]])
-        return ValueGrid(grid=grid, J=J, node_slope=slope,
-                         policy_pi=np.zeros((1, 5, 2)), policy_c=np.zeros((1, 5)))
+        return ValueGrid(grid=grid, J=J, policy_pi=np.zeros((1, 5, 2)), policy_c=np.zeros((1, 5)))
 
     def test_nodal_values_exact(self, vg):
         for phi, expect in zip(vg.grid, vg.J[0]):
@@ -131,7 +128,6 @@ class TestInterpolation:
 
     def test_gradient_of_constant_is_zero(self):
         vg = ValueGrid(grid=np.linspace(-2, 2, 5), J=np.full((2, 5), 3.3),
-                       node_slope=np.zeros((1, 5)),
                        policy_pi=np.zeros((1, 5, 1)), policy_c=np.zeros((1, 5)))
         for phi in (-3.0, -1.0, 0.0, 0.3, 2.0, 2.7):
             assert gradient_J(vg, 0, phi) == 0.0
@@ -147,7 +143,6 @@ class TestPolicyLookup:
     def test_zero_nodal_policies_interpolate_to_zero(self):
         p = single_asset_params()
         vg = ValueGrid(grid=np.linspace(-2, 2, 5), J=np.zeros((2, 5)),
-                       node_slope=np.zeros((1, 5)),
                        policy_pi=np.zeros((1, 5, 1)), policy_c=np.zeros((1, 5)))
         pi, c = policy_lookup(vg, 0, 0.37, p)
         assert np.all(pi == 0.0) and c == 0.0
@@ -156,7 +151,6 @@ class TestPolicyLookup:
         p = single_asset_params()
         over = 1.000001
         vg = ValueGrid(grid=np.linspace(-2, 2, 5), J=np.zeros((2, 5)),
-                       node_slope=np.zeros((1, 5)),
                        policy_pi=np.full((1, 5, 1), over), policy_c=np.full((1, 5), 0.01))
         pi, c = policy_lookup(vg, 0, 0.0, p)
         assert pi[0] == pytest.approx(1.0, abs=1e-12)
@@ -247,7 +241,7 @@ class TestBackwardRecursion:
         vg = backward_recursion(p, grid=grid, quad=quadrule, pt=pt)
         # stage K-1 first, then stage 0 against values built on the solved J
         for k in (1, 0):
-            EJ_nodes = pt.P @ vg.J[k + 1]
+            EJ_nodes = pt @ vg.J[k + 1]
             for i, phi in enumerate(grid):
                 Rq = dp_solver.node_returns(p, quadrule, phi)
                 ref, _, _ = node_objective_grid_search(p, Rq, quadrule.weights,
@@ -259,6 +253,64 @@ class TestBackwardRecursion:
         j21 = interpolate_J(vg_set1, 0, 0.0)
         j41 = interpolate_J(vg41, 0, 0.0)
         assert abs(j41 - j21) / abs(j21) < 0.01
+
+
+class TestStageBatch:
+    """Each stage is one lockstep batch whose rows equal their own one-node solves."""
+
+    @pytest.mark.parametrize("set_id, gamma, nodes, q", [
+        (1, 1.5, 21, 3), (2, 1.5, 21, 3), (3, 1.5, 21, 3), (4, 1.5, 21, 3),
+        (1, 5.0, 21, 3), (1, 1.5, 41, 5),
+    ])
+    def test_every_row_equals_its_one_node_solve(self, set_id, gamma, nodes, q):
+        p = market.parameter_set(set_id, gamma)
+        grid = np.linspace(-2.0, 2.0, nodes)
+        quad = build_quadrature(q, p.n)
+        vg = backward_recursion(p, grid=grid, quad=quad)
+        pt = build_phi_transition(grid, p)
+        Rq = dp_solver.node_returns(p, quad, grid)
+        default = dp_solver._default_start(p)
+        for k in (p.K - 1, 0):
+            EJ = pt @ vg.J[k + 1]
+            problems = [dp_solver.bellman_node_problem(p, Rq[i], quad.weights, EJ[i]) for i in range(nodes)]
+            A = np.stack([cons.expanded()[0] for _, cons in problems])
+            b = np.stack([cons.expanded()[1] for _, cons in problems])
+            X0 = np.tile(default, (nodes, 1))
+            if k < p.K - 1:  # warm start from the stage k+1 optimum, as the recursion does
+                X0 = 0.999 * np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1) + 0.001 * X0
+            batch = concave.maximize_batch(dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0, tol=1e-8)
+            for i, (oracle, cons) in enumerate(problems):
+                one = concave.maximize(oracle, cons, X0[i], tol=1e-8)
+                assert one.status == batch[i].status == concave.STATUS_CONVERGED
+                assert (one.f, one.iterations, one.kkt_residual) == (batch[i].f, batch[i].iterations,
+                                                                    batch[i].kkt_residual)
+                assert np.array_equal(one.x, batch[i].x)
+
+    def test_per_node_solver_gives_the_batched_grid(self, p_set1, vg_set1):
+        # The traced grid replay calls a wrapped maximize node by node.
+        starts = []
+
+        def solver(oracle, cons, x0, tol):
+            starts.append(x0)
+            return concave.maximize(oracle, cons, x0, tol=tol)
+
+        vg = backward_recursion(p_set1, solver=solver)
+        assert len(starts) == p_set1.K * vg_set1.grid.size
+        assert np.array_equal(vg.J, vg_set1.J)
+        assert np.array_equal(vg.policy_pi, vg_set1.policy_pi)
+        assert np.array_equal(vg.policy_c, vg_set1.policy_c)
+
+    def test_node_failure_names_the_node_of_the_per_node_path(self):
+        # No solve can certify a KKT residual of 1e-16 at every node, so some
+        # fail; both paths name the lowest failing node of the first failing stage.
+        p = market.parameter_set(1, 1.5)
+        grid = np.linspace(-2.0, 2.0, 5)
+        with pytest.raises(dp_solver.NodeSolveError) as batched:
+            backward_recursion(p, grid=grid, node_tol=1e-16)
+        with pytest.raises(dp_solver.NodeSolveError) as per_node:
+            backward_recursion(p, grid=grid, node_tol=1e-16, solver=concave.maximize)
+        assert (batched.value.k, batched.value.phi) == (per_node.value.k, per_node.value.phi)
+        assert str(batched.value) == str(per_node.value)
 
 
 class TestSerialization:
@@ -273,6 +325,14 @@ class TestSerialization:
         data = value_grid_to_dict(vg_set1, p_set1)
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            value_grid_from_dict(data)
+
+    def test_version_1_files_rejected(self, p_set1, vg_set1):
+        # Version 1 stored node slopes that nothing read.
+        data = value_grid_to_dict(vg_set1, p_set1)
+        assert "node_slope" not in data
+        data.update(version=1, node_slope=np.zeros((p_set1.K, vg_set1.grid.size)).tolist())
+        with pytest.raises(ValueError, match="unsupported value-grid file version 1"):
             value_grid_from_dict(data)
 
     def test_hash_check(self, p_set1, vg_set1):
