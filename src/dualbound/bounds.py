@@ -8,7 +8,10 @@ across run means.  Path i of run r draws its Gaussians from a counter-based
 generator keyed by (seed, r, i); the antithetic partner negates the draws,
 so results are independent of worker count and replayable per path.  A
 lower-bound run simulates its paths in fixed-size batches, each path
-bit-identical to its one-path simulation.
+bit-identical to its one-path simulation.  An upper bound cuts the flat
+(run, path) list into fixed-size chunks and solves the inner problems of a
+chunk's legs as one lockstep batch, each bit-identical to its one-problem
+solve.  Neither chunk size depends on the worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 LOWER_CHUNK_PAIRS = 64  # paths (antithetic pairs) per lower-bound simulation batch
+# (run, path) pairs per upper-bound task, solved as one batch.  The solver's
+# stacked temporaries grow with the batch: 8 pairs (16 legs) add about 2 MB to
+# the peak RSS of a process, 32 pairs about 11 MB for about 15% more speed.
+UPPER_CHUNK_PAIRS = 8
 
 CSV_COLUMNS = (
     "parameter_set", "gamma", "bound_type", "penalty", "value_mean", "value_stderr",
@@ -136,49 +143,52 @@ def _init_worker(p, vg, cfg):
     _STATE["policy"] = dp_solver.make_grid_policy(vg, p)
 
 
-def _path_legs(p, cfg, r, i):
-    base = shock_path(p, cfg.seed, r, i)
-    return (base, base.antithetic()) if cfg.antithetic else (base,)
+def _chunk_shocks(p, cfg, pairs):
+    """Shocks of the legs of the (run, path) pairs, in (pair, base/antithetic) order."""
+    legs = 2 if cfg.antithetic else 1
+    Z = np.empty((len(pairs) * legs, p.K, p.n))
+    Ztilde = np.empty((len(pairs) * legs, p.K, p.d))
+    for j, (r, i) in enumerate(pairs):
+        base = shock_path(p, cfg.seed, r, i)
+        Z[j * legs], Ztilde[j * legs] = base.Z, base.Ztilde
+        if cfg.antithetic:
+            np.negative(base.Z, out=Z[j * legs + 1])
+            np.negative(base.Ztilde, out=Ztilde[j * legs + 1])
+    return Z, Ztilde
+
+
+def _path_error(which, cfg, pairs, exc):
+    r, i = pairs[exc.row // (2 if cfg.antithetic else 1)]
+    return PathError(f"{which}-bound path failed (seed={cfg.seed}, run={r}, path={i}): {exc}")
 
 
 def _lower_task(r):
     """Mean utility over the legs of run r, in (path, base/antithetic) order."""
     p, cfg, policy = _STATE["p"], _STATE["cfg"], _STATE["policy"]
-    legs = 2 if cfg.antithetic else 1
-    values = np.empty(cfg.paths_per_run * legs)
+    values = []
     for start in range(0, cfg.paths_per_run, LOWER_CHUNK_PAIRS):
-        stop = min(start + LOWER_CHUNK_PAIRS, cfg.paths_per_run)
-        Z = np.empty(((stop - start) * legs, p.K, p.n))
-        Ztilde = np.empty(((stop - start) * legs, p.K, p.d))
-        for j, i in enumerate(range(start, stop)):
-            base = shock_path(p, cfg.seed, r, i)
-            Z[j * legs], Ztilde[j * legs] = base.Z, base.Ztilde
-            if cfg.antithetic:
-                np.negative(base.Z, out=Z[j * legs + 1])
-                np.negative(base.Ztilde, out=Ztilde[j * legs + 1])
+        pairs = [(r, i) for i in range(start, min(start + LOWER_CHUNK_PAIRS, cfg.paths_per_run))]
         try:
-            path = simulate_paths(p, policy, Z, Ztilde)
+            path = simulate_paths(p, policy, *_chunk_shocks(p, cfg, pairs))
         except AdmissibilityError as exc:
-            i = start + exc.row // legs
-            raise PathError(f"lower-bound path failed (seed={cfg.seed}, run={r}, path={i}): {exc}") from exc
-        values[start * legs:stop * legs] = path_utility(p, path.C, path.W[:, -1])
-    return float(np.mean(values))
+            raise _path_error("lower", cfg, pairs, exc) from exc
+        values.append(path_utility(p, path.C, path.W[:, -1]))
+    return float(np.mean(np.concatenate(values)))
 
 
-def _upper_task(args):
-    r, i = args
+def _upper_task(span):
+    """Inner optima and cap flags of the legs of flat pairs [start, stop),
+    solved as one batch."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
-    out = []
-    for sp in _path_legs(p, cfg, r, i):
-        try:
-            ctx = penalties.build_context(p, vg, policy, sp)
-        except Exception as exc:
-            raise PathError(f"upper-bound path failed (seed={cfg.seed}, run={r}, path={i}): {exc}") from exc
-        form = penalties.penalty_form(cfg.penalty_kind, ctx, p)
-        oracle, cons, x0 = assemble_inner(p, form, ctx)
-        sol = concave.maximize(oracle, cons, x0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
-        out.append((sol.f, sol.status != concave.STATUS_CONVERGED))
-    return out
+    pairs = [divmod(q, cfg.paths_per_run) for q in range(*span)]
+    try:
+        ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, pairs))
+    except AdmissibilityError as exc:
+        raise _path_error("upper", cfg, pairs, exc) from exc
+    forms = [penalties.penalty_form(cfg.penalty_kind, ctx, p) for ctx in ctxs]
+    sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
+                                  tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
+    return [sol.f for sol in sols], sum(sol.status != concave.STATUS_CONVERGED for sol in sols)
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
@@ -190,19 +200,12 @@ def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
         return list(pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _collect(cfg: RunConfig, per_task_values) -> tuple:
-    """Fixed-order reduction of task outputs into per-run means."""
-    run_means = np.empty(cfg.runs)
-    idx = 0
-    total = 0
-    for r in range(cfg.runs):
-        vals: list = []
-        for _ in range(cfg.paths_per_run):
-            vals.extend(per_task_values[idx])
-            idx += 1
-        run_means[r] = float(np.mean(vals))
-        total += len(vals)
-    return run_means, total
+def _collect(cfg: RunConfig, values) -> np.ndarray:
+    """Fixed-order reduction of per-leg values, in (run, path, base/antithetic)
+    order, into per-run means."""
+    values = np.asarray(values, dtype=float)
+    per_run = values.size // cfg.runs
+    return np.array([float(np.mean(values[r * per_run:(r + 1) * per_run])) for r in range(cfg.runs)])
 
 
 def _estimate(kind: str, cfg: RunConfig, p: ModelParams, run_means: np.ndarray,
@@ -236,99 +239,101 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
     """Dual bound: mean of per-path inner optima under the configured penalty.
 
+    The flat (run, path) list is cut into tasks of UPPER_CHUNK_PAIRS pairs
+    (across run boundaries), and each task solves the inner problems of its
+    legs as one `concave.maximize_batch` call; every leg's optimum is
+    bit-identical to its own `assemble_inner` + `maximize`.
+
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
-    tasks = [(r, i) for r in range(cfg.runs) for i in range(cfg.paths_per_run)]
+    n_pairs = cfg.runs * cfg.paths_per_run
+    tasks = [(start, min(start + UPPER_CHUNK_PAIRS, n_pairs))
+             for start in range(0, n_pairs, UPPER_CHUNK_PAIRS)]
     results = _run_tasks(_upper_task, tasks, p, vg, cfg, workers)
-    values = [[v for (v, _) in task] for task in results]
-    flagged = sum(fl for task in results for (_, fl) in task)
-    run_means, total = _collect(cfg, values)
-    return _estimate("upper", cfg, p, run_means, total, flagged=flagged)
+    values = [f for task_values, _ in results for f in task_values]
+    flagged = sum(task_flagged for _, task_flagged in results)
+    return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)
 
 
-def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem over x = (Pi_0, C_0, ..., Pi_{K-1}, C_{K-1}).
+def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
+    """Inner problems of B path legs, stacked for `concave.maximize_batch`.
 
-    Wealth is eliminated by forward substitution, making every W_k affine in
-    x; constraints are the nonnegativity of Pi, floors on C_k and W_K, and
-    the per-stage budget C_k <= R_f (W_k - 1'Pi_k).
+    Leg i maximizes utility minus forms[i] over x = (Pi_0, C_0, ...,
+    Pi_{K-1}, C_{K-1}) along ctxs[i].  Wealth is eliminated by forward
+    substitution, making every W_k affine in x; constraints are the per-stage
+    budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and the
+    nonnegativity of Pi (last, in the order of `LinearConstraints.expanded`).
+    Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and X0 (B, D); the
+    oracle evaluates point j on leg rows[j].  All per-leg arithmetic is
+    elementwise or a stacked BLAS slice, so leg i gives the same problem
+    alone or in any batch.
     """
     K, n = p.K, p.n
+    B = len(ctxs)
     D = K * (n + 1)
     Rf = p.R_f
-    excess = ctx.R - Rf  # (K, n)
+    excess = np.array([ctx.R for ctx in ctxs]) - Rf  # (B, K, n)
+    pi_idx = np.arange(D).reshape(K, n + 1)[:, :n]   # Pi_k coordinates, (K, n)
+    c_idx = np.arange(K) * (n + 1) + n               # C_k coordinates, (K,)
 
-    def pi_slice(k):
-        return slice(k * (n + 1), k * (n + 1) + n)
-
-    def c_index(k):
-        return k * (n + 1) + n
-
-    # W_k(x) = w_const[k] + w_coef[k] . x  for k = 0..K
-    w_coef = np.zeros((K + 1, D))
+    # W_k(x) = w_const[k] + w_coef[:, k] . x  for k = 0..K
+    w_coef = np.zeros((B, K + 1, D))
     w_const = np.zeros(K + 1)
     w_const[0] = p.W0
     for k in range(K):
-        w_coef[k + 1] = Rf * w_coef[k]
-        w_coef[k + 1, pi_slice(k)] += excess[k]
-        w_coef[k + 1, c_index(k)] -= 1.0
+        w_coef[:, k + 1] = Rf * w_coef[:, k]
+        w_coef[:, k + 1, pi_idx[k]] += excess[:, k]
+        w_coef[:, k + 1, c_idx[k]] -= 1.0
         w_const[k + 1] = Rf * w_const[k]
-    a_term = w_coef[K]
+    a_term = w_coef[:, K]
 
-    rows = []
-    rhs = []
+    # Rows: (budget_k, floor_k) for each stage, the bequest floor, then -Pi <= 0.
+    m = 2 * K + 1 + K * n
+    A = np.zeros((B, m, D))
+    b = np.zeros((B, m))
     for k in range(K):
-        row = -Rf * w_coef[k]
-        row[pi_slice(k)] += Rf
-        row[c_index(k)] += 1.0
-        rows.append(row)
-        rhs.append(Rf * w_const[k])
-        floor_row = np.zeros(D)
-        floor_row[c_index(k)] = -1.0
-        rows.append(floor_row)
-        rhs.append(-AMOUNT_FLOOR)
-    rows.append(-a_term)
-    rhs.append(w_const[K] - AMOUNT_FLOOR)
-    A = np.array(rows)
-    b = np.array(rhs)
-    mask = np.zeros(D, dtype=bool)
-    for k in range(K):
-        mask[pi_slice(k)] = True
-    cons = concave.LinearConstraints(A=A, b=b, nonneg_mask=mask)
+        A[:, 2 * k] = -Rf * w_coef[:, k]
+        A[:, 2 * k, pi_idx[k]] += Rf
+        A[:, 2 * k, c_idx[k]] += 1.0
+        b[:, 2 * k] = Rf * w_const[k]
+        A[:, 2 * k + 1, c_idx[k]] = -1.0
+        b[:, 2 * k + 1] = -AMOUNT_FLOOR
+    A[:, 2 * K] = -a_term
+    b[:, 2 * K] = w_const[K] - AMOUNT_FLOOR
+    A[:, 2 * K + 1:] = -np.eye(D)[pi_idx.reshape(-1)]
 
     # The utility terms are CRRA in Y = (C_0, ..., C_{K-1}, W_K), which is
     # affine in x; one stacked product per call gives Y and the penalty's
     # linear part.
     gamma = p.gamma
-    c_idx = np.array([c_index(k) for k in range(K)])
-    lin = np.zeros(D)
-    for k in range(K):
-        lin[pi_slice(k)] = form.lin_Pi[k]
-        lin[c_index(k)] = form.lin_C[k]
-    P = np.zeros((D, K + 2))
-    P[c_idx, np.arange(K)] = 1.0
-    P[:, K] = a_term
-    P[:, K + 1] = lin
-    z0 = np.zeros(K + 2)
-    z0[K] = w_const[K]
-    z0[K + 1] = form.constant
+    lin = np.zeros((B, D))
+    lin[:, pi_idx] = np.array([form.lin_Pi for form in forms])
+    lin[:, c_idx] = np.array([form.lin_C for form in forms])
+    P = np.zeros((B, D, K + 2))
+    P[:, c_idx, np.arange(K)] = 1.0
+    P[:, :, K] = a_term
+    P[:, :, K + 1] = lin
+    z0 = np.zeros((B, K + 2))
+    z0[:, K] = w_const[K]
+    z0[:, K + 1] = [form.constant for form in forms]
     weights = np.append(p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta),
                         (1.0 - p.alpha) * p.beta ** (K * p.delta))
     value_weights = weights / (1.0 - gamma)
-    dY = np.ascontiguousarray(P[:, :K + 1].T)                # dY/dx, (K+1, D)
-    grad_rows = weights[:, None] * dY                        # gradient: Y^-gamma @ grad_rows - lin
-    hess_cols = np.ascontiguousarray(-gamma * grad_rows.T)   # Hessian: (hess_cols * Y^(-gamma-1)) @ dY
+    dY = np.ascontiguousarray(P[:, :, :K + 1].transpose(0, 2, 1))  # dY/dx, (B, K+1, D)
+    # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (hess_cols * Y^(-gamma-1)) @ dY
+    grad_rows = weights[:, None] * dY
+    hess_cols = np.ascontiguousarray(-gamma * grad_rows.transpose(0, 2, 1))
 
-    def utility_args(X):
+    def utility_args(X, rows):
         """Y and the penalty lin'x + constant."""
-        Z = (X[:, None, :] @ P)[:, 0] + z0
+        Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
         return Z[:, :K + 1], Z[:, K + 1]
 
     def value(X, rows):
-        Y, penalty = utility_args(X)
+        Y, penalty = utility_args(X, rows)
         if (Y > 0.0).all():
             return (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty
         inside = Y.min(axis=1) > 0.0
@@ -338,30 +343,41 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
         return np.where(inside, (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
 
     def gradient(X, rows):
-        Y, _ = utility_args(X)
-        return ((Y ** (-gamma))[:, None, :] @ grad_rows)[:, 0] - lin
+        Y, _ = utility_args(X, rows)
+        return ((Y ** (-gamma))[:, None, :] @ grad_rows[rows])[:, 0] - lin[rows]
 
     def hessian(X, rows):
-        Y, _ = utility_args(X)
-        return (hess_cols * (Y ** (-gamma - 1.0))[:, None, :]) @ dY
+        Y, _ = utility_args(X, rows)
+        return (hess_cols[rows] * (Y ** (-gamma - 1.0))[:, None, :]) @ dY[rows]
 
     oracle = concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 
     # Start: baseline decisions pulled slightly toward a strictly interior
     # low-exposure trajectory built forward with the realized returns.
-    x_base = np.zeros(D)
-    for k in range(K):
-        x_base[pi_slice(k)] = ctx.Pi[k]
-        x_base[c_index(k)] = ctx.C[k]
+    x_base = np.zeros((B, D))
+    x_base[:, pi_idx] = np.array([ctx.Pi for ctx in ctxs])
+    x_base[:, c_idx] = np.array([ctx.C for ctx in ctxs])
     eta = 1e-3
-    x_int = np.zeros(D)
-    Wk = p.W0
+    x_int = np.zeros((B, D))
+    Wk = np.full(B, p.W0)
     for k in range(K):
-        x_int[pi_slice(k)] = eta * Wk / n
-        x_int[c_index(k)] = eta * Wk
-        Wk = Wk * Rf + float(np.dot(excess[k], x_int[pi_slice(k)])) - eta * Wk
-    x0 = (1.0 - 1e-4) * x_base + 1e-4 * x_int
-    return oracle, cons, x0
+        x_int[:, pi_idx[k]] = (eta * Wk / n)[:, None]
+        x_int[:, c_idx[k]] = eta * Wk
+        invested = (excess[:, k, None, :] @ x_int[:, pi_idx[k], None])[:, 0, 0]
+        Wk = Wk * Rf + invested - eta * Wk
+    X0 = (1.0 - 1e-4) * x_base + 1e-4 * x_int
+    return oracle, A, b, X0
+
+
+def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
+    """Inner problem of one path leg as (oracle, constraints, start); the
+    N = 1 call of `assemble_inner_batch`, for `concave.maximize`."""
+    oracle, A, b, X0 = assemble_inner_batch(p, [form], [ctx])
+    rows = 2 * p.K + 1  # the rows before the nonnegativity of Pi
+    mask = np.zeros((p.K, p.n + 1), dtype=bool)
+    mask[:, :p.n] = True
+    cons = concave.LinearConstraints(A=A[0, :rows], b=b[0, :rows], nonneg_mask=mask.reshape(-1))
+    return oracle, cons, X0[0]
 
 
 def duality_gap(lower: BoundEstimate, upper_m1: BoundEstimate,

@@ -32,12 +32,19 @@ class CliError(Exception):
         super().__init__(message)
 
 
+def _write_file(path, text, mode="w"):
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
 def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def _load_params(args) -> ModelParams:
@@ -141,7 +148,10 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     if args.out:
-        dp_solver.save_value_grid(args.out, vg, params)
+        try:
+            dp_solver.save_value_grid(args.out, vg, params)
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write {args.out}: {exc}")
     print(f"J_0(phi0={params.phi0:g}) = {dp_solver.interpolate_J(vg, 0, params.phi0)!r}")
     return EXIT_OK
 
@@ -165,8 +175,7 @@ def _emit_csv(args, estimate) -> None:
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "a") as fh:
-            fh.write(text)
+        _write_file(args.out, text, mode="a")
 
 
 def _cmd_bound(args, which: str) -> int:
@@ -190,9 +199,7 @@ def _cmd_bound(args, which: str) -> int:
         raise CliError(EXIT_SOLVE, str(exc))
     _emit_csv(args, est)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(est.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_file(args.json, json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -128,16 +128,19 @@ def test_criterion_6_dual_feasibility_all_sets(grids):
         policy = dp_solver.make_grid_policy(vg, p)
         rng_key = 1000 + sid
         sums = {"m1": [], "m2": []}
-        for i in range(10_000):
-            sp = bounds.shock_path(p, rng_key, 0, i)
-            pair_vals = {"m1": [], "m2": []}
-            for leg in (sp, sp.antithetic()):
-                ctx = penalties.build_context(p, vg, policy, leg)
+        # Contexts of 1,000 pairs at a time, each bit-identical to its
+        # one-path build_context; the penalties are formed one leg at a time.
+        for start in range(0, 10_000, 1000):
+            legs = []
+            for i in range(start, start + 1000):
+                sp = bounds.shock_path(p, rng_key, 0, i)
+                legs += [sp, sp.antithetic()]
+            ctxs = penalties.build_contexts(p, vg, policy, np.array([leg.Z for leg in legs]),
+                                            np.array([leg.Ztilde for leg in legs]))
+            for pair in zip(ctxs[0::2], ctxs[1::2]):
                 for kind in ("m1", "m2"):
-                    form = penalties.penalty_form(kind, ctx, p)
-                    pair_vals[kind].append(form.evaluate(ctx.Pi, ctx.C))
-            for kind in ("m1", "m2"):
-                sums[kind].append(0.5 * (pair_vals[kind][0] + pair_vals[kind][1]))
+                    vals = [penalties.penalty_form(kind, ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in pair]
+                    sums[kind].append(0.5 * (vals[0] + vals[1]))
         for kind in ("m1", "m2"):
             vals = np.asarray(sums[kind])
             mean = float(vals.mean())

@@ -73,6 +73,15 @@ class TestRunConfig:
             RunConfig(paths_per_run=10, runs=2, seed=0, penalty_kind="m9")
 
 
+def _wealth_emptying_grid(p):
+    """Consumption 0.01 up to phi = 1, rising to the whole budget at phi = 2:
+    wealth reaches zero on the paths whose state climbs far enough."""
+    vg = synthetic_value_grid(p, policy_c=0.01)
+    policy_c = vg.policy_c.copy()
+    policy_c[:, -1] = 5.0
+    return dp_solver.ValueGrid(grid=vg.grid, J=vg.J, policy_pi=vg.policy_pi, policy_c=policy_c)
+
+
 class TestLowerBound:
     def test_deterministic_all_cash_policy(self):
         # alpha = 0 and an all-cash zero-consumption nodal policy: every path
@@ -135,13 +144,8 @@ class TestLowerBound:
         assert est.total_paths == 60
 
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
-        # Consumption 0.01 up to phi = 1, rising to the whole budget at phi = 2:
-        # wealth reaches zero on the paths whose state climbs far enough.
         p = market.parameter_set(1)
-        vg = synthetic_value_grid(p, policy_c=0.01)
-        policy_c = vg.policy_c.copy()
-        policy_c[:, -1] = 5.0
-        vg = dp_solver.ValueGrid(grid=vg.grid, J=vg.J, policy_pi=vg.policy_pi, policy_c=policy_c)
+        vg = _wealth_emptying_grid(p)
         cfg = RunConfig(paths_per_run=12, runs=3, seed=6)
         policy = dp_solver.make_grid_policy(vg, p)
 
@@ -219,8 +223,88 @@ class TestAssembleInner:
                 assert sol.f >= ref - 1e-12
                 assert sol.f == pytest.approx(ref, abs=1e-4)
 
+    def test_batch_rows_equal_their_one_leg_solves(self, p_set1, vg_set1):
+        # Legs of several runs and all three penalty kinds in one batch.
+        p = p_set1
+        policy = dp_solver.make_grid_policy(vg_set1, p)
+        ctxs, forms = [], []
+        for j, (r, i) in enumerate([(0, 0), (0, 1), (1, 0), (2, 5), (3, 2), (3, 3)]):
+            base = shock_path(p, 17, r, i)
+            for sp in (base, base.antithetic()):
+                ctx = penalties.build_context(p, vg_set1, policy, sp)
+                ctxs.append(ctx)
+                forms.append(penalties.penalty_form(penalties.PENALTY_KINDS[j % 3], ctx, p))
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+        assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                       max_newton=bounds.INNER_MAX_NEWTON)
+        for form, ctx, got in zip(forms, ctxs, batch):
+            one = concave.maximize(*assemble_inner(p, form, ctx), tol=bounds.INNER_TOL,
+                                   max_newton=bounds.INNER_MAX_NEWTON)
+            assert np.array_equal(got.x, one.x)
+            assert (got.f, got.kkt_residual, got.iterations, got.status) == (
+                one.f, one.kkt_residual, one.iterations, one.status)
+            assert one.status == concave.STATUS_CONVERGED
+
+
+def _upper_leg_by_leg(p, vg, cfg):
+    """Run means and flagged count of a per-leg loop of shock_path ->
+    build_context -> penalty_form -> assemble_inner -> maximize."""
+    policy = dp_solver.make_grid_policy(vg, p)
+    run_means, flagged = [], 0
+    for r in range(cfg.runs):
+        vals = []
+        for i in range(cfg.paths_per_run):
+            base = shock_path(p, cfg.seed, r, i)
+            for sp in (base, base.antithetic()):
+                ctx = penalties.build_context(p, vg, policy, sp)
+                form = penalties.penalty_form(cfg.penalty_kind, ctx, p)
+                sol = concave.maximize(*assemble_inner(p, form, ctx), tol=bounds.INNER_TOL,
+                                       max_newton=bounds.INNER_MAX_NEWTON)
+                vals.append(sol.f)
+                flagged += sol.status != concave.STATUS_CONVERGED
+        run_means.append(float(np.mean(vals)))
+    return run_means, flagged
+
 
 class TestUpperBound:
+    @pytest.mark.parametrize("penalty", ["m1", "zero"])
+    @pytest.mark.parametrize("chunk", [3, bounds.UPPER_CHUNK_PAIRS])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, monkeypatch,
+                                                      penalty, chunk, workers):
+        # 5 pairs per run: chunks of 3 straddle the run boundaries.
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", chunk)
+        cfg = RunConfig(paths_per_run=5, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
+        est = upper_bound(p_set1, vg_set1, cfg, workers=workers)
+        run_means, flagged = _upper_leg_by_leg(p_set1, vg_set1, cfg)
+        assert np.array_equal(est.run_means, run_means)
+        assert est.flagged_paths == flagged
+        assert est.total_paths == 20
+
+    def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
+        p = market.parameter_set(1)
+        vg = _wealth_emptying_grid(p)
+        cfg = RunConfig(paths_per_run=12, runs=3, seed=6)
+        policy = dp_solver.make_grid_policy(vg, p)
+
+        def first_failure():
+            for r in range(cfg.runs):
+                for i in range(cfg.paths_per_run):
+                    base = shock_path(p, cfg.seed, r, i)
+                    for sp in (base, base.antithetic()):
+                        try:
+                            penalties.build_context(p, vg, policy, sp)
+                        except market.AdmissibilityError as exc:
+                            return r, i, str(exc)
+
+        r, i, message = first_failure()
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 2)
+        assert (r, i) == (1, 3)  # flat pair 15, the second of its chunk
+        with pytest.raises(bounds.PathError) as err:
+            upper_bound(p, vg, cfg)
+        assert f"upper-bound path failed (seed=6, run={r}, path={i}): {message}" in str(err.value)
+
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
         for kind in ("zero", "m1", "m2"):

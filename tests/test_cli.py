@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from dualbound import cli, market
+from dualbound import bounds, cli, market
 from dualbound.cli import main
 
 from helpers import matching_mdp
@@ -235,6 +235,26 @@ class TestExitCodes:
         args = [a.format(dir=tmp_path, grid=grid_file_set1) for a in argv]
         assert run_cli(*args) == 2
         assert "Is a directory" in capsys.readouterr().err
+
+    UPPER = ("upper", "--grid", "{grid}", "--seed", "1", "--paths", "1", "--runs", "2")
+
+    @pytest.mark.parametrize("argv", [
+        UPPER + ("--out", "{missing}/x.csv"),
+        UPPER + ("--out", "{dir}"),
+        UPPER + ("--out", "{dir}/x.csv", "--json", "{missing}/x.json"),
+        ("solve", "--set", "1", "--grid-nodes", "5", "--out", "{missing}/g.json"),
+        ("feasibility", "--grid", "{grid}", "--seed", "1", "--paths", "100", "--out", "{missing}/f.json"),
+        ("gen-params", "1", "--out", "{missing}/p.json"),
+        ("report", "{csv}", "--out", "{dir}"),
+    ])
+    def test_unwritable_output_exits_2(self, grid_file_set1, tmp_path, capsys, argv):
+        # {missing} is a directory that does not exist, {dir} a directory.
+        csv_file = tmp_path / "t.csv"
+        csv_file.write_text(",".join(bounds.CSV_COLUMNS) + "\n")
+        args = [a.format(dir=tmp_path, grid=grid_file_set1, missing=tmp_path / "none", csv=csv_file)
+                for a in argv]
+        assert run_cli(*args) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r_f, code", [(-9.995, 0), (-9.99999999999, 3)])
     def test_gross_riskfree_rate_near_zero(self, tmp_path, capsys, r_f, code):
