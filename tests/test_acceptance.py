@@ -32,15 +32,9 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def grids(p_set1, vg_set1):
-    out = {(1, 1.5): (p_set1, vg_set1)}
-    for gamma in (3.0, 5.0):
-        p = market.parameter_set(1, gamma=gamma)
-        out[(1, gamma)] = (p, dp_solver.backward_recursion(p))
-    for sid in (2, 3, 4):
-        p = market.parameter_set(sid, gamma=1.5)
-        out[(sid, 1.5)] = (p, dp_solver.backward_recursion(p))
-    return out
+def grids(solved_grid):
+    keys = [(1, 1.5), (1, 3.0), (1, 5.0), (2, 1.5), (3, 1.5), (4, 1.5)]
+    return {key: solved_grid(*key) for key in keys}
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +147,7 @@ def test_criterion_6_dual_feasibility_all_sets(grids):
 
 def test_criterion_7_statistical_weak_duality_and_dominance(grids, estimates):
     failures = []
+    flagged = []
     for gamma in (1.5, 3.0, 5.0):
         lo = estimates[("lower", gamma)]
         kinds = ("m1", "m2", "zero") if gamma == 1.5 else ("m1", "m2")
@@ -161,6 +156,7 @@ def test_criterion_7_statistical_weak_duality_and_dominance(grids, estimates):
             slack = 3.0 * float(np.hypot(lo.stderr, up.stderr))
             if not up.mean >= lo.mean - slack:
                 failures.append(f"{kind}@{gamma}")
+            flagged.append(f"{kind}@{gamma} {up.flagged_paths}")
     # pathwise foresight dominance with the zero penalty, exact per path
     p, vg = grids[(1, 1.5)]
     policy = dp_solver.make_grid_policy(vg, p)
@@ -178,7 +174,8 @@ def test_criterion_7_statistical_weak_duality_and_dominance(grids, estimates):
     ok = not failures and dominated == n_paths
     report(7, ok, f"upper >= lower - 3 stderr for all runs"
                   f"{' except ' + ','.join(failures) if failures else ''}; "
-                  f"foresight dominance on {dominated}/{n_paths} paths")
+                  f"foresight dominance on {dominated}/{n_paths} paths; "
+                  f"flagged legs {', '.join(flagged)}")
 
 
 def test_criterion_8_oracle_equivalence():

@@ -343,6 +343,18 @@ class TestUpperBound:
         assert abs(on.mean - off.mean) <= 3.0 * np.hypot(on.stderr, off.stderr)
 
 
+class TestRobustnessMatrix:
+    @pytest.mark.parametrize("gamma", [1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_grid_converges_and_small_upper_bounds_flag_no_leg(self, solved_grid, sid, gamma):
+        # backward_recursion raises NodeSolveError on a node that does not converge.
+        p, vg = solved_grid(sid, gamma)
+        for kind in ("m1", "zero"):
+            cfg = RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind=kind, gamma=gamma,
+                            parameter_set_id=sid)
+            assert upper_bound(p, vg, cfg).flagged_paths == 0
+
+
 class TestDualityGap:
     def test_zero_gap_when_upper_equals_lower(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=5, runs=2, seed=1, gamma=1.5))

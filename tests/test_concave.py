@@ -84,6 +84,50 @@ class TestMaximize:
         assert trace.size >= 3
         assert np.all(np.diff(trace) >= -1e-10 * (1.0 + np.abs(trace[:-1])))
 
+    def test_barrier_ladder_centers_only_exit_stages_exactly(self, monkeypatch):
+        p = single_asset_params(gamma=3.0)
+        quad = dp_solver.build_quadrature(3, 1)
+        Rq = dp_solver.node_returns(p, quad, 0.4)
+        oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.25)
+        center = concave._center
+        stages = []
+
+        def traced_center(oracle, live, t, tol, max_newton, out, dec_stop):
+            stages.append((t, dec_stop))
+            center(oracle, live, t, tol, max_newton, out, dec_stop)
+
+        monkeypatch.setattr(concave, "_center", traced_center)
+        tol = 1e-8
+        maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol)
+        m = cons.expanded()[0].shape[0]
+        t_cap = 2.0 * m / tol
+        expected_t = concave.MU ** 2
+        for t, dec_stop in stages:
+            assert t == expected_t
+            exits = m / t <= max(concave.CROSSOVER_GAP, tol)
+            assert dec_stop == (0.0 if exits else concave.LOOSE_DECREMENT)
+            expected_t = min(t * concave.MU, t_cap)
+        assert stages[0][1] == concave.LOOSE_DECREMENT
+
+    def test_set1_newton_steps_per_node_and_inner_problem(self, monkeypatch, p_set1, vg_set1):
+        # Newton counts repeat exactly.  Starting at t = 1 and centering every
+        # stage to the gradient tolerance averages about 63 and 78 here.
+        counts = []
+        batch = concave.maximize_batch
+
+        def counted(*args, **kwargs):
+            sols = batch(*args, **kwargs)
+            counts.extend(sol.iterations for sol in sols)
+            return sols
+
+        monkeypatch.setattr(concave, "maximize_batch", counted)
+        dp_solver.backward_recursion(p_set1)
+        node_mean = np.mean(counts)
+        counts.clear()
+        bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
+        assert node_mean <= 35
+        assert np.mean(counts) <= 60
+
     def test_halving_tol_does_not_lose_objective(self):
         p = single_asset_params(gamma=1.5)
         quad = dp_solver.build_quadrature(3, 1)
@@ -176,6 +220,23 @@ class TestMaximize:
         assert abandoned, "the wrong face should have been abandoned"
         assert max(abandoned) <= 3
         assert sum(solves for solves, _ in attempts) < 12
+
+    def test_face_step_leaving_the_domain_tries_at_most_eight_halvings(self):
+        # -(x - 5)^2 on its domain x <= 1 + 1e-9, from x = 1 on the empty
+        # face: the Newton step is 4, and its halvings down to 2^-29 all
+        # leave the domain, so the face is dropped after its last halving.
+        evaluated = []
+
+        def value(X, rows):
+            evaluated.append(len(rows))
+            return np.where(X[:, 0] <= 1.0 + 1e-9, -(X[:, 0] - 5.0) ** 2, -np.inf)
+
+        oracle = concave.ObjectiveOracle(value=value, gradient=lambda X, rows: -2.0 * (X - 5.0),
+                                         hessian=lambda X, rows: np.full((len(X), 1, 1), -2.0))
+        ended = concave._face_newton(oracle, np.zeros((1, 0, 1)), np.zeros((1, 0)), np.array([[1.0]]),
+                                     np.array([0]), np.array([0]))
+        assert ended == []
+        assert sum(evaluated) <= 1 + 8
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_set1_inner_problems_converge_and_verify(self, kind, p_set1, vg_set1):
