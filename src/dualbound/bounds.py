@@ -107,9 +107,9 @@ def shock_path(p: ModelParams, seed: int, run: int, idx: int) -> ShockPath:
     """Counter-based Gaussian stream for path idx of run (seeded, order-free).
 
     The seed enters as its residue mod 2**64, one distinct key per 64-bit seed.
+    Philox keys itself with SeedSequence((seed, run, idx)).generate_state(2, uint64).
     """
-    key = np.random.SeedSequence((seed % 2**64, run, idx)).generate_state(2, np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.Philox((seed % 2**64, run, idx)))
     return ShockPath(Z=rng.standard_normal((p.K, p.n)),
                      Ztilde=rng.standard_normal((p.K, p.d)))
 
@@ -185,13 +185,15 @@ def _upper_task(span):
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, pairs))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, pairs, exc) from exc
-    forms = [penalties.penalty_form(cfg.penalty_kind, ctx, p) for ctx in ctxs]
+    forms = penalties.penalty_forms(cfg.penalty_kind, ctxs, p)
     sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
                                   tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
     return [sol.f for sol in sols], sum(sol.status != concave.STATUS_CONVERGED for sol in sols)
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
+    # A fork-started pool forks all its workers up front; start no idle ones.
+    workers = min(workers, len(tasks))
     if workers <= 1:
         _init_worker(p, vg, cfg)
         return [task_fn(t) for t in tasks]
@@ -258,11 +260,12 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)
 
 
-def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
+def assemble_inner_batch(p: ModelParams, forms, ctxs):
     """Inner problems of B path legs, stacked for `concave.maximize_batch`.
 
-    Leg i maximizes utility minus forms[i] over x = (Pi_0, C_0, ...,
-    Pi_{K-1}, C_{K-1}) along ctxs[i].  Wealth is eliminated by forward
+    `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_forms`).
+    Leg i maximizes utility minus its form over x = (Pi_0, C_0, ...,
+    Pi_{K-1}, C_{K-1}) along its context.  Wealth is eliminated by forward
     substitution, making every W_k affine in x; constraints are the per-stage
     budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and the
     nonnegativity of Pi (last, in the order of `LinearConstraints.expanded`).
@@ -272,10 +275,10 @@ def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
     alone or in any batch.
     """
     K, n = p.K, p.n
-    B = len(ctxs)
+    B = ctxs.W.shape[0]
     D = K * (n + 1)
     Rf = p.R_f
-    excess = np.array([ctx.R for ctx in ctxs]) - Rf  # (B, K, n)
+    excess = ctxs.R - Rf                             # (B, K, n)
     pi_idx = np.arange(D).reshape(K, n + 1)[:, :n]   # Pi_k coordinates, (K, n)
     c_idx = np.arange(K) * (n + 1) + n               # C_k coordinates, (K,)
 
@@ -310,15 +313,15 @@ def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
     # linear part.
     gamma = p.gamma
     lin = np.zeros((B, D))
-    lin[:, pi_idx] = np.array([form.lin_Pi for form in forms])
-    lin[:, c_idx] = np.array([form.lin_C for form in forms])
+    lin[:, pi_idx] = forms.lin_Pi
+    lin[:, c_idx] = forms.lin_C
     P = np.zeros((B, D, K + 2))
     P[:, c_idx, np.arange(K)] = 1.0
     P[:, :, K] = a_term
     P[:, :, K + 1] = lin
     z0 = np.zeros((B, K + 2))
     z0[:, K] = w_const[K]
-    z0[:, K + 1] = [form.constant for form in forms]
+    z0[:, K + 1] = forms.constant
     weights = np.append(p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta),
                         (1.0 - p.alpha) * p.beta ** (K * p.delta))
     value_weights = weights / (1.0 - gamma)
@@ -355,8 +358,8 @@ def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
     # Start: baseline decisions pulled slightly toward a strictly interior
     # low-exposure trajectory built forward with the realized returns.
     x_base = np.zeros((B, D))
-    x_base[:, pi_idx] = np.array([ctx.Pi for ctx in ctxs])
-    x_base[:, c_idx] = np.array([ctx.C for ctx in ctxs])
+    x_base[:, pi_idx] = ctxs.Pi
+    x_base[:, c_idx] = ctxs.C
     eta = 1e-3
     x_int = np.zeros((B, D))
     Wk = np.full(B, p.W0)
@@ -372,7 +375,7 @@ def assemble_inner_batch(p: ModelParams, forms: list, ctxs: list):
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
     """Inner problem of one path leg as (oracle, constraints, start); the
     N = 1 call of `assemble_inner_batch`, for `concave.maximize`."""
-    oracle, A, b, X0 = assemble_inner_batch(p, [form], [ctx])
+    oracle, A, b, X0 = assemble_inner_batch(p, penalties.as_stack(form), penalties.as_stack(ctx))
     rows = 2 * p.K + 1  # the rows before the nonnegativity of Pi
     mask = np.zeros((p.K, p.n + 1), dtype=bool)
     mask[:, :p.n] = True

@@ -187,6 +187,8 @@ def _cmd_bound(args, which: str) -> int:
     }
     if args.print_config:
         return _print_config(args, payload)
+    if args.workers < 1:
+        raise CliError(EXIT_INPUT, f"--workers must be >= 1, got {args.workers}")
     vg, params = _load_grid(args)
     try:
         cfg = dataclasses.replace(_run_config(args, which), gamma=params.gamma)

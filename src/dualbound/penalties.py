@@ -1,4 +1,4 @@
-"""Per-path penalty construction for the dual (perfect-foresight) bounds.
+"""Penalty construction for the dual (perfect-foresight) bounds.
 
 Penalties are represented as affine forms in the invested amounts Pi_k and
 consumption amounts C_k: a decision-independent constant plus linear
@@ -12,14 +12,19 @@ policy and the grid value function:
         order around the previous-stage baseline decisions, adding linear
         coefficients on (Pi_{k-1}, C_{k-1}).
 
-Both have zero mean under any non-anticipative policy, which
+Contexts and forms are struct-of-arrays: a stack of N legs carries a leading
+N axis on every field, one leg none, and the same code serves both.  Every
+operation acts leg by leg (elementwise, last-axis sums, matmul by a loading
+matrix), so row i of a stack is bit-identical to the one-leg call of leg i.
+
+Both penalties have zero mean under any non-anticipative policy, which
 `feasibility_check` verifies by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from . import dp_solver
@@ -33,27 +38,27 @@ FEAS_CHUNK_PAIRS = 128  # antithetic pairs whose contexts are built in one batch
 class PenaltyForm:
     """Affine decomposition M(Pi, C) = constant + sum_k lin_Pi[k]'Pi_k + lin_C[k] C_k."""
 
-    constant: float
-    lin_Pi: np.ndarray  # (K, n)
-    lin_C: np.ndarray   # (K,)
+    constant: float | np.ndarray  # float, or (N,) for a stack
+    lin_Pi: np.ndarray            # (K, n), or (N, K, n)
+    lin_C: np.ndarray             # (K,), or (N, K)
 
-    def evaluate(self, Pi: np.ndarray, C: np.ndarray) -> float:
-        return self.constant + float(np.sum(self.lin_Pi * Pi)) + float(np.dot(self.lin_C, C))
-
-
-def zero_form(K: int, n: int) -> PenaltyForm:
-    return PenaltyForm(constant=0.0, lin_Pi=np.zeros((K, n)), lin_C=np.zeros(K))
+    def evaluate(self, Pi: np.ndarray, C: np.ndarray):
+        """M at one leg's decisions (a float) or at each leg's of a stack (N,)."""
+        terms = self.lin_Pi * Pi
+        total = (self.constant + terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+                 + (self.lin_C * C).sum(axis=-1))
+        return float(total) if np.ndim(total) == 0 else total
 
 
 @dataclass(frozen=True)
 class PenaltyContext:
-    """Decision-independent data collected along one baseline trajectory.
+    """Decision-independent data collected along baseline trajectories.
 
-    Arrays are indexed by stage k = 0..K-1; R[k] is the gross return realized
-    over period [k, k+1], so the return known at time k is R[k-1].
+    Arrays are indexed by stage k = 0..K-1, after a leading N axis in a stack
+    of N legs; R[k] is the gross return realized over period [k, k+1], so the
+    return known at time k is R[k-1].
     """
 
-    phi: np.ndarray     # (K,) baseline states at stages 0..K-1
     W: np.ndarray       # (K,) baseline wealth at stages 0..K-1
     Pi: np.ndarray      # (K, n) baseline invested amounts
     C: np.ndarray       # (K,) baseline consumption amounts
@@ -65,86 +70,86 @@ class PenaltyContext:
 
     @property
     def K(self) -> int:
-        return self.phi.shape[0]
+        return self.W.shape[-1]
+
+    def leg(self, i: int) -> "PenaltyContext":
+        """The one-leg view of leg i of a stack."""
+        return PenaltyContext(*(getattr(self, f.name)[i] for f in fields(self)))
+
+
+def as_stack(x):
+    """A one-leg context or form as a stack of one leg (a view)."""
+    return type(x)(*(np.asarray(getattr(x, f.name))[None] for f in fields(x)))
 
 
 def build_contexts(p: ModelParams, vg: dp_solver.ValueGrid, policy, Z: np.ndarray,
-                   Ztilde: np.ndarray) -> list:
-    """Contexts of N baseline trajectories, simulated as one batch.
+                   Ztilde: np.ndarray) -> PenaltyContext:
+    """The stacked context of N baseline trajectories, simulated as one batch.
 
     `policy(k, phi[N], W[N]) -> (pi[N, n], c[N])` is a batch policy; Z is
-    (N, K, n) and Ztilde (N, K, d).  Context i is bit-identical to the one
+    (N, K, n) and Ztilde (N, K, d).  Leg i is bit-identical to the context
     `build_context` gives for path i alone.
     """
     path = simulate_paths(p, policy, Z, Ztilde)
     K = p.K
     stages = np.arange(K)
-    J = dp_solver.interpolate_J(vg, stages, path.phi[:, :K])
-    gradJ = dp_solver.gradient_J(vg, stages, path.phi[:, :K])
-    return [
-        PenaltyContext(phi=path.phi[i, :K], W=path.W[i, :K], Pi=path.Pi[i], C=path.C[i], R=path.R[i],
-                       J=J[i], gradJ=gradJ[i], Z=Z[i], Ztilde=Ztilde[i])
-        for i in range(Z.shape[0])
-    ]
+    return PenaltyContext(W=path.W[:, :K], Pi=path.Pi, C=path.C, R=path.R,
+                          J=dp_solver.interpolate_J(vg, stages, path.phi[:, :K]),
+                          gradJ=dp_solver.gradient_J(vg, stages, path.phi[:, :K]),
+                          Z=Z, Ztilde=Ztilde)
 
 
 def build_context(p: ModelParams, vg: dp_solver.ValueGrid, policy, shocks: ShockPath) -> PenaltyContext:
     """Run the one-path policy `(k, phi, W) -> (pi, c)` along the shocks and
-    evaluate J and its slope; the N = 1 call of `build_contexts`."""
-    return build_contexts(p, vg, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None])[0]
+    evaluate J and its slope; the one-leg view of the N = 1 `build_contexts`."""
+    return build_contexts(p, vg, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None]).leg(0)
 
 
-def _stage_terms(ctx: PenaltyContext, p: ModelParams) -> tuple:
-    """Per-stage discount beta^(k delta) and shock term grad J_k(phi_k) *
-    (loadings . shocks) * sqrt(delta), summed over both state loadings."""
-    sd = p.sqrt_delta
-    disc = p.beta ** (np.arange(ctx.K) * p.delta)
-    base1 = ctx.gradJ * (ctx.Z @ p.sigma_phi1) * sd
-    base2 = ctx.gradJ * (p.sigma_phi2 * ctx.Ztilde[:, 0]) * sd
-    return disc, base1 + base2
-
-
-def _m1(ctx: PenaltyContext, p: ModelParams, disc: np.ndarray, base: np.ndarray) -> PenaltyForm:
+def penalty_forms(kind: str, ctxs: PenaltyContext, p: ModelParams) -> PenaltyForm:
+    """The `kind` forms of every leg of a stacked context, as one stacked
+    form; given a one-leg context, that leg's form."""
+    if kind not in PENALTY_KINDS:
+        raise ValueError(f"unknown penalty kind {kind!r}; valid: {PENALTY_KINDS}")
+    lin_C = np.zeros(ctxs.W.shape)
+    if kind == "zero":
+        return PenaltyForm(lin_C.sum(axis=-1), np.zeros(ctxs.Pi.shape), lin_C)  # 0.0, or zeros (N,)
     gamma = p.gamma
-    constant = float(np.sum(disc * ctx.W ** (1.0 - gamma) * base))
-    sigZ = ctx.Z @ p.sigma.T * p.sqrt_delta  # row k = (sigma Z_{k+1})' sqrt(delta)
-    lin_Pi = (disc * (1.0 - gamma) * ctx.W ** (-gamma) * ctx.J)[:, None] * sigZ
-    return PenaltyForm(constant=constant, lin_Pi=lin_Pi, lin_C=np.zeros(ctx.K))
+    sd = p.sqrt_delta
+    # Per stage: the discount beta^(k delta) and the shock term grad J_k(phi_k)
+    # * (loadings . shocks) * sqrt(delta), summed over both state loadings.
+    disc = p.beta ** (np.arange(ctxs.K) * p.delta)
+    base = (ctxs.gradJ * (ctxs.Z @ p.sigma_phi1) * sd
+            + ctxs.gradJ * (p.sigma_phi2 * ctxs.Ztilde[..., 0]) * sd)
+    # m1: a decision-independent constant and coefficients on Pi_k only.
+    constant = (disc * ctxs.W ** (1.0 - gamma) * base).sum(axis=-1)
+    sigZ = ctxs.Z @ p.sigma.T * sd  # row k = (sigma Z_{k+1})' sqrt(delta)
+    lin_Pi = (disc * (1.0 - gamma) * ctxs.W ** (-gamma) * ctxs.J)[..., None] * sigZ
+    if kind == "m2":
+        # Stage k >= 1 linearizes in (Pi_{k-1}, C_{k-1}) at frozen W_{k-1}:
+        # d/dPi_{k-1} W_k = R_k - R_f, d/dC_{k-1} W_k = -1.
+        slope = disc[1:] * (1.0 - gamma) * ctxs.W[..., 1:] ** (-gamma) * base[..., 1:]
+        excess_prev = ctxs.R[..., :-1, :] - p.R_f
+        lin_Pi[..., :-1, :] += slope[..., None] * excess_prev
+        lin_C[..., :-1] = -slope
+        anchor = (excess_prev * ctxs.Pi[..., :-1, :]).sum(axis=-1) - ctxs.C[..., :-1]
+        constant = constant - (slope * anchor).sum(axis=-1)
+    return PenaltyForm(constant, lin_Pi, lin_C)
+
+
+def penalty_form(kind: str, ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
+    """One leg's form; the N = 1 call of `penalty_forms`."""
+    return penalty_forms(kind, ctx, p)
 
 
 def m1_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
     """Discretized value-function penalty; only the Pi_k coefficients depend on decisions."""
-    return _m1(ctx, p, *_stage_terms(ctx, p))
+    return penalty_forms("m1", ctx, p)
 
 
 def m2_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
     """M1 with the decision-independent terms linearized around the previous
     stage's baseline decisions; anchored so that it equals M1 at the baseline."""
-    K = ctx.K
-    gamma = p.gamma
-    disc, base = _stage_terms(ctx, p)
-    m1 = _m1(ctx, p, disc, base)
-    # Stage k >= 1 linearizes in (Pi_{k-1}, C_{k-1}) at frozen W_{k-1}:
-    # d/dPi_{k-1} W_k = R_k - R_f, d/dC_{k-1} W_k = -1.
-    slope = disc[1:] * (1.0 - gamma) * ctx.W[1:] ** (-gamma) * base[1:]
-    excess_prev = ctx.R[:-1] - p.R_f
-    lin_Pi = m1.lin_Pi.copy()
-    lin_Pi[:-1] += slope[:, None] * excess_prev
-    lin_C = np.zeros(K)
-    lin_C[:-1] = -slope
-    anchor = np.sum(excess_prev * ctx.Pi[:-1], axis=1) - ctx.C[:-1]
-    constant = m1.constant - float(np.sum(slope * anchor))
-    return PenaltyForm(constant=constant, lin_Pi=lin_Pi, lin_C=lin_C)
-
-
-def penalty_form(kind: str, ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
-    if kind == "zero":
-        return zero_form(ctx.K, p.n)
-    if kind == "m1":
-        return m1_form(ctx, p)
-    if kind == "m2":
-        return m2_form(ctx, p)
-    raise ValueError(f"unknown penalty kind {kind!r}; valid: {PENALTY_KINDS}")
+    return penalty_forms("m2", ctx, p)
 
 
 @dataclass(frozen=True)
@@ -166,22 +171,22 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
 
     Samples n_paths antithetic pairs, evaluates the penalty at the baseline
     decisions, and passes iff |mean| <= 3 * stderr (pair averages are the
-    i.i.d. observations).  `kind` is one of PENALTY_KINDS or a callable
-    (ctx, params) -> PenaltyForm for custom penalties; either is applied to
-    one leg at a time.  `policy` is a batch policy (see `build_contexts`),
-    by default the grid policy.  The pairs come from one sequential stream
-    keyed by the seed; chunks of pairs are simulated as one batch.
+    i.i.d. observations).  `kind` is one of PENALTY_KINDS, formed and
+    evaluated for a chunk of legs at a time, or a callable (ctx, params) ->
+    PenaltyForm for custom penalties, called on each leg's one-leg context.
+    `policy` is a batch policy (see `build_contexts`), by default the grid
+    policy.  The pairs come from one sequential stream keyed by the seed;
+    chunks of pairs are simulated as one batch.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    form_fn = kind if callable(kind) else (lambda ctx, params: penalty_form(kind, ctx, params))
     kind_name = kind if isinstance(kind, str) else getattr(kind, "__name__", "custom")
     if isinstance(kind, str) and kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}; valid: {PENALTY_KINDS}")
     if policy is None:
         policy = dp_solver.make_grid_policy(vg, p)
-    rng = np.random.Generator(np.random.Philox(key=np.random.SeedSequence(
-        (seed % 2**64, 0x7EA5)).generate_state(2, np.uint64)))
+    # Philox keys itself with SeedSequence(seed).generate_state(2, uint64).
+    rng = np.random.Generator(np.random.Philox((seed % 2**64, 0x7EA5)))
     K, n, d = p.K, p.n, p.d
     pair_means = np.empty(n_paths)
     for start in range(0, n_paths, FEAS_CHUNK_PAIRS):
@@ -195,7 +200,10 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
         np.negative(Z[:, 0], out=Z[:, 1])
         np.negative(Ztilde[:, 0], out=Ztilde[:, 1])
         ctxs = build_contexts(p, vg, policy, Z.reshape(2 * m, K, n), Ztilde.reshape(2 * m, K, d))
-        vals = np.array([form_fn(ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in ctxs])
+        if callable(kind):
+            vals = np.array([kind(ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in map(ctxs.leg, range(2 * m))])
+        else:
+            vals = penalty_forms(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
         pair_means[start:start + m] = 0.5 * (vals[0::2] + vals[1::2])
     mean = float(np.mean(pair_means))
     stderr = float(np.std(pair_means, ddof=1) / math.sqrt(n_paths))

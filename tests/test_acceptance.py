@@ -122,8 +122,8 @@ def test_criterion_6_dual_feasibility_all_sets(grids):
         policy = dp_solver.make_grid_policy(vg, p)
         rng_key = 1000 + sid
         sums = {"m1": [], "m2": []}
-        # Contexts of 1,000 pairs at a time, each bit-identical to its
-        # one-path build_context; the penalties are formed one leg at a time.
+        # Contexts and penalties of 1,000 pairs at a time, each leg
+        # bit-identical to its one-path build_context and penalty_form.
         for start in range(0, 10_000, 1000):
             legs = []
             for i in range(start, start + 1000):
@@ -131,10 +131,9 @@ def test_criterion_6_dual_feasibility_all_sets(grids):
                 legs += [sp, sp.antithetic()]
             ctxs = penalties.build_contexts(p, vg, policy, np.array([leg.Z for leg in legs]),
                                             np.array([leg.Ztilde for leg in legs]))
-            for pair in zip(ctxs[0::2], ctxs[1::2]):
-                for kind in ("m1", "m2"):
-                    vals = [penalties.penalty_form(kind, ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in pair]
-                    sums[kind].append(0.5 * (vals[0] + vals[1]))
+            for kind in ("m1", "m2"):
+                vals = penalties.penalty_forms(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
+                sums[kind].extend(0.5 * (vals[0::2] + vals[1::2]))
         for kind in ("m1", "m2"):
             vals = np.asarray(sums[kind])
             mean = float(vals.mean())
@@ -167,7 +166,7 @@ def test_criterion_7_statistical_weak_duality_and_dominance(grids, estimates):
         path = market.simulate_policy_path(p, policy, sp)
         realized = bounds.path_utility(p, path.C, float(path.W[-1]))
         ctx = penalties.build_context(p, vg, policy, sp)
-        oracle, cons, x0 = bounds.assemble_inner(p, penalties.zero_form(p.K, p.n), ctx)
+        oracle, cons, x0 = bounds.assemble_inner(p, penalties.penalty_form("zero", ctx, p), ctx)
         sol = concave.maximize(oracle, cons, x0, tol=1e-6)
         if sol.f >= realized - 1e-9:
             dominated += 1

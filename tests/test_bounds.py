@@ -62,6 +62,17 @@ class TestShockStreams:
         sp = shock_path(p_set1, 0, 0, 0)
         assert sp.Z.shape == (10, 3) and sp.Ztilde.shape == (10, 1)
 
+    @pytest.mark.parametrize("seed", [0, 42, -1, 2**63 - 1, -2**63, 2**63, 2**64 - 1])
+    def test_stream_is_the_explicitly_keyed_philox(self, p_set1, seed):
+        # The stream of (seed, run, path) is pinned: Philox keyed with
+        # SeedSequence((seed mod 2**64, run, path)).generate_state(2, uint64).
+        for run, idx in ((0, 0), (1, 5), (9, 99), (3, 12345)):
+            key = np.random.SeedSequence((seed % 2**64, run, idx)).generate_state(2, np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            sp = shock_path(p_set1, seed, run, idx)
+            assert np.array_equal(sp.Z, rng.standard_normal((10, 3)))
+            assert np.array_equal(sp.Ztilde, rng.standard_normal((10, 1)))
+
 
 class TestRunConfig:
     def test_needs_two_runs(self):
@@ -227,20 +238,26 @@ class TestAssembleInner:
         # Legs of several runs and all three penalty kinds in one batch.
         p = p_set1
         policy = dp_solver.make_grid_policy(vg_set1, p)
-        ctxs, forms = [], []
+        legs, kinds = [], []
         for j, (r, i) in enumerate([(0, 0), (0, 1), (1, 0), (2, 5), (3, 2), (3, 3)]):
             base = shock_path(p, 17, r, i)
-            for sp in (base, base.antithetic()):
-                ctx = penalties.build_context(p, vg_set1, policy, sp)
-                ctxs.append(ctx)
-                forms.append(penalties.penalty_form(penalties.PENALTY_KINDS[j % 3], ctx, p))
+            legs += [base, base.antithetic()]
+            kinds += [penalties.PENALTY_KINDS[j % 3]] * 2
+        ctxs = penalties.build_contexts(p, vg_set1, policy, np.array([sp.Z for sp in legs]),
+                                        np.array([sp.Ztilde for sp in legs]))
+        stacks = {kind: penalties.penalty_forms(kind, ctxs, p) for kind in penalties.PENALTY_KINDS}
+        forms = penalties.PenaltyForm(
+            constant=np.array([stacks[kind].constant[i] for i, kind in enumerate(kinds)]),
+            lin_Pi=np.array([stacks[kind].lin_Pi[i] for i, kind in enumerate(kinds)]),
+            lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
         batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
                                        max_newton=bounds.INNER_MAX_NEWTON)
-        for form, ctx, got in zip(forms, ctxs, batch):
-            one = concave.maximize(*assemble_inner(p, form, ctx), tol=bounds.INNER_TOL,
-                                   max_newton=bounds.INNER_MAX_NEWTON)
+        for sp, kind, got in zip(legs, kinds, batch):
+            ctx = penalties.build_context(p, vg_set1, policy, sp)
+            one = concave.maximize(*assemble_inner(p, penalties.penalty_form(kind, ctx, p), ctx),
+                                   tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
             assert (got.f, got.kkt_residual, got.iterations, got.status) == (
                 one.f, one.kkt_residual, one.iterations, one.status)
@@ -265,6 +282,38 @@ def _upper_leg_by_leg(p, vg, cfg):
                 flagged += sol.status != concave.STATUS_CONVERGED
         run_means.append(float(np.mean(vals)))
     return run_means, flagged
+
+
+class TestWorkerPool:
+    def test_pool_is_no_larger_than_the_task_list(self, p_set1, vg_set1, monkeypatch):
+        # A stand-in executor records its size and runs the tasks in this process.
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bounds, "ProcessPoolExecutor", InProcess)
+        cfg = RunConfig(paths_per_run=3, runs=3, seed=8, gamma=1.5)
+        est = lower_bound(p_set1, vg_set1, cfg, workers=64)
+        assert sizes == [3]
+        assert np.array_equal(est.run_means, lower_bound(p_set1, vg_set1, cfg).run_means)
+        cfg = RunConfig(paths_per_run=2, runs=2, seed=8, penalty_kind="zero", gamma=1.5)
+        upper_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 4 pairs: no pool
+        assert sizes == [3]
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 1)
+        upper_bound(p_set1, vg_set1, cfg, workers=64)
+        assert sizes == [3, 4]
 
 
 class TestUpperBound:
@@ -321,7 +370,7 @@ class TestUpperBound:
             path = market.simulate_policy_path(p_set1, policy, sp)
             realized = path_utility(p_set1, path.C, float(path.W[-1]))
             ctx = penalties.build_context(p_set1, vg_set1, policy, sp)
-            form = penalties.zero_form(10, 3)
+            form = penalties.penalty_form("zero", ctx, p_set1)
             oracle, cons, x0 = assemble_inner(p_set1, form, ctx)
             sol = concave.maximize(oracle, cons, x0, tol=1e-6)
             assert sol.f >= realized - 1e-9

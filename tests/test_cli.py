@@ -144,6 +144,13 @@ class TestBounds:
     def test_seed_is_mandatory(self, grid_file_set1, capsys):
         assert run_cli("lower", "--grid", grid_file_set1) == 2
 
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, grid_file_set1, capsys, which, workers):
+        assert run_cli(which, "--grid", grid_file_set1, "--seed", "1", "--paths", "1",
+                       "--runs", "2", "--workers", workers, "--out", "-") == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+
     def test_workers_do_not_change_csv_bytes(self, grid_file_set1, tmp_path):
         outs = []
         for w in ("1", "4"):

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbound import dp_solver, market, penalties
+from dualbound import bounds, dp_solver, market, penalties
 from dualbound.market import ShockPath
 from dualbound.penalties import (
+    PENALTY_KINDS,
     PenaltyContext,
     build_context,
+    build_contexts,
     feasibility_check,
     m1_form,
     m2_form,
     penalty_form,
-    zero_form,
+    penalty_forms,
 )
 
 from helpers import single_asset_params
@@ -29,7 +31,6 @@ def _context_from_scalars(p, W=1.0, J=-2.0, gradJ=0.5, Z=1.0, Zt=0.0,
     """Hand-built single-stage context for closed-form checks (n = 1)."""
     assert p.K == 1 and p.n == 1
     return PenaltyContext(
-        phi=np.array([p.phi0]),
         W=np.array([W]),
         Pi=np.array([[Pi]]),
         C=np.array([C]),
@@ -49,7 +50,8 @@ class TestBuildContext:
         ctx = build_context(p, vg, all_cash_policy, shocks)
         k = np.arange(10)
         np.testing.assert_allclose(ctx.W, p.W0 * p.R_f**k, rtol=1e-14)
-        np.testing.assert_allclose(ctx.phi, 0.8 * (1 - p.lam * p.delta) ** k, rtol=1e-12)
+        phi = 0.8 * (1 - p.lam * p.delta) ** k
+        np.testing.assert_allclose(ctx.J, dp_solver.interpolate_J(vg, k, phi), rtol=1e-12)
         np.testing.assert_allclose(ctx.Pi, 0.0)
         np.testing.assert_allclose(ctx.C, 0.0)
 
@@ -68,7 +70,7 @@ class TestBuildContext:
         sp = ShockPath(Z=np.zeros((1, 1)), Ztilde=np.zeros((1, 1)))
         ctx = build_context(p, vg, lambda k, phi, W: (np.zeros(1), 0.0), sp)
         assert ctx.K == 1
-        assert ctx.phi.shape == (1,)
+        assert ctx.W.shape == (1,)
 
 
 class TestM1Form:
@@ -135,7 +137,6 @@ class TestDirectFormula:
 
     def _two_stage_ctx(self, p):
         return PenaltyContext(
-            phi=np.array([0.0, 0.2]),
             W=np.array([1.0, 1.1]),
             Pi=np.array([[0.3], [0.4]]),
             C=np.array([0.05, 0.06]),
@@ -196,6 +197,53 @@ class TestDirectFormula:
         assert m1_form(ctx, p_set1).evaluate(Pi, C) == pytest.approx(total, rel=1e-11)
 
 
+class TestStackedForms:
+    @pytest.mark.parametrize("sid", [1, 2])
+    def test_rows_equal_their_one_leg_calls(self, solved_grid, sid):
+        # One 256-leg chunk; on set 2 some baseline states leave the grid.
+        p, vg = solved_grid(sid, 1.5)
+        policy = dp_solver.make_grid_policy(vg, p)
+        legs = []
+        for i in range(128):
+            base = bounds.shock_path(p, 60 + sid, 0, i)
+            legs += [base, base.antithetic()]
+        Z, Ztilde = np.array([sp.Z for sp in legs]), np.array([sp.Ztilde for sp in legs])
+        ctxs = build_contexts(p, vg, policy, Z, Ztilde)
+        assert ctxs.W.shape == (256, p.K) and ctxs.Pi.shape == (256, p.K, p.n)
+        if sid == 2:
+            phi = market.simulate_paths(p, policy, Z, Ztilde).phi
+            assert np.any((phi < vg.grid[0]) | (phi > vg.grid[-1]))
+        rng = np.random.default_rng(sid)
+        Pi, C = rng.random(ctxs.Pi.shape), rng.random(ctxs.C.shape)
+        one_legs = [build_context(p, vg, policy, sp) for sp in legs]
+        for i, ctx in enumerate(one_legs):
+            for name in ("W", "Pi", "C", "R", "J", "gradJ", "Z", "Ztilde"):
+                assert np.array_equal(getattr(ctxs.leg(i), name), getattr(ctx, name))
+        for kind in PENALTY_KINDS:
+            forms = penalty_forms(kind, ctxs, p)
+            assert forms.constant.shape == (256,) and forms.lin_C.shape == (256, p.K)
+            at_baseline = forms.evaluate(ctxs.Pi, ctxs.C)
+            at_random = forms.evaluate(Pi, C)
+            for i, ctx in enumerate(one_legs):
+                one = penalty_form(kind, ctx, p)
+                assert isinstance(one.constant, float) and one.constant == forms.constant[i]
+                assert np.array_equal(one.lin_Pi, forms.lin_Pi[i])
+                assert np.array_equal(one.lin_C, forms.lin_C[i])
+                base_val = one.evaluate(ctx.Pi, ctx.C)
+                assert type(base_val) is float and base_val == at_baseline[i]
+                assert one.evaluate(Pi[i], C[i]) == at_random[i]
+
+    def test_one_leg_form_equals_its_stack_of_one(self):
+        p = single_asset_params(K=1)
+        ctx = _context_from_scalars(p, Z=0.7, Zt=-0.2)
+        stack = penalties.as_stack(ctx)
+        assert stack.W.shape == (1, 1) and stack.Pi.shape == (1, 1, 1)
+        for kind in PENALTY_KINDS:
+            one, rows = penalty_form(kind, ctx, p), penalty_forms(kind, stack, p)
+            assert rows.constant.shape == (1,) and one.constant == rows.constant[0]
+            assert np.array_equal(one.lin_Pi, rows.lin_Pi[0]) and np.array_equal(one.lin_C, rows.lin_C[0])
+
+
 class TestAffinity:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -219,9 +267,11 @@ class TestAffinity:
         dC[k] = 1.0
         assert form.evaluate(Pi, C + dC) - base == pytest.approx(form.lin_C[k], rel=1e-9, abs=1e-12)
 
-    def test_zero_form_is_identically_zero(self):
-        form = zero_form(10, 3)
+    def test_zero_form_is_identically_zero(self, p_set1, vg_set1):
         rng = np.random.default_rng(0)
+        sp = ShockPath(Z=rng.standard_normal((10, 3)), Ztilde=rng.standard_normal((10, 1)))
+        ctx = build_context(p_set1, vg_set1, dp_solver.make_grid_policy(vg_set1, p_set1), sp)
+        form = penalty_form("zero", ctx, p_set1)
         assert form.evaluate(rng.random((10, 3)), rng.random(10)) == 0.0
 
 
@@ -244,6 +294,14 @@ class TestFeasibility:
         rep = feasibility_check(biased, p_set1, vg_set1, n_paths=300, seed=3)
         assert not rep.passed
         assert rep.mean == pytest.approx(1.0, abs=0.2)
+
+    def test_custom_callable_matches_builtin_kind(self, p_set1, vg_set1):
+        def m1(ctx, p):
+            return m1_form(ctx, p)
+
+        # Two full chunks and a partial one, formed leg by leg for the callable.
+        assert feasibility_check(m1, p_set1, vg_set1, n_paths=300, seed=8) == feasibility_check(
+            "m1", p_set1, vg_set1, n_paths=300, seed=8)
 
     @pytest.mark.parametrize("kind", ["m1", "m2"])
     def test_equals_sequential_single_pair_recomputation(self, p_set1, vg_set1, kind):
