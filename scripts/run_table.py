@@ -66,6 +66,10 @@ def main():
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
     args = ap.parse_args()
+    for flag, value, least in (("--workers", args.workers, 1), ("--runs", args.runs, 2),
+                               ("--paths-lower", args.paths_lower, 1), ("--paths-upper", args.paths_upper, 1)):
+        if value < least:
+            ap.error(f"{flag} must be >= {least}, got {value}")
     run(args.set, args.gammas, args.seed, args.paths_lower, args.paths_upper,
         args.runs, args.workers, args.out_dir)
 

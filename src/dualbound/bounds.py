@@ -157,9 +157,10 @@ def _chunk_shocks(p, cfg, pairs):
     return Z, Ztilde
 
 
-def _path_error(which, cfg, pairs, exc):
-    r, i = pairs[exc.row // (2 if cfg.antithetic else 1)]
-    return PathError(f"{which}-bound path failed (seed={cfg.seed}, run={r}, path={i}): {exc}")
+def _path_error(which, cfg, pairs, leg, reason):
+    """PathError naming the (seed, run, path) of leg `leg` of the pairs' legs."""
+    r, i = pairs[leg // (2 if cfg.antithetic else 1)]
+    return PathError(f"{which}-bound path failed (seed={cfg.seed}, run={r}, path={i}): {reason}")
 
 
 def _lower_task(r):
@@ -171,23 +172,27 @@ def _lower_task(r):
         try:
             path = simulate_paths(p, policy, *_chunk_shocks(p, cfg, pairs))
         except AdmissibilityError as exc:
-            raise _path_error("lower", cfg, pairs, exc) from exc
+            raise _path_error("lower", cfg, pairs, exc.row, exc) from exc
         values.append(path_utility(p, path.C, path.W[:, -1]))
     return float(np.mean(np.concatenate(values)))
 
 
 def _upper_task(span):
     """Inner optima and cap flags of the legs of flat pairs [start, stop),
-    solved as one batch."""
+    solved as one batch.  A leg whose start is not strictly feasible has no
+    inner optimum (its f is -inf) and raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     pairs = [divmod(q, cfg.paths_per_run) for q in range(*span)]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, pairs))
     except AdmissibilityError as exc:
-        raise _path_error("upper", cfg, pairs, exc) from exc
+        raise _path_error("upper", cfg, pairs, exc.row, exc) from exc
     forms = penalties.penalty_forms(cfg.penalty_kind, ctxs, p)
     sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
                                   tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
+    for leg, sol in enumerate(sols):
+        if sol.status == concave.STATUS_INFEASIBLE:
+            raise _path_error("upper", cfg, pairs, leg, "the inner problem's start is not strictly feasible")
     return [sol.f for sol in sols], sum(sol.status != concave.STATUS_CONVERGED for sol in sols)
 
 
@@ -355,12 +360,16 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
     oracle = concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 
-    # Start: baseline decisions pulled slightly toward a strictly interior
-    # low-exposure trajectory built forward with the realized returns.
+    # Start: baseline decisions pulled a tenth of the way toward a strictly
+    # interior trajectory built forward with the realized returns, so the
+    # barrier starts near its central path instead of on the boundary.  The
+    # interior path puts eta of wealth into the risky assets, split evenly,
+    # and consumes eta; scaling eta by R_f (as `dp_solver._default_start`
+    # does) keeps the budget C_k <= R_f (W_k - 1'Pi_k) slack for any R_f > 0.
     x_base = np.zeros((B, D))
     x_base[:, pi_idx] = ctxs.Pi
     x_base[:, c_idx] = ctxs.C
-    eta = 1e-3
+    eta = 0.1 * min(1.0, Rf)
     x_int = np.zeros((B, D))
     Wk = np.full(B, p.W0)
     for k in range(K):
@@ -368,7 +377,7 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
         x_int[:, c_idx[k]] = eta * Wk
         invested = (excess[:, k, None, :] @ x_int[:, pi_idx[k], None])[:, 0, 0]
         Wk = Wk * Rf + invested - eta * Wk
-    X0 = (1.0 - 1e-4) * x_base + 1e-4 * x_int
+    X0 = 0.9 * x_base + 0.1 * x_int
     return oracle, A, b, X0
 
 

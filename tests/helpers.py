@@ -218,6 +218,17 @@ def fd_hessian(gradient, h_rel=1e-6):
     return hessian
 
 
+def slack(cons: concave.LinearConstraints, x: np.ndarray) -> np.ndarray:
+    """b - A x over all rows of `cons`, the nonneg mask included."""
+    A_full, b_full = cons.expanded()
+    return b_full - A_full @ x
+
+
+def max_violation(cons: concave.LinearConstraints, x: np.ndarray) -> float:
+    s = slack(cons, x)
+    return float(max(0.0, -np.min(s))) if s.size else 0.0
+
+
 @dataclass
 class KKTReport:
     stationarity: float
@@ -244,6 +255,6 @@ def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
         nu[active] = nu_act
     stationarity = float(np.linalg.norm(grad - A.T @ nu))
     comp_slack = float(np.dot(nu, s))
-    feasibility = cons.max_violation(x)
+    feasibility = max_violation(cons, x)
     return KKTReport(stationarity=stationarity, comp_slack=comp_slack,
                      feasibility=feasibility, multipliers=nu, active=active)

@@ -19,6 +19,7 @@ from helpers import (
     inner_objective_grid_search,
     random_feasible_fractions,
     single_asset_params,
+    slack,
     synthetic_value_grid,
 )
 
@@ -189,7 +190,7 @@ class TestAssembleInner:
     def test_start_point_is_strictly_feasible(self, p_set1, vg_set1):
         for seed in range(5):
             _, _, (oracle, cons, x0) = self._setup(p_set1, vg_set1, seed=seed)
-            assert np.min(cons.slack(x0)) > 0.0
+            assert np.min(slack(cons, x0)) > 0.0
             assert np.isfinite(at_point(oracle.value, x0))
 
     def test_gradient_matches_finite_differences(self, p_set1, vg_set1):
@@ -353,6 +354,35 @@ class TestUpperBound:
         with pytest.raises(bounds.PathError) as err:
             upper_bound(p, vg, cfg)
         assert f"upper-bound path failed (seed=6, run={r}, path={i}): {message}" in str(err.value)
+
+    def test_infeasible_inner_start_raises_path_error_naming_its_leg(self, p_set1, vg_set1, monkeypatch):
+        # Chunks of 3 pairs: the second holds flat pairs 3, 4, 5, i.e. (run,
+        # path) (0, 3), (0, 4), (1, 0); its leg 5 is the antithetic leg of (1, 0).
+        assemble = bounds.assemble_inner_batch
+        calls = []
+
+        def broken(p, forms, ctxs):
+            oracle, A, b, X0 = assemble(p, forms, ctxs)
+            calls.append(len(X0))
+            if len(calls) == 2:
+                X0 = X0.copy()
+                X0[5] = -1.0
+            return oracle, A, b, X0
+
+        monkeypatch.setattr(bounds, "assemble_inner_batch", broken)
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 3)
+        cfg = RunConfig(paths_per_run=5, runs=2, seed=7, penalty_kind="m1", gamma=1.5)
+        with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=0\)"):
+            upper_bound(p_set1, vg_set1, cfg)
+        assert calls == [6, 6]
+
+    @pytest.mark.parametrize("gamma, kind", [(3.0, "m2"), (5.0, "m1")])
+    def test_published_size_set1_flags_no_leg(self, solved_grid, gamma, kind):
+        # Set 1 at 30 pairs x 10 runs, seed 42: each of these flagged one leg
+        # whose guessed crossover faces (near-active slack cut) all failed.
+        p, vg = solved_grid(1, gamma)
+        cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind=kind, gamma=gamma, parameter_set_id=1)
+        assert upper_bound(p, vg, cfg).flagged_paths == 0
 
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import logging
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +154,20 @@ class TestBounds:
                        "--runs", "2", "--workers", workers, "--out", "-") == 2
         assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
+    def test_upper_exits_3_naming_a_leg_with_an_infeasible_start(self, grid_file_set1, monkeypatch, capsys):
+        assemble = bounds.assemble_inner_batch
+
+        def infeasible_start(p, forms, ctxs):
+            oracle, A, b, X0 = assemble(p, forms, ctxs)
+            return oracle, A, b, np.full_like(X0, -1.0)
+
+        monkeypatch.setattr(bounds, "assemble_inner_batch", infeasible_start)
+        assert run_cli("upper", "--grid", grid_file_set1, "--penalty", "m1",
+                       "--seed", "1", "--paths", "2", "--runs", "2", "--out", "-") == 3
+        captured = capsys.readouterr()
+        assert "(seed=1, run=0, path=0)" in captured.err
+        assert captured.out == ""
+
     def test_workers_do_not_change_csv_bytes(self, grid_file_set1, tmp_path):
         outs = []
         for w in ("1", "4"):
@@ -277,6 +294,21 @@ class TestExitCodes:
         if code:
             assert "node solve failed at stage k=1, phi=-2 (status=infeasible)" in err
 
+    def test_upper_bound_finite_at_small_gross_riskfree_rate(self, tmp_path, capsys):
+        # R_f = 5e-4: an inner start that consumed a fixed 1e-3 of wealth broke
+        # the budget, so every leg was infeasible and the mean was -inf.
+        params = market.parameter_set(1, gamma=1.5).to_dict()
+        params.update(r_f=-9.995, K=2)
+        cfg = tmp_path / "low_rf.json"
+        cfg.write_text(json.dumps(params))
+        grid = tmp_path / "low_rf_grid.json"
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5", "--out", str(grid)) == 0
+        capsys.readouterr()
+        assert run_cli("upper", "--grid", str(grid), "--penalty", "m1",
+                       "--seed", "1", "--paths", "4", "--runs", "2", "--out", "-") == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert np.isfinite(float(row[4])) and np.isfinite(float(row[5]))
+
     def test_malformed_grid_file_exits_2(self, grid_file_set1, tmp_path, capsys):
         data = json.loads(open(grid_file_set1).read())
         data["grid"] = data["grid"][::-1]
@@ -284,3 +316,24 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert run_cli("lower", "--grid", str(bad), "--seed", "1") == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+
+def _run_table_module():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_table.py"
+    spec = importlib.util.spec_from_file_location("run_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunTableScript:
+    @pytest.mark.parametrize("flag, value, least", [("--workers", "0", 1), ("--runs", "1", 2),
+                                                    ("--paths-lower", "0", 1), ("--paths-upper", "0", 1)])
+    def test_rejects_out_of_range_counts_with_exit_2(self, monkeypatch, capsys, tmp_path, flag, value, least):
+        module = _run_table_module()
+        monkeypatch.setattr(module, "run", lambda *args: pytest.fail("run() reached"))
+        monkeypatch.setattr(sys, "argv", ["run_table.py", "--seed", "1", "--out-dir", str(tmp_path), flag, value])
+        with pytest.raises(SystemExit) as exc:
+            module.main()
+        assert exc.value.code == 2
+        assert f"{flag} must be >= {least}, got {value}" in capsys.readouterr().err
