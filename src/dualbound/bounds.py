@@ -187,7 +187,7 @@ def _upper_task(span):
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, pairs))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, pairs, exc.row, exc) from exc
-    forms = penalties.penalty_forms(cfg.penalty_kind, ctxs, p)
+    forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
     sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
                                   tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
     for leg, sol in enumerate(sols):
@@ -268,12 +268,12 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
 def assemble_inner_batch(p: ModelParams, forms, ctxs):
     """Inner problems of B path legs, stacked for `concave.maximize_batch`.
 
-    `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_forms`).
+    `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_form`).
     Leg i maximizes utility minus its form over x = (Pi_0, C_0, ...,
     Pi_{K-1}, C_{K-1}) along its context.  Wealth is eliminated by forward
     substitution, making every W_k affine in x; constraints are the per-stage
-    budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and the
-    nonnegativity of Pi (last, in the order of `LinearConstraints.expanded`).
+    budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
+    nonnegativity of Pi.
     Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and X0 (B, D); the
     oracle evaluates point j on leg rows[j].  All per-leg arithmetic is
     elementwise or a stacked BLAS slice, so leg i gives the same problem
@@ -382,14 +382,10 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, constraints, start); the
-    N = 1 call of `assemble_inner_batch`, for `concave.maximize`."""
+    """Inner problem of one path leg as (oracle, (A, b), start); the N = 1
+    call of `assemble_inner_batch`, for `concave.maximize`."""
     oracle, A, b, X0 = assemble_inner_batch(p, penalties.as_stack(form), penalties.as_stack(ctx))
-    rows = 2 * p.K + 1  # the rows before the nonnegativity of Pi
-    mask = np.zeros((p.K, p.n + 1), dtype=bool)
-    mask[:, :p.n] = True
-    cons = concave.LinearConstraints(A=A[0, :rows], b=b[0, :rows], nonneg_mask=mask.reshape(-1))
-    return oracle, cons, X0[0]
+    return oracle, (A[0], b[0]), X0[0]
 
 
 def duality_gap(lower: BoundEstimate, upper_m1: BoundEstimate,

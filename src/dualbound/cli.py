@@ -9,6 +9,7 @@ explicit --seed.  Exit codes: 0 success, 2 input error, 3 solve failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -47,24 +48,36 @@ def _write_text(path, text):
         _write_file(path, text)
 
 
+def _read_input(path, what: str, parse):
+    """parse(fh) of the text file at path.  A missing, unreadable or malformed
+    file is an input error named after `what`: "<what> not found", "cannot
+    read <what>", "<what> is not valid JSON" or "bad <what>"."""
+    try:
+        with open(path) as fh:
+            return parse(fh)
+    except FileNotFoundError as exc:
+        raise CliError(EXIT_INPUT, f"{what} not found: {exc}")
+    except OSError as exc:
+        raise CliError(EXIT_INPUT, f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise CliError(EXIT_INPUT, f"{what} is not valid JSON: {exc}")
+    except (ValueError, TypeError, KeyError, csv.Error) as exc:
+        raise CliError(EXIT_INPUT, f"bad {what}: {exc}")
+
+
+def _read_config(path) -> ModelParams:
+    return _read_input(path, "config", lambda fh: ModelParams.from_dict(json.load(fh)))
+
+
 def _load_params(args) -> ModelParams:
     """Resolve ModelParams from --config (strict JSON) or --set [+ --gamma]."""
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise CliError(EXIT_INPUT, f"config not found: {exc}")
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CliError(EXIT_INPUT, f"config is not valid JSON: {exc}")
-        try:
-            params = ModelParams.from_dict(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise CliError(EXIT_INPUT, f"bad config: {exc}")
+        params = _read_config(args.config)
         if getattr(args, "gamma", None) is not None and args.gamma != params.gamma:
-            params = ModelParams.from_dict({**params.to_dict(), "gamma": args.gamma})
+            try:
+                params = ModelParams.from_dict({**params.to_dict(), "gamma": args.gamma})
+            except ValueError as exc:
+                raise CliError(EXIT_INPUT, f"bad --gamma: {exc}")
         return params
     if getattr(args, "set", None) is not None:
         try:
@@ -75,27 +88,9 @@ def _load_params(args) -> ModelParams:
 
 
 def _load_grid(args):
-    try:
-        vg, params = dp_solver.load_value_grid(args.grid)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_INPUT, f"grid file not found: {exc}")
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read grid file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"grid file is not valid JSON: {exc}")
-    except (ValueError, KeyError) as exc:
-        raise CliError(EXIT_INPUT, f"bad grid file: {exc}")
+    vg, params = _read_input(args.grid, "grid file", lambda fh: dp_solver.value_grid_from_dict(json.load(fh)))
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                other = ModelParams.from_dict(json.load(fh))
-        except FileNotFoundError as exc:
-            raise CliError(EXIT_INPUT, f"config not found: {exc}")
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read config: {exc}")
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_INPUT, f"bad config: {exc}")
-        if other.content_hash() != params.content_hash():
+        if _read_config(args.config).content_hash() != params.content_hash():
             raise CliError(EXIT_CONSISTENCY,
                            "params hash mismatch between --config and the grid file")
     if getattr(args, "gamma", None) is not None and args.gamma != params.gamma:
@@ -104,7 +99,7 @@ def _load_grid(args):
     return vg, params
 
 
-def _print_config(args, payload: dict) -> int:
+def _print_config(payload: dict) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -116,7 +111,7 @@ def cmd_gen_params(args) -> int:
         "out": args.out,
     }
     if args.print_config:
-        return _print_config(args, payload)
+        return _print_config(payload)
     try:
         params = parameter_set(args.set, gamma=payload["gamma"])
     except ValueError as exc:
@@ -132,15 +127,15 @@ def cmd_solve(args) -> int:
         "quad": args.quad, "out": args.out, "debug_solver": args.debug_solver,
     }
     if args.print_config:
-        return _print_config(args, payload)
+        return _print_config(payload)
     if args.debug_solver:
         import logging
 
         logging.basicConfig(stream=sys.stderr)
         logging.getLogger("dualbound.dp_solver").setLevel(logging.DEBUG)
     params = _load_params(args)
-    grid = np.linspace(args.grid_min, args.grid_max, args.grid_nodes)
     try:
+        grid = np.linspace(args.grid_min, args.grid_max, args.grid_nodes)
         quad = dp_solver.build_quadrature(args.quad, params.n)
         vg = dp_solver.backward_recursion(params, grid=grid, quad=quad)
     except dp_solver.NodeSolveError as exc:
@@ -186,7 +181,7 @@ def _cmd_bound(args, which: str) -> int:
         "workers": args.workers, "out": args.out, "json": args.json,
     }
     if args.print_config:
-        return _print_config(args, payload)
+        return _print_config(payload)
     if args.workers < 1:
         raise CliError(EXIT_INPUT, f"--workers must be >= 1, got {args.workers}")
     vg, params = _load_grid(args)
@@ -211,7 +206,7 @@ def cmd_feasibility(args) -> int:
         "penalty": args.penalty, "paths": args.paths, "seed": args.seed, "out": args.out,
     }
     if args.print_config:
-        return _print_config(args, payload)
+        return _print_config(payload)
     vg, params = _load_grid(args)
     try:
         report = penalties.feasibility_check(args.penalty, params, vg,
@@ -225,18 +220,8 @@ def cmd_feasibility(args) -> int:
 def cmd_verify_finite(args) -> int:
     payload = {"command": "verify-finite", "mdp": args.mdp}
     if args.print_config:
-        return _print_config(args, payload)
-    try:
-        with open(args.mdp) as fh:
-            mdp = finite_mdp.FiniteMDP.from_json(fh.read())
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_INPUT, f"mdp file not found: {exc}")
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read mdp file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"mdp file is not valid JSON: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_INPUT, f"bad mdp file: {exc}")
+        return _print_config(payload)
+    mdp = _read_input(args.mdp, "mdp file", lambda fh: finite_mdp.FiniteMDP.from_json(fh.read()))
     try:
         report = finite_mdp.verify_duality(mdp, raise_on_failure=False)
     except finite_mdp.EnumerationGuardError as exc:
@@ -259,21 +244,27 @@ def _fmt(mean, stderr, scale=1.0, digits=4):
     return f"{mean * scale:.{digits}f} ({stderr * scale:.{digits}f})"
 
 
+def _bound_rows(fh) -> list:
+    """Rows of a bound CSV, which must carry every `bounds.CSV_COLUMNS` column
+    and numeric means and standard errors."""
+    reader = csv.DictReader(fh)
+    missing = [col for col in bounds.CSV_COLUMNS if col not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"missing columns {missing}")
+    rows = list(reader)
+    for row in rows:
+        for col in ("value_mean", "value_stderr", "ce_mean", "ce_stderr"):
+            float(row[col])
+    return rows
+
+
 def cmd_report(args) -> int:
     payload = {"command": "report", "csv": list(args.csv)}
     if args.print_config:
-        return _print_config(args, payload)
-    import csv as _csv
-
+        return _print_config(payload)
     rows = []
     for path in args.csv:
-        try:
-            with open(path) as fh:
-                rows.extend(list(_csv.DictReader(fh)))
-        except FileNotFoundError as exc:
-            raise CliError(EXIT_INPUT, f"csv not found: {exc}")
-        except OSError as exc:
-            raise CliError(EXIT_INPUT, f"cannot read csv: {exc}")
+        rows.extend(_read_input(path, "csv", _bound_rows))
     groups: dict = {}
     for row in rows:
         key = (row["parameter_set"], row["gamma"])
@@ -298,7 +289,8 @@ def cmd_report(args) -> int:
                 ces += f"{_fmt(float(row['ce_mean']), float(row['ce_stderr']), scale=10.0):>28s}"
         lower = slots.get("lower")
         uppers = [slots[s] for s in ("m1", "m2") if s in slots]
-        if lower is not None and uppers:
+        # The gap is relative to the lower bound, so a zero lower bound has none.
+        if lower is not None and uppers and 0.0 not in (float(lower["value_mean"]), float(lower["ce_mean"])):
             lo_v, lo_c = float(lower["value_mean"]), float(lower["ce_mean"])
             gap_v = (min(float(u["value_mean"]) for u in uppers) - lo_v) / abs(lo_v)
             gap_c = (min(float(u["ce_mean"]) for u in uppers) - lo_c) / abs(lo_c)

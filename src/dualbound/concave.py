@@ -65,37 +65,6 @@ _HALVINGS = np.split(0.5 ** np.arange(1, 9), [3])
 
 
 @dataclass(frozen=True)
-class LinearConstraints:
-    """Feasible set {x : A x <= b, x_i >= 0 for masked coordinates}."""
-
-    A: np.ndarray
-    b: np.ndarray
-    nonneg_mask: np.ndarray
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        mask = np.asarray(self.nonneg_mask, dtype=bool).reshape(-1)
-        if A.shape[0] != b.shape[0] or (A.size and A.shape[1] != mask.shape[0]):
-            raise ValueError(f"inconsistent constraint shapes A={A.shape}, b={b.shape}, mask={mask.shape}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "nonneg_mask", mask)
-
-    @property
-    def dim(self) -> int:
-        return self.nonneg_mask.shape[0]
-
-    def expanded(self) -> tuple:
-        """All rows as (A_full, b_full), folding the nonneg mask into -x_i <= 0."""
-        idx = np.flatnonzero(self.nonneg_mask)
-        extra = -np.eye(self.dim)[idx]
-        A_full = np.vstack([self.A, extra]) if self.A.size else extra
-        b_full = np.concatenate([self.b, np.zeros(len(idx))])
-        return A_full, b_full
-
-
-@dataclass(frozen=True)
 class ObjectiveOracle:
     """Concave objectives of a batch of problems, one point per problem.
 
@@ -127,19 +96,20 @@ class Solution:
 
 def maximize(
     oracle: ObjectiveOracle,
-    cons: LinearConstraints,
+    cons: tuple,
     x0: np.ndarray,
     tol: float = 1e-8,
     max_newton: int = 200,
 ) -> Solution:
-    """Barrier method for  max f(x)  s.t.  A x <= b, masked x_i >= 0.
+    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b).
 
     The one-problem call of `maximize_batch`; the oracle is evaluated with
     rows = [0].
     """
-    A, b = cons.expanded()
+    A, b = cons
     x0 = np.asarray(x0, dtype=float)
-    return maximize_batch(oracle, A[None], b[None], x0[None], tol=tol, max_newton=max_newton)[0]
+    return maximize_batch(oracle, np.asarray(A)[None], np.asarray(b)[None], x0[None],
+                          tol=tol, max_newton=max_newton)[0]
 
 
 def maximize_batch(

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import concave
-from .market import ModelParams
+from .market import ModelParams, log_return_mean
 
 logger = logging.getLogger(__name__)
 
@@ -116,8 +116,7 @@ def node_returns(p: ModelParams, quad: QuadratureRule, phi) -> np.ndarray:
 
     One state gives (Q, n); an (G,) array of states gives (G, Q, n).
     """
-    mu_k = p.mu0 + p.mu1 * np.asarray(phi, dtype=float)[..., None]
-    log_r = ((mu_k - 0.5 * p.sigma_sq) * p.delta)[..., None, :] + (quad.nodes @ p.sigma.T) * p.sqrt_delta
+    log_r = log_return_mean(phi, p)[..., None, :] + (quad.nodes @ p.sigma.T) * p.sqrt_delta
     return np.exp(log_r)
 
 
@@ -177,22 +176,23 @@ def bellman_oracle(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: np.ndarra
     return concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 
 
-def node_constraints(p: ModelParams, Rq: np.ndarray) -> concave.LinearConstraints:
-    """Rows of one node: budget c + R_f 1'pi <= R_f, then the growth guards
-    u >= U_FLOOR per quadrature node, with pi, c >= 0."""
+def node_constraints(p: ModelParams, Rq: np.ndarray) -> tuple:
+    """Rows (A, b), A x <= b over x = (pi, c), of one node (Rq of shape
+    (Q, n)) or of every node (Rq of shape (G, Q, n)): the budget
+    c + R_f 1'pi <= R_f, the growth guards u >= U_FLOOR per quadrature
+    node, then -x <= 0 for pi, c >= 0."""
     n = p.n
-    excess = Rq - p.R_f
-    A = np.vstack([
-        np.concatenate([np.full(n, p.R_f), [1.0]]),
-        np.hstack([-excess, np.ones((excess.shape[0], 1))]),
-    ])
-    b = np.concatenate([[p.R_f], np.full(excess.shape[0], p.R_f - U_FLOOR)])
-    return concave.LinearConstraints(A=A, b=b, nonneg_mask=np.ones(n + 1, dtype=bool))
-
-
-def bellman_node_problem(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: float):
-    """Oracle (a batch of one) and constraints of one node maximization."""
-    return bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)), node_constraints(p, Rq)
+    Q = Rq.shape[-2]
+    A = np.zeros(Rq.shape[:-2] + (1 + Q + n + 1, n + 1))
+    A[..., 0, :n] = p.R_f
+    A[..., 0, n] = 1.0
+    A[..., 1:Q + 1, :n] = -(Rq - p.R_f)
+    A[..., 1:Q + 1, n] = 1.0
+    A[..., Q + 1:, :] = -np.eye(n + 1)
+    b = np.zeros(A.shape[:-1])
+    b[..., 0] = p.R_f
+    b[..., 1:Q + 1] = p.R_f - U_FLOOR
+    return A, b
 
 
 def _default_start(p: ModelParams, eps: float = 1e-3) -> np.ndarray:
@@ -216,7 +216,8 @@ def backward_recursion(
     (the default start alone at stage K-1, or where the shrunk point is not
     strictly feasible).  A per-node `solver(oracle, cons, x0, tol=)`, such as
     a wrapped `concave.maximize`, is called instead G times per stage in node
-    order with the same problems and starts, and gives the same grid.
+    order with the same problems, rows cons = (A, b) and starts, and gives the
+    same grid.
     pt is the (G, G) transition of `build_phi_transition`.
     """
     grid = DEFAULT_GRID.copy() if grid is None else np.asarray(grid, dtype=float)
@@ -229,9 +230,7 @@ def backward_recursion(
     policy_c = np.empty((K, G))
     J[K] = (1.0 - p.alpha) / (1.0 - p.gamma)
     Rq = node_returns(p, quad, grid)
-    cons = [node_constraints(p, Rq[i]) for i in range(G)]
-    A = np.stack([c.expanded()[0] for c in cons])
-    b = np.stack([c.expanded()[1] for c in cons])
+    A, b = node_constraints(p, Rq)
     rows = np.arange(G)
     default = _default_start(p)
     X = np.tile(default, (G, 1))
@@ -246,8 +245,8 @@ def backward_recursion(
         if solver is None:
             sols = concave.maximize_batch(oracle, A, b, X, tol=node_tol)
         else:
-            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), cons[i], X[i], tol=node_tol)
-                    for i in range(G)]
+            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), (A[i], b[i]), X[i],
+                           tol=node_tol) for i in range(G)]
         if logger.isEnabledFor(logging.DEBUG):
             for i, sol in enumerate(sols):
                 logger.debug("node k=%d phi=%+.3f: %d newton steps, %s, kkt %.2e",
@@ -351,6 +350,8 @@ def value_grid_to_dict(vg: ValueGrid, p: ModelParams) -> dict:
 
 
 def value_grid_from_dict(data: dict) -> tuple:
+    if not isinstance(data, dict):
+        raise ValueError("value-grid file must hold a JSON object")
     version = data.get("version")
     if version != SERIAL_VERSION:
         raise ValueError(f"unsupported value-grid file version {version!r}")

@@ -204,17 +204,6 @@ def _expected_next_value(mdp: FiniteMDP, V_next: np.ndarray, k: int, x: int, a: 
     return float(np.dot(mdp.outcome_probs[k], V_next[mdp.transition[x, a]]))
 
 
-def optimal_penalty_value(mdp: FiniteMDP, sv: StageValues, action_seq: Sequence[int],
-                          scenario: ScenarioSequence) -> float:
-    """Sum of realized-minus-conditional-expected next-stage values along the path."""
-    xs = trajectory(mdp, action_seq, scenario)
-    total = 0.0
-    for k in range(mdp.horizon):
-        total += float(sv.values[k + 1, xs[k + 1]]) \
-            - _expected_next_value(mdp, sv.values[k + 1], k, xs[k], action_seq[k])
-    return total
-
-
 class StagewisePenalty:
     """Penalty of the form sum_k term(k, x_k, a_k, v_{k+1}); the stagewise
     structure lets the inner problem run as a deterministic DP over states."""

@@ -8,9 +8,10 @@ policy and the grid value function:
   m1 -- per stage k, three shock-linear terms: two decision-independent ones
         carrying W_k^(1-gamma) grad J_k times the state loadings, and one
         affine in Pi_k carrying (1-gamma) W_k^(-gamma) J_k times sigma Z;
-  m2 -- same, with the two decision-independent terms Taylor-expanded to first
-        order around the previous-stage baseline decisions, adding linear
-        coefficients on (Pi_{k-1}, C_{k-1}).
+  m2 -- same, with the two decision-independent terms replaced by their
+        first-order Taylor terms around the previous-stage baseline decisions,
+        adding linear coefficients on (Pi_{k-1}, C_{k-1}); it equals m1 at
+        the baseline decisions.
 
 Contexts and forms are struct-of-arrays: a stack of N legs carries a leading
 N axis on every field, one leg none, and the same code serves both.  Every
@@ -105,51 +106,35 @@ def build_context(p: ModelParams, vg: dp_solver.ValueGrid, policy, shocks: Shock
     return build_contexts(p, vg, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None]).leg(0)
 
 
-def penalty_forms(kind: str, ctxs: PenaltyContext, p: ModelParams) -> PenaltyForm:
-    """The `kind` forms of every leg of a stacked context, as one stacked
-    form; given a one-leg context, that leg's form."""
+def penalty_form(kind: str, ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
+    """The `kind` form of a one-leg context, or the forms of every leg of a
+    stacked context as one stacked form."""
     if kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}; valid: {PENALTY_KINDS}")
-    lin_C = np.zeros(ctxs.W.shape)
+    lin_C = np.zeros(ctx.W.shape)
     if kind == "zero":
-        return PenaltyForm(lin_C.sum(axis=-1), np.zeros(ctxs.Pi.shape), lin_C)  # 0.0, or zeros (N,)
+        return PenaltyForm(lin_C.sum(axis=-1), np.zeros(ctx.Pi.shape), lin_C)  # 0.0, or zeros (N,)
     gamma = p.gamma
     sd = p.sqrt_delta
     # Per stage: the discount beta^(k delta) and the shock term grad J_k(phi_k)
     # * (loadings . shocks) * sqrt(delta), summed over both state loadings.
-    disc = p.beta ** (np.arange(ctxs.K) * p.delta)
-    base = (ctxs.gradJ * (ctxs.Z @ p.sigma_phi1) * sd
-            + ctxs.gradJ * (p.sigma_phi2 * ctxs.Ztilde[..., 0]) * sd)
+    disc = p.beta ** (np.arange(ctx.K) * p.delta)
+    base = (ctx.gradJ * (ctx.Z @ p.sigma_phi1) * sd
+            + ctx.gradJ * (p.sigma_phi2 * ctx.Ztilde[..., 0]) * sd)
     # m1: a decision-independent constant and coefficients on Pi_k only.
-    constant = (disc * ctxs.W ** (1.0 - gamma) * base).sum(axis=-1)
-    sigZ = ctxs.Z @ p.sigma.T * sd  # row k = (sigma Z_{k+1})' sqrt(delta)
-    lin_Pi = (disc * (1.0 - gamma) * ctxs.W ** (-gamma) * ctxs.J)[..., None] * sigZ
+    constant = (disc * ctx.W ** (1.0 - gamma) * base).sum(axis=-1)
+    sigZ = ctx.Z @ p.sigma.T * sd  # row k = (sigma Z_{k+1})' sqrt(delta)
+    lin_Pi = (disc * (1.0 - gamma) * ctx.W ** (-gamma) * ctx.J)[..., None] * sigZ
     if kind == "m2":
         # Stage k >= 1 linearizes in (Pi_{k-1}, C_{k-1}) at frozen W_{k-1}:
         # d/dPi_{k-1} W_k = R_k - R_f, d/dC_{k-1} W_k = -1.
-        slope = disc[1:] * (1.0 - gamma) * ctxs.W[..., 1:] ** (-gamma) * base[..., 1:]
-        excess_prev = ctxs.R[..., :-1, :] - p.R_f
+        slope = disc[1:] * (1.0 - gamma) * ctx.W[..., 1:] ** (-gamma) * base[..., 1:]
+        excess_prev = ctx.R[..., :-1, :] - p.R_f
         lin_Pi[..., :-1, :] += slope[..., None] * excess_prev
         lin_C[..., :-1] = -slope
-        anchor = (excess_prev * ctxs.Pi[..., :-1, :]).sum(axis=-1) - ctxs.C[..., :-1]
+        anchor = (excess_prev * ctx.Pi[..., :-1, :]).sum(axis=-1) - ctx.C[..., :-1]
         constant = constant - (slope * anchor).sum(axis=-1)
     return PenaltyForm(constant, lin_Pi, lin_C)
-
-
-def penalty_form(kind: str, ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
-    """One leg's form; the N = 1 call of `penalty_forms`."""
-    return penalty_forms(kind, ctx, p)
-
-
-def m1_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
-    """Discretized value-function penalty; only the Pi_k coefficients depend on decisions."""
-    return penalty_forms("m1", ctx, p)
-
-
-def m2_form(ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
-    """M1 with the decision-independent terms linearized around the previous
-    stage's baseline decisions; anchored so that it equals M1 at the baseline."""
-    return penalty_forms("m2", ctx, p)
 
 
 @dataclass(frozen=True)
@@ -203,7 +188,7 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
         if callable(kind):
             vals = np.array([kind(ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in map(ctxs.leg, range(2 * m))])
         else:
-            vals = penalty_forms(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
+            vals = penalty_form(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
         pair_means[start:start + m] = 0.5 * (vals[0::2] + vals[1::2])
     mean = float(np.mean(pair_means))
     stderr = float(np.std(pair_means, ddof=1) / math.sqrt(n_paths))

@@ -218,13 +218,19 @@ def fd_hessian(gradient, h_rel=1e-6):
     return hessian
 
 
-def slack(cons: concave.LinearConstraints, x: np.ndarray) -> np.ndarray:
-    """b - A x over all rows of `cons`, the nonneg mask included."""
-    A_full, b_full = cons.expanded()
-    return b_full - A_full @ x
+def bellman_node_problem(p, Rq, wq, EJ):
+    """Oracle (a batch of one) and rows (A, b) of one node maximization."""
+    return (dp_solver.bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)),
+            dp_solver.node_constraints(p, Rq))
 
 
-def max_violation(cons: concave.LinearConstraints, x: np.ndarray) -> float:
+def slack(cons, x: np.ndarray) -> np.ndarray:
+    """b - A x over the rows cons = (A, b)."""
+    A, b = cons
+    return b - A @ x
+
+
+def max_violation(cons, x: np.ndarray) -> float:
     s = slack(cons, x)
     return float(max(0.0, -np.min(s))) if s.size else 0.0
 
@@ -239,12 +245,13 @@ class KKTReport:
 
 
 def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
-              cons: concave.LinearConstraints, active_tol: float = 1e-6) -> KKTReport:
-    """Reconstruct multipliers on near-active rows by nonnegative least squares.
+              cons, active_tol: float = 1e-6) -> KKTReport:
+    """Reconstruct multipliers on near-active rows cons = (A, b) by
+    nonnegative least squares.
 
     A row is near-active when its slack is at most active_tol * (1 + |b_i|).
     """
-    A, b = cons.expanded()
+    A, b = cons
     x = sol.x
     s = b - A @ x
     active = np.flatnonzero(s <= active_tol * (1.0 + np.abs(b)))

@@ -16,6 +16,7 @@ from dualbound.cli import main as cli_main
 
 from helpers import (
     at_point,
+    bellman_node_problem,
     inner_objective_grid_search,
     matching_mdp,
     node_objective_grid_search,
@@ -132,7 +133,7 @@ def test_criterion_6_dual_feasibility_all_sets(grids):
             ctxs = penalties.build_contexts(p, vg, policy, np.array([leg.Z for leg in legs]),
                                             np.array([leg.Ztilde for leg in legs]))
             for kind in ("m1", "m2"):
-                vals = penalties.penalty_forms(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
+                vals = penalties.penalty_form(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
                 sums[kind].extend(0.5 * (vals[0::2] + vals[1::2]))
         for kind in ("m1", "m2"):
             vals = np.asarray(sums[kind])
@@ -226,7 +227,7 @@ def test_criterion_9_gradient_checks(p_set1, vg_set1):
         worst = max(worst, abs(g[j] - fd) / max(1e-8, abs(fd)))
     quad = dp_solver.build_quadrature(3, p_set1.n)
     Rq = dp_solver.node_returns(p_set1, quad, 0.2)
-    node_oracle, _ = dp_solver.bellman_node_problem(p_set1, Rq, quad.weights, -1.1)
+    node_oracle, _ = bellman_node_problem(p_set1, Rq, quad.weights, -1.1)
     worst_node = 0.0
     for _ in range(100):
         pi, c = random_feasible_fractions(rng, p_set1)

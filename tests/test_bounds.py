@@ -246,7 +246,7 @@ class TestAssembleInner:
             kinds += [penalties.PENALTY_KINDS[j % 3]] * 2
         ctxs = penalties.build_contexts(p, vg_set1, policy, np.array([sp.Z for sp in legs]),
                                         np.array([sp.Ztilde for sp in legs]))
-        stacks = {kind: penalties.penalty_forms(kind, ctxs, p) for kind in penalties.PENALTY_KINDS}
+        stacks = {kind: penalties.penalty_form(kind, ctxs, p) for kind in penalties.PENALTY_KINDS}
         forms = penalties.PenaltyForm(
             constant=np.array([stacks[kind].constant[i] for i, kind in enumerate(kinds)]),
             lin_Pi=np.array([stacks[kind].lin_Pi[i] for i, kind in enumerate(kinds)]),

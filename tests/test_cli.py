@@ -228,6 +228,13 @@ class TestReport:
         # CE columns scaled by 10: 0.1332 prints near 1.332
         assert "1.3320" in out
 
+    def test_zero_lower_bound_has_no_gap(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(self.CSV.replace("-5.480", "0.0"))
+        assert run_cli("report", str(csv_path)) == 0
+        block = capsys.readouterr().out.split("gamma=3.0")[0]
+        assert "%" not in block.split("Value")[1].split("\n")[0]
+
     def test_missing_uppers_marked_absent_exit_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"
         csv_path.write_text(self.CSV)
@@ -308,6 +315,34 @@ class TestExitCodes:
                        "--seed", "1", "--paths", "4", "--runs", "2", "--out", "-") == 0
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert np.isfinite(float(row[4])) and np.isfinite(float(row[5]))
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe", "bad csv: 'utf-8' codec can't decode"),
+        (b"a,b\n1,2\n", "bad csv: missing columns ['parameter_set'"),
+        (TestReport.CSV.replace("-5.480", "n/a").encode(), "bad csv: could not convert string to float"),
+    ], ids=["non-utf8", "no-bound-header", "non-numeric-mean"])
+    def test_unreadable_report_csv_exits_2(self, tmp_path, capsys, content, message):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_bytes(content)
+        assert run_cli("report", str(csv_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_solve_config_with_invalid_gamma_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(market.parameter_set(1).to_json())
+        assert run_cli("solve", "--config", str(cfg), "--gamma", "1", "--grid-nodes", "5") == 2
+        assert "bad --gamma: gamma must be positive and != 1" in capsys.readouterr().err
+
+    def test_solve_negative_grid_nodes_exits_2(self, capsys):
+        assert run_cli("solve", "--set", "1", "--grid-nodes", "-1") == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+    def test_grid_file_without_a_json_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert run_cli("lower", "--grid", str(bad), "--seed", "1") == 2
+        assert "bad grid file: value-grid file must hold a JSON object" in capsys.readouterr().err
 
     def test_malformed_grid_file_exits_2(self, grid_file_set1, tmp_path, capsys):
         data = json.loads(open(grid_file_set1).read())

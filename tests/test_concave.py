@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbound import bounds, concave, dp_solver, penalties
-from dualbound.concave import LinearConstraints, maximize
+from dualbound.concave import maximize
 
-from helpers import (at_point, check_kkt, fd_hessian, max_violation, node_objective_grid_search,
-                     pointwise_oracle, qp_active_set_oracle, single_asset_params, slack)
+from helpers import (at_point, bellman_node_problem, check_kkt, fd_hessian, max_violation,
+                     node_objective_grid_search, pointwise_oracle, qp_active_set_oracle, single_asset_params,
+                     slack)
 
 
 def bowl_oracle(center):
@@ -20,8 +21,7 @@ def bowl_oracle(center):
 
 
 def box_constraints(dim, hi=10.0):
-    return LinearConstraints(A=np.eye(dim), b=np.full(dim, hi),
-                             nonneg_mask=np.zeros(dim, dtype=bool))
+    return np.eye(dim), np.full(dim, hi)
 
 
 class TestMaximize:
@@ -37,8 +37,7 @@ class TestMaximize:
             gradient=lambda x: np.array([1.0 / x[0]]),
             hessian=lambda x: np.array([[-1.0 / x[0] ** 2]]),
         )
-        cons = LinearConstraints(A=np.array([[1.0]]), b=np.array([2.0]),
-                                 nonneg_mask=np.array([True]))
+        cons = np.array([[1.0], [-1.0]]), np.array([2.0, 0.0])  # 0 <= x <= 2
         sol = maximize(oracle, cons, np.array([0.5]), tol=1e-8)
         assert sol.status == concave.STATUS_CONVERGED
         assert sol.x[0] == pytest.approx(2.0, abs=1e-7)
@@ -59,7 +58,7 @@ class TestMaximize:
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.0)
         EJ = (1 - p.alpha) / (1 - p.gamma)
-        oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, EJ)
+        oracle, cons = bellman_node_problem(p, Rq, quad.weights, EJ)
         sol = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=1e-8)
         assert sol.status == concave.STATUS_CONVERGED
         ref, _, _ = node_objective_grid_search(p, Rq, quad.weights, EJ, step=1e-3)
@@ -70,7 +69,7 @@ class TestMaximize:
         p = single_asset_params(gamma=3.0)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.4)
-        oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.25)
+        oracle, cons = bellman_node_problem(p, Rq, quad.weights, -0.25)
         center = concave._center
         trace = []
 
@@ -88,7 +87,7 @@ class TestMaximize:
         p = single_asset_params(gamma=3.0)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.4)
-        oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.25)
+        oracle, cons = bellman_node_problem(p, Rq, quad.weights, -0.25)
         center = concave._center
         stages = []
 
@@ -99,7 +98,7 @@ class TestMaximize:
         monkeypatch.setattr(concave, "_center", traced_center)
         tol = 1e-8
         maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol)
-        m = cons.expanded()[0].shape[0]
+        m = cons[0].shape[0]
         t_cap = 2.0 * m / tol
         expected_t = concave.MU ** 2
         for t, dec_stop in stages:
@@ -159,7 +158,7 @@ class TestMaximize:
         p = single_asset_params(gamma=1.5)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, -1.0)
-        oracle, cons = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.9)
+        oracle, cons = bellman_node_problem(p, Rq, quad.weights, -0.9)
         for tol in (1e-4, 1e-6, 1e-8):
             f_loose = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol).f
             f_tight = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol / 2).f
@@ -181,7 +180,7 @@ class TestMaximize:
             gradient=lambda x: -P @ x + q,
             hessian=lambda x: -P,
         )
-        cons = LinearConstraints(A=A, b=b, nonneg_mask=np.zeros(m, dtype=bool))
+        cons = A, b
         tol = 1e-8
         sol = maximize(oracle, cons, np.zeros(m), tol=tol)
         assert sol.status == concave.STATUS_CONVERGED
@@ -239,7 +238,7 @@ class TestMaximize:
             return results
 
         monkeypatch.setattr(concave, "_polish", counted_polish)
-        cons = LinearConstraints(A=np.ones((1, 3)), b=np.array([1.0]), nonneg_mask=np.ones(3, dtype=bool))
+        cons = np.vstack([np.ones((1, 3)), -np.eye(3)]), np.array([1.0, 0.0, 0.0, 0.0])  # x >= 0, 1'x <= 1
         sol = maximize(oracle, cons, np.array([0.2, 0.2, 0.2]), tol=1e-8)
         assert sol.status == concave.STATUS_CONVERGED
         np.testing.assert_allclose(sol.x, [0.0, 0.0, 0.5], atol=1e-7)
@@ -293,7 +292,7 @@ class TestOracleGradients:
         p = single_asset_params(gamma=1.5)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.0)
-        oracle, _ = dp_solver.bellman_node_problem(p, Rq, quad.weights, -0.8)
+        oracle, _ = bellman_node_problem(p, Rq, quad.weights, -0.8)
         h = 1e-6
         for _ in range(100):
             x = np.array([rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.3)])
@@ -310,21 +309,8 @@ class TestOracleGradients:
 
 
 class TestConstraints:
-    def test_expanded_folds_nonneg_mask(self):
-        cons = LinearConstraints(A=np.array([[1.0, 1.0]]), b=np.array([1.0]),
-                                 nonneg_mask=np.array([True, False]))
-        A, b = cons.expanded()
-        assert A.shape == (2, 2)
-        np.testing.assert_allclose(A[1], [-1.0, 0.0])
-        assert b[1] == 0.0
-
     def test_slack_and_violation(self):
-        cons = LinearConstraints(A=np.array([[1.0]]), b=np.array([1.0]),
-                                 nonneg_mask=np.array([True]))
+        cons = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])  # 0 <= x <= 1
         np.testing.assert_allclose(slack(cons, np.array([0.5])), [0.5, 0.5])
         assert max_violation(cons, np.array([0.5])) == 0.0
         assert max_violation(cons, np.array([2.0])) == pytest.approx(1.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinearConstraints(A=np.ones((2, 3)), b=np.ones(2), nonneg_mask=np.ones(2, dtype=bool))

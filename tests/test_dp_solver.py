@@ -19,7 +19,7 @@ from dualbound.dp_solver import (
     value_grid_to_dict,
 )
 
-from helpers import node_objective_grid_search, single_asset_params
+from helpers import bellman_node_problem, node_objective_grid_search, single_asset_params
 
 
 class TestQuadrature:
@@ -272,9 +272,11 @@ class TestStageBatch:
         default = dp_solver._default_start(p)
         for k in (p.K - 1, 0):
             EJ = pt @ vg.J[k + 1]
-            problems = [dp_solver.bellman_node_problem(p, Rq[i], quad.weights, EJ[i]) for i in range(nodes)]
-            A = np.stack([cons.expanded()[0] for _, cons in problems])
-            b = np.stack([cons.expanded()[1] for _, cons in problems])
+            problems = [bellman_node_problem(p, Rq[i], quad.weights, EJ[i]) for i in range(nodes)]
+            A = np.stack([cons[0] for _, cons in problems])
+            b = np.stack([cons[1] for _, cons in problems])
+            A_grid, b_grid = dp_solver.node_constraints(p, Rq)  # the rows the recursion solves with
+            assert np.array_equal(A, A_grid) and np.array_equal(b, b_grid)
             X0 = np.tile(default, (nodes, 1))
             if k < p.K - 1:  # warm start from the stage k+1 optimum, as the recursion does
                 X0 = 0.999 * np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1) + 0.001 * X0

@@ -52,21 +52,21 @@ class TestOptimalPenaltyValue:
         sv = fm.solve_dp(mdp)
         s0 = fm.ScenarioSequence(outcomes=(0,), probability=0.5)
         s1 = fm.ScenarioSequence(outcomes=(1,), probability=0.5)
-        assert fm.optimal_penalty_value(mdp, sv, (0,), s0) == pytest.approx(0.5, abs=1e-15)
-        assert fm.optimal_penalty_value(mdp, sv, (0,), s1) == pytest.approx(-0.5, abs=1e-15)
+        assert fm.optimal_penalty(mdp, sv)((0,), s0) == pytest.approx(0.5, abs=1e-15)
+        assert fm.optimal_penalty(mdp, sv)((0,), s1) == pytest.approx(-0.5, abs=1e-15)
 
     def test_deterministic_transition_gives_zero(self):
         mdp = deterministic_chain_mdp()
         sv = fm.solve_dp(mdp)
         scen = fm.ScenarioSequence(outcomes=(0, 0), probability=1.0)
         for seq in itertools.product(range(2), repeat=2):
-            assert fm.optimal_penalty_value(mdp, sv, seq, scen) == 0.0
+            assert fm.optimal_penalty(mdp, sv)(seq, scen) == 0.0
 
     def test_length_mismatch_rejected(self):
         mdp = matching_mdp()
         sv = fm.solve_dp(mdp)
         with pytest.raises(ValueError, match="length"):
-            fm.optimal_penalty_value(mdp, sv, (0, 1), fm.ScenarioSequence((0,), 0.5))
+            fm.optimal_penalty(mdp, sv)((0, 1), fm.ScenarioSequence((0,), 0.5))
 
 
 class TestInnerSolve:

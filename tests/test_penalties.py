@@ -13,10 +13,7 @@ from dualbound.penalties import (
     build_context,
     build_contexts,
     feasibility_check,
-    m1_form,
-    m2_form,
     penalty_form,
-    penalty_forms,
 )
 
 from helpers import single_asset_params
@@ -78,7 +75,7 @@ class TestM1Form:
         shocks = ShockPath(Z=np.zeros((10, 3)), Ztilde=np.zeros((10, 1)))
         policy = dp_solver.make_grid_policy(vg_set1, p_set1)
         ctx = build_context(p_set1, vg_set1, policy, shocks)
-        form = m1_form(ctx, p_set1)
+        form = penalty_form("m1", ctx, p_set1)
         assert form.constant == 0.0
         assert np.all(form.lin_Pi == 0.0)
         assert np.all(form.lin_C == 0.0)
@@ -86,7 +83,7 @@ class TestM1Form:
     def test_single_stage_hand_values(self):
         p = single_asset_params(gamma=1.5, K=1, sigma=0.2, sigma_phi1=0.3, sigma_phi2=0.0)
         ctx = _context_from_scalars(p, W=1.0, J=-2.0, gradJ=0.5, Z=1.0)
-        form = m1_form(ctx, p)
+        form = penalty_form("m1", ctx, p)
         # constant: W^(1-gamma) gradJ sigma_phi1 sqrt(delta) Z = 0.5*0.3*sqrt(0.1)
         assert form.constant == pytest.approx(0.5 * 0.3 * math.sqrt(0.1), rel=1e-12)
         assert form.constant == pytest.approx(0.047434, abs=1e-6)
@@ -99,7 +96,7 @@ class TestM1Form:
         rng = np.random.default_rng(2)
         sp = ShockPath(Z=rng.standard_normal((10, 3)), Ztilde=rng.standard_normal((10, 1)))
         policy = dp_solver.make_grid_policy(vg_set1, p_set1)
-        form = m1_form(build_context(p_set1, vg_set1, policy, sp), p_set1)
+        form = penalty_form("m1", build_context(p_set1, vg_set1, policy, sp), p_set1)
         assert np.all(form.lin_C == 0.0)
         assert np.any(form.lin_Pi != 0.0)
 
@@ -108,7 +105,7 @@ class TestM2Form:
     def test_zero_shocks_give_zero_form(self, p_set1, vg_set1):
         shocks = ShockPath(Z=np.zeros((10, 3)), Ztilde=np.zeros((10, 1)))
         policy = dp_solver.make_grid_policy(vg_set1, p_set1)
-        form = m2_form(build_context(p_set1, vg_set1, policy, shocks), p_set1)
+        form = penalty_form("m2", build_context(p_set1, vg_set1, policy, shocks), p_set1)
         assert form.constant == 0.0
         assert np.all(form.lin_Pi == 0.0) and np.all(form.lin_C == 0.0)
 
@@ -118,15 +115,15 @@ class TestM2Form:
         for _ in range(25):
             sp = ShockPath(Z=rng.standard_normal((10, 3)), Ztilde=rng.standard_normal((10, 1)))
             ctx = build_context(p_set1, vg_set1, policy, sp)
-            v1 = m1_form(ctx, p_set1).evaluate(ctx.Pi, ctx.C)
-            v2 = m2_form(ctx, p_set1).evaluate(ctx.Pi, ctx.C)
+            v1 = penalty_form("m1", ctx, p_set1).evaluate(ctx.Pi, ctx.C)
+            v2 = penalty_form("m2", ctx, p_set1).evaluate(ctx.Pi, ctx.C)
             assert v2 == pytest.approx(v1, rel=1e-12, abs=1e-13)
 
     def test_single_stage_reduces_to_m1(self):
         # k = 0 has no previous decision to linearize around
         p = single_asset_params(K=1, sigma_phi1=0.3, sigma_phi2=0.1)
         ctx = _context_from_scalars(p, Z=0.7, Zt=-0.2)
-        f1, f2 = m1_form(ctx, p), m2_form(ctx, p)
+        f1, f2 = penalty_form("m1", ctx, p), penalty_form("m2", ctx, p)
         assert f2.constant == f1.constant
         np.testing.assert_array_equal(f2.lin_Pi, f1.lin_Pi)
         np.testing.assert_array_equal(f2.lin_C, f1.lin_C)
@@ -159,7 +156,7 @@ class TestDirectFormula:
             psi12 = ctx.W[k] ** (1 - p.gamma) * shock
             psi3 = (1 - p.gamma) * ctx.W[k] ** (-p.gamma) * ctx.J[k] * Pi[k, 0] * 0.2 * sd * ctx.Z[k, 0]
             total += psi12 + psi3  # beta = 1
-        assert m1_form(ctx, p).evaluate(Pi, C) == pytest.approx(total, rel=1e-12)
+        assert penalty_form("m1", ctx, p).evaluate(Pi, C) == pytest.approx(total, rel=1e-12)
 
     def test_m2_equals_stagewise_taylor_sum(self):
         p = single_asset_params(K=2, sigma=0.2, sigma_phi1=0.3, sigma_phi2=0.1)
@@ -177,7 +174,7 @@ class TestDirectFormula:
                     - (C[k - 1] - ctx.C[k - 1]))
             psi3 = (1 - p.gamma) * ctx.W[k] ** (-p.gamma) * ctx.J[k] * Pi[k, 0] * 0.2 * sd * ctx.Z[k, 0]
             total += lead * shock + psi3
-        assert m2_form(ctx, p).evaluate(Pi, C) == pytest.approx(total, rel=1e-12)
+        assert penalty_form("m2", ctx, p).evaluate(Pi, C) == pytest.approx(total, rel=1e-12)
 
     def test_m1_three_assets_against_loop(self, p_set1, vg_set1):
         policy = dp_solver.make_grid_policy(vg_set1, p_set1)
@@ -194,7 +191,7 @@ class TestDirectFormula:
             psi3 = (1 - p_set1.gamma) * ctx.W[k] ** (-p_set1.gamma) * ctx.J[k] * float(
                 np.dot(Pi[k], p_set1.sigma @ ctx.Z[k])) * sd
             total += psi1 + psi2 + psi3
-        assert m1_form(ctx, p_set1).evaluate(Pi, C) == pytest.approx(total, rel=1e-11)
+        assert penalty_form("m1", ctx, p_set1).evaluate(Pi, C) == pytest.approx(total, rel=1e-11)
 
 
 class TestStackedForms:
@@ -220,7 +217,7 @@ class TestStackedForms:
             for name in ("W", "Pi", "C", "R", "J", "gradJ", "Z", "Ztilde"):
                 assert np.array_equal(getattr(ctxs.leg(i), name), getattr(ctx, name))
         for kind in PENALTY_KINDS:
-            forms = penalty_forms(kind, ctxs, p)
+            forms = penalty_form(kind, ctxs, p)
             assert forms.constant.shape == (256,) and forms.lin_C.shape == (256, p.K)
             at_baseline = forms.evaluate(ctxs.Pi, ctxs.C)
             at_random = forms.evaluate(Pi, C)
@@ -239,7 +236,7 @@ class TestStackedForms:
         stack = penalties.as_stack(ctx)
         assert stack.W.shape == (1, 1) and stack.Pi.shape == (1, 1, 1)
         for kind in PENALTY_KINDS:
-            one, rows = penalty_form(kind, ctx, p), penalty_forms(kind, stack, p)
+            one, rows = penalty_form(kind, ctx, p), penalty_form(kind, stack, p)
             assert rows.constant.shape == (1,) and one.constant == rows.constant[0]
             assert np.array_equal(one.lin_Pi, rows.lin_Pi[0]) and np.array_equal(one.lin_C, rows.lin_C[0])
 
@@ -287,7 +284,7 @@ class TestFeasibility:
 
     def test_biased_penalty_fails(self, p_set1, vg_set1):
         def biased(ctx, p):
-            form = m1_form(ctx, p)
+            form = penalty_form("m1", ctx, p)
             return penalties.PenaltyForm(constant=form.constant + 1.0,
                                          lin_Pi=form.lin_Pi, lin_C=form.lin_C)
 
@@ -297,7 +294,7 @@ class TestFeasibility:
 
     def test_custom_callable_matches_builtin_kind(self, p_set1, vg_set1):
         def m1(ctx, p):
-            return m1_form(ctx, p)
+            return penalty_form("m1", ctx, p)
 
         # Two full chunks and a partial one, formed leg by leg for the callable.
         assert feasibility_check(m1, p_set1, vg_set1, n_paths=300, seed=8) == feasibility_check(
