@@ -3,10 +3,13 @@
 Log-barrier interior-point method with damped Newton centering, backtracking
 line search and an active-set crossover.  The barrier weight t runs up the
 ladder T_START * MU^j, capped where the duality measure m/t is tol/2.  Only
-stages with m/t <= max(CROSSOVER_GAP, tol) are followed by exit tests, and
-they center to the gradient tolerance; an earlier stage stops at a Newton
-decrement^2 of LOOSE_DECREMENT, close enough to the central path to start
-the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
+stages with m/t <= max(CROSSOVER_GAP, tol) are followed by exit tests.  The
+stages with m/t <= tol end in the barrier-KKT test and center to the
+gradient tolerance.  A stage with tol < m/t <= CROSSOVER_GAP ends only in a
+crossover, which certifies by exact KKT on its face, so it stops at a Newton
+decrement^2 of CROSSOVER_DECREMENT, close enough to guess that face.  An
+earlier stage stops at LOOSE_DECREMENT, close enough to the central path to
+start the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
 crossover guesses as active the rows whose slack is small against their
 barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
 KKT conditions verify.
@@ -46,10 +49,16 @@ CROSSOVER_GAP = 1e-3   # duality measure m/t at which the crossover is first tri
 T_START = MU ** 2
 # Newton decrement^2 at which a stage followed by no exit test stops
 # centering.  Such a stage only has to hand the next one a start inside its
-# region of fast convergence.  On sets 1-4 at gamma 1.5, a Bellman node then
-# takes 27-31 Newton steps in place of about 63 and an inner problem 52-54 in
-# place of about 78, and grid J moves by at most 7.2e-16 relative.
+# region of fast convergence.
 LOOSE_DECREMENT = 1e-2
+# Newton decrement^2 at which a stage followed only by a crossover stops
+# centering.  The crossover verifies its own KKT conditions, so the barrier
+# point only has to make its face guess right.  Of 480 set-1 inner problems
+# (m1/m2/zero, 8 pairs x 10 runs, seed 5), exact centering certifies 409 at
+# the first crossover, stops of 1e-2/1e-3/1e-4/1e-5 certify 377/428/437/423;
+# on the six benchmark grids 1e-4 takes 13,948 Newton steps, 1e-5 20,221 and
+# exact centering 31,252.
+CROSSOVER_DECREMENT = 1e-4
 MAX_CENTERING = 80     # Newton steps per centering stage
 # The crossover guesses row i active where t s_i^2 <= KAPPA.  Of the 864
 # inner solves of the robustness matrix (sets 1-4 x gamma 1.5/3/5, m1/m2/zero,
@@ -158,13 +167,14 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
     t_cap = 2.0 * m / tol  # at the cap the duality measure m/t is tol/2
     t = min(T_START, t_cap)
     while live.size:
-        # Centering: damped Newton on f(x) + (1/t) sum log s_i.  A stage that
-        # no exit test follows centers approximately (decrement stop); the
-        # stages that end in an exit test center to the gradient tolerance or
-        # to a rounding-level decrement.
+        # Centering: damped Newton on f(x) + (1/t) sum log s_i.  Only the
+        # stages that end in the barrier-KKT and t_cap tests (gap <= tol)
+        # center to the gradient tolerance; the others stop at a
+        # decrement^2, tighter where a crossover follows.
         gap = m / t
         exits = gap <= max(CROSSOVER_GAP, tol)
-        _center(oracle, live, t, tol, max_newton, out, 0.0 if exits else LOOSE_DECREMENT)
+        dec_stop = 0.0 if gap <= tol else CROSSOVER_DECREMENT if exits else LOOSE_DECREMENT
+        _center(oracle, live, t, tol, max_newton, out, dec_stop)
         done = np.zeros(live.size, dtype=bool)
         if exits:
             # Crossover: exact KKT on the guessed active face certifies a
@@ -202,8 +212,9 @@ class _Live:
     problem of each row.
     """
 
-    # val is f + (1/t) sum log s at the current barrier weight t.
-    FIELDS = ("rows", "A", "AT", "b", "X", "S", "F", "log_s", "val", "newton")
+    # val is f + (1/t) sum log s at the current barrier weight t; dec2 is
+    # the Newton decrement^2 of the row's last step in the current stage.
+    FIELDS = ("rows", "A", "AT", "b", "X", "S", "F", "log_s", "val", "newton", "dec2")
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -212,7 +223,8 @@ class _Live:
     def start(cls, rows, A, b, X, S, F) -> "_Live":
         log_s = np.log(S).sum(axis=1)
         return cls(rows=rows, A=A, AT=np.ascontiguousarray(A.transpose(0, 2, 1)), b=b, X=X, S=S, F=F,
-                   log_s=log_s, val=F + log_s, newton=np.zeros(rows.size, dtype=int))
+                   log_s=log_s, val=F + log_s, newton=np.zeros(rows.size, dtype=int),
+                   dec2=np.full(rows.size, np.inf))
 
     @property
     def size(self) -> int:
@@ -243,8 +255,11 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     """One centering stage at barrier weight t, each problem to its own stop.
 
     A problem stops where its gradient is below tol/2, where a step fails,
-    or after a step whose Newton decrement^2 was at most dec_stop or at
-    rounding level.
+    after a step whose Newton decrement^2 was at most dec_stop, or after a
+    step whose decrement^2 was at rounding level and no smaller than a
+    quarter of the one before.  dec_stop is 0.0 on the stages that end in
+    the barrier-KKT test, CROSSOVER_DECREMENT on those that end only in a
+    crossover and LOOSE_DECREMENT on those that end in no exit test.
 
     Rows that stop centering are split off and merged back at the end.
     Problems that reach max_newton get their current iterate in `out` and
@@ -253,6 +268,7 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     call per test.
     """
     live.val = live.F + live.log_s / t  # barrier objective at the accepted point
+    live.dec2 = np.full(live.size, np.inf)
     parked = []
     half_tol = 0.5 * tol
     check_cap = 0
@@ -288,10 +304,14 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
         live.newton += 1
         base = live.val.tolist()
         accepted = _line_search(oracle, live, step, dec2, t)
-        # Stop where the step failed or the decrement^2 was at most dec_stop
-        # or, halved, at rounding level.
-        stop = [not a or d <= dec_stop or d <= 2e-12 * (1.0 + abs(v))
-                for a, d, v in zip(accepted, dec2.tolist(), base)]
+        # Stop where the step failed or the decrement^2 was at most dec_stop.
+        # A decrement^2 that, halved, is at rounding level of the barrier
+        # value stops a problem only once it no longer contracts: on the
+        # badly conditioned last stages Newton still cuts the gradient
+        # quadratically there, and the barrier-KKT test measures the gradient.
+        stop = [not a or d <= dec_stop or (d <= 2e-12 * (1.0 + abs(v)) and 4.0 * d > d_last)
+                for a, d, v, d_last in zip(accepted, dec2.tolist(), base, live.dec2.tolist())]
+        live.dec2 = dec2
         if any(stop):
             if all(stop):
                 break

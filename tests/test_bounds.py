@@ -384,6 +384,34 @@ class TestUpperBound:
         cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind=kind, gamma=gamma, parameter_set_id=1)
         assert upper_bound(p, vg, cfg).flagged_paths == 0
 
+    @pytest.mark.parametrize("sid", [2, 4])
+    def test_published_size_gamma3_m2_flags_no_leg(self, solved_grid, sid):
+        # Sets 2 and 4 at 30 pairs x 10 runs, seed 42: each holds one leg whose
+        # every crossover fails and whose last barrier stages stopped centering
+        # at a rounding-level Newton decrement while Newton still contracted.
+        p, vg = solved_grid(sid, 3.0)
+        cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
+        assert upper_bound(p, vg, cfg).flagged_paths == 0
+
+    @pytest.fixture(scope="class")
+    def small_gross_riskfree_rate(self):
+        # R_f = 1 + r_f delta = 5e-4 on a 5-node grid: consumption of about 2e-4
+        # makes the inner problems badly scaled (gradients about 1.5e4).
+        data = market.parameter_set(1, gamma=1.5).to_dict()
+        data.update(r_f=-9.995, K=2)
+        p = market.ModelParams.from_dict(data)
+        return p, dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5),
+                                               quad=dp_solver.build_quadrature(3, p.n))
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_small_gross_riskfree_rate_flags_no_leg(self, small_gross_riskfree_rate, kind):
+        # Every crossover fails on 5 of these 16 legs, so each depends on the
+        # barrier-KKT test of the t_cap stage.
+        p, vg = small_gross_riskfree_rate
+        est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
+        assert est.total_paths == 16
+        assert est.flagged_paths == 0
+
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
         for kind in ("zero", "m1", "m2"):

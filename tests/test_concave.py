@@ -87,7 +87,12 @@ class TestMaximize:
         p = single_asset_params(gamma=3.0)
         quad = dp_solver.build_quadrature(3, 1)
         Rq = dp_solver.node_returns(p, quad, 0.4)
-        oracle, cons = bellman_node_problem(p, Rq, quad.weights, -0.25)
+        oracle, node_cons = bellman_node_problem(p, Rq, quad.weights, -0.25)
+        # Extra rows x_0 <= 10 + i, slack at the optimum, give the node the
+        # inner problems' 51 rows.
+        A, b = node_cons
+        extra = 51 - A.shape[0]
+        inner_cons = (np.vstack([A, np.tile([1.0, 0.0], (extra, 1))]), np.concatenate([b, 10.0 + np.arange(extra)]))
         center = concave._center
         stages = []
 
@@ -96,17 +101,27 @@ class TestMaximize:
             center(oracle, live, t, tol, max_newton, out, dec_stop)
 
         monkeypatch.setattr(concave, "_center", traced_center)
-        tol = 1e-8
-        maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol)
-        m = cons[0].shape[0]
-        t_cap = 2.0 * m / tol
-        expected_t = concave.MU ** 2
-        for t, dec_stop in stages:
-            assert t == expected_t
-            exits = m / t <= max(concave.CROSSOVER_GAP, tol)
-            assert dec_stop == (0.0 if exits else concave.LOOSE_DECREMENT)
-            expected_t = min(t * concave.MU, t_cap)
-        assert stages[0][1] == concave.LOOSE_DECREMENT
+        # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
+        monkeypatch.setattr(concave, "_polish", lambda oracle, live, t: [None] * live.size)
+        # A Bellman node's tolerance and rows, then the inner problems'.
+        for cons, tol in ((node_cons, 1e-8), (inner_cons, 1e-6)):
+            stages.clear()
+            sol = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=tol)
+            assert sol.status == concave.STATUS_CONVERGED
+            m = cons[0].shape[0]
+            t_cap = 2.0 * m / tol
+            expected_t = concave.MU ** 2
+            for t, dec_stop in stages:
+                assert t == expected_t
+                if m / t <= tol:
+                    assert dec_stop == 0.0
+                elif m / t <= concave.CROSSOVER_GAP:
+                    assert dec_stop == concave.CROSSOVER_DECREMENT
+                else:
+                    assert dec_stop == concave.LOOSE_DECREMENT
+                expected_t = min(t * concave.MU, t_cap)
+            assert stages[0][1] == concave.LOOSE_DECREMENT
+            assert {d for _, d in stages} == {concave.LOOSE_DECREMENT, concave.CROSSOVER_DECREMENT, 0.0}
 
     def test_set1_newton_steps_per_node_and_inner_problem(self, monkeypatch, p_set1, vg_set1):
         # Newton counts repeat exactly.  Starting at t = 1 and centering every
@@ -124,8 +139,8 @@ class TestMaximize:
         node_mean = np.mean(counts)
         counts.clear()
         bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
-        assert node_mean <= 26
-        assert np.mean(counts) <= 32
+        assert node_mean <= 11
+        assert np.mean(counts) <= 20
 
     def test_set1_inner_problems_mostly_exit_at_the_first_crossover(self, monkeypatch, p_set1, vg_set1):
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
@@ -152,7 +167,34 @@ class TestMaximize:
         for kind in ("m1", "m2", "zero"):
             bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind=kind))
         assert len(certified) == 72
-        assert np.mean(certified) >= 0.75
+        assert np.mean(certified) >= 0.85
+
+    def test_certified_optimum_does_not_depend_on_crossover_stage_centering(self, monkeypatch, p_set1,
+                                                                              vg_set1):
+        # The crossover certifies by exact KKT on its face, so centering its
+        # stage exactly (decrement stop 0) must give the same optima.
+        policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        legs = [bounds.shock_path(p_set1, 21, r, i) for r in range(2) for i in range(3)]
+        legs += [sp.antithetic() for sp in legs]
+        ctxs = penalties.build_contexts(p_set1, vg_set1, policy, np.array([sp.Z for sp in legs]),
+                                        np.array([sp.Ztilde for sp in legs]))
+        problems = {kind: bounds.assemble_inner_batch(p_set1, penalties.penalty_form(kind, ctxs, p_set1), ctxs)
+                    for kind in ("m1", "zero")}
+
+        def solve_inner():
+            return {kind: concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+                    for kind, problem in problems.items()}
+
+        inner = solve_inner()
+        monkeypatch.setattr(concave, "CROSSOVER_DECREMENT", 0.0)
+        exact_vg = dp_solver.backward_recursion(p_set1)  # raises NodeSolveError on an unconverged node
+        exact_inner = solve_inner()
+        np.testing.assert_allclose(exact_vg.J, vg_set1.J, rtol=1e-12, atol=0.0)
+        for kind in inner:
+            assert len(inner[kind]) == 12
+            for sol, exact in zip(inner[kind], exact_inner[kind]):
+                assert sol.status == exact.status == concave.STATUS_CONVERGED
+                assert abs(sol.f - exact.f) <= bounds.INNER_TOL * (1.0 + abs(exact.f))
 
     def test_halving_tol_does_not_lose_objective(self):
         p = single_asset_params(gamma=1.5)
