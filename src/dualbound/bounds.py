@@ -314,51 +314,18 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     A[:, 2 * K + 1:] = -np.eye(D)[pi_idx.reshape(-1)]
 
     # The utility terms are CRRA in Y = (C_0, ..., C_{K-1}, W_K), which is
-    # affine in x; one stacked product per call gives Y and the penalty's
-    # linear part.
-    gamma = p.gamma
-    lin = np.zeros((B, D))
-    lin[:, pi_idx] = forms.lin_Pi
-    lin[:, c_idx] = forms.lin_C
+    # affine in x, and the penalty is lin'x + constant.
     P = np.zeros((B, D, K + 2))
     P[:, c_idx, np.arange(K)] = 1.0
     P[:, :, K] = a_term
-    P[:, :, K + 1] = lin
+    P[:, pi_idx, K + 1] = forms.lin_Pi
+    P[:, c_idx, K + 1] = forms.lin_C
     z0 = np.zeros((B, K + 2))
     z0[:, K] = w_const[K]
     z0[:, K + 1] = forms.constant
     weights = np.append(p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta),
                         (1.0 - p.alpha) * p.beta ** (K * p.delta))
-    value_weights = weights / (1.0 - gamma)
-    dY = np.ascontiguousarray(P[:, :, :K + 1].transpose(0, 2, 1))  # dY/dx, (B, K+1, D)
-    # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (hess_cols * Y^(-gamma-1)) @ dY
-    grad_rows = weights[:, None] * dY
-    hess_cols = np.ascontiguousarray(-gamma * grad_rows.transpose(0, 2, 1))
-
-    def utility_args(X, rows):
-        """Y and the penalty lin'x + constant."""
-        Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
-        return Z[:, :K + 1], Z[:, K + 1]
-
-    def value(X, rows):
-        Y, penalty = utility_args(X, rows)
-        if (Y > 0.0).all():
-            return (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty
-        inside = Y.min(axis=1) > 0.0
-        if not inside.any():
-            return np.full(X.shape[0], -np.inf)
-        Y = np.where(inside[:, None], Y, 1.0)
-        return np.where(inside, (value_weights * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
-
-    def gradient(X, rows):
-        Y, _ = utility_args(X, rows)
-        return ((Y ** (-gamma))[:, None, :] @ grad_rows[rows])[:, 0] - lin[rows]
-
-    def hessian(X, rows):
-        Y, _ = utility_args(X, rows)
-        return (hess_cols[rows] * (Y ** (-gamma - 1.0))[:, None, :]) @ dY[rows]
-
-    oracle = concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
+    oracle = concave.crra_oracle(P, z0, weights, p.gamma)
 
     # Start: baseline decisions pulled a tenth of the way toward a strictly
     # interior trajectory built forward with the realized returns, so the

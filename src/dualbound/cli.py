@@ -69,6 +69,13 @@ def _read_config(path) -> ModelParams:
     return _read_input(path, "config", lambda fh: ModelParams.from_dict(json.load(fh)))
 
 
+def _published(set_id, gamma) -> ModelParams:
+    try:
+        return parameter_set(set_id, gamma=gamma)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc))
+
+
 def _load_params(args) -> ModelParams:
     """Resolve ModelParams from --config (strict JSON) or --set [+ --gamma]."""
     if getattr(args, "config", None):
@@ -80,10 +87,7 @@ def _load_params(args) -> ModelParams:
                 raise CliError(EXIT_INPUT, f"bad --gamma: {exc}")
         return params
     if getattr(args, "set", None) is not None:
-        try:
-            return parameter_set(args.set, gamma=args.gamma if args.gamma is not None else 1.5)
-        except ValueError as exc:
-            raise CliError(EXIT_INPUT, str(exc))
+        return _published(args.set, args.gamma if args.gamma is not None else 1.5)
     raise CliError(EXIT_INPUT, "provide either --config FILE or --set ID")
 
 
@@ -96,6 +100,9 @@ def _load_grid(args):
     if getattr(args, "gamma", None) is not None and args.gamma != params.gamma:
         raise CliError(EXIT_CONSISTENCY,
                        f"--gamma {args.gamma} does not match the grid file (gamma={params.gamma})")
+    if getattr(args, "set", None) is not None:
+        if _published(args.set, params.gamma).content_hash() != params.content_hash():
+            raise CliError(EXIT_CONSISTENCY, f"--set {args.set} does not match the grid file's parameters")
     return vg, params
 
 
@@ -112,11 +119,7 @@ def cmd_gen_params(args) -> int:
     }
     if args.print_config:
         return _print_config(payload)
-    try:
-        params = parameter_set(args.set, gamma=payload["gamma"])
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-    _write_text(args.out, params.to_json() + "\n")
+    _write_text(args.out, _published(args.set, payload["gamma"]).to_json() + "\n")
     return EXIT_OK
 
 
@@ -346,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="optional params JSON checked against the grid")
         sp.add_argument("--gamma", type=float, default=None,
                         help="consistency check against the grid's gamma")
-        sp.add_argument("--set", type=int, default=None, help="parameter set id echoed into the CSV")
+        sp.add_argument("--set", type=int, default=None,
+                        help="published parameter set id of the grid, echoed into the CSV")
         if which == "upper":
             sp.add_argument("--penalty", choices=penalties.PENALTY_KINDS, default="m1")
         sp.add_argument("--paths", type=int, default=None,

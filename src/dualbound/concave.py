@@ -24,7 +24,8 @@ its own one-problem solve, and `maximize` is that one-problem call.
 
 Problems here are tiny (dimension <= ~40, up to ~130 inequality rows), so
 dense linear algebra per Newton step is cheap and exact Hessians are
-supplied analytically by the callers.
+supplied analytically: `crra_oracle` gives them for the CRRA objectives of
+both the Bellman nodes and the inner problems.
 """
 
 from __future__ import annotations
@@ -92,6 +93,50 @@ def stacked_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Products M[i] @ v[i] of (B, m, D) and (B, D) stacks, one BLAS call per
     slice, so row i depends only on M[i] and v[i] (a batch oracle's rows must)."""
     return np.matmul(M, v[:, :, None])[:, :, 0]
+
+
+def crra_oracle(P: np.ndarray, z0: np.ndarray, w: np.ndarray, gamma: float) -> ObjectiveOracle:
+    """Weighted CRRA sums of affine arguments minus an affine penalty.
+
+    Problem i sets Z = x P[i] + z0[i], with P of shape (B, D, J+1) and z0 of
+    shape (B, J+1), and has the objective
+        sum_{j<J} w[i, j] Z_j^(1-gamma)/(1-gamma) - Z_J
+    on the domain Z_j > 0 (j < J), -inf outside it.  w has shape (J,) or
+    (B, J); it is concave for w >= 0.  dZ/dx, its weighted rows and the
+    Hessian columns are formed once; every product per call is a stacked
+    slice, so a batch row equals its one-problem call bit for bit.
+    """
+    J = P.shape[2] - 1
+    w = np.asarray(w, dtype=float)
+    value_weights = np.broadcast_to(w / (1.0 - gamma), (P.shape[0], J))
+    lin = np.ascontiguousarray(P[:, :, J])
+    dY = np.ascontiguousarray(P[:, :, :J].transpose(0, 2, 1))  # (B, J, D)
+    # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (hess_cols * Y^(-gamma-1)) @ dY
+    grad_rows = w[..., None] * dY
+    hess_cols = np.ascontiguousarray(-gamma * grad_rows.transpose(0, 2, 1))
+
+    def args(X, rows):  # the CRRA arguments Y = Z_{<J} and the penalty Z_J
+        Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
+        return Z[:, :J], Z[:, J]
+
+    def value(X, rows):
+        Y, penalty = args(X, rows)
+        vw = value_weights[rows]
+        if (Y > 0.0).all():
+            return (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty
+        inside = Y.min(axis=1) > 0.0
+        Y = np.where(inside[:, None], Y, 1.0)
+        return np.where(inside, (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
+
+    def gradient(X, rows):
+        Y, _ = args(X, rows)
+        return ((Y ** (-gamma))[:, None, :] @ grad_rows[rows])[:, 0] - lin[rows]
+
+    def hessian(X, rows):
+        Y, _ = args(X, rows)
+        return (hess_cols[rows] * (Y ** (-gamma - 1.0))[:, None, :]) @ dY[rows]
+
+    return ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 
 
 @dataclass

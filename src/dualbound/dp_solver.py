@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 
 SERIAL_VERSION = 2
 U_FLOOR = 1e-10  # lower guard on portfolio growth at quadrature nodes
+NODE_TOL = 1e-8  # solver tolerance of every Bellman node
 
 DEFAULT_GRID = np.linspace(-2.0, 2.0, 21)
 DEFAULT_QUAD_POINTS = 3
@@ -75,8 +76,8 @@ def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
     unit mass on the nearest node.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a sorted 1-d array with at least two nodes")
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be a sorted 1-d array of at least two finite nodes")
     G = grid.size
     mids = 0.5 * (grid[:-1] + grid[1:])
     var = p.phi_step_var
@@ -125,55 +126,23 @@ def bellman_oracle(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: np.ndarra
 
     Node i has returns Rq[i] (Q, n) and continuation value EJ[i]:
     alpha*delta*c^(1-gamma)/(1-gamma) + beta^delta * EJ * E_q[u^(1-gamma)]
-    with u = R_f + (Rq - R_f)'pi - c, guarded away from zero at every node.
+    with u = R_f + (Rq - R_f)'pi - c, as a `concave.crra_oracle` with one
+    column per quadrature node, a c column where alpha > 0 (at alpha = 0,
+    c = 0 stays inside the domain) and a zero penalty.
     """
-    n = p.n
-    gamma = p.gamma
-    excess = Rq - p.R_f                                            # (B, Q, n)
-    ext = np.concatenate([excess, -np.ones(excess.shape[:2] + (1,))], axis=2)
-    ext_T = np.ascontiguousarray(ext.transpose(0, 2, 1))           # (B, n+1, Q)
-    excess_T = np.ascontiguousarray(ext_T[:, :n])                  # (B, n, Q)
-    scale = p.beta**p.delta * np.asarray(EJ, dtype=float)          # (B,)
-    a_cons = p.alpha * p.delta
-
-    def growth(X, rows):
-        return p.R_f + concave.stacked_matvec(excess[rows], X[:, :n]) - X[:, n:]
-
-    def value(X, rows):
-        c = X[:, n]
-        u = growth(X, rows)
-        inside = u.min(axis=1) > 0.0
-        if a_cons > 0.0:
-            inside &= c > 0.0
-        everywhere = inside.all()
-        if not everywhere:
-            u, c = np.where(inside[:, None], u, 1.0), np.where(inside, c, 1.0)
-        v = scale[rows] * (wq * u ** (1.0 - gamma)).sum(axis=1)
-        if a_cons > 0.0:
-            v += a_cons * c ** (1.0 - gamma) / (1.0 - gamma)
-        return v if everywhere else np.where(inside, v, -np.inf)
-
-    def gradient(X, rows):
-        c = X[:, n]
-        wu = wq * growth(X, rows) ** (-gamma)
-        coef = scale[rows] * (1.0 - gamma)
-        g = np.empty(X.shape)
-        g[:, :n] = coef[:, None] * concave.stacked_matvec(excess_T[rows], wu)
-        g[:, n] = -coef * wu.sum(axis=1)
-        if a_cons > 0.0:
-            g[:, n] += a_cons * c ** (-gamma)
-        return g
-
-    def hessian(X, rows):
-        c = X[:, n]
-        coef = scale[rows] * (1.0 - gamma) * (-gamma)
-        wu2 = coef[:, None] * wq * growth(X, rows) ** (-gamma - 1.0)
-        H = (ext_T[rows] * wu2[:, None, :]) @ ext[rows]
-        if a_cons > 0.0:
-            H[:, n, n] += a_cons * (-gamma) * c ** (-gamma - 1.0)
-        return H
-
-    return concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
+    B, Q, n = Rq.shape
+    J = Q + (p.alpha > 0.0)
+    P = np.zeros((B, n + 1, J + 1))
+    P[:, :n, :Q] = (Rq - p.R_f).transpose(0, 2, 1)
+    P[:, n, :Q] = -1.0
+    z0 = np.zeros((B, J + 1))
+    z0[:, :Q] = p.R_f
+    w = np.empty((B, J))
+    w[:, :Q] = p.beta**p.delta * (1.0 - p.gamma) * np.asarray(EJ, dtype=float)[:, None] * wq
+    if p.alpha > 0.0:
+        P[:, n, Q] = 1.0
+        w[:, Q] = p.alpha * p.delta
+    return concave.crra_oracle(P, z0, w, p.gamma)
 
 
 def node_constraints(p: ModelParams, Rq: np.ndarray) -> tuple:
@@ -206,7 +175,6 @@ def backward_recursion(
     quad: Optional[QuadratureRule] = None,
     pt: Optional[np.ndarray] = None,
     solver: Optional[Callable] = None,
-    node_tol: float = 1e-8,
 ) -> ValueGrid:
     """Solve the stage recursion on the grid, storing values and policy.
 
@@ -243,10 +211,10 @@ def backward_recursion(
             ok = (slack.min(axis=1) > 1e-11) & np.isfinite(oracle.value(shrunk, rows))
             X = np.where(ok[:, None], shrunk, default)
         if solver is None:
-            sols = concave.maximize_batch(oracle, A, b, X, tol=node_tol)
+            sols = concave.maximize_batch(oracle, A, b, X, tol=NODE_TOL)
         else:
             sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), (A[i], b[i]), X[i],
-                           tol=node_tol) for i in range(G)]
+                           tol=NODE_TOL) for i in range(G)]
         if logger.isEnabledFor(logging.DEBUG):
             for i, sol in enumerate(sols):
                 logger.debug("node k=%d phi=%+.3f: %d newton steps, %s, kkt %.2e",
@@ -365,8 +333,9 @@ def value_grid_from_dict(data: dict) -> tuple:
         policy_c=np.asarray(data["policy_c"], dtype=float),
     )
     grid = vg.grid
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise ValueError("value-grid file is corrupt: grid must be strictly increasing with at least two nodes")
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
+        raise ValueError("value-grid file is corrupt: grid must be strictly increasing and finite "
+                         "with at least two nodes")
     G = grid.size
     for name, shape in (("J", (p.K + 1, G)), ("policy_pi", (p.K, G, p.n)), ("policy_c", (p.K, G))):
         if getattr(vg, name).shape != shape:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -112,25 +112,37 @@ class FiniteMDP:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteMDP":
+        known = {f.name for f in fields(cls)}
+        for which, names in (("unknown", set(data) - known), ("missing", known - set(data))):
+            if names:
+                raise ValueError(f"{which} FiniteMDP fields: {sorted(names)}")
         states = tuple(data["states"])
         init = data["initial_state"]
         if isinstance(init, str):
             init = states.index(init)
         return cls(
-            horizon=int(data["horizon"]),
+            horizon=int(_integral(data["horizon"], "horizon")),
             states=states,
             actions=tuple(data["actions"]),
             outcomes=tuple(data["outcomes"]),
             outcome_probs=np.asarray(data["outcome_probs"], dtype=float),
-            transition=np.asarray(data["transition"], dtype=int),
+            transition=_integral(data["transition"], "transition"),
             stage_reward=np.asarray(data["stage_reward"], dtype=float),
             terminal_reward=np.asarray(data["terminal_reward"], dtype=float),
-            initial_state=int(init),
+            initial_state=int(_integral(init, "initial_state")),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMDP":
         return cls.from_dict(json.loads(text))
+
+
+def _integral(value, name: str) -> np.ndarray:
+    """value as ints; a non-integral entry is an error, not truncated."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise ValueError(f"{name} entries must be integers")
+    return arr.astype(int)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,11 @@ class TestSolve:
         expect = (R_f ** (1 - 1.5) * 1.0) ** 10 / (1 - 1.5)
         assert value == pytest.approx(expect, rel=1e-6)
 
+    @pytest.mark.parametrize("bound", [("--grid-min", "nan"), ("--grid-max", "inf")])
+    def test_non_finite_grid_exits_2(self, capsys, bound):
+        assert run_cli("solve", "--set", "1", "--grid-nodes", "5", *bound) == 2
+        assert "finite nodes" in capsys.readouterr().err
+
     def test_strict_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         data = market.parameter_set(1).to_dict()
@@ -133,6 +138,17 @@ class TestBounds:
                        "--json", str(out)) == 0
         data = json.loads(out.read_text())
         assert data["kind"] == "lower" and len(data["run_means"]) == 2
+
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("set_id, code, message", [
+        ("7", 2, "unknown parameter set 7"),
+        ("2", 4, "--set 2 does not match the grid file"),
+    ])
+    def test_set_checked_against_the_grid(self, grid_file_set1, capsys, which, set_id, code, message):
+        assert run_cli(which, "--grid", grid_file_set1, "--set", set_id, "--seed", "1",
+                       "--paths", "1", "--runs", "2", "--out", "-") == code
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_hash_mismatch_exits_4(self, grid_file_set1, tmp_path):
         other = tmp_path / "other.json"
@@ -200,6 +216,19 @@ class TestVerifyFinite:
         assert "zero-penalty bound     = 1.0" in out
         assert "optimal-penalty bound  = 0.5" in out
         assert out.strip().endswith("pass")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(extra=1), "unknown FiniteMDP fields: ['extra']"),
+        (lambda d: d.pop("horizon"), "missing FiniteMDP fields: ['horizon']"),
+        (lambda d: d["transition"][0][0].__setitem__(0, 0.7), "transition entries must be integers"),
+    ], ids=["unknown-key", "missing-key", "fractional-transition"])
+    def test_malformed_mdp_exits_2(self, tmp_path, capsys, edit, message):
+        data = matching_mdp().to_dict()
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("verify-finite", str(bad)) == 2
+        assert message in capsys.readouterr().err
 
     def test_corrupt_json_exits_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -345,6 +345,69 @@ class TestOracleGradients:
                 fd = (at_point(oracle.value, x + e) - at_point(oracle.value, x - e)) / (2 * h)
                 assert g[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    @staticmethod
+    def random_crra_batch(rng, B=4, D=3, J=3):
+        """P, z0 and w of a CRRA batch whose arguments are near 1 on [0, 1]^D,
+        with a nonzero penalty column."""
+        P = rng.uniform(-0.1, 0.1, size=(B, D, J + 1))
+        P[:, :, J] = rng.normal(size=(B, D))
+        z0 = np.ones((B, J + 1))
+        z0[:, J] = rng.normal(size=B)
+        return P, z0, rng.uniform(0.5, 2.0, size=(B, J))
+
+    def test_crra_oracle_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        P, z0, w = self.random_crra_batch(rng)
+        B, D = P.shape[:2]
+        gamma = 2.5
+        oracle = concave.crra_oracle(P, z0, w, gamma)
+        X = rng.uniform(0.0, 1.0, size=(B, D))
+        rows = np.arange(B)
+        Z = (X[:, None, :] @ P)[:, 0] + z0
+        expect = (w * Z[:, :-1] ** (1.0 - gamma) / (1.0 - gamma)).sum(axis=1) - Z[:, -1]
+        np.testing.assert_allclose(oracle.value(X, rows), expect, rtol=1e-14)
+        g, H = oracle.gradient(X, rows), oracle.hessian(X, rows)
+        h = 1e-6
+        for j in range(D):
+            e = np.zeros(D)
+            e[j] = h
+            fd = (oracle.value(X + e, rows) - oracle.value(X - e, rows)) / (2 * h)
+            np.testing.assert_allclose(g[:, j], fd, rtol=1e-6, atol=1e-8)
+            fd_g = (oracle.gradient(X + e, rows) - oracle.gradient(X - e, rows)) / (2 * h)
+            np.testing.assert_allclose(H[:, :, j], fd_g, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("shared_weights", [False, True])
+    def test_crra_oracle_rows_outside_the_domain_leave_the_others_alone(self, shared_weights):
+        rng = np.random.default_rng(6)
+        P, z0, w = self.random_crra_batch(rng)
+        if shared_weights:
+            w = w[0]
+        B, D = P.shape[:2]
+        gamma = 1.5
+        oracle = concave.crra_oracle(P, z0, w, gamma)
+        X = rng.uniform(0.0, 1.0, size=(B, D))
+        X[2] = -100.0 * np.sign(P[2, :, 0])  # Z_0 of problem 2 is negative
+        rows = np.arange(B)
+        f = oracle.value(X, rows)
+        assert np.isneginf(f[2]) and np.isfinite(np.delete(f, 2)).all()
+        with np.errstate(invalid="ignore"):  # problem 2 has no derivatives there
+            g, H = oracle.gradient(X, rows), oracle.hessian(X, rows)
+        for i in (0, 1, 3):
+            one = concave.crra_oracle(P[i:i + 1], z0[i:i + 1], w if shared_weights else w[i:i + 1], gamma)
+            x, r = X[i:i + 1], np.array([0])
+            assert one.value(x, r)[0] == f[i]
+            assert np.array_equal(one.gradient(x, r)[0], g[i])
+            assert np.array_equal(one.hessian(x, r)[0], H[i])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_bellman_oracle_domain_holds_c_zero_only_without_consumption_utility(self, alpha):
+        p = single_asset_params(gamma=1.5, alpha=alpha)
+        quad = dp_solver.build_quadrature(3, 1)
+        Rq = dp_solver.node_returns(p, quad, 0.0)
+        oracle, _ = bellman_node_problem(p, Rq, quad.weights, -0.8)
+        f = at_point(oracle.value, np.array([0.3, 0.0]))
+        assert np.isfinite(f) if alpha == 0.0 else np.isneginf(f)
+
     def test_finite_difference_hessian_fallback(self):
         H = fd_hessian(lambda x: -2.0 * x)(np.array([0.3, -0.7]))
         np.testing.assert_allclose(H, -2.0 * np.eye(2), atol=1e-6)

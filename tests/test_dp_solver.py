@@ -302,15 +302,16 @@ class TestStageBatch:
         assert np.array_equal(vg.policy_pi, vg_set1.policy_pi)
         assert np.array_equal(vg.policy_c, vg_set1.policy_c)
 
-    def test_node_failure_names_the_node_of_the_per_node_path(self):
+    def test_node_failure_names_the_node_of_the_per_node_path(self, monkeypatch):
         # No solve can certify a KKT residual of 1e-16 at every node, so some
         # fail; both paths name the lowest failing node of the first failing stage.
+        monkeypatch.setattr(dp_solver, "NODE_TOL", 1e-16)
         p = market.parameter_set(1, 1.5)
         grid = np.linspace(-2.0, 2.0, 5)
         with pytest.raises(dp_solver.NodeSolveError) as batched:
-            backward_recursion(p, grid=grid, node_tol=1e-16)
+            backward_recursion(p, grid=grid)
         with pytest.raises(dp_solver.NodeSolveError) as per_node:
-            backward_recursion(p, grid=grid, node_tol=1e-16, solver=concave.maximize)
+            backward_recursion(p, grid=grid, solver=concave.maximize)
         assert (batched.value.k, batched.value.phi) == (per_node.value.k, per_node.value.phi)
         assert str(batched.value) == str(per_node.value)
 
@@ -346,6 +347,7 @@ class TestSerialization:
     @pytest.mark.parametrize("field, value, match", [
         ("grid", lambda g: g[::-1], "strictly increasing"),
         ("grid", lambda g: np.concatenate([g[:3], g[2:]]), "strictly increasing"),
+        ("grid", lambda g: np.append(g[:-1], np.inf), "and finite"),
         ("J", lambda a: a[:, :-1], "J has shape"),
         ("J", lambda a: a[:-1], "J has shape"),
         ("policy_pi", lambda a: a[..., :2], "policy_pi has shape"),

@@ -222,6 +222,18 @@ class TestValidationAndJson:
         scens = fm.enumerate_scenarios(mdp)
         assert len(scens) == 2  # second stage has a single supported outcome
 
+    @pytest.mark.parametrize("field, value", [
+        ("transition", 0.5), ("horizon", 1.5), ("initial_state", 0.5), ("transition", float("nan")),
+    ])
+    def test_from_dict_rejects_non_integral_indices(self, field, value):
+        data = matching_mdp().to_dict()
+        if field == "transition":
+            data["transition"][0][0][0] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=f"{field} entries must be integers"):
+            fm.FiniteMDP.from_dict(data)
+
     def test_json_round_trip(self):
         mdp = matching_mdp()
         again = fm.FiniteMDP.from_json(json.dumps(mdp.to_dict()))
