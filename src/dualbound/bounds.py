@@ -20,7 +20,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,17 +82,10 @@ class BoundEstimate:
     total_paths: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "penalty": self.penalty,
-            "run_means": self.run_means.tolist(),
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ce_mean": self.ce_mean,
-            "ce_stderr": self.ce_stderr,
-            "flagged_paths": self.flagged_paths,
-            "total_paths": self.total_paths,
-        }
+        """Every field but `config`, run means as a list."""
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
+        record["run_means"] = self.run_means.tolist()
+        return record
 
 
 def certainty_equivalent(value: float, gamma: float) -> float:

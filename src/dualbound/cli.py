@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -106,31 +105,12 @@ def _load_grid(args):
     return vg, params
 
 
-def _print_config(payload: dict) -> int:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 def cmd_gen_params(args) -> int:
-    payload = {
-        "command": "gen-params", "set": args.set,
-        "gamma": args.gamma if args.gamma is not None else 1.5,
-        "out": args.out,
-    }
-    if args.print_config:
-        return _print_config(payload)
-    _write_text(args.out, _published(args.set, payload["gamma"]).to_json() + "\n")
+    _write_text(args.out, _published(args.set, args.gamma).to_json() + "\n")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    payload = {
-        "command": "solve", "config": args.config, "set": args.set, "gamma": args.gamma,
-        "grid_nodes": args.grid_nodes, "grid_min": args.grid_min, "grid_max": args.grid_max,
-        "quad": args.quad, "out": args.out, "debug_solver": args.debug_solver,
-    }
-    if args.print_config:
-        return _print_config(payload)
     if args.debug_solver:
         import logging
 
@@ -154,45 +134,34 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_config(args, which: str) -> bounds.RunConfig:
-    default_paths = 100 if which == "lower" else 30
-    return bounds.RunConfig(
-        paths_per_run=args.paths if args.paths is not None else default_paths,
-        runs=args.runs,
-        seed=args.seed,
-        antithetic=not args.no_antithetic,
-        penalty_kind=args.penalty if which == "upper" else "zero",
-        gamma=None,
-        parameter_set_id=args.set,
-    )
-
-
 def _emit_csv(args, estimate) -> None:
-    new_file = args.out is None or args.out == "-" or not os.path.exists(args.out)
-    text = bounds.csv_rows([estimate], header=new_file)
+    """Append the estimate's row to --out, with the header when the file is
+    missing or empty; write both to stdout for '-' or no --out."""
     if args.out is None or args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(bounds.csv_rows([estimate], header=True))
     else:
-        _write_file(args.out, text, mode="a")
+        new_file = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
+        _write_file(args.out, bounds.csv_rows([estimate], header=new_file), mode="a")
 
 
-def _cmd_bound(args, which: str) -> int:
-    payload = {
-        "command": which, "grid": args.grid, "config": args.config, "gamma": args.gamma,
-        "penalty": getattr(args, "penalty", None), "seed": args.seed,
-        "paths": args.paths, "runs": args.runs, "antithetic": not args.no_antithetic,
-        "workers": args.workers, "out": args.out, "json": args.json,
-    }
-    if args.print_config:
-        return _print_config(payload)
+def cmd_bound(args) -> int:
+    """Run `lower` or `upper`, whichever command was given."""
     if args.workers < 1:
         raise CliError(EXIT_INPUT, f"--workers must be >= 1, got {args.workers}")
     vg, params = _load_grid(args)
     try:
-        cfg = dataclasses.replace(_run_config(args, which), gamma=params.gamma)
+        cfg = bounds.RunConfig(
+            paths_per_run=args.paths,
+            runs=args.runs,
+            seed=args.seed,
+            antithetic=not args.no_antithetic,
+            penalty_kind=getattr(args, "penalty", "zero"),
+            gamma=params.gamma,
+            parameter_set_id=args.set,
+        )
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
-    fn = bounds.lower_bound if which == "lower" else bounds.upper_bound
+    fn = bounds.lower_bound if args.command == "lower" else bounds.upper_bound
     try:
         est = fn(params, vg, cfg, workers=args.workers)
     except bounds.PathError as exc:
@@ -204,12 +173,6 @@ def _cmd_bound(args, which: str) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    payload = {
-        "command": "feasibility", "grid": args.grid, "config": args.config,
-        "penalty": args.penalty, "paths": args.paths, "seed": args.seed, "out": args.out,
-    }
-    if args.print_config:
-        return _print_config(payload)
     vg, params = _load_grid(args)
     try:
         report = penalties.feasibility_check(args.penalty, params, vg,
@@ -221,9 +184,6 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_verify_finite(args) -> int:
-    payload = {"command": "verify-finite", "mdp": args.mdp}
-    if args.print_config:
-        return _print_config(payload)
     mdp = _read_input(args.mdp, "mdp file", lambda fh: finite_mdp.FiniteMDP.from_json(fh.read()))
     try:
         report = finite_mdp.verify_duality(mdp, raise_on_failure=False)
@@ -262,9 +222,6 @@ def _bound_rows(fh) -> list:
 
 
 def cmd_report(args) -> int:
-    payload = {"command": "report", "csv": list(args.csv)}
-    if args.print_config:
-        return _print_config(payload)
     rows = []
     for path in args.csv:
         rows.extend(_read_input(path, "csv", _bound_rows))
@@ -326,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-params", help="export a published parameter set as JSON")
     sp.add_argument("set", type=int)
-    sp.add_argument("--gamma", type=float, default=None)
+    sp.add_argument("--gamma", type=float, default=1.5)
     add_common(sp)
     sp.set_defaults(fn=cmd_gen_params)
 
@@ -353,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="published parameter set id of the grid, echoed into the CSV")
         if which == "upper":
             sp.add_argument("--penalty", choices=penalties.PENALTY_KINDS, default="m1")
-        sp.add_argument("--paths", type=int, default=None,
+        sp.add_argument("--paths", type=int, default=100 if which == "lower" else 30,
                         help="paths per run (antithetic pairs when antithetics are on)")
         sp.add_argument("--runs", type=int, default=10)
         sp.add_argument("--no-antithetic", action="store_true")
@@ -361,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", default=None,
                         help="also write the full estimate (run means included) as JSON")
         add_common(sp, seed_required=True)
-        sp.set_defaults(fn=lambda args, w=which: _cmd_bound(args, w))
+        sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("feasibility", help="Monte Carlo zero-mean check of a penalty")
     sp.add_argument("--grid", required=True)
@@ -391,6 +348,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    if args.print_config:
+        config = {k: v for k, v in vars(args).items() if k not in ("fn", "print_config")}
+        print(json.dumps(config, indent=2, sort_keys=True))
+        return EXIT_OK
     try:
         return args.fn(args)
     except CliError as exc:

@@ -14,7 +14,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -164,9 +164,9 @@ def node_constraints(p: ModelParams, Rq: np.ndarray) -> tuple:
     return A, b
 
 
-def _default_start(p: ModelParams, eps: float = 1e-3) -> np.ndarray:
+def _default_start(p: ModelParams) -> np.ndarray:
     """Small positive (pi, c), scaled by R_f when R_f < 1 so the budget holds."""
-    return min(1.0, p.R_f) * np.concatenate([np.full(p.n, eps / p.n), [eps]])
+    return min(1.0, p.R_f) * np.concatenate([np.full(p.n, 1e-3 / p.n), [1e-3]])
 
 
 def backward_recursion(
@@ -310,10 +310,7 @@ def value_grid_to_dict(vg: ValueGrid, p: ModelParams) -> dict:
         "version": SERIAL_VERSION,
         "params_hash": p.content_hash(),
         "params": p.to_dict(),
-        "grid": vg.grid.tolist(),
-        "J": vg.J.tolist(),
-        "policy_pi": vg.policy_pi.tolist(),
-        "policy_c": vg.policy_c.tolist(),
+        **{f.name: getattr(vg, f.name).tolist() for f in fields(ValueGrid)},
     }
 
 
@@ -326,12 +323,7 @@ def value_grid_from_dict(data: dict) -> tuple:
     p = ModelParams.from_dict(data["params"])
     if data.get("params_hash") != p.content_hash():
         raise ValueError("value-grid file is corrupt: params hash mismatch")
-    vg = ValueGrid(
-        grid=np.asarray(data["grid"], dtype=float),
-        J=np.asarray(data["J"], dtype=float),
-        policy_pi=np.asarray(data["policy_pi"], dtype=float),
-        policy_c=np.asarray(data["policy_c"], dtype=float),
-    )
+    vg = ValueGrid(**{f.name: np.asarray(data[f.name], dtype=float) for f in fields(ValueGrid)})
     grid = vg.grid
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
         raise ValueError("value-grid file is corrupt: grid must be strictly increasing and finite "

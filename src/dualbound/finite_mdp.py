@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ class FiniteMDP:
 
     transition[x, a, o] is the index of the successor state; stage_reward is
     indexed (stage, state, action); outcome_probs is either one row shared by
-    all stages or a (horizon, n_outcomes) table.
+    all stages or a (horizon, len(outcomes)) table.
     """
 
     horizon: int
@@ -92,10 +92,6 @@ class FiniteMDP:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.outcomes)
 
     def to_dict(self) -> dict:
         return {
@@ -299,10 +295,10 @@ def _inner_solve_stagewise(mdp: FiniteMDP, penalty: StagewisePenalty, scenario: 
     return tuple(seq), float(I[0, mdp.initial_state])
 
 
-def dual_bound_exact(mdp: FiniteMDP, penalty, guard: int = ENUMERATION_GUARD) -> float:
+def dual_bound_exact(mdp: FiniteMDP, penalty) -> float:
     """Exact dual bound: probability-weighted inner optimum over every scenario."""
     total = 0.0
-    for scen in enumerate_scenarios(mdp, guard=guard):
+    for scen in enumerate_scenarios(mdp):
         _, val = inner_solve(mdp, penalty, scen)
         total += scen.probability * val
     return float(total)
@@ -319,11 +315,10 @@ def policy_action_sequence(mdp: FiniteMDP, policy: np.ndarray, scenario: Scenari
     return tuple(seq)
 
 
-def expected_penalty_under_policy(mdp: FiniteMDP, penalty, policy: np.ndarray,
-                                  guard: int = ENUMERATION_GUARD) -> float:
+def expected_penalty_under_policy(mdp: FiniteMDP, penalty, policy: np.ndarray) -> float:
     """Exact expectation of the penalty when actions follow a Markov policy."""
     total = 0.0
-    for scen in enumerate_scenarios(mdp, guard=guard):
+    for scen in enumerate_scenarios(mdp):
         seq = policy_action_sequence(mdp, policy, scen)
         total += scen.probability * penalty(seq, scen)
     return float(total)
@@ -342,14 +337,7 @@ class DualityReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "v0": self.v0,
-            "zero_penalty_bound": self.zero_penalty_bound,
-            "optimal_penalty_bound": self.optimal_penalty_bound,
-            "expected_optimal_penalty": self.expected_optimal_penalty,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_duality(mdp: FiniteMDP, strong_tol: float = 1e-10, martingale_tol: float = 1e-12,

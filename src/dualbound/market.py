@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,6 +69,9 @@ class ModelParams:
     W0: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("int", int):
+                object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name))
         object.__setattr__(self, "mu0", _frozen_array(self.mu0, (self.n,)))
         object.__setattr__(self, "mu1", _frozen_array(self.mu1, (self.n,)))
         object.__setattr__(self, "sigma", _frozen_array(self.sigma, (self.n, self.n)))
@@ -119,46 +123,20 @@ class ModelParams:
         return (s1 + self.sigma_phi2**2) * self.delta
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "mu0": self.mu0.tolist(),
-            "mu1": self.mu1.tolist(),
-            "sigma": self.sigma.tolist(),
-            "r_f": self.r_f,
-            "lambda": self.lam,
-            "sigma_phi1": self.sigma_phi1.tolist(),
-            "sigma_phi2": self.sigma_phi2,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "K": self.K,
-            "phi0": self.phi0,
-            "W0": self.W0,
-        }
+        """Every field under its JSON key, arrays as nested lists."""
+        return {_JSON_KEYS.get(f.name, f.name): _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        known = {
-            "n", "d", "mu0", "mu1", "sigma", "r_f", "lambda", "sigma_phi1",
-            "sigma_phi2", "alpha", "beta", "gamma", "delta", "K", "phi0", "W0",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ModelParams fields: {sorted(unknown)}")
-        missing = known - set(data)
-        if missing:
-            raise ValueError(f"missing ModelParams fields: {sorted(missing)}")
-        kwargs = {("lam" if k == "lambda" else k): v for k, v in data.items()}
-        for key in ("mu0", "mu1", "sigma", "sigma_phi1"):
-            kwargs[key] = np.asarray(kwargs[key], dtype=float)
-        return cls(**kwargs)
+        """The inverse of `to_dict`; every field is required, even those with defaults."""
+        keys = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+        for which, names in (("unknown", set(data) - set(keys)), ("missing", set(keys) - set(data))):
+            if names:
+                raise ValueError(f"{which} ModelParams fields: {sorted(names)}")
+        return cls(**{name: data[key] for key, name in keys.items()})
 
-    def to_json(self, **dump_kwargs) -> str:
-        dump_kwargs.setdefault("indent", 2)
-        dump_kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **dump_kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
@@ -169,6 +147,22 @@ class ModelParams:
 
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# The JSON key of each field whose key differs from its name.
+_JSON_KEYS = {"lam": "lambda"}
+
+
+def _plain(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a number with a fractional part is an error, not truncated."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frozen_array(a, shape) -> np.ndarray:

@@ -25,7 +25,7 @@ Both penalties have zero mean under any non-anticipative policy, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import dp_solver
@@ -146,30 +146,27 @@ class FeasibilityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_pairs": self.n_pairs, "mean": self.mean,
-                "stderr": self.stderr, "passed": self.passed}
+        return asdict(self)
 
 
 def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
-                      policy=None, n_paths: int = 10_000, seed: int = 0) -> FeasibilityReport:
-    """Monte Carlo zero-mean check of a penalty under the baseline policy.
+                      n_paths: int = 10_000, seed: int = 0) -> FeasibilityReport:
+    """Monte Carlo zero-mean check of a penalty under the grid policy.
 
     Samples n_paths antithetic pairs, evaluates the penalty at the baseline
     decisions, and passes iff |mean| <= 3 * stderr (pair averages are the
-    i.i.d. observations).  `kind` is one of PENALTY_KINDS, formed and
-    evaluated for a chunk of legs at a time, or a callable (ctx, params) ->
-    PenaltyForm for custom penalties, called on each leg's one-leg context.
-    `policy` is a batch policy (see `build_contexts`), by default the grid
-    policy.  The pairs come from one sequential stream keyed by the seed;
-    chunks of pairs are simulated as one batch.
+    i.i.d. observations).  `kind` is one of PENALTY_KINDS or a callable
+    (ctx, params) -> PenaltyForm for custom penalties; either is formed and
+    evaluated for a chunk of legs at a time, so a callable gets each chunk's
+    stacked context.  The pairs come from one sequential stream keyed by the
+    seed; chunks of pairs are simulated as one batch.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     kind_name = kind if isinstance(kind, str) else getattr(kind, "__name__", "custom")
     if isinstance(kind, str) and kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}; valid: {PENALTY_KINDS}")
-    if policy is None:
-        policy = dp_solver.make_grid_policy(vg, p)
+    policy = dp_solver.make_grid_policy(vg, p)
     # Philox keys itself with SeedSequence(seed).generate_state(2, uint64).
     rng = np.random.Generator(np.random.Philox((seed % 2**64, 0x7EA5)))
     K, n, d = p.K, p.n, p.d
@@ -185,10 +182,8 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
         np.negative(Z[:, 0], out=Z[:, 1])
         np.negative(Ztilde[:, 0], out=Ztilde[:, 1])
         ctxs = build_contexts(p, vg, policy, Z.reshape(2 * m, K, n), Ztilde.reshape(2 * m, K, d))
-        if callable(kind):
-            vals = np.array([kind(ctx, p).evaluate(ctx.Pi, ctx.C) for ctx in map(ctxs.leg, range(2 * m))])
-        else:
-            vals = penalty_form(kind, ctxs, p).evaluate(ctxs.Pi, ctxs.C)
+        form = kind(ctxs, p) if callable(kind) else penalty_form(kind, ctxs, p)
+        vals = form.evaluate(ctxs.Pi, ctxs.C)
         pair_means[start:start + m] = 0.5 * (vals[0::2] + vals[1::2])
     mean = float(np.mean(pair_means))
     stderr = float(np.std(pair_means, ddof=1) / math.sqrt(n_paths))

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import logging
@@ -51,6 +52,33 @@ class TestGenParams:
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "gen-params"
         assert payload["gamma"] == 1.5  # defaults are explicit
+
+
+def _subparser_dests(command: str) -> set:
+    """Every option and positional dest of a subcommand, plus its set_defaults keys."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = subparsers.choices[command]
+    return {a.dest for a in sp._actions if a.dest != "help"} | set(sp._defaults)
+
+
+class TestPrintConfig:
+    @pytest.mark.parametrize("argv, expect", [
+        (["gen-params", "2"], {"set": 2, "gamma": 1.5}),
+        (["solve", "--set", "1"], {"set": 1, "gamma": None, "grid_nodes": 21}),
+        (["lower", "--grid", "g.json", "--set", "1", "--seed", "3"], {"set": 1, "paths": 100, "seed": 3}),
+        (["upper", "--grid", "g.json", "--set", "1", "--seed", "3"], {"set": 1, "paths": 30, "penalty": "m1"}),
+        (["feasibility", "--grid", "g.json", "--gamma", "3", "--seed", "1"], {"gamma": 3.0, "paths": 10_000}),
+        (["verify-finite", "m.json"], {"mdp": "m.json"}),
+        (["report", "a.csv", "b.csv"], {"csv": ["a.csv", "b.csv"]}),
+    ])
+    def test_prints_every_option_of_the_command(self, capsys, argv, expect):
+        # No input file is read: the configuration is printed before the command runs.
+        assert run_cli(*argv, "--print-config") == 0
+        config = json.loads(capsys.readouterr().out)
+        assert set(config) == {"command"} | _subparser_dests(argv[0]) - {"fn", "print_config"}
+        assert config["command"] == argv[0]
+        assert {key: config[key] for key in expect} == expect
 
 
 class TestSolve:
@@ -130,6 +158,15 @@ class TestBounds:
         row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         flagged, total = int(row[11]), 2 * 10 * 2
         assert flagged / total < 0.01
+
+    def test_empty_out_file_gets_the_header(self, grid_file_set1, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        out.write_text("")
+        assert run_cli("lower", "--grid", grid_file_set1, "--seed", "1",
+                       "--paths", "2", "--runs", "2", "--out", str(out)) == 0
+        rows = out.read_text().strip().split("\n")
+        assert rows[0] == ",".join(bounds.CSV_COLUMNS) and len(rows) == 2
+        assert run_cli("report", str(out)) == 0
 
     def test_json_estimate_option(self, grid_file_set1, tmp_path):
         out = tmp_path / "est.json"
@@ -362,6 +399,14 @@ class TestExitCodes:
         cfg.write_text(market.parameter_set(1).to_json())
         assert run_cli("solve", "--config", str(cfg), "--gamma", "1", "--grid-nodes", "5") == 2
         assert "bad --gamma: gamma must be positive and != 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("K", 10.5), ("K", True), ("n", 3.5)])
+    def test_solve_config_with_non_integral_count_exits_2(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({**market.parameter_set(1).to_dict(), field: value}))
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer" in err and "Traceback" not in err
 
     def test_solve_negative_grid_nodes_exits_2(self, capsys):
         assert run_cli("solve", "--set", "1", "--grid-nodes", "-1") == 2

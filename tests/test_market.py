@@ -52,6 +52,12 @@ class TestParameterSets:
         with pytest.raises(ValueError, match="unknown parameter set"):
             parameter_set(5)
 
+    def test_published_params_hashes(self):
+        # Grid files and the CLI's --set check carry these hashes.
+        hashes = {sid: parameter_set(sid, gamma=1.5).content_hash() for sid in market.PARAMETER_SET_IDS}
+        assert hashes == {1: "3c311871680429fb", 2: "30069b076bdcd5ff",
+                          3: "61d3539b00751164", 4: "cd037a6c25e4ba23"}
+
 
 class TestParamsValidation:
     def test_rejects_upper_triangular_sigma(self):
@@ -95,6 +101,21 @@ class TestParamsValidation:
         del data["mu0"]
         with pytest.raises(ValueError, match="missing"):
             ModelParams.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", 10.5), ("K", True), ("n", 3.5), ("d", False), ("K", "10"), ("K", float("nan")),
+    ])
+    def test_from_dict_rejects_non_integral_counts(self, field, value):
+        data = {**parameter_set(1).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelParams.from_dict(data)
+
+    def test_integral_float_counts_stored_as_int(self):
+        data = {**parameter_set(1).to_dict(), "K": 2}
+        q = ModelParams.from_dict({**data, "K": 2.0, "n": 3.0, "d": 1.0})
+        assert (type(q.n), type(q.d), type(q.K)) == (int, int, int)
+        assert q.content_hash() == ModelParams.from_dict(data).content_hash()
+        assert q.to_json() == ModelParams.from_dict(data).to_json()
 
 
 class TestStepState:
