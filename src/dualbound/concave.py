@@ -177,10 +177,11 @@ def maximize_batch(
     """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
 
     A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
-    X0[i] must be strictly feasible and inside the domain of f_i, else that
-    problem is reported infeasible.  Converged means the barrier duality
-    measure (m / t) and the gradient-based KKT residual both fall below tol,
-    or that the active-set crossover verified the KKT conditions to tol.
+    Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
+    (f = -inf).  Converged: a crossover verified the KKT conditions on its
+    face to tol, or the barrier-KKT residual fell to tol at a stage with
+    m/t <= tol.  Max_iter: the next Newton step would pass max_newton (the
+    Solution holds the last iterate), or the stage at t_cap ended uncertified.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
@@ -194,20 +195,16 @@ def maximize_batch(
         rows = np.arange(A.shape[0])
         S = b - stacked_matvec(A, X)
         F = oracle.value(X, rows)
-        live = _Live.start(rows, A, b, X, S, F)
         infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
-        if infeasible.any():
-            for i in np.flatnonzero(infeasible):
-                out[i] = Solution(x=X[i].copy(), f=-np.inf, kkt_residual=np.inf, iterations=0,
-                                  status=STATUS_INFEASIBLE)
-            live.split(infeasible)
+        live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
+        _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
         _barrier(oracle, live, tol, max_newton, out)
     return out
 
 
 def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int, out: list) -> None:
-    """Centering stages at t = T_START * MU^j and at t_cap, each followed by
-    the exit tests its duality measure m/t admits."""
+    """Centering stages at t = T_START * MU^j and at t_cap.  Problems flagged
+    at the Newton cap exit first, the others by the tests m/t admits."""
     m = live.A.shape[1]
     t_cap = 2.0 * m / tol  # at the cap the duality measure m/t is tol/2
     t = min(T_START, t_cap)
@@ -219,32 +216,25 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
         gap = m / t
         exits = gap <= max(CROSSOVER_GAP, tol)
         dec_stop = 0.0 if gap <= tol else CROSSOVER_DECREMENT if exits else LOOSE_DECREMENT
-        _center(oracle, live, t, tol, max_newton, out, dec_stop)
-        done = np.zeros(live.size, dtype=bool)
+        capped = _center(oracle, live, t, tol, max_newton, dec_stop)
+        if capped.any():
+            _exit(out, live, capped, STATUS_MAX_ITER, _kkt(oracle, live, t))
+        kkt = _kkt(oracle, live, t) if gap <= tol else np.full(live.size, np.inf)
         if exits:
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
+            # A certified problem moves to its face optimum.
             for j, polished in enumerate(_polish(oracle, live, t)):
-                if polished is None:
-                    continue
-                x, f, kkt, steps = polished
-                live.newton[j] += steps
-                if kkt <= tol:
-                    out[live.rows[j]] = Solution(x=x.copy(), f=float(f), kkt_residual=float(kkt),
-                                                 iterations=int(live.newton[j]), status=STATUS_CONVERGED)
-                    done[j] = True
-        if gap <= tol:
-            kkt = _kkt(oracle, live.A, live.AT, live.b, live.X, live.rows, t)
-            for j in np.flatnonzero(~done):
-                if kkt[j] <= tol:
-                    out[live.rows[j]] = _result(live, j, float(kkt[j]), STATUS_CONVERGED)
-                    done[j] = True
-                elif t >= t_cap:
-                    # Duality measure is below tol but stationarity was not certified.
-                    out[live.rows[j]] = _result(live, j, float(kkt[j]), STATUS_MAX_ITER)
-                    done[j] = True
-        if done.any():
-            live.split(done)
+                if polished is not None:
+                    x, f, res, steps = polished
+                    live.newton[j] += steps
+                    if res <= tol:
+                        live.X[j], live.F[j], kkt[j] = x, f, res
+        done = kkt <= tol
+        _exit(out, live, done, STATUS_CONVERGED, kkt)
+        if t >= t_cap:
+            # Duality measure is below tol but stationarity was not certified.
+            _exit(out, live, np.ones(live.size, dtype=bool), STATUS_MAX_ITER, kkt[~done])
         t = min(t * MU, t_cap)
 
 
@@ -290,13 +280,18 @@ class _Live:
                 setattr(self, name, np.concatenate([getattr(q, name) for q in parts]))
 
 
-def _result(live: _Live, j: int, kkt: float, status: str) -> Solution:
-    return Solution(x=live.X[j].copy(), f=float(live.F[j]), kkt_residual=kkt,
-                    iterations=int(live.newton[j]), status=status)
+def _exit(out: list, live: _Live, mask: np.ndarray, status: str, kkt: np.ndarray) -> None:
+    """Record the masked rows of `live` at their current point with `status`
+    and their entries of kkt (one per row of `live`); then remove them."""
+    for j in np.flatnonzero(mask):
+        out[live.rows[j]] = Solution(x=live.X[j].copy(), f=float(live.F[j]), kkt_residual=float(kkt[j]),
+                                     iterations=int(live.newton[j]), status=status)
+    if mask.any():
+        live.split(mask)
 
 
-def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int, out: list,
-            dec_stop: float) -> None:
+def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int,
+            dec_stop: float) -> np.ndarray:
     """One centering stage at barrier weight t, each problem to its own stop.
 
     A problem stops where its gradient is below tol/2, where a step fails,
@@ -306,28 +301,25 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     the barrier-KKT test, CROSSOVER_DECREMENT on those that end only in a
     crossover and LOOSE_DECREMENT on those that end in no exit test.
 
-    Rows that stop centering are split off and merged back at the end.
-    Problems that reach max_newton get their current iterate in `out` and
-    leave `live`.  The per-row stopping and acceptance tests run on Python
-    floats (`tolist`), the same IEEE arithmetic as on arrays but without a
-    call per test.
+    Rows that stop centering are split off and merged back at the end.  A
+    row that would step with max_newton steps taken stops at its current
+    iterate and is flagged (one that reaches max_newton on its stopping step
+    is not); the flagged rows are merged back last and their mask returned.
+    The per-row stopping and acceptance tests run on Python floats
+    (`tolist`), the same IEEE arithmetic as on arrays but without a call per
+    test.
     """
     live.val = live.F + live.log_s / t  # barrier objective at the accepted point
     live.dec2 = np.full(live.size, np.inf)
     parked = []
+    capped = []
     half_tol = 0.5 * tol
-    check_cap = 0
-    for it in range(MAX_CENTERING):
-        if it >= check_cap and live.size:
-            capped = live.newton >= max_newton
-            if capped.any():
-                gone = live.split(capped)
-                kkt = _kkt(oracle, gone.A, gone.AT, gone.b, gone.X, gone.rows, t)
-                for j in range(gone.size):
-                    out[gone.rows[j]] = _result(gone, j, float(kkt[j]), STATUS_MAX_ITER)
-            check_cap = it + (int((max_newton - live.newton).min()) if live.size else 0)
-        if live.size == 0:
-            break
+    for _ in range(MAX_CENTERING):
+        at_cap = live.newton >= max_newton
+        if at_cap.any():
+            capped.append(live.split(at_cap))
+            if live.size == 0:
+                break
         inv_s = 1.0 / live.S
         w = inv_s / t
         grad_f = oracle.gradient(live.X, live.rows)
@@ -335,7 +327,7 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
         H = oracle.hessian(live.X, live.rows) - (live.AT * (w * inv_s)[:, None, :]) @ live.A
         moving = [gm > half_tol * max(1.0, fm)
                   for gm, fm in zip(np.abs(g).max(axis=1).tolist(), np.abs(grad_f).max(axis=1).tolist())]
-        step = _newton_step(H, g, moving)
+        step = _solve(H, -g)
         dec2 = (g * step).sum(axis=1)  # Newton decrement^2; >= 0 for concave models
         # A non-positive decrement is the float noise floor of the Newton
         # system: as centered as we get.
@@ -361,7 +353,8 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
             if all(stop):
                 break
             parked.append(live.split(np.array(stop)))
-    live.merge(parked)
+    live.merge(parked + capped)
+    return np.arange(live.size) >= live.size - sum(q.size for q in capped)
 
 
 def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> list:
@@ -408,34 +401,35 @@ def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> 
     return accepted.tolist()
 
 
-def _newton_step(H: np.ndarray, g: np.ndarray, need: list) -> np.ndarray:
-    """Solve H[i] step[i] = -g[i]; a singular H[i] is retried with a small
-    diagonal jitter where the step is needed (`need[i]`), else left zero."""
-    rhs = -g[:, :, None]
+def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stacked systems M[i] y[i] = rhs[i].  A singular M[i] is
+    retried alone, then by least squares, and left NaN if that fails too."""
     try:
-        return np.linalg.solve(H, rhs)[:, :, 0]
+        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass
-    step = np.zeros_like(g)
-    for i in np.flatnonzero(need):
+    sol = np.full(rhs.shape, np.nan)
+    for i in range(len(rhs)):
         try:
-            step[i] = np.linalg.solve(H[i:i + 1], rhs[i:i + 1])[0, :, 0]
+            sol[i] = np.linalg.solve(M[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            jitter = 1e-12 * (1.0 + float(np.abs(H[i]).max()))
-            step[i] = np.linalg.solve((H[i] - jitter * np.eye(H.shape[1]))[None], rhs[i:i + 1])[0, :, 0]
-    return step
+            try:
+                sol[i] = np.linalg.lstsq(M[i], rhs[i], rcond=None)[0]
+            except np.linalg.LinAlgError:
+                pass
+    return sol
 
 
-def _kkt(oracle: ObjectiveOracle, A, AT, b, X, rows, t: float) -> np.ndarray:
-    """Stationarity residuals with the barrier multipliers nu_i = 1/(t s_i),
-    measured relative to the gradient scale (absolute on O(1) problems)."""
-    s = b - stacked_matvec(A, X)
-    nu = 1.0 / (t * s)
-    grad = oracle.gradient(X, rows)
-    scale = np.maximum(1.0, np.abs(grad).max(axis=1))
-    res = np.abs(grad - stacked_matvec(AT, nu)).max(axis=1) / scale
-    res[s.min(axis=1) <= 0.0] = np.inf
-    return res
+def _stationarity(grad: np.ndarray, AT: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """|grad - A' nu|_inf relative to the gradient scale, max(1, |grad|_inf)."""
+    return np.abs(grad - stacked_matvec(AT, nu)).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+
+
+def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
+    """Stationarity of the rows of `live`, all strictly feasible, with the
+    barrier multipliers nu_i = 1/(t s_i)."""
+    nu = 1.0 / (t * (live.b - stacked_matvec(live.A, live.X)))
+    return _stationarity(oracle.gradient(live.X, live.rows), live.AT, nu)
 
 
 def _polish(oracle: ObjectiveOracle, live: _Live, t: float) -> list:
@@ -526,7 +520,7 @@ def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
     for step in range(1, MAX_FACE_NEWTON + 1):
         g = oracle.gradient(x, rows)
         KKT[:, :D, :D] = oracle.hessian(x, rows)
-        sol = _kkt_solve(KKT, np.concatenate([-g, ba - stacked_matvec(Aa, x)], axis=1))
+        sol = _solve(KKT, np.concatenate([-g, ba - stacked_matvec(Aa, x)], axis=1))
         dx = sol[:, :D]
         nu = -sol[:, D:]  # block system solves grad f + Aa' nu = 0
         size = np.abs(dx).max(axis=1).tolist()
@@ -563,9 +557,7 @@ def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
         end = np.array(end)
         fin = np.flatnonzero(end & np.array(moved))
         if fin.size:
-            grad = oracle.gradient(x[fin], rows[fin])
-            scale = np.maximum(1.0, np.abs(grad).max(axis=1))
-            stationarity = np.abs(grad - stacked_matvec(Aa[fin].transpose(0, 2, 1), nu[fin])).max(axis=1) / scale
+            stationarity = _stationarity(oracle.gradient(x[fin], rows[fin]), Aa[fin].transpose(0, 2, 1), nu[fin])
             ended += [(problems[i], x[i], f[i], nu[i], stationarity[q], step) for q, i in enumerate(fin)]
         keep = ~end
         if not keep.any():
@@ -573,21 +565,3 @@ def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
         last = [la for la, kp in zip(last, keep.tolist()) if kp]
         x, rows, problems, Aa, ba, KKT = x[keep], rows[keep], problems[keep], Aa[keep], ba[keep], KKT[keep]
     return ended
-
-
-def _kkt_solve(KKT: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the stacked face systems; a singular one falls back to least squares."""
-    try:
-        return np.linalg.solve(KKT, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        pass
-    sol = np.full(rhs.shape, np.nan)
-    for i in range(len(rhs)):
-        try:
-            sol[i] = np.linalg.solve(KKT[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            try:
-                sol[i] = np.linalg.lstsq(KKT[i], rhs[i], rcond=None)[0]
-            except np.linalg.LinAlgError:
-                pass
-    return sol

@@ -72,6 +72,8 @@ class ModelParams:
         for f in fields(self):
             if f.type in ("int", int):
                 object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name))
+            elif f.type in ("float", float):
+                object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
         object.__setattr__(self, "mu0", _frozen_array(self.mu0, (self.n,)))
         object.__setattr__(self, "mu1", _frozen_array(self.mu1, (self.n,)))
         object.__setattr__(self, "sigma", _frozen_array(self.sigma, (self.n, self.n)))
@@ -163,6 +165,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float, so 3 and 3.0 hash alike; a bool or a non-number is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(a, shape) -> np.ndarray:

@@ -193,6 +193,19 @@ class TestBounds:
         assert run_cli("lower", "--grid", grid_file_set1, "--config", str(other),
                        "--seed", "0") == 4
 
+    def test_config_with_integer_gamma_matches_its_grid(self, tmp_path):
+        grid, cfg = tmp_path / "g.json", tmp_path / "p.json"
+        assert run_cli("solve", "--set", "1", "--gamma", "3", "--grid-nodes", "5", "--out", str(grid)) == 0
+        cfg.write_text(json.dumps({**market.parameter_set(1, gamma=3.0).to_dict(), "gamma": 3}))
+        assert run_cli("lower", "--grid", str(grid), "--config", str(cfg), "--seed", "1",
+                       "--paths", "2", "--runs", "2", "--out", "-") == 0
+
+    def test_config_with_a_bool_weight_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({**market.parameter_set(1).to_dict(), "alpha": True}))
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == 2
+        assert "alpha must be a number" in capsys.readouterr().err
+
     def test_gamma_mismatch_exits_4(self, grid_file_set1):
         assert run_cli("lower", "--grid", grid_file_set1, "--gamma", "3.0",
                        "--seed", "0") == 4

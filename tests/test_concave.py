@@ -74,8 +74,9 @@ class TestMaximize:
         trace = []
 
         def traced_center(oracle, live, *args):
-            center(oracle, live, *args)
+            capped = center(oracle, live, *args)
             trace.extend(live.F.tolist())
+            return capped
 
         monkeypatch.setattr(concave, "_center", traced_center)
         sol = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=1e-8)
@@ -96,9 +97,9 @@ class TestMaximize:
         center = concave._center
         stages = []
 
-        def traced_center(oracle, live, t, tol, max_newton, out, dec_stop):
+        def traced_center(oracle, live, t, tol, max_newton, dec_stop):
             stages.append((t, dec_stop))
-            center(oracle, live, t, tol, max_newton, out, dec_stop)
+            return center(oracle, live, t, tol, max_newton, dec_stop)
 
         monkeypatch.setattr(concave, "_center", traced_center)
         # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
@@ -326,6 +327,89 @@ class TestMaximize:
                 grad_scale = max(1.0, float(np.max(np.abs(at_point(oracle.gradient, sol.x)))))
                 assert report.stationarity <= 1e-4 * grad_scale
                 assert report.feasibility <= 1e-9
+
+
+def set1_last_stage_nodes(p):
+    """The last-stage Bellman nodes of set 1 on the default grid: the batch
+    (oracle, A, b, X0) and the one-problem oracle of node i, `node(i)`."""
+    quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
+    Rq = dp_solver.node_returns(p, quad, dp_solver.DEFAULT_GRID)
+    A, b = dp_solver.node_constraints(p, Rq)
+    EJ = np.full(A.shape[0], (1.0 - p.alpha) / (1.0 - p.gamma))
+    X0 = np.tile(dp_solver._default_start(p), (A.shape[0], 1))
+
+    def node(i):
+        return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
+
+    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), node
+
+
+def assert_same_solution(sol, other):
+    np.testing.assert_array_equal(sol.x, other.x)
+    np.testing.assert_array_equal([sol.f, sol.kkt_residual], [other.f, other.kkt_residual])
+    assert (sol.iterations, sol.status) == (other.iterations, other.status)
+
+
+class TestExits:
+    @pytest.mark.parametrize("max_newton", [1, 3, 8])
+    def test_newton_cap_returns_the_last_iterate(self, monkeypatch, p_set1, max_newton):
+        (_, A, b, X0), node = set1_last_stage_nodes(p_set1)
+        line_search = concave._line_search
+        iterates = []
+
+        def traced_line_search(oracle, live, *args):
+            accepted = line_search(oracle, live, *args)
+            iterates.append((live.X[0].copy(), live.F[0]))
+            return accepted
+
+        monkeypatch.setattr(concave, "_line_search", traced_line_search)
+        sol = maximize(node(10), (A[10], b[10]), X0[10], tol=dp_solver.NODE_TOL, max_newton=max_newton)
+        assert sol.status == concave.STATUS_MAX_ITER
+        assert sol.iterations == max_newton == len(iterates)
+        np.testing.assert_array_equal(sol.x, iterates[-1][0])
+        assert sol.f == iterates[-1][1]
+        assert dp_solver.NODE_TOL < sol.kkt_residual < np.inf
+
+    @pytest.mark.parametrize("max_newton, converged", [(14, 4), (15, 10), (16, 16)])
+    def test_capped_rows_next_to_converged_rows_equal_their_one_problem_solves(self, p_set1, max_newton,
+                                                                               converged):
+        # A node that reaches the cap on the step where it stops centering
+        # still faces that stage's exit tests, so these counts include it.
+        (oracle, A, b, X0), node = set1_last_stage_nodes(p_set1)
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, max_newton=max_newton)
+        assert sum(sol.status == concave.STATUS_CONVERGED for sol in batch) == converged
+        assert {sol.status for sol in batch} == {concave.STATUS_CONVERGED, concave.STATUS_MAX_ITER}
+        for i, sol in enumerate(batch):
+            if sol.status == concave.STATUS_MAX_ITER:
+                assert sol.iterations == max_newton
+            assert_same_solution(sol, maximize(node(i), (A[i], b[i]), X0[i], tol=dp_solver.NODE_TOL,
+                                               max_newton=max_newton))
+
+    def test_t_cap_exit_when_no_crossover_certifies(self, monkeypatch, p_set1):
+        # At tol 1e-12 the barrier-KKT test is out of reach, so with every
+        # crossover failing the ladder ends at t_cap.
+        (oracle, A, b, X0), node = set1_last_stage_nodes(p_set1)
+        monkeypatch.setattr(concave, "_polish", lambda oracle, live, t: [None] * live.size)
+        sol = maximize(node(11), (A[11], b[11]), X0[11], tol=1e-12)
+        assert sol.status == concave.STATUS_MAX_ITER
+        assert sol.iterations == 26
+        assert 1e-12 < sol.kkt_residual < np.inf
+        assert np.isfinite(sol.f) and (b[11] - A[11] @ sol.x).min() > 0.0
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=1e-12)
+        assert {s.status for s in batch} == {concave.STATUS_MAX_ITER}
+        assert_same_solution(batch[11], sol)
+
+    def test_solve_falls_back_for_the_singular_system_only(self):
+        rng = np.random.default_rng(2)
+        M = rng.normal(size=(4, 3, 3)) + 4.0 * np.eye(3)
+        M[2, 1] = 0.0  # exactly singular
+        rhs = rng.normal(size=(4, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, rhs[:, :, None])
+        sol = concave._solve(M, rhs)
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(sol[i], np.linalg.solve(M[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0])
+        np.testing.assert_array_equal(sol[2], np.linalg.lstsq(M[2], rhs[2], rcond=None)[0])
 
 
 class TestOracleGradients:

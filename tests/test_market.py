@@ -117,6 +117,21 @@ class TestParamsValidation:
         assert q.content_hash() == ModelParams.from_dict(data).content_hash()
         assert q.to_json() == ModelParams.from_dict(data).to_json()
 
+    def test_integral_reals_stored_as_float(self):
+        p = parameter_set(1, gamma=3.0)
+        q = ModelParams.from_dict({**p.to_dict(), "gamma": 3, "beta": 1, "W0": 1, "phi0": 0})
+        assert {type(getattr(q, name)) for name in ("gamma", "beta", "W0", "phi0")} == {float}
+        assert q.content_hash() == p.content_hash() == "962b7b22c4160cea"
+        assert q.to_json() == p.to_json()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", True), ("alpha", False), ("gamma", "3"), ("r_f", None), ("beta", [1.0]),
+    ])
+    def test_from_dict_rejects_non_numeric_reals(self, field, value):
+        data = {**parameter_set(1).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            ModelParams.from_dict(data)
+
 
 class TestStepState:
     def test_zero_everything_is_fixed_point(self):
