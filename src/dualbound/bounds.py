@@ -7,10 +7,13 @@ run-of-runs protocol: per-run means over paths, mean and standard error
 across run means.  Path i of run r draws its Gaussians from a counter-based
 generator keyed by (seed, r, i); the antithetic partner negates the draws,
 so results are independent of worker count and replayable per path.  A
-lower-bound run simulates its paths in fixed-size batches, each path
-bit-identical to its one-path simulation.  An upper bound cuts the flat
-(run, path) list into fixed-size chunks and solves the inner problems of a
-chunk's legs as one lockstep batch, each bit-identical to its one-problem
+chunk derives the Philox keys of all its pairs with one vectorized copy of
+numpy's SeedSequence hash and draws each pair's stream through one reused
+generator, bit-identical to `shock_path`.  Both bounds cut the flat
+(run, path) list into fixed-size chunks that cross run boundaries.  A
+lower-bound chunk simulates its legs as one batch, each path bit-identical
+to its one-path simulation; an upper-bound chunk solves the inner problems
+of its legs as one lockstep batch, each bit-identical to its one-problem
 solve.  Neither chunk size depends on the worker count.
 """
 
@@ -31,7 +34,8 @@ from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
-LOWER_CHUNK_PAIRS = 64  # paths (antithetic pairs) per lower-bound simulation batch
+# (run, path) pairs per lower-bound task, simulated as one batch.
+LOWER_CHUNK_PAIRS = 256
 # (run, path) pairs per upper-bound task, solved as one batch.  The solver's
 # stacked temporaries grow with the batch: 8 pairs (16 legs) add about 2 MB to
 # the peak RSS of a process, 32 pairs about 11 MB for about 15% more speed.
@@ -66,6 +70,9 @@ class RunConfig:
             raise ValueError(f"penalty_kind must be one of {penalties.PENALTY_KINDS}")
         if not (-2**63 <= self.seed < 2**63):
             raise ValueError("seed must fit in 64 bits")
+        # Each run and path index is one 32-bit word of its stream's key.
+        if self.paths_per_run >= 2**32 or self.runs >= 2**32:
+            raise ValueError("paths_per_run and runs must be below 2**32")
 
 
 @dataclass(frozen=True)
@@ -136,38 +143,95 @@ def _init_worker(p, vg, cfg):
     _STATE["policy"] = dp_solver.make_grid_policy(vg, p)
 
 
-def _chunk_shocks(p, cfg, pairs):
-    """Shocks of the legs of the (run, path) pairs, in (pair, base/antithetic) order."""
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const, mult):
+    """SeedSequence's `hashmix` on uint32 arrays, advancing its own multiplier."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seed: int, runs, paths) -> np.ndarray:
+    """Philox keys of the (seed, run, path) streams as an (N, 2) uint64 array.
+
+    Row j is SeedSequence((seed % 2**64, runs[j], paths[j])).generate_state(2,
+    uint64), computed for all rows at once.  Run and path indices must be
+    below 2**32, so that each is one entropy word; the seed is one word below
+    2**32 and two words above.
+    """
+    s = seed % 2**64
+    words = (s, runs, paths, 0) if s < 2**32 else (s & _MASK32, s >> 32, runs, paths)
+    entropy = np.empty((4, len(runs)), dtype=np.uint32)
+    for row, word in zip(entropy, words):
+        row[:] = word
+    # Three entropy words fill the four-word pool with a hashed 0, as a fourth
+    # word of 0 would.
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_a(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    state = [hash_b(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _chunk_shocks(p, cfg, span):
+    """Shocks of the legs of flat pairs [start, stop), in (pair, base/antithetic)
+    order; pair j's base leg equals `shock_path` of its (run, path)."""
+    runs, paths = np.divmod(np.arange(*span), cfg.paths_per_run)
+    K, n, d = p.K, p.n, p.d
+    draws = np.empty((len(runs), K * (n + d)))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    # A fresh generator's state: counter 0 and an empty output buffer.
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(draws, _philox_keys(cfg.seed, runs, paths).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=row)   # Z's K*n draws, then Ztilde's K*d
     legs = 2 if cfg.antithetic else 1
-    Z = np.empty((len(pairs) * legs, p.K, p.n))
-    Ztilde = np.empty((len(pairs) * legs, p.K, p.d))
-    for j, (r, i) in enumerate(pairs):
-        base = shock_path(p, cfg.seed, r, i)
-        Z[j * legs], Ztilde[j * legs] = base.Z, base.Ztilde
-        if cfg.antithetic:
-            np.negative(base.Z, out=Z[j * legs + 1])
-            np.negative(base.Ztilde, out=Ztilde[j * legs + 1])
+    Z = np.empty((len(runs) * legs, K, n))
+    Ztilde = np.empty((len(runs) * legs, K, d))
+    Z[::legs] = draws[:, :K * n].reshape(-1, K, n)
+    Ztilde[::legs] = draws[:, K * n:].reshape(-1, K, d)
+    if cfg.antithetic:
+        np.negative(Z[0::2], out=Z[1::2])
+        np.negative(Ztilde[0::2], out=Ztilde[1::2])
     return Z, Ztilde
 
 
-def _path_error(which, cfg, pairs, leg, reason):
-    """PathError naming the (seed, run, path) of leg `leg` of the pairs' legs."""
-    r, i = pairs[leg // (2 if cfg.antithetic else 1)]
+def _path_error(which, cfg, span, leg, reason):
+    """PathError naming the (seed, run, path) of leg `leg` of flat pairs [start, stop)."""
+    r, i = divmod(span[0] + leg // (2 if cfg.antithetic else 1), cfg.paths_per_run)
     return PathError(f"{which}-bound path failed (seed={cfg.seed}, run={r}, path={i}): {reason}")
 
 
-def _lower_task(r):
-    """Mean utility over the legs of run r, in (path, base/antithetic) order."""
+def _lower_task(span):
+    """Utilities of the legs of flat pairs [start, stop), simulated as one batch."""
     p, cfg, policy = _STATE["p"], _STATE["cfg"], _STATE["policy"]
-    values = []
-    for start in range(0, cfg.paths_per_run, LOWER_CHUNK_PAIRS):
-        pairs = [(r, i) for i in range(start, min(start + LOWER_CHUNK_PAIRS, cfg.paths_per_run))]
-        try:
-            path = simulate_paths(p, policy, *_chunk_shocks(p, cfg, pairs))
-        except AdmissibilityError as exc:
-            raise _path_error("lower", cfg, pairs, exc.row, exc) from exc
-        values.append(path_utility(p, path.C, path.W[:, -1]))
-    return float(np.mean(np.concatenate(values)))
+    try:
+        path = simulate_paths(p, policy, *_chunk_shocks(p, cfg, span))
+    except AdmissibilityError as exc:
+        raise _path_error("lower", cfg, span, exc.row, exc) from exc
+    return path_utility(p, path.C, path.W[:, -1])
 
 
 def _upper_task(span):
@@ -175,17 +239,16 @@ def _upper_task(span):
     solved as one batch.  A leg whose start is not strictly feasible has no
     inner optimum (its f is -inf) and raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
-    pairs = [divmod(q, cfg.paths_per_run) for q in range(*span)]
     try:
-        ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, pairs))
+        ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
     except AdmissibilityError as exc:
-        raise _path_error("upper", cfg, pairs, exc.row, exc) from exc
+        raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
     sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
                                   tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
     for leg, sol in enumerate(sols):
         if sol.status == concave.STATUS_INFEASIBLE:
-            raise _path_error("upper", cfg, pairs, leg, "the inner problem's start is not strictly feasible")
+            raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
     return [sol.f for sol in sols], sum(sol.status != concave.STATUS_CONVERGED for sol in sols)
 
 
@@ -198,6 +261,13 @@ def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(p, vg, cfg)) as pool:
         return list(pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _spans(cfg: RunConfig, chunk: int) -> list:
+    """The flat (run, path) list cut into [start, stop) tasks of `chunk` pairs,
+    across run boundaries."""
+    n_pairs = cfg.runs * cfg.paths_per_run
+    return [(start, min(start + chunk, n_pairs)) for start in range(0, n_pairs, chunk)]
 
 
 def _collect(cfg: RunConfig, values) -> np.ndarray:
@@ -229,10 +299,13 @@ def _estimate(kind: str, cfg: RunConfig, p: ModelParams, run_means: np.ndarray,
 
 def lower_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
-    """Expected utility of the grid policy, by policy simulation (one task per run)."""
-    run_means = np.array(_run_tasks(_lower_task, list(range(cfg.runs)), p, vg, cfg, workers))
-    total = cfg.runs * cfg.paths_per_run * (2 if cfg.antithetic else 1)
-    return _estimate("lower", cfg, p, run_means, total, flagged=0)
+    """Expected utility of the grid policy, by policy simulation.
+
+    The flat (run, path) list is cut into tasks of LOWER_CHUNK_PAIRS pairs
+    (across run boundaries), each simulated as one `simulate_paths` batch.
+    """
+    values = np.concatenate(_run_tasks(_lower_task, _spans(cfg, LOWER_CHUNK_PAIRS), p, vg, cfg, workers))
+    return _estimate("lower", cfg, p, _collect(cfg, values), values.size, flagged=0)
 
 
 def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
@@ -249,10 +322,7 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
-    n_pairs = cfg.runs * cfg.paths_per_run
-    tasks = [(start, min(start + UPPER_CHUNK_PAIRS, n_pairs))
-             for start in range(0, n_pairs, UPPER_CHUNK_PAIRS)]
-    results = _run_tasks(_upper_task, tasks, p, vg, cfg, workers)
+    results = _run_tasks(_upper_task, _spans(cfg, UPPER_CHUNK_PAIRS), p, vg, cfg, workers)
     values = [f for task_values, _ in results for f in task_values]
     flagged = sum(task_flagged for _, task_flagged in results)
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)

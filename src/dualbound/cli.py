@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -117,6 +118,9 @@ def cmd_solve(args) -> int:
         logging.basicConfig(stream=sys.stderr)
         logging.getLogger("dualbound.dp_solver").setLevel(logging.DEBUG)
     params = _load_params(args)
+    if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
+        raise CliError(EXIT_INPUT, "the grid needs finite nodes: got --grid-min "
+                                   f"{args.grid_min!r}, --grid-max {args.grid_max!r}")
     try:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_nodes)
         quad = dp_solver.build_quadrature(args.quad, params.n)

@@ -75,6 +75,38 @@ class TestShockStreams:
             assert np.array_equal(sp.Ztilde, rng.standard_normal((10, 1)))
 
 
+KEY_SEEDS = [-2**63, -1, 0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+class TestChunkKeyedShocks:
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_equal_seed_sequence(self, seed):
+        # Seeds below 2**32 (mod 2**64) are one entropy word, the others two.
+        edges = [0, 1, 2**32 - 1]
+        rand = np.random.default_rng(seed % 2**32).integers(0, 2**32, 5).tolist()
+        runs, paths = map(np.ravel, np.meshgrid(edges + rand, edges + rand[::-1], indexing="ij"))
+        keys = bounds._philox_keys(seed, runs, paths)
+        assert keys.shape == (len(runs), 2) and keys.dtype == np.uint64
+        for run, path, key in zip(runs.tolist(), paths.tolist(), keys):
+            expect = np.random.SeedSequence((seed % 2**64, run, path)).generate_state(2, np.uint64)
+            assert np.array_equal(key, expect), (run, path)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_chunk_rows_equal_shock_path(self, p_set1, seed, antithetic):
+        # Pairs 5..17 of 7-path runs: the chunk starts inside run 0 and ends in run 2.
+        cfg = RunConfig(paths_per_run=7, runs=3, seed=seed, antithetic=antithetic)
+        Z, Ztilde = bounds._chunk_shocks(p_set1, cfg, (5, 18))
+        legs = 2 if antithetic else 1
+        assert Z.shape == (13 * legs, 10, 3) and Ztilde.shape == (13 * legs, 10, 1)
+        for j, q in enumerate(range(5, 18)):
+            base = shock_path(p_set1, seed, *divmod(q, cfg.paths_per_run))
+            expect = (base, base.antithetic()) if antithetic else (base,)
+            for leg, sp in enumerate(expect):
+                assert np.array_equal(Z[j * legs + leg], sp.Z)
+                assert np.array_equal(Ztilde[j * legs + leg], sp.Ztilde)
+
+
 class TestRunConfig:
     def test_needs_two_runs(self):
         with pytest.raises(ValueError, match="runs"):
@@ -83,6 +115,12 @@ class TestRunConfig:
     def test_rejects_unknown_penalty(self):
         with pytest.raises(ValueError, match="penalty"):
             RunConfig(paths_per_run=10, runs=2, seed=0, penalty_kind="m9")
+
+    @pytest.mark.parametrize("paths, runs", [(2**32, 2), (10, 2**32)])
+    def test_rejects_indices_beyond_one_key_word(self, paths, runs):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            RunConfig(paths_per_run=paths, runs=runs, seed=0)
+        RunConfig(paths_per_run=min(paths, 2**32 - 1), runs=min(runs, 2**32 - 1), seed=0)
 
 
 def _wealth_emptying_grid(p):
@@ -172,11 +210,14 @@ class TestLowerBound:
                             return r, i, str(exc)
 
         r, i, message = first_failure()
-        monkeypatch.setattr(bounds, "LOWER_CHUNK_PAIRS", 2)
-        assert (r, i) == (1, 3)  # the second path of its chunk, in the second run
-        with pytest.raises(bounds.PathError) as err:
-            lower_bound(p, vg, cfg)
-        assert f"(seed=6, run={r}, path={i}): {message}" in str(err.value)
+        assert (r, i) == (1, 3)  # flat pair 15
+        # Chunks of 2 put it second in pairs 14..15, chunks of 5 first in pairs
+        # 15..19, and chunks of 10 sixth in pairs 10..19, which start in run 0.
+        for chunk in (2, 5, 10):
+            monkeypatch.setattr(bounds, "LOWER_CHUNK_PAIRS", chunk)
+            with pytest.raises(bounds.PathError) as err:
+                lower_bound(p, vg, cfg)
+            assert f"(seed=6, run={r}, path={i}): {message}" in str(err.value)
 
 
 class TestAssembleInner:
@@ -306,15 +347,20 @@ class TestWorkerPool:
 
         monkeypatch.setattr(bounds, "ProcessPoolExecutor", InProcess)
         cfg = RunConfig(paths_per_run=3, runs=3, seed=8, gamma=1.5)
+        serial = lower_bound(p_set1, vg_set1, cfg).run_means
+        est = lower_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 9 pairs: no pool
+        assert sizes == []
+        assert np.array_equal(est.run_means, serial)
+        monkeypatch.setattr(bounds, "LOWER_CHUNK_PAIRS", 1)
         est = lower_bound(p_set1, vg_set1, cfg, workers=64)
-        assert sizes == [3]
-        assert np.array_equal(est.run_means, lower_bound(p_set1, vg_set1, cfg).run_means)
+        assert sizes == [9]
+        assert np.array_equal(est.run_means, serial)
         cfg = RunConfig(paths_per_run=2, runs=2, seed=8, penalty_kind="zero", gamma=1.5)
         upper_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 4 pairs: no pool
-        assert sizes == [3]
+        assert sizes == [9]
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 1)
         upper_bound(p_set1, vg_set1, cfg, workers=64)
-        assert sizes == [3, 4]
+        assert sizes == [9, 4]
 
 
 class TestUpperBound:

@@ -119,6 +119,7 @@ class TestSolve:
         expect = (R_f ** (1 - 1.5) * 1.0) ** 10 / (1 - 1.5)
         assert value == pytest.approx(expect, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bound", [("--grid-min", "nan"), ("--grid-max", "inf")])
     def test_non_finite_grid_exits_2(self, capsys, bound):
         assert run_cli("solve", "--set", "1", "--grid-nodes", "5", *bound) == 2
@@ -209,6 +210,17 @@ class TestBounds:
     def test_gamma_mismatch_exits_4(self, grid_file_set1):
         assert run_cli("lower", "--grid", grid_file_set1, "--gamma", "3.0",
                        "--seed", "0") == 4
+
+    def test_paths_beyond_one_key_word_exit_2_before_simulating(self, grid_file_set1, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("lower_bound ran")
+
+        monkeypatch.setattr(bounds, "lower_bound", unreachable)
+        assert run_cli("lower", "--grid", grid_file_set1, "--seed", "1",
+                       "--paths", "4294967296", "--out", "-") == 2
+        captured = capsys.readouterr()
+        assert "paths_per_run and runs must be below 2**32" in captured.err
+        assert captured.out == ""
 
     def test_seed_is_mandatory(self, grid_file_set1, capsys):
         assert run_cli("lower", "--grid", grid_file_set1) == 2
