@@ -81,7 +81,8 @@ class ObjectiveOracle:
     Each callable takes X[N, D] and rows[N], the indices of the problems the
     points belong to, and returns values f[N] (-inf outside a problem's
     domain), gradients [N, D] or Hessians [N, D, D].  Row i of the output
-    may depend only on X[i] and problem rows[i].
+    may depend only on X[i] and problem rows[i].  Each call returns a new
+    Hessian array: the solver writes into it.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -249,7 +250,7 @@ class _Live:
 
     # val is f + (1/t) sum log s at the current barrier weight t; dec2 is
     # the Newton decrement^2 of the row's last step in the current stage.
-    FIELDS = ("rows", "A", "AT", "b", "X", "S", "F", "log_s", "val", "newton", "dec2")
+    FIELDS = ("rows", "A", "b", "X", "S", "F", "log_s", "val", "newton", "dec2")
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -257,9 +258,8 @@ class _Live:
     @classmethod
     def start(cls, rows, A, b, X, S, F) -> "_Live":
         log_s = np.log(S).sum(axis=1)
-        return cls(rows=rows, A=A, AT=np.ascontiguousarray(A.transpose(0, 2, 1)), b=b, X=X, S=S, F=F,
-                   log_s=log_s, val=F + log_s, newton=np.zeros(rows.size, dtype=int),
-                   dec2=np.full(rows.size, np.inf))
+        return cls(rows=rows, A=A, b=b, X=X, S=S, F=F, log_s=log_s, val=F + log_s,
+                   newton=np.zeros(rows.size, dtype=int), dec2=np.full(rows.size, np.inf))
 
     @property
     def size(self) -> int:
@@ -323,8 +323,15 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
         inv_s = 1.0 / live.S
         w = inv_s / t
         grad_f = oracle.gradient(live.X, live.rows)
-        g = grad_f - stacked_matvec(live.AT, w)
-        H = oracle.hessian(live.X, live.rows) - (live.AT * (w * inv_s)[:, None, :]) @ live.A
+        # A' is not stored.  Each step copies it in C order (BLAS rounds a
+        # matvec on the strided view differently, by an ulp in the bounds),
+        # scales the copy in place into the barrier Hessian's factor and
+        # frees it.  `copy`: ascontiguousarray returns A itself where D or m is 1.
+        H = oracle.hessian(live.X, live.rows)
+        AT = live.A.transpose(0, 2, 1).copy()
+        g = grad_f - stacked_matvec(AT, w)
+        H -= np.multiply(AT, (w * inv_s)[:, None, :], out=AT) @ live.A
+        del AT
         moving = [gm > half_tol * max(1.0, fm)
                   for gm, fm in zip(np.abs(g).max(axis=1).tolist(), np.abs(grad_f).max(axis=1).tolist())]
         step = _solve(H, -g)
@@ -429,7 +436,8 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
     """Stationarity of the rows of `live`, all strictly feasible, with the
     barrier multipliers nu_i = 1/(t s_i)."""
     nu = 1.0 / (t * (live.b - stacked_matvec(live.A, live.X)))
-    return _stationarity(oracle.gradient(live.X, live.rows), live.AT, nu)
+    AT = np.ascontiguousarray(live.A.transpose(0, 2, 1))
+    return _stationarity(oracle.gradient(live.X, live.rows), AT, nu)
 
 
 def _polish(oracle: ObjectiveOracle, live: _Live, t: float) -> list:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,22 @@ class TestAssembleInner:
                 one.f, one.kkt_residual, one.iterations, one.status)
             assert one.status == concave.STATUS_CONVERGED
 
+    def test_upper_chunk_solve_peaks_below_75_kb_per_leg(self, p_set1, vg_set1):
+        # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS, which is
+        # sized for about 62 KB a leg on this batch (16 pairs, 40-dim legs).
+        p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind="m1", gamma=1.5)
+        policy = dp_solver.make_grid_policy(vg_set1, p)
+        ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form("m1", ctxs, p), ctxs)
+        assert len(X0) == 32
+        tracemalloc.start()
+        try:
+            concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 75e3 * len(X0)
+
 
 def _upper_leg_by_leg(p, vg, cfg):
     """Run means and flagged count of a per-leg loop of shock_path ->
@@ -365,18 +383,19 @@ class TestWorkerPool:
 
 class TestUpperBound:
     @pytest.mark.parametrize("penalty", ["m1", "zero"])
-    @pytest.mark.parametrize("chunk", [3, bounds.UPPER_CHUNK_PAIRS])
+    @pytest.mark.parametrize("chunk", [3, 8, bounds.UPPER_CHUNK_PAIRS])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, monkeypatch,
                                                       penalty, chunk, workers):
-        # 5 pairs per run: chunks of 3 straddle the run boundaries.
+        # 10 pairs per run: a chunk of 3 or 8 pairs and the first chunk of the
+        # default size straddle the run boundary.
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", chunk)
-        cfg = RunConfig(paths_per_run=5, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
+        cfg = RunConfig(paths_per_run=10, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
         est = upper_bound(p_set1, vg_set1, cfg, workers=workers)
         run_means, flagged = _upper_leg_by_leg(p_set1, vg_set1, cfg)
         assert np.array_equal(est.run_means, run_means)
         assert est.flagged_paths == flagged
-        assert est.total_paths == 20
+        assert est.total_paths == 40
 
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
         p = market.parameter_set(1)

@@ -83,7 +83,7 @@ class TestPrintConfig:
 
 class TestSolve:
     def test_writes_full_size_grid_and_prints_value(self, grid_file_set1, capsys):
-        data = json.loads(open(grid_file_set1).read())
+        data = json.loads(Path(grid_file_set1).read_text())
         J = np.asarray(data["J"])
         assert J.shape == (11, 21)
         assert len(data["grid"]) == 21
@@ -444,7 +444,7 @@ class TestExitCodes:
         assert "bad grid file: value-grid file must hold a JSON object" in capsys.readouterr().err
 
     def test_malformed_grid_file_exits_2(self, grid_file_set1, tmp_path, capsys):
-        data = json.loads(open(grid_file_set1).read())
+        data = json.loads(Path(grid_file_set1).read_text())
         data["grid"] = data["grid"][::-1]
         bad = tmp_path / "bad_grid.json"
         bad.write_text(json.dumps(data))
