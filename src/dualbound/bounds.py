@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -260,6 +259,8 @@ def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
     if workers <= 1:
         _init_worker(p, vg, cfg)
         return [task_fn(t) for t in tasks]
+    # Imported here: it loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(p, vg, cfg)) as pool:
         return list(pool.map(task_fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
@@ -420,15 +421,18 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
     return oracle, (A[0], b[0]), X0[0]
 
 
+def gap_fraction(lower: float, uppers) -> float:
+    """Gap of the tightest (smallest) upper bound, as a fraction of |lower|."""
+    return (min(uppers) - lower) / abs(lower)
+
+
 def duality_gap(lower: BoundEstimate, upper_m1: BoundEstimate,
                 upper_m2: Optional[BoundEstimate] = None) -> dict:
     """Tightest-upper-bound gap, as a fraction of the lower bound (value and CE)."""
     uppers = [u for u in (upper_m1, upper_m2) if u is not None]
-    best_value = min(u.mean for u in uppers)
-    best_ce = min(u.ce_mean for u in uppers)
     return {
-        "value_gap_frac": (best_value - lower.mean) / abs(lower.mean),
-        "ce_gap_frac": (best_ce - lower.ce_mean) / abs(lower.ce_mean),
+        "value_gap_frac": gap_fraction(lower.mean, [u.mean for u in uppers]),
+        "ce_gap_frac": gap_fraction(lower.ce_mean, [u.ce_mean for u in uppers]),
     }
 
 

@@ -255,9 +255,8 @@ def cmd_report(args) -> int:
         uppers = [slots[s] for s in ("m1", "m2") if s in slots]
         # The gap is relative to the lower bound, so a zero lower bound has none.
         if lower is not None and uppers and 0.0 not in (float(lower["value_mean"]), float(lower["ce_mean"])):
-            lo_v, lo_c = float(lower["value_mean"]), float(lower["ce_mean"])
-            gap_v = (min(float(u["value_mean"]) for u in uppers) - lo_v) / abs(lo_v)
-            gap_c = (min(float(u["ce_mean"]) for u in uppers) - lo_c) / abs(lo_c)
+            gap_v = bounds.gap_fraction(float(lower["value_mean"]), [float(u["value_mean"]) for u in uppers])
+            gap_c = bounds.gap_fraction(float(lower["ce_mean"]), [float(u["ce_mean"]) for u in uppers])
             vals += f"{gap_v * 100:>23.2f}%"
             ces += f"{gap_c * 100:>23.2f}%"
         else:

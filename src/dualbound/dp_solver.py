@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import concave
 from .market import ModelParams, log_return_mean
@@ -67,6 +66,23 @@ def build_quadrature(q: int, n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _norm_cdf(x: float) -> float:
+    """Standard normal CDF on the C library's erf/erfc, with the branches of
+    cephes' ndtr: erf near the centre, erfc of |z| in the tails (reflected on
+    the right), so neither tail loses digits to cancellation."""
+    z = x * _SQRT_HALF
+    if abs(z) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(z)
+    y = 0.5 * math.erfc(abs(z))
+    return 1.0 - y if z > 0.0 else y
+
+
+_norm_cdf_array = np.vectorize(_norm_cdf, otypes=[float])
+
+
 def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
     """Row-stochastic (G, G) transition of the state grid.
 
@@ -81,21 +97,14 @@ def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
     G = grid.size
     mids = 0.5 * (grid[:-1] + grid[1:])
     var = p.phi_step_var
-    P = np.zeros((G, G))
     means = grid * (1.0 - p.lam * p.delta)
     if var <= 0.0:
-        for i, m in enumerate(means):
-            P[i, int(np.argmin(np.abs(grid - m)))] = 1.0
+        P = np.zeros((G, G))
+        P[np.arange(G), np.argmin(np.abs(grid - means[:, None]), axis=1)] = 1.0
         return P
-    sd = math.sqrt(var)
-    for i, m in enumerate(means):
-        cdf = ndtr((mids - m) / sd)
-        row = np.empty(G)
-        row[0] = cdf[0]
-        row[1:-1] = np.diff(cdf)
-        row[-1] = 1.0 - cdf[-1]
-        P[i] = row / row.sum()
-    return P
+    cdf = _norm_cdf_array((mids - means[:, None]) / math.sqrt(var))   # (G, G-1)
+    P = np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+    return P / P.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import tracemalloc
 
 import numpy as np
@@ -363,7 +364,7 @@ class TestWorkerPool:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(bounds, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
         cfg = RunConfig(paths_per_run=3, runs=3, seed=8, gamma=1.5)
         serial = lower_bound(p_set1, vg_set1, cfg).run_means
         est = lower_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 9 pairs: no pool

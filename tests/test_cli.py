@@ -2,13 +2,16 @@ import argparse
 import importlib.util
 import json
 import logging
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dualbound
 from dualbound import bounds, cli, market
 from dualbound.cli import main
 
@@ -124,6 +127,22 @@ class TestSolve:
     def test_non_finite_grid_exits_2(self, capsys, bound):
         assert run_cli("solve", "--set", "1", "--grid-nodes", "5", *bound) == 2
         assert "finite nodes" in capsys.readouterr().err
+
+    def test_solve_loads_neither_scipy_nor_a_process_pool(self, tmp_path):
+        # A fresh interpreter: this one has scipy and multiprocessing loaded by other tests.
+        code = (
+            "import sys\n"
+            "from dualbound.cli import main\n"
+            "assert main(['solve', '--set', '1', '--grid-nodes', '5', '--out', sys.argv[1]]) == 0\n"
+            "loaded = [m for m in sys.modules if m.startswith(('scipy', 'multiprocessing'))\n"
+            "          or m == 'concurrent.futures.process']\n"
+            "sys.exit('loaded: ' + ' '.join(sorted(loaded)) if loaded else 0)\n"
+        )
+        src = str(Path(dualbound.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.json")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_strict_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -325,6 +344,16 @@ class TestReport:
         assert run_cli("report", str(csv_path)) == 0
         block = capsys.readouterr().out.split("gamma=3.0")[0]
         assert "%" not in block.split("Value")[1].split("\n")[0]
+
+    def test_gap_cells(self, tmp_path, capsys):
+        # The right-aligned "Duality Gap" cells of each Value and CE line, byte for byte.
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(self.CSV + "2,1.5,lower,none,0.0,0.003,0.1332,0.0001,100,10,42,0\n"
+                                       "2,1.5,upper,m1,-5.391,0.008,0.1376,0.0004,30,10,42,0\n")
+        assert run_cli("report", str(csv_path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [line[-24:] for line in lines if line.startswith(("  Value", "  CE"))]
+        assert cells == [f"{c:>24s}" for c in ("1.61%", "3.30%", "--", "--", "--", "--")]
 
     def test_missing_uppers_marked_absent_exit_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from dualbound import concave, dp_solver, market
@@ -92,6 +93,37 @@ class TestPhiTransition:
         p = market.parameter_set(1)
         with pytest.raises(ValueError, match="sorted"):
             build_phi_transition(np.array([0.0, -1.0, 1.0]), p)
+
+    @pytest.mark.parametrize("set_id", [1, 2, 3, 4])
+    def test_equals_the_ndtr_transition(self, set_id):
+        # The per-row construction on scipy's ndtr that the runtime used before.
+        p = market.parameter_set(set_id)
+        grid = np.linspace(-2, 2, 21)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        sd = math.sqrt(p.phi_step_var)
+        expect = np.empty((21, 21))
+        for i, m in enumerate(grid * (1.0 - p.lam * p.delta)):
+            cdf = ndtr((mids - m) / sd)
+            row = np.concatenate([[cdf[0]], np.diff(cdf), [1.0 - cdf[-1]]])
+            expect[i] = row / row.sum()
+        np.testing.assert_allclose(build_phi_transition(grid, p), expect, rtol=0, atol=1e-15)
+
+
+class TestNormCdf:
+    def test_relative_error_against_ndtr_over_both_tails(self):
+        x = np.linspace(-37.0, 37.0, 74_001)
+        expect = ndtr(x)
+        assert np.all(expect > 0)
+        assert np.max(np.abs(dp_solver._norm_cdf_array(x) - expect) / expect) <= 1e-13
+
+    def test_ulps_against_ndtr_on_the_body(self):
+        # Left of -5 both forms carry the rounding of z = x / sqrt(2), which
+        # erfc amplifies by about x^2 (30-90 ulps from the exact value for
+        # each); the relative test above covers that tail.
+        x = np.linspace(-5.0, 8.0, 130_001)
+        expect = ndtr(x)
+        ulps = np.abs(dp_solver._norm_cdf_array(x) - expect) / np.spacing(expect)
+        assert np.max(ulps) <= 16
 
 
 class TestInterpolation:
