@@ -35,11 +35,14 @@ INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 # (run, path) pairs per lower-bound task, simulated as one batch.
 LOWER_CHUNK_PAIRS = 256
-# (run, path) pairs per upper-bound task, solved as one batch.  A larger batch
-# pays less per-call overhead a leg but holds more solver temporaries: at
-# K = 10 a leg peaks at about 62 KB (m1) to 87 KB (zero), and at K = 40 at
-# about 1 MB.  On the set-1 `dual-bound` benchmark, 16 pairs instead of 8 cut
-# wall time by 16% for +3% peak RSS; 32 pairs cut 3% more for +10%.
+# (run, path) pairs per upper-bound task, solved as one batch, at inner
+# dimension D = 40 (K = 10, n = 3); `_upper_chunk_pairs` scales it by 40 / D.
+# A larger batch pays less per-call overhead a leg but holds more solver
+# temporaries, which grow like D^2 a leg: at K = 10 about 62 KB (m1) to 87 KB
+# (zero), at K = 40 about 1 MB.  On the set-1 `dual-bound` benchmark, 16 pairs
+# instead of 8 cut wall time by 16% for +3% peak RSS; 32 pairs cut 3% more
+# for +10%.  At K = 40, 4 pairs take 5-9% less time a leg than 16 at a third
+# of the tracemalloc peak; 1 pair, a (40 / D)^2 scaling, takes 3-6% more.
 UPPER_CHUNK_PAIRS = 16
 
 CSV_COLUMNS = (
@@ -273,6 +276,11 @@ def _spans(cfg: RunConfig, chunk: int) -> list:
     return [(start, min(start + chunk, n_pairs)) for start in range(0, n_pairs, chunk)]
 
 
+def _upper_chunk_pairs(p: ModelParams) -> int:
+    """Pairs per upper-bound task for inner problems of dimension D = K (n + 1)."""
+    return max(1, UPPER_CHUNK_PAIRS * 40 // (p.K * (p.n + 1)))
+
+
 def _collect(cfg: RunConfig, values) -> np.ndarray:
     """Fixed-order reduction of per-leg values, in (run, path, base/antithetic)
     order, into per-run means."""
@@ -315,17 +323,18 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
     """Dual bound: mean of per-path inner optima under the configured penalty.
 
-    The flat (run, path) list is cut into tasks of UPPER_CHUNK_PAIRS pairs
-    (across run boundaries), and each task solves the inner problems of its
-    legs as one `concave.maximize_batch` call; every leg's optimum is
-    bit-identical to its own `assemble_inner` + `maximize`.
+    The flat (run, path) list is cut into tasks of `_upper_chunk_pairs(p)`
+    pairs (across run boundaries), and each task solves the inner problems of
+    its legs as one `concave.maximize_batch` call; every leg's optimum is
+    bit-identical to its own `assemble_inner` + `maximize`, so the results do
+    not depend on the task size.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
-    results = _run_tasks(_upper_task, _spans(cfg, UPPER_CHUNK_PAIRS), p, vg, cfg, workers)
+    results = _run_tasks(_upper_task, _spans(cfg, _upper_chunk_pairs(p)), p, vg, cfg, workers)
     values = [f for task_values, _ in results for f in task_values]
     flagged = sum(task_flagged for _, task_flagged in results)
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)

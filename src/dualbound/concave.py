@@ -12,7 +12,10 @@ earlier stage stops at LOOSE_DECREMENT, close enough to the central path to
 start the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
 crossover guesses as active the rows whose slack is small against their
 barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
-KKT conditions verify.
+KKT conditions verify.  A caller that knows a likely active face, such as
+the Bellman recursion from the previous stage's optima, passes it as `face`:
+the crossover then runs once from the start, before any barrier stage, and
+only the problems it does not certify run the barrier.
 
 `maximize_batch` solves B problems of one dimension D and one row count m
 together.  Every problem keeps its own iterate, Newton count, line search,
@@ -31,7 +34,7 @@ both the Bellman nodes and the inner problems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -156,15 +159,19 @@ def maximize(
     tol: float = 1e-8,
     max_newton: int = 200,
 ) -> Solution:
-    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b).
+    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b) or
+    (A, b, face), face an (m,) bool guess of the active rows.
 
     The one-problem call of `maximize_batch`; the oracle is evaluated with
     rows = [0].
     """
-    A, b = cons
+    A, b, *face = cons
+    if len(face) > 1:
+        raise ValueError("cons must be (A, b) or (A, b, face)")
+    face = np.asarray(face[0])[None] if face else None
     x0 = np.asarray(x0, dtype=float)
     return maximize_batch(oracle, np.asarray(A)[None], np.asarray(b)[None], x0[None],
-                          tol=tol, max_newton=max_newton)[0]
+                          tol=tol, max_newton=max_newton, face=face)[0]
 
 
 def maximize_batch(
@@ -174,10 +181,15 @@ def maximize_batch(
     X0: np.ndarray,
     tol: float = 1e-8,
     max_newton: int = 200,
+    face: Optional[np.ndarray] = None,
 ) -> list:
     """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
 
     A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
+    face, if given, is a (B, m) bool guess of the rows active at each optimum,
+    such as those of a nearby problem's optimum: a crossover from X0 onto it
+    runs first, its problems that verify to tol exit converged (their face
+    steps counted as Newton steps) and the others run the barrier from X0.
     Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
     (f = -inf).  Converged: a crossover verified the KKT conditions on its
     face to tol, or the barrier-KKT residual fell to tol at a stage with
@@ -189,6 +201,10 @@ def maximize_batch(
     X = np.array(X0, dtype=float)
     if A.shape[1] == 0:
         raise ValueError("unconstrained problems are not supported; add at least one row")
+    if face is not None:
+        face = np.asarray(face)
+        if face.shape != b.shape or face.dtype != bool:
+            raise ValueError(f"face must be a bool array of shape {b.shape}")
     out: list = [None] * A.shape[0]
     # A trial point outside a problem's domain or feasible set evaluates to
     # NaN or -inf and is rejected, so invalid-value warnings are silenced.
@@ -199,6 +215,9 @@ def maximize_batch(
         infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
         live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
         _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
+        if face is not None:
+            kkt = _crossover(oracle, live, face[live.rows], tol, np.full(live.size, np.inf))
+            _exit(out, live, kkt <= tol, STATUS_CONVERGED, kkt)
         _barrier(oracle, live, tol, max_newton, out)
     return out
 
@@ -224,13 +243,8 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
         if exits:
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
-            # A certified problem moves to its face optimum.
-            for j, polished in enumerate(_polish(oracle, live, t)):
-                if polished is not None:
-                    x, f, res, steps = polished
-                    live.newton[j] += steps
-                    if res <= tol:
-                        live.X[j], live.F[j], kkt[j] = x, f, res
+            # Row i is guessed active where t s_i^2 <= KAPPA (see `_polish`).
+            kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt)
         done = kkt <= tol
         _exit(out, live, done, STATUS_CONVERGED, kkt)
         if t >= t_cap:
@@ -440,12 +454,27 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
     return _stationarity(oracle.gradient(live.X, live.rows), AT, nu)
 
 
-def _polish(oracle: ObjectiveOracle, live: _Live, t: float) -> list:
-    """Newton crossover of every live problem onto the active face guessed
-    from its barrier point at weight t.
+def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: float,
+               kkt: np.ndarray) -> np.ndarray:
+    """`_polish` every row of `live` from the guess face; returns kkt with the
+    residual of each polished row that verified to tol, which moves to its
+    face optimum.  Face Newton steps count where a face optimum was reached."""
+    for j, polished in enumerate(_polish(oracle, live, face)):
+        if polished is not None:
+            x, f, res, steps = polished
+            live.newton[j] += steps
+            if res <= tol:
+                live.X[j], live.F[j], kkt[j] = x, f, res
+    return kkt
 
-    Row i is guessed active where its slack is at most KAPPA times its
-    barrier multiplier nu_i = 1/(t s_i), i.e. where t s_i^2 <= KAPPA (the
+
+def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
+    """Newton crossover of every live problem from its current point onto
+    the guessed active face, face[j] the (m,) bool mask of row j (modified
+    in place).
+
+    From a barrier point at weight t the guess is t s_i^2 <= KAPPA: row i's
+    slack is at most KAPPA times its barrier multiplier nu_i = 1/(t s_i) (the
     indicator s_i <= nu_i of El-Bakry, Tapia & Zhang, SIAM Review 36(1),
     1994, scaled by KAPPA).  Near the central path s_i nu_i = 1/t, so rows
     whose slack vanishes with the duality measure pass and rows that stay
@@ -455,8 +484,8 @@ def _polish(oracle: ObjectiveOracle, live: _Live, t: float) -> list:
     by the face optimum are added, rows with negative multipliers are
     dropped.  A result is kept only when the full KKT conditions verify
     (feasibility of every row within tolerance, nonnegative multipliers,
-    objective not worse than the barrier point), so a wrong guess is
-    harmless.  Every face starts from the barrier point; the problems on
+    objective not worse than the current point), so a wrong guess is
+    harmless.  Every face starts from the current point; the problems on
     faces with the same number of rows take their face Newton steps
     together.
     Returns, per problem, (x, f, relative_stationarity, newton_steps) or None.
@@ -464,7 +493,6 @@ def _polish(oracle: ObjectiveOracle, live: _Live, t: float) -> list:
     A, b, X0, F0 = live.A, live.b, live.X, live.F
     n = live.size
     b_scale = 1.0 + np.abs(b)
-    face = t * live.S ** 2 <= KAPPA
     seen = [set() for _ in range(n)]
     steps = [0] * n
     result = [None] * n

@@ -191,10 +191,15 @@ def backward_recursion(
     Each stage solves its G nodes as one `concave.maximize_batch` call.
     Node i starts from its stage k+1 optimum shrunk toward the default start
     (the default start alone at stage K-1, or where the shrunk point is not
-    strictly feasible).  A per-node `solver(oracle, cons, x0, tol=)`, such as
-    a wrapped `concave.maximize`, is called instead G times per stage in node
-    order with the same problems, rows cons = (A, b) and starts, and gives the
-    same grid.
+    strictly feasible).  Below stage K-1 the batch also gets the face guess
+    of the stage k+1 optima: the rows with slack at most 1e-10 (1 + |b_i|),
+    the crossover's own feasibility test.  Optima and faces barely move from
+    stage to stage, so a crossover onto that face from the start certifies
+    most nodes without a barrier stage.  A per-node
+    `solver(oracle, cons, x0, tol=)`, such as a wrapped `concave.maximize`,
+    is called instead G times per stage in node order with the same problems,
+    starts and rows cons = (A[i], b[i]), or (A[i], b[i], face[i]) below stage
+    K-1, and gives the same grid.
     pt is the (G, G) transition of `build_phi_transition`.
     """
     grid = DEFAULT_GRID.copy() if grid is None else np.asarray(grid, dtype=float)
@@ -211,19 +216,22 @@ def backward_recursion(
     rows = np.arange(G)
     default = _default_start(p)
     X = np.tile(default, (G, 1))
+    face = None
     for k in range(K - 1, -1, -1):
         EJ = pt @ J[k + 1]
         oracle = bellman_oracle(p, Rq, quad.weights, EJ)
         if k < K - 1:
+            face = b - concave.stacked_matvec(A, X) <= 1e-10 * (1.0 + np.abs(b))
             shrunk = 0.999 * X + 0.001 * default
             slack = b - concave.stacked_matvec(A, shrunk)
             ok = (slack.min(axis=1) > 1e-11) & np.isfinite(oracle.value(shrunk, rows))
             X = np.where(ok[:, None], shrunk, default)
         if solver is None:
-            sols = concave.maximize_batch(oracle, A, b, X, tol=NODE_TOL)
+            sols = concave.maximize_batch(oracle, A, b, X, tol=NODE_TOL, face=face)
         else:
-            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), (A[i], b[i]), X[i],
-                           tol=NODE_TOL) for i in range(G)]
+            cons = (A, b) if face is None else (A, b, face)
+            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), tuple(c[i] for c in cons),
+                           X[i], tol=NODE_TOL) for i in range(G)]
         if logger.isEnabledFor(logging.DEBUG):
             for i, sol in enumerate(sols):
                 logger.debug("node k=%d phi=%+.3f: %d newton steps, %s, kkt %.2e",

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,24 @@ class TestUpperBound:
         assert est.flagged_paths == flagged
         assert est.total_paths == 40
 
+    def test_task_size_scales_with_the_inner_dimension(self, p_set1, monkeypatch):
+        # 16 pairs at K = 10 (D = 40) and 4 at K = 40 (D = 160); every leg's
+        # optimum is its own, so the run means equal a 16-pair split's.
+        p40 = dataclasses.replace(p_set1, K=40, delta=1 / 40)
+        assert bounds._upper_chunk_pairs(p_set1) == bounds.UPPER_CHUNK_PAIRS == 16
+        assert bounds._upper_chunk_pairs(p40) == 4
+        vg = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
+        cfg = RunConfig(paths_per_run=3, runs=2, seed=5, penalty_kind="m1", gamma=1.5)
+        spans = []
+        task = bounds._upper_task
+        monkeypatch.setattr(bounds, "_upper_task", lambda span: spans.append(span) or task(span))
+        scaled = upper_bound(p40, vg, cfg)
+        assert spans == [(0, 4), (4, 6)]
+        spans.clear()
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 64)  # 16 pairs at D = 160
+        assert np.array_equal(upper_bound(p40, vg, cfg).run_means, scaled.run_means)
+        assert spans == [(0, 6)]
+
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
         p = market.parameter_set(1)
         vg = _wealth_emptying_grid(p)
@@ -498,6 +517,33 @@ class TestUpperBound:
             oracle, cons, x0 = assemble_inner(p_set1, form, ctx)
             sol = concave.maximize(oracle, cons, x0, tol=1e-6)
             assert sol.f >= realized - 1e-9
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_every_leg_is_at_least_its_baseline_objective(self, p_set1, vg_set1, monkeypatch, kind):
+        # The baseline decisions are feasible in their leg's inner problem,
+        # so its optimum f is at least utility(baseline) - M(baseline), up to
+        # rounding, on every leg.
+        cfg = RunConfig(paths_per_run=4, runs=2, seed=11, penalty_kind=kind, gamma=1.5)
+        solved = []
+        batch = concave.maximize_batch
+
+        def recorded(*args, **kwargs):
+            sols = batch(*args, **kwargs)
+            solved.extend(sols)
+            return sols
+
+        monkeypatch.setattr(concave, "maximize_batch", recorded)
+        est = upper_bound(p_set1, vg_set1, cfg)
+        f = np.array([sol.f for sol in solved])
+        assert f.size == est.total_paths == 16
+        assert np.array_equal(est.run_means, [np.mean(f[:8]), np.mean(f[8:])])
+        policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        Z, Ztilde = bounds._chunk_shocks(p_set1, cfg, (0, 8))
+        path = market.simulate_paths(p_set1, policy, Z, Ztilde)
+        M = penalties.penalty_form(kind, penalties.build_contexts(p_set1, vg_set1, policy, Z, Ztilde),
+                                   p_set1).evaluate(path.Pi, path.C)
+        utility = path_utility(p_set1, path.C, path.W[:, -1])
+        assert np.all(f >= utility - M - 1e-12 * (1.0 + np.abs(utility) + np.abs(M)))
 
     def test_reproducible_across_worker_counts(self, p_set1, vg_set1):
         cfg = RunConfig(paths_per_run=3, runs=2, seed=8, penalty_kind="m1", gamma=1.5)

@@ -412,6 +412,94 @@ class TestExits:
         np.testing.assert_array_equal(sol[2], np.linalg.lstsq(M[2], rhs[2], rcond=None)[0])
 
 
+def set1_stage_nodes(p, vg, k):
+    """The stage-k Bellman nodes of set 1 on the default grid as the recursion
+    poses them below stage K-1: the batch (oracle, A, b, X0), the face of the
+    stage k+1 optima and the one-problem oracle of node i, `node(i)`."""
+    quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
+    Rq = dp_solver.node_returns(p, quad, vg.grid)
+    A, b = dp_solver.node_constraints(p, Rq)
+    EJ = dp_solver.build_phi_transition(vg.grid, p) @ vg.J[k + 1]
+    X_next = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
+    face = b - concave.stacked_matvec(A, X_next) <= 1e-10 * (1.0 + np.abs(b))
+    X0 = 0.999 * X_next + 0.001 * dp_solver._default_start(p)
+
+    def node(i):
+        return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
+
+    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), face, node
+
+
+class TestWarmFace:
+    """A face guess makes the solver try a crossover from X0 before the barrier."""
+
+    @pytest.fixture()
+    def barrier_rows(self, monkeypatch):
+        """Rows that reach the barrier, per `maximize_batch` call."""
+        rows = []
+        barrier = concave._barrier
+
+        def traced_barrier(oracle, live, *args):
+            rows.append(live.size)
+            return barrier(oracle, live, *args)
+
+        monkeypatch.setattr(concave, "_barrier", traced_barrier)
+        return rows
+
+    @staticmethod
+    def assert_near(sols, cold):
+        for sol, ref in zip(sols, cold):
+            assert sol.status == ref.status == concave.STATUS_CONVERGED
+            assert abs(sol.f - ref.f) <= dp_solver.NODE_TOL * (1.0 + abs(ref.f))
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_the_next_stage_face_certifies_every_node(self, barrier_rows, p_set1, vg_set1, k):
+        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, k)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
+        barrier_rows.clear()
+        warm = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=face)
+        assert barrier_rows == [0]
+        self.assert_near(warm, cold)
+        assert all(w.kkt_residual <= dp_solver.NODE_TOL for w in warm)
+        assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+
+    def test_wrong_guesses_still_reach_the_cold_optimum(self, barrier_rows, p_set1, vg_set1):
+        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, 4)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
+        # All rows: no face optimum verifies, so every node runs the barrier
+        # from X0, as without a guess.
+        barrier_rows.clear()
+        every_row = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=np.ones_like(face))
+        assert barrier_rows == [A.shape[0]]
+        for sol, ref in zip(every_row, cold):
+            assert_same_solution(sol, ref)
+        # No rows: the crossover's own active-set loop adds the rows the
+        # unconstrained step violates; whatever it does not certify runs the
+        # barrier.
+        self.assert_near(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL,
+                                                face=np.zeros_like(face)), cold)
+
+    def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
+        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
+        guesses = face.copy()
+        guesses[1::3] = True    # every row: falls back to the barrier
+        guesses[2::3] = False   # no row: repaired by the active-set loop
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=guesses)
+        for i, sol in enumerate(batch):
+            assert_same_solution(sol, maximize(node(i), (A[i], b[i], guesses[i]), X0[i], tol=dp_solver.NODE_TOL))
+
+    def test_malformed_guess_is_rejected(self, p_set1, vg_set1):
+        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
+        for bad in (face[0], face[:1], face[:, :-1], face.astype(int), face.astype(float)):
+            with pytest.raises(ValueError, match="face"):
+                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=bad)
+        for cons in ((A[0], b[0], face[0][:-1]), (A[0], b[0], face[0].astype(int)),
+                     (A[0], b[0], face[0], face[0])):
+            with pytest.raises(ValueError):
+                maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
+
+
 class TestOracleGradients:
     def test_node_objective_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -310,11 +310,15 @@ class TestStageBatch:
             A_grid, b_grid = dp_solver.node_constraints(p, Rq)  # the rows the recursion solves with
             assert np.array_equal(A, A_grid) and np.array_equal(b, b_grid)
             X0 = np.tile(default, (nodes, 1))
-            if k < p.K - 1:  # warm start from the stage k+1 optimum, as the recursion does
-                X0 = 0.999 * np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1) + 0.001 * X0
-            batch = concave.maximize_batch(dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0, tol=1e-8)
+            face = None
+            if k < p.K - 1:  # warm start and face from the stage k+1 optimum, as the recursion does
+                X_next = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
+                face = b - concave.stacked_matvec(A, X_next) <= 1e-10 * (1.0 + np.abs(b))
+                X0 = 0.999 * X_next + 0.001 * X0
+            batch = concave.maximize_batch(dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0, tol=1e-8,
+                                           face=face)
             for i, (oracle, cons) in enumerate(problems):
-                one = concave.maximize(oracle, cons, X0[i], tol=1e-8)
+                one = concave.maximize(oracle, cons if face is None else cons + (face[i],), X0[i], tol=1e-8)
                 assert one.status == batch[i].status == concave.STATUS_CONVERGED
                 assert (one.f, one.iterations, one.kkt_residual) == (batch[i].f, batch[i].iterations,
                                                                     batch[i].kkt_residual)
@@ -346,6 +350,78 @@ class TestStageBatch:
             backward_recursion(p, grid=grid, solver=concave.maximize)
         assert (batched.value.k, batched.value.phi) == (per_node.value.k, per_node.value.phi)
         assert str(batched.value) == str(per_node.value)
+
+
+class TestWarmFaces:
+    """Below stage K-1 each node first tries a crossover onto the active face
+    of its stage k+1 optimum."""
+
+    def test_set1_grid_takes_at_most_1450_newton_steps(self, monkeypatch, p_set1):
+        # Counts repeat exactly: 1,800 on this grid when every stage starts
+        # with the barrier, about 1,400 when the warm faces certify.
+        counts = []
+        batch = concave.maximize_batch
+
+        def counted(*args, **kwargs):
+            sols = batch(*args, **kwargs)
+            counts.extend(sol.iterations for sol in sols)
+            return sols
+
+        monkeypatch.setattr(concave, "maximize_batch", counted)
+        backward_recursion(p_set1)
+        assert len(counts) == p_set1.K * dp_solver.DEFAULT_GRID.size
+        assert sum(counts) <= 1450
+
+    @pytest.mark.parametrize("set_id, gamma", [(1, 1.5), (2, 1.5), (3, 1.5), (4, 1.5), (1, 5.0)])
+    def test_every_warm_node_certifies_on_its_face(self, monkeypatch, set_id, gamma):
+        guessed = []
+        barrier_rows = []
+        batch, barrier = concave.maximize_batch, concave._barrier
+
+        def traced_batch(oracle, A, b, X0, **kwargs):
+            guessed.append(kwargs["face"] is not None)
+            return batch(oracle, A, b, X0, **kwargs)
+
+        def traced_barrier(oracle, live, *args):
+            barrier_rows.append(live.size)
+            return barrier(oracle, live, *args)
+
+        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
+        monkeypatch.setattr(concave, "_barrier", traced_barrier)
+        p = market.parameter_set(set_id, gamma)
+        backward_recursion(p)
+        assert guessed == [False] + [True] * (p.K - 1)
+        assert barrier_rows == [dp_solver.DEFAULT_GRID.size] + [0] * (p.K - 1)
+
+    def test_per_node_path_gets_each_node_its_face(self, monkeypatch, p_set1, vg_set1):
+        faces = []
+        batch = concave.maximize_batch
+
+        def traced_batch(*args, face=None, **kwargs):
+            faces.append(face)
+            return batch(*args, face=face, **kwargs)
+
+        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
+        backward_recursion(p_set1)
+        stage_faces = faces[:]
+        node_cons = []
+
+        def solver(oracle, cons, x0, tol):
+            node_cons.append(cons)
+            return batch(oracle, cons[0][None], cons[1][None], x0[None], tol=tol,
+                         face=cons[2][None] if len(cons) == 3 else None)[0]
+
+        backward_recursion(p_set1, solver=solver)
+        G = vg_set1.grid.size
+        assert len(node_cons) == p_set1.K * G
+        assert stage_faces[0] is None and all(len(cons) == 2 for cons in node_cons[:G])
+        for j, face in enumerate(stage_faces[1:], start=1):
+            k = p_set1.K - 1 - j
+            for i, (A, b, node_face) in enumerate(node_cons[j * G:(j + 1) * G]):
+                # The rows active at the node's stage k+1 optimum.
+                x = np.append(vg_set1.policy_pi[k + 1, i], vg_set1.policy_c[k + 1, i])
+                assert np.array_equal(node_face, face[i])
+                assert np.array_equal(node_face, b - A @ x <= 1e-10 * (1.0 + np.abs(b)))
 
 
 class TestSerialization:
