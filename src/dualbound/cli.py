@@ -1,9 +1,9 @@
 """Batch command-line front-end.
 
-Commands: gen-params, solve, lower, upper, feasibility, verify-finite, report.
-Every command is deterministic given its arguments; bound commands require an
-explicit --seed.  Exit codes: 0 success, 2 input error, 3 solve failure,
-4 consistency failure, 5 resource guard.
+Commands: gen-params, solve, lower, upper, feasibility, verify-finite, report,
+table.  Every command is deterministic given its arguments; bound commands
+require an explicit --seed.  Exit codes: 0 success, 2 input error, 3 solve
+failure, 4 consistency failure, 5 resource guard.
 """
 
 from __future__ import annotations
@@ -125,8 +125,6 @@ def cmd_solve(args) -> int:
         grid = np.linspace(args.grid_min, args.grid_max, args.grid_nodes)
         quad = dp_solver.build_quadrature(args.quad, params.n)
         vg = dp_solver.backward_recursion(params, grid=grid, quad=quad)
-    except dp_solver.NodeSolveError as exc:
-        raise CliError(EXIT_SOLVE, str(exc))
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     if args.out:
@@ -148,28 +146,31 @@ def _emit_csv(args, estimate) -> None:
         _write_file(args.out, bounds.csv_rows([estimate], header=new_file), mode="a")
 
 
-def cmd_bound(args) -> int:
-    """Run `lower` or `upper`, whichever command was given."""
+def _run_config(args, params: ModelParams, paths: int, penalty: str = "zero") -> bounds.RunConfig:
+    """The RunConfig of one bound on params from --runs, --seed and --set.
+    A --workers below 1 and the counts RunConfig rejects are input errors."""
     if args.workers < 1:
         raise CliError(EXIT_INPUT, f"--workers must be >= 1, got {args.workers}")
-    vg, params = _load_grid(args)
     try:
-        cfg = bounds.RunConfig(
-            paths_per_run=args.paths,
+        return bounds.RunConfig(
+            paths_per_run=paths,
             runs=args.runs,
             seed=args.seed,
-            antithetic=not args.no_antithetic,
-            penalty_kind=getattr(args, "penalty", "zero"),
+            antithetic=not getattr(args, "no_antithetic", False),
+            penalty_kind=penalty,
             gamma=params.gamma,
             parameter_set_id=args.set,
         )
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
+
+
+def cmd_bound(args) -> int:
+    """Run `lower` or `upper`, whichever command was given."""
+    vg, params = _load_grid(args)
+    cfg = _run_config(args, params, args.paths, getattr(args, "penalty", "zero"))
     fn = bounds.lower_bound if args.command == "lower" else bounds.upper_bound
-    try:
-        est = fn(params, vg, cfg, workers=args.workers)
-    except bounds.PathError as exc:
-        raise CliError(EXIT_SOLVE, str(exc))
+    est = fn(params, vg, cfg, workers=args.workers)
     _emit_csv(args, est)
     if args.json:
         _write_file(args.json, json.dumps(est.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -189,10 +190,7 @@ def cmd_feasibility(args) -> int:
 
 def cmd_verify_finite(args) -> int:
     mdp = _read_input(args.mdp, "mdp file", lambda fh: finite_mdp.FiniteMDP.from_json(fh.read()))
-    try:
-        report = finite_mdp.verify_duality(mdp, raise_on_failure=False)
-    except finite_mdp.EnumerationGuardError as exc:
-        raise CliError(EXIT_GUARD, str(exc))
+    report = finite_mdp.verify_duality(mdp, raise_on_failure=False)
     print(f"V0                     = {report.v0!r}")
     print(f"zero-penalty bound     = {report.zero_penalty_bound!r}")
     print(f"optimal-penalty bound  = {report.optimal_penalty_bound!r}")
@@ -225,10 +223,9 @@ def _bound_rows(fh) -> list:
     return rows
 
 
-def cmd_report(args) -> int:
-    rows = []
-    for path in args.csv:
-        rows.extend(_read_input(path, "csv", _bound_rows))
+def _report_text(rows) -> str:
+    """Side-by-side table of bound CSV rows, one block per parameter set and
+    gamma: lower bound, m1, m2 and zero upper bounds and the duality gap."""
     groups: dict = {}
     for row in rows:
         key = (row["parameter_set"], row["gamma"])
@@ -263,7 +260,47 @@ def cmd_report(args) -> int:
             vals += f"{'--':>24s}"
             ces += f"{'--':>24s}"
         lines.extend([vals, ces, ""])
-    _write_text(args.out, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_report(args) -> int:
+    rows = []
+    for path in args.csv:
+        rows.extend(_read_input(path, "csv", _bound_rows))
+    _write_text(args.out, _report_text(rows))
+    return EXIT_OK
+
+
+def cmd_table(args) -> int:
+    """For each of --gammas: solve the default grid of --set, estimate the
+    lower bound and the m1, m2 and zero upper bounds.  Writes the CSV of all
+    rows to --out, then prints their report; progress lines go to stderr.
+    Every parameter set, gamma and count is checked before any grid solve."""
+    import time
+
+    plan = []
+    for gamma in args.gammas:
+        params = _published(args.set, gamma)
+        jobs = [("lower", bounds.lower_bound, _run_config(args, params, args.paths_lower))]
+        jobs += [(f"upper {kind}", bounds.upper_bound, _run_config(args, params, args.paths_upper, kind))
+                 for kind in ("m1", "m2", "zero")]
+        plan.append((params, jobs))
+    estimates = []
+    for params, jobs in plan:
+        start = time.perf_counter()
+        vg = dp_solver.backward_recursion(params)
+        print(f"[set {args.set} gamma {params.gamma}] grid solved in {time.perf_counter() - start:.1f}s, "
+              f"J_0(0) = {dp_solver.interpolate_J(vg, 0, 0.0):.4f}", file=sys.stderr)
+        for label, fn, cfg in jobs:
+            start = time.perf_counter()
+            est = fn(params, vg, cfg, workers=args.workers)
+            print(f"  {label:<12} {est.mean:.4f} ({est.stderr:.4f})  CE {est.ce_mean:.4f}  "
+                  f"flagged {est.flagged_paths}/{est.total_paths}  [{time.perf_counter() - start:.1f}s]",
+                  file=sys.stderr)
+            estimates.append(est)
+    text = bounds.csv_rows(estimates)
+    _write_text(args.out, text)
+    sys.stdout.write(_report_text(_bound_rows(text.splitlines())))
     return EXIT_OK
 
 
@@ -342,6 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(fn=cmd_report)
 
+    sp = sub.add_parser("table", help="solve, bound and report one parameter set across risk aversions")
+    sp.add_argument("--set", type=int, default=1, help="published parameter set id")
+    sp.add_argument("--gammas", type=float, nargs="+", default=[1.5, 3.0, 5.0])
+    sp.add_argument("--paths-lower", type=int, default=100, help="antithetic pairs per run of the lower bound")
+    sp.add_argument("--paths-upper", type=int, default=30, help="antithetic pairs per run of each upper bound")
+    sp.add_argument("--runs", type=int, default=10)
+    sp.add_argument("--workers", type=int, default=1)
+    add_common(sp, seed_required=True)
+    sp.set_defaults(fn=cmd_table)
+
     return parser
 
 
@@ -360,6 +407,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (dp_solver.NodeSolveError, bounds.PathError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
     except finite_mdp.EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

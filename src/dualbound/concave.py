@@ -71,10 +71,6 @@ MAX_CENTERING = 80     # Newton steps per centering stage
 KAPPA = 100.0
 MAX_FACES = 6          # active faces tried per crossover
 MAX_FACE_NEWTON = 12   # Newton steps per face
-# Step lengths 2^-1 ... 2^-8 of a face Newton step after the full step,
-# tried a few at a time.  A face that needs shorter steps to stay inside the
-# objective domain is dropped: such faces did not verify anyway.
-_HALVINGS = np.split(0.5 ** np.arange(1, 9), [3])
 
 
 @dataclass(frozen=True)
@@ -390,7 +386,9 @@ def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> 
     x, A, b, rows = live.X, live.A, live.b, live.rows
     armijo = 0.25 * alpha * dec2
     base = live.val
-    trial = None
+    live.val = live.val.copy()
+    trial = np.arange(live.size)
+    accepted = np.zeros(live.size, dtype=bool)
     for attempt in range(60):
         if attempt:
             alpha = alpha * 0.5
@@ -401,13 +399,6 @@ def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> 
         log_cand = np.log(s_cand).sum(axis=1)
         val = f_cand + log_cand / t
         ok = [v >= h for v, h in zip(val.tolist(), (base + armijo).tolist())]
-        if trial is None:
-            if all(ok):
-                live.X, live.S, live.F, live.log_s, live.val = cand, s_cand, f_cand, log_cand, val
-                return ok
-            trial = np.arange(live.size)
-            accepted = np.zeros(live.size, dtype=bool)
-            live.val = live.val.copy()
         if any(ok):
             ok = np.array(ok)
             j = trial[ok]
@@ -563,29 +554,9 @@ def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
         ok = [fin and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, sz, la, xm in
               zip(np.isfinite(sol).all(axis=1).tolist(), size, last, np.abs(x).max(axis=1).tolist())]
         last = size
-        # The first trial point inside the objective domain is taken.
-        cand = x + dx
-        f = oracle.value(cand, rows)
+        x = x + dx
+        f = oracle.value(x, rows)
         moved = [o and fin for o, fin in zip(ok, np.isfinite(f).tolist())]
-        if moved != ok:
-            # Backtracking: the points of a few halvings at a time are
-            # evaluated together, and the first inside the domain is taken.
-            trial = np.flatnonzero(np.array(ok) & ~np.array(moved))
-            for alphas in _HALVINGS:
-                T, H = trial.size, alphas.size
-                points = x[trial, None, :] + alphas[:, None] * dx[trial, None, :]
-                f_h = oracle.value(points.reshape(T * H, D), np.repeat(rows[trial], H)).reshape(T, H)
-                inside = np.isfinite(f_h)
-                first = inside.argmax(axis=1)
-                found = inside[np.arange(T), first]
-                j, h = trial[found], first[found]
-                cand[j], f[j] = points[found, h], f_h[found, h]
-                for i in j.tolist():
-                    moved[i] = True
-                trial = trial[~found]
-                if trial.size == 0:
-                    break
-        x = cand
         end = [step == MAX_FACE_NEWTON or not mv or sz <= 1e-14 * (1.0 + xm)
                for mv, sz, xm in zip(moved, size, np.abs(x).max(axis=1).tolist())]
         if not any(end):

@@ -83,6 +83,17 @@ def _norm_cdf(x: float) -> float:
 _norm_cdf_array = np.vectorize(_norm_cdf, otypes=[float])
 
 
+def _checked_grid(grid, context: str = "") -> np.ndarray:
+    """The state grid as a float array; ValueError, its message prefixed by
+    context, unless it is 1-d with at least two finite, strictly increasing
+    nodes."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{context}grid must be a sorted 1-d array of at least two nodes, "
+                         "strictly increasing and finite")
+    return grid
+
+
 def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
     """Row-stochastic (G, G) transition of the state grid.
 
@@ -91,9 +102,7 @@ def build_phi_transition(grid: np.ndarray, p: ModelParams) -> np.ndarray:
     outermost cells extend to +-infinity.  A zero-variance law degenerates to
     unit mass on the nearest node.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a sorted 1-d array of at least two finite nodes")
+    grid = _checked_grid(grid)
     G = grid.size
     mids = 0.5 * (grid[:-1] + grid[1:])
     var = p.phi_step_var
@@ -341,11 +350,7 @@ def value_grid_from_dict(data: dict) -> tuple:
     if data.get("params_hash") != p.content_hash():
         raise ValueError("value-grid file is corrupt: params hash mismatch")
     vg = ValueGrid(**{f.name: np.asarray(data[f.name], dtype=float) for f in fields(ValueGrid)})
-    grid = vg.grid
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
-        raise ValueError("value-grid file is corrupt: grid must be strictly increasing and finite "
-                         "with at least two nodes")
-    G = grid.size
+    G = _checked_grid(vg.grid, "value-grid file is corrupt: ").size
     for name, shape in (("J", (p.K + 1, G)), ("policy_pi", (p.K, G, p.n)), ("policy_c", (p.K, G))):
         if getattr(vg, name).shape != shape:
             raise ValueError(f"value-grid file is corrupt: {name} has shape "

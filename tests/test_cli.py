@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import json
 import logging
 import os
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import dualbound
-from dualbound import bounds, cli, market
+from dualbound import bounds, cli, dp_solver, market
 from dualbound.cli import main
 
 from helpers import matching_mdp
@@ -74,6 +73,8 @@ class TestPrintConfig:
         (["feasibility", "--grid", "g.json", "--gamma", "3", "--seed", "1"], {"gamma": 3.0, "paths": 10_000}),
         (["verify-finite", "m.json"], {"mdp": "m.json"}),
         (["report", "a.csv", "b.csv"], {"csv": ["a.csv", "b.csv"]}),
+        (["table", "--seed", "3"], {"set": 1, "gammas": [1.5, 3.0, 5.0], "paths_lower": 100,
+                                    "paths_upper": 30, "runs": 10, "workers": 1, "out": None}),
     ])
     def test_prints_every_option_of_the_command(self, capsys, argv, expect):
         # No input file is read: the configuration is printed before the command runs.
@@ -397,6 +398,8 @@ class TestExitCodes:
         ("feasibility", "--grid", "{grid}", "--seed", "1", "--paths", "100", "--out", "{missing}/f.json"),
         ("gen-params", "1", "--out", "{missing}/p.json"),
         ("report", "{csv}", "--out", "{dir}"),
+        ("table", "--seed", "1", "--gammas", "1.5", "--paths-lower", "2", "--paths-upper", "1", "--runs", "2",
+         "--out", "{missing}/t.csv"),
     ])
     def test_unwritable_output_exits_2(self, grid_file_set1, tmp_path, capsys, argv):
         # {missing} is a directory that does not exist, {dir} a directory.
@@ -481,22 +484,40 @@ class TestExitCodes:
         assert "strictly increasing" in capsys.readouterr().err
 
 
-def _run_table_module():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_table.py"
-    spec = importlib.util.spec_from_file_location("run_table", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+class TestTable:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--runs", "1", "runs must be >= 2"),
+        ("--paths-lower", "0", "paths_per_run must be >= 1"),
+        ("--paths-upper", "0", "paths_per_run must be >= 1"),
+    ], ids=["--workers", "--runs", "--paths-lower", "--paths-upper"])
+    def test_rejects_out_of_range_counts_with_exit_2(self, monkeypatch, capsys, flag, value, message):
+        monkeypatch.setattr(dp_solver, "backward_recursion", lambda *args, **kwargs: pytest.fail("grid solved"))
+        assert run_cli("table", "--seed", "1", "--gammas", "1.5", "3", flag, value, "--out", "-") == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
+    def test_node_failure_exits_3(self, monkeypatch, capsys):
+        def fail(p, *args, **kwargs):
+            raise dp_solver.NodeSolveError(3, 0.5, "max_iter")
 
-class TestRunTableScript:
-    @pytest.mark.parametrize("flag, value, least", [("--workers", "0", 1), ("--runs", "1", 2),
-                                                    ("--paths-lower", "0", 1), ("--paths-upper", "0", 1)])
-    def test_rejects_out_of_range_counts_with_exit_2(self, monkeypatch, capsys, tmp_path, flag, value, least):
-        module = _run_table_module()
-        monkeypatch.setattr(module, "run", lambda *args: pytest.fail("run() reached"))
-        monkeypatch.setattr(sys, "argv", ["run_table.py", "--seed", "1", "--out-dir", str(tmp_path), flag, value])
-        with pytest.raises(SystemExit) as exc:
-            module.main()
-        assert exc.value.code == 2
-        assert f"{flag} must be >= {least}, got {value}" in capsys.readouterr().err
+        monkeypatch.setattr(dp_solver, "backward_recursion", fail)
+        assert run_cli("table", "--seed", "1", "--out", "-") == 3
+        captured = capsys.readouterr()
+        assert "node solve failed at stage k=3, phi=0.5 (status=max_iter)" in captured.err
+        assert captured.out == ""
+
+    def test_equals_solve_lower_upper_and_report(self, tmp_path, capsys):
+        table_csv, chain_csv, grid = tmp_path / "table.csv", tmp_path / "chain.csv", tmp_path / "g.json"
+        assert run_cli("table", "--set", "1", "--gammas", "1.5", "--seed", "9", "--paths-lower", "4",
+                       "--paths-upper", "2", "--runs", "2", "--out", str(table_csv)) == 0
+        table_report = capsys.readouterr().out
+        assert run_cli("solve", "--set", "1", "--gamma", "1.5", "--out", str(grid)) == 0
+        common = ("--grid", str(grid), "--set", "1", "--seed", "9", "--runs", "2", "--out", str(chain_csv))
+        assert run_cli("lower", *common, "--paths", "4") == 0
+        for kind in ("m1", "m2", "zero"):
+            assert run_cli("upper", *common, "--paths", "2", "--penalty", kind) == 0
+        capsys.readouterr()
+        assert table_csv.read_bytes() == chain_csv.read_bytes()
+        assert run_cli("report", str(chain_csv)) == 0
+        assert table_report == capsys.readouterr().out
