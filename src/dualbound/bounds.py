@@ -406,8 +406,9 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     # interior trajectory built forward with the realized returns, so the
     # barrier starts near its central path instead of on the boundary.  The
     # interior path puts eta of wealth into the risky assets, split evenly,
-    # and consumes eta; scaling eta by R_f (as `dp_solver._default_start`
-    # does) keeps the budget C_k <= R_f (W_k - 1'Pi_k) slack for any R_f > 0.
+    # and consumes eta; scaling eta by min(1, R_f), as `dp_solver._default_start`
+    # scales the Bellman nodes' centred start, keeps the budget
+    # C_k <= R_f (W_k - 1'Pi_k) slack for any R_f > 0.
     x_base = np.zeros((B, D))
     x_base[:, pi_idx] = ctxs.Pi
     x_base[:, c_idx] = ctxs.C

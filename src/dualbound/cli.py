@@ -146,11 +146,15 @@ def _emit_csv(args, estimate) -> None:
         _write_file(args.out, bounds.csv_rows([estimate], header=new_file), mode="a")
 
 
-def _run_config(args, params: ModelParams, paths: int, penalty: str = "zero") -> bounds.RunConfig:
-    """The RunConfig of one bound on params from --runs, --seed and --set.
-    A --workers below 1 and the counts RunConfig rejects are input errors."""
-    if args.workers < 1:
-        raise CliError(EXIT_INPUT, f"--workers must be >= 1, got {args.workers}")
+def _run_config(args, params: ModelParams, paths_flag: str, penalty: str = "zero") -> bounds.RunConfig:
+    """The RunConfig of one bound on params from the paths option paths_flag
+    (such as "--paths"), --runs, --seed and --set.  Counts below their
+    least value, named by their option, and the values RunConfig rejects
+    are input errors."""
+    paths = getattr(args, paths_flag[2:].replace("-", "_"))
+    for flag, value, least in (("--workers", args.workers, 1), (paths_flag, paths, 1), ("--runs", args.runs, 2)):
+        if value < least:
+            raise CliError(EXIT_INPUT, f"{flag} must be >= {least}, got {value}")
     try:
         return bounds.RunConfig(
             paths_per_run=paths,
@@ -168,7 +172,7 @@ def _run_config(args, params: ModelParams, paths: int, penalty: str = "zero") ->
 def cmd_bound(args) -> int:
     """Run `lower` or `upper`, whichever command was given."""
     vg, params = _load_grid(args)
-    cfg = _run_config(args, params, args.paths, getattr(args, "penalty", "zero"))
+    cfg = _run_config(args, params, "--paths", getattr(args, "penalty", "zero"))
     fn = bounds.lower_bound if args.command == "lower" else bounds.upper_bound
     est = fn(params, vg, cfg, workers=args.workers)
     _emit_csv(args, est)
@@ -281,8 +285,8 @@ def cmd_table(args) -> int:
     plan = []
     for gamma in args.gammas:
         params = _published(args.set, gamma)
-        jobs = [("lower", bounds.lower_bound, _run_config(args, params, args.paths_lower))]
-        jobs += [(f"upper {kind}", bounds.upper_bound, _run_config(args, params, args.paths_upper, kind))
+        jobs = [("lower", bounds.lower_bound, _run_config(args, params, "--paths-lower"))]
+        jobs += [(f"upper {kind}", bounds.upper_bound, _run_config(args, params, "--paths-upper", kind))
                  for kind in ("m1", "m2", "zero")]
         plan.append((params, jobs))
     estimates = []

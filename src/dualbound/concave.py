@@ -15,7 +15,9 @@ barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
 KKT conditions verify.  A caller that knows a likely active face, such as
 the Bellman recursion from the previous stage's optima, passes it as `face`:
 the crossover then runs once from the start, before any barrier stage, and
-only the problems it does not certify run the barrier.
+only the problems it does not certify run the barrier.  Each round of the
+crossover's active-set loop takes the face Newton steps of all its
+problems in one lockstep loop, whatever the row counts of their faces.
 
 `maximize_batch` solves B problems of one dimension D and one row count m
 together.  Every problem keeps its own iterate, Newton count, line search,
@@ -476,9 +478,9 @@ def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
     dropped.  A result is kept only when the full KKT conditions verify
     (feasibility of every row within tolerance, nonnegative multipliers,
     objective not worse than the current point), so a wrong guess is
-    harmless.  Every face starts from the current point; the problems on
-    faces with the same number of rows take their face Newton steps
-    together.
+    harmless.  Every face starts from the current point; each round of the
+    loop takes the face Newton steps of all its faces together, whatever
+    their number of rows (`_face_newton`).
     Returns, per problem, (x, f, relative_stationarity, newton_steps) or None.
     """
     A, b, X0, F0 = live.A, live.b, live.X, live.F
@@ -490,22 +492,17 @@ def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
     act_of = [None] * n
     pending = range(n)
     for _ in range(MAX_FACES):
-        groups: dict = {}
+        faces = []
         for j in pending:
             key = face[j].tobytes()
             if key not in seen[j]:
                 seen[j].add(key)
                 act_of[j] = np.flatnonzero(face[j])
-                groups.setdefault(act_of[j].size, []).append(j)
-        if not groups:
+                faces.append((j, act_of[j]))
+        if not faces:
             break
-        ended = []
-        for members in groups.values():
-            grp = np.array(members)
-            idx = np.array([act_of[j] for j in members])
-            ended += _face_newton(oracle, A[grp[:, None], idx], b[grp[:, None], idx], X0[grp], live.rows[grp], grp)
         pending = []
-        for j, x, f_new, nu_a, stationarity, face_steps in ended:
+        for j, x, f_new, nu_a, stationarity, face_steps in _face_newton(oracle, A, b, X0, live.rows, faces):
             # The face optimum is KKT for the whole problem if no row is
             # violated and no multiplier is negative.
             steps[j] += face_steps
@@ -527,32 +524,63 @@ def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
     return result
 
 
-def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
-    """Equality-constrained Newton on the faces Aa[i] x = ba[i], in lockstep.
+def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, faces) -> list:
+    """Equality-constrained Newton from X[j] on the face A[j, act] x = b[j, act]
+    of each (j, act) in faces, every face in one lockstep loop.
 
+    Each step evaluates the oracle once for all running faces.  The faces
+    with the same number of rows k form a group whose (D+k)-square KKT
+    systems are built in the step, solved as one stack and freed; a group's
+    arrays are copied only when one of its faces ends.  Every face's
+    arithmetic depends only on that face, so the result does not depend on
+    which faces run together.
     Newton contracts on a face that holds the optimum.  A step no shorter than
     the one before marks a wrong face (off the optimum's face the objective can
     lack curvature and the iterates diverge), unless the step is at rounding
     level, where the face is solved and the step test ends the loop.  A face
     that stops contracting or leaves the objective domain is dropped.
-    Returns (problem, x, f, multipliers, relative stationarity, steps) for
-    each face solved.
+    Returns (j, x, f, multipliers, relative stationarity, steps) for each
+    face solved.
     """
-    G, k, D = Aa.shape
-    KKT = np.zeros((G, D + k, D + k))
-    KKT[:, :D, D:] = Aa.transpose(0, 2, 1)
-    KKT[:, D:, :D] = Aa
-    last = [np.inf] * G
+    D = A.shape[2]
+    by_size: dict = {}
+    for j, act in faces:
+        by_size.setdefault(act.size, []).append((j, act))
+    groups = []  # (Aa, ba) of consecutive runs of the live faces
+    problems = []
+    for members in by_size.values():
+        grp = np.array([j for j, _ in members])
+        idx = np.array([act for _, act in members])
+        groups.append((A[grp[:, None], idx], b[grp[:, None], idx]))
+        problems += grp.tolist()
+    problems = np.array(problems)
+    x, rows = X[problems], rows[problems]
+    last = [np.inf] * problems.size
     ended = []
     for step in range(1, MAX_FACE_NEWTON + 1):
         g = oracle.gradient(x, rows)
-        KKT[:, :D, :D] = oracle.hessian(x, rows)
-        sol = _solve(KKT, np.concatenate([-g, ba - stacked_matvec(Aa, x)], axis=1))
-        dx = sol[:, :D]
-        nu = -sol[:, D:]  # block system solves grad f + Aa' nu = 0
+        H = oracle.hessian(x, rows)
+        dx = np.empty_like(x)
+        finite = []
+        nus = []
+        lo = 0
+        for Aa, ba in groups:
+            hi = lo + len(ba)
+            k = ba.shape[1]
+            KKT = np.zeros((hi - lo, D + k, D + k))
+            KKT[:, :D, :D] = H[lo:hi]
+            KKT[:, :D, D:] = Aa.transpose(0, 2, 1)
+            KKT[:, D:, :D] = Aa
+            sol = _solve(KKT, np.concatenate([-g[lo:hi], ba - stacked_matvec(Aa, x[lo:hi])], axis=1))
+            del KKT
+            dx[lo:hi] = sol[:, :D]
+            nus.append(-sol[:, D:])  # block system solves grad f + Aa' nu = 0
+            finite += np.isfinite(sol).all(axis=1).tolist()
+            lo = hi
+        del H
         size = np.abs(dx).max(axis=1).tolist()
         ok = [fin and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, sz, la, xm in
-              zip(np.isfinite(sol).all(axis=1).tolist(), size, last, np.abs(x).max(axis=1).tolist())]
+              zip(finite, size, last, np.abs(x).max(axis=1).tolist())]
         last = size
         x = x + dx
         f = oracle.value(x, rows)
@@ -563,12 +591,27 @@ def _face_newton(oracle: ObjectiveOracle, Aa, ba, x, rows, problems) -> list:
             continue
         end = np.array(end)
         fin = np.flatnonzero(end & np.array(moved))
-        if fin.size:
-            stationarity = _stationarity(oracle.gradient(x[fin], rows[fin]), Aa[fin].transpose(0, 2, 1), nu[fin])
-            ended += [(problems[i], x[i], f[i], nu[i], stationarity[q], step) for q, i in enumerate(fin)]
+        grad = oracle.gradient(x[fin], rows[fin]) if fin.size else None
         keep = ~end
-        if not keep.any():
+        running = []
+        lo = q = 0
+        for (Aa, ba), nu in zip(groups, nus):
+            hi = lo + len(ba)
+            done = fin[(fin >= lo) & (fin < hi)] - lo
+            if done.size:
+                stationarity = _stationarity(grad[q:q + done.size], Aa[done].transpose(0, 2, 1), nu[done])
+                ended += [(problems[lo + i], x[lo + i], f[lo + i], nu[i], stationarity[r], step)
+                          for r, i in enumerate(done.tolist())]
+                q += done.size
+            kept = keep[lo:hi]
+            if kept.all():
+                running.append((Aa, ba))
+            elif kept.any():
+                running.append((Aa[kept], ba[kept]))
+            lo = hi
+        if not running:
             break
+        groups = running
         last = [la for la, kp in zip(last, keep.tolist()) if kp]
-        x, rows, problems, Aa, ba, KKT = x[keep], rows[keep], problems[keep], Aa[keep], ba[keep], KKT[keep]
+        x, rows, problems = x[keep], rows[keep], problems[keep]
     return ended

@@ -183,8 +183,10 @@ def node_constraints(p: ModelParams, Rq: np.ndarray) -> tuple:
 
 
 def _default_start(p: ModelParams) -> np.ndarray:
-    """Small positive (pi, c), scaled by R_f when R_f < 1 so the budget holds."""
-    return min(1.0, p.R_f) * np.concatenate([np.full(p.n, 1e-3 / p.n), [1e-3]])
+    """Every coordinate of (pi, c) at min(1, R_f) / (n + 2): at R_f = 1 the
+    analytic centre of the budget simplex, and strictly inside the budget and
+    the growth guards for every R_f > 0."""
+    return np.full(p.n + 1, min(1.0, p.R_f) / (p.n + 2))
 
 
 def backward_recursion(

@@ -242,6 +242,17 @@ class TestBounds:
         assert "paths_per_run and runs must be below 2**32" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("which", ["lower", "upper"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--paths", "0", "--paths must be >= 1, got 0"),
+        ("--runs", "1", "--runs must be >= 2, got 1"),
+    ])
+    def test_counts_below_their_least_value_exit_2_naming_the_option(self, grid_file_set1, capsys, which, flag,
+                                                                     value, message):
+        assert run_cli(which, "--grid", grid_file_set1, "--seed", "1", flag, value, "--out", "-") == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     def test_seed_is_mandatory(self, grid_file_set1, capsys):
         assert run_cli("lower", "--grid", grid_file_set1) == 2
 
@@ -487,9 +498,9 @@ class TestExitCodes:
 class TestTable:
     @pytest.mark.parametrize("flag, value, message", [
         ("--workers", "0", "--workers must be >= 1, got 0"),
-        ("--runs", "1", "runs must be >= 2"),
-        ("--paths-lower", "0", "paths_per_run must be >= 1"),
-        ("--paths-upper", "0", "paths_per_run must be >= 1"),
+        ("--runs", "1", "--runs must be >= 2, got 1"),
+        ("--paths-lower", "0", "--paths-lower must be >= 1, got 0"),
+        ("--paths-upper", "0", "--paths-upper must be >= 1, got 0"),
     ], ids=["--workers", "--runs", "--paths-lower", "--paths-upper"])
     def test_rejects_out_of_range_counts_with_exit_2(self, monkeypatch, capsys, flag, value, message):
         monkeypatch.setattr(dp_solver, "backward_recursion", lambda *args, **kwargs: pytest.fail("grid solved"))

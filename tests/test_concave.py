@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,7 +268,7 @@ class TestMaximize:
             hessian=counting_hessian,
         )
         ended = concave._face_newton(oracle, np.zeros((1, 0, 3)), np.zeros((1, 0)),
-                                     np.array([[1e-3, 2e-3, 0.4999]]), np.array([0]), np.array([0]))
+                                     np.array([[1e-3, 2e-3, 0.4999]]), np.array([0]), [(0, np.array([], dtype=int))])
         assert ended == []
         assert 1 <= solves[0] <= 3
 
@@ -301,7 +303,7 @@ class TestMaximize:
         oracle = concave.ObjectiveOracle(value=value, gradient=lambda X, rows: -2.0 * (X - 5.0),
                                          hessian=lambda X, rows: np.full((len(X), 1, 1), -2.0))
         ended = concave._face_newton(oracle, np.zeros((1, 0, 1)), np.zeros((1, 0)), np.array([[1.0]]),
-                                     np.array([0]), np.array([0]))
+                                     np.array([0]), [(0, np.array([], dtype=int))])
         assert ended == []
         assert sum(evaluated) == 1
 
@@ -331,12 +333,15 @@ class TestMaximize:
 
 def set1_last_stage_nodes(p):
     """The last-stage Bellman nodes of set 1 on the default grid: the batch
-    (oracle, A, b, X0) and the one-problem oracle of node i, `node(i)`."""
+    (oracle, A, b, X0) and the one-problem oracle of node i, `node(i)`.
+    X0 is the small start min(1, R_f) (1e-3/n, ..., 1e-3), far from the
+    optimum, so the solves climb the barrier ladder the exit tests count."""
     quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
     Rq = dp_solver.node_returns(p, quad, dp_solver.DEFAULT_GRID)
     A, b = dp_solver.node_constraints(p, Rq)
     EJ = np.full(A.shape[0], (1.0 - p.alpha) / (1.0 - p.gamma))
-    X0 = np.tile(dp_solver._default_start(p), (A.shape[0], 1))
+    cold = min(1.0, p.R_f) * np.append(np.full(p.n, 1e-3 / p.n), 1e-3)
+    X0 = np.tile(cold, (A.shape[0], 1))
 
     def node(i):
         return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
@@ -479,6 +484,32 @@ class TestWarmFace:
         # barrier.
         self.assert_near(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL,
                                                 face=np.zeros_like(face)), cold)
+
+    def test_one_crossover_round_costs_its_longest_face(self, barrier_rows, p_set1, vg_set1):
+        # Stage K-2 with the faces of the stage K-1 optima: faces of 1, 2 and
+        # 3 rows, all certified in one crossover round without a barrier
+        # stage.  That round takes its faces' Newton steps together, one
+        # Hessian call for all running faces per step, so it costs the
+        # longest face's steps, not the sum of each face size's longest.
+        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
+        rows = face.sum(axis=1)
+        assert len(set(rows.tolist())) > 1
+        hessian_rows = []
+        hessian = oracle.hessian
+
+        def counted_hessian(X, rows):
+            hessian_rows.append(len(rows))
+            return hessian(X, rows)
+
+        counted = dataclasses.replace(oracle, hessian=counted_hessian)
+        sols = concave.maximize_batch(counted, A, b, X0, tol=dp_solver.NODE_TOL, face=face)
+        assert barrier_rows == [0]
+        assert all(sol.status == concave.STATUS_CONVERGED for sol in sols)
+        steps = np.array([sol.iterations for sol in sols])
+        assert len(hessian_rows) == steps.max()
+        assert hessian_rows[0] == A.shape[0]
+        per_size = sum(steps[rows == k].max() for k in set(rows.tolist()))
+        assert len(hessian_rows) < per_size
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
         (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)

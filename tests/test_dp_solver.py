@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -287,6 +288,26 @@ class TestBackwardRecursion:
         assert abs(j41 - j21) / abs(j21) < 0.01
 
 
+class TestDefaultStart:
+    @pytest.mark.parametrize("R_f", [5e-4, 1.001, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_strictly_inside_the_budget_and_growth_guards(self, R_f, n):
+        # Set 1's first n assets; a fourth repeats the first one's loadings.
+        p = market.parameter_set(1, 1.5)
+        sigma = np.diag(np.resize(np.diag(p.sigma), n))
+        sigma[:min(n, 3), :min(n, 3)] = p.sigma[:n, :n]
+        p = dataclasses.replace(p, n=n, mu0=np.resize(p.mu0, n), mu1=np.resize(p.mu1, n), sigma=sigma,
+                                sigma_phi1=np.resize(p.sigma_phi1, n), r_f=(R_f - 1.0) / p.delta)
+        assert p.R_f == pytest.approx(R_f, rel=1e-12)
+        x = dp_solver._default_start(p)
+        np.testing.assert_array_equal(x, np.full(n + 1, min(1.0, p.R_f) / (n + 2)))
+        quad = build_quadrature(3, n)
+        Rq = dp_solver.node_returns(p, quad, np.linspace(-2.0, 2.0, 5))
+        A, b = dp_solver.node_constraints(p, Rq)
+        assert (b - A @ x).min() > 0.0
+        assert (x > 0.0).all()
+
+
 class TestStageBatch:
     """Each stage is one lockstep batch whose rows equal their own one-node solves."""
 
@@ -356,9 +377,11 @@ class TestWarmFaces:
     """Below stage K-1 each node first tries a crossover onto the active face
     of its stage k+1 optimum."""
 
-    def test_set1_grid_takes_at_most_1450_newton_steps(self, monkeypatch, p_set1):
+    def test_set1_grid_takes_at_most_1200_newton_steps(self, monkeypatch, p_set1):
         # Counts repeat exactly: 1,800 on this grid when every stage starts
-        # with the barrier, about 1,400 when the warm faces certify.
+        # with the barrier, 1,398 when the warm faces certify and stage K-1
+        # starts at (pi, c) = 1e-3 (416 of them at stage K-1), and 1,166
+        # from the centred start (186 at stage K-1).
         counts = []
         batch = concave.maximize_batch
 
@@ -369,8 +392,10 @@ class TestWarmFaces:
 
         monkeypatch.setattr(concave, "maximize_batch", counted)
         backward_recursion(p_set1)
-        assert len(counts) == p_set1.K * dp_solver.DEFAULT_GRID.size
-        assert sum(counts) <= 1450
+        G = dp_solver.DEFAULT_GRID.size
+        assert len(counts) == p_set1.K * G
+        assert sum(counts[:G]) <= 200  # stage K-1, solved first
+        assert sum(counts) <= 1200
 
     @pytest.mark.parametrize("set_id, gamma", [(1, 1.5), (2, 1.5), (3, 1.5), (4, 1.5), (1, 5.0)])
     def test_every_warm_node_certifies_on_its_face(self, monkeypatch, set_id, gamma):
