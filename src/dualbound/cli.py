@@ -205,12 +205,8 @@ def cmd_verify_finite(args) -> int:
     return EXIT_OK if report.passed else EXIT_CONSISTENCY
 
 
-def _fmt(mean, stderr, scale=1.0, digits=4):
-    if mean is None:
-        return "--"
-    if stderr is None:
-        return f"{mean * scale:.{digits}f}"
-    return f"{mean * scale:.{digits}f} ({stderr * scale:.{digits}f})"
+def _fmt(mean, stderr, scale=1.0):
+    return f"{mean * scale:.4f} ({stderr * scale:.4f})"
 
 
 def _bound_rows(fh) -> list:

@@ -16,8 +16,8 @@ KKT conditions verify.  A caller that knows a likely active face, such as
 the Bellman recursion from the previous stage's optima, passes it as `face`:
 the crossover then runs once from the start, before any barrier stage, and
 only the problems it does not certify run the barrier.  Each round of the
-crossover's active-set loop takes the face Newton steps of all its
-problems in one lockstep loop, whatever the row counts of their faces.
+crossover's active-set loop is one lockstep face-Newton loop over all its
+faces, whatever their row counts, and tests the face optima as stacks.
 
 `maximize_batch` solves B problems of one dimension D and one row count m
 together.  Every problem keeps its own iterate, Newton count, line search,
@@ -221,8 +221,8 @@ def maximize_batch(
 
 
 def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int, out: list) -> None:
-    """Centering stages at t = T_START * MU^j and at t_cap.  Problems flagged
-    at the Newton cap exit first, the others by the tests m/t admits."""
+    """Centering stages at t = T_START * MU^j and at t_cap.  Problems at the
+    Newton cap exit in `_center`, the others by the tests m/t admits."""
     m = live.A.shape[1]
     t_cap = 2.0 * m / tol  # at the cap the duality measure m/t is tol/2
     t = min(T_START, t_cap)
@@ -234,14 +234,12 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
         gap = m / t
         exits = gap <= max(CROSSOVER_GAP, tol)
         dec_stop = 0.0 if gap <= tol else CROSSOVER_DECREMENT if exits else LOOSE_DECREMENT
-        capped = _center(oracle, live, t, tol, max_newton, dec_stop)
-        if capped.any():
-            _exit(out, live, capped, STATUS_MAX_ITER, _kkt(oracle, live, t))
+        _center(oracle, live, t, tol, max_newton, dec_stop, out)
         kkt = _kkt(oracle, live, t) if gap <= tol else np.full(live.size, np.inf)
         if exits:
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
-            # Row i is guessed active where t s_i^2 <= KAPPA (see `_polish`).
+            # Row i is guessed active where t s_i^2 <= KAPPA (see `_crossover`).
             kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt)
         done = kkt <= tol
         _exit(out, live, done, STATUS_CONVERGED, kkt)
@@ -303,7 +301,7 @@ def _exit(out: list, live: _Live, mask: np.ndarray, status: str, kkt: np.ndarray
 
 
 def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int,
-            dec_stop: float) -> np.ndarray:
+            dec_stop: float, out: list) -> None:
     """One centering stage at barrier weight t, each problem to its own stop.
 
     A problem stops where its gradient is below tol/2, where a step fails,
@@ -314,9 +312,9 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     crossover and LOOSE_DECREMENT on those that end in no exit test.
 
     Rows that stop centering are split off and merged back at the end.  A
-    row that would step with max_newton steps taken stops at its current
-    iterate and is flagged (one that reaches max_newton on its stopping step
-    is not); the flagged rows are merged back last and their mask returned.
+    row that would step with max_newton steps taken exits max_iter to `out`
+    at its current iterate (one that reaches max_newton on its stopping step
+    does not).
     The per-row stopping and acceptance tests run on Python floats
     (`tolist`), the same IEEE arithmetic as on arrays but without a call per
     test.
@@ -324,12 +322,11 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     live.val = live.F + live.log_s / t  # barrier objective at the accepted point
     live.dec2 = np.full(live.size, np.inf)
     parked = []
-    capped = []
     half_tol = 0.5 * tol
     for _ in range(MAX_CENTERING):
         at_cap = live.newton >= max_newton
         if at_cap.any():
-            capped.append(live.split(at_cap))
+            _exit(out, live, at_cap, STATUS_MAX_ITER, _kkt(oracle, live, t))
             if live.size == 0:
                 break
         inv_s = 1.0 / live.S
@@ -372,8 +369,7 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
             if all(stop):
                 break
             parked.append(live.split(np.array(stop)))
-    live.merge(parked + capped)
-    return np.arange(live.size) >= live.size - sum(q.size for q in capped)
+    live.merge(parked)
 
 
 def _line_search(oracle: ObjectiveOracle, live: _Live, step, dec2, t: float) -> list:
@@ -449,22 +445,10 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
 
 def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: float,
                kkt: np.ndarray) -> np.ndarray:
-    """`_polish` every row of `live` from the guess face; returns kkt with the
-    residual of each polished row that verified to tol, which moves to its
-    face optimum.  Face Newton steps count where a face optimum was reached."""
-    for j, polished in enumerate(_polish(oracle, live, face)):
-        if polished is not None:
-            x, f, res, steps = polished
-            live.newton[j] += steps
-            if res <= tol:
-                live.X[j], live.F[j], kkt[j] = x, f, res
-    return kkt
-
-
-def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
-    """Newton crossover of every live problem from its current point onto
+    """Newton crossover of every row of `live` from its current point onto
     the guessed active face, face[j] the (m,) bool mask of row j (modified
-    in place).
+    in place).  Returns kkt with the relative stationarity of each row
+    certified to tol, which moves to its face optimum.
 
     From a barrier point at weight t the guess is t s_i^2 <= KAPPA: row i's
     slack is at most KAPPA times its barrier multiplier nu_i = 1/(t s_i) (the
@@ -473,65 +457,47 @@ def _polish(oracle: ObjectiveOracle, live: _Live, face: np.ndarray) -> list:
     whose slack vanishes with the duality measure pass and rows that stay
     away from their bound fail, whatever the scale of b.
 
-    Runs a small active-set loop per problem from that guess: rows violated
-    by the face optimum are added, rows with negative multipliers are
-    dropped.  A result is kept only when the full KKT conditions verify
-    (feasibility of every row within tolerance, nonnegative multipliers,
-    objective not worse than the current point), so a wrong guess is
-    harmless.  Every face starts from the current point; each round of the
-    loop takes the face Newton steps of all its faces together, whatever
-    their number of rows (`_face_newton`).
-    Returns, per problem, (x, f, relative_stationarity, newton_steps) or None.
+    Each round of the active-set loop is one `_face_newton` call, every face
+    from the current point: rows violated by a face optimum are added, rows
+    with negative multipliers dropped, and no problem tries a face twice.  A
+    face optimum is kept only where the full KKT conditions verify (every row
+    feasible within tolerance, nonnegative multipliers, objective not worse
+    than the current point), so a wrong guess is harmless; it then adds its
+    problem's face Newton steps of every round to the Newton count.
     """
-    A, b, X0, F0 = live.A, live.b, live.X, live.F
-    n = live.size
-    b_scale = 1.0 + np.abs(b)
-    seen = [set() for _ in range(n)]
-    steps = [0] * n
-    result = [None] * n
-    act_of = [None] * n
-    pending = range(n)
+    steps = np.zeros(live.size, dtype=int)
+    seen = set()  # (problem, face) pairs tried
+    pending = range(live.size)
     for _ in range(MAX_FACES):
-        faces = []
-        for j in pending:
-            key = face[j].tobytes()
-            if key not in seen[j]:
-                seen[j].add(key)
-                act_of[j] = np.flatnonzero(face[j])
-                faces.append((j, act_of[j]))
-        if not faces:
+        fresh = [j for j in pending if (j, face[j].tobytes()) not in seen]
+        if not fresh:
             break
-        pending = []
-        for j, x, f_new, nu_a, stationarity, face_steps in _face_newton(oracle, A, b, X0, live.rows, faces):
-            # The face optimum is KKT for the whole problem if no row is
-            # violated and no multiplier is negative.
-            steps[j] += face_steps
-            violated = (b[j] - A[j] @ x) < -1e-10 * b_scale[j]
-            if violated.any():
-                face[j] |= violated
-                pending.append(j)
-                continue
-            act = act_of[j]
-            nu_floor = -1e-8 * (1.0 + (float(np.max(np.abs(nu_a))) if act.size else 0.0))
-            negative = act[nu_a < nu_floor]
-            if negative.size:
-                face[j, negative] = False
-                pending.append(j)
-                continue
-            f0 = F0[j]
-            if np.isfinite(f_new) and f_new >= f0 - 1e-10 * (1.0 + abs(f0)):
-                result[j] = (x, f_new, stationarity, steps[j])
-    return result
+        seen.update((j, face[j].tobytes()) for j in fresh)
+        j, x, f, nu, violated, stationarity, face_steps = _face_newton(
+            oracle, live.A, live.b, live.X, live.rows, face, np.array(fresh))
+        steps[j] += face_steps
+        # A face optimum is KKT for the whole problem if no row is violated
+        # and no multiplier is negative.
+        add = violated.any(axis=1)
+        negative = (nu < -1e-8 * (1.0 + np.abs(nu).max(axis=1, keepdims=True))) & ~add[:, None]
+        drop = negative.any(axis=1)
+        face[j] = (face[j] | violated) & ~negative
+        kept = ~(add | drop) & (f >= live.F[j] - 1e-10 * (1.0 + np.abs(live.F[j])))
+        live.newton[j[kept]] += steps[j[kept]]
+        done = kept & (stationarity <= tol)
+        live.X[j[done]], live.F[j[done]], kkt[j[done]] = x[done], f[done], stationarity[done]
+        pending = j[add | drop].tolist()
+    return kkt
 
 
-def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, faces) -> list:
-    """Equality-constrained Newton from X[j] on the face A[j, act] x = b[j, act]
-    of each (j, act) in faces, every face in one lockstep loop.
+def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, face, problems) -> tuple:
+    """Equality-constrained Newton from X[j] on the face A[j, act] x = b[j, act],
+    act the rows of face[j], for every j in problems in one lockstep loop.
 
-    Each step evaluates the oracle once for all running faces.  The faces
-    with the same number of rows k form a group whose (D+k)-square KKT
-    systems are built in the step, solved as one stack and freed; a group's
-    arrays are copied only when one of its faces ends.  Every face's
+    Each step evaluates the oracle once for all running faces.  Sorted by row
+    count k, the faces of one k form a contiguous group whose (D+k)-square
+    KKT systems are built in the step, solved as one stack and freed; a
+    group's arrays are copied only when one of its faces ends.  A face's
     arithmetic depends only on that face, so the result does not depend on
     which faces run together.
     Newton contracts on a face that holds the optimum.  A step no shorter than
@@ -539,79 +505,71 @@ def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, faces) -> list:
     lack curvature and the iterates diverge), unless the step is at rounding
     level, where the face is solved and the step test ends the loop.  A face
     that stops contracting or leaves the objective domain is dropped.
-    Returns (j, x, f, multipliers, relative stationarity, steps) for each
-    face solved.
+    Returns stacks (j, x, f, nu, violated, stationarity, steps) over the faces
+    solved: problem, face optimum, its finite objective, (n, m) multipliers
+    zero off the face, rows with b - A x < -1e-10 (1 + |b|), relative
+    stationarity and Newton steps.
     """
-    D = A.shape[2]
-    by_size: dict = {}
-    for j, act in faces:
-        by_size.setdefault(act.size, []).append((j, act))
-    groups = []  # (Aa, ba) of consecutive runs of the live faces
-    problems = []
-    for members in by_size.values():
-        grp = np.array([j for j, _ in members])
-        idx = np.array([act for _, act in members])
-        groups.append((A[grp[:, None], idx], b[grp[:, None], idx]))
-        problems += grp.tolist()
-    problems = np.array(problems)
+    D, m = A.shape[2], A.shape[1]
+    k = face[problems].sum(axis=1)
+    runs = {r: problems[k == r] for r in sorted(set(k.tolist()))}  # the faces of each row count r
+    groups = []  # (Aa, ba, act) of each run's running faces
+    for r, grp in runs.items():
+        act = (np.flatnonzero(face[grp]) % m).reshape(grp.size, r)  # each face's rows, ascending
+        groups.append((A[grp[:, None], act], b[grp[:, None], act], act))
+    problems = np.concatenate(list(runs.values()))
+    n = problems.size
     x, rows = X[problems], rows[problems]
-    last = [np.inf] * problems.size
-    ended = []
+    at = np.arange(n)  # each running face's place in the outputs
+    solved, steps, f_out, stationarity = np.zeros(n, dtype=bool), np.zeros(n, dtype=int), np.empty(n), np.empty(n)
+    x_out, nu_out, violated = np.empty((n, D)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
+    last = [np.inf] * n
     for step in range(1, MAX_FACE_NEWTON + 1):
+        cuts = np.cumsum([0] + [len(ba) for _, ba, _ in groups]).tolist()  # group i is x[cuts[i]:cuts[i+1]]
         g = oracle.gradient(x, rows)
         H = oracle.hessian(x, rows)
-        dx = np.empty_like(x)
-        finite = []
-        nus = []
-        lo = 0
-        for Aa, ba in groups:
-            hi = lo + len(ba)
-            k = ba.shape[1]
-            KKT = np.zeros((hi - lo, D + k, D + k))
+        dx, nu, finite = np.empty_like(x), np.zeros((len(x), m)), []
+        for (Aa, ba, act), lo, hi in zip(groups, cuts, cuts[1:]):
+            KKT = np.zeros((hi - lo, D + ba.shape[1], D + ba.shape[1]))
             KKT[:, :D, :D] = H[lo:hi]
             KKT[:, :D, D:] = Aa.transpose(0, 2, 1)
             KKT[:, D:, :D] = Aa
             sol = _solve(KKT, np.concatenate([-g[lo:hi], ba - stacked_matvec(Aa, x[lo:hi])], axis=1))
             del KKT
             dx[lo:hi] = sol[:, :D]
-            nus.append(-sol[:, D:])  # block system solves grad f + Aa' nu = 0
+            nu[np.arange(lo, hi)[:, None], act] = -sol[:, D:]  # block system solves grad f + Aa' nu = 0
             finite += np.isfinite(sol).all(axis=1).tolist()
-            lo = hi
         del H
         size = np.abs(dx).max(axis=1).tolist()
-        ok = [fin and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, sz, la, xm in
-              zip(finite, size, last, np.abs(x).max(axis=1).tolist())]
-        last = size
+        scale = np.abs(x).max(axis=1).tolist()
         x = x + dx
         f = oracle.value(x, rows)
-        moved = [o and fin for o, fin in zip(ok, np.isfinite(f).tolist())]
+        moved = [fin and ff and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, ff, sz, la, xm in
+                 zip(finite, np.isfinite(f).tolist(), size, last, scale)]
+        last = size
         end = [step == MAX_FACE_NEWTON or not mv or sz <= 1e-14 * (1.0 + xm)
                for mv, sz, xm in zip(moved, size, np.abs(x).max(axis=1).tolist())]
         if not any(end):
             continue
-        end = np.array(end)
-        fin = np.flatnonzero(end & np.array(moved))
-        grad = oracle.gradient(x[fin], rows[fin]) if fin.size else None
-        keep = ~end
+        keep = ~np.array(end)
+        ended = ~keep & np.array(moved)
+        if ended.any():
+            out = at[ended]
+            Aj, bj = A[problems[out]], b[problems[out]]
+            solved[out], steps[out], x_out[out], f_out[out], nu_out[out] = True, step, x[ended], f[ended], nu[ended]
+            violated[out] = bj - stacked_matvec(Aj, x[ended]) < -1e-10 * (1.0 + np.abs(bj))
+            grad = oracle.gradient(x[ended], rows[ended])
+            stationarity[out] = _stationarity(grad, Aj.transpose(0, 2, 1), nu[ended])
+            del Aj
         running = []
-        lo = q = 0
-        for (Aa, ba), nu in zip(groups, nus):
-            hi = lo + len(ba)
-            done = fin[(fin >= lo) & (fin < hi)] - lo
-            if done.size:
-                stationarity = _stationarity(grad[q:q + done.size], Aa[done].transpose(0, 2, 1), nu[done])
-                ended += [(problems[lo + i], x[lo + i], f[lo + i], nu[i], stationarity[r], step)
-                          for r, i in enumerate(done.tolist())]
-                q += done.size
+        for (Aa, ba, act), lo, hi in zip(groups, cuts, cuts[1:]):
             kept = keep[lo:hi]
-            if kept.all():
-                running.append((Aa, ba))
-            elif kept.any():
-                running.append((Aa[kept], ba[kept]))
-            lo = hi
-        if not running:
-            break
+            if kept.any():
+                running.append((Aa, ba, act) if kept.all() else (Aa[kept], ba[kept], act[kept]))
         groups = running
+        if not groups:
+            break
         last = [la for la, kp in zip(last, keep.tolist()) if kp]
-        x, rows, problems = x[keep], rows[keep], problems[keep]
-    return ended
+        x, rows, at = x[keep], rows[keep], at[keep]
+    return (problems[solved], x_out[solved], f_out[solved], nu_out[solved], violated[solved],
+            stationarity[solved], steps[solved])

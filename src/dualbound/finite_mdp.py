@@ -286,13 +286,7 @@ def _inner_solve_stagewise(mdp: FiniteMDP, penalty: StagewisePenalty, scenario: 
                     best_val, best_a = val, a
             I[k, x] = best_val
             choice[k, x] = best_a
-    seq = []
-    x = mdp.initial_state
-    for k in range(K):
-        a = int(choice[k, x])
-        seq.append(a)
-        x = int(mdp.transition[x, a, scenario.outcomes[k]])
-    return tuple(seq), float(I[0, mdp.initial_state])
+    return policy_action_sequence(mdp, choice, scenario), float(I[0, mdp.initial_state])
 
 
 def dual_bound_exact(mdp: FiniteMDP, penalty) -> float:

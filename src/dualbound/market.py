@@ -262,10 +262,6 @@ class ShockPath:
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "Ztilde", Zt)
 
-    @property
-    def K(self) -> int:
-        return self.Z.shape[0]
-
     def antithetic(self) -> "ShockPath":
         """Elementwise negation; exact in IEEE arithmetic."""
         return ShockPath(Z=-self.Z, Ztilde=-self.Ztilde)

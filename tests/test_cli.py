@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dualbound
-from dualbound import bounds, cli, dp_solver, market
+from dualbound import bounds, cli, dp_solver, finite_mdp, market
 from dualbound.cli import main
 
 from helpers import matching_mdp
@@ -130,13 +130,19 @@ class TestSolve:
         assert "finite nodes" in capsys.readouterr().err
 
     def test_solve_loads_neither_scipy_nor_a_process_pool(self, tmp_path):
-        # A fresh interpreter: this one has scipy and multiprocessing loaded by other tests.
+        # A fresh interpreter: this one has scipy and multiprocessing loaded by
+        # other tests.  The bounds on the grid run too, and numpy.ma (loaded
+        # lazily by, for one, np.unique) must stay out of the solver path.
         code = (
             "import sys\n"
             "from dualbound.cli import main\n"
-            "assert main(['solve', '--set', '1', '--grid-nodes', '5', '--out', sys.argv[1]]) == 0\n"
+            "grid = sys.argv[1]\n"
+            "assert main(['solve', '--set', '1', '--grid-nodes', '5', '--out', grid]) == 0\n"
+            "counts = ['--seed', '1', '--paths', '2', '--runs', '2', '--workers', '1', '--out', '-']\n"
+            "assert main(['lower', '--grid', grid] + counts) == 0\n"
+            "assert main(['upper', '--grid', grid, '--penalty', 'zero'] + counts) == 0\n"
             "loaded = [m for m in sys.modules if m.startswith(('scipy', 'multiprocessing'))\n"
-            "          or m == 'concurrent.futures.process']\n"
+            "          or m in ('numpy.ma', 'concurrent.futures.process')]\n"
             "sys.exit('loaded: ' + ' '.join(sorted(loaded)) if loaded else 0)\n"
         )
         src = str(Path(dualbound.__file__).resolve().parent.parent)
@@ -144,6 +150,10 @@ class TestSolve:
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "g.json")], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_neither_config_nor_set_exits_2(self, capsys):
+        assert run_cli("solve", "--grid-nodes", "5") == 2
+        assert "provide either --config FILE or --set ID" in capsys.readouterr().err
 
     def test_strict_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -295,6 +305,10 @@ class TestFeasibilityCmd:
         report = json.loads(capsys.readouterr().out)
         assert report["kind"] == "m1" and report["passed"] is True
 
+    def test_fewer_than_100_paths_exit_2(self, grid_file_set1, capsys):
+        assert run_cli("feasibility", "--grid", grid_file_set1, "--paths", "50", "--seed", "1", "--out", "-") == 2
+        assert "need at least 100 paths, got 50" in capsys.readouterr().err
+
     def test_negative_seed(self, grid_file_set1, capsys):
         assert run_cli("feasibility", "--grid", grid_file_set1, "--paths", "100",
                        "--seed", "-1", "--out", "-") == 0
@@ -322,6 +336,16 @@ class TestVerifyFinite:
         bad.write_text(json.dumps(data))
         assert run_cli("verify-finite", str(bad)) == 2
         assert message in capsys.readouterr().err
+
+    def test_scenario_space_beyond_the_guard_exits_5(self, tmp_path, capsys):
+        # One state, horizon 21 and two outcomes: 2**21 scenarios.
+        mdp = finite_mdp.FiniteMDP(horizon=21, states=("s",), actions=("a",), outcomes=("o0", "o1"),
+                                   outcome_probs=np.array([0.5, 0.5]), transition=np.zeros((1, 1, 2), dtype=int),
+                                   stage_reward=np.zeros((21, 1, 1)), terminal_reward=np.zeros(1), initial_state=0)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(mdp.to_dict()))
+        assert run_cli("verify-finite", str(path)) == 5
+        assert "exceeds the enumeration guard" in capsys.readouterr().err
 
     def test_corrupt_json_exits_2_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -76,9 +76,8 @@ class TestMaximize:
         trace = []
 
         def traced_center(oracle, live, *args):
-            capped = center(oracle, live, *args)
+            center(oracle, live, *args)
             trace.extend(live.F.tolist())
-            return capped
 
         monkeypatch.setattr(concave, "_center", traced_center)
         sol = maximize(oracle, cons, np.array([1e-3, 1e-3]), tol=1e-8)
@@ -99,13 +98,13 @@ class TestMaximize:
         center = concave._center
         stages = []
 
-        def traced_center(oracle, live, t, tol, max_newton, dec_stop):
+        def traced_center(oracle, live, t, tol, max_newton, dec_stop, out):
             stages.append((t, dec_stop))
-            return center(oracle, live, t, tol, max_newton, dec_stop)
+            center(oracle, live, t, tol, max_newton, dec_stop, out)
 
         monkeypatch.setattr(concave, "_center", traced_center)
         # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
-        monkeypatch.setattr(concave, "_polish", lambda oracle, live, t: [None] * live.size)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
         # A Bellman node's tolerance and rows, then the inner problems'.
         for cons, tol in ((node_cons, 1e-8), (inner_cons, 1e-6)):
             stages.clear()
@@ -149,15 +148,15 @@ class TestMaximize:
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
         # absolute near-active face cut it certified none of these solves.
         certified = []
-        polish = concave._polish
+        crossover = concave._crossover
         first = [True]
 
-        def traced_polish(*args):
-            results = polish(*args)
+        def traced_crossover(*args):
+            kkt = crossover(*args)
             if first[0]:
-                certified.extend(r is not None and r[2] <= bounds.INNER_TOL for r in results)
+                certified.extend((kkt <= bounds.INNER_TOL).tolist())
                 first[0] = False
-            return results
+            return kkt
 
         batch = concave.maximize_batch
 
@@ -165,7 +164,7 @@ class TestMaximize:
             first[0] = True
             return batch(*args, **kwargs)
 
-        monkeypatch.setattr(concave, "_polish", traced_polish)
+        monkeypatch.setattr(concave, "_crossover", traced_crossover)
         monkeypatch.setattr(concave, "maximize_batch", traced_batch)
         for kind in ("m1", "m2", "zero"):
             bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind=kind))
@@ -267,28 +266,28 @@ class TestMaximize:
             gradient=lambda x: a / wealth(x) + np.array([0.0, 0.0, 1.0 / x[2]]),
             hessian=counting_hessian,
         )
-        ended = concave._face_newton(oracle, np.zeros((1, 0, 3)), np.zeros((1, 0)),
-                                     np.array([[1e-3, 2e-3, 0.4999]]), np.array([0]), [(0, np.array([], dtype=int))])
-        assert ended == []
+        ended = concave._face_newton(oracle, np.zeros((1, 0, 3)), np.zeros((1, 0)), np.array([[1e-3, 2e-3, 0.4999]]),
+                                     np.array([0]), np.zeros((1, 0), dtype=bool), np.array([0]))
+        assert ended[0].size == 0
         assert 1 <= solves[0] <= 3
 
         # The whole solve, crossovers included, stays cheap and finds the optimum.
-        polish = concave._polish
-        in_polish = []
+        crossover = concave._crossover
+        in_crossover = []
 
-        def counted_polish(*args):
+        def counted_crossover(*args):
             before = solves[0]
-            results = polish(*args)
-            in_polish.append(solves[0] - before)
-            return results
+            kkt = crossover(*args)
+            in_crossover.append(solves[0] - before)
+            return kkt
 
-        monkeypatch.setattr(concave, "_polish", counted_polish)
+        monkeypatch.setattr(concave, "_crossover", counted_crossover)
         cons = np.vstack([np.ones((1, 3)), -np.eye(3)]), np.array([1.0, 0.0, 0.0, 0.0])  # x >= 0, 1'x <= 1
         sol = maximize(oracle, cons, np.array([0.2, 0.2, 0.2]), tol=1e-8)
         assert sol.status == concave.STATUS_CONVERGED
         np.testing.assert_allclose(sol.x, [0.0, 0.0, 0.5], atol=1e-7)
         assert sol.f == pytest.approx(2.0 * np.log(0.5), abs=1e-10)
-        assert in_polish and sum(in_polish) < 12
+        assert in_crossover and sum(in_crossover) < 12
 
     def test_face_step_leaving_the_domain_drops_the_face(self):
         # -(x - 5)^2 on its domain x <= 1 + 1e-9, from x = 1 on the empty
@@ -303,8 +302,8 @@ class TestMaximize:
         oracle = concave.ObjectiveOracle(value=value, gradient=lambda X, rows: -2.0 * (X - 5.0),
                                          hessian=lambda X, rows: np.full((len(X), 1, 1), -2.0))
         ended = concave._face_newton(oracle, np.zeros((1, 0, 1)), np.zeros((1, 0)), np.array([[1.0]]),
-                                     np.array([0]), [(0, np.array([], dtype=int))])
-        assert ended == []
+                                     np.array([0]), np.zeros((1, 0), dtype=bool), np.array([0]))
+        assert ended[0].size == 0
         assert sum(evaluated) == 1
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
@@ -394,7 +393,7 @@ class TestExits:
         # At tol 1e-12 the barrier-KKT test is out of reach, so with every
         # crossover failing the ladder ends at t_cap.
         (oracle, A, b, X0), node = set1_last_stage_nodes(p_set1)
-        monkeypatch.setattr(concave, "_polish", lambda oracle, live, t: [None] * live.size)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
         sol = maximize(node(11), (A[11], b[11]), X0[11], tol=1e-12)
         assert sol.status == concave.STATUS_MAX_ITER
         assert sol.iterations == 26
@@ -510,6 +509,25 @@ class TestWarmFace:
         assert hessian_rows[0] == A.shape[0]
         per_size = sum(steps[rows == k].max() for k in set(rows.tolist()))
         assert len(hessian_rows) < per_size
+
+    def test_face_newton_faces_equal_their_one_face_calls(self, p_set1, vg_set1):
+        # Stage K-2 with the stage K-1 faces (1, 2 and 3 rows) and, on every
+        # third node, the empty face, whose optimum violates rows.
+        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
+        face[::3] = False
+        assert len(set(face.sum(axis=1).tolist())) > 2
+        G = A.shape[0]
+        j, x, f, nu, violated, stationarity, steps = concave._face_newton(
+            oracle, A, b, X0, np.arange(G), face, np.arange(G))
+        alone = [concave._face_newton(node(i), A[i:i + 1], b[i:i + 1], X0[i:i + 1], np.array([0]),
+                                      face[i:i + 1], np.array([0])) for i in range(G)]
+        assert sorted(j.tolist()) == [i for i in range(G) if alone[i][0].size]
+        assert violated.any() and not violated.all()
+        for r, i in enumerate(j.tolist()):
+            for stacked, one in zip((x, f, nu, violated, stationarity, steps), alone[i][1:]):
+                np.testing.assert_array_equal(stacked[r], one[0])
+            assert (nu[r][~face[i]] == 0.0).all()
+            np.testing.assert_array_equal(violated[r], b[i] - A[i] @ x[r] < -1e-10 * (1.0 + np.abs(b[i])))
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
         (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
