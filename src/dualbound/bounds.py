@@ -211,15 +211,9 @@ def _chunk_shocks(p, cfg, span):
         state["state"]["key"] = key
         bitgen.state = state
         rng.standard_normal(out=row)   # Z's K*n draws, then Ztilde's K*d
-    legs = 2 if cfg.antithetic else 1
-    Z = np.empty((len(runs) * legs, K, n))
-    Ztilde = np.empty((len(runs) * legs, K, d))
-    Z[::legs] = draws[:, :K * n].reshape(-1, K, n)
-    Ztilde[::legs] = draws[:, K * n:].reshape(-1, K, d)
     if cfg.antithetic:
-        np.negative(Z[0::2], out=Z[1::2])
-        np.negative(Ztilde[0::2], out=Ztilde[1::2])
-    return Z, Ztilde
+        draws = np.stack([draws, -draws], axis=1).reshape(-1, K * (n + d))
+    return draws[:, :K * n].reshape(-1, K, n), draws[:, K * n:].reshape(-1, K, d)
 
 
 def _path_error(which, cfg, span, leg, reason):

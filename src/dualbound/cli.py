@@ -331,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None, help="ModelParams JSON (strict schema)")
     sp.add_argument("--set", type=int, default=None, help="published parameter set id")
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--grid-nodes", type=int, default=21)
-    sp.add_argument("--grid-min", type=float, default=-2.0)
-    sp.add_argument("--grid-max", type=float, default=2.0)
-    sp.add_argument("--quad", type=int, default=3, help="quadrature points per dimension")
+    sp.add_argument("--grid-nodes", type=int, default=len(dp_solver.DEFAULT_GRID))
+    sp.add_argument("--grid-min", type=float, default=float(dp_solver.DEFAULT_GRID[0]))
+    sp.add_argument("--grid-max", type=float, default=float(dp_solver.DEFAULT_GRID[-1]))
+    sp.add_argument("--quad", type=int, default=dp_solver.DEFAULT_QUAD_POINTS,
+                    help="quadrature points per dimension")
     sp.add_argument("--debug-solver", action="store_true",
                     help="log one line per node (k, phi, Newton steps, status, KKT residual) to stderr")
     add_common(sp)

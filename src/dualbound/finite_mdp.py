@@ -1,11 +1,13 @@
 """Exact information-relaxation duality on small finite MDPs.
 
 Everything here is enumeration-based and exact up to float rounding: backward
-induction for the primal value, exhaustive (or stagewise, when the penalty is
-stage-separable) inner maximization per disturbance scenario, and the dual
-bound as the probability-weighted sum over all scenarios.  Small instances
-serve as the ground-truth oracle for weak duality, strong duality with the
-value-function penalty, and the zero-mean property of that penalty.
+induction for the primal value, inner maximization per disturbance scenario,
+and the dual bound as the probability-weighted sum over all scenarios.  A
+stage-separable penalty is a (K, S, A, O) table, and its inner problems run
+the same backward induction as the primal value; any other penalty is
+maximized by exhaustive enumeration.  Small instances serve as the
+ground-truth oracle for weak duality, strong duality with the value-function
+penalty, and the zero-mean property of that penalty.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +105,7 @@ class FiniteMDP:
             "transition": self.transition.tolist(),
             "stage_reward": self.stage_reward.tolist(),
             "terminal_reward": self.terminal_reward.tolist(),
-            "initial_state": self.states[self.initial_state],
+            "initial_state": self.initial_state,
         }
 
     @classmethod
@@ -157,18 +159,24 @@ class ScenarioSequence:
     probability: float
 
 
-def solve_dp(mdp: FiniteMDP) -> StageValues:
-    """Exact backward induction; ties broken by the lowest action index."""
+def _backward(mdp: FiniteMDP, stage_reward: np.ndarray, probs: np.ndarray) -> StageValues:
+    """Backward induction on rewards (K, S, A) and outcome probability rows
+    (K, O) over mdp's transitions; ties broken by the lowest action index."""
     K, S = mdp.horizon, mdp.n_states
     V = np.empty((K + 1, S))
     policy = np.empty((K, S), dtype=int)
     V[K] = mdp.terminal_reward
     for k in range(K - 1, -1, -1):
         # Q[x, a] = g_k(x, a) + sum_o p_k(o) V_{k+1}(f(x, a, o))
-        Q = mdp.stage_reward[k] + np.einsum("o,xao->xa", mdp.outcome_probs[k], V[k + 1][mdp.transition])
+        Q = stage_reward[k] + np.einsum("o,xao->xa", probs[k], V[k + 1][mdp.transition])
         policy[k] = np.argmax(Q, axis=1)
         V[k] = Q[np.arange(S), policy[k]]
     return StageValues(values=V, policy=policy)
+
+
+def solve_dp(mdp: FiniteMDP) -> StageValues:
+    """Exact backward induction; ties broken by the lowest action index."""
+    return _backward(mdp, mdp.stage_reward, mdp.outcome_probs)
 
 
 def enumerate_scenarios(mdp: FiniteMDP, guard: int = ENUMERATION_GUARD):
@@ -208,85 +216,61 @@ def pathwise_reward(mdp: FiniteMDP, action_seq: Sequence[int], scenario: Scenari
     return total
 
 
-def _expected_next_value(mdp: FiniteMDP, V_next: np.ndarray, k: int, x: int, a: int) -> float:
-    return float(np.dot(mdp.outcome_probs[k], V_next[mdp.transition[x, a]]))
-
-
 class StagewisePenalty:
-    """Penalty of the form sum_k term(k, x_k, a_k, v_{k+1}); the stagewise
-    structure lets the inner problem run as a deterministic DP over states."""
+    """Penalty sum_k table[k, x_k, a_k, v_{k+1}] of a (K, S, A, O) table; the
+    stagewise structure lets the inner problem run as a deterministic DP over states."""
 
-    def __init__(self, mdp: FiniteMDP, term: Callable[[int, int, int, int], float]):
+    def __init__(self, mdp: FiniteMDP, table: np.ndarray):
         self._mdp = mdp
-        self.stage_term = term
+        self.table = np.asarray(table, dtype=float)
 
     def __call__(self, action_seq: Sequence[int], scenario: ScenarioSequence) -> float:
         xs = trajectory(self._mdp, action_seq, scenario)
-        return sum(self.stage_term(k, int(xs[k]), int(action_seq[k]), int(scenario.outcomes[k]))
+        return sum(float(self.table[k, xs[k], action_seq[k], scenario.outcomes[k]])
                    for k in range(self._mdp.horizon))
 
 
 def zero_penalty(mdp: FiniteMDP) -> StagewisePenalty:
-    return StagewisePenalty(mdp, lambda k, x, a, o: 0.0)
+    return StagewisePenalty(mdp, np.zeros((mdp.horizon, mdp.n_states, mdp.n_actions, len(mdp.outcomes))))
 
 
 def optimal_penalty(mdp: FiniteMDP, sv: Optional[StageValues] = None) -> StagewisePenalty:
-    """The martingale-difference penalty built from the exact stage values."""
+    """The martingale-difference penalty built from the exact stage values:
+    V_{k+1}(f(x, a, o)) - sum_o' p_k(o') V_{k+1}(f(x, a, o'))."""
     if sv is None:
         sv = solve_dp(mdp)
-
-    def term(k: int, x: int, a: int, o: int) -> float:
-        x_next = int(mdp.transition[x, a, o])
-        return float(sv.values[k + 1, x_next]) - _expected_next_value(mdp, sv.values[k + 1], k, x, a)
-
-    return StagewisePenalty(mdp, term)
+    nxt = sv.values[1:, mdp.transition]  # (K, S, A, O)
+    return StagewisePenalty(mdp, nxt - np.einsum("ko,kxao->kxa", mdp.outcome_probs, nxt)[..., None])
 
 
 def scaled_penalty(base: StagewisePenalty, factor: float) -> StagewisePenalty:
-    return StagewisePenalty(base._mdp, lambda k, x, a, o: factor * base.stage_term(k, x, a, o))
+    return StagewisePenalty(base._mdp, factor * base.table)
 
 
 def inner_solve(mdp: FiniteMDP, penalty, scenario: ScenarioSequence):
     """Exact maximizer over ALL action sequences for one disturbance scenario.
 
-    A general penalty may couple stages, so the default is exhaustive
-    enumeration (ties resolved to the lexicographically lowest sequence);
-    penalties exposing `stage_term` take a stagewise deterministic DP instead,
-    which resolves ties identically.
+    A general penalty may couple stages, so a plain callable takes exhaustive
+    enumeration (ties resolved to the lexicographically lowest sequence).  A
+    StagewisePenalty's inner problem is deterministic: `solve_dp`'s backward
+    induction on rewards g_k(x, a) - table[k, x, a, o_k] and one-hot outcome
+    rows, whose lowest-index argmax policy resolves ties identically.
     """
     if penalty is None:
         penalty = zero_penalty(mdp)
     if len(scenario.outcomes) != mdp.horizon:
         raise ValueError("scenario length must equal the horizon")
-    if hasattr(penalty, "stage_term"):
-        return _inner_solve_stagewise(mdp, penalty, scenario)
-    best_seq = None
-    best_val = -np.inf
+    if isinstance(penalty, StagewisePenalty):
+        o = np.asarray(scenario.outcomes)
+        sv = _backward(mdp, mdp.stage_reward - penalty.table[np.arange(mdp.horizon), :, :, o],
+                       np.eye(len(mdp.outcomes))[o])
+        return policy_action_sequence(mdp, sv.policy, scenario), float(sv.values[0, mdp.initial_state])
+    best_seq, best_val = None, -np.inf
     for seq in itertools.product(range(mdp.n_actions), repeat=mdp.horizon):
         val = pathwise_reward(mdp, seq, scenario) - penalty(seq, scenario)
         if val > best_val:
-            best_val = val
-            best_seq = seq
+            best_seq, best_val = seq, val
     return best_seq, float(best_val)
-
-
-def _inner_solve_stagewise(mdp: FiniteMDP, penalty: StagewisePenalty, scenario: ScenarioSequence):
-    K, S, A = mdp.horizon, mdp.n_states, mdp.n_actions
-    I = np.empty((K + 1, S))
-    choice = np.empty((K, S), dtype=int)
-    I[K] = mdp.terminal_reward
-    for k in range(K - 1, -1, -1):
-        o = scenario.outcomes[k]
-        for x in range(S):
-            best_val, best_a = -np.inf, 0
-            for a in range(A):
-                val = mdp.stage_reward[k, x, a] - penalty.stage_term(k, x, a, o) \
-                    + I[k + 1, mdp.transition[x, a, o]]
-                if val > best_val:
-                    best_val, best_a = val, a
-            I[k, x] = best_val
-            choice[k, x] = best_a
-    return policy_action_sequence(mdp, choice, scenario), float(I[0, mdp.initial_state])
 
 
 def dual_bound_exact(mdp: FiniteMDP, penalty) -> float:
@@ -340,27 +324,26 @@ def verify_duality(mdp: FiniteMDP, strong_tol: float = 1e-10, martingale_tol: fl
 
     Computes the primal value, the zero-penalty (pure foresight) bound and the
     optimal-penalty bound by enumeration, plus the exact expectation of the
-    optimal penalty under the argmax policy.  Failures raise a
-    DualityCheckError carrying the report unless raise_on_failure is False.
+    optimal penalty under the argmax policy.  Every tolerance (the weak-duality
+    1e-12, strong_tol, martingale_tol) is multiplied by max(1, max|V|) over the
+    stage values, so rounding on large rewards does not fail a valid instance.
+    Failures raise a DualityCheckError carrying the report unless
+    raise_on_failure is False.
     """
     sv = solve_dp(mdp)
     v0 = float(sv.values[0, mdp.initial_state])
+    scale = max(1.0, float(np.max(np.abs(sv.values))))
     zero_bound = dual_bound_exact(mdp, None)
     mstar = optimal_penalty(mdp, sv)
     opt_bound = dual_bound_exact(mdp, mstar)
     e_mstar = expected_penalty_under_policy(mdp, mstar, sv.policy)
     checks = {
-        "weak_duality_zero_penalty": zero_bound >= v0 - 1e-12,
-        "strong_duality_optimal_penalty": abs(opt_bound - v0) <= strong_tol,
-        "zero_mean_under_optimal_policy": abs(e_mstar) <= martingale_tol,
+        "weak_duality_zero_penalty": zero_bound >= v0 - 1e-12 * scale,
+        "strong_duality_optimal_penalty": abs(opt_bound - v0) <= strong_tol * scale,
+        "zero_mean_under_optimal_policy": abs(e_mstar) <= martingale_tol * scale,
     }
-    report = DualityReport(
-        v0=v0,
-        zero_penalty_bound=zero_bound,
-        optimal_penalty_bound=opt_bound,
-        expected_optimal_penalty=e_mstar,
-        checks=checks,
-    )
+    report = DualityReport(v0=v0, zero_penalty_bound=zero_bound, optimal_penalty_bound=opt_bound,
+                           expected_optimal_penalty=e_mstar, checks=checks)
     if raise_on_failure and not report.passed:
         raise DualityCheckError(report)
     return report

@@ -175,13 +175,9 @@ def feasibility_check(kind, p: ModelParams, vg: dp_solver.ValueGrid,
         m = min(FEAS_CHUNK_PAIRS, n_paths - start)
         # Pair i draws its K*n return shocks, then its K*d state shocks.
         draws = rng.standard_normal((m, K * (n + d)))
-        Z = np.empty((m, 2, K, n))
-        Ztilde = np.empty((m, 2, K, d))
-        Z[:, 0] = draws[:, :K * n].reshape(m, K, n)
-        Ztilde[:, 0] = draws[:, K * n:].reshape(m, K, d)
-        np.negative(Z[:, 0], out=Z[:, 1])
-        np.negative(Ztilde[:, 0], out=Ztilde[:, 1])
-        ctxs = build_contexts(p, vg, policy, Z.reshape(2 * m, K, n), Ztilde.reshape(2 * m, K, d))
+        legs = np.stack([draws, -draws], axis=1).reshape(2 * m, K * (n + d))
+        ctxs = build_contexts(p, vg, policy, legs[:, :K * n].reshape(2 * m, K, n),
+                              legs[:, K * n:].reshape(2 * m, K, d))
         form = kind(ctxs, p) if callable(kind) else penalty_form(kind, ctxs, p)
         vals = form.evaluate(ctxs.Pi, ctxs.C)
         pair_means[start:start + m] = 0.5 * (vals[0::2] + vals[1::2])

@@ -309,13 +309,15 @@ class TestAssembleInner:
                 one.f, one.kkt_residual, one.iterations, one.status)
             assert one.status == concave.STATUS_CONVERGED
 
-    def test_upper_chunk_solve_peaks_below_75_kb_per_leg(self, p_set1, vg_set1):
+    @pytest.mark.parametrize("kind, kb_per_leg", [("m1", 75), ("m2", 75), ("zero", 90)])
+    def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS, which is
-        # sized for about 62 KB a leg on this batch (16 pairs, 40-dim legs).
-        p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind="m1", gamma=1.5)
+        # sized for about 62 KB (m1) to 87 KB (zero) a leg on this batch
+        # (16 pairs, 40-dim legs).
+        p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form("m1", ctxs, p), ctxs)
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form(kind, ctxs, p), ctxs)
         assert len(X0) == 32
         tracemalloc.start()
         try:
@@ -323,7 +325,7 @@ class TestAssembleInner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 75e3 * len(X0)
+        assert peak <= kb_per_leg * 1e3 * len(X0)
 
 
 def _upper_leg_by_leg(p, vg, cfg):

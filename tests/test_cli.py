@@ -67,7 +67,8 @@ def _subparser_dests(command: str) -> set:
 class TestPrintConfig:
     @pytest.mark.parametrize("argv, expect", [
         (["gen-params", "2"], {"set": 2, "gamma": 1.5}),
-        (["solve", "--set", "1"], {"set": 1, "gamma": None, "grid_nodes": 21}),
+        (["solve", "--set", "1"], {"set": 1, "gamma": None, "grid_nodes": 21, "grid_min": -2.0,
+                                   "grid_max": 2.0, "quad": 3}),
         (["lower", "--grid", "g.json", "--set", "1", "--seed", "3"], {"set": 1, "paths": 100, "seed": 3}),
         (["upper", "--grid", "g.json", "--set", "1", "--seed", "3"], {"set": 1, "paths": 30, "penalty": "m1"}),
         (["feasibility", "--grid", "g.json", "--gamma", "3", "--seed", "1"], {"gamma": 3.0, "paths": 10_000}),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -67,6 +68,22 @@ class TestOptimalPenaltyValue:
         sv = fm.solve_dp(mdp)
         with pytest.raises(ValueError, match="length"):
             fm.optimal_penalty(mdp, sv)((0, 1), fm.ScenarioSequence((0,), 0.5))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_table_equals_brute_force_martingale_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, max_horizon=4)
+        if seed % 2:  # a per-stage probability table
+            probs = rng.random((mdp.horizon, len(mdp.outcomes))) + 0.05
+            mdp = dataclasses.replace(mdp, outcome_probs=probs / probs.sum(axis=1, keepdims=True))
+        V = fm.solve_dp(mdp).values
+        table = fm.optimal_penalty(mdp).table
+        K, S, A, O = mdp.horizon, mdp.n_states, mdp.n_actions, len(mdp.outcomes)
+        assert table.shape == (K, S, A, O)
+        f, p = mdp.transition, mdp.outcome_probs
+        for k, x, a, o in itertools.product(range(K), range(S), range(A), range(O)):
+            mean = sum(p[k, o2] * V[k + 1, f[x, a, o2]] for o2 in range(O))
+            assert table[k, x, a, o] == pytest.approx(V[k + 1, f[x, a, o]] - mean, abs=1e-14)
 
 
 class TestInnerSolve:
@@ -149,6 +166,17 @@ class TestVerifyDuality:
         with pytest.raises(fm.DualityCheckError) as err:
             fm.verify_duality(mdp, strong_tol=-1.0)  # unattainable on purpose
         assert isinstance(err.value.report, fm.DualityReport)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e7, 1e12])
+    def test_tolerances_scale_with_the_values(self, scale):
+        # Rounding on rewards of size 1e7 exceeds the absolute tolerances.
+        for seed in range(20):
+            mdp = random_mdp(np.random.default_rng(seed), max_horizon=4)
+            mdp = dataclasses.replace(mdp, stage_reward=scale * mdp.stage_reward,
+                                      terminal_reward=scale * mdp.terminal_reward)
+            assert fm.verify_duality(mdp).passed
+            with pytest.raises(fm.DualityCheckError):
+                fm.verify_duality(mdp, strong_tol=-1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -239,3 +267,19 @@ class TestValidationAndJson:
         again = fm.FiniteMDP.from_json(json.dumps(mdp.to_dict()))
         assert again.to_dict() == mdp.to_dict()
         assert fm.verify_duality(again).passed
+
+    def test_json_round_trip_keeps_initial_state_with_integer_labels(self):
+        # An integer initial_state is an index, so label 1 at index 0 must not move it.
+        mdp = fm.FiniteMDP(
+            horizon=1, states=(1, 0), actions=("a",), outcomes=("o",),
+            outcome_probs=np.array([1.0]), transition=np.array([[[0]], [[1]]]),
+            stage_reward=np.zeros((1, 2, 1)), terminal_reward=np.array([5.0, 0.0]),
+            initial_state=0)
+        again = fm.FiniteMDP.from_json(json.dumps(mdp.to_dict()))
+        assert again.initial_state == 0
+        assert fm.solve_dp(again).values[0, again.initial_state] == 5.0
+
+    def test_string_initial_state_is_a_label(self):
+        data = matching_mdp().to_dict()
+        data["initial_state"] = "match"
+        assert fm.FiniteMDP.from_dict(data).initial_state == 1
