@@ -15,6 +15,15 @@ lower-bound chunk simulates its legs as one batch, each path bit-identical
 to its one-path simulation; an upper-bound chunk solves the inner problems
 of its legs as one lockstep batch, each bit-identical to its one-problem
 solve.  Neither chunk size depends on the worker count.
+
+Each inner solve is warm-started on a face read off the inner problem's
+Lagrangian dual, which the floor chain of the wealth multipliers makes a
+function of the terminal multiplier lambda_K alone (`_floor_chain`): a
+search of lambda_K (`_dual_bracket`) finds where the dual's slope changes
+sign, and the face holds each row whose dual candidate is maximal at
+neither end of the final bracket (`_dual_face`).  The solver's crossover
+certifies the face by exact KKT or falls back to the barrier; the reported
+value is the primal optimum either way.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ LOWER_CHUNK_PAIRS = 256
 # for +10%.  At K = 40, 4 pairs take 5-9% less time a leg than 16 at a third
 # of the tracemalloc peak; 1 pair, a (40 / D)^2 scaling, takes 3-6% more.
 UPPER_CHUNK_PAIRS = 16
+# The search of `_dual_bracket` stops a leg at this relative bracket width,
+# or after this many floor-chain evaluations.
+DUAL_REL_WIDTH = 1e-6
+DUAL_MAX_EVALS = 40
 
 CSV_COLUMNS = (
     "parameter_set", "gamma", "bound_type", "penalty", "value_mean", "value_stderr",
@@ -234,16 +247,17 @@ def _lower_task(span):
 
 def _upper_task(span):
     """Inner optima and cap flags of the legs of flat pairs [start, stop),
-    solved as one batch.  A leg whose start is not strictly feasible has no
-    inner optimum (its f is -inf) and raises PathError."""
+    solved as one batch, each first on its leg's `_dual_face`.  A leg whose
+    start is not strictly feasible has no inner optimum (its f is -inf) and
+    raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
-    sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs),
-                                  tol=INNER_TOL, max_newton=INNER_MAX_NEWTON)
+    sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs), tol=INNER_TOL,
+                                  max_newton=INNER_MAX_NEWTON, face=_dual_face(p, forms, ctxs))
     for leg, sol in enumerate(sols):
         if sol.status == concave.STATUS_INFEASIBLE:
             raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
@@ -321,7 +335,10 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     pairs (across run boundaries), and each task solves the inner problems of
     its legs as one `concave.maximize_batch` call; every leg's optimum is
     bit-identical to its own `assemble_inner` + `maximize`, so the results do
-    not depend on the task size.
+    not depend on the task size.  Each solve starts with a crossover onto
+    its leg's dual face (`_dual_face`), which certifies almost every leg in
+    a few face Newton steps; a leg it does not certify runs the barrier from
+    its start.  Either way the leg's value is the primal optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -332,6 +349,12 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     values = [f for task_values, _ in results for f in task_values]
     flagged = sum(task_flagged for _, task_flagged in results)
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)
+
+
+def _utility_weights(p: ModelParams) -> np.ndarray:
+    """CRRA weights of (C_0, ..., C_{K-1}, W_K) in the inner objective."""
+    return np.append(p.alpha * p.delta * p.beta ** (np.arange(p.K) * p.delta),
+                     (1.0 - p.alpha) * p.beta ** (p.K * p.delta))
 
 
 def assemble_inner_batch(p: ModelParams, forms, ctxs):
@@ -392,9 +415,7 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     z0 = np.zeros((B, K + 2))
     z0[:, K] = w_const[K]
     z0[:, K + 1] = forms.constant
-    weights = np.append(p.alpha * p.delta * p.beta ** (np.arange(K) * p.delta),
-                        (1.0 - p.alpha) * p.beta ** (K * p.delta))
-    oracle = concave.crra_oracle(P, z0, weights, p.gamma)
+    oracle = concave.crra_oracle(P, z0, _utility_weights(p), p.gamma)
 
     # Start: baseline decisions pulled a tenth of the way toward a strictly
     # interior trajectory built forward with the realized returns, so the
@@ -419,10 +440,126 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, (A, b), start); the N = 1
-    call of `assemble_inner_batch`, for `concave.maximize`."""
-    oracle, A, b, X0 = assemble_inner_batch(p, penalties.as_stack(form), penalties.as_stack(ctx))
-    return oracle, (A[0], b[0]), X0[0]
+    """Inner problem of one path leg as (oracle, (A, b, face), start); the
+    N = 1 call of `assemble_inner_batch` and `_dual_face`, for
+    `concave.maximize`."""
+    form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
+    oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
+    return oracle, (A[0], b[0], _dual_face(p, form, ctx)[0]), X0[0]
+
+
+def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
+    """The inner problem's Lagrangian dual G and its slope G' at lam_K, along
+    the floor chain, for each leg of a stack: R (B, K, n) and the form's
+    lin_Pi (B, K, n), lin_C (B, K) and constant (B,).
+
+    Stage k's candidates for lambda_k are the bond's R_f lambda_{k+1} and
+    asset j's R_kj lambda_{k+1} - lin_Pi[k, j].  lambda_k is their maximum,
+    and its slope in lam_K is the largest gross return among the maximal
+    candidates times lambda_{k+1}'s.  With y_k = lin_C[k] + lambda_k / R_f,
+
+        G = lambda_0 W_0 - constant + sum_k c(w_k, y_k) + c(w_K, lam_K),
+        c(w, y) = sup_C w C^(1-gamma)/(1-gamma) - y C = gamma/(1-gamma) C y,
+
+    at C = (y / w)^(-1/gamma), and dc/dy = -C.  Any lam_K > 0 gives G >= the
+    inner maximum (weak duality; the floors on C_k and W_K only lower it).
+    Returns (G, G', top) with top (B, K, n+1) marking the maximal
+    candidates, the bond first.  A leg with some y_k <= 0 has G = +inf, and
+    G' = -inf so that a search moves its lam_K up.
+    """
+    B, K = lam_K.size, p.K
+    # Stage-major candidate lines (K, B, n+1), the bond's first.
+    gross = np.concatenate([np.full((K, B, 1), p.R_f), R.transpose(1, 0, 2)], axis=2)
+    offset = np.concatenate([np.zeros((K, B, 1)), lin_Pi.transpose(1, 0, 2)], axis=2)
+    lam = np.empty((K + 1, B))
+    lam[K] = lam_K
+    for k in range(K - 1, -1, -1):
+        lam[k] = np.maximum.reduce(gross[k] * lam[k + 1, :, None] - offset[k], axis=1)
+    top = gross * lam[1:, :, None] - offset == lam[:-1, :, None]
+    # d lambda_k / d lam_K: the product of the stage growths from K-1 down to k.
+    growth = np.maximum.reduce(np.where(top, gross, 0.0), axis=2)
+    slopes = np.multiply.accumulate(growth[::-1], axis=0)[::-1]
+    # Leg-major copies, so that each leg's sums over k run on a contiguous
+    # row in the same order whatever B is.
+    lams, slopes = np.ascontiguousarray(lam[:-1].T), np.ascontiguousarray(slopes.T)
+    y = lin_C + lams / p.R_f
+    feasible = y.min(axis=1) > 0.0
+    y = np.where(feasible[:, None], y, 1.0)
+    w = _utility_weights(p) ** (1.0 / p.gamma)
+    C = w[:K] * y ** (-1.0 / p.gamma)
+    C_K = w[K] * lam_K ** (-1.0 / p.gamma)
+    G = (lams[:, 0] * p.W0 - constant
+         + p.gamma / (1.0 - p.gamma) * ((C * y).sum(axis=1) + C_K * lam_K))
+    dG = slopes[:, 0] * p.W0 - (C * slopes).sum(axis=1) / p.R_f - C_K
+    return np.where(feasible, G, np.inf), np.where(feasible, dG, -np.inf), top.transpose(1, 0, 2)
+
+
+def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
+    """Each leg's search of lam_K for the sign change of G' (`_floor_chain`).
+
+    Multipliers lambda_k on the wealth equations W_{k+1} = R_f B_k + R_k'Pi_k
+    (bond holding B_k = W_k - 1'Pi_k - C_k / R_f) make the inner problem's
+    dual a function of lambda_K alone: every stage of the optimum holds
+    something, so lambda_k sits on its floor max(R_f lambda_{k+1},
+    max_j(R_kj lambda_{k+1} - lin_Pi[k, j])) (Boyd & Vandenberghe 2004,
+    5.1-5.5).  The search starts at the baseline's terminal marginal utility
+    w_K W_K^-gamma, doubles or halves lam_K until G' changes sign, then takes
+    tangent-intersection steps, bisecting where the intersection is not
+    inside the bracket.  A leg stops when its bracket's relative width is at
+    most DUAL_REL_WIDTH, when its two ends mark the same candidates maximal
+    (each candidate is maximal on an interval of lam_K, so every lam_K
+    between them then does too), or after DUAL_MAX_EVALS evaluations.
+
+    Returns (lo, hi, top_lo, top_hi): each leg's bracket, G' < 0 at lo and
+    >= 0 at hi, with the maximal candidates at its ends.  A side not found
+    within the cap reads lo = 0 or hi = inf and takes the other's candidates.
+    Every operation acts leg by leg, so a leg gets the same bracket alone or
+    in any stack.
+    """
+    K = p.K
+    W_K = p.R_f * ctxs.W[:, -1] + ((ctxs.R[:, -1] - p.R_f) * ctxs.Pi[:, -1]).sum(axis=1) - ctxs.C[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = _utility_weights(p)[K] * W_K ** -p.gamma
+        x = np.where(np.isfinite(x) & (x > 0.0), x, 1.0)  # w_K = 0 where alpha = 1
+        G, dG, top = _floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, x)
+        below = dG < 0.0
+        lo, hi = np.where(below, x, 0.0), np.where(below, np.inf, x)
+        G_lo, G_hi, dG_lo, dG_hi = G, G.copy(), dG, dG.copy()
+        top_lo, top_hi = top, top.copy()
+        for _ in range(DUAL_MAX_EVALS - 1):
+            bracketed = (lo > 0.0) & (hi < np.inf)
+            searching = ~bracketed | ((hi - lo > DUAL_REL_WIDTH * hi) & ~(top_lo == top_hi).all(axis=(1, 2)))
+            j = np.flatnonzero(searching)
+            if j.size == 0:
+                break
+            a, z = lo[j], hi[j]
+            cut = (G_hi[j] - G_lo[j] + dG_lo[j] * a - dG_hi[j] * z) / (dG_lo[j] - dG_hi[j])
+            x = np.where(z == np.inf, 2.0 * a, np.where(a == 0.0, 0.5 * z,
+                         np.where((cut > a) & (cut < z), cut, 0.5 * (a + z))))
+            G, dG, top = _floor_chain(p, ctxs.R[j], forms.lin_Pi[j], forms.lin_C[j], forms.constant[j], x)
+            below = dG < 0.0
+            up, down = j[below], j[~below]
+            lo[up], G_lo[up], dG_lo[up], top_lo[up] = x[below], G[below], dG[below], top[below]
+            hi[down], G_hi[down], dG_hi[down], top_hi[down] = x[~below], G[~below], dG[~below], top[~below]
+    return lo, hi, top_lo, top_hi
+
+
+def _dual_face(p: ModelParams, forms, ctxs) -> np.ndarray:
+    """Guess of each leg's active inner rows, from its `_dual_bracket`.
+
+    A candidate that is maximal at neither end of the bracket has a positive
+    multiplier, so its holding is zero: the face holds the budget row of
+    stage k (B_k = 0) where the bond is such a candidate, and the row
+    Pi_kj >= 0 where asset j is; no consumption or bequest floor.  Returns a
+    (B, m) bool array in the row order of `assemble_inner_batch`.
+    """
+    K, n = p.K, p.n
+    _, _, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
+    held = top_lo | top_hi                      # (B, K, n+1): bond, then the assets
+    face = np.zeros((len(held), 2 * K + 1 + K * n), dtype=bool)
+    face[:, 0:2 * K:2] = ~held[:, :, 0]
+    face[:, 2 * K + 1:] = ~held[:, :, 1:].reshape(-1, K * n)
+    return face
 
 
 def gap_fraction(lower: float, uppers) -> float:

@@ -116,7 +116,11 @@ class FiniteMDP:
                 raise ValueError(f"{which} FiniteMDP fields: {sorted(names)}")
         states = tuple(data["states"])
         init = data["initial_state"]
+        if isinstance(init, bool):  # JSON true/false would pass as index 1/0
+            raise ValueError(f"initial_state must be a state index or label, got {init!r}")
         if isinstance(init, str):
+            if init not in states:
+                raise ValueError(f"initial_state {init!r} is not one of the states {list(states)}")
             init = states.index(init)
         return cls(
             horizon=int(_integral(data["horizon"], "horizon")),

@@ -225,8 +225,8 @@ def bellman_node_problem(p, Rq, wq, EJ):
 
 
 def slack(cons, x: np.ndarray) -> np.ndarray:
-    """b - A x over the rows cons = (A, b)."""
-    A, b = cons
+    """b - A x over the rows cons = (A, b) or (A, b, face)."""
+    A, b = cons[:2]
     return b - A @ x
 
 
@@ -246,12 +246,12 @@ class KKTReport:
 
 def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
               cons, active_tol: float = 1e-6) -> KKTReport:
-    """Reconstruct multipliers on near-active rows cons = (A, b) by
-    nonnegative least squares.
+    """Reconstruct multipliers on near-active rows cons = (A, b) or
+    (A, b, face) by nonnegative least squares.
 
     A row is near-active when its slack is at most active_tol * (1 + |b_i|).
     """
-    A, b = cons
+    A, b = cons[:2]
     x = sol.x
     s = b - A @ x
     active = np.flatnonzero(s <= active_tol * (1.0 + np.abs(b)))

@@ -298,12 +298,18 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
+        face = bounds._dual_face(p, forms, ctxs)
+        bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
         batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                       max_newton=bounds.INNER_MAX_NEWTON)
-        for sp, kind, got in zip(legs, kinds, batch):
+                                       max_newton=bounds.INNER_MAX_NEWTON, face=face)
+        for sp, kind, leg_face, leg_bracket, got in zip(legs, kinds, face, bracket, batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
-            one = concave.maximize(*assemble_inner(p, penalties.penalty_form(kind, ctx, p), ctx),
-                                   tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            form = penalties.penalty_form(kind, ctx, p)
+            one_bracket = bounds._dual_bracket(p, penalties.as_stack(form), penalties.as_stack(ctx))[:2]
+            assert np.array_equal(np.concatenate(one_bracket), leg_bracket)
+            problem = assemble_inner(p, form, ctx)
+            assert np.array_equal(problem[1][2], leg_face)
+            one = concave.maximize(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
             assert (got.f, got.kkt_residual, got.iterations, got.status) == (
                 one.f, one.kkt_residual, one.iterations, one.status)
@@ -313,19 +319,25 @@ class TestAssembleInner:
     def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS, which is
         # sized for about 62 KB (m1) to 87 KB (zero) a leg on this batch
-        # (16 pairs, 40-dim legs).
+        # (16 pairs, 40-dim legs) from the barrier, the path of a leg whose
+        # dual face does not certify.  The dual face and the crossover onto
+        # it, the path of every other leg, take about 52 (m1) to 67 KB (zero).
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form(kind, ctxs, p), ctxs)
+        forms = penalties.penalty_form(kind, ctxs, p)
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert len(X0) == 32
-        tracemalloc.start()
-        try:
-            concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= kb_per_leg * 1e3 * len(X0)
+        for warm in (False, True):
+            tracemalloc.start()
+            try:
+                face = bounds._dual_face(p, forms, ctxs) if warm else None
+                concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                       face=face)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= kb_per_leg * 1e3 * len(X0)
 
 
 def _upper_leg_by_leg(p, vg, cfg):
@@ -383,6 +395,20 @@ class TestWorkerPool:
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 1)
         upper_bound(p_set1, vg_set1, cfg, workers=64)
         assert sizes == [9, 4]
+
+
+def _coarse_grid(p):
+    """p and its grid solved on 5 nodes with 3 quadrature points a dimension."""
+    return p, dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5), quad=dp_solver.build_quadrature(3, p.n))
+
+
+@pytest.fixture(scope="module")
+def small_gross_riskfree_rate():
+    # R_f = 1 + r_f delta = 5e-4 on a 5-node grid: consumption of about 2e-4
+    # makes the inner problems badly scaled (gradients about 1.5e4).
+    data = market.parameter_set(1, gamma=1.5).to_dict()
+    data.update(r_f=-9.995, K=2)
+    return _coarse_grid(market.ModelParams.from_dict(data))
 
 
 class TestUpperBound:
@@ -480,16 +506,6 @@ class TestUpperBound:
         cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
         assert upper_bound(p, vg, cfg).flagged_paths == 0
 
-    @pytest.fixture(scope="class")
-    def small_gross_riskfree_rate(self):
-        # R_f = 1 + r_f delta = 5e-4 on a 5-node grid: consumption of about 2e-4
-        # makes the inner problems badly scaled (gradients about 1.5e4).
-        data = market.parameter_set(1, gamma=1.5).to_dict()
-        data.update(r_f=-9.995, K=2)
-        p = market.ModelParams.from_dict(data)
-        return p, dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5),
-                                               quad=dp_solver.build_quadrature(3, p.n))
-
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_small_gross_riskfree_rate_flags_no_leg(self, small_gross_riskfree_rate, kind):
         # Every crossover fails on 5 of these 16 legs, so each depends on the
@@ -562,6 +578,59 @@ class TestUpperBound:
                                     antithetic=False, gamma=1.5))
         assert on.total_paths == off.total_paths
         assert abs(on.mean - off.mean) <= 3.0 * np.hypot(on.stderr, off.stderr)
+
+
+class TestDualFace:
+    """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
+    whose search (`bounds._dual_bracket`) gives each leg its warm face."""
+
+    @staticmethod
+    def _check_weak_duality(p, vg, kind, seed, pairs):
+        """Solve the legs of flat pairs [0, pairs) as `upper_bound` does and
+        check that G at both ends of each leg's search bracket and at a random
+        lam_K is at least its certified optimum."""
+        cfg = RunConfig(paths_per_run=pairs, runs=2, seed=seed, penalty_kind=kind)
+        policy = dp_solver.make_grid_policy(vg, p)
+        ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, (0, pairs)))
+        forms = penalties.penalty_form(kind, ctxs, p)
+        sols = concave.maximize_batch(*bounds.assemble_inner_batch(p, forms, ctxs), tol=bounds.INNER_TOL,
+                                      max_newton=bounds.INNER_MAX_NEWTON, face=bounds._dual_face(p, forms, ctxs))
+        assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
+        f = np.array([sol.f for sol in sols])
+        lo, hi, _, _ = bounds._dual_bracket(p, forms, ctxs)
+        assert (lo > 0.0).all() and (hi < np.inf).all()
+        rng = np.random.default_rng(seed)
+        for lam_K in (lo, hi, hi * np.exp(rng.uniform(-2.0, 2.0, hi.size))):
+            G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
+            assert (G >= f - 1e-12 * np.abs(f)).all()
+
+    @pytest.mark.parametrize("gamma", [1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("sid", [1, 2, 3, 4])
+    def test_dual_bounds_every_certified_optimum(self, solved_grid, sid, gamma):
+        p, vg = solved_grid(sid, gamma)
+        for kind in penalties.PENALTY_KINDS:
+            self._check_weak_duality(p, vg, kind, seed=sid, pairs=4)
+
+    def test_dual_bounds_the_optimum_at_a_small_riskfree_rate(self, small_gross_riskfree_rate):
+        p, vg = small_gross_riskfree_rate
+        for kind in penalties.PENALTY_KINDS:
+            self._check_weak_duality(p, vg, kind, seed=1, pairs=4)
+
+    def test_dual_bounds_the_optimum_of_a_twenty_stage_leg(self):
+        data = market.parameter_set(1, gamma=3.0).to_dict()
+        data.update(K=20)
+        p, vg = _coarse_grid(market.ModelParams.from_dict(data))
+        self._check_weak_duality(p, vg, "m2", seed=2, pairs=1)
+
+    def test_seed43_set2_gamma5_m2_leg_converges(self, solved_grid):
+        # At 30 pairs x 10 runs, flat pair 268 (run 8, path 28; leg 8 of the
+        # 34th chunk of 8 pairs) ended at the t_cap exit unconverged: its
+        # barrier crossovers found no verifiable face.  The dual face certifies.
+        p, vg = solved_grid(2, 5.0)
+        cfg = RunConfig(paths_per_run=30, runs=10, seed=43, penalty_kind="m2", gamma=5.0, parameter_set_id=2)
+        bounds._init_worker(p, vg, cfg)
+        values, flagged = bounds._upper_task((268, 269))
+        assert len(values) == 2 and flagged == 0
 
 
 class TestRobustnessMatrix:

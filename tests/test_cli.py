@@ -329,7 +329,10 @@ class TestVerifyFinite:
         (lambda d: d.update(extra=1), "unknown FiniteMDP fields: ['extra']"),
         (lambda d: d.pop("horizon"), "missing FiniteMDP fields: ['horizon']"),
         (lambda d: d["transition"][0][0].__setitem__(0, 0.7), "transition entries must be integers"),
-    ], ids=["unknown-key", "missing-key", "fractional-transition"])
+        (lambda d: d.update(initial_state=True), "initial_state must be a state index or label, got True"),
+        (lambda d: d.update(initial_state="nope"),
+         "initial_state 'nope' is not one of the states ['start', 'match', 'miss']"),
+    ], ids=["unknown-key", "missing-key", "fractional-transition", "bool-initial-state", "unknown-initial-state"])
     def test_malformed_mdp_exits_2(self, tmp_path, capsys, edit, message):
         data = matching_mdp().to_dict()
         edit(data)

@@ -142,7 +142,9 @@ class TestMaximize:
         counts.clear()
         bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
         assert node_mean <= 11
-        assert np.mean(counts) <= 20
+        # Each inner solve first crosses over onto its leg's dual face, which
+        # certifies in about 6 face Newton steps (about 17 by the barrier).
+        assert np.mean(counts) <= 8
 
     def test_set1_inner_problems_mostly_exit_at_the_first_crossover(self, monkeypatch, p_set1, vg_set1):
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
@@ -160,7 +162,9 @@ class TestMaximize:
 
         batch = concave.maximize_batch
 
-        def traced_batch(*args, **kwargs):
+        def traced_batch(*args, face=None, **kwargs):
+            # Without the dual faces, so that the first crossover is the
+            # barrier's, which the legs whose face does not certify rely on.
             first[0] = True
             return batch(*args, **kwargs)
 

@@ -283,3 +283,15 @@ class TestValidationAndJson:
         data = matching_mdp().to_dict()
         data["initial_state"] = "match"
         assert fm.FiniteMDP.from_dict(data).initial_state == 1
+
+    @pytest.mark.parametrize("init, message", [
+        (True, "initial_state must be a state index or label, got True"),
+        (False, "initial_state must be a state index or label, got False"),
+        ("nope", "initial_state 'nope' is not one of the states ['start', 'match', 'miss']"),
+    ])
+    def test_from_dict_rejects_a_bool_or_unknown_initial_state(self, init, message):
+        data = matching_mdp().to_dict()
+        data["initial_state"] = init
+        with pytest.raises(ValueError) as err:
+            fm.FiniteMDP.from_dict(data)
+        assert str(err.value) == message
