@@ -47,8 +47,9 @@ LOWER_CHUNK_PAIRS = 256
 # (run, path) pairs per upper-bound task, solved as one batch, at inner
 # dimension D = 40 (K = 10, n = 3); `_upper_chunk_pairs` scales it by 40 / D.
 # A larger batch pays less per-call overhead a leg but holds more solver
-# temporaries, which grow like D^2 a leg: at K = 10 about 62 KB (m1) to 87 KB
-# (zero), at K = 40 about 1 MB.  On the set-1 `dual-bound` benchmark, 16 pairs
+# temporaries, which grow like D^2 a leg: at K = 10 about 38-47 KB on the
+# warm crossover and 62-70 KB where a leg falls back to the barrier, at K = 40
+# about 1 MB.  On the set-1 `dual-bound` benchmark, 16 pairs
 # instead of 8 cut wall time by 16% for +3% peak RSS; 32 pairs cut 3% more
 # for +10%.  At K = 40, 4 pairs take 5-9% less time a leg than 16 at a third
 # of the tracemalloc peak; 1 pair, a (40 / D)^2 scaling, takes 3-6% more.

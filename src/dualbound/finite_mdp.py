@@ -278,7 +278,10 @@ def inner_solve(mdp: FiniteMDP, penalty, scenario: ScenarioSequence):
 
 
 def dual_bound_exact(mdp: FiniteMDP, penalty) -> float:
-    """Exact dual bound: probability-weighted inner optimum over every scenario."""
+    """Exact dual bound: probability-weighted inner optimum over every
+    scenario; penalty None is the zero penalty."""
+    if penalty is None:
+        penalty = zero_penalty(mdp)
     total = 0.0
     for scen in enumerate_scenarios(mdp):
         _, val = inner_solve(mdp, penalty, scen)

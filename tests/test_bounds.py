@@ -317,11 +317,12 @@ class TestAssembleInner:
 
     @pytest.mark.parametrize("kind, kb_per_leg", [("m1", 75), ("m2", 75), ("zero", 90)])
     def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
-        # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS, which is
-        # sized for about 62 KB (m1) to 87 KB (zero) a leg on this batch
-        # (16 pairs, 40-dim legs) from the barrier, the path of a leg whose
-        # dual face does not certify.  The dual face and the crossover onto
-        # it, the path of every other leg, take about 52 (m1) to 67 KB (zero).
+        # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
+        # batch (16 pairs, 40-dim legs) the barrier, the path of a leg whose
+        # dual face does not certify, peaks at about 69 (m1), 70 (m2) and
+        # 62 KB (zero) a leg, in its crossovers' reduced face systems.  The
+        # dual face and the crossover onto it, the path of every other leg,
+        # take about 47 (m1), 46 (m2) and 38 KB (zero).
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))

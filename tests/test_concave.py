@@ -438,6 +438,43 @@ def set1_stage_nodes(p, vg, k):
     return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), face, node
 
 
+def set1_inner_batch(p, vg, kind, pairs=16):
+    """The inner problems of the first `pairs` antithetic pairs of set 1
+    (seed 5) as `upper_bound` poses them: (oracle, A, b, X0) and the dual face."""
+    cfg = bounds.RunConfig(paths_per_run=pairs, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
+    ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
+    forms = penalties.penalty_form(kind, ctxs, p)
+    return bounds.assemble_inner_batch(p, forms, ctxs), bounds._dual_face(p, forms, ctxs)
+
+
+def padded_size(A, face) -> int:
+    """The padded size of the reduced face system of rows `face` of A (m, D):
+    the free coordinates plus the face rows that are not the first bound row
+    of their coordinate, rounded up to a multiple of 8."""
+    rows = A[face]
+    bound = (rows != 0.0).sum(axis=1) == 1
+    n_fixed = len(set((rows[bound] != 0.0).argmax(axis=1).tolist()))
+    return -(-(A.shape[1] - n_fixed + len(rows) - n_fixed) // 8) * 8
+
+
+def assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, oracle_of, rows_of=lambda i: [0]):
+    """`_face_newton` on all problems at once gives each solved face bit for
+    bit as its own one-face call (with oracle_of(i) on rows rows_of(i)), and
+    solves the same faces.  Returns the stacked violated rows."""
+    G = A.shape[0]
+    j, x, f, nu, violated, stationarity, steps = concave._face_newton(
+        oracle, A, b, X0, np.arange(G), face, np.arange(G))
+    alone = [concave._face_newton(oracle_of(i), A[i:i + 1], b[i:i + 1], X0[i:i + 1], np.array(rows_of(i)),
+                                  face[i:i + 1], np.array([0])) for i in range(G)]
+    assert sorted(j.tolist()) == [i for i in range(G) if alone[i][0].size]
+    for r, i in enumerate(j.tolist()):
+        for stacked, one in zip((x, f, nu, violated, stationarity, steps), alone[i][1:]):
+            np.testing.assert_array_equal(stacked[r], one[0])
+        assert (nu[r][~face[i]] == 0.0).all()
+        np.testing.assert_array_equal(violated[r], b[i] - A[i] @ x[r] < -1e-10 * (1.0 + np.abs(b[i])))
+    return violated
+
+
 class TestWarmFace:
     """A face guess makes the solver try a crossover from X0 before the barrier."""
 
@@ -520,18 +557,16 @@ class TestWarmFace:
         (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
         face[::3] = False
         assert len(set(face.sum(axis=1).tolist())) > 2
-        G = A.shape[0]
-        j, x, f, nu, violated, stationarity, steps = concave._face_newton(
-            oracle, A, b, X0, np.arange(G), face, np.arange(G))
-        alone = [concave._face_newton(node(i), A[i:i + 1], b[i:i + 1], X0[i:i + 1], np.array([0]),
-                                      face[i:i + 1], np.array([0])) for i in range(G)]
-        assert sorted(j.tolist()) == [i for i in range(G) if alone[i][0].size]
+        violated = assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, node)
         assert violated.any() and not violated.all()
-        for r, i in enumerate(j.tolist()):
-            for stacked, one in zip((x, f, nu, violated, stationarity, steps), alone[i][1:]):
-                np.testing.assert_array_equal(stacked[r], one[0])
-            assert (nu[r][~face[i]] == 0.0).all()
-            np.testing.assert_array_equal(violated[r], b[i] - A[i] @ x[r] < -1e-10 * (1.0 + np.abs(b[i])))
+
+    def test_face_newton_inner_faces_equal_their_one_face_calls(self, p_set1, vg_set1):
+        # The dual faces of 32 set-1 inner problems (D = 40), every fifth
+        # emptied: reduced systems of three padded sizes.
+        (oracle, A, b, X0), face = set1_inner_batch(p_set1, vg_set1, "m1")
+        face[::5] = False
+        assert len({padded_size(A[i], face[i]) for i in range(len(A))}) >= 2
+        assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, lambda i: oracle, rows_of=lambda i: [i])
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
         (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
@@ -551,6 +586,126 @@ class TestWarmFace:
                      (A[0], b[0], face[0], face[0])):
             with pytest.raises(ValueError):
                 maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
+
+
+def full_face_step(oracle, A, b, X, face):
+    """One face Newton step of each problem on the full (D + k)-square KKT
+    system [[H, A_a'], [A_a, 0]] [dx; -nu_a] = [-g; b_a - A_a x], the build
+    that predates the elimination of the bound rows.  Returns dx (n, D) and
+    the multipliers (n, m), zero off the face."""
+    n, m, D = A.shape
+    rows = np.arange(n)
+    g, H = oracle.gradient(X, rows), oracle.hessian(X, rows)
+    dx, nu = np.empty((n, D)), np.zeros((n, m))
+    for i in range(n):
+        act = np.flatnonzero(face[i])
+        Aa = A[i, act]
+        KKT = np.zeros((D + act.size, D + act.size))
+        KKT[:D, :D], KKT[:D, D:], KKT[D:, :D] = H[i], Aa.T, Aa
+        sol = concave._solve(KKT[None], np.concatenate([-g[i], b[i, act] - Aa @ X[i]])[None])[0]
+        dx[i], nu[i, act] = sol[:D], -sol[D:]
+    return dx, nu
+
+
+def reduced_face_step(monkeypatch, oracle, A, b, X, face):
+    """One `_face_newton` step of every problem: (j, x, nu) of the faces kept."""
+    monkeypatch.setattr(concave, "MAX_FACE_NEWTON", 1)
+    n = A.shape[0]
+    j, x, _, nu, *_ = concave._face_newton(oracle, A, b, X, np.arange(n), face, np.arange(n))
+    return j, x, nu
+
+
+def assert_steps_agree(monkeypatch, oracle, A, b, X, face, rtol=1e-12):
+    """The reduced step and the full-system step give the same point and the
+    same (n, m) multipliers, the eliminated rows' included, to rtol."""
+    n = A.shape[0]
+    j, x, nu = reduced_face_step(monkeypatch, oracle, A, b, X, face)
+    dx, nu_full = full_face_step(oracle, A, b, X, face)
+    # A face is dropped only where the full step leaves the objective's domain.
+    dropped = np.setdiff1d(np.arange(n), j)
+    assert dropped.size <= n // 4
+    assert not np.isfinite(oracle.value(X[dropped] + dx[dropped], dropped)).any()
+    for r, i in enumerate(j.tolist()):
+        scale = np.abs(X[i]).max() + np.abs(dx[i]).max()
+        np.testing.assert_allclose(x[r], X[i] + dx[i], rtol=0.0, atol=rtol * scale)
+        np.testing.assert_allclose(nu[r], nu_full[i], rtol=0.0, atol=rtol * np.abs(nu_full[i]).max(initial=1e-300))
+    return j, nu
+
+
+def random_crra_faces(seed, n=24, D=6, J=9):
+    """n concave CRRA problems in D coordinates with dense rows, the bounds
+    -x_c <= 0, and the bounds 2.5 x_c <= 0.3 and -x_c <= -0.05, and a face
+    per problem: some coordinates fixed by one of their bound rows (every
+    coordinate on problem 0, none on problem 1) plus dense rows, at most one
+    per free coordinate.  Returns (oracle, A, b, X, face)."""
+    rng = np.random.default_rng(seed)
+    P = np.concatenate([0.3 * rng.normal(size=(n, D, J)), 0.05 * rng.normal(size=(n, D, 1))], axis=2)
+    z0 = np.concatenate([np.ones((n, J)), np.zeros((n, 1))], axis=1)
+    oracle = concave.crra_oracle(P, z0, rng.uniform(0.5, 2.0, size=(n, J)), 2.0)
+    dense = 3
+    eye = np.eye(D)
+    A = np.concatenate([np.broadcast_to(rng.normal(size=(n, dense, D)), (n, dense, D)),
+                        np.broadcast_to(-eye, (n, D, D)), np.broadcast_to(2.5 * eye, (n, D, D)),
+                        np.broadcast_to(-eye, (n, D, D))], axis=1)
+    b = np.concatenate([rng.uniform(0.5, 1.0, size=(n, dense)), np.zeros((n, D)), np.full((n, D), 0.3),
+                        np.full((n, D), -0.05)], axis=1)
+    face = np.zeros(b.shape, dtype=bool)
+    for i in range(n):
+        fixed = np.arange(D) if i == 0 else np.array([], dtype=int) if i == 1 else \
+            rng.choice(D, size=rng.integers(1, D), replace=False)
+        kind = rng.integers(0, 3, size=fixed.size)     # which bound row fixes the coordinate
+        face[i, dense + kind * D + fixed] = True
+        face[i, :min(dense, D - fixed.size, int(rng.integers(i == 1, dense + 1)))] = True
+    X = rng.uniform(0.05, 0.2, size=(n, D))
+    return oracle, A, b, X, face
+
+
+class TestReducedFaceStep:
+    """A face Newton step on the free coordinates equals the step on the full
+    KKT system, bound rows included."""
+
+    @pytest.mark.parametrize("kind", ["m1", "zero"])
+    def test_set1_inner_faces(self, monkeypatch, p_set1, vg_set1, kind):
+        (oracle, A, b, X0), face = set1_inner_batch(p_set1, vg_set1, kind)
+        j, nu = assert_steps_agree(monkeypatch, oracle, A, b, X0, face)
+        bound_rows = np.arange(A.shape[1]) >= 2 * p_set1.K + 1     # -Pi_kj <= 0
+        assert (face[j] & bound_rows).sum(axis=1).min() > 0
+        assert (nu[:, bound_rows] != 0.0).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_crra_faces(self, monkeypatch, seed):
+        oracle, A, b, X, face = random_crra_faces(seed)
+        D = A.shape[2]
+        n_bound = face[:, 3:].sum(axis=1)
+        assert n_bound[0] == D and face[0, :3].sum() == 0    # no free coordinate
+        assert n_bound[1] == 0 and face[1, :3].any()         # no bound row
+        assert face[:, 3 + D:].any()                         # coefficients 2.5 and -1 with b != 0
+        assert_steps_agree(monkeypatch, oracle, A, b, X, face)
+
+    def test_problem_without_rows(self, monkeypatch):
+        oracle, *_ = random_crra_faces(3, n=2, D=3)
+        A, b, X = np.zeros((2, 0, 3)), np.zeros((2, 0)), np.full((2, 3), 0.2)
+        assert_steps_agree(monkeypatch, oracle, A, b, X, np.zeros((2, 0), dtype=bool))
+
+    def test_coordinate_fixed_by_two_rows(self, monkeypatch):
+        # x_0 >= 0.05 twice over (-x_0 <= -0.05 and -2 x_0 <= -0.1): the
+        # first row is eliminated, the second stays in the reduced system as
+        # a zero row, which is as singular as the full system.  The step is
+        # still the full one's, the least-squares fallback leaves the second
+        # row's multiplier at 0, and the first row's balances x_0's
+        # stationarity as the two rows' together do on the full system.
+        oracle, A, b, X, face = random_crra_faces(4, n=2, D=3)
+        A, b = np.concatenate([A, 2.0 * A[:, -3:-2]], axis=1), np.concatenate([b, [[-0.1], [-0.1]]], axis=1)
+        face = np.zeros(b.shape, dtype=bool)
+        face[:, [-4, -1]] = True
+        j, x, nu = reduced_face_step(monkeypatch, oracle, A, b, X, face)
+        dx, nu_full = full_face_step(oracle, A, b, X, face)
+        assert sorted(j.tolist()) == [0, 1]
+        for r, i in enumerate(j.tolist()):
+            np.testing.assert_allclose(x[r], X[i] + dx[i], rtol=0.0, atol=1e-12)
+            assert nu[r, -1] == 0.0
+            np.testing.assert_allclose(A[i, face[i], 0] @ nu[r, face[i]], A[i, face[i], 0] @ nu_full[i, face[i]],
+                                       rtol=1e-12)
 
 
 class TestOracleGradients:

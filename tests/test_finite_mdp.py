@@ -131,6 +131,18 @@ class TestDualBound:
     def test_matching_game_zero_penalty(self):
         assert fm.dual_bound_exact(matching_mdp(), None) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_penalty_is_the_zero_table(self, seed, monkeypatch):
+        # None resolves to one zero table for the whole scenario loop.
+        mdp = random_mdp(np.random.default_rng(seed))
+        assert len(list(fm.enumerate_scenarios(mdp))) > 1
+        tables = []
+        zero = fm.zero_penalty
+        monkeypatch.setattr(fm, "zero_penalty", lambda m: tables.append(1) or zero(m))
+        bound = fm.dual_bound_exact(mdp, None)
+        assert len(tables) == 1
+        assert bound == fm.dual_bound_exact(mdp, zero(mdp))
+
     def test_matching_game_optimal_penalty_strong_duality(self):
         mdp = matching_mdp()
         assert fm.dual_bound_exact(mdp, fm.optimal_penalty(mdp)) == pytest.approx(0.5, abs=1e-13)
