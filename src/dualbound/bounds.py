@@ -16,14 +16,18 @@ to its one-path simulation; an upper-bound chunk solves the inner problems
 of its legs as one lockstep batch, each bit-identical to its one-problem
 solve.  Neither chunk size depends on the worker count.
 
-Each inner solve is warm-started on a face read off the inner problem's
-Lagrangian dual, which the floor chain of the wealth multipliers makes a
-function of the terminal multiplier lambda_K alone (`_floor_chain`): a
-search of lambda_K (`_dual_bracket`) finds where the dual's slope changes
-sign, and the face holds each row whose dual candidate is maximal at
-neither end of the final bracket (`_dual_face`).  The solver's crossover
-certifies the face by exact KKT or falls back to the barrier; the reported
-value is the primal optimum either way.
+Each inner solve is warm-started from the inner problem's Lagrangian dual,
+which the floor chain of the wealth multipliers makes a function of the
+terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
+(`_dual_bracket`) finds where the dual's slope changes sign, and
+`_dual_start` reads two things off the final bracket.  The face holds each
+row whose dual candidate is maximal at neither end; the start is the primal
+optimum the dual recovers (the consumption that lambda prices and the
+wealth that the maximal candidates carry), blended a hair toward the
+interior start so that it is strictly feasible.  The solver's crossover
+certifies the face from that start by exact KKT, in about two face Newton
+steps, or falls back to the barrier; the reported value is the primal
+optimum either way.
 """
 
 from __future__ import annotations
@@ -58,6 +62,17 @@ UPPER_CHUNK_PAIRS = 16
 # or after this many floor-chain evaluations.
 DUAL_REL_WIDTH = 1e-6
 DUAL_MAX_EVALS = 40
+# `_dual_start`'s Newton steps on lam_K per leg, at most; the set-1, -2 and
+# -4 legs measured take at most 4.
+DUAL_NEWTON_STEPS = 20
+# Fraction of the interior start that `_dual_start` blends into the
+# recovered optimum, so that the start is strictly feasible.  On 192 set-1
+# legs (m1/m2/zero, 16 pairs x 2, seed 5) the inner solves average 2.07,
+# 2.18, 2.14, 2.09, 2.72, 3.09 and 4.14 face Newton steps at blends of
+# 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4 and 1e-2, every leg certifying; the
+# smallest blends differ by which legs need a second face, so 1e-9 keeps a
+# margin over rounding at no measurable cost.
+DUAL_START_BLEND = 1e-9
 
 CSV_COLUMNS = (
     "parameter_set", "gamma", "bound_type", "penalty", "value_mean", "value_stderr",
@@ -248,17 +263,18 @@ def _lower_task(span):
 
 def _upper_task(span):
     """Inner optima and cap flags of the legs of flat pairs [start, stop),
-    solved as one batch, each first on its leg's `_dual_face`.  A leg whose
-    start is not strictly feasible has no inner optimum (its f is -inf) and
-    raises PathError."""
+    solved as one batch, each first on its leg's dual face from the start
+    its dual recovers (`_dual_start`).  A leg whose start is not strictly
+    feasible has no inner optimum (its f is -inf) and raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
-    sols = concave.maximize_batch(*assemble_inner_batch(p, forms, ctxs), tol=INNER_TOL,
-                                  max_newton=INNER_MAX_NEWTON, face=_dual_face(p, forms, ctxs))
+    oracle, A, b, X0 = assemble_inner_batch(p, forms, ctxs)
+    face, X0 = _dual_start(p, forms, ctxs, oracle, A, b, X0)
+    sols = concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, face=face)
     for leg, sol in enumerate(sols):
         if sol.status == concave.STATUS_INFEASIBLE:
             raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
@@ -337,9 +353,10 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     its legs as one `concave.maximize_batch` call; every leg's optimum is
     bit-identical to its own `assemble_inner` + `maximize`, so the results do
     not depend on the task size.  Each solve starts with a crossover onto
-    its leg's dual face (`_dual_face`), which certifies almost every leg in
-    a few face Newton steps; a leg it does not certify runs the barrier from
-    its start.  Either way the leg's value is the primal optimum f.
+    its leg's dual face from the primal optimum its dual recovers
+    (`_dual_start`), which certifies almost every leg in about two face
+    Newton steps; a leg it does not certify runs the barrier from that
+    start.  Either way the leg's value is the primal optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -367,7 +384,8 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     substitution, making every W_k affine in x; constraints are the per-stage
     budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
     nonnegativity of Pi.
-    Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and X0 (B, D); the
+    Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and the interior
+    start X0 (B, D), from which `_dual_start` takes each leg's warm start; the
     oracle evaluates point j on leg rows[j].  All per-leg arithmetic is
     elementwise or a stacked BLAS slice, so leg i gives the same problem
     alone or in any batch.
@@ -395,13 +413,13 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     m = 2 * K + 1 + K * n
     A = np.zeros((B, m, D))
     b = np.zeros((B, m))
-    for k in range(K):
-        A[:, 2 * k] = -Rf * w_coef[:, k]
-        A[:, 2 * k, pi_idx[k]] += Rf
-        A[:, 2 * k, c_idx[k]] += 1.0
-        b[:, 2 * k] = Rf * w_const[k]
-        A[:, 2 * k + 1, c_idx[k]] = -1.0
-        b[:, 2 * k + 1] = -AMOUNT_FLOOR
+    budget = 2 * np.arange(K)   # budget_k's row; floor_k's is the next
+    A[:, budget] = -Rf * w_coef[:, :K]
+    A[:, budget[:, None], pi_idx] += Rf
+    A[:, budget, c_idx] += 1.0
+    A[:, budget + 1, c_idx] = -1.0
+    b[:, budget] = Rf * w_const[:K]
+    b[:, budget + 1] = -AMOUNT_FLOOR
     A[:, 2 * K] = -a_term
     b[:, 2 * K] = w_const[K] - AMOUNT_FLOOR
     A[:, 2 * K + 1:] = -np.eye(D)[pi_idx.reshape(-1)]
@@ -441,12 +459,14 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, (A, b, face), start); the
-    N = 1 call of `assemble_inner_batch` and `_dual_face`, for
+    """Inner problem of one path leg as (oracle, (A, b, face), start), the
+    face and start of `_dual_start`; the N = 1 call of `assemble_inner_batch`
+    and `_dual_start` that `upper_bound` makes per chunk, for
     `concave.maximize`."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
-    return oracle, (A[0], b[0], _dual_face(p, form, ctx)[0]), X0[0]
+    face, X0 = _dual_start(p, form, ctx, oracle, A, b, X0)
+    return oracle, (A[0], b[0], face[0]), X0[0]
 
 
 def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
@@ -545,22 +565,88 @@ def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
     return lo, hi, top_lo, top_hi
 
 
-def _dual_face(p: ModelParams, forms, ctxs) -> np.ndarray:
-    """Guess of each leg's active inner rows, from its `_dual_bracket`.
+def _dual_start(p: ModelParams, forms, ctxs, oracle, A, b, X0) -> tuple:
+    """Each leg's dual face and warm start, from one `_dual_bracket` search.
 
     A candidate that is maximal at neither end of the bracket has a positive
     multiplier, so its holding is zero: the face holds the budget row of
     stage k (B_k = 0) where the bond is such a candidate, and the row
-    Pi_kj >= 0 where asset j is; no consumption or bequest floor.  Returns a
-    (B, m) bool array in the row order of `assemble_inner_batch`.
+    Pi_kj >= 0 where asset j is; no consumption or bequest floor.
+
+    The start is the primal optimum that the dual recovers (Boyd &
+    Vandenberghe 2004, 5.5.5).  Where the bracket's ends mark the same
+    candidates, every lambda_k is affine in lam_K between them, and Newton
+    steps on G', clipped to the bracket, give lam_K; where they differ at
+    one stage, one candidate at each end, lam_K is where those two tie.
+    Then C_k = (y_k / w_k)^(-1/gamma) and stage k invests
+    rest_k = W_k - C_k / R_f in its maximal candidate, W_k forward from W_0.
+    The tied stage puts in its high end's candidate the share of its rest
+    at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
+    share 0 and along the high end's at share 1, and affine in between.  The
+    recovered point, moved DUAL_START_BLEND of the way toward X0, is the
+    leg's start.  A leg keeps X0 where its bracket is open, it ties at two
+    stages, or the blend is not strictly feasible with a finite objective.
+    Returns (face, start): (B, m) bool in the row order of
+    `assemble_inner_batch`, and (B, D).  Every operation acts leg by leg.
     """
-    K, n = p.K, p.n
-    _, _, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
+    K, n, Rf, gamma = p.K, p.n, p.R_f, p.gamma
+    lo, hi, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
+    B = lo.size
     held = top_lo | top_hi                      # (B, K, n+1): bond, then the assets
-    face = np.zeros((len(held), 2 * K + 1 + K * n), dtype=bool)
-    face[:, 0:2 * K:2] = ~held[:, :, 0]
+    face = np.zeros(b.shape, dtype=bool)
+    face[:, :2 * K:2] = ~held[:, :, 0]
     face[:, 2 * K + 1:] = ~held[:, :, 1:].reshape(-1, K * n)
-    return face
+
+    # The gross return and offset of each stage's maximal candidate at the
+    # low end ([0]) and the high end ([1]).
+    at = np.stack([top_lo, top_hi]).argmax(axis=3)[..., None]
+    gross, offset = (np.take_along_axis(line[None], at, 3)[..., 0] for line in (
+        np.concatenate([np.full((B, K, 1), Rf), ctxs.R], axis=2),
+        np.concatenate([np.zeros((B, K, 1)), forms.lin_Pi], axis=2)))
+    differ = at[0, ..., 0] != at[1, ..., 0]
+    tied = differ.any(axis=1)
+    usable = (lo > 0.0) & (hi < np.inf) & (differ.sum(axis=1) <= 1)
+    # lambda_k = slope_k lam_K + icpt_k along the low end's candidates, and
+    # the slopes along the high end's, which differ up to the tie.
+    slope, icpt = np.ones((2, B, K + 1)), np.zeros((B, K + 1))
+    for k in range(K - 1, -1, -1):
+        slope[..., k] = gross[..., k] * slope[..., k + 1]
+        icpt[:, k] = gross[0, :, k] * icpt[:, k + 1] - offset[0, :, k]
+    w = _utility_weights(p) ** (1.0 / gamma)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tie = (offset[0] - offset[1]) / (gross[0] - gross[1])   # lambda_{k+1} where the ends' candidates tie
+        lam_K = np.where(tied, np.where(differ, (tie - icpt[:, 1:]) / slope[0, :, 1:], 0.0).sum(axis=1), hi)
+        run = usable & ~tied
+        for step in range(DUAL_NEWTON_STEPS + 1):
+            y = forms.lin_C + (slope[0, :, :K] * lam_K[:, None] + icpt[:, :K]) / Rf
+            C, C_K = w[:K] * y ** (-1.0 / gamma), w[K] * lam_K ** (-1.0 / gamma)
+            # G' along each end's candidates: W_K, all of each stage's rest
+            # in that candidate, less C_K.
+            dG = slope[..., 0] * p.W0 - (C * slope[..., :K]).sum(axis=2) / Rf - C_K
+            if step == DUAL_NEWTON_STEPS or not run.any():
+                break
+            # The Newton step in C_K, in which G' is linear for the zero
+            # penalty; gamma G'' = curv.
+            curv = (C / y * slope[0, :, :K] ** 2).sum(axis=1) / Rf ** 2 + C_K / lam_K
+            nxt = np.clip((C_K * (1.0 + dG[0] / (lam_K * curv)) / w[K]) ** -gamma, lo, hi)
+            run &= np.abs(nxt - lam_K) > 1e-13 * lam_K
+            lam_K = np.where(run, nxt, lam_K)
+        # The tied stage puts the share of its rest in the high end's
+        # candidate at which W_K = C_K; W_K is affine in that share.
+        share = np.where(differ, (dG[0] / (dG[0] - dG[1]))[:, None], 0.0)
+        growth = gross[0] + share * (gross[1] - gross[0])
+        W, rest = np.full(B, p.W0), np.empty((B, K, 1))
+        for k in range(K):
+            rest[:, k, 0] = W - C[:, k] / Rf
+            W = rest[:, k, 0] * growth[:, k]
+        share = share[..., None]
+        hold = rest * (top_lo * (1.0 - share) + (top_hi > top_lo) * share)
+        hold[:, :, 0] = C   # the bond's place takes C_k, last in x's stage order
+        x = np.roll(hold, -1, axis=2).reshape(B, -1)
+        start = (1.0 - DUAL_START_BLEND) * x + DUAL_START_BLEND * X0
+        usable &= (b - concave.stacked_matvec(A, start)).min(axis=1) > 0.0
+        usable &= np.isfinite(oracle.value(start, np.arange(B)))
+    return face, np.where(usable[:, None], start, X0)
 
 
 def gap_fraction(lower: float, uppers) -> float:

@@ -298,17 +298,18 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        face = bounds._dual_face(p, forms, ctxs)
+        face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0)
         bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
-        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+        batch = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
                                        max_newton=bounds.INNER_MAX_NEWTON, face=face)
-        for sp, kind, leg_face, leg_bracket, got in zip(legs, kinds, face, bracket, batch):
+        for sp, kind, leg_face, leg_start, leg_bracket, got in zip(legs, kinds, face, start, bracket, batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
             form = penalties.penalty_form(kind, ctx, p)
             one_bracket = bounds._dual_bracket(p, penalties.as_stack(form), penalties.as_stack(ctx))[:2]
             assert np.array_equal(np.concatenate(one_bracket), leg_bracket)
             problem = assemble_inner(p, form, ctx)
             assert np.array_equal(problem[1][2], leg_face)
+            assert np.array_equal(problem[2], leg_start)
             one = concave.maximize(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
             assert (got.f, got.kkt_residual, got.iterations, got.status) == (
@@ -318,11 +319,12 @@ class TestAssembleInner:
     @pytest.mark.parametrize("kind, kb_per_leg", [("m1", 75), ("m2", 75), ("zero", 90)])
     def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
-        # batch (16 pairs, 40-dim legs) the barrier, the path of a leg whose
-        # dual face does not certify, peaks at about 69 (m1), 70 (m2) and
-        # 62 KB (zero) a leg, in its crossovers' reduced face systems.  The
-        # dual face and the crossover onto it, the path of every other leg,
-        # take about 47 (m1), 46 (m2) and 38 KB (zero).
+        # batch (16 pairs, 40-dim legs) the barrier from the interior start,
+        # the path of a leg whose dual face does not certify, peaks at about
+        # 69 (m1), 70 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
+        # face systems.  The dual face and start and the crossover onto the
+        # face, the path of every other leg, take about 47.5 (m1), 47 (m2)
+        # and 40 KB (zero).
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
@@ -332,8 +334,8 @@ class TestAssembleInner:
         for warm in (False, True):
             tracemalloc.start()
             try:
-                face = bounds._dual_face(p, forms, ctxs) if warm else None
-                concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0) if warm else (None, X0)
+                concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                        face=face)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -509,7 +511,7 @@ class TestUpperBound:
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_small_gross_riskfree_rate_flags_no_leg(self, small_gross_riskfree_rate, kind):
-        # Every crossover fails on 5 of these 16 legs, so each depends on the
+        # Badly scaled legs: one whose crossovers all fail depends on the
         # barrier-KKT test of the t_cap stage.
         p, vg = small_gross_riskfree_rate
         est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
@@ -583,19 +585,30 @@ class TestUpperBound:
 
 class TestDualFace:
     """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
-    whose search (`bounds._dual_bracket`) gives each leg its warm face."""
+    whose search (`bounds._dual_bracket`) gives each leg its warm face and
+    the primal optimum it recovers as its start (`bounds._dual_start`)."""
+
+    @staticmethod
+    def _chunk(p, vg, kind, seed, pairs):
+        """The legs of flat pairs [0, pairs), posed as `upper_bound` poses
+        them: (forms, ctxs, (oracle, A, b, X0)) with the interior start X0."""
+        cfg = RunConfig(paths_per_run=pairs, runs=2, seed=seed, penalty_kind=kind)
+        policy = dp_solver.make_grid_policy(vg, p)
+        ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, (0, pairs)))
+        forms = penalties.penalty_form(kind, ctxs, p)
+        return forms, ctxs, bounds.assemble_inner_batch(p, forms, ctxs)
 
     @staticmethod
     def _check_weak_duality(p, vg, kind, seed, pairs):
         """Solve the legs of flat pairs [0, pairs) as `upper_bound` does and
         check that G at both ends of each leg's search bracket and at a random
-        lam_K is at least its certified optimum."""
-        cfg = RunConfig(paths_per_run=pairs, runs=2, seed=seed, penalty_kind=kind)
-        policy = dp_solver.make_grid_policy(vg, p)
-        ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, (0, pairs)))
-        forms = penalties.penalty_form(kind, ctxs, p)
-        sols = concave.maximize_batch(*bounds.assemble_inner_batch(p, forms, ctxs), tol=bounds.INNER_TOL,
-                                      max_newton=bounds.INNER_MAX_NEWTON, face=bounds._dual_face(p, forms, ctxs))
+        lam_K is at least its certified optimum, and that the start recovered
+        from the dual, where a leg uses it, is within 1e-8 of that optimum
+        relative to its largest coordinate.  Returns the legs that use it."""
+        forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
+        face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0)
+        sols = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
+                                      max_newton=bounds.INNER_MAX_NEWTON, face=face)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
         f = np.array([sol.f for sol in sols])
         lo, hi, _, _ = bounds._dual_bracket(p, forms, ctxs)
@@ -604,24 +617,111 @@ class TestDualFace:
         for lam_K in (lo, hi, hi * np.exp(rng.uniform(-2.0, 2.0, hi.size))):
             G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
             assert (G >= f - 1e-12 * np.abs(f)).all()
+        x = np.array([sol.x for sol in sols])
+        used = (start != X0).any(axis=1)
+        assert (np.abs(start - x).max(axis=1) <= 1e-8 * np.abs(x).max(axis=1))[used].all()
+        return used
 
     @pytest.mark.parametrize("gamma", [1.5, 3.0, 5.0])
     @pytest.mark.parametrize("sid", [1, 2, 3, 4])
     def test_dual_bounds_every_certified_optimum(self, solved_grid, sid, gamma):
         p, vg = solved_grid(sid, gamma)
         for kind in penalties.PENALTY_KINDS:
-            self._check_weak_duality(p, vg, kind, seed=sid, pairs=4)
+            assert self._check_weak_duality(p, vg, kind, seed=sid, pairs=4).all()
 
     def test_dual_bounds_the_optimum_at_a_small_riskfree_rate(self, small_gross_riskfree_rate):
         p, vg = small_gross_riskfree_rate
         for kind in penalties.PENALTY_KINDS:
-            self._check_weak_duality(p, vg, kind, seed=1, pairs=4)
+            assert self._check_weak_duality(p, vg, kind, seed=1, pairs=4).all()
 
     def test_dual_bounds_the_optimum_of_a_twenty_stage_leg(self):
         data = market.parameter_set(1, gamma=3.0).to_dict()
         data.update(K=20)
         p, vg = _coarse_grid(market.ModelParams.from_dict(data))
-        self._check_weak_duality(p, vg, "m2", seed=2, pairs=1)
+        for kind in penalties.PENALTY_KINDS:
+            assert self._check_weak_duality(p, vg, kind, seed=2, pairs=2).all()
+
+    def test_tied_legs_start_at_their_optimum(self, p_set1, vg_set1):
+        # A leg whose bracket ends differ at one stage, one candidate each,
+        # has lam_K at their tie and splits that stage between the two.
+        forms, ctxs, _ = self._chunk(p_set1, vg_set1, "m1", 5, 16)
+        _, _, top_lo, top_hi = bounds._dual_bracket(p_set1, forms, ctxs)
+        stages = (top_lo != top_hi).any(axis=2).sum(axis=1)
+        assert (stages == 1).sum() >= 8
+        used = self._check_weak_duality(p_set1, vg_set1, "m1", seed=5, pairs=16)
+        assert used[stages == 1].all()
+
+    def test_open_bracket_and_two_tied_stages_keep_the_interior_start(self, p_set1, vg_set1, monkeypatch):
+        forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 16)
+        face, start = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        search = bounds._dual_bracket
+        lo, hi, top_lo, top_hi = search(p_set1, forms, ctxs)
+        is_tied = (top_lo != top_hi).any(axis=(1, 2))
+        tied, untied = np.flatnonzero(is_tied), np.flatnonzero(~is_tied)
+        # Legs untied[0] and untied[1] lose their low and high end; leg
+        # tied[0] gets a second tied stage, whose high end holds another
+        # candidate.
+        k = int(np.flatnonzero((top_lo[tied[0]] == top_hi[tied[0]]).all(axis=1))[0])
+        top_hi[tied[0], k] = np.roll(top_hi[tied[0], k], 1)
+        lo[untied[0]], hi[untied[1]] = 0.0, np.inf
+        monkeypatch.setattr(bounds, "_dual_bracket", lambda *args: (lo, hi, top_lo, top_hi))
+        got_face, got = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        changed = sorted([untied[0], untied[1], tied[0]])
+        assert np.array_equal(got[changed], X0[changed])
+        assert (start[changed] != X0[changed]).any(axis=1).all()
+        others = np.setdiff1d(np.arange(len(X0)), changed)
+        assert np.array_equal(got[others], start[others])
+        assert np.array_equal(np.delete(got_face, tied[0], axis=0), np.delete(face, tied[0], axis=0))
+
+    def test_start_that_is_not_strictly_feasible_keeps_the_interior_start(self, p_set1, vg_set1):
+        # A start outside the feasible set blends into one that is not
+        # strictly feasible: the leg keeps it, and its solve reports it.
+        forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
+        bad = X0.copy()
+        bad[3] = -1.0
+        start = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, bad)[1]
+        assert np.array_equal(start[3], bad[3])
+        assert (start[[0, 1, 2, 4]] != bad[[0, 1, 2, 4]]).any(axis=1).all()
+
+    def test_start_does_not_depend_on_the_stack(self, p_set1, vg_set1):
+        # The legs of four pairs under all three penalties: alone, in one
+        # stack and in a shuffled stack.
+        def take(x, idx):
+            return type(x)(*(np.asarray(getattr(x, f.name))[idx] for f in dataclasses.fields(x)))
+
+        parts = [self._chunk(p_set1, vg_set1, kind, 5, 4)[:2] for kind in penalties.PENALTY_KINDS]
+        forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
+                                        for f in dataclasses.fields(penalties.PenaltyForm)))
+        ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
+        face, start = bounds._dual_start(p_set1, forms, ctxs, *bounds.assemble_inner_batch(p_set1, forms, ctxs))
+        order = np.random.default_rng(0).permutation(len(start))
+        forms_s, ctxs_s = take(forms, order), take(ctxs, order)
+        face_s, start_s = bounds._dual_start(p_set1, forms_s, ctxs_s,
+                                             *bounds.assemble_inner_batch(p_set1, forms_s, ctxs_s))
+        assert np.array_equal(face_s, face[order]) and np.array_equal(start_s, start[order])
+        for i in range(len(start)):
+            _, (_, _, leg_face), leg_start = bounds.assemble_inner(p_set1, take(forms, i), ctxs.leg(i))
+            assert np.array_equal(leg_face, face[i]) and np.array_equal(leg_start, start[i])
+
+    def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
+        # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed
+        # 5) sent 3 and 5 of 160 legs to the barrier from the interior start:
+        # their face Newton steps from it were dropped, although the dual
+        # face was right.  From the recovered start every leg certifies.
+        barrier, sent = concave._barrier, []
+
+        def counted(oracle, live, *args):
+            sent.append(live.size)
+            return barrier(oracle, live, *args)
+
+        monkeypatch.setattr(concave, "_barrier", counted)
+        for sid, kind in ((2, "m2"), (4, "m1")):
+            p, vg = solved_grid(sid, 5.0)
+            sent.clear()
+            est = upper_bound(p, vg, RunConfig(paths_per_run=8, runs=10, seed=5, penalty_kind=kind))
+            assert est.total_paths == 160 and len(sent) == 5   # one solve a 16-pair chunk
+            assert sum(sent) == 0 and est.flagged_paths == 0
+
 
     def test_seed43_set2_gamma5_m2_leg_converges(self, solved_grid):
         # At 30 pairs x 10 runs, flat pair 268 (run 8, path 28; leg 8 of the

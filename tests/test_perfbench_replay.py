@@ -42,9 +42,10 @@ def _cfg(kind="zero"):
 @pytest.mark.parametrize("make", [
     lambda p, vg: jobs.LowerJob("lower", p, vg, _cfg()),
     lambda p, vg: jobs.UpperJob("upper-m1", p, vg, _cfg("m1")),
+    lambda p, vg: jobs.UpperJob("upper-m2", p, vg, _cfg("m2")),
     lambda p, vg: jobs.UpperJob("upper-zero", p, vg, _cfg("zero")),
     lambda p, vg: jobs.FeasibilityJob("feasibility-m2", p, vg, "m2", pairs=100, seed=7),
-], ids=["lower", "upper-m1", "upper-zero", "feasibility-m2"])
+], ids=["lower", "upper-m1", "upper-m2", "upper-zero", "feasibility-m2"])
 def test_path_replay_reproduces_the_timed_call(grid_job, make):
     job = make(grid_job[0].p, grid_job[1])
     assert job.outcome(job.run()) == job.replay(spans.Tracer())
