@@ -12,22 +12,25 @@ numpy's SeedSequence hash and draws each pair's stream through one reused
 generator, bit-identical to `shock_path`.  Both bounds cut the flat
 (run, path) list into fixed-size chunks that cross run boundaries.  A
 lower-bound chunk simulates its legs as one batch, each path bit-identical
-to its one-path simulation; an upper-bound chunk solves the inner problems
-of its legs as one lockstep batch, each bit-identical to its one-problem
-solve.  Neither chunk size depends on the worker count.
+to its one-path simulation.  An upper-bound task draws the shocks, builds
+the contexts and penalties and runs the dual search of all its legs at
+once, and then solves their inner problems in slices of a quarter of the
+task, the size the solver's memory allows, each slice as one lockstep
+batch; every leg is bit-identical to its one-problem solve.  Neither the
+tasks nor the slices depend on the worker count.
 
 Each inner solve is warm-started from the inner problem's Lagrangian dual,
 which the floor chain of the wealth multipliers makes a function of the
 terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
 (`_dual_bracket`) finds where the dual's slope changes sign, and
-`_dual_start` reads two things off the final bracket.  The face holds each
-row whose dual candidate is maximal at neither end; the start is the primal
+`_dual_plan` reads two things off the final bracket.  The face holds each
+row whose dual candidate is maximal at neither end; the plan is the primal
 optimum the dual recovers (the consumption that lambda prices and the
-wealth that the maximal candidates carry), blended a hair toward the
-interior start so that it is strictly feasible.  The solver's crossover
-certifies the face from that start by exact KKT, in about two face Newton
-steps, or falls back to the barrier; the reported value is the primal
-optimum either way.
+wealth that the maximal candidates carry).  `_blend_start` moves it a hair
+toward the interior start so that it is strictly feasible, and that is the
+leg's start.  The solver's crossover certifies the face from that start by
+exact KKT, in about two face Newton steps, or falls back to the barrier;
+the reported value is the primal optimum either way.
 """
 
 from __future__ import annotations
@@ -48,24 +51,32 @@ INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 # (run, path) pairs per lower-bound task, simulated as one batch.
 LOWER_CHUNK_PAIRS = 256
-# (run, path) pairs per upper-bound task, solved as one batch, at inner
-# dimension D = 40 (K = 10, n = 3); `_upper_chunk_pairs` scales it by 40 / D.
-# A larger batch pays less per-call overhead a leg but holds more solver
-# temporaries, which grow like D^2 a leg: at K = 10 about 38-47 KB on the
-# warm crossover and 62-70 KB where a leg falls back to the barrier, at K = 40
-# about 1 MB.  On the set-1 `dual-bound` benchmark, 16 pairs
-# instead of 8 cut wall time by 16% for +3% peak RSS; 32 pairs cut 3% more
-# for +10%.  At K = 40, 4 pairs take 5-9% less time a leg than 16 at a third
-# of the tracemalloc peak; 1 pair, a (40 / D)^2 scaling, takes 3-6% more.
+# (run, path) pairs per upper-bound slice, whose inner problems are solved
+# as one batch, at inner dimension D = 40 (K = 10, n = 3);
+# `_upper_chunk_pairs` scales it by 40 / D.  A larger batch pays less
+# per-call overhead a leg but holds more solver temporaries, which grow like
+# D^2 a leg: at K = 10 about 38-47 KB on the warm crossover and 62-70 KB
+# where a leg falls back to the barrier, at K = 40 about 1 MB.  Measured when
+# each slice was its own task: on the set-1 `dual-bound` benchmark, 16 pairs
+# instead of 8 cut wall time by 16% for +3% peak RSS, and 32 pairs cut 3%
+# more for +10%; at K = 40, 4 pairs take 5-9% less time a leg than 16 at a
+# third of the tracemalloc peak, and 1 pair, a (40 / D)^2 scaling, 3-6% more.
 UPPER_CHUNK_PAIRS = 16
+# Slices per upper-bound task.  A task draws its shocks, builds its contexts
+# and penalties and runs the dual search once for all its slices, work that
+# pays a fixed cost a call: on the `dual-bound` benchmark, 64-pair tasks
+# take a fifth less wall time than 16-pair ones, and their own stages peak
+# at about 4.3 KB a leg, a tenth of a slice's solve.  A multiple of the
+# slice keeps the task's memory scaling with D like the slices'.
+UPPER_SLICES_PER_TASK = 4
 # The search of `_dual_bracket` stops a leg at this relative bracket width,
 # or after this many floor-chain evaluations.
 DUAL_REL_WIDTH = 1e-6
 DUAL_MAX_EVALS = 40
-# `_dual_start`'s Newton steps on lam_K per leg, at most; the set-1, -2 and
+# `_dual_plan`'s Newton steps on lam_K per leg, at most; the set-1, -2 and
 # -4 legs measured take at most 4.
 DUAL_NEWTON_STEPS = 20
-# Fraction of the interior start that `_dual_start` blends into the
+# Fraction of the interior start that `_blend_start` blends into the
 # recovered optimum, so that the start is strictly feasible.  On 192 set-1
 # legs (m1/m2/zero, 16 pairs x 2, seed 5) the inner solves average 2.07,
 # 2.18, 2.14, 2.09, 2.72, 3.09 and 4.14 face Newton steps at blends of
@@ -262,23 +273,50 @@ def _lower_task(span):
 
 
 def _upper_task(span):
-    """Inner optima and cap flags of the legs of flat pairs [start, stop),
-    solved as one batch, each first on its leg's dual face from the start
-    its dual recovers (`_dual_start`).  A leg whose start is not strictly
-    feasible has no inner optimum (its f is -inf) and raises PathError."""
+    """Inner optima and cap flags of the legs of flat pairs [start, stop).
+
+    The task builds the contexts and forms of all its legs and runs their
+    dual search as one stack (`_dual_plan`); then each slice of
+    `_upper_chunk_pairs(p)` pairs solves its legs as one batch
+    (`_upper_slice`), each first on its leg's dual face from the start its
+    dual recovers.  A leg whose start is not strictly feasible has no inner
+    optimum (its f is -inf) and raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
+    plan = _dual_plan(p, forms, ctxs)
+    ctxs = _Baseline(ctxs.R, ctxs.Pi, ctxs.C)   # frees the rest while the slices run
+    step = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
+    values, flagged = [], 0
+    for first in range(0, len(plan.usable), step):
+        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, plan, slice(first, first + step)), first):
+            if sol.status == concave.STATUS_INFEASIBLE:
+                raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
+            values.append(sol.f)
+            flagged += sol.status != concave.STATUS_CONVERGED
+    return values, flagged
+
+
+@dataclass(frozen=True)
+class _Baseline:
+    """The fields of a stack of contexts that `assemble_inner_batch` reads."""
+
+    R: np.ndarray    # (B, K, n) realized gross returns
+    Pi: np.ndarray   # (B, K, n) baseline invested amounts
+    C: np.ndarray    # (B, K) baseline consumption amounts
+
+
+def _upper_slice(p, forms, ctxs, plan, legs: slice):
+    """Solutions of the inner problems of legs `legs` of a task's stacks,
+    solved as one batch.  Called once per slice, so that a slice's problem
+    stacks are freed before the next slice's are built."""
+    forms, ctxs, plan = (penalties.take(x, legs) for x in (forms, ctxs, plan))
     oracle, A, b, X0 = assemble_inner_batch(p, forms, ctxs)
-    face, X0 = _dual_start(p, forms, ctxs, oracle, A, b, X0)
-    sols = concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, face=face)
-    for leg, sol in enumerate(sols):
-        if sol.status == concave.STATUS_INFEASIBLE:
-            raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
-    return [sol.f for sol in sols], sum(sol.status != concave.STATUS_CONVERGED for sol in sols)
+    X0 = _blend_start(plan, oracle, A, b, X0)
+    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, face=plan.face)
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
@@ -302,7 +340,7 @@ def _spans(cfg: RunConfig, chunk: int) -> list:
 
 
 def _upper_chunk_pairs(p: ModelParams) -> int:
-    """Pairs per upper-bound task for inner problems of dimension D = K (n + 1)."""
+    """Pairs per upper-bound slice for inner problems of dimension D = K (n + 1)."""
     return max(1, UPPER_CHUNK_PAIRS * 40 // (p.K * (p.n + 1)))
 
 
@@ -348,22 +386,25 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
     """Dual bound: mean of per-path inner optima under the configured penalty.
 
-    The flat (run, path) list is cut into tasks of `_upper_chunk_pairs(p)`
-    pairs (across run boundaries), and each task solves the inner problems of
-    its legs as one `concave.maximize_batch` call; every leg's optimum is
-    bit-identical to its own `assemble_inner` + `maximize`, so the results do
-    not depend on the task size.  Each solve starts with a crossover onto
-    its leg's dual face from the primal optimum its dual recovers
-    (`_dual_start`), which certifies almost every leg in about two face
-    Newton steps; a leg it does not certify runs the barrier from that
-    start.  Either way the leg's value is the primal optimum f.
+    The flat (run, path) list is cut into tasks of UPPER_SLICES_PER_TASK
+    slices of `_upper_chunk_pairs(p)` pairs (across run boundaries).  Each
+    task runs the dual search of all its legs at once (`_dual_plan`), and
+    each slice solves the inner problems of its legs as one
+    `concave.maximize_batch` call; every leg's optimum is bit-identical to
+    its own `assemble_inner` + `maximize`, so the results depend on neither
+    size.  Each solve starts with a crossover onto its leg's dual face from
+    the primal optimum its dual recovers, which certifies almost every leg
+    in about two face Newton steps; a leg it does not certify runs the
+    barrier from that start.  Either way the leg's value is the primal
+    optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
     maximum, which biases the bound down and can make it no upper bound at
     all; the estimate is a valid upper bound only when flagged_paths == 0.
     """
-    results = _run_tasks(_upper_task, _spans(cfg, _upper_chunk_pairs(p)), p, vg, cfg, workers)
+    results = _run_tasks(_upper_task, _spans(cfg, UPPER_SLICES_PER_TASK * _upper_chunk_pairs(p)),
+                         p, vg, cfg, workers)
     values = [f for task_values, _ in results for f in task_values]
     flagged = sum(task_flagged for _, task_flagged in results)
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)
@@ -378,20 +419,20 @@ def _utility_weights(p: ModelParams) -> np.ndarray:
 def assemble_inner_batch(p: ModelParams, forms, ctxs):
     """Inner problems of B path legs, stacked for `concave.maximize_batch`.
 
-    `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_form`).
-    Leg i maximizes utility minus its form over x = (Pi_0, C_0, ...,
+    `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_form`);
+    of the contexts only R, Pi and C are read (`_Baseline`).  Leg i maximizes utility minus its form over x = (Pi_0, C_0, ...,
     Pi_{K-1}, C_{K-1}) along its context.  Wealth is eliminated by forward
     substitution, making every W_k affine in x; constraints are the per-stage
     budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
     nonnegativity of Pi.
     Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and the interior
-    start X0 (B, D), from which `_dual_start` takes each leg's warm start; the
+    start X0 (B, D), toward which `_blend_start` moves each leg's plan; the
     oracle evaluates point j on leg rows[j].  All per-leg arithmetic is
     elementwise or a stacked BLAS slice, so leg i gives the same problem
     alone or in any batch.
     """
     K, n = p.K, p.n
-    B = ctxs.W.shape[0]
+    B = ctxs.C.shape[0]
     D = K * (n + 1)
     Rf = p.R_f
     excess = ctxs.R - Rf                             # (B, K, n)
@@ -459,14 +500,14 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, (A, b, face), start), the
-    face and start of `_dual_start`; the N = 1 call of `assemble_inner_batch`
-    and `_dual_start` that `upper_bound` makes per chunk, for
-    `concave.maximize`."""
+    """Inner problem of one path leg as (oracle, (A, b, face), start), its
+    dual face and start; the N = 1 call of `_dual_plan`, which `upper_bound`
+    makes per task, and of `assemble_inner_batch` and `_blend_start`, which
+    it makes per slice, for `concave.maximize`."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
+    plan = _dual_plan(p, form, ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
-    face, X0 = _dual_start(p, form, ctx, oracle, A, b, X0)
-    return oracle, (A[0], b[0], face[0]), X0[0]
+    return oracle, (A[0], b[0], plan.face[0]), _blend_start(plan, oracle, A, b, X0)[0]
 
 
 def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
@@ -565,8 +606,18 @@ def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
     return lo, hi, top_lo, top_hi
 
 
-def _dual_start(p: ModelParams, forms, ctxs, oracle, A, b, X0) -> tuple:
-    """Each leg's dual face and warm start, from one `_dual_bracket` search.
+@dataclass(frozen=True)
+class _DualPlan:
+    """What each leg of a stack takes from its dual search (`_dual_plan`)."""
+
+    face: np.ndarray     # (B, m) bool: the face, in the row order of `assemble_inner_batch`
+    x: np.ndarray        # (B, D): the primal optimum the dual recovers
+    usable: np.ndarray   # (B,) bool: whether x may start the leg's solve
+
+
+def _dual_plan(p: ModelParams, forms, ctxs) -> _DualPlan:
+    """Each leg's dual face and recovered optimum, from one `_dual_bracket`
+    search.
 
     A candidate that is maximal at neither end of the bracket has a positive
     multiplier, so its holding is zero: the face holds the budget row of
@@ -582,18 +633,15 @@ def _dual_start(p: ModelParams, forms, ctxs, oracle, A, b, X0) -> tuple:
     rest_k = W_k - C_k / R_f in its maximal candidate, W_k forward from W_0.
     The tied stage puts in its high end's candidate the share of its rest
     at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
-    share 0 and along the high end's at share 1, and affine in between.  The
-    recovered point, moved DUAL_START_BLEND of the way toward X0, is the
-    leg's start.  A leg keeps X0 where its bracket is open, it ties at two
-    stages, or the blend is not strictly feasible with a finite objective.
-    Returns (face, start): (B, m) bool in the row order of
-    `assemble_inner_batch`, and (B, D).  Every operation acts leg by leg.
+    share 0 and along the high end's at share 1, and affine in between.  A
+    leg's recovered point is not usable where its bracket is open or it
+    ties at two stages.  Every operation acts leg by leg.
     """
     K, n, Rf, gamma = p.K, p.n, p.R_f, p.gamma
     lo, hi, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
     B = lo.size
     held = top_lo | top_hi                      # (B, K, n+1): bond, then the assets
-    face = np.zeros(b.shape, dtype=bool)
+    face = np.zeros((B, 2 * K + 1 + K * n), dtype=bool)
     face[:, :2 * K:2] = ~held[:, :, 0]
     face[:, 2 * K + 1:] = ~held[:, :, 1:].reshape(-1, K * n)
 
@@ -642,11 +690,19 @@ def _dual_start(p: ModelParams, forms, ctxs, oracle, A, b, X0) -> tuple:
         share = share[..., None]
         hold = rest * (top_lo * (1.0 - share) + (top_hi > top_lo) * share)
         hold[:, :, 0] = C   # the bond's place takes C_k, last in x's stage order
-        x = np.roll(hold, -1, axis=2).reshape(B, -1)
-        start = (1.0 - DUAL_START_BLEND) * x + DUAL_START_BLEND * X0
-        usable &= (b - concave.stacked_matvec(A, start)).min(axis=1) > 0.0
-        usable &= np.isfinite(oracle.value(start, np.arange(B)))
-    return face, np.where(usable[:, None], start, X0)
+    return _DualPlan(face, np.roll(hold, -1, axis=2).reshape(B, -1), usable)
+
+
+def _blend_start(plan: _DualPlan, oracle, A, b, X0) -> np.ndarray:
+    """Each leg's start: its recovered optimum moved DUAL_START_BLEND of the
+    way toward its interior start X0, or X0 where the plan is not usable or
+    the blend is not strictly feasible with a finite objective."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start = (1.0 - DUAL_START_BLEND) * plan.x + DUAL_START_BLEND * X0
+        usable = plan.usable & ((b - concave.stacked_matvec(A, start)).min(axis=1) > 0.0)
+        usable &= np.isfinite(oracle.value(start, np.arange(len(X0))))
+    return np.where(usable[:, None], start, X0)
+
 
 
 def gap_fraction(lower: float, uppers) -> float:

@@ -108,18 +108,20 @@ def crra_oracle(P: np.ndarray, z0: np.ndarray, w: np.ndarray, gamma: float) -> O
     shape (B, J+1), and has the objective
         sum_{j<J} w[i, j] Z_j^(1-gamma)/(1-gamma) - Z_J
     on the domain Z_j > 0 (j < J), -inf outside it.  w has shape (J,) or
-    (B, J); it is concave for w >= 0.  dZ/dx, its weighted rows and the
-    Hessian columns are formed once; every product per call is a stacked
-    slice, so a batch row equals its one-problem call bit for bit.
+    (B, J); it is concave for w >= 0.  dZ/dx and its weighted rows are formed
+    once; each Hessian call scales the weighted rows of its problems by
+    -gamma into the Hessian's columns, so that no third (B, D, J) stack is
+    held.  Every product per call is a stacked slice, so a batch row equals
+    its one-problem call bit for bit.
     """
     J = P.shape[2] - 1
     w = np.asarray(w, dtype=float)
     value_weights = np.broadcast_to(w / (1.0 - gamma), (P.shape[0], J))
     lin = np.ascontiguousarray(P[:, :, J])
     dY = np.ascontiguousarray(P[:, :, :J].transpose(0, 2, 1))  # (B, J, D)
-    # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (hess_cols * Y^(-gamma-1)) @ dY
+    # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (cols * Y^(-gamma-1)) @ dY
+    # with cols = -gamma grad_rows' of the problems asked for.
     grad_rows = w[..., None] * dY
-    hess_cols = np.ascontiguousarray(-gamma * grad_rows.transpose(0, 2, 1))
 
     def args(X, rows):  # the CRRA arguments Y = Z_{<J} and the penalty Z_J
         Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
@@ -140,7 +142,9 @@ def crra_oracle(P: np.ndarray, z0: np.ndarray, w: np.ndarray, gamma: float) -> O
 
     def hessian(X, rows):
         Y, _ = args(X, rows)
-        return (hess_cols[rows] * (Y ** (-gamma - 1.0))[:, None, :]) @ dY[rows]
+        # One expression, so that each temporary is freed before the next.
+        return np.multiply((-gamma * grad_rows[rows]).transpose(0, 2, 1), (Y ** (-gamma - 1.0))[:, None, :],
+                           order="C") @ dY[rows]
 
     return ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 

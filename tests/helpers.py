@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from dualbound import concave, dp_solver, finite_mdp, market
+from dualbound import bounds, concave, dp_solver, finite_mdp, market
 
 
 def matching_mdp() -> finite_mdp.FiniteMDP:
@@ -222,6 +222,14 @@ def bellman_node_problem(p, Rq, wq, EJ):
     """Oracle (a batch of one) and rows (A, b) of one node maximization."""
     return (dp_solver.bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)),
             dp_solver.node_constraints(p, Rq))
+
+
+def dual_start(p, forms, ctxs, oracle, A, b, X0):
+    """Each leg's dual face and start for a stack of legs, as an upper-bound
+    task and its slice form them: `bounds._dual_plan`, then
+    `bounds._blend_start`."""
+    plan = bounds._dual_plan(p, forms, ctxs)
+    return plan.face, bounds._blend_start(plan, oracle, A, b, X0)
 
 
 def slack(cons, x: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from dualbound.bounds import (
 )
 from helpers import (
     at_point,
+    dual_start,
     inner_objective_grid_search,
     random_feasible_fractions,
     single_asset_params,
@@ -298,7 +299,7 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0)
+        face, start = dual_start(p, forms, ctxs, oracle, A, b, X0)
         bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
         batch = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
                                        max_newton=bounds.INNER_MAX_NEWTON, face=face)
@@ -334,13 +335,37 @@ class TestAssembleInner:
         for warm in (False, True):
             tracemalloc.start()
             try:
-                face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0) if warm else (None, X0)
+                face, start = dual_start(p, forms, ctxs, oracle, A, b, X0) if warm else (None, X0)
                 concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                        face=face)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= kb_per_leg * 1e3 * len(X0)
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_upper_task_stages_peak_per_leg(self, p_set1, vg_set1, kind):
+        # A task's stages before its slices (shocks, contexts, forms, dual
+        # search) on a 64-pair task: measured 4.3 KB a leg for each penalty,
+        # of which the slices keep 1.3 KB; the bound leaves about 40%
+        # margin.  A first call also allocates one-time state, so
+        # the stages run once untraced.
+        p, cfg = p_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
+        policy = dp_solver.make_grid_policy(vg_set1, p)
+
+        def stages():
+            ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 64)))
+            forms = penalties.penalty_form(kind, ctxs, p)
+            return bounds._dual_plan(p, forms, ctxs)
+
+        assert len(stages().usable) == 128
+        tracemalloc.start()
+        try:
+            stages()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e3 * 128
 
 
 def _upper_leg_by_leg(p, vg, cfg):
@@ -396,6 +421,7 @@ class TestWorkerPool:
         upper_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 4 pairs: no pool
         assert sizes == [9]
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 1)
+        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
         upper_bound(p_set1, vg_set1, cfg, workers=64)
         assert sizes == [9, 4]
 
@@ -414,39 +440,84 @@ def small_gross_riskfree_rate():
     return _coarse_grid(market.ModelParams.from_dict(data))
 
 
+@pytest.fixture(scope="module")
+def upper_reference(p_set1, vg_set1):
+    """Run means and flagged count of `_upper_leg_by_leg`, per penalty, for
+    10 pairs x 2 runs at seed 33."""
+    cache = {}
+
+    def reference(cfg):
+        if cfg not in cache:
+            cache[cfg] = _upper_leg_by_leg(p_set1, vg_set1, cfg)
+        return cache[cfg]
+    return reference
+
+
+def _record_upper_calls(monkeypatch):
+    """Record each task's span and each slice's leg count of `upper_bound`."""
+    spans, slices = [], []
+    task, solve = bounds._upper_task, bounds._upper_slice
+    monkeypatch.setattr(bounds, "_upper_task", lambda span: spans.append(span) or task(span))
+
+    def counted(*args):
+        sols = solve(*args)
+        slices.append(len(sols))
+        return sols
+
+    monkeypatch.setattr(bounds, "_upper_slice", counted)
+    return spans, slices
+
+
 class TestUpperBound:
     @pytest.mark.parametrize("penalty", ["m1", "zero"])
-    @pytest.mark.parametrize("chunk", [3, 8, bounds.UPPER_CHUNK_PAIRS])
+    @pytest.mark.parametrize("slice_pairs, per_task, spans, slices", [
+        # Tasks of 6 pairs: the run boundary at pair 10 lies inside the slice
+        # [9, 12), and the last task, [18, 20), is shorter than one slice.
+        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)], [6] * 6 + [4]),
+        # One slice a task: the second task straddles the run boundary.
+        (8, 1, [(0, 8), (8, 16), (16, 20)], [16, 16, 8]),
+        # The default sizes: one task, whose first slice holds both runs.
+        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)], [32, 8]),
+        # A task shorter than one slice.
+        (32, 1, [(0, 20)], [40]),
+    ], ids=["slice3-two-a-task", "slice8-one-a-task", "default-sizes", "task-below-a-slice"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, monkeypatch,
-                                                      penalty, chunk, workers):
-        # 10 pairs per run: a chunk of 3 or 8 pairs and the first chunk of the
-        # default size straddle the run boundary.
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", chunk)
+    def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, upper_reference, monkeypatch,
+                                                      penalty, slice_pairs, per_task, spans, slices, workers):
+        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", slice_pairs)
+        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", per_task)
         cfg = RunConfig(paths_per_run=10, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
+        # The recorders run in this process only; a pool pickles its task by name.
+        recorded = _record_upper_calls(monkeypatch) if workers == 1 else (spans, slices)
         est = upper_bound(p_set1, vg_set1, cfg, workers=workers)
-        run_means, flagged = _upper_leg_by_leg(p_set1, vg_set1, cfg)
+        run_means, flagged = upper_reference(cfg)
         assert np.array_equal(est.run_means, run_means)
         assert est.flagged_paths == flagged
         assert est.total_paths == 40
+        assert recorded == (spans, slices)
 
-    def test_task_size_scales_with_the_inner_dimension(self, p_set1, monkeypatch):
-        # 16 pairs at K = 10 (D = 40) and 4 at K = 40 (D = 160); every leg's
-        # optimum is its own, so the run means equal a 16-pair split's.
+    def test_task_size_scales_with_the_inner_dimension(self, p_set1, vg_set1, monkeypatch):
+        # At K = 10 (D = 40) a task spans 64 pairs and a slice 16; at K = 40
+        # (D = 160) 16 and 4.  Every leg's optimum is its own, so the run
+        # means equal those of one slice for all the legs.
         p40 = dataclasses.replace(p_set1, K=40, delta=1 / 40)
         assert bounds._upper_chunk_pairs(p_set1) == bounds.UPPER_CHUNK_PAIRS == 16
-        assert bounds._upper_chunk_pairs(p40) == 4
-        vg = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
-        cfg = RunConfig(paths_per_run=3, runs=2, seed=5, penalty_kind="m1", gamma=1.5)
-        spans = []
-        task = bounds._upper_task
-        monkeypatch.setattr(bounds, "_upper_task", lambda span: spans.append(span) or task(span))
-        scaled = upper_bound(p40, vg, cfg)
-        assert spans == [(0, 4), (4, 6)]
-        spans.clear()
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 64)  # 16 pairs at D = 160
-        assert np.array_equal(upper_bound(p40, vg, cfg).run_means, scaled.run_means)
-        assert spans == [(0, 6)]
+        assert bounds._upper_chunk_pairs(p40) == 4 and bounds.UPPER_SLICES_PER_TASK == 4
+        vg40 = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
+        for p, vg, pairs, spans, slices in (
+                (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)], [32] * 5),
+                (p40, vg40, (9, 2), [(0, 16), (16, 18)], [8] * 4 + [4])):
+            cfg = RunConfig(paths_per_run=pairs[0], runs=pairs[1], seed=5, penalty_kind="m1", gamma=1.5)
+            with monkeypatch.context() as patched:
+                recorded = _record_upper_calls(patched)
+                sliced = upper_bound(p, vg, cfg)
+                assert recorded == (spans, slices)
+            with monkeypatch.context() as patched:
+                patched.setattr(bounds, "UPPER_CHUNK_PAIRS", 1000)
+                patched.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
+                recorded = _record_upper_calls(patched)
+                assert np.array_equal(upper_bound(p, vg, cfg).run_means, sliced.run_means)
+                assert recorded == ([(0, 2 * pairs[0])], [4 * pairs[0]])
 
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
         p = market.parameter_set(1)
@@ -466,31 +537,34 @@ class TestUpperBound:
 
         r, i, message = first_failure()
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 2)
-        assert (r, i) == (1, 3)  # flat pair 15, the second of its chunk
+        assert (r, i) == (1, 3)  # flat pair 15, the last of its task [8, 16)
         with pytest.raises(bounds.PathError) as err:
             upper_bound(p, vg, cfg)
         assert f"upper-bound path failed (seed=6, run={r}, path={i}): {message}" in str(err.value)
 
     def test_infeasible_inner_start_raises_path_error_naming_its_leg(self, p_set1, vg_set1, monkeypatch):
-        # Chunks of 3 pairs: the second holds flat pairs 3, 4, 5, i.e. (run,
-        # path) (0, 3), (0, 4), (1, 0); its leg 5 is the antithetic leg of (1, 0).
+        # Slices of 3 pairs, two a task: the second task holds flat pairs
+        # [6, 12), and its second slice pairs 9, 10, 11, i.e. (run, path)
+        # (1, 4), (2, 0), (2, 1); that slice's leg 1 is the antithetic leg of
+        # (1, 4).  Every slice assembles its own problems.
         assemble = bounds.assemble_inner_batch
         calls = []
 
         def broken(p, forms, ctxs):
             oracle, A, b, X0 = assemble(p, forms, ctxs)
             calls.append(len(X0))
-            if len(calls) == 2:
+            if len(calls) == 4:
                 X0 = X0.copy()
-                X0[5] = -1.0
+                X0[1] = -1.0
             return oracle, A, b, X0
 
         monkeypatch.setattr(bounds, "assemble_inner_batch", broken)
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 3)
-        cfg = RunConfig(paths_per_run=5, runs=2, seed=7, penalty_kind="m1", gamma=1.5)
-        with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=0\)"):
+        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 2)
+        cfg = RunConfig(paths_per_run=5, runs=3, seed=7, penalty_kind="m1", gamma=1.5)
+        with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\)"):
             upper_bound(p_set1, vg_set1, cfg)
-        assert calls == [6, 6]
+        assert calls == [6, 6, 6, 6]
 
     @pytest.mark.parametrize("gamma, kind", [(3.0, "m2"), (5.0, "m1")])
     def test_published_size_set1_flags_no_leg(self, solved_grid, gamma, kind):
@@ -586,7 +660,8 @@ class TestUpperBound:
 class TestDualFace:
     """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
     whose search (`bounds._dual_bracket`) gives each leg its warm face and
-    the primal optimum it recovers as its start (`bounds._dual_start`)."""
+    the primal optimum it recovers (`bounds._dual_plan`), which
+    `bounds._blend_start` makes its start."""
 
     @staticmethod
     def _chunk(p, vg, kind, seed, pairs):
@@ -606,7 +681,7 @@ class TestDualFace:
         from the dual, where a leg uses it, is within 1e-8 of that optimum
         relative to its largest coordinate.  Returns the legs that use it."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
-        face, start = bounds._dual_start(p, forms, ctxs, oracle, A, b, X0)
+        face, start = dual_start(p, forms, ctxs, oracle, A, b, X0)
         sols = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
                                       max_newton=bounds.INNER_MAX_NEWTON, face=face)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
@@ -653,7 +728,7 @@ class TestDualFace:
 
     def test_open_bracket_and_two_tied_stages_keep_the_interior_start(self, p_set1, vg_set1, monkeypatch):
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 16)
-        face, start = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        face, start = dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
         search = bounds._dual_bracket
         lo, hi, top_lo, top_hi = search(p_set1, forms, ctxs)
         is_tied = (top_lo != top_hi).any(axis=(1, 2))
@@ -665,7 +740,7 @@ class TestDualFace:
         top_hi[tied[0], k] = np.roll(top_hi[tied[0], k], 1)
         lo[untied[0]], hi[untied[1]] = 0.0, np.inf
         monkeypatch.setattr(bounds, "_dual_bracket", lambda *args: (lo, hi, top_lo, top_hi))
-        got_face, got = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        got_face, got = dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
         changed = sorted([untied[0], untied[1], tied[0]])
         assert np.array_equal(got[changed], X0[changed])
         assert (start[changed] != X0[changed]).any(axis=1).all()
@@ -679,28 +754,25 @@ class TestDualFace:
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
         bad[3] = -1.0
-        start = bounds._dual_start(p_set1, forms, ctxs, oracle, A, b, bad)[1]
+        start = dual_start(p_set1, forms, ctxs, oracle, A, b, bad)[1]
         assert np.array_equal(start[3], bad[3])
         assert (start[[0, 1, 2, 4]] != bad[[0, 1, 2, 4]]).any(axis=1).all()
 
     def test_start_does_not_depend_on_the_stack(self, p_set1, vg_set1):
         # The legs of four pairs under all three penalties: alone, in one
         # stack and in a shuffled stack.
-        def take(x, idx):
-            return type(x)(*(np.asarray(getattr(x, f.name))[idx] for f in dataclasses.fields(x)))
-
+        take = penalties.take
         parts = [self._chunk(p_set1, vg_set1, kind, 5, 4)[:2] for kind in penalties.PENALTY_KINDS]
         forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
                                         for f in dataclasses.fields(penalties.PenaltyForm)))
         ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
-        face, start = bounds._dual_start(p_set1, forms, ctxs, *bounds.assemble_inner_batch(p_set1, forms, ctxs))
+        face, start = dual_start(p_set1, forms, ctxs, *bounds.assemble_inner_batch(p_set1, forms, ctxs))
         order = np.random.default_rng(0).permutation(len(start))
         forms_s, ctxs_s = take(forms, order), take(ctxs, order)
-        face_s, start_s = bounds._dual_start(p_set1, forms_s, ctxs_s,
-                                             *bounds.assemble_inner_batch(p_set1, forms_s, ctxs_s))
+        face_s, start_s = dual_start(p_set1, forms_s, ctxs_s, *bounds.assemble_inner_batch(p_set1, forms_s, ctxs_s))
         assert np.array_equal(face_s, face[order]) and np.array_equal(start_s, start[order])
         for i in range(len(start)):
-            _, (_, _, leg_face), leg_start = bounds.assemble_inner(p_set1, take(forms, i), ctxs.leg(i))
+            _, (_, _, leg_face), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
             assert np.array_equal(leg_face, face[i]) and np.array_equal(leg_start, start[i])
 
     def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
@@ -719,7 +791,7 @@ class TestDualFace:
             p, vg = solved_grid(sid, 5.0)
             sent.clear()
             est = upper_bound(p, vg, RunConfig(paths_per_run=8, runs=10, seed=5, penalty_kind=kind))
-            assert est.total_paths == 160 and len(sent) == 5   # one solve a 16-pair chunk
+            assert est.total_paths == 160 and len(sent) == 5   # one solve a 16-pair slice
             assert sum(sent) == 0 and est.flagged_paths == 0
 
 

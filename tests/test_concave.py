@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dualbound import bounds, concave, dp_solver, penalties
 from dualbound.concave import maximize
 
-from helpers import (at_point, bellman_node_problem, check_kkt, fd_hessian, max_violation,
+from helpers import (at_point, bellman_node_problem, check_kkt, dual_start, fd_hessian, max_violation,
                      node_objective_grid_search, pointwise_oracle, qp_active_set_oracle, single_asset_params,
                      slack)
 
@@ -448,7 +448,7 @@ def set1_inner_batch(p, vg, kind, pairs=16):
     ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
     forms = penalties.penalty_form(kind, ctxs, p)
     problem = bounds.assemble_inner_batch(p, forms, ctxs)
-    return problem, bounds._dual_start(p, forms, ctxs, *problem)[0]
+    return problem, dual_start(p, forms, ctxs, *problem)[0]
 
 
 def padded_size(A, face) -> int:

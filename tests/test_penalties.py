@@ -215,7 +215,7 @@ class TestStackedForms:
         one_legs = [build_context(p, vg, policy, sp) for sp in legs]
         for i, ctx in enumerate(one_legs):
             for name in ("W", "Pi", "C", "R", "J", "gradJ", "Z", "Ztilde"):
-                assert np.array_equal(getattr(ctxs.leg(i), name), getattr(ctx, name))
+                assert np.array_equal(getattr(penalties.take(ctxs, i), name), getattr(ctx, name))
         for kind in PENALTY_KINDS:
             forms = penalty_form(kind, ctxs, p)
             assert forms.constant.shape == (256,) and forms.lin_C.shape == (256, p.K)
