@@ -23,14 +23,13 @@ Each inner solve is warm-started from the inner problem's Lagrangian dual,
 which the floor chain of the wealth multipliers makes a function of the
 terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
 (`_dual_bracket`) finds where the dual's slope changes sign, and
-`_dual_plan` reads two things off the final bracket.  The face holds each
-row whose dual candidate is maximal at neither end; the plan is the primal
-optimum the dual recovers (the consumption that lambda prices and the
-wealth that the maximal candidates carry).  `_blend_start` moves it a hair
-toward the interior start so that it is strictly feasible, and that is the
-leg's start.  The solver's crossover certifies the face from that start by
-exact KKT, in about two face Newton steps, or falls back to the barrier;
-the reported value is the primal optimum either way.
+`_dual_plan` reads off the final bracket the primal optimum the dual
+recovers (the consumption that lambda prices and the wealth that the
+maximal candidates carry).  That point is the leg's `warm` point in
+`concave.maximize_batch`, whose crossover from it onto the rows it holds
+certifies the leg by exact KKT, in about one face Newton step, or falls
+back to the barrier from the interior start; the reported value is the
+primal optimum either way.
 """
 
 from __future__ import annotations
@@ -76,14 +75,6 @@ DUAL_MAX_EVALS = 40
 # `_dual_plan`'s Newton steps on lam_K per leg, at most; the set-1, -2 and
 # -4 legs measured take at most 4.
 DUAL_NEWTON_STEPS = 20
-# Fraction of the interior start that `_blend_start` blends into the
-# recovered optimum, so that the start is strictly feasible.  On 192 set-1
-# legs (m1/m2/zero, 16 pairs x 2, seed 5) the inner solves average 2.07,
-# 2.18, 2.14, 2.09, 2.72, 3.09 and 4.14 face Newton steps at blends of
-# 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4 and 1e-2, every leg certifying; the
-# smallest blends differ by which legs need a second face, so 1e-9 keeps a
-# margin over rounding at no measurable cost.
-DUAL_START_BLEND = 1e-9
 
 CSV_COLUMNS = (
     "parameter_set", "gamma", "bound_type", "penalty", "value_mean", "value_stderr",
@@ -278,21 +269,21 @@ def _upper_task(span):
     The task builds the contexts and forms of all its legs and runs their
     dual search as one stack (`_dual_plan`); then each slice of
     `_upper_chunk_pairs(p)` pairs solves its legs as one batch
-    (`_upper_slice`), each first on its leg's dual face from the start its
-    dual recovers.  A leg whose start is not strictly feasible has no inner
-    optimum (its f is -inf) and raises PathError."""
+    (`_upper_slice`), each warm-started from the optimum its dual recovers.
+    A leg whose interior start is not strictly feasible has no inner optimum
+    (its f is -inf) and raises PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
-    plan = _dual_plan(p, forms, ctxs)
+    warm = _dual_plan(p, forms, ctxs)
     ctxs = _Baseline(ctxs.R, ctxs.Pi, ctxs.C)   # frees the rest while the slices run
     step = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
     values, flagged = [], 0
-    for first in range(0, len(plan.usable), step):
-        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, plan, slice(first, first + step)), first):
+    for first in range(0, len(warm), step):
+        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, warm, slice(first, first + step)), first):
             if sol.status == concave.STATUS_INFEASIBLE:
                 raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
             values.append(sol.f)
@@ -309,14 +300,13 @@ class _Baseline:
     C: np.ndarray    # (B, K) baseline consumption amounts
 
 
-def _upper_slice(p, forms, ctxs, plan, legs: slice):
+def _upper_slice(p, forms, ctxs, warm, legs: slice):
     """Solutions of the inner problems of legs `legs` of a task's stacks,
-    solved as one batch.  Called once per slice, so that a slice's problem
-    stacks are freed before the next slice's are built."""
-    forms, ctxs, plan = (penalties.take(x, legs) for x in (forms, ctxs, plan))
-    oracle, A, b, X0 = assemble_inner_batch(p, forms, ctxs)
-    X0 = _blend_start(plan, oracle, A, b, X0)
-    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, face=plan.face)
+    solved as one batch from the warm points of `_dual_plan`.  Called once
+    per slice, so that a slice's problem stacks are freed before the next
+    slice's are built."""
+    oracle, A, b, X0 = assemble_inner_batch(p, penalties.take(forms, legs), penalties.take(ctxs, legs))
+    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, warm=warm[legs])
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
@@ -392,11 +382,11 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     each slice solves the inner problems of its legs as one
     `concave.maximize_batch` call; every leg's optimum is bit-identical to
     its own `assemble_inner` + `maximize`, so the results depend on neither
-    size.  Each solve starts with a crossover onto its leg's dual face from
-    the primal optimum its dual recovers, which certifies almost every leg
-    in about two face Newton steps; a leg it does not certify runs the
-    barrier from that start.  Either way the leg's value is the primal
-    optimum f.
+    size.  Each solve starts with a crossover from the primal optimum its
+    leg's dual recovers onto the rows that point holds, which certifies
+    almost every leg in about one face Newton step; a leg it does not
+    certify runs the barrier from the interior start.  Either way the leg's
+    value is the primal optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -426,10 +416,9 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
     nonnegativity of Pi.
     Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and the interior
-    start X0 (B, D), toward which `_blend_start` moves each leg's plan; the
-    oracle evaluates point j on leg rows[j].  All per-leg arithmetic is
-    elementwise or a stacked BLAS slice, so leg i gives the same problem
-    alone or in any batch.
+    start X0 (B, D); the oracle evaluates point j on leg rows[j].  All
+    per-leg arithmetic is elementwise or a stacked BLAS slice, so leg i
+    gives the same problem alone or in any batch.
     """
     K, n = p.K, p.n
     B = ctxs.C.shape[0]
@@ -500,14 +489,14 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, (A, b, face), start), its
-    dual face and start; the N = 1 call of `_dual_plan`, which `upper_bound`
-    makes per task, and of `assemble_inner_batch` and `_blend_start`, which
-    it makes per slice, for `concave.maximize`."""
+    """Inner problem of one path leg as (oracle, (A, b, warm), X0), its warm
+    point and interior start, for `concave.maximize`; the N = 1 call of
+    `_dual_plan`, which `upper_bound` makes per task, and of
+    `assemble_inner_batch`, which it makes per slice."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
-    plan = _dual_plan(p, form, ctx)
+    warm = _dual_plan(p, form, ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
-    return oracle, (A[0], b[0], plan.face[0]), _blend_start(plan, oracle, A, b, X0)[0]
+    return oracle, (A[0], b[0], warm[0]), X0[0]
 
 
 def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
@@ -606,26 +595,10 @@ def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
     return lo, hi, top_lo, top_hi
 
 
-@dataclass(frozen=True)
-class _DualPlan:
-    """What each leg of a stack takes from its dual search (`_dual_plan`)."""
-
-    face: np.ndarray     # (B, m) bool: the face, in the row order of `assemble_inner_batch`
-    x: np.ndarray        # (B, D): the primal optimum the dual recovers
-    usable: np.ndarray   # (B,) bool: whether x may start the leg's solve
-
-
-def _dual_plan(p: ModelParams, forms, ctxs) -> _DualPlan:
-    """Each leg's dual face and recovered optimum, from one `_dual_bracket`
-    search.
-
-    A candidate that is maximal at neither end of the bracket has a positive
-    multiplier, so its holding is zero: the face holds the budget row of
-    stage k (B_k = 0) where the bond is such a candidate, and the row
-    Pi_kj >= 0 where asset j is; no consumption or bequest floor.
-
-    The start is the primal optimum that the dual recovers (Boyd &
-    Vandenberghe 2004, 5.5.5).  Where the bracket's ends mark the same
+def _dual_plan(p: ModelParams, forms, ctxs) -> np.ndarray:
+    """Each leg's primal optimum as its dual recovers it (Boyd & Vandenberghe
+    2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, from
+    one `_dual_bracket` search.  Where the bracket's ends mark the same
     candidates, every lambda_k is affine in lam_K between them, and Newton
     steps on G', clipped to the bracket, give lam_K; where they differ at
     one stage, one candidate at each end, lam_K is where those two tie.
@@ -634,17 +607,12 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> _DualPlan:
     The tied stage puts in its high end's candidate the share of its rest
     at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
     share 0 and along the high end's at share 1, and affine in between.  A
-    leg's recovered point is not usable where its bracket is open or it
-    ties at two stages.  Every operation acts leg by leg.
+    leg's row is NaN where its bracket is open or it ties at two stages.
+    Every operation acts leg by leg.
     """
-    K, n, Rf, gamma = p.K, p.n, p.R_f, p.gamma
+    K, Rf, gamma = p.K, p.R_f, p.gamma
     lo, hi, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
     B = lo.size
-    held = top_lo | top_hi                      # (B, K, n+1): bond, then the assets
-    face = np.zeros((B, 2 * K + 1 + K * n), dtype=bool)
-    face[:, :2 * K:2] = ~held[:, :, 0]
-    face[:, 2 * K + 1:] = ~held[:, :, 1:].reshape(-1, K * n)
-
     # The gross return and offset of each stage's maximal candidate at the
     # low end ([0]) and the high end ([1]).
     at = np.stack([top_lo, top_hi]).argmax(axis=3)[..., None]
@@ -690,19 +658,7 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> _DualPlan:
         share = share[..., None]
         hold = rest * (top_lo * (1.0 - share) + (top_hi > top_lo) * share)
         hold[:, :, 0] = C   # the bond's place takes C_k, last in x's stage order
-    return _DualPlan(face, np.roll(hold, -1, axis=2).reshape(B, -1), usable)
-
-
-def _blend_start(plan: _DualPlan, oracle, A, b, X0) -> np.ndarray:
-    """Each leg's start: its recovered optimum moved DUAL_START_BLEND of the
-    way toward its interior start X0, or X0 where the plan is not usable or
-    the blend is not strictly feasible with a finite objective."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = (1.0 - DUAL_START_BLEND) * plan.x + DUAL_START_BLEND * X0
-        usable = plan.usable & ((b - concave.stacked_matvec(A, start)).min(axis=1) > 0.0)
-        usable &= np.isfinite(oracle.value(start, np.arange(len(X0))))
-    return np.where(usable[:, None], start, X0)
-
+    return np.where(usable[:, None], np.roll(hold, -1, axis=2).reshape(B, -1), np.nan)
 
 
 def gap_fraction(lower: float, uppers) -> float:

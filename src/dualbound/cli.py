@@ -414,6 +414,9 @@ def main(argv=None) -> int:
     except finite_mdp.EnumerationGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

@@ -12,10 +12,11 @@ earlier stage stops at LOOSE_DECREMENT, close enough to the central path to
 start the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
 crossover guesses as active the rows whose slack is small against their
 barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
-KKT conditions verify.  A caller that knows a likely active face, such as
-the Bellman recursion from the previous stage's optima, passes it as `face`:
-the crossover then runs once from the start, before any barrier stage, and
-only the problems it does not certify run the barrier.  Each round of the
+KKT conditions verify.  A caller that knows a point near each optimum, such
+as the Bellman recursion its previous stage's optima or an inner problem the
+optimum its dual recovers, passes it as `warm`: a crossover from that point
+onto the rows it holds runs before any barrier stage, and only the problems
+it does not certify run the barrier, from their own start.  Each round of the
 crossover's active-set loop is one lockstep face-Newton loop over all its
 faces, whatever their row counts, and tests the face optima as stacks.  A
 face row with one nonzero coefficient, such as -x_c <= 0, fixes its
@@ -166,18 +167,18 @@ def maximize(
     max_newton: int = 200,
 ) -> Solution:
     """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b) or
-    (A, b, face), face an (m,) bool guess of the active rows.
+    (A, b, warm), warm a (D,) point near the optimum (see `maximize_batch`).
 
     The one-problem call of `maximize_batch`; the oracle is evaluated with
     rows = [0].
     """
-    A, b, *face = cons
-    if len(face) > 1:
-        raise ValueError("cons must be (A, b) or (A, b, face)")
-    face = np.asarray(face[0])[None] if face else None
+    A, b, *warm = cons
+    if len(warm) > 1:
+        raise ValueError("cons must be (A, b) or (A, b, warm)")
+    warm = np.asarray(warm[0], dtype=float)[None] if warm else None
     x0 = np.asarray(x0, dtype=float)
     return maximize_batch(oracle, np.asarray(A)[None], np.asarray(b)[None], x0[None],
-                          tol=tol, max_newton=max_newton, face=face)[0]
+                          tol=tol, max_newton=max_newton, warm=warm)[0]
 
 
 def maximize_batch(
@@ -187,15 +188,17 @@ def maximize_batch(
     X0: np.ndarray,
     tol: float = 1e-8,
     max_newton: int = 200,
-    face: Optional[np.ndarray] = None,
+    warm: Optional[np.ndarray] = None,
 ) -> list:
     """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
 
     A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
-    face, if given, is a (B, m) bool guess of the rows active at each optimum,
-    such as those of a nearby problem's optimum: a crossover from X0 onto it
-    runs first, its problems that verify to tol exit converged (their face
-    steps counted as Newton steps) and the others run the barrier from X0.
+    warm, if given, is a (B, D) array of points near the optima, such as a
+    nearby problem's optima, a NaN row where a problem has none: a crossover
+    from warm[i] onto its face, the rows with b - A w <= 1e-10 (1 + |b|),
+    runs first (`_warm_crossover`), its problems that verify to tol exit
+    converged (their face steps counted as Newton steps) and the others run
+    the barrier from X0.
     Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
     (f = -inf).  Converged: a crossover verified the KKT conditions on its
     face to tol, or the barrier-KKT residual fell to tol at a stage with
@@ -207,10 +210,10 @@ def maximize_batch(
     X = np.array(X0, dtype=float)
     if A.shape[1] == 0:
         raise ValueError("unconstrained problems are not supported; add at least one row")
-    if face is not None:
-        face = np.asarray(face)
-        if face.shape != b.shape or face.dtype != bool:
-            raise ValueError(f"face must be a bool array of shape {b.shape}")
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)
+        if warm.shape != X.shape:
+            raise ValueError(f"warm must be an array of shape {X.shape}, got {warm.shape}")
     out: list = [None] * A.shape[0]
     # A trial point outside a problem's domain or feasible set evaluates to
     # NaN or -inf and is rejected, so invalid-value warnings are silenced.
@@ -221,11 +224,33 @@ def maximize_batch(
         infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
         live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
         _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
-        if face is not None:
-            kkt = _crossover(oracle, live, face[live.rows], tol, np.full(live.size, np.inf))
-            _exit(out, live, kkt <= tol, STATUS_CONVERGED, kkt)
+        if warm is not None:
+            _warm_crossover(oracle, live, warm[live.rows], tol, out)
         _barrier(oracle, live, tol, max_newton, out)
     return out
+
+
+def _warm_crossover(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, tol: float, out: list) -> None:
+    """Crossover of the rows of `live` from their warm points W onto the rows
+    each holds, b - A w <= 1e-10 (1 + |b|), the violation `_face_newton`
+    tolerates.  The rows it certifies exit converged.  The others, and those
+    whose warm point is NaN, violates a row by more than that or has a
+    non-finite objective, keep their start.  It runs in place on `live`,
+    whose rows of A are not copied."""
+    near = 1e-10 * (1.0 + np.abs(live.b))
+    S = live.b - stacked_matvec(live.A, W)
+    face = S <= near
+    j = np.flatnonzero((S >= -near).all(axis=1))   # false on a NaN row
+    del S, near
+    F = oracle.value(W[j], live.rows[j])
+    j, F = j[np.isfinite(F)], F[np.isfinite(F)]
+    X0, F0 = live.X, live.F
+    live.X, live.F = X0.copy(), F0.copy()
+    live.X[j], live.F[j] = W[j], F
+    kkt = _crossover(oracle, live, face, tol, np.full(live.size, np.inf), j.tolist())
+    done = kkt <= tol
+    live.X[~done], live.F[~done] = X0[~done], F0[~done]
+    _exit(out, live, done, STATUS_CONVERGED, kkt)
 
 
 def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int, out: list) -> None:
@@ -248,7 +273,7 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
             # Row i is guessed active where t s_i^2 <= KAPPA (see `_crossover`).
-            kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt)
+            kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt, range(live.size))
         done = kkt <= tol
         _exit(out, live, done, STATUS_CONVERGED, kkt)
         if t >= t_cap:
@@ -452,11 +477,11 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
 
 
 def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: float,
-               kkt: np.ndarray) -> np.ndarray:
-    """Newton crossover of every row of `live` from its current point onto
-    the guessed active face, face[j] the (m,) bool mask of row j (modified
-    in place).  Returns kkt with the relative stationarity of each row
-    certified to tol, which moves to its face optimum.
+               kkt: np.ndarray, pending) -> np.ndarray:
+    """Newton crossover of the rows `pending` of `live` from their current
+    points onto their guessed active faces, face[j] the (m,) bool mask of row
+    j (modified in place).  Returns kkt with the relative stationarity of
+    each row certified to tol, which moves to its face optimum.
 
     From a barrier point at weight t the guess is t s_i^2 <= KAPPA: row i's
     slack is at most KAPPA times its barrier multiplier nu_i = 1/(t s_i) (the
@@ -475,7 +500,6 @@ def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: floa
     """
     steps = np.zeros(live.size, dtype=int)
     seen = set()  # (problem, face) pairs tried
-    pending = range(live.size)
     for _ in range(MAX_FACES):
         fresh = [j for j in pending if (j, face[j].tobytes()) not in seen]
         if not fresh:

@@ -64,7 +64,8 @@ class FiniteMDP:
             probs = np.tile(probs, (K, 1))
         if probs.shape != (K, O):
             raise ValueError(f"outcome_probs must have shape ({K}, {O}) or ({O},), got {probs.shape}")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > PROB_TOL):
+        # Written so that NaN fails both tests.
+        if not (np.all(probs >= 0) and np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_TOL)):
             raise ValueError("outcome probabilities must be nonnegative and sum to 1 per stage")
         trans = np.asarray(self.transition, dtype=int)
         if trans.shape != (S, A, O):
@@ -77,6 +78,8 @@ class FiniteMDP:
         term = np.asarray(self.terminal_reward, dtype=float)
         if term.shape != (S,):
             raise ValueError(f"terminal_reward must have shape ({S},), got {term.shape}")
+        if not (np.isfinite(reward).all() and np.isfinite(term).all()):
+            raise ValueError("stage_reward and terminal_reward must be finite")
         if not 0 <= self.initial_state < S:
             raise ValueError("initial_state out of range")
         object.__setattr__(self, "outcome_probs", probs)

@@ -74,10 +74,9 @@ class ModelParams:
                 object.__setattr__(self, f.name, _integer(getattr(self, f.name), f.name))
             elif f.type in ("float", float):
                 object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
-        object.__setattr__(self, "mu0", _frozen_array(self.mu0, (self.n,)))
-        object.__setattr__(self, "mu1", _frozen_array(self.mu1, (self.n,)))
-        object.__setattr__(self, "sigma", _frozen_array(self.sigma, (self.n, self.n)))
-        object.__setattr__(self, "sigma_phi1", _frozen_array(self.sigma_phi1, (self.n,)))
+        for name, shape in (("mu0", (self.n,)), ("mu1", (self.n,)), ("sigma", (self.n, self.n)),
+                            ("sigma_phi1", (self.n,))):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), shape, name))
         self._validate()
 
     def _validate(self):
@@ -168,16 +167,21 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """value as a float, so 3 and 3.0 hash alike; a bool or a non-number is an error."""
+    """value as a float, so 3 and 3.0 hash alike; a bool, a non-number or a
+    non-finite number is an error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
-def _frozen_array(a, shape) -> np.ndarray:
+def _frozen_array(a, shape, name: str) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must have finite entries, got {arr.tolist()!r}")
     arr.flags.writeable = False
     return arr
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from dualbound import bounds, concave, dp_solver, finite_mdp, market
+from dualbound import concave, dp_solver, finite_mdp, market
 
 
 def matching_mdp() -> finite_mdp.FiniteMDP:
@@ -224,16 +224,8 @@ def bellman_node_problem(p, Rq, wq, EJ):
             dp_solver.node_constraints(p, Rq))
 
 
-def dual_start(p, forms, ctxs, oracle, A, b, X0):
-    """Each leg's dual face and start for a stack of legs, as an upper-bound
-    task and its slice form them: `bounds._dual_plan`, then
-    `bounds._blend_start`."""
-    plan = bounds._dual_plan(p, forms, ctxs)
-    return plan.face, bounds._blend_start(plan, oracle, A, b, X0)
-
-
 def slack(cons, x: np.ndarray) -> np.ndarray:
-    """b - A x over the rows cons = (A, b) or (A, b, face)."""
+    """b - A x over the rows cons = (A, b) or (A, b, warm)."""
     A, b = cons[:2]
     return b - A @ x
 
@@ -255,7 +247,7 @@ class KKTReport:
 def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
               cons, active_tol: float = 1e-6) -> KKTReport:
     """Reconstruct multipliers on near-active rows cons = (A, b) or
-    (A, b, face) by nonnegative least squares.
+    (A, b, warm) by nonnegative least squares.
 
     A row is near-active when its slack is at most active_tol * (1 + |b_i|).
     """

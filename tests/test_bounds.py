@@ -20,7 +20,6 @@ from dualbound.bounds import (
 )
 from helpers import (
     at_point,
-    dual_start,
     inner_objective_grid_search,
     random_feasible_fractions,
     single_asset_params,
@@ -299,17 +298,17 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        face, start = dual_start(p, forms, ctxs, oracle, A, b, X0)
+        warm = bounds._dual_plan(p, forms, ctxs)
         bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
-        batch = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
-                                       max_newton=bounds.INNER_MAX_NEWTON, face=face)
-        for sp, kind, leg_face, leg_start, leg_bracket, got in zip(legs, kinds, face, start, bracket, batch):
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                       max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
+        for sp, kind, leg_warm, leg_start, leg_bracket, got in zip(legs, kinds, warm, X0, bracket, batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
             form = penalties.penalty_form(kind, ctx, p)
             one_bracket = bounds._dual_bracket(p, penalties.as_stack(form), penalties.as_stack(ctx))[:2]
             assert np.array_equal(np.concatenate(one_bracket), leg_bracket)
             problem = assemble_inner(p, form, ctx)
-            assert np.array_equal(problem[1][2], leg_face)
+            assert np.array_equal(problem[1][2], leg_warm, equal_nan=True)
             assert np.array_equal(problem[2], leg_start)
             one = concave.maximize(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
@@ -321,11 +320,11 @@ class TestAssembleInner:
     def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
         # batch (16 pairs, 40-dim legs) the barrier from the interior start,
-        # the path of a leg whose dual face does not certify, peaks at about
-        # 69 (m1), 70 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
-        # face systems.  The dual face and start and the crossover onto the
-        # face, the path of every other leg, take about 47.5 (m1), 47 (m2)
-        # and 40 KB (zero).
+        # the path of a leg whose warm point does not certify, peaks at about
+        # 70 (m1), 69 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
+        # face systems.  The dual search and the crossover from the
+        # recovered optima, the path of every other leg, take about 48 (m1),
+        # 47.5 (m2) and 41 KB (zero).
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
@@ -335,9 +334,8 @@ class TestAssembleInner:
         for warm in (False, True):
             tracemalloc.start()
             try:
-                face, start = dual_start(p, forms, ctxs, oracle, A, b, X0) if warm else (None, X0)
-                concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
-                                       face=face)
+                concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                       warm=bounds._dual_plan(p, forms, ctxs) if warm else None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -358,7 +356,7 @@ class TestAssembleInner:
             forms = penalties.penalty_form(kind, ctxs, p)
             return bounds._dual_plan(p, forms, ctxs)
 
-        assert len(stages().usable) == 128
+        assert len(stages()) == 128
         tracemalloc.start()
         try:
             stages()
@@ -659,9 +657,8 @@ class TestUpperBound:
 
 class TestDualFace:
     """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
-    whose search (`bounds._dual_bracket`) gives each leg its warm face and
-    the primal optimum it recovers (`bounds._dual_plan`), which
-    `bounds._blend_start` makes its start."""
+    whose search (`bounds._dual_bracket`) gives each leg the primal optimum
+    it recovers (`bounds._dual_plan`), the warm point of its inner solve."""
 
     @staticmethod
     def _chunk(p, vg, kind, seed, pairs):
@@ -677,13 +674,13 @@ class TestDualFace:
     def _check_weak_duality(p, vg, kind, seed, pairs):
         """Solve the legs of flat pairs [0, pairs) as `upper_bound` does and
         check that G at both ends of each leg's search bracket and at a random
-        lam_K is at least its certified optimum, and that the start recovered
-        from the dual, where a leg uses it, is within 1e-8 of that optimum
-        relative to its largest coordinate.  Returns the legs that use it."""
+        lam_K is at least its certified optimum, and that the point recovered
+        from the dual, where a leg has one, is within 1e-8 of that optimum
+        relative to its largest coordinate.  Returns the legs that have one."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
-        face, start = dual_start(p, forms, ctxs, oracle, A, b, X0)
-        sols = concave.maximize_batch(oracle, A, b, start, tol=bounds.INNER_TOL,
-                                      max_newton=bounds.INNER_MAX_NEWTON, face=face)
+        warm = bounds._dual_plan(p, forms, ctxs)
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                      max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
         f = np.array([sol.f for sol in sols])
         lo, hi, _, _ = bounds._dual_bracket(p, forms, ctxs)
@@ -693,8 +690,9 @@ class TestDualFace:
             G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
             assert (G >= f - 1e-12 * np.abs(f)).all()
         x = np.array([sol.x for sol in sols])
-        used = (start != X0).any(axis=1)
-        assert (np.abs(start - x).max(axis=1) <= 1e-8 * np.abs(x).max(axis=1))[used].all()
+        used = np.isfinite(warm).all(axis=1)
+        assert (np.isnan(warm) == ~used[:, None]).all()
+        assert (np.abs(warm - x).max(axis=1) <= 1e-8 * np.abs(x).max(axis=1))[used].all()
         return used
 
     @pytest.mark.parametrize("gamma", [1.5, 3.0, 5.0])
@@ -728,7 +726,7 @@ class TestDualFace:
 
     def test_open_bracket_and_two_tied_stages_keep_the_interior_start(self, p_set1, vg_set1, monkeypatch):
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 16)
-        face, start = dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        warm = bounds._dual_plan(p_set1, forms, ctxs)
         search = bounds._dual_bracket
         lo, hi, top_lo, top_hi = search(p_set1, forms, ctxs)
         is_tied = (top_lo != top_hi).any(axis=(1, 2))
@@ -740,25 +738,33 @@ class TestDualFace:
         top_hi[tied[0], k] = np.roll(top_hi[tied[0], k], 1)
         lo[untied[0]], hi[untied[1]] = 0.0, np.inf
         monkeypatch.setattr(bounds, "_dual_bracket", lambda *args: (lo, hi, top_lo, top_hi))
-        got_face, got = dual_start(p_set1, forms, ctxs, oracle, A, b, X0)
+        got = bounds._dual_plan(p_set1, forms, ctxs)
         changed = sorted([untied[0], untied[1], tied[0]])
-        assert np.array_equal(got[changed], X0[changed])
-        assert (start[changed] != X0[changed]).any(axis=1).all()
+        assert np.isnan(got[changed]).all() and np.isfinite(warm[changed]).all()
         others = np.setdiff1d(np.arange(len(X0)), changed)
-        assert np.array_equal(got[others], start[others])
-        assert np.array_equal(np.delete(got_face, tied[0], axis=0), np.delete(face, tied[0], axis=0))
+        assert np.array_equal(got[others], warm[others])
+        # Those legs run the barrier from the interior start, as without a plan.
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                      warm=got)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+        for i in changed:
+            assert np.array_equal(sols[i].x, cold[i].x)
+            assert (sols[i].f, sols[i].iterations, sols[i].status) == (cold[i].f, cold[i].iterations, cold[i].status)
 
-    def test_start_that_is_not_strictly_feasible_keeps_the_interior_start(self, p_set1, vg_set1):
-        # A start outside the feasible set blends into one that is not
-        # strictly feasible: the leg keeps it, and its solve reports it.
+    def test_start_that_is_not_strictly_feasible_is_reported_despite_its_plan(self, p_set1, vg_set1):
+        # An interior start outside the feasible set: the leg's solve reports
+        # it whatever its warm point, and the other legs certify from theirs.
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
         bad[3] = -1.0
-        start = dual_start(p_set1, forms, ctxs, oracle, A, b, bad)[1]
-        assert np.array_equal(start[3], bad[3])
-        assert (start[[0, 1, 2, 4]] != bad[[0, 1, 2, 4]]).any(axis=1).all()
+        warm = bounds._dual_plan(p_set1, forms, ctxs)
+        assert np.isfinite(warm).all()
+        sols = concave.maximize_batch(oracle, A, b, bad, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                      warm=warm)
+        assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 3 + [concave.STATUS_INFEASIBLE] + [
+            concave.STATUS_CONVERGED] * 4
 
-    def test_start_does_not_depend_on_the_stack(self, p_set1, vg_set1):
+    def test_plan_does_not_depend_on_the_stack(self, p_set1, vg_set1):
         # The legs of four pairs under all three penalties: alone, in one
         # stack and in a shuffled stack.
         take = penalties.take
@@ -766,20 +772,20 @@ class TestDualFace:
         forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
                                         for f in dataclasses.fields(penalties.PenaltyForm)))
         ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
-        face, start = dual_start(p_set1, forms, ctxs, *bounds.assemble_inner_batch(p_set1, forms, ctxs))
-        order = np.random.default_rng(0).permutation(len(start))
-        forms_s, ctxs_s = take(forms, order), take(ctxs, order)
-        face_s, start_s = dual_start(p_set1, forms_s, ctxs_s, *bounds.assemble_inner_batch(p_set1, forms_s, ctxs_s))
-        assert np.array_equal(face_s, face[order]) and np.array_equal(start_s, start[order])
-        for i in range(len(start)):
-            _, (_, _, leg_face), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
-            assert np.array_equal(leg_face, face[i]) and np.array_equal(leg_start, start[i])
+        warm = bounds._dual_plan(p_set1, forms, ctxs)
+        X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)[3]
+        order = np.random.default_rng(0).permutation(len(warm))
+        assert np.array_equal(bounds._dual_plan(p_set1, take(forms, order), take(ctxs, order)), warm[order],
+                              equal_nan=True)
+        for i in range(len(warm)):
+            _, (_, _, leg_warm), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
+            assert np.array_equal(leg_warm, warm[i], equal_nan=True) and np.array_equal(leg_start, X0[i])
 
     def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
         # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed
         # 5) sent 3 and 5 of 160 legs to the barrier from the interior start:
         # their face Newton steps from it were dropped, although the dual
-        # face was right.  From the recovered start every leg certifies.
+        # face was right.  From the recovered optimum every leg certifies.
         barrier, sent = concave._barrier, []
 
         def counted(oracle, live, *args):
@@ -798,7 +804,8 @@ class TestDualFace:
     def test_seed43_set2_gamma5_m2_leg_converges(self, solved_grid):
         # At 30 pairs x 10 runs, flat pair 268 (run 8, path 28; leg 8 of the
         # 34th chunk of 8 pairs) ended at the t_cap exit unconverged: its
-        # barrier crossovers found no verifiable face.  The dual face certifies.
+        # barrier crossovers found no verifiable face.  The crossover from its
+        # dual-recovered optimum certifies.
         p, vg = solved_grid(2, 5.0)
         cfg = RunConfig(paths_per_run=30, runs=10, seed=43, penalty_kind="m2", gamma=5.0, parameter_set_id=2)
         bounds._init_worker(p, vg, cfg)

@@ -332,7 +332,11 @@ class TestVerifyFinite:
         (lambda d: d.update(initial_state=True), "initial_state must be a state index or label, got True"),
         (lambda d: d.update(initial_state="nope"),
          "initial_state 'nope' is not one of the states ['start', 'match', 'miss']"),
-    ], ids=["unknown-key", "missing-key", "fractional-transition", "bool-initial-state", "unknown-initial-state"])
+        (lambda d: d["outcome_probs"][0].__setitem__(0, float("nan")),
+         "outcome probabilities must be nonnegative and sum to 1 per stage"),
+        (lambda d: d["terminal_reward"].__setitem__(1, float("inf")), "stage_reward and terminal_reward must be finite"),
+    ], ids=["unknown-key", "missing-key", "fractional-transition", "bool-initial-state", "unknown-initial-state",
+            "nan-probability", "infinite-reward"])
     def test_malformed_mdp_exits_2(self, tmp_path, capsys, edit, message):
         data = matching_mdp().to_dict()
         edit(data)
@@ -503,6 +507,36 @@ class TestExitCodes:
         assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == 2
         err = capsys.readouterr().err
         assert f"{field} must be an integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-params", "1", "--gamma", "inf"),
+        ("solve", "--set", "1", "--gamma", "inf", "--grid-nodes", "5"),
+        ("solve", "--set", "1", "--gamma", "nan", "--grid-nodes", "5"),
+    ])
+    def test_non_finite_gamma_exits_2(self, capsys, argv):
+        # gen-params wrote `"gamma": Infinity`, not JSON, and solve exited 3.
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "gamma must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["delta", "mu0"])
+    def test_config_with_an_infinite_entry_exits_2(self, tmp_path, capsys, field):
+        data = market.parameter_set(1).to_dict()
+        if field == "mu0":
+            data["mu0"][0] = float("inf")
+        else:
+            data[field] = float("inf")
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(data))   # Python's json writes and reads Infinity
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == 2
+        err = capsys.readouterr().err
+        assert f"bad config: {field} must" in err and "Traceback" not in err
+
+    def test_solve_grid_beyond_memory_exits_5(self, capsys):
+        # numpy refuses the 800 GB grid at once, allocating nothing.
+        assert run_cli("solve", "--set", "1", "--grid-nodes", "100000000000") == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_solve_negative_grid_nodes_exits_2(self, capsys):
         assert run_cli("solve", "--set", "1", "--grid-nodes", "-1") == 2

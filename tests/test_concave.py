@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dualbound import bounds, concave, dp_solver, penalties
 from dualbound.concave import maximize
 
-from helpers import (at_point, bellman_node_problem, check_kkt, dual_start, fd_hessian, max_violation,
+from helpers import (at_point, bellman_node_problem, check_kkt, fd_hessian, max_violation,
                      node_objective_grid_search, pointwise_oracle, qp_active_set_oracle, single_asset_params,
                      slack)
 
@@ -104,7 +104,7 @@ class TestMaximize:
 
         monkeypatch.setattr(concave, "_center", traced_center)
         # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
-        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
         # A Bellman node's tolerance and rows, then the inner problems'.
         for cons, tol in ((node_cons, 1e-8), (inner_cons, 1e-6)):
             stages.clear()
@@ -142,11 +142,12 @@ class TestMaximize:
         counts.clear()
         bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
         assert node_mean <= 11
-        # Each inner solve first crosses over onto its leg's dual face from
-        # the primal optimum its dual recovers, which certifies in about 2.04
-        # face Newton steps here (6.2 from the interior start, about 17 by
-        # the barrier).
-        assert np.mean(counts) <= 3
+        # Each inner solve first crosses over from the primal optimum its
+        # leg's dual recovers onto the rows that point holds, which certifies
+        # in about 1.08 face Newton steps here (2.0 from that point moved
+        # 1e-9 of the way toward the interior start, 6.2 from the interior
+        # start, about 17 by the barrier).
+        assert np.mean(counts) <= 1.5
 
     def test_set1_inner_problems_mostly_exit_at_the_first_crossover(self, monkeypatch, p_set1, vg_set1):
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
@@ -164,9 +165,9 @@ class TestMaximize:
 
         batch = concave.maximize_batch
 
-        def traced_batch(*args, face=None, **kwargs):
-            # Without the dual faces, so that the first crossover is the
-            # barrier's, which the legs whose face does not certify rely on.
+        def traced_batch(*args, warm=None, **kwargs):
+            # Without the warm points, so that the first crossover is the
+            # barrier's, which the legs whose warm point does not certify rely on.
             first[0] = True
             return batch(*args, **kwargs)
 
@@ -399,7 +400,7 @@ class TestExits:
         # At tol 1e-12 the barrier-KKT test is out of reach, so with every
         # crossover failing the ladder ends at t_cap.
         (oracle, A, b, X0), node = set1_last_stage_nodes(p_set1)
-        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
         sol = maximize(node(11), (A[11], b[11]), X0[11], tol=1e-12)
         assert sol.status == concave.STATUS_MAX_ITER
         assert sol.iterations == 26
@@ -422,33 +423,38 @@ class TestExits:
         np.testing.assert_array_equal(sol[2], np.linalg.lstsq(M[2], rhs[2], rcond=None)[0])
 
 
+def held_rows(A, b, W):
+    """The rows each warm point W[i] holds, the face its crossover starts on."""
+    return b - concave.stacked_matvec(A, W) <= 1e-10 * (1.0 + np.abs(b))
+
+
 def set1_stage_nodes(p, vg, k):
     """The stage-k Bellman nodes of set 1 on the default grid as the recursion
-    poses them below stage K-1: the batch (oracle, A, b, X0), the face of the
-    stage k+1 optima and the one-problem oracle of node i, `node(i)`."""
+    poses them below stage K-1: the batch (oracle, A, b, X0) from the default
+    start, the warm points W (the stage k+1 optima) and the one-problem
+    oracle of node i, `node(i)`."""
     quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
     Rq = dp_solver.node_returns(p, quad, vg.grid)
     A, b = dp_solver.node_constraints(p, Rq)
     EJ = dp_solver.build_phi_transition(vg.grid, p) @ vg.J[k + 1]
-    X_next = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
-    face = b - concave.stacked_matvec(A, X_next) <= 1e-10 * (1.0 + np.abs(b))
-    X0 = 0.999 * X_next + 0.001 * dp_solver._default_start(p)
+    W = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
+    X0 = np.tile(dp_solver._default_start(p), (len(W), 1))
 
     def node(i):
         return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
 
-    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), face, node
+    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), W, node
 
 
 def set1_inner_batch(p, vg, kind, pairs=16):
     """The inner problems of the first `pairs` antithetic pairs of set 1
-    (seed 5) as `upper_bound` poses them, (oracle, A, b, X0), and their dual
-    face; X0 is the interior start, off the face, not the recovered one."""
+    (seed 5) as `upper_bound` poses them, (oracle, A, b, X0), and the faces
+    their dual-recovered optima hold; X0 is the interior start, off the face."""
     cfg = bounds.RunConfig(paths_per_run=pairs, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
     ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
     forms = penalties.penalty_form(kind, ctxs, p)
-    problem = bounds.assemble_inner_batch(p, forms, ctxs)
-    return problem, dual_start(p, forms, ctxs, *problem)[0]
+    oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+    return (oracle, A, b, X0), held_rows(A, b, bounds._dual_plan(p, forms, ctxs))
 
 
 def padded_size(A, face) -> int:
@@ -480,7 +486,8 @@ def assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, oracle_of, r
 
 
 class TestWarmFace:
-    """A face guess makes the solver try a crossover from X0 before the barrier."""
+    """A warm point makes the solver try a crossover from it, onto the rows it
+    holds, before the barrier."""
 
     @pytest.fixture()
     def barrier_rows(self, monkeypatch):
@@ -504,30 +511,32 @@ class TestWarmFace:
 
     @pytest.mark.parametrize("k", [0, 4, 8])
     def test_the_next_stage_face_certifies_every_node(self, barrier_rows, p_set1, vg_set1, k):
-        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, k)
+        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, k)
         cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
         barrier_rows.clear()
-        warm = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=face)
+        warm = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=W)
         assert barrier_rows == [0]
         self.assert_near(warm, cold)
         assert all(w.kkt_residual <= dp_solver.NODE_TOL for w in warm)
         assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
 
     def test_wrong_guesses_still_reach_the_cold_optimum(self, barrier_rows, p_set1, vg_set1):
-        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, 4)
+        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, 4)
         cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
-        # All rows: no face optimum verifies, so every node runs the barrier
-        # from X0, as without a guess.
+        # NaN rows and points that break a row by more than the crossover's
+        # tolerance start no crossover, so every node runs the barrier from
+        # X0, as without warm points.
         barrier_rows.clear()
-        every_row = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=np.ones_like(face))
-        assert barrier_rows == [A.shape[0]]
-        for sol, ref in zip(every_row, cold):
+        bad = W.copy()
+        bad[::2] = np.nan
+        bad[1::2, -1] = -2e-10   # c >= 0 broken by 2e-10 > 1e-10 (1 + |b|)
+        for sol, ref in zip(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad), cold):
             assert_same_solution(sol, ref)
-        # No rows: the crossover's own active-set loop adds the rows the
-        # unconstrained step violates; whatever it does not certify runs the
-        # barrier.
-        self.assert_near(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL,
-                                                face=np.zeros_like(face)), cold)
+        assert barrier_rows == [A.shape[0]]
+        # The interior start holds no row: the crossover's own active-set
+        # loop adds the rows the unconstrained step violates; whatever it
+        # does not certify runs the barrier.
+        self.assert_near(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=X0), cold)
 
     def test_one_crossover_round_costs_its_longest_face(self, barrier_rows, p_set1, vg_set1):
         # Stage K-2 with the faces of the stage K-1 optima: faces of 1, 2 and
@@ -535,8 +544,8 @@ class TestWarmFace:
         # stage.  That round takes its faces' Newton steps together, one
         # Hessian call for all running faces per step, so it costs the
         # longest face's steps, not the sum of each face size's longest.
-        (oracle, A, b, X0), face, _ = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
-        rows = face.sum(axis=1)
+        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
+        rows = held_rows(A, b, W).sum(axis=1)
         assert len(set(rows.tolist())) > 1
         hessian_rows = []
         hessian = oracle.hessian
@@ -546,7 +555,7 @@ class TestWarmFace:
             return hessian(X, rows)
 
         counted = dataclasses.replace(oracle, hessian=counted_hessian)
-        sols = concave.maximize_batch(counted, A, b, X0, tol=dp_solver.NODE_TOL, face=face)
+        sols = concave.maximize_batch(counted, A, b, X0, tol=dp_solver.NODE_TOL, warm=W)
         assert barrier_rows == [0]
         assert all(sol.status == concave.STATUS_CONVERGED for sol in sols)
         steps = np.array([sol.iterations for sol in sols])
@@ -558,38 +567,59 @@ class TestWarmFace:
     def test_face_newton_faces_equal_their_one_face_calls(self, p_set1, vg_set1):
         # Stage K-2 with the stage K-1 faces (1, 2 and 3 rows) and, on every
         # third node, the empty face, whose optimum violates rows.
-        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
+        (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
+        face = held_rows(A, b, W)
         face[::3] = False
         assert len(set(face.sum(axis=1).tolist())) > 2
-        violated = assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, node)
+        violated = assert_faces_equal_their_one_face_calls(oracle, A, b, W, face, node)
         assert violated.any() and not violated.all()
 
     def test_face_newton_inner_faces_equal_their_one_face_calls(self, p_set1, vg_set1):
-        # The dual faces of 32 set-1 inner problems (D = 40), every fifth
-        # emptied: reduced systems of three padded sizes.
+        # The faces of the dual-recovered optima of 32 set-1 inner problems
+        # (D = 40), every fifth emptied: reduced systems of three padded sizes.
         (oracle, A, b, X0), face = set1_inner_batch(p_set1, vg_set1, "m1")
         face[::5] = False
         assert len({padded_size(A[i], face[i]) for i in range(len(A))}) >= 2
         assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, lambda i: oracle, rows_of=lambda i: [i])
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
-        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
-        guesses = face.copy()
-        guesses[1::3] = True    # every row: falls back to the barrier
-        guesses[2::3] = False   # no row: repaired by the active-set loop
-        batch = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=guesses)
+        (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, 2)
+        guesses = W.copy()
+        guesses[1::4] = np.nan     # no warm point: the barrier from X0
+        guesses[2::4, 0] = -1.0    # breaks pi >= 0: the barrier from X0
+        guesses[3::4] = X0[3::4]   # holds no row: repaired by the active-set loop
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=guesses)
         for i, sol in enumerate(batch):
             assert_same_solution(sol, maximize(node(i), (A[i], b[i], guesses[i]), X0[i], tol=dp_solver.NODE_TOL))
 
     def test_malformed_guess_is_rejected(self, p_set1, vg_set1):
-        (oracle, A, b, X0), face, node = set1_stage_nodes(p_set1, vg_set1, 2)
-        for bad in (face[0], face[:1], face[:, :-1], face.astype(int), face.astype(float)):
-            with pytest.raises(ValueError, match="face"):
-                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, face=bad)
-        for cons in ((A[0], b[0], face[0][:-1]), (A[0], b[0], face[0].astype(int)),
-                     (A[0], b[0], face[0], face[0])):
+        (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, 2)
+        for bad in (W[0], W[:1], W[:, :-1], W[:, :, None]):
+            with pytest.raises(ValueError, match="warm"):
+                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad)
+        for cons in ((A[0], b[0], W[0][:-1]), (A[0], b[0], W[:1]), (A[0], b[0], W[0], W[0])):
             with pytest.raises(ValueError):
                 maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
+
+    def test_warm_point_outside_the_domain_falls_back_to_x0(self):
+        # max log x + log(2 - x) on -1 <= x <= 2: x = -0.5 breaks no row but
+        # lies outside the objective's domain x > 0, so its problem runs the
+        # barrier from X0 as without a warm point.  A point that breaks a row
+        # by less than 1e-10 (1 + |b|) still starts the crossover, which
+        # keeps a face optimum no worse than that point.
+        oracle = pointwise_oracle(
+            value=lambda x: float(np.log(x[0]) + np.log(2.0 - x[0])) if 0.0 < x[0] < 2.0 else -np.inf,
+            gradient=lambda x: np.array([1.0 / x[0] - 1.0 / (2.0 - x[0])]),
+            hessian=lambda x: np.array([[-1.0 / x[0] ** 2 - 1.0 / (2.0 - x[0]) ** 2]]),
+        )
+        cons = np.array([[-1.0], [1.0]]), np.array([1.0, 2.0])
+        x0 = np.array([1.5])
+        cold = maximize(oracle, cons, x0, tol=1e-10)
+        assert_same_solution(maximize(oracle, cons + (np.array([-0.5]),), x0, tol=1e-10), cold)
+        near = maximize(oracle, (np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]), np.array([0.5 + 5e-11])),
+                        np.array([0.25]), tol=1e-10)
+        assert near.status == concave.STATUS_CONVERGED and near.iterations <= 2
+        assert near.x[0] == 0.5
 
 
 def full_face_step(oracle, A, b, X, face):

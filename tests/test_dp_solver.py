@@ -331,15 +331,13 @@ class TestStageBatch:
             A_grid, b_grid = dp_solver.node_constraints(p, Rq)  # the rows the recursion solves with
             assert np.array_equal(A, A_grid) and np.array_equal(b, b_grid)
             X0 = np.tile(default, (nodes, 1))
-            face = None
-            if k < p.K - 1:  # warm start and face from the stage k+1 optimum, as the recursion does
-                X_next = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
-                face = b - concave.stacked_matvec(A, X_next) <= 1e-10 * (1.0 + np.abs(b))
-                X0 = 0.999 * X_next + 0.001 * X0
+            warm = None
+            if k < p.K - 1:  # warm points at the stage k+1 optima, as the recursion sets them
+                warm = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
             batch = concave.maximize_batch(dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0, tol=1e-8,
-                                           face=face)
+                                           warm=warm)
             for i, (oracle, cons) in enumerate(problems):
-                one = concave.maximize(oracle, cons if face is None else cons + (face[i],), X0[i], tol=1e-8)
+                one = concave.maximize(oracle, cons if warm is None else cons + (warm[i],), X0[i], tol=1e-8)
                 assert one.status == batch[i].status == concave.STATUS_CONVERGED
                 assert (one.f, one.iterations, one.kkt_residual) == (batch[i].f, batch[i].iterations,
                                                                     batch[i].kkt_residual)
@@ -374,8 +372,8 @@ class TestStageBatch:
 
 
 class TestWarmFaces:
-    """Below stage K-1 each node first tries a crossover onto the active face
-    of its stage k+1 optimum."""
+    """Below stage K-1 each node first tries a crossover from its stage k+1
+    optimum onto the rows that optimum holds."""
 
     def test_set1_grid_takes_at_most_1200_newton_steps(self, monkeypatch, p_set1):
         # Counts repeat exactly: 1,800 on this grid when every stage starts
@@ -404,7 +402,7 @@ class TestWarmFaces:
         batch, barrier = concave.maximize_batch, concave._barrier
 
         def traced_batch(oracle, A, b, X0, **kwargs):
-            guessed.append(kwargs["face"] is not None)
+            guessed.append(kwargs["warm"] is not None)
             return batch(oracle, A, b, X0, **kwargs)
 
         def traced_barrier(oracle, live, *args):
@@ -418,35 +416,40 @@ class TestWarmFaces:
         assert guessed == [False] + [True] * (p.K - 1)
         assert barrier_rows == [dp_solver.DEFAULT_GRID.size] + [0] * (p.K - 1)
 
-    def test_per_node_path_gets_each_node_its_face(self, monkeypatch, p_set1, vg_set1):
-        faces = []
+    def test_per_node_path_gets_each_node_its_warm_point(self, monkeypatch, p_set1, vg_set1):
+        warms, starts = [], []
         batch = concave.maximize_batch
 
-        def traced_batch(*args, face=None, **kwargs):
-            faces.append(face)
-            return batch(*args, face=face, **kwargs)
+        def traced_batch(oracle, A, b, X0, warm=None, **kwargs):
+            warms.append(warm)
+            starts.append(X0)
+            return batch(oracle, A, b, X0, warm=warm, **kwargs)
 
         monkeypatch.setattr(concave, "maximize_batch", traced_batch)
         backward_recursion(p_set1)
-        stage_faces = faces[:]
-        node_cons = []
+        stage_warms, stage_starts = warms[:], starts[:]
+        node_cons, node_starts = [], []
 
         def solver(oracle, cons, x0, tol):
             node_cons.append(cons)
-            return batch(oracle, cons[0][None], cons[1][None], x0[None], tol=tol,
-                         face=cons[2][None] if len(cons) == 3 else None)[0]
+            node_starts.append(x0)
+            return concave.maximize(oracle, cons, x0, tol=tol)
 
         backward_recursion(p_set1, solver=solver)
         G = vg_set1.grid.size
         assert len(node_cons) == p_set1.K * G
-        assert stage_faces[0] is None and all(len(cons) == 2 for cons in node_cons[:G])
-        for j, face in enumerate(stage_faces[1:], start=1):
+        # Every node starts at the default start, in both paths.
+        default = dp_solver._default_start(p_set1)
+        assert all(np.array_equal(x0, default) for x0 in node_starts)
+        assert all(np.array_equal(X0, np.tile(default, (G, 1))) for X0 in stage_starts)
+        assert stage_warms[0] is None and all(len(cons) == 2 for cons in node_cons[:G])
+        for j, warm in enumerate(stage_warms[1:], start=1):
             k = p_set1.K - 1 - j
-            for i, (A, b, node_face) in enumerate(node_cons[j * G:(j + 1) * G]):
-                # The rows active at the node's stage k+1 optimum.
+            for i, (_, _, node_warm) in enumerate(node_cons[j * G:(j + 1) * G]):
+                # The node's stage k+1 optimum.
                 x = np.append(vg_set1.policy_pi[k + 1, i], vg_set1.policy_c[k + 1, i])
-                assert np.array_equal(node_face, face[i])
-                assert np.array_equal(node_face, b - A @ x <= 1e-10 * (1.0 + np.abs(b)))
+                assert np.array_equal(node_warm, warm[i])
+                assert np.array_equal(node_warm, x)
 
 
 class TestSerialization:

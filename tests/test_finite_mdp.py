@@ -243,6 +243,20 @@ class TestValidationAndJson:
                 stage_reward=np.zeros((1, 1, 1)), terminal_reward=np.zeros(1),
                 initial_state=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("outcome_probs", np.array([np.nan, 0.5]), "sum to 1"),
+        ("outcome_probs", np.array([np.nan, np.nan]), "sum to 1"),
+        ("stage_reward", np.full((1, 1, 1), np.inf), "must be finite"),
+        ("stage_reward", np.full((1, 1, 1), np.nan), "must be finite"),
+        ("terminal_reward", np.array([-np.inf]), "must be finite"),
+    ])
+    def test_nan_probabilities_and_non_finite_rewards_rejected(self, field, value, message):
+        fields = dict(horizon=1, states=("s",), actions=("a",), outcomes=("o0", "o1"),
+                      outcome_probs=np.array([0.5, 0.5]), transition=np.zeros((1, 1, 2), dtype=int),
+                      stage_reward=np.zeros((1, 1, 1)), terminal_reward=np.zeros(1), initial_state=0)
+        with pytest.raises(ValueError, match=message):
+            fm.FiniteMDP(**{**fields, field: value})
+
     def test_transition_must_be_total(self):
         with pytest.raises(ValueError, match="transition"):
             fm.FiniteMDP(

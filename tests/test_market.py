@@ -132,6 +132,23 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             ModelParams.from_dict(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.inf), ("delta", math.inf), ("r_f", math.nan), ("phi0", -math.inf), ("W0", math.inf),
+    ])
+    def test_from_dict_rejects_non_finite_reals(self, field, value):
+        data = {**parameter_set(1).to_dict(), field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ModelParams.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [("mu0", math.inf), ("mu1", math.nan), ("sigma", -math.inf),
+                                              ("sigma_phi1", math.nan)])
+    def test_from_dict_rejects_non_finite_array_entries(self, field, value):
+        data = json.loads(parameter_set(1).to_json())
+        row = data[field][0] if field == "sigma" else data[field]
+        row[0] = value
+        with pytest.raises(ValueError, match=f"{field} must have finite entries"):
+            ModelParams.from_dict(data)
+
 
 class TestStepState:
     def test_zero_everything_is_fixed_point(self):
