@@ -346,9 +346,11 @@ def value_grid_from_dict(data: dict) -> tuple:
     vg = ValueGrid(**{f.name: np.asarray(data[f.name], dtype=float) for f in fields(ValueGrid)})
     G = _checked_grid(vg.grid, "value-grid file is corrupt: ").size
     for name, shape in (("J", (p.K + 1, G)), ("policy_pi", (p.K, G, p.n)), ("policy_c", (p.K, G))):
-        if getattr(vg, name).shape != shape:
-            raise ValueError(f"value-grid file is corrupt: {name} has shape "
-                             f"{getattr(vg, name).shape}, expected {shape}")
+        entries = getattr(vg, name)
+        if entries.shape != shape:
+            raise ValueError(f"value-grid file is corrupt: {name} has shape {entries.shape}, expected {shape}")
+        if not np.isfinite(entries).all():  # json reads NaN and Infinity
+            raise ValueError(f"value-grid file is corrupt: {name} has non-finite entries")
     return vg, p
 
 

@@ -556,6 +556,33 @@ class TestExitCodes:
         assert run_cli("lower", "--grid", str(bad), "--seed", "1") == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, index, value", [
+        ("policy_c", (3, 10), float("nan")),
+        ("J", (2, 10), float("nan")),
+        ("policy_pi", (0, 4, 1), float("inf")),
+        ("J", (10, 0), float("-inf")),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("lower", "--paths", "4", "--runs", "2"),
+        ("upper", "--penalty", "m1", "--paths", "2", "--runs", "2"),
+        ("feasibility", "--paths", "100"),
+    ], ids=["lower", "upper", "feasibility"])
+    def test_non_finite_grid_entries_exit_2(self, grid_file_set1, tmp_path, capsys, argv, field, index, value):
+        # json reads NaN and Infinity; before the loader rejected them, a NaN
+        # in policy_c gave `lower` a row of nan and a NaN in J made `upper`
+        # exit 3 on an infeasible inner start.
+        data = json.loads(Path(grid_file_set1).read_text())
+        entries = np.asarray(data[field])
+        entries[index] = value
+        data[field] = entries.tolist()
+        bad = tmp_path / "non_finite_grid.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert run_cli(argv[0], "--grid", str(bad), "--seed", "1", *argv[1:], "--out", str(out)) == 2
+        assert f"value-grid file is corrupt: {field} has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTable:
     @pytest.mark.parametrize("flag, value, message", [

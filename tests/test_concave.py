@@ -622,6 +622,86 @@ class TestWarmFace:
         assert near.x[0] == 0.5
 
 
+def fixed_and_free_face(value, gradient, curvature):
+    """max value(x_1) - x_0 subject to -x_0 <= 0 and x_0 + x_1 <= 10: on the
+    face of the first row x_0 = 0 is fixed and x_1 is the one free coordinate
+    (multiplier 1).  Returns (oracle, A, b, face) as one-problem stacks."""
+    oracle = pointwise_oracle(
+        value=lambda x: float(value(x[1]) - x[0]),
+        gradient=lambda x: np.array([-1.0, gradient(x[1])]),
+        hessian=lambda x: np.array([[0.0, 0.0], [0.0, curvature(x[1])]]),
+    )
+    A, b = np.array([[[-1.0, 0.0], [1.0, 1.0]]]), np.array([[0.0, 10.0]])
+    return oracle, A, b, np.array([[True, False]])
+
+
+class TestFaceNewtonStop:
+    """A face ends when its step, or from step 2 on the step's quadratic-rate
+    estimate of the next one, sz (sz / last)^2, is at rounding level."""
+
+    def test_set1_warm_stages_take_four_steps_a_node(self, monkeypatch, p_set1):
+        # Counts repeat exactly.  Each stage from K-4 down certifies its 21
+        # nodes on their warm faces in 84 face steps (105 when every face
+        # took a fifth step to confirm the fourth); stages K-1, K-2 and K-3,
+        # whose faces still change, take 155, 105 and 88 (184, 126 and 113).
+        stages = []
+        batch = concave.maximize_batch
+
+        def counted(*args, **kwargs):
+            sols = batch(*args, **kwargs)
+            stages.append(sols)
+            return sols
+
+        monkeypatch.setattr(concave, "maximize_batch", counted)
+        dp_solver.backward_recursion(p_set1)
+        assert len(stages) == p_set1.K
+        assert all(sol.status == concave.STATUS_CONVERGED for sols in stages for sol in sols)
+        for sols in stages[3:]:
+            assert len(sols) == 21
+            assert [sol.iterations for sol in sols] == [4] * 21
+
+    @pytest.mark.parametrize("offset", [5e-12, -5e-12])
+    def test_linearly_converging_face_still_reaches_its_optimum(self, offset):
+        # Newton on -(x_1 - 1)^4 cuts the error by 2/3 a step, so the
+        # quadratic-rate estimate is (2/3)^2 of the step, not the next step,
+        # 2/3 of it; the face still ends within 1e-12 of x_1 = 1, far below
+        # the first step's error of 3.3e-12, and certifies.  It ends at step
+        # 10, where the step test alone runs it to the cap.
+        oracle, A, b, face = fixed_and_free_face(lambda y: -(y - 1.0) ** 4, lambda y: -4.0 * (y - 1.0) ** 3,
+                                                 lambda y: -12.0 * (y - 1.0) ** 2)
+        start = np.array([[0.0, 1.0 + offset]])
+        j, x, f, nu, violated, stationarity, steps = concave._face_newton(oracle, A, b, start, np.array([0]), face,
+                                                                          np.array([0]))
+        assert j.tolist() == [0] and 1 < steps[0] < concave.MAX_FACE_NEWTON
+        assert x[0, 0] == 0.0 and abs(x[0, 1] - 1.0) <= 1e-12
+        assert nu[0].tolist() == [1.0, 0.0] and not violated.any()
+        assert stationarity[0] <= 1e-12
+        sol = maximize(oracle, (A[0], b[0], start[0]), np.array([1.0, 1.0]), tol=1e-10)
+        assert sol.status == concave.STATUS_CONVERGED and sol.iterations == steps[0]
+        np.testing.assert_array_equal(sol.x, x[0])
+
+    def test_no_face_ends_on_the_estimate_at_step_1(self, monkeypatch, p_set1):
+        # At step 1 there is no earlier step, and the estimate would be 0.
+        # Newton solves a quadratic face in one step of 0.5; only the second,
+        # at rounding level, ends it.
+        oracle, A, b, face = fixed_and_free_face(lambda y: -(y - 1.0) ** 2, lambda y: -2.0 * (y - 1.0),
+                                                 lambda y: -2.0)
+        *_, steps = concave._face_newton(oracle, A, b, np.array([[0.0, 0.5]]), np.array([0]), face, np.array([0]))
+        assert steps.tolist() == [2]
+        # Nor does any face of the set-1 grid, none of which starts at its optimum.
+        face_newton = concave._face_newton
+        ended = []
+
+        def traced(*args):
+            out = face_newton(*args)
+            ended.extend(out[-1].tolist())
+            return out
+
+        monkeypatch.setattr(concave, "_face_newton", traced)
+        dp_solver.backward_recursion(p_set1)
+        assert len(ended) > p_set1.K * 21 and min(ended) >= 2
+
+
 def full_face_step(oracle, A, b, X, face):
     """One face Newton step of each problem on the full (D + k)-square KKT
     system [[H, A_a'], [A_a, 0]] [dx; -nu_a] = [-g; b_a - A_a x], the build

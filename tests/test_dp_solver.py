@@ -375,11 +375,13 @@ class TestWarmFaces:
     """Below stage K-1 each node first tries a crossover from its stage k+1
     optimum onto the rows that optimum holds."""
 
-    def test_set1_grid_takes_at_most_1200_newton_steps(self, monkeypatch, p_set1):
+    def test_set1_grid_takes_at_most_1000_newton_steps(self, monkeypatch, p_set1):
         # Counts repeat exactly: 1,800 on this grid when every stage starts
         # with the barrier, 1,398 when the warm faces certify and stage K-1
-        # starts at (pi, c) = 1e-3 (416 of them at stage K-1), and 1,166
-        # from the centred start (186 at stage K-1).
+        # starts at (pi, c) = 1e-3 (416 of them at stage K-1), 1,166 from
+        # the centred start (186 at stage K-1; capped at 1,200 and 200), and
+        # 936 since a face also ends on its quadratic-rate estimate of the
+        # next step (155 at stage K-1).
         counts = []
         batch = concave.maximize_batch
 
@@ -392,8 +394,8 @@ class TestWarmFaces:
         backward_recursion(p_set1)
         G = dp_solver.DEFAULT_GRID.size
         assert len(counts) == p_set1.K * G
-        assert sum(counts[:G]) <= 200  # stage K-1, solved first
-        assert sum(counts) <= 1200
+        assert sum(counts[:G]) <= 170  # stage K-1, solved first
+        assert sum(counts) <= 1000
 
     @pytest.mark.parametrize("set_id, gamma", [(1, 1.5), (2, 1.5), (3, 1.5), (4, 1.5), (1, 5.0)])
     def test_every_warm_node_certifies_on_its_face(self, monkeypatch, set_id, gamma):
@@ -493,4 +495,16 @@ class TestSerialization:
         data = value_grid_to_dict(vg_set1, p_set1)
         data[field] = value(np.asarray(data[field])).tolist()
         with pytest.raises(ValueError, match=match):
+            value_grid_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["J", "policy_pi", "policy_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entries_rejected(self, p_set1, vg_set1, field, value):
+        data = value_grid_to_dict(vg_set1, p_set1)
+        entries = np.asarray(data[field])
+        entries.flat[entries.size // 2] = value
+        data[field] = entries.tolist()
+        # Python's json writes and reads NaN and Infinity.
+        data = json.loads(json.dumps(data))
+        with pytest.raises(ValueError, match=f"value-grid file is corrupt: {field} has non-finite entries"):
             value_grid_from_dict(data)
