@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import concave, dp_solver, penalties
-from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths
+from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths, step_wealth
 
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
@@ -470,8 +470,7 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     # interior trajectory built forward with the realized returns, so the
     # barrier starts near its central path instead of on the boundary.  The
     # interior path puts eta of wealth into the risky assets, split evenly,
-    # and consumes eta; scaling eta by min(1, R_f), as `dp_solver._default_start`
-    # scales the Bellman nodes' centred start, keeps the budget
+    # and consumes eta; scaling eta by min(1, R_f) keeps the budget
     # C_k <= R_f (W_k - 1'Pi_k) slack for any R_f > 0.
     x_base = np.zeros((B, D))
     x_base[:, pi_idx] = ctxs.Pi
@@ -568,7 +567,7 @@ def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
     in any stack.
     """
     K = p.K
-    W_K = p.R_f * ctxs.W[:, -1] + ((ctxs.R[:, -1] - p.R_f) * ctxs.Pi[:, -1]).sum(axis=1) - ctxs.C[:, -1]
+    W_K = step_wealth(ctxs.W[:, -1], ctxs.Pi[:, -1], ctxs.C[:, -1], ctxs.R[:, -1], p)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = _utility_weights(p)[K] * W_K ** -p.gamma
         x = np.where(np.isfinite(x) & (x > 0.0), x, 1.0)  # w_K = 0 where alpha = 1

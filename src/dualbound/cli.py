@@ -211,21 +211,28 @@ def _fmt(mean, stderr, scale=1.0):
 
 def _bound_rows(fh) -> list:
     """Rows of a bound CSV, which must carry every `bounds.CSV_COLUMNS` column
-    and numeric means and standard errors."""
+    and numeric gammas, means and standard errors."""
     reader = csv.DictReader(fh)
     missing = [col for col in bounds.CSV_COLUMNS if col not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"missing columns {missing}")
     rows = list(reader)
     for row in rows:
-        for col in ("value_mean", "value_stderr", "ce_mean", "ce_stderr"):
+        for col in ("gamma", "value_mean", "value_stderr", "ce_mean", "ce_stderr"):
             float(row[col])
     return rows
 
 
+def _block_order(pset: str, gamma: str) -> tuple:
+    """Report blocks by set number, other set labels such as `custom` last,
+    then by gamma's value."""
+    return not pset.isdecimal(), int(pset) if pset.isdecimal() else pset, float(gamma)
+
+
 def _report_text(rows) -> str:
     """Side-by-side table of bound CSV rows, one block per parameter set and
-    gamma: lower bound, m1, m2 and zero upper bounds and the duality gap."""
+    gamma (in `_block_order`): lower bound, m1, m2 and zero upper bounds and
+    the duality gap."""
     groups: dict = {}
     for row in rows:
         key = (row["parameter_set"], row["gamma"])
@@ -234,7 +241,7 @@ def _report_text(rows) -> str:
     col_heads = [("lower", "Lower Bound"), ("m1", "Dual Bound 1"),
                  ("m2", "Dual Bound 2"), ("zero", "Zero Penalty")]
     lines = []
-    for (pset, gamma), slots in sorted(groups.items()):
+    for (pset, gamma), slots in sorted(groups.items(), key=lambda item: _block_order(*item[0])):
         lines.append(f"parameter_set={pset} gamma={gamma}")
         header = f"  {'':14s}" + "".join(f"{h:>28s}" for _, h in col_heads) + f"{'Duality Gap':>24s}"
         lines.append(header)

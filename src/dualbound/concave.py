@@ -13,12 +13,12 @@ start the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
 crossover guesses as active the rows whose slack is small against their
 barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
 KKT conditions verify.  A caller that knows a point near each optimum, such
-as the Bellman recursion its previous stage's optima or an inner problem the
-optimum its dual recovers, passes it as `warm`: a crossover from that point
-onto the rows it holds runs before any barrier stage, and only the problems
-it does not certify run the barrier, from their own start.  Each round of the
-crossover's active-set loop is one lockstep face-Newton loop over all its
-faces, whatever their row counts, and tests the face optima as stacks.  A
+as an inner problem the optimum its dual recovers, passes it as `warm`: a
+crossover from that point onto the rows it holds runs before any barrier
+stage, and only the problems it does not certify run the barrier, from their
+own start.  Each round of the crossover's active-set loop is one lockstep
+face-Newton loop over all its faces, whatever their row counts, and tests
+the face optima as stacks.  A
 face row with one nonzero coefficient, such as -x_c <= 0, fixes its
 coordinate, so a face Newton step solves a KKT system in the free
 coordinates and the face's other rows only, padded to a multiple of 8: at
@@ -35,7 +35,7 @@ its own one-problem solve, and `maximize` is that one-problem call.
 Problems here are tiny (dimension <= ~40, up to ~130 inequality rows), so
 dense linear algebra per Newton step is cheap and exact Hessians are
 supplied analytically: `crra_oracle` gives them for the CRRA objectives of
-both the Bellman nodes and the inner problems.
+both the grid nodes' portfolio problems and the inner problems.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ LOOSE_DECREMENT = 1e-2
 # centering.  The crossover verifies its own KKT conditions, so the barrier
 # point only has to make its face guess right.  Of 480 set-1 inner problems
 # (m1/m2/zero, 8 pairs x 10 runs, seed 5), exact centering certifies 409 at
-# the first crossover, stops of 1e-2/1e-3/1e-4/1e-5 certify 377/428/437/423;
-# on the six benchmark grids 1e-4 takes 13,948 Newton steps, 1e-5 20,221 and
-# exact centering 31,252.
+# the first crossover, stops of 1e-2/1e-3/1e-4/1e-5 certify 377/428/437/423.
+# The 146 portfolio solves of the six benchmark grids take 987/978/1,215/
+# 1,513 Newton steps at those stops and 1,848 with exact centering.
 CROSSOVER_DECREMENT = 1e-4
 MAX_CENTERING = 80     # Newton steps per centering stage
 # The crossover guesses row i active where t s_i^2 <= KAPPA.  Of the 864
@@ -551,11 +551,10 @@ def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, face, problems) -> tupl
     A face ends, solved, when its step size sz is at rounding level,
     sz <= 1e-14 (1 + |x|), or, from the second step on, when its
     quadratic-rate estimate of the next step, sz (sz / last)^2 with last the
-    step before, is (Nocedal & Wright 2006, Thm 3.5).  On a warm Bellman face
-    the sizes run about 1.1e-2, 1.1e-3, 1.5e-5, 2.6e-9, 9.6e-15: a fifth step
-    would only confirm what the fourth predicts.  A first step has no step
-    before it (last is inf, the estimate 0), so it ends its face only by its
-    own size.  Where Newton converges only linearly the estimate falls short
+    step before, is (Nocedal & Wright 2006, Thm 3.5): at a quadratic rate the
+    next step would only confirm what this one predicts.  A first step has
+    no step before it (last is inf, the estimate 0), so it ends its face only
+    by its own size.  Where Newton converges only linearly the estimate falls short
     by the rate, and the face ends a few rounding units from its optimum.
     Returns stacks (j, x, f, nu, violated, stationarity, steps) over the faces
     solved: problem, face optimum, its finite objective, (n, m) multipliers

@@ -3,9 +3,11 @@
 The market state is discretized on a sorted node grid; its one-step law is a
 row-stochastic cell-mass matrix.  Return expectations use a tensorized
 Gauss-Hermite rule frozen at the current node, taken independently of the
-state expectation.  Each node maximization is a small concave program; the
-G nodes of a stage are solved together as one lockstep batch of the barrier
-engine, each warm-started from its own optimum at stage k+1.
+state expectation.  Under CRRA utility each node's Bellman maximization
+separates into a portfolio problem that no stage changes and a consumption
+share in closed form: the G portfolio problems of a grid are solved once,
+as one lockstep batch of the barrier engine, and each stage is arithmetic
+(`backward_recursion`).
 """
 
 from __future__ import annotations
@@ -26,19 +28,18 @@ logger = logging.getLogger(__name__)
 
 SERIAL_VERSION = 2
 U_FLOOR = 1e-10  # lower guard on portfolio growth at quadrature nodes
-NODE_TOL = 1e-8  # solver tolerance of every Bellman node
+NODE_TOL = 1e-8  # solver tolerance of every node's portfolio problem
 
 DEFAULT_GRID = np.linspace(-2.0, 2.0, 21)
 DEFAULT_QUAD_POINTS = 3
 
 
 class NodeSolveError(RuntimeError):
-    """Inner solver failed to converge at a Bellman node."""
+    """The portfolio problem of a grid node did not converge."""
 
-    def __init__(self, k: int, phi: float, status: str):
-        self.k = k
+    def __init__(self, phi: float, status: str):
         self.phi = phi
-        super().__init__(f"node solve failed at stage k={k}, phi={phi:.6g} (status={status})")
+        super().__init__(f"node solve failed at phi={phi:.6g} (status={status})")
 
 
 @dataclass(frozen=True)
@@ -139,54 +140,27 @@ def node_returns(p: ModelParams, quad: QuadratureRule, phi) -> np.ndarray:
     return np.exp(log_r)
 
 
-def bellman_oracle(p: ModelParams, Rq: np.ndarray, wq: np.ndarray, EJ: np.ndarray) -> concave.ObjectiveOracle:
-    """Objectives of a batch of node maximizations over x = (pi, c).
+def portfolio_oracle(p: ModelParams, Rq: np.ndarray, wq: np.ndarray) -> concave.ObjectiveOracle:
+    """Portfolio objectives E_q[g^(1-gamma)]/(1-gamma) of a batch of nodes, in
+    the fractions w of the wealth not consumed that go into the risky assets.
 
-    Node i has returns Rq[i] (Q, n) and continuation value EJ[i]:
-    alpha*delta*c^(1-gamma)/(1-gamma) + beta^delta * EJ * E_q[u^(1-gamma)]
-    with u = R_f + (Rq - R_f)'pi - c, as a `concave.crra_oracle` with one
-    column per quadrature node, a c column where alpha > 0 (at alpha = 0,
-    c = 0 stays inside the domain) and a zero penalty.
+    Node i has returns Rq[i] (Q, n) and growth g = R_f + (Rq[i] - R_f)'w at
+    each quadrature node, as a `concave.crra_oracle` with one column per
+    quadrature node and a zero penalty.
     """
     B, Q, n = Rq.shape
-    J = Q + (p.alpha > 0.0)
-    P = np.zeros((B, n + 1, J + 1))
-    P[:, :n, :Q] = (Rq - p.R_f).transpose(0, 2, 1)
-    P[:, n, :Q] = -1.0
-    z0 = np.zeros((B, J + 1))
+    P = np.zeros((B, n, Q + 1))
+    P[:, :, :Q] = (Rq - p.R_f).transpose(0, 2, 1)
+    z0 = np.zeros((B, Q + 1))
     z0[:, :Q] = p.R_f
-    w = np.empty((B, J))
-    w[:, :Q] = p.beta**p.delta * (1.0 - p.gamma) * np.asarray(EJ, dtype=float)[:, None] * wq
-    if p.alpha > 0.0:
-        P[:, n, Q] = 1.0
-        w[:, Q] = p.alpha * p.delta
-    return concave.crra_oracle(P, z0, w, p.gamma)
+    return concave.crra_oracle(P, z0, wq, p.gamma)
 
 
-def node_constraints(p: ModelParams, Rq: np.ndarray) -> tuple:
-    """Rows (A, b), A x <= b over x = (pi, c), of one node (Rq of shape
-    (Q, n)) or of every node (Rq of shape (G, Q, n)): the budget
-    c + R_f 1'pi <= R_f, the growth guards u >= U_FLOOR per quadrature
-    node, then -x <= 0 for pi, c >= 0."""
-    n = p.n
-    Q = Rq.shape[-2]
-    A = np.zeros(Rq.shape[:-2] + (1 + Q + n + 1, n + 1))
-    A[..., 0, :n] = p.R_f
-    A[..., 0, n] = 1.0
-    A[..., 1:Q + 1, :n] = -(Rq - p.R_f)
-    A[..., 1:Q + 1, n] = 1.0
-    A[..., Q + 1:, :] = -np.eye(n + 1)
-    b = np.zeros(A.shape[:-1])
-    b[..., 0] = p.R_f
-    b[..., 1:Q + 1] = p.R_f - U_FLOOR
-    return A, b
-
-
-def _default_start(p: ModelParams) -> np.ndarray:
-    """Every coordinate of (pi, c) at min(1, R_f) / (n + 2): at R_f = 1 the
-    analytic centre of the budget simplex, and strictly inside the budget and
-    the growth guards for every R_f > 0."""
-    return np.full(p.n + 1, min(1.0, p.R_f) / (p.n + 2))
+def portfolio_constraints(n: int) -> tuple:
+    """Rows (A, b), A w <= b, of every node's portfolio problem: 1'w <= 1,
+    then -w <= 0.  Growth is positive on all of it, since R_f > 0 and every
+    gross return is."""
+    return np.vstack([np.ones(n), -np.eye(n)]), np.append(1.0, np.zeros(n))
 
 
 def backward_recursion(
@@ -198,54 +172,68 @@ def backward_recursion(
 ) -> ValueGrid:
     """Solve the stage recursion on the grid, storing values and policy.
 
-    Node returns and constraints depend only on phi, so they are built once.
-    Each stage solves its G nodes as one `concave.maximize_batch` call from
-    the default start.  Below stage K-1 the batch gets the stage k+1 optima
-    as its warm points.  Optima and faces barely move from stage to stage,
-    so the solver's crossover from node i's stage k+1 optimum onto the rows
-    it holds certifies most nodes without a barrier stage.  A per-node
-    `solver(oracle, cons, x0, tol=)`, such as a wrapped `concave.maximize`,
-    is called instead G times per stage in node order with the same problems,
-    starts and rows cons = (A[i], b[i]), or (A[i], b[i], warm[i]) below stage
-    K-1, and gives the same grid.
+    Node i maximizes alpha delta c^(1-gamma)/(1-gamma)
+    + beta^delta EJ_i E_q[u^(1-gamma)] over (pi, c), with growth
+    u = R_f + (Rq_i - R_f)'pi - c.  Under CRRA the problem separates
+    (Samuelson 1969; Merton 1969): with s = 1 - c / R_f and pi = s w,
+    u = s g(w), g(w) = R_f + (Rq_i - R_f)'w, the rows become w >= 0,
+    1'w <= 1 and s <= 1, and the objective
+        A (1 - s)^(1-gamma)/(1-gamma) + beta^delta EJ_i s^(1-gamma) M_i(w),
+    A = alpha delta R_f^(1-gamma), M_i(w) = E_q[g(w)^(1-gamma)].  Since
+    (1-gamma) EJ_i >= 0, the best w maximizes M_i(w)/(1-gamma) whatever the
+    stage: one portfolio problem per node, solved once per grid as one
+    `concave.maximize_batch` call from the simplex centre w_j = 1/(n+1).
+    Each stage is then closed form in a = A^(1/gamma) and
+    b = (beta^delta (1-gamma) EJ_i M_i)^(1/gamma):
+        s = b / (a + b),  J_k = (a + b)^gamma / (1-gamma),
+        pi = s w*,  c = R_f (1 - s).
+    The joint node's growth guards u >= U_FLOOR become
+    s >= U_FLOOR / min_q g_q(w*), which binds only where EJ_i = 0 (alpha = 1
+    at stage K-1); there J is evaluated at the clamped s.
+
+    A per-node `solver(oracle, cons, x0, tol=)`, such as a wrapped
+    `concave.maximize`, is called instead G times in node order with the same
+    portfolio problems, starts and rows cons = (A, b), and gives the same grid.
     pt is the (G, G) transition of `build_phi_transition`.
     """
     grid = DEFAULT_GRID.copy() if grid is None else np.asarray(grid, dtype=float)
     quad = quad if quad is not None else build_quadrature(DEFAULT_QUAD_POINTS, p.n)
     pt = pt if pt is not None else build_phi_transition(grid, p)
     G = grid.size
-    K = p.K
-    J = np.empty((K + 1, G))
-    policy_pi = np.empty((K, G, p.n))
-    policy_c = np.empty((K, G))
-    J[K] = (1.0 - p.alpha) / (1.0 - p.gamma)
     Rq = node_returns(p, quad, grid)
-    A, b = node_constraints(p, Rq)
-    X0 = np.tile(_default_start(p), (G, 1))
-    warm = None
-    for k in range(K - 1, -1, -1):
-        EJ = pt @ J[k + 1]
-        # Built before the last stage's oracle is freed: freeing that first
-        # cost a loop of 41-node q = 5 grid solves about 5,400 page faults a
-        # solve instead of 80, and about 10% of its time.
-        oracle = bellman_oracle(p, Rq, quad.weights, EJ)
-        if solver is None:
-            sols = concave.maximize_batch(oracle, A, b, X0, tol=NODE_TOL, warm=warm)
-        else:
-            cons = (A, b) if warm is None else (A, b, warm)
-            sols = [solver(bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1]), tuple(c[i] for c in cons),
-                           X0[i], tol=NODE_TOL) for i in range(G)]
-        if logger.isEnabledFor(logging.DEBUG):
-            for i, sol in enumerate(sols):
-                logger.debug("node k=%d phi=%+.3f: %d newton steps, %s, kkt %.2e",
-                             k, grid[i], sol.iterations, sol.status, sol.kkt_residual)
-        for i, sol in enumerate(sols):
-            if sol.status != concave.STATUS_CONVERGED:
-                raise NodeSolveError(k, float(grid[i]), sol.status)
-        warm = np.array([sol.x for sol in sols])
-        J[k] = [sol.f for sol in sols]
-        policy_pi[k] = warm[:, : p.n]
-        policy_c[k] = warm[:, p.n]
+    A_w, b_w = portfolio_constraints(p.n)
+    w0 = np.full(p.n, 1.0 / (p.n + 1))
+    if solver is None:
+        sols = concave.maximize_batch(portfolio_oracle(p, Rq, quad.weights), np.tile(A_w, (G, 1, 1)),
+                                      np.tile(b_w, (G, 1)), np.tile(w0, (G, 1)), tol=NODE_TOL)
+    else:
+        sols = [solver(portfolio_oracle(p, Rq[i:i + 1], quad.weights), (A_w, b_w), w0, tol=NODE_TOL)
+                for i in range(G)]
+    for i, sol in enumerate(sols):
+        logger.debug("node phi=%+.3f: %d newton steps, %s, kkt %.2e",
+                     grid[i], sol.iterations, sol.status, sol.kkt_residual)
+        if sol.status != concave.STATUS_CONVERGED:
+            raise NodeSolveError(float(grid[i]), sol.status)
+    w = np.array([sol.x for sol in sols])
+    e = 1.0 - p.gamma
+    M = e * np.array([sol.f for sol in sols])
+    s_min = U_FLOOR / (p.R_f + ((Rq - p.R_f) @ w[:, :, None])[:, :, 0]).min(axis=1)
+    A = p.alpha * p.delta * p.R_f**e
+    a = A ** (1.0 / p.gamma)
+    J = np.empty((p.K + 1, G))
+    policy_pi = np.empty((p.K, G, p.n))
+    policy_c = np.empty((p.K, G))
+    J[p.K] = (1.0 - p.alpha) / e
+    for k in range(p.K - 1, -1, -1):
+        B = p.beta**p.delta * e * (pt @ J[k + 1]) * M
+        b = B ** (1.0 / p.gamma)
+        s = b / (a + b)
+        J[k] = (a + b) ** p.gamma / e
+        low = s < s_min
+        s[low] = s_min[low]
+        J[k, low] = (A * (1.0 - s[low]) ** e + B[low] * s[low] ** e) / e
+        policy_pi[k] = s[:, None] * w
+        policy_c[k] = p.R_f * (1.0 - s)
     return ValueGrid(grid=grid, J=J, policy_pi=policy_pi, policy_c=policy_c)
 
 

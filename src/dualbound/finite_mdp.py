@@ -250,10 +250,6 @@ def optimal_penalty(mdp: FiniteMDP, sv: Optional[StageValues] = None) -> Stagewi
     return StagewisePenalty(mdp, nxt - np.einsum("ko,kxao->kxa", mdp.outcome_probs, nxt)[..., None])
 
 
-def scaled_penalty(base: StagewisePenalty, factor: float) -> StagewisePenalty:
-    return StagewisePenalty(base._mdp, factor * base.table)
-
-
 def inner_solve(mdp: FiniteMDP, penalty, scenario: ScenarioSequence):
     """Exact maximizer over ALL action sequences for one disturbance scenario.
 

@@ -61,6 +61,11 @@ def random_mdp(rng: np.random.Generator, max_states=3, max_actions=3,
     )
 
 
+def scaled_penalty(base: finite_mdp.StagewisePenalty, factor: float) -> finite_mdp.StagewisePenalty:
+    """The stagewise penalty `base` with its table scaled by factor."""
+    return finite_mdp.StagewisePenalty(base._mdp, factor * base.table)
+
+
 def single_asset_params(gamma=1.5, K=1, alpha=0.5, r_f=0.01, mu0=0.081,
                         sigma=0.186, lam=0.336, sigma_phi1=-0.741,
                         sigma_phi2=0.284, mu1=0.034, phi0=0.0) -> market.ModelParams:
@@ -218,10 +223,92 @@ def fd_hessian(gradient, h_rel=1e-6):
     return hessian
 
 
+def bellman_oracle(p, Rq, wq, EJ) -> concave.ObjectiveOracle:
+    """Objectives of a batch of joint node maximizations over x = (pi, c).
+
+    Node i has returns Rq[i] (Q, n) and continuation value EJ[i]:
+    alpha*delta*c^(1-gamma)/(1-gamma) + beta^delta * EJ * E_q[u^(1-gamma)]
+    with u = R_f + (Rq - R_f)'pi - c, as a `concave.crra_oracle` with one
+    column per quadrature node, a c column where alpha > 0 (at alpha = 0,
+    c = 0 stays inside the domain) and a zero penalty.
+    """
+    B, Q, n = Rq.shape
+    J = Q + (p.alpha > 0.0)
+    P = np.zeros((B, n + 1, J + 1))
+    P[:, :n, :Q] = (Rq - p.R_f).transpose(0, 2, 1)
+    P[:, n, :Q] = -1.0
+    z0 = np.zeros((B, J + 1))
+    z0[:, :Q] = p.R_f
+    w = np.empty((B, J))
+    w[:, :Q] = p.beta**p.delta * (1.0 - p.gamma) * np.asarray(EJ, dtype=float)[:, None] * wq
+    if p.alpha > 0.0:
+        P[:, n, Q] = 1.0
+        w[:, Q] = p.alpha * p.delta
+    return concave.crra_oracle(P, z0, w, p.gamma)
+
+
+def node_constraints(p, Rq) -> tuple:
+    """Rows (A, b), A x <= b over x = (pi, c), of one joint node (Rq of shape
+    (Q, n)) or of every node (Rq of shape (G, Q, n)): the budget
+    c + R_f 1'pi <= R_f, the growth guards u >= U_FLOOR per quadrature
+    node, then -x <= 0 for pi, c >= 0."""
+    n = p.n
+    Q = Rq.shape[-2]
+    A = np.zeros(Rq.shape[:-2] + (1 + Q + n + 1, n + 1))
+    A[..., 0, :n] = p.R_f
+    A[..., 0, n] = 1.0
+    A[..., 1:Q + 1, :n] = -(Rq - p.R_f)
+    A[..., 1:Q + 1, n] = 1.0
+    A[..., Q + 1:, :] = -np.eye(n + 1)
+    b = np.zeros(A.shape[:-1])
+    b[..., 0] = p.R_f
+    b[..., 1:Q + 1] = p.R_f - dp_solver.U_FLOOR
+    return A, b
+
+
+def joint_default_start(p) -> np.ndarray:
+    """Every coordinate of (pi, c) at min(1, R_f) / (n + 2): at R_f = 1 the
+    analytic centre of the budget simplex, and strictly inside the budget and
+    the growth guards of `node_constraints` for R_f down to about 5e-4."""
+    return np.full(p.n + 1, min(1.0, p.R_f) / (p.n + 2))
+
+
 def bellman_node_problem(p, Rq, wq, EJ):
-    """Oracle (a batch of one) and rows (A, b) of one node maximization."""
-    return (dp_solver.bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)),
-            dp_solver.node_constraints(p, Rq))
+    """Oracle (a batch of one) and rows (A, b) of one joint node maximization."""
+    return bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)), node_constraints(p, Rq)
+
+
+def joint_stage(p, grid, quad, J_next, X0, warm=None) -> list:
+    """One stage's G joint (pi, c) node solves on the next stage's values
+    J_next, as one `maximize_batch` call from the (G, n + 1) starts X0 and,
+    if given, the warm points `warm`."""
+    Rq = dp_solver.node_returns(p, quad, grid)
+    A, b = node_constraints(p, Rq)
+    EJ = dp_solver.build_phi_transition(grid, p) @ J_next
+    return concave.maximize_batch(bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0,
+                                  tol=dp_solver.NODE_TOL, warm=warm)
+
+
+def joint_backward_recursion(p, grid, quad) -> dp_solver.ValueGrid:
+    """The grid recursion by joint (pi, c) node solves, stage by stage: each
+    stage a `joint_stage` from `joint_default_start`, below stage K-1 with the
+    stage k+1 optima as warm points.  The reference that
+    `dp_solver.backward_recursion`'s separated solve is tested against; raises
+    AssertionError on a node that does not converge."""
+    grid = np.asarray(grid, dtype=float)
+    G, K = grid.size, p.K
+    J = np.empty((K + 1, G))
+    policy_pi, policy_c = np.empty((K, G, p.n)), np.empty((K, G))
+    J[K] = (1.0 - p.alpha) / (1.0 - p.gamma)
+    X0 = np.tile(joint_default_start(p), (G, 1))
+    warm = None
+    for k in range(K - 1, -1, -1):
+        sols = joint_stage(p, grid, quad, J[k + 1], X0, warm)
+        assert all(sol.status == concave.STATUS_CONVERGED for sol in sols), (k, [sol.status for sol in sols])
+        warm = np.array([sol.x for sol in sols])
+        J[k] = [sol.f for sol in sols]
+        policy_pi[k], policy_c[k] = warm[:, :p.n], warm[:, p.n]
+    return dp_solver.ValueGrid(grid=grid, J=J, policy_pi=policy_pi, policy_c=policy_c)
 
 
 def slack(cons, x: np.ndarray) -> np.ndarray:

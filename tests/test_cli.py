@@ -14,7 +14,7 @@ import dualbound
 from dualbound import bounds, cli, dp_solver, finite_mdp, market
 from dualbound.cli import main
 
-from helpers import matching_mdp
+from helpers import joint_stage, matching_mdp
 
 
 def run_cli(*argv):
@@ -101,13 +101,32 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
     def test_debug_solver_prints_one_line_per_node(self, caplog):
+        # One portfolio solve per node serves every stage.
         with caplog.at_level(logging.DEBUG, logger="dualbound.dp_solver"):
             assert run_cli("solve", "--set", "1", "--grid-nodes", "5", "--debug-solver") == 0
         lines = [r.getMessage() for r in caplog.records if r.name == "dualbound.dp_solver"]
-        assert len(lines) == market.parameter_set(1).K * 5
-        pattern = re.compile(r"^node k=\d+ phi=[+-]\d\.\d{3}: \d+ newton steps, converged, kkt \S+$")
+        assert len(lines) == 5
+        pattern = re.compile(r"^node phi=[+-]\d\.\d{3}: \d+ newton steps, converged, kkt \S+$")
         assert all(pattern.match(line) for line in lines), lines[:3]
-        assert {line.split()[1] for line in lines} == {f"k={k}" for k in range(10)}
+        assert [line.split()[1] for line in lines] == [f"phi={x:+.3f}:" for x in np.linspace(-2.0, 2.0, 5)]
+
+    @pytest.mark.parametrize("gamma", ["10", "20"])
+    def test_high_risk_aversion_solves(self, capsys, gamma):
+        # The joint (pi, c) node solves failed at gamma 10 (stage k = 4) and
+        # 20 (k = 8); the portfolio problems' objectives stay near 1/(1-gamma).
+        assert run_cli("solve", "--set", "1", "--gamma", gamma, "--grid-nodes", "5") == 0
+        value = float(re.search(r"= (.*)$", capsys.readouterr().out.strip()).group(1))
+        assert np.isfinite(value) and value < 0.0
+
+    def test_high_risk_aversion_upper_bound_flags_no_leg(self, tmp_path, capsys):
+        grid = tmp_path / "g10.json"
+        assert run_cli("solve", "--set", "1", "--gamma", "10", "--grid-nodes", "5", "--out", str(grid)) == 0
+        assert run_cli("upper", "--grid", str(grid), "--penalty", "m1", "--seed", "1", "--paths", "4",
+                       "--runs", "2", "--out", "-") == 0
+        header, row = capsys.readouterr().out.strip().split("\n")[-2:]
+        row = dict(zip(header.split(","), row.split(",")))
+        assert row["gamma"] == "10.0" and row["flagged_paths"] == "0"
+        assert np.isfinite(float(row["value_mean"]))
 
     def test_all_cash_closed_form_printed(self, tmp_path, capsys):
         params = market.parameter_set(1, gamma=1.5).to_dict()
@@ -382,6 +401,17 @@ class TestReport:
         # CE columns scaled by 10: 0.1332 prints near 1.332
         assert "1.3320" in out
 
+    def test_blocks_sort_by_set_number_then_gamma_value(self, tmp_path, capsys):
+        # As strings, gamma 10.0 sorted before 3.0 and set 10 before set 2.
+        rows = [f"{pset},{gamma},lower,none,-5.480,0.003,0.1332,0.0001,100,10,42,0"
+                for pset in ("custom", "10", "2", "1") for gamma in ("10.0", "3.0", "1.5")]
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(self.CSV.splitlines()[0] + "\n" + "\n".join(rows) + "\n")
+        assert run_cli("report", str(csv_path)) == 0
+        blocks = [line for line in capsys.readouterr().out.splitlines() if line.startswith("parameter_set=")]
+        assert blocks == [f"parameter_set={pset} gamma={gamma}"
+                          for pset in ("1", "2", "10", "custom") for gamma in ("1.5", "3.0", "10.0")]
+
     def test_zero_lower_bound_has_no_gap(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"
         csv_path.write_text(self.CSV.replace("-5.480", "0.0"))
@@ -453,19 +483,35 @@ class TestExitCodes:
         assert run_cli(*args) == 2
         assert "cannot write" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("r_f, code", [(-9.995, 0), (-9.99999999999, 3)])
-    def test_gross_riskfree_rate_near_zero(self, tmp_path, capsys, r_f, code):
-        # R_f = 1 + r_f * delta is 5e-4, then 1e-12: the default start is scaled
-        # into the budget; with no strictly feasible start the node fails.
+    @pytest.mark.parametrize("r_f", [-9.995, -9.99999999999])
+    def test_gross_riskfree_rate_near_zero(self, tmp_path, capsys, r_f):
+        # R_f = 1 + r_f * delta is 5e-4, then 1e-12.  The portfolio start,
+        # the simplex centre, is strictly feasible for any R_f > 0; the joint
+        # (pi, c) start min(1, R_f) / (n + 2) broke the growth guards at 1e-12.
         params = market.parameter_set(1, gamma=1.5).to_dict()
         params.update(r_f=r_f, K=2)
-        cfg = tmp_path / "low_rf.json"
+        cfg, grid_file = tmp_path / "low_rf.json", tmp_path / "low_rf_grid.json"
         cfg.write_text(json.dumps(params))
-        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5") == code
+        assert run_cli("solve", "--config", str(cfg), "--grid-nodes", "5", "--out", str(grid_file)) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        vg, p = dp_solver.load_value_grid(str(grid_file))
+        # Each stage's joint node solves, from pi_j = 1/(n + 2), c = R_f/(n + 2),
+        # on the grid's own J_{k+1}.  At R_f = 1e-12 they stop uncertified at
+        # the barrier weight cap, but at feasible points, whose objective is
+        # at most the optimum J_k and here within 1e-13 of it.
+        quad = dp_solver.build_quadrature(3, p.n)
+        X0 = np.tile(np.append(np.full(p.n, 1.0), p.R_f) / (p.n + 2), (vg.grid.size, 1))
+        for k in range(p.K):
+            f = np.array([sol.f for sol in joint_stage(p, vg.grid, quad, vg.J[k + 1], X0)])
+            assert (f <= vg.J[k] + 1e-13 * np.abs(vg.J[k])).all()
+            np.testing.assert_allclose(f, vg.J[k], rtol=1e-13, atol=0.0)
+
+    def test_node_failure_exits_3(self, monkeypatch, capsys):
+        # No portfolio problem certifies a KKT residual of 1e-20.
+        monkeypatch.setattr(dp_solver, "NODE_TOL", 1e-20)
+        assert run_cli("solve", "--set", "1", "--grid-nodes", "5") == 3
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if code:
-            assert "node solve failed at stage k=1, phi=-2 (status=infeasible)" in err
+        assert "node solve failed at phi=-2 (status=max_iter)" in err and "Traceback" not in err
 
     def test_upper_bound_finite_at_small_gross_riskfree_rate(self, tmp_path, capsys):
         # R_f = 5e-4: an inner start that consumed a fixed 1e-3 of wealth broke
@@ -599,12 +645,12 @@ class TestTable:
 
     def test_node_failure_exits_3(self, monkeypatch, capsys):
         def fail(p, *args, **kwargs):
-            raise dp_solver.NodeSolveError(3, 0.5, "max_iter")
+            raise dp_solver.NodeSolveError(0.5, "max_iter")
 
         monkeypatch.setattr(dp_solver, "backward_recursion", fail)
         assert run_cli("table", "--seed", "1", "--out", "-") == 3
         captured = capsys.readouterr()
-        assert "node solve failed at stage k=3, phi=0.5 (status=max_iter)" in captured.err
+        assert "node solve failed at phi=0.5 (status=max_iter)" in captured.err
         assert captured.out == ""
 
     def test_equals_solve_lower_upper_and_report(self, tmp_path, capsys):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dualbound import bounds, concave, dp_solver, penalties
 from dualbound.concave import maximize
 
-from helpers import (at_point, bellman_node_problem, check_kkt, fd_hessian, max_violation,
+from helpers import (at_point, bellman_node_problem, bellman_oracle, check_kkt, fd_hessian,
+                     joint_backward_recursion, joint_default_start, max_violation, node_constraints,
                      node_objective_grid_search, pointwise_oracle, qp_active_set_oracle, single_asset_params,
                      slack)
 
@@ -338,21 +339,22 @@ class TestMaximize:
 
 
 def set1_last_stage_nodes(p):
-    """The last-stage Bellman nodes of set 1 on the default grid: the batch
-    (oracle, A, b, X0) and the one-problem oracle of node i, `node(i)`.
+    """The last-stage joint (pi, c) Bellman nodes of set 1 on the default
+    grid (`helpers.bellman_oracle`): the batch (oracle, A, b, X0) and the
+    one-problem oracle of node i, `node(i)`.
     X0 is the small start min(1, R_f) (1e-3/n, ..., 1e-3), far from the
     optimum, so the solves climb the barrier ladder the exit tests count."""
     quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
     Rq = dp_solver.node_returns(p, quad, dp_solver.DEFAULT_GRID)
-    A, b = dp_solver.node_constraints(p, Rq)
+    A, b = node_constraints(p, Rq)
     EJ = np.full(A.shape[0], (1.0 - p.alpha) / (1.0 - p.gamma))
     cold = min(1.0, p.R_f) * np.append(np.full(p.n, 1e-3 / p.n), 1e-3)
     X0 = np.tile(cold, (A.shape[0], 1))
 
     def node(i):
-        return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
+        return bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
 
-    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), node
+    return (bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), node
 
 
 def assert_same_solution(sol, other):
@@ -429,21 +431,22 @@ def held_rows(A, b, W):
 
 
 def set1_stage_nodes(p, vg, k):
-    """The stage-k Bellman nodes of set 1 on the default grid as the recursion
-    poses them below stage K-1: the batch (oracle, A, b, X0) from the default
-    start, the warm points W (the stage k+1 optima) and the one-problem
-    oracle of node i, `node(i)`."""
+    """The stage-k joint (pi, c) Bellman nodes of set 1 on the default grid as
+    the stage-by-stage reference recursion (`helpers.joint_backward_recursion`)
+    poses them below stage K-1: the batch (oracle, A, b, X0) from the joint
+    default start, the warm points W (the stage k+1 optima of vg) and the
+    one-problem oracle of node i, `node(i)`."""
     quad = dp_solver.build_quadrature(dp_solver.DEFAULT_QUAD_POINTS, p.n)
     Rq = dp_solver.node_returns(p, quad, vg.grid)
-    A, b = dp_solver.node_constraints(p, Rq)
+    A, b = node_constraints(p, Rq)
     EJ = dp_solver.build_phi_transition(vg.grid, p) @ vg.J[k + 1]
     W = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
-    X0 = np.tile(dp_solver._default_start(p), (len(W), 1))
+    X0 = np.tile(joint_default_start(p), (len(W), 1))
 
     def node(i):
-        return dp_solver.bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
+        return bellman_oracle(p, Rq[i:i + 1], quad.weights, EJ[i:i + 1])
 
-    return (dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), W, node
+    return (bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), W, node
 
 
 def set1_inner_batch(p, vg, kind, pairs=16):
@@ -639,27 +642,6 @@ class TestFaceNewtonStop:
     """A face ends when its step, or from step 2 on the step's quadratic-rate
     estimate of the next one, sz (sz / last)^2, is at rounding level."""
 
-    def test_set1_warm_stages_take_four_steps_a_node(self, monkeypatch, p_set1):
-        # Counts repeat exactly.  Each stage from K-4 down certifies its 21
-        # nodes on their warm faces in 84 face steps (105 when every face
-        # took a fifth step to confirm the fourth); stages K-1, K-2 and K-3,
-        # whose faces still change, take 155, 105 and 88 (184, 126 and 113).
-        stages = []
-        batch = concave.maximize_batch
-
-        def counted(*args, **kwargs):
-            sols = batch(*args, **kwargs)
-            stages.append(sols)
-            return sols
-
-        monkeypatch.setattr(concave, "maximize_batch", counted)
-        dp_solver.backward_recursion(p_set1)
-        assert len(stages) == p_set1.K
-        assert all(sol.status == concave.STATUS_CONVERGED for sols in stages for sol in sols)
-        for sols in stages[3:]:
-            assert len(sols) == 21
-            assert [sol.iterations for sol in sols] == [4] * 21
-
     @pytest.mark.parametrize("offset", [5e-12, -5e-12])
     def test_linearly_converging_face_still_reaches_its_optimum(self, offset):
         # Newton on -(x_1 - 1)^4 cuts the error by 2/3 a step, so the
@@ -688,7 +670,9 @@ class TestFaceNewtonStop:
                                                  lambda y: -2.0)
         *_, steps = concave._face_newton(oracle, A, b, np.array([[0.0, 0.5]]), np.array([0]), face, np.array([0]))
         assert steps.tolist() == [2]
-        # Nor does any face of the set-1 grid, none of which starts at its optimum.
+        # Nor does any face of the set-1 grid solved by joint (pi, c) nodes
+        # stage by stage, warm faces included, none of which starts at its
+        # optimum.
         face_newton = concave._face_newton
         ended = []
 
@@ -698,7 +682,7 @@ class TestFaceNewtonStop:
             return out
 
         monkeypatch.setattr(concave, "_face_newton", traced)
-        dp_solver.backward_recursion(p_set1)
+        joint_backward_recursion(p_set1, dp_solver.DEFAULT_GRID, dp_solver.build_quadrature(3, p_set1.n))
         assert len(ended) > p_set1.K * 21 and min(ended) >= 2
 
 

@@ -8,7 +8,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from dualbound import concave, dp_solver, market
+from dualbound import bounds, concave, dp_solver, market
 from dualbound.dp_solver import (
     ValueGrid,
     backward_recursion,
@@ -21,7 +21,7 @@ from dualbound.dp_solver import (
     value_grid_to_dict,
 )
 
-from helpers import bellman_node_problem, node_objective_grid_search, single_asset_params
+from helpers import at_point, joint_backward_recursion, node_objective_grid_search, single_asset_params
 
 
 class TestQuadrature:
@@ -288,60 +288,79 @@ class TestBackwardRecursion:
         assert abs(j41 - j21) / abs(j21) < 0.01
 
 
+def nodes_of(p, nodes=21, q=3):
+    """(grid, quad) of an n-asset grid."""
+    return np.linspace(-2.0, 2.0, nodes), build_quadrature(q, p.n)
+
+
+def with_assets(n, R_f):
+    """Set 1 with its first n assets (a fourth repeats the first one's
+    loadings) and gross risk-free rate R_f."""
+    p = market.parameter_set(1, 1.5)
+    sigma = np.diag(np.resize(np.diag(p.sigma), n))
+    sigma[:min(n, 3), :min(n, 3)] = p.sigma[:n, :n]
+    p = dataclasses.replace(p, n=n, mu0=np.resize(p.mu0, n), mu1=np.resize(p.mu1, n), sigma=sigma,
+                            sigma_phi1=np.resize(p.sigma_phi1, n), r_f=(R_f - 1.0) / p.delta)
+    # 1 + r_f delta cancels to 1.00009e-12 at R_f = 1e-12.
+    assert p.R_f == pytest.approx(R_f, rel=1e-4 if R_f < 1e-6 else 1e-12, abs=0.0)
+    return p
+
+
 class TestDefaultStart:
-    @pytest.mark.parametrize("R_f", [5e-4, 1.001, 3.0])
+    @pytest.mark.parametrize("R_f", [1e-12, 5e-4, 1.001, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_strictly_inside_the_budget_and_growth_guards(self, R_f, n):
-        # Set 1's first n assets; a fourth repeats the first one's loadings.
-        p = market.parameter_set(1, 1.5)
-        sigma = np.diag(np.resize(np.diag(p.sigma), n))
-        sigma[:min(n, 3), :min(n, 3)] = p.sigma[:n, :n]
-        p = dataclasses.replace(p, n=n, mu0=np.resize(p.mu0, n), mu1=np.resize(p.mu1, n), sigma=sigma,
-                                sigma_phi1=np.resize(p.sigma_phi1, n), r_f=(R_f - 1.0) / p.delta)
-        assert p.R_f == pytest.approx(R_f, rel=1e-12)
-        x = dp_solver._default_start(p)
-        np.testing.assert_array_equal(x, np.full(n + 1, min(1.0, p.R_f) / (n + 2)))
-        quad = build_quadrature(3, n)
-        Rq = dp_solver.node_returns(p, quad, np.linspace(-2.0, 2.0, 5))
-        A, b = dp_solver.node_constraints(p, Rq)
-        assert (b - A @ x).min() > 0.0
-        assert (x > 0.0).all()
+    def test_simplex_centre_is_strictly_inside_every_portfolio_problem(self, R_f, n):
+        p = with_assets(n, R_f)
+        grid, quad = nodes_of(p, nodes=5)
+        calls = []
+
+        def solver(oracle, cons, x0, tol):
+            calls.append((oracle, cons, x0))
+            return concave.maximize(oracle, cons, x0, tol=tol)
+
+        vg = backward_recursion(p, grid=grid, quad=quad, solver=solver)
+        assert np.isfinite(vg.J).all()
+        assert len(calls) == grid.size
+        for oracle, (A, b), x0 in calls:
+            np.testing.assert_array_equal(x0, np.full(n, 1.0 / (n + 1)))
+            assert (b - A @ x0).min() > 0.0
+            assert np.isfinite(at_point(oracle.value, x0))
 
 
-class TestStageBatch:
-    """Each stage is one lockstep batch whose rows equal their own one-node solves."""
+class TestPortfolioBatch:
+    """A grid solves its G portfolio problems as one lockstep batch, whose
+    rows equal their own one-node solves."""
 
     @pytest.mark.parametrize("set_id, gamma, nodes, q", [
         (1, 1.5, 21, 3), (2, 1.5, 21, 3), (3, 1.5, 21, 3), (4, 1.5, 21, 3),
         (1, 5.0, 21, 3), (1, 1.5, 41, 5),
     ])
-    def test_every_row_equals_its_one_node_solve(self, set_id, gamma, nodes, q):
+    def test_every_row_equals_its_one_node_solve(self, monkeypatch, set_id, gamma, nodes, q):
         p = market.parameter_set(set_id, gamma)
-        grid = np.linspace(-2.0, 2.0, nodes)
-        quad = build_quadrature(q, p.n)
-        vg = backward_recursion(p, grid=grid, quad=quad)
-        pt = build_phi_transition(grid, p)
+        grid, quad = nodes_of(p, nodes, q)
+        calls = []
+        batch = concave.maximize_batch
+
+        def traced_batch(oracle, A, b, X0, **kwargs):
+            calls.append((A, b, X0, kwargs))
+            return batch(oracle, A, b, X0, **kwargs)
+
+        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
+        backward_recursion(p, grid=grid, quad=quad)
+        monkeypatch.setattr(concave, "maximize_batch", batch)
+        assert len(calls) == 1          # one batch a grid, from one start, without warm points
+        A, b, X0, kwargs = calls[0]
+        assert kwargs == {"tol": dp_solver.NODE_TOL}
+        A_w, b_w = dp_solver.portfolio_constraints(p.n)
+        assert np.array_equal(A, np.tile(A_w, (nodes, 1, 1))) and np.array_equal(b, np.tile(b_w, (nodes, 1)))
         Rq = dp_solver.node_returns(p, quad, grid)
-        default = dp_solver._default_start(p)
-        for k in (p.K - 1, 0):
-            EJ = pt @ vg.J[k + 1]
-            problems = [bellman_node_problem(p, Rq[i], quad.weights, EJ[i]) for i in range(nodes)]
-            A = np.stack([cons[0] for _, cons in problems])
-            b = np.stack([cons[1] for _, cons in problems])
-            A_grid, b_grid = dp_solver.node_constraints(p, Rq)  # the rows the recursion solves with
-            assert np.array_equal(A, A_grid) and np.array_equal(b, b_grid)
-            X0 = np.tile(default, (nodes, 1))
-            warm = None
-            if k < p.K - 1:  # warm points at the stage k+1 optima, as the recursion sets them
-                warm = np.concatenate([vg.policy_pi[k + 1], vg.policy_c[k + 1][:, None]], axis=1)
-            batch = concave.maximize_batch(dp_solver.bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0, tol=1e-8,
-                                           warm=warm)
-            for i, (oracle, cons) in enumerate(problems):
-                one = concave.maximize(oracle, cons if warm is None else cons + (warm[i],), X0[i], tol=1e-8)
-                assert one.status == batch[i].status == concave.STATUS_CONVERGED
-                assert (one.f, one.iterations, one.kkt_residual) == (batch[i].f, batch[i].iterations,
-                                                                    batch[i].kkt_residual)
-                assert np.array_equal(one.x, batch[i].x)
+        sols = batch(dp_solver.portfolio_oracle(p, Rq, quad.weights), A, b, X0, tol=dp_solver.NODE_TOL)
+        for i, sol in enumerate(sols):
+            one = concave.maximize(dp_solver.portfolio_oracle(p, Rq[i:i + 1], quad.weights), (A_w, b_w), X0[i],
+                                   tol=dp_solver.NODE_TOL)
+            assert one.status == sol.status == concave.STATUS_CONVERGED
+            assert (one.f, one.iterations, one.kkt_residual) == (sol.f, sol.iterations, sol.kkt_residual)
+            assert np.array_equal(one.x, sol.x)
 
     def test_per_node_solver_gives_the_batched_grid(self, p_set1, vg_set1):
         # The traced grid replay calls a wrapped maximize node by node.
@@ -352,36 +371,22 @@ class TestStageBatch:
             return concave.maximize(oracle, cons, x0, tol=tol)
 
         vg = backward_recursion(p_set1, solver=solver)
-        assert len(starts) == p_set1.K * vg_set1.grid.size
+        assert len(starts) == vg_set1.grid.size
         assert np.array_equal(vg.J, vg_set1.J)
         assert np.array_equal(vg.policy_pi, vg_set1.policy_pi)
         assert np.array_equal(vg.policy_c, vg_set1.policy_c)
 
-    def test_node_failure_names_the_node_of_the_per_node_path(self, monkeypatch):
-        # No solve can certify a KKT residual of 1e-16 at every node, so some
-        # fail; both paths name the lowest failing node of the first failing stage.
-        monkeypatch.setattr(dp_solver, "NODE_TOL", 1e-16)
-        p = market.parameter_set(1, 1.5)
-        grid = np.linspace(-2.0, 2.0, 5)
-        with pytest.raises(dp_solver.NodeSolveError) as batched:
-            backward_recursion(p, grid=grid)
-        with pytest.raises(dp_solver.NodeSolveError) as per_node:
-            backward_recursion(p, grid=grid, solver=concave.maximize)
-        assert (batched.value.k, batched.value.phi) == (per_node.value.k, per_node.value.phi)
-        assert str(batched.value) == str(per_node.value)
+    def test_policy_is_the_portfolio_optimum_scaled_by_the_share_not_consumed(self, p_set1, vg_set1):
+        # pi_k = s_k w* and c_k = R_f (1 - s_k): every stage's fractions are
+        # proportional to one portfolio per node.
+        s = 1.0 - vg_set1.policy_c / p_set1.R_f
+        w = vg_set1.policy_pi / s[:, :, None]
+        np.testing.assert_allclose(w, np.broadcast_to(w[0], w.shape), rtol=1e-12, atol=0.0)
+        assert (w[0] >= 0.0).all() and (w[0].sum(axis=1) <= 1.0 + 1e-12).all()
 
-
-class TestWarmFaces:
-    """Below stage K-1 each node first tries a crossover from its stage k+1
-    optimum onto the rows that optimum holds."""
-
-    def test_set1_grid_takes_at_most_1000_newton_steps(self, monkeypatch, p_set1):
-        # Counts repeat exactly: 1,800 on this grid when every stage starts
-        # with the barrier, 1,398 when the warm faces certify and stage K-1
-        # starts at (pi, c) = 1e-3 (416 of them at stage K-1), 1,166 from
-        # the centred start (186 at stage K-1; capped at 1,200 and 200), and
-        # 936 since a face also ends on its quadratic-rate estimate of the
-        # next step (155 at stage K-1).
+    def test_set1_grid_takes_at_most_180_newton_steps(self, monkeypatch, p_set1):
+        # Counts repeat exactly: 178 portfolio steps on the set-1 grid, where
+        # joint (pi, c) node solves took 936 over its ten stages.
         counts = []
         batch = concave.maximize_batch
 
@@ -392,66 +397,80 @@ class TestWarmFaces:
 
         monkeypatch.setattr(concave, "maximize_batch", counted)
         backward_recursion(p_set1)
-        G = dp_solver.DEFAULT_GRID.size
-        assert len(counts) == p_set1.K * G
-        assert sum(counts[:G]) <= 170  # stage K-1, solved first
-        assert sum(counts) <= 1000
+        assert len(counts) == dp_solver.DEFAULT_GRID.size
+        assert sum(counts) <= 180
 
-    @pytest.mark.parametrize("set_id, gamma", [(1, 1.5), (2, 1.5), (3, 1.5), (4, 1.5), (1, 5.0)])
-    def test_every_warm_node_certifies_on_its_face(self, monkeypatch, set_id, gamma):
-        guessed = []
-        barrier_rows = []
-        batch, barrier = concave.maximize_batch, concave._barrier
+    def test_node_failure_names_the_node_of_the_per_node_path(self, monkeypatch):
+        # No solve can certify a KKT residual of 1e-20, below the rounding of
+        # the gradient, at every node (the portfolio problems still certify
+        # 1e-17), so some fail; both paths name the lowest failing node.
+        monkeypatch.setattr(dp_solver, "NODE_TOL", 1e-20)
+        p = market.parameter_set(1, 1.5)
+        grid = np.linspace(-2.0, 2.0, 5)
+        with pytest.raises(dp_solver.NodeSolveError) as batched:
+            backward_recursion(p, grid=grid)
+        with pytest.raises(dp_solver.NodeSolveError) as per_node:
+            backward_recursion(p, grid=grid, solver=concave.maximize)
+        assert batched.value.phi == per_node.value.phi
+        assert str(batched.value) == str(per_node.value)
+        assert str(batched.value).startswith(f"node solve failed at phi={batched.value.phi:.6g} (status=")
 
-        def traced_batch(oracle, A, b, X0, **kwargs):
-            guessed.append(kwargs["warm"] is not None)
-            return batch(oracle, A, b, X0, **kwargs)
 
-        def traced_barrier(oracle, live, *args):
-            barrier_rows.append(live.size)
-            return barrier(oracle, live, *args)
+class TestJointReference:
+    """The separated recursion gives the grid of joint (pi, c) node solves,
+    stage by stage (`helpers.joint_backward_recursion`)."""
 
-        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
-        monkeypatch.setattr(concave, "_barrier", traced_barrier)
+    @staticmethod
+    def assert_matches(p, grid, quad, j_rtol=1e-13, policy_stages=None):
+        vg = backward_recursion(p, grid=grid, quad=quad)
+        ref = joint_backward_recursion(p, grid, quad)
+        assert np.array_equal(vg.J[-1], ref.J[-1])
+        np.testing.assert_allclose(vg.J[:-1], ref.J[:-1], rtol=j_rtol, atol=0.0)
+        stages = slice(None) if policy_stages is None else policy_stages
+        np.testing.assert_allclose(vg.policy_pi[stages], ref.policy_pi[stages], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(vg.policy_c[stages], ref.policy_c[stages], rtol=0.0, atol=1e-10)
+        return vg, ref
+
+    @pytest.mark.parametrize("gamma", [1.5, 3.0, 5.0, 7.0])
+    @pytest.mark.parametrize("set_id", [1, 2, 3, 4])
+    def test_published_sets(self, set_id, gamma):
         p = market.parameter_set(set_id, gamma)
-        backward_recursion(p)
-        assert guessed == [False] + [True] * (p.K - 1)
-        assert barrier_rows == [dp_solver.DEFAULT_GRID.size] + [0] * (p.K - 1)
+        self.assert_matches(p, *nodes_of(p))
 
-    def test_per_node_path_gets_each_node_its_warm_point(self, monkeypatch, p_set1, vg_set1):
-        warms, starts = [], []
-        batch = concave.maximize_batch
+    def test_fine_grid_and_five_point_rule(self, p_set1):
+        self.assert_matches(p_set1, *nodes_of(p_set1, 41, 5))
 
-        def traced_batch(oracle, A, b, X0, warm=None, **kwargs):
-            warms.append(warm)
-            starts.append(X0)
-            return batch(oracle, A, b, X0, warm=warm, **kwargs)
+    @pytest.mark.parametrize("gamma", [0.5, 0.7])
+    def test_risk_tolerance_below_one(self, gamma):
+        p = market.parameter_set(1, gamma)
+        vg, _ = self.assert_matches(p, *nodes_of(p))
+        assert (vg.J > 0.0).all()
 
-        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
-        backward_recursion(p_set1)
-        stage_warms, stage_starts = warms[:], starts[:]
-        node_cons, node_starts = [], []
+    def test_no_consumption_utility(self, p_set1):
+        # alpha = 0: a = 0, so s = 1 and c = 0 at every stage.
+        p = dataclasses.replace(p_set1, alpha=0.0)
+        vg, _ = self.assert_matches(p, *nodes_of(p))
+        assert (vg.policy_c == 0.0).all()
 
-        def solver(oracle, cons, x0, tol):
-            node_cons.append(cons)
-            node_starts.append(x0)
-            return concave.maximize(oracle, cons, x0, tol=tol)
-
-        backward_recursion(p_set1, solver=solver)
-        G = vg_set1.grid.size
-        assert len(node_cons) == p_set1.K * G
-        # Every node starts at the default start, in both paths.
-        default = dp_solver._default_start(p_set1)
-        assert all(np.array_equal(x0, default) for x0 in node_starts)
-        assert all(np.array_equal(X0, np.tile(default, (G, 1))) for X0 in stage_starts)
-        assert stage_warms[0] is None and all(len(cons) == 2 for cons in node_cons[:G])
-        for j, warm in enumerate(stage_warms[1:], start=1):
-            k = p_set1.K - 1 - j
-            for i, (_, _, node_warm) in enumerate(node_cons[j * G:(j + 1) * G]):
-                # The node's stage k+1 optimum.
-                x = np.append(vg_set1.policy_pi[k + 1, i], vg_set1.policy_c[k + 1, i])
-                assert np.array_equal(node_warm, warm[i])
-                assert np.array_equal(node_warm, x)
+    def test_no_terminal_utility(self, p_set1):
+        # alpha = 1: J_K = 0, so EJ = 0 at stage K-1, where the growth guard
+        # s >= U_FLOOR / min_q g_q(w*) binds and J is taken at that s; the
+        # joint node consumes R_f - U_FLOOR there and invests nothing, so
+        # only J is compared at that stage (to 1e-9 relative).
+        p = dataclasses.replace(p_set1, alpha=1.0)
+        grid, quad = nodes_of(p)
+        vg, ref = self.assert_matches(p, grid, quad, j_rtol=1e-9, policy_stages=slice(0, p.K - 1))
+        w = vg.policy_pi[0] / (1.0 - vg.policy_c[0] / p.R_f)[:, None]
+        Rq = dp_solver.node_returns(p, quad, grid)
+        growth = p.R_f + ((Rq - p.R_f) @ w[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(vg.policy_pi[-1], (dp_solver.U_FLOOR / growth.min(axis=1))[:, None] * w,
+                                   rtol=1e-12, atol=0.0)
+        cfg = dict(paths_per_run=4, runs=2, seed=3, gamma=p.gamma)
+        lower = bounds.lower_bound(p, vg, bounds.RunConfig(**cfg))
+        assert np.isfinite(lower.mean) and lower.flagged_paths == 0
+        for kind in ("m1", "zero"):
+            upper = bounds.upper_bound(p, vg, bounds.RunConfig(penalty_kind=kind, **cfg))
+            assert np.isfinite(upper.mean) and upper.flagged_paths == 0
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dualbound import finite_mdp as fm
 
-from helpers import deterministic_chain_mdp, matching_mdp, random_mdp
+from helpers import deterministic_chain_mdp, matching_mdp, random_mdp, scaled_penalty
 
 
 class TestSolveDp:
@@ -205,7 +205,7 @@ class TestDualFeasibleFamily:
         for seed in range(10):
             mdp = random_mdp(np.random.default_rng(seed))
             sv = fm.solve_dp(mdp)
-            pen = fm.scaled_penalty(fm.optimal_penalty(mdp, sv), factor)
+            pen = scaled_penalty(fm.optimal_penalty(mdp, sv), factor)
             bound = fm.dual_bound_exact(mdp, pen)
             assert bound >= sv.values[0, mdp.initial_state] - 1e-12
 
