@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quad", type=int, default=dp_solver.DEFAULT_QUAD_POINTS,
                     help="quadrature points per dimension")
     sp.add_argument("--debug-solver", action="store_true",
-                    help="log one line per node (k, phi, Newton steps, status, KKT residual) to stderr")
+                    help="log one line per portfolio solve (phi, Newton steps, status, KKT residual) to stderr")
     add_common(sp)
     sp.set_defaults(fn=cmd_solve)
 

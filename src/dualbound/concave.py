@@ -3,23 +3,22 @@
 Log-barrier interior-point method with damped Newton centering, backtracking
 line search and an active-set crossover.  The barrier weight t runs up the
 ladder T_START * MU^j, capped where the duality measure m/t is tol/2.  Only
-stages with m/t <= max(CROSSOVER_GAP, tol) are followed by exit tests.  The
-stages with m/t <= tol end in the barrier-KKT test and center to the
-gradient tolerance.  A stage with tol < m/t <= CROSSOVER_GAP ends only in a
-crossover, which certifies by exact KKT on its face, so it stops at a Newton
-decrement^2 of CROSSOVER_DECREMENT, close enough to guess that face.  An
-earlier stage stops at LOOSE_DECREMENT, close enough to the central path to
-start the next one (Boyd & Vandenberghe, Convex Optimization, 11.3.3).  The
-crossover guesses as active the rows whose slack is small against their
-barrier multiplier, t s_i^2 <= KAPPA, and keeps its result only where the
-KKT conditions verify.  A caller that knows a point near each optimum, such
-as an inner problem the optimum its dual recovers, passes it as `warm`: a
-crossover from that point onto the rows it holds runs before any barrier
-stage, and only the problems it does not certify run the barrier, from their
-own start.  Each round of the crossover's active-set loop is one lockstep
-face-Newton loop over all its faces, whatever their row counts, and tests
-the face optima as stacks.  A
-face row with one nonzero coefficient, such as -x_c <= 0, fixes its
+stages with m/t <= max(CROSSOVER_GAP, tol) are followed by exit tests.  Each
+stage centers only to the accuracy of its own duality measure: it stops at a
+Newton decrement^2 of m/t (Boyd & Vandenberghe, Convex Optimization,
+11.3.3), except that the stages with m/t <= tol end in the barrier-KKT test
+and center to the gradient tolerance.  A stage with tol < m/t <=
+CROSSOVER_GAP ends only in a crossover, which certifies by exact KKT on its
+face, so its point only has to guess that face.  The crossover guesses as
+active the rows whose slack is small against their barrier multiplier,
+t s_i^2 <= KAPPA, and keeps its result only where the KKT conditions verify.
+A caller that knows a point near each optimum, such as an inner problem the
+optimum its dual recovers, passes it as `warm`: a crossover from that point
+onto the rows it holds runs before any barrier stage, and only the problems
+it does not certify run the barrier, from their own start.  Each round of
+the crossover's active-set loop is one lockstep face-Newton loop over all
+its faces, whatever their row counts, and tests the face optima as stacks.
+A face row with one nonzero coefficient, such as -x_c <= 0, fixes its
 coordinate, so a face Newton step solves a KKT system in the free
 coordinates and the face's other rows only, padded to a multiple of 8: at
 D = 40 about 26 unknowns where the full system has about 70.
@@ -58,18 +57,6 @@ CROSSOVER_GAP = 1e-3   # duality measure m/t at which the crossover is first tri
 # where none of them then has m/t in (tol/2, tol] the last exit left, at
 # t_cap, failed to certify some inner solves.
 T_START = MU ** 2
-# Newton decrement^2 at which a stage followed by no exit test stops
-# centering.  Such a stage only has to hand the next one a start inside its
-# region of fast convergence.
-LOOSE_DECREMENT = 1e-2
-# Newton decrement^2 at which a stage followed only by a crossover stops
-# centering.  The crossover verifies its own KKT conditions, so the barrier
-# point only has to make its face guess right.  Of 480 set-1 inner problems
-# (m1/m2/zero, 8 pairs x 10 runs, seed 5), exact centering certifies 409 at
-# the first crossover, stops of 1e-2/1e-3/1e-4/1e-5 certify 377/428/437/423.
-# The 146 portfolio solves of the six benchmark grids take 987/978/1,215/
-# 1,513 Newton steps at those stops and 1,848 with exact centering.
-CROSSOVER_DECREMENT = 1e-4
 MAX_CENTERING = 80     # Newton steps per centering stage
 # The crossover guesses row i active where t s_i^2 <= KAPPA.  Of the 864
 # inner solves of the robustness matrix (sets 1-4 x gamma 1.5/3/5, m1/m2/zero,
@@ -260,16 +247,10 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
     t_cap = 2.0 * m / tol  # at the cap the duality measure m/t is tol/2
     t = min(T_START, t_cap)
     while live.size:
-        # Centering: damped Newton on f(x) + (1/t) sum log s_i.  Only the
-        # stages that end in the barrier-KKT and t_cap tests (gap <= tol)
-        # center to the gradient tolerance; the others stop at a
-        # decrement^2, tighter where a crossover follows.
         gap = m / t
-        exits = gap <= max(CROSSOVER_GAP, tol)
-        dec_stop = 0.0 if gap <= tol else CROSSOVER_DECREMENT if exits else LOOSE_DECREMENT
-        _center(oracle, live, t, tol, max_newton, dec_stop, out)
+        _center(oracle, live, t, tol, max_newton, out)
         kkt = _kkt(oracle, live, t) if gap <= tol else np.full(live.size, np.inf)
-        if exits:
+        if gap <= max(CROSSOVER_GAP, tol):
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
             # Row i is guessed active where t s_i^2 <= KAPPA (see `_crossover`).
@@ -333,16 +314,16 @@ def _exit(out: list, live: _Live, mask: np.ndarray, status: str, kkt: np.ndarray
         live.split(mask)
 
 
-def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int,
-            dec_stop: float, out: list) -> None:
-    """One centering stage at barrier weight t, each problem to its own stop.
+def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int, out: list) -> None:
+    """One centering stage of damped Newton on f(x) + (1/t) sum log s_i at
+    barrier weight t, each problem to its own stop.
 
     A problem stops where its gradient is below tol/2, where a step fails,
-    after a step whose Newton decrement^2 was at most dec_stop, or after a
-    step whose decrement^2 was at rounding level and no smaller than a
-    quarter of the one before.  dec_stop is 0.0 on the stages that end in
-    the barrier-KKT test, CROSSOVER_DECREMENT on those that end only in a
-    crossover and LOOSE_DECREMENT on those that end in no exit test.
+    after a step whose Newton decrement^2 was at most the stage's duality
+    measure m/t, or after a step whose decrement^2 was at rounding level and
+    no smaller than a quarter of the one before.  A stage with m/t <= tol
+    ends in the barrier-KKT test, so it has no decrement stop and centers to
+    the gradient tolerance.
 
     Rows that stop centering are split off and merged back at the end.  A
     row that would step with max_newton steps taken exits max_iter to `out`
@@ -356,6 +337,8 @@ def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newt
     live.dec2 = np.full(live.size, np.inf)
     parked = []
     half_tol = 0.5 * tol
+    gap = live.A.shape[1] / t
+    dec_stop = 0.0 if gap <= tol else gap
     for _ in range(MAX_CENTERING):
         at_cap = live.newton >= max_newton
         if at_cap.any():

@@ -35,7 +35,8 @@ DEFAULT_QUAD_POINTS = 3
 
 
 class NodeSolveError(RuntimeError):
-    """The portfolio problem of a grid node did not converge."""
+    """The portfolio problem of a grid node did not converge, or a stage's
+    value or policy at the node is not finite."""
 
     def __init__(self, phi: float, status: str):
         self.phi = phi
@@ -183,13 +184,15 @@ def backward_recursion(
     (1-gamma) EJ_i >= 0, the best w maximizes M_i(w)/(1-gamma) whatever the
     stage: one portfolio problem per node, solved once per grid as one
     `concave.maximize_batch` call from the simplex centre w_j = 1/(n+1).
-    Each stage is then closed form in a = A^(1/gamma) and
-    b = (beta^delta (1-gamma) EJ_i M_i)^(1/gamma):
-        s = b / (a + b),  J_k = (a + b)^gamma / (1-gamma),
+    Each stage is then closed form in B = beta^delta (1-gamma) EJ_i M_i,
+    written scale-free in hi = max(A, B) and q = (min(A, B) / hi)^(1/gamma),
+    so that neither A^(1/gamma) nor B^(1/gamma) under- or overflows:
+        s = (1 if B > A else q) / (1 + q),  J_k = hi (1 + q)^gamma / (1-gamma),
         pi = s w*,  c = R_f (1 - s).
     The joint node's growth guards u >= U_FLOOR become
     s >= U_FLOOR / min_q g_q(w*), which binds only where EJ_i = 0 (alpha = 1
-    at stage K-1); there J is evaluated at the clamped s.
+    at stage K-1); there J is evaluated at the clamped s.  A stage value or
+    share out of float range raises NodeSolveError at its first node.
 
     A per-node `solver(oracle, cons, x0, tol=)`, such as a wrapped
     `concave.maximize`, is called instead G times in node order with the same
@@ -219,19 +222,24 @@ def backward_recursion(
     M = e * np.array([sol.f for sol in sols])
     s_min = U_FLOOR / (p.R_f + ((Rq - p.R_f) @ w[:, :, None])[:, :, 0]).min(axis=1)
     A = p.alpha * p.delta * p.R_f**e
-    a = A ** (1.0 / p.gamma)
     J = np.empty((p.K + 1, G))
     policy_pi = np.empty((p.K, G, p.n))
     policy_c = np.empty((p.K, G))
     J[p.K] = (1.0 - p.alpha) / e
     for k in range(p.K - 1, -1, -1):
-        B = p.beta**p.delta * e * (pt @ J[k + 1]) * M
-        b = B ** (1.0 / p.gamma)
-        s = b / (a + b)
-        J[k] = (a + b) ** p.gamma / e
-        low = s < s_min
-        s[low] = s_min[low]
-        J[k, low] = (A * (1.0 - s[low]) ** e + B[low] * s[low] ** e) / e
+        # A value out of float range shows as a non-finite J or s, checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = p.beta**p.delta * e * (pt @ J[k + 1]) * M
+            hi = np.maximum(A, B)
+            q = (np.minimum(A, B) / hi) ** (1.0 / p.gamma)
+            s = np.where(B > A, 1.0, q) / (1.0 + q)
+            J[k] = hi * (1.0 + q) ** p.gamma / e
+            low = s < s_min
+            s[low] = s_min[low]
+            J[k, low] = (A * (1.0 - s[low]) ** e + B[low] * s[low] ** e) / e
+        bad = np.flatnonzero(~(np.isfinite(J[k]) & np.isfinite(s)))
+        if bad.size:
+            raise NodeSolveError(float(grid[bad[0]]), f"non-finite value or policy at stage {k}")
         policy_pi[k] = s[:, None] * w
         policy_c[k] = p.R_f * (1.0 - s)
     return ValueGrid(grid=grid, J=J, policy_pi=policy_pi, policy_c=policy_c)

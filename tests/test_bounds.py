@@ -574,9 +574,21 @@ class TestUpperBound:
 
     @pytest.mark.parametrize("sid", [2, 4])
     def test_published_size_gamma3_m2_flags_no_leg(self, solved_grid, sid):
-        # Sets 2 and 4 at 30 pairs x 10 runs, seed 42: each holds one leg whose
-        # every crossover fails and whose last barrier stages stopped centering
-        # at a rounding-level Newton decrement while Newton still contracted.
+        # Sets 2 and 4 at 30 pairs x 10 runs, seed 42: each once held a leg
+        # that flagged on the barrier path.  Those legs now certify from their
+        # dual-recovered warm points; the cold-path test below reaches them.
+        p, vg = solved_grid(sid, 3.0)
+        cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
+        assert upper_bound(p, vg, cfg).flagged_paths == 0
+
+    @pytest.mark.parametrize("sid", [2, 4])
+    def test_published_size_gamma3_m2_cold_path_flags_no_leg(self, solved_grid, monkeypatch, sid):
+        # The same legs without warm points, so that each runs the barrier from
+        # its interior start.  Each set holds one leg whose last barrier stages
+        # reach a rounding-level Newton decrement while Newton still contracts;
+        # stopping there, without `_center`'s contraction guard, flags it.
+        plan = bounds._dual_plan
+        monkeypatch.setattr(bounds, "_dual_plan", lambda p, forms, ctxs: np.full_like(plan(p, forms, ctxs), np.nan))
         p, vg = solved_grid(sid, 3.0)
         cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
         assert upper_bound(p, vg, cfg).flagged_paths == 0

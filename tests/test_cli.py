@@ -118,6 +118,21 @@ class TestSolve:
         value = float(re.search(r"= (.*)$", capsys.readouterr().out.strip()).group(1))
         assert np.isfinite(value) and value < 0.0
 
+    def test_near_zero_risk_aversion_solves(self, capsys):
+        # At gamma 1e-4 the stage's A^(1/gamma) and B^(1/gamma) underflow; the
+        # scale-free closed form still gives the share and J.
+        assert run_cli("solve", "--set", "1", "--gamma", "1e-4") == 0
+        value = float(re.search(r"= (.*)$", capsys.readouterr().out.strip()).group(1))
+        assert value == pytest.approx(0.56975, rel=1e-5)
+
+    def test_value_out_of_float_range_exits_3_without_a_file(self, tmp_path, capsys):
+        # At gamma 300 J overflows before stage 0.
+        out = tmp_path / "g300.json"
+        assert run_cli("solve", "--set", "1", "--gamma", "300", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: node solve failed at phi=")
+        assert "non-finite value or policy" in err and not out.exists()
+
     def test_high_risk_aversion_upper_bound_flags_no_leg(self, tmp_path, capsys):
         grid = tmp_path / "g10.json"
         assert run_cli("solve", "--set", "1", "--gamma", "10", "--grid-nodes", "5", "--out", str(grid)) == 0

@@ -97,13 +97,19 @@ class TestMaximize:
         extra = 51 - A.shape[0]
         inner_cons = (np.vstack([A, np.tile([1.0, 0.0], (extra, 1))]), np.concatenate([b, 10.0 + np.arange(extra)]))
         center = concave._center
-        stages = []
+        line_search = concave._line_search
+        stages = []  # (t, the Newton decrement^2 of each step of the stage)
 
-        def traced_center(oracle, live, t, tol, max_newton, dec_stop, out):
-            stages.append((t, dec_stop))
-            center(oracle, live, t, tol, max_newton, dec_stop, out)
+        def traced_center(oracle, live, t, *args):
+            stages.append((t, []))
+            center(oracle, live, t, *args)
+
+        def traced_line_search(oracle, live, step, dec2, t):
+            stages[-1][1].append(float(dec2[0]))
+            return line_search(oracle, live, step, dec2, t)
 
         monkeypatch.setattr(concave, "_center", traced_center)
+        monkeypatch.setattr(concave, "_line_search", traced_line_search)
         # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
         monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
         # A Bellman node's tolerance and rows, then the inner problems'.
@@ -114,17 +120,24 @@ class TestMaximize:
             m = cons[0].shape[0]
             t_cap = 2.0 * m / tol
             expected_t = concave.MU ** 2
-            for t, dec_stop in stages:
+            for t, dec2 in stages:
                 assert t == expected_t
-                if m / t <= tol:
-                    assert dec_stop == 0.0
-                elif m / t <= concave.CROSSOVER_GAP:
-                    assert dec_stop == concave.CROSSOVER_DECREMENT
-                else:
-                    assert dec_stop == concave.LOOSE_DECREMENT
+                # A stage stops at a decrement^2 of its duality measure m/t,
+                # where m/t <= tol only on the gradient tolerance; each stage
+                # above tol here ends on its decrement.
+                stop = 0.0 if m / t <= tol else m / t
+                assert all(d > stop for d in dec2[:-1])
+                if stop:
+                    assert dec2[-1] <= stop
                 expected_t = min(t * concave.MU, t_cap)
-            assert stages[0][1] == concave.LOOSE_DECREMENT
-            assert {d for _, d in stages} == {concave.LOOSE_DECREMENT, concave.CROSSOVER_DECREMENT, 0.0}
+            assert m / stages[0][0] > tol >= m / stages[-1][0]
+        # Started at t_cap, the one stage centers on past a decrement^2 of m/t.
+        m = inner_cons[0].shape[0]
+        monkeypatch.setattr(concave, "T_START", 2.0 * m / 1e-6)
+        stages.clear()
+        assert maximize(oracle, inner_cons, np.array([1e-3, 1e-3]), tol=1e-6).status == concave.STATUS_CONVERGED
+        (t, dec2), = stages
+        assert any(d <= m / t for d in dec2[:-1])
 
     def test_set1_newton_steps_per_node_and_inner_problem(self, monkeypatch, p_set1, vg_set1):
         # Newton counts repeat exactly.  Starting at t = 1 and centering every
@@ -142,7 +155,7 @@ class TestMaximize:
         node_mean = np.mean(counts)
         counts.clear()
         bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
-        assert node_mean <= 11
+        assert node_mean <= 7
         # Each inner solve first crosses over from the primal optimum its
         # leg's dual recovers onto the rows that point holds, which certifies
         # in about 1.08 face Newton steps here (2.0 from that point moved
@@ -196,7 +209,20 @@ class TestMaximize:
                     for kind, problem in problems.items()}
 
         inner = solve_inner()
-        monkeypatch.setattr(concave, "CROSSOVER_DECREMENT", 0.0)
+        center = concave._center
+
+        def exact_center(oracle, live, t, tol, *args):
+            # A centering call takes one more Newton step on every row whose
+            # decrement^2 is already at most m/t, so repeating it until no row
+            # steps centers a crossover stage to the gradient tolerance.
+            exits = tol < live.A.shape[1] / t <= concave.CROSSOVER_GAP
+            for _ in range(concave.MAX_CENTERING if exits else 1):
+                before = (live.size, int(live.newton.sum()))
+                center(oracle, live, t, tol, *args)
+                if (live.size, int(live.newton.sum())) == before:
+                    break
+
+        monkeypatch.setattr(concave, "_center", exact_center)
         exact_vg = dp_solver.backward_recursion(p_set1)  # raises NodeSolveError on an unconverged node
         exact_inner = solve_inner()
         np.testing.assert_allclose(exact_vg.J, vg_set1.J, rtol=1e-12, atol=0.0)
@@ -383,7 +409,7 @@ class TestExits:
         assert sol.f == iterates[-1][1]
         assert dp_solver.NODE_TOL < sol.kkt_residual < np.inf
 
-    @pytest.mark.parametrize("max_newton, converged", [(14, 4), (15, 10), (16, 16)])
+    @pytest.mark.parametrize("max_newton, converged", [(13, 6), (14, 10), (15, 20)])
     def test_capped_rows_next_to_converged_rows_equal_their_one_problem_solves(self, p_set1, max_newton,
                                                                                converged):
         # A node that reaches the cap on the step where it stops centering
@@ -405,7 +431,7 @@ class TestExits:
         monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
         sol = maximize(node(11), (A[11], b[11]), X0[11], tol=1e-12)
         assert sol.status == concave.STATUS_MAX_ITER
-        assert sol.iterations == 26
+        assert sol.iterations == 30
         assert 1e-12 < sol.kkt_residual < np.inf
         assert np.isfinite(sol.f) and (b[11] - A[11] @ sol.x).min() > 0.0
         batch = concave.maximize_batch(oracle, A, b, X0, tol=1e-12)

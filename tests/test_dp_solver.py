@@ -281,6 +281,30 @@ class TestBackwardRecursion:
                                                        float(EJ_nodes[i]), step=1e-3)
                 assert vg.J[k, i] == pytest.approx(ref, rel=1e-4)
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-4, 0.5, 1.5, 20.0])
+    def test_stage_value_is_the_best_share_of_a_dense_search(self, gamma):
+        # J_k(phi_i) = max over s of (A (1-s)^e + B_i s^e) / e, e = 1 - gamma,
+        # A = alpha delta R_f^e, B_i = beta^delta e EJ_i M_i and M_i the
+        # portfolio moment of w* = pi / s.  At gamma <= 3e-4, A^(1/gamma) and
+        # B^(1/gamma) underflow to 0, which made the share 0/0.
+        p = market.parameter_set(1, gamma)
+        grid, quad = nodes_of(p, 5)
+        vg = backward_recursion(p, grid=grid, quad=quad)
+        e = 1.0 - gamma
+        w = vg.policy_pi[0] / (1.0 - vg.policy_c[0] / p.R_f)[:, None]
+        growth = p.R_f + ((dp_solver.node_returns(p, quad, grid) - p.R_f) @ w[:, :, None])[:, :, 0]
+        M = (quad.weights * growth**e).sum(axis=1)
+        A = p.alpha * p.delta * p.R_f**e
+        s = np.linspace(0.0, 1.0, 100_001)
+        if e < 0.0:
+            s = s[1:-1]  # both ends are -inf
+        pt = build_phi_transition(grid, p)
+        for k in range(p.K):
+            B = p.beta**p.delta * e * (pt @ vg.J[k + 1]) * M
+            best = ((A * (1.0 - s) ** e + B[:, None] * s**e) / e).max(axis=1)
+            assert (vg.J[k] >= best - 1e-14 * np.abs(best)).all()
+            np.testing.assert_allclose(vg.J[k], best, rtol=1e-7, atol=0.0)  # the grid step 1e-5
+
     def test_grid_refinement_stability(self, p_set1, vg_set1):
         vg41 = backward_recursion(p_set1, grid=np.linspace(-2, 2, 41))
         j21 = interpolate_J(vg_set1, 0, 0.0)
@@ -384,8 +408,8 @@ class TestPortfolioBatch:
         np.testing.assert_allclose(w, np.broadcast_to(w[0], w.shape), rtol=1e-12, atol=0.0)
         assert (w[0] >= 0.0).all() and (w[0].sum(axis=1) <= 1.0 + 1e-12).all()
 
-    def test_set1_grid_takes_at_most_180_newton_steps(self, monkeypatch, p_set1):
-        # Counts repeat exactly: 178 portfolio steps on the set-1 grid, where
+    def test_set1_grid_takes_at_most_140_newton_steps(self, monkeypatch, p_set1):
+        # Counts repeat exactly: 135 portfolio steps on the set-1 grid, where
         # joint (pi, c) node solves took 936 over its ten stages.
         counts = []
         batch = concave.maximize_batch
@@ -398,7 +422,7 @@ class TestPortfolioBatch:
         monkeypatch.setattr(concave, "maximize_batch", counted)
         backward_recursion(p_set1)
         assert len(counts) == dp_solver.DEFAULT_GRID.size
-        assert sum(counts) <= 180
+        assert sum(counts) <= 140
 
     def test_node_failure_names_the_node_of_the_per_node_path(self, monkeypatch):
         # No solve can certify a KKT residual of 1e-20, below the rounding of
@@ -472,6 +496,15 @@ class TestJointReference:
             upper = bounds.upper_bound(p, vg, bounds.RunConfig(penalty_kind=kind, **cfg))
             assert np.isfinite(upper.mean) and upper.flagged_paths == 0
 
+
+    def test_no_consumption_utility_upper_bounds(self, p_set1):
+        # alpha = 0: every leg's dual-recovered plan has C_k = 0, outside the
+        # CRRA domain, so each inner solve runs the barrier from its start.
+        p = dataclasses.replace(p_set1, alpha=0.0)
+        vg = backward_recursion(p)
+        for kind in ("m1", "zero"):
+            upper = bounds.upper_bound(p, vg, bounds.RunConfig(paths_per_run=16, runs=4, seed=7, penalty_kind=kind))
+            assert np.isfinite(upper.mean) and upper.flagged_paths == 0
 
 class TestSerialization:
     def test_round_trip(self, p_set1, vg_set1):
