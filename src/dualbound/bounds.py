@@ -25,11 +25,14 @@ terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
 (`_dual_bracket`) finds where the dual's slope changes sign, and
 `_dual_plan` reads off the final bracket the primal optimum the dual
 recovers (the consumption that lambda prices and the wealth that the
-maximal candidates carry).  That point is the leg's `warm` point in
-`concave.maximize_batch`, whose crossover from it onto the rows it holds
-certifies the leg by exact KKT, in about one face Newton step, or falls
-back to the barrier from the interior start; the reported value is the
-primal optimum either way.
+maximal candidates carry) and the multipliers of its rows (each
+candidate's gap below lambda_k).  They are the leg's `warm` point and
+`duals` in `concave.maximize_batch`, which certifies the leg by the KKT
+conditions at that point with those multipliers, with no Newton step
+(Boyd & Vandenberghe 2004, 5.5.3).  A leg they do not certify crosses over
+from its warm point onto the rows it holds, and then falls back to the
+barrier from the interior start; the reported value is the primal optimum
+f either way.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ LOWER_CHUNK_PAIRS = 256
 # as one batch, at inner dimension D = 40 (K = 10, n = 3);
 # `_upper_chunk_pairs` scales it by 40 / D.  A larger batch pays less
 # per-call overhead a leg but holds more solver temporaries, which grow like
-# D^2 a leg: at K = 10 about 38-47 KB on the warm crossover and 62-70 KB
-# where a leg falls back to the barrier, at K = 40 about 1 MB.  Measured when
+# D^2 a leg: at K = 10 about 7 KB where the dual's multipliers certify,
+# 41-48 KB on the warm crossover and 62-65 KB where a leg falls back to the
+# barrier, at K = 40 about 1 MB.  Measured when
 # each slice was its own task: on the set-1 `dual-bound` benchmark, 16 pairs
 # instead of 8 cut wall time by 16% for +3% peak RSS, and 32 pairs cut 3%
 # more for +10%; at K = 40, 4 pairs take 5-9% less time a leg than 16 at a
@@ -65,7 +69,7 @@ UPPER_CHUNK_PAIRS = 16
 # and penalties and runs the dual search once for all its slices, work that
 # pays a fixed cost a call: on the `dual-bound` benchmark, 64-pair tasks
 # take a fifth less wall time than 16-pair ones, and their own stages peak
-# at about 4.3 KB a leg, a tenth of a slice's solve.  A multiple of the
+# at about 4.7 KB a leg, an eighth of a slice's solve.  A multiple of the
 # slice keeps the task's memory scaling with D like the slices'.
 UPPER_SLICES_PER_TASK = 4
 # The search of `_dual_bracket` stops a leg at this relative bracket width,
@@ -278,12 +282,12 @@ def _upper_task(span):
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
-    warm = _dual_plan(p, forms, ctxs)
+    warm, duals = _dual_plan(p, forms, ctxs)
     ctxs = _Baseline(ctxs.R, ctxs.Pi, ctxs.C)   # frees the rest while the slices run
     step = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
     values, flagged = [], 0
     for first in range(0, len(warm), step):
-        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, warm, slice(first, first + step)), first):
+        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, warm, duals, slice(first, first + step)), first):
             if sol.status == concave.STATUS_INFEASIBLE:
                 raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
             values.append(sol.f)
@@ -300,13 +304,14 @@ class _Baseline:
     C: np.ndarray    # (B, K) baseline consumption amounts
 
 
-def _upper_slice(p, forms, ctxs, warm, legs: slice):
+def _upper_slice(p, forms, ctxs, warm, duals, legs: slice):
     """Solutions of the inner problems of legs `legs` of a task's stacks,
-    solved as one batch from the warm points of `_dual_plan`.  Called once
-    per slice, so that a slice's problem stacks are freed before the next
-    slice's are built."""
+    solved as one batch from the warm points and multipliers of
+    `_dual_plan`.  Called once per slice, so that a slice's problem stacks
+    are freed before the next slice's are built."""
     oracle, A, b, X0 = assemble_inner_batch(p, penalties.take(forms, legs), penalties.take(ctxs, legs))
-    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON, warm=warm[legs])
+    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON,
+                                  warm=warm[legs], duals=duals[legs])
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
@@ -382,11 +387,12 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     each slice solves the inner problems of its legs as one
     `concave.maximize_batch` call; every leg's optimum is bit-identical to
     its own `assemble_inner` + `maximize`, so the results depend on neither
-    size.  Each solve starts with a crossover from the primal optimum its
-    leg's dual recovers onto the rows that point holds, which certifies
-    almost every leg in about one face Newton step; a leg it does not
-    certify runs the barrier from the interior start.  Either way the leg's
-    value is the primal optimum f.
+    size.  Each solve first checks the KKT conditions at the primal
+    optimum its leg's dual recovers, with the dual's row multipliers, which
+    certifies every leg measured (sets 1-4 at gamma 1.5 to 20) with no
+    Newton step; a leg they do not certify crosses over from that point onto
+    the rows it holds, and then runs the barrier from the interior start.
+    Either way the leg's value is the primal optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -488,14 +494,15 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
 
 
 def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.PenaltyContext):
-    """Inner problem of one path leg as (oracle, (A, b, warm), X0), its warm
-    point and interior start, for `concave.maximize`; the N = 1 call of
-    `_dual_plan`, which `upper_bound` makes per task, and of
-    `assemble_inner_batch`, which it makes per slice."""
+    """Inner problem of one path leg as (oracle, (A, b, warm, duals), X0),
+    its warm point, that point's row multipliers and its interior start, for
+    `concave.maximize`; the N = 1 call of `_dual_plan`, which `upper_bound`
+    makes per task, and of `assemble_inner_batch`, which it makes per
+    slice."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
-    warm = _dual_plan(p, form, ctx)
+    warm, duals = _dual_plan(p, form, ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
-    return oracle, (A[0], b[0], warm[0]), X0[0]
+    return oracle, (A[0], b[0], warm[0], duals[0]), X0[0]
 
 
 def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
@@ -594,10 +601,19 @@ def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
     return lo, hi, top_lo, top_hi
 
 
-def _dual_plan(p: ModelParams, forms, ctxs) -> np.ndarray:
+def _candidate_lines(p: ModelParams, forms, ctxs) -> tuple:
+    """Each stage's candidate lines for lambda_k as (gross, offset), each
+    (B, K, n+1), the bond's first (see `_floor_chain`)."""
+    B, K = ctxs.R.shape[:2]
+    return (np.concatenate([np.full((B, K, 1), p.R_f), ctxs.R], axis=2),
+            np.concatenate([np.zeros((B, K, 1)), forms.lin_Pi], axis=2))
+
+
+def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     """Each leg's primal optimum as its dual recovers it (Boyd & Vandenberghe
-    2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, from
-    one `_dual_bracket` search.  Where the bracket's ends mark the same
+    2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, and
+    its rows' multipliers, (B, m) in the rows' order there, from one
+    `_dual_bracket` search.  Where the bracket's ends mark the same
     candidates, every lambda_k is affine in lam_K between them, and Newton
     steps on G', clipped to the bracket, give lam_K; where they differ at
     one stage, one candidate at each end, lam_K is where those two tie.
@@ -605,8 +621,13 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> np.ndarray:
     rest_k = W_k - C_k / R_f in its maximal candidate, W_k forward from W_0.
     The tied stage puts in its high end's candidate the share of its rest
     at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
-    share 0 and along the high end's at share 1, and affine in between.  A
-    leg's row is NaN where its bracket is open or it ties at two stages.
+    share 0 and along the high end's at share 1, and affine in between.
+    The multipliers take lambda_k = slope_k lam_K + icpt_k along the low
+    end's candidates and lambda_K = lam_K: lambda_k / R_f - lambda_{k+1}
+    on the budget row of stage k (-R_f B_k <= 0), lambda_k - (R_kj
+    lambda_{k+1} - lin_Pi[k, j]) on the row -Pi_kj <= 0, exactly 0 for
+    every candidate maximal at either bracket end, and 0 on the floor rows.
+    A leg's rows are NaN where its bracket is open or it ties at two stages.
     Every operation acts leg by leg.
     """
     K, Rf, gamma = p.K, p.R_f, p.gamma
@@ -615,9 +636,7 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> np.ndarray:
     # The gross return and offset of each stage's maximal candidate at the
     # low end ([0]) and the high end ([1]).
     at = np.stack([top_lo, top_hi]).argmax(axis=3)[..., None]
-    gross, offset = (np.take_along_axis(line[None], at, 3)[..., 0] for line in (
-        np.concatenate([np.full((B, K, 1), Rf), ctxs.R], axis=2),
-        np.concatenate([np.zeros((B, K, 1)), forms.lin_Pi], axis=2)))
+    gross, offset = (np.take_along_axis(line[None], at, 3)[..., 0] for line in _candidate_lines(p, forms, ctxs))
     differ = at[0, ..., 0] != at[1, ..., 0]
     tied = differ.any(axis=1)
     usable = (lo > 0.0) & (hi < np.inf) & (differ.sum(axis=1) <= 1)
@@ -657,7 +676,20 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> np.ndarray:
         share = share[..., None]
         hold = rest * (top_lo * (1.0 - share) + (top_hi > top_lo) * share)
         hold[:, :, 0] = C   # the bond's place takes C_k, last in x's stage order
-    return np.where(usable[:, None], np.roll(hold, -1, axis=2).reshape(B, -1), np.nan)
+        # The rows' multipliers: each candidate's gap below lambda_k along the
+        # low end's candidates, the bond's per unit of the budget row (-R_f B_k).
+        lam = slope[0] * lam_K[:, None] + icpt
+        lines = _candidate_lines(p, forms, ctxs)
+        gaps = lines[0] * lam[:, 1:, None]   # in place from here: the task's memory peaks here
+        gaps -= lines[1]
+        del lines
+        np.subtract(lam[:, :K, None], gaps, out=gaps)
+        gaps[top_lo | top_hi] = 0.0
+        duals = np.zeros((B, 2 * K + 1 + K * p.n))
+        duals[:, :2 * K:2] = gaps[:, :, 0] / Rf
+        duals[:, 2 * K + 1:] = gaps[:, :, 1:].reshape(B, -1)
+        duals[~usable] = np.nan
+    return np.where(usable[:, None], np.roll(hold, -1, axis=2).reshape(B, -1), np.nan), duals
 
 
 def gap_fraction(lower: float, uppers) -> float:

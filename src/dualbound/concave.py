@@ -15,7 +15,10 @@ t s_i^2 <= KAPPA, and keeps its result only where the KKT conditions verify.
 A caller that knows a point near each optimum, such as an inner problem the
 optimum its dual recovers, passes it as `warm`: a crossover from that point
 onto the rows it holds runs before any barrier stage, and only the problems
-it does not certify run the barrier, from their own start.  Each round of
+it does not certify run the barrier, from their own start.  A caller that
+also knows the point's row multipliers, as that dual gives them, passes
+them as `duals`, and a problem whose point and multipliers verify the KKT
+conditions exits there with no Newton step, before any crossover.  Each round of
 the crossover's active-set loop is one lockstep face-Newton loop over all
 its faces, whatever their row counts, and tests the face optima as stacks.
 A face row with one nonzero coefficient, such as -x_c <= 0, fixes its
@@ -153,19 +156,20 @@ def maximize(
     tol: float = 1e-8,
     max_newton: int = 200,
 ) -> Solution:
-    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b) or
-    (A, b, warm), warm a (D,) point near the optimum (see `maximize_batch`).
+    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b),
+    (A, b, warm) or (A, b, warm, duals): warm a (D,) point near the optimum
+    and duals its (m,) row multipliers (see `maximize_batch`).
 
     The one-problem call of `maximize_batch`; the oracle is evaluated with
     rows = [0].
     """
-    A, b, *warm = cons
-    if len(warm) > 1:
-        raise ValueError("cons must be (A, b) or (A, b, warm)")
-    warm = np.asarray(warm[0], dtype=float)[None] if warm else None
+    A, b, *plan = cons
+    if len(plan) > 2:
+        raise ValueError("cons must be (A, b), (A, b, warm) or (A, b, warm, duals)")
+    warm, duals = [np.asarray(a, dtype=float)[None] for a in plan] + [None] * (2 - len(plan))
     x0 = np.asarray(x0, dtype=float)
     return maximize_batch(oracle, np.asarray(A)[None], np.asarray(b)[None], x0[None],
-                          tol=tol, max_newton=max_newton, warm=warm)[0]
+                          tol=tol, max_newton=max_newton, warm=warm, duals=duals)[0]
 
 
 def maximize_batch(
@@ -176,21 +180,26 @@ def maximize_batch(
     tol: float = 1e-8,
     max_newton: int = 200,
     warm: Optional[np.ndarray] = None,
+    duals: Optional[np.ndarray] = None,
 ) -> list:
     """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
 
     A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
     warm, if given, is a (B, D) array of points near the optima, such as a
-    nearby problem's optima, a NaN row where a problem has none: a crossover
-    from warm[i] onto its face, the rows with b - A w <= 1e-10 (1 + |b|),
-    runs first (`_warm_crossover`), its problems that verify to tol exit
-    converged (their face steps counted as Newton steps) and the others run
-    the barrier from X0.
+    nearby problem's optima, a NaN row where a problem has none.  duals, if
+    given with warm, is a (B, m) array of each warm point's row multipliers
+    (NaN rows allowed): a problem whose warm point and multipliers pass the
+    KKT conditions (`_certify`) exits converged at its warm point with 0
+    Newton steps.  The others cross over from warm[i] onto its face, the
+    rows with b - A w <= 1e-10 (1 + |b|) (`_warm_crossover`); those that
+    verify to tol exit converged (their face steps counted as Newton steps)
+    and the rest run the barrier from X0.
     Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
-    (f = -inf).  Converged: a crossover verified the KKT conditions on its
-    face to tol, or the barrier-KKT residual fell to tol at a stage with
-    m/t <= tol.  Max_iter: the next Newton step would pass max_newton (the
-    Solution holds the last iterate), or the stage at t_cap ended uncertified.
+    (f = -inf).  Converged: the warm point's multipliers or a crossover
+    verified the KKT conditions to tol, or the barrier-KKT residual fell to
+    tol at a stage with m/t <= tol.  Max_iter: the next Newton step would
+    pass max_newton (the Solution holds the last iterate), or the stage at
+    t_cap ended uncertified.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
@@ -201,6 +210,10 @@ def maximize_batch(
         warm = np.asarray(warm, dtype=float)
         if warm.shape != X.shape:
             raise ValueError(f"warm must be an array of shape {X.shape}, got {warm.shape}")
+    if duals is not None:
+        duals = np.asarray(duals, dtype=float)
+        if warm is None or duals.shape != b.shape:
+            raise ValueError(f"duals must come with warm and be an array of shape {b.shape}")
     out: list = [None] * A.shape[0]
     # A trial point outside a problem's domain or feasible set evaluates to
     # NaN or -inf and is rejected, so invalid-value warnings are silenced.
@@ -211,10 +224,34 @@ def maximize_batch(
         infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
         live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
         _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
-        if warm is not None:
+        if duals is not None:
+            _certify(oracle, live, warm[live.rows], duals[live.rows], tol, out)
+        if warm is not None and live.size:
             _warm_crossover(oracle, live, warm[live.rows], tol, out)
         _barrier(oracle, live, tol, max_newton, out)
     return out
+
+
+def _certify(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, nu: np.ndarray, tol: float,
+             out: list) -> None:
+    """Exit converged, with 0 Newton steps, the rows of `live` whose warm
+    points W and multipliers nu certify themselves (Boyd & Vandenberghe,
+    Convex Optimization, 2004, 5.5.3): w violates no row by more than
+    1e-10 (1 + |b|), the violation `_face_newton` tolerates; nu >= 0, and
+    nu_i = 0 wherever b_i - A_i w exceeds that; f(w) is finite; and
+    `_stationarity(grad f(w), A', nu)` <= tol.  A NaN row fails."""
+    near = 1e-10 * (1.0 + np.abs(live.b))
+    S = live.b - stacked_matvec(live.A, W)
+    F = oracle.value(W, live.rows)
+    ok = ((S >= -near) & (nu >= 0.0) & ((nu == 0.0) | (S <= near))).all(axis=1) & np.isfinite(F)
+    del S, near
+    grad = np.zeros_like(W)
+    grad[ok] = oracle.gradient(W[ok], live.rows[ok])
+    # A' as a view: a copy per call would cost more than the rest of the test.
+    kkt = np.where(ok, _stationarity(grad, live.A.transpose(0, 2, 1), nu), np.inf)
+    done = kkt <= tol
+    live.X[done], live.F[done] = W[done], F[done]
+    _exit(out, live, done, STATUS_CONVERGED, kkt)
 
 
 def _warm_crossover(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, tol: float, out: list) -> None:
@@ -292,10 +329,14 @@ class _Live:
     def split(self, mask: np.ndarray) -> "_Live":
         """Remove the masked rows and return them as a set of their own."""
         gone = _Live(**{name: getattr(self, name)[mask] for name in self.FIELDS})
+        self.drop(mask)
+        return gone
+
+    def drop(self, mask: np.ndarray) -> None:
+        """Remove the masked rows."""
         keep = ~mask
         for name in self.FIELDS:
             setattr(self, name, getattr(self, name)[keep])
-        return gone
 
     def merge(self, parts: list) -> None:
         parts = [self] + [q for q in parts if q.size]
@@ -311,7 +352,7 @@ def _exit(out: list, live: _Live, mask: np.ndarray, status: str, kkt: np.ndarray
         out[live.rows[j]] = Solution(x=live.X[j].copy(), f=float(live.F[j]), kkt_residual=float(kkt[j]),
                                      iterations=int(live.newton[j]), status=status)
     if mask.any():
-        live.split(mask)
+        live.drop(mask)
 
 
 def _center(oracle: ObjectiveOracle, live: _Live, t: float, tol: float, max_newton: int, out: list) -> None:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -281,7 +282,8 @@ class TestAssembleInner:
                 assert sol.f == pytest.approx(ref, abs=1e-4)
 
     def test_batch_rows_equal_their_one_leg_solves(self, p_set1, vg_set1):
-        # Legs of several runs and all three penalty kinds in one batch.
+        # Legs of several runs and all three penalty kinds in one batch,
+        # each bit-identical to maximize(cons=(A, b, warm, duals)).
         p = p_set1
         policy = dp_solver.make_grid_policy(vg_set1, p)
         legs, kinds = [], []
@@ -298,17 +300,20 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        warm = bounds._dual_plan(p, forms, ctxs)
+        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        assert duals.shape == b.shape
         bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
         batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                       max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
-        for sp, kind, leg_warm, leg_start, leg_bracket, got in zip(legs, kinds, warm, X0, bracket, batch):
+                                       max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
+        for sp, kind, leg_warm, leg_duals, leg_start, leg_bracket, got in zip(
+                legs, kinds, warm, duals, X0, bracket, batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
             form = penalties.penalty_form(kind, ctx, p)
             one_bracket = bounds._dual_bracket(p, penalties.as_stack(form), penalties.as_stack(ctx))[:2]
             assert np.array_equal(np.concatenate(one_bracket), leg_bracket)
             problem = assemble_inner(p, form, ctx)
             assert np.array_equal(problem[1][2], leg_warm, equal_nan=True)
+            assert np.array_equal(problem[1][3], leg_duals, equal_nan=True)
             assert np.array_equal(problem[2], leg_start)
             one = concave.maximize(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
@@ -321,21 +326,25 @@ class TestAssembleInner:
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
         # batch (16 pairs, 40-dim legs) the barrier from the interior start,
         # the path of a leg whose warm point does not certify, peaks at about
-        # 70 (m1), 69 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
+        # 65 (m1), 64 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
         # face systems.  The dual search and the crossover from the
-        # recovered optima, the path of every other leg, take about 48 (m1),
-        # 47.5 (m2) and 41 KB (zero).
+        # recovered optima take about 48 (m1), 47.5 (m2) and 41 KB (zero);
+        # with the optima's multipliers, the path of every leg here, 7 KB.
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
         forms = penalties.penalty_form(kind, ctxs, p)
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert len(X0) == 32
-        for warm in (False, True):
+        # No plan, the recovered optima alone, and the optima with their
+        # multipliers.
+        for use in (0, 1, 2):
             tracemalloc.start()
             try:
+                plan = bounds._dual_plan(p, forms, ctxs)[:use] if use else ()
                 concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
-                                       warm=bounds._dual_plan(p, forms, ctxs) if warm else None)
+                                       **dict(zip(("warm", "duals"), plan)))
+                del plan
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -344,9 +353,9 @@ class TestAssembleInner:
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_upper_task_stages_peak_per_leg(self, p_set1, vg_set1, kind):
         # A task's stages before its slices (shocks, contexts, forms, dual
-        # search) on a 64-pair task: measured 4.3 KB a leg for each penalty,
-        # of which the slices keep 1.3 KB; the bound leaves about 40%
-        # margin.  A first call also allocates one-time state, so
+        # search, recovered optima and multipliers) on a 64-pair task:
+        # measured 4.7 KB a leg for each penalty, of which the slices keep
+        # 1.7 KB; the bound leaves about 25% margin.  A first call also allocates one-time state, so
         # the stages run once untraced.
         p, cfg = p_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
@@ -356,7 +365,8 @@ class TestAssembleInner:
             forms = penalties.penalty_form(kind, ctxs, p)
             return bounds._dual_plan(p, forms, ctxs)
 
-        assert len(stages()) == 128
+        warm, duals = stages()
+        assert len(warm) == len(duals) == 128
         tracemalloc.start()
         try:
             stages()
@@ -588,7 +598,8 @@ class TestUpperBound:
         # reach a rounding-level Newton decrement while Newton still contracts;
         # stopping there, without `_center`'s contraction guard, flags it.
         plan = bounds._dual_plan
-        monkeypatch.setattr(bounds, "_dual_plan", lambda p, forms, ctxs: np.full_like(plan(p, forms, ctxs), np.nan))
+        monkeypatch.setattr(bounds, "_dual_plan",
+                            lambda p, forms, ctxs: tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs)))
         p, vg = solved_grid(sid, 3.0)
         cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
         assert upper_bound(p, vg, cfg).flagged_paths == 0
@@ -601,6 +612,18 @@ class TestUpperBound:
         est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
         assert est.total_paths == 16
         assert est.flagged_paths == 0
+
+    def test_gamma20_upper_bounds_flag_no_leg_and_exceed_the_lower_bound(self, solved_grid):
+        # At gamma 20 the crossover from the recovered optima certified
+        # almost no leg and the barrier flagged them, which put the m1
+        # "upper" bound below the lower bound; the dual's own multipliers
+        # certify every leg.
+        p, vg = solved_grid(1, 20.0)
+        lo = lower_bound(p, vg, RunConfig(paths_per_run=30, runs=4, seed=42, gamma=20.0))
+        for kind in penalties.PENALTY_KINDS:
+            up = upper_bound(p, vg, RunConfig(paths_per_run=16, runs=4, seed=42, penalty_kind=kind, gamma=20.0))
+            assert up.flagged_paths == 0
+            assert up.ce_mean > lo.ce_mean
 
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
@@ -686,24 +709,33 @@ class TestDualFace:
     def _check_weak_duality(p, vg, kind, seed, pairs):
         """Solve the legs of flat pairs [0, pairs) as `upper_bound` does and
         check that G at both ends of each leg's search bracket and at a random
-        lam_K is at least its certified optimum, and that the point recovered
-        from the dual, where a leg has one, is within 1e-8 of that optimum
-        relative to its largest coordinate.  Returns the legs that have one."""
+        lam_K is at least its certified optimum.  Check that every leg with a
+        recovered point certifies it by its multipliers, with 0 Newton steps
+        and an f within 1e-13 relative of the crossover's from that point
+        without them, and that the point is within 1e-8 of the crossover's
+        optimum relative to its largest coordinate.  Returns the legs that
+        have one."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
-        warm = bounds._dual_plan(p, forms, ctxs)
-        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                      max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
+        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        sols, crossed = (concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                                max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=nu)
+                         for nu in (duals, None))
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
-        f = np.array([sol.f for sol in sols])
+        assert [sol.status for sol in crossed] == [concave.STATUS_CONVERGED] * 2 * pairs
+        f, f_crossed = np.array([sol.f for sol in sols]), np.array([sol.f for sol in crossed])
         lo, hi, _, _ = bounds._dual_bracket(p, forms, ctxs)
         assert (lo > 0.0).all() and (hi < np.inf).all()
         rng = np.random.default_rng(seed)
         for lam_K in (lo, hi, hi * np.exp(rng.uniform(-2.0, 2.0, hi.size))):
             G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
             assert (G >= f - 1e-12 * np.abs(f)).all()
-        x = np.array([sol.x for sol in sols])
         used = np.isfinite(warm).all(axis=1)
-        assert (np.isnan(warm) == ~used[:, None]).all()
+        assert (np.isnan(warm) == ~used[:, None]).all() and (np.isnan(duals) == ~used[:, None]).all()
+        steps = np.array([sol.iterations for sol in sols])
+        assert (steps[used] == 0).all()
+        assert np.array_equal(np.array([sol.x for sol in sols])[used], warm[used])
+        assert (np.abs(f - f_crossed) <= 1e-13 * np.abs(f_crossed))[used].all()
+        x = np.array([sol.x for sol in crossed])
         assert (np.abs(warm - x).max(axis=1) <= 1e-8 * np.abs(x).max(axis=1))[used].all()
         return used
 
@@ -738,7 +770,7 @@ class TestDualFace:
 
     def test_open_bracket_and_two_tied_stages_keep_the_interior_start(self, p_set1, vg_set1, monkeypatch):
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 16)
-        warm = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
         search = bounds._dual_bracket
         lo, hi, top_lo, top_hi = search(p_set1, forms, ctxs)
         is_tied = (top_lo != top_hi).any(axis=(1, 2))
@@ -750,14 +782,15 @@ class TestDualFace:
         top_hi[tied[0], k] = np.roll(top_hi[tied[0], k], 1)
         lo[untied[0]], hi[untied[1]] = 0.0, np.inf
         monkeypatch.setattr(bounds, "_dual_bracket", lambda *args: (lo, hi, top_lo, top_hi))
-        got = bounds._dual_plan(p_set1, forms, ctxs)
+        got, got_duals = bounds._dual_plan(p_set1, forms, ctxs)
         changed = sorted([untied[0], untied[1], tied[0]])
         assert np.isnan(got[changed]).all() and np.isfinite(warm[changed]).all()
+        assert np.isnan(got_duals[changed]).all() and np.isfinite(duals[changed]).all()
         others = np.setdiff1d(np.arange(len(X0)), changed)
-        assert np.array_equal(got[others], warm[others])
+        assert np.array_equal(got[others], warm[others]) and np.array_equal(got_duals[others], duals[others])
         # Those legs run the barrier from the interior start, as without a plan.
         sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
-                                      warm=got)
+                                      warm=got, duals=got_duals)
         cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
         for i in changed:
             assert np.array_equal(sols[i].x, cold[i].x)
@@ -769,12 +802,43 @@ class TestDualFace:
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
         bad[3] = -1.0
-        warm = bounds._dual_plan(p_set1, forms, ctxs)
-        assert np.isfinite(warm).all()
+        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        assert np.isfinite(warm).all() and np.isfinite(duals).all()
         sols = concave.maximize_batch(oracle, A, b, bad, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
-                                      warm=warm)
+                                      warm=warm, duals=duals)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 3 + [concave.STATUS_INFEASIBLE] + [
             concave.STATUS_CONVERGED] * 4
+
+    @pytest.mark.parametrize("corruption", ["negative", "slack row", "stationarity"])
+    def test_corrupted_multipliers_fall_back_to_the_crossover(self, p_set1, vg_set1, corruption):
+        # One leg's multipliers corrupted: a held row's made negative, 1e-12
+        # put on a row its point does not hold (too little to move its
+        # stationarity past tol), or all scaled by 1.01.  That leg crosses
+        # over from its warm point as without multipliers, and certifies;
+        # the others still certify with 0 Newton steps.
+        forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 4)
+        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        held = b - concave.stacked_matvec(A, warm) <= 1e-10 * (1.0 + np.abs(b))
+        bad, leg = duals.copy(), 3
+        if corruption == "negative":
+            row = np.flatnonzero(held[leg] & (duals[leg] > 0.0))[0]
+            bad[leg, row] = -duals[leg, row]
+        elif corruption == "slack row":
+            bad[leg, np.flatnonzero(~held[leg])[0]] = 1e-12
+        else:
+            bad[leg] *= 1.01
+        AT = np.ascontiguousarray(A.transpose(0, 2, 1))
+        stationarity = concave._stationarity(oracle.gradient(warm, np.arange(len(warm))), AT, bad)
+        assert (stationarity > bounds.INNER_TOL)[leg] == (corruption != "slack row")
+        assert (bad[leg] >= 0.0).all() == (corruption != "negative")
+        solve = functools.partial(concave.maximize_batch, oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                  max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
+        sols, crossed = solve(duals=bad), solve()
+        assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * len(sols)
+        assert [sol.iterations > 0 for sol in sols] == [i == leg for i in range(len(sols))]
+        assert np.array_equal(sols[leg].x, crossed[leg].x)
+        assert (sols[leg].f, sols[leg].kkt_residual, sols[leg].iterations) == (
+            crossed[leg].f, crossed[leg].kkt_residual, crossed[leg].iterations)
 
     def test_plan_does_not_depend_on_the_stack(self, p_set1, vg_set1):
         # The legs of four pairs under all three penalties: alone, in one
@@ -784,14 +848,16 @@ class TestDualFace:
         forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
                                         for f in dataclasses.fields(penalties.PenaltyForm)))
         ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
-        warm = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
         X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)[3]
         order = np.random.default_rng(0).permutation(len(warm))
-        assert np.array_equal(bounds._dual_plan(p_set1, take(forms, order), take(ctxs, order)), warm[order],
-                              equal_nan=True)
+        shuffled = bounds._dual_plan(p_set1, take(forms, order), take(ctxs, order))
+        assert np.array_equal(shuffled[0], warm[order], equal_nan=True)
+        assert np.array_equal(shuffled[1], duals[order], equal_nan=True)
         for i in range(len(warm)):
-            _, (_, _, leg_warm), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
+            _, (_, _, leg_warm, leg_duals), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
             assert np.array_equal(leg_warm, warm[i], equal_nan=True) and np.array_equal(leg_start, X0[i])
+            assert np.array_equal(leg_duals, duals[i], equal_nan=True)
 
     def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
         # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed

@@ -156,12 +156,13 @@ class TestMaximize:
         counts.clear()
         bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
         assert node_mean <= 7
-        # Each inner solve first crosses over from the primal optimum its
-        # leg's dual recovers onto the rows that point holds, which certifies
-        # in about 1.08 face Newton steps here (2.0 from that point moved
-        # 1e-9 of the way toward the interior start, 6.2 from the interior
-        # start, about 17 by the barrier).
-        assert np.mean(counts) <= 1.5
+        # Each inner solve first checks the KKT conditions at the primal
+        # optimum its leg's dual recovers, with that dual's multipliers,
+        # which certifies every leg here with 0 Newton steps (about 1.08
+        # face Newton steps by a crossover from that point, 2.0 from that
+        # point moved 1e-9 of the way toward the interior start, 6.2 from
+        # the interior start, about 17 by the barrier).
+        assert np.mean(counts) <= 0.1
 
     def test_set1_inner_problems_mostly_exit_at_the_first_crossover(self, monkeypatch, p_set1, vg_set1):
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
@@ -179,9 +180,10 @@ class TestMaximize:
 
         batch = concave.maximize_batch
 
-        def traced_batch(*args, warm=None, **kwargs):
-            # Without the warm points, so that the first crossover is the
-            # barrier's, which the legs whose warm point does not certify rely on.
+        def traced_batch(*args, warm=None, duals=None, **kwargs):
+            # Without the warm points and their multipliers, so that the first
+            # crossover is the barrier's, which the legs whose warm point does
+            # not certify rely on.
             first[0] = True
             return batch(*args, **kwargs)
 
@@ -483,7 +485,7 @@ def set1_inner_batch(p, vg, kind, pairs=16):
     ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
     forms = penalties.penalty_form(kind, ctxs, p)
     oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
-    return (oracle, A, b, X0), held_rows(A, b, bounds._dual_plan(p, forms, ctxs))
+    return (oracle, A, b, X0), held_rows(A, b, bounds._dual_plan(p, forms, ctxs)[0])
 
 
 def padded_size(A, face) -> int:
@@ -626,7 +628,14 @@ class TestWarmFace:
         for bad in (W[0], W[:1], W[:, :-1], W[:, :, None]):
             with pytest.raises(ValueError, match="warm"):
                 concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad)
-        for cons in ((A[0], b[0], W[0][:-1]), (A[0], b[0], W[:1]), (A[0], b[0], W[0], W[0])):
+        nu = np.zeros_like(b)
+        for bad in (nu[0], nu[:, :-1], nu[:, :, None]):
+            with pytest.raises(ValueError, match="duals"):
+                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=W, duals=bad)
+        with pytest.raises(ValueError, match="duals"):
+            concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, duals=nu)
+        for cons in ((A[0], b[0], W[0][:-1]), (A[0], b[0], W[:1]), (A[0], b[0], W[0], nu[0][:-1]),
+                     (A[0], b[0], W[0], nu[0], nu[0])):
             with pytest.raises(ValueError):
                 maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
 
