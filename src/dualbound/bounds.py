@@ -58,7 +58,7 @@ LOWER_CHUNK_PAIRS = 256
 # `_upper_chunk_pairs` scales it by 40 / D.  A larger batch pays less
 # per-call overhead a leg but holds more solver temporaries, which grow like
 # D^2 a leg: at K = 10 about 7 KB where the dual's multipliers certify,
-# 41-48 KB on the warm crossover and 62-65 KB where a leg falls back to the
+# about 45 KB on the warm crossover and 62 KB where a leg falls back to the
 # barrier, at K = 40 about 1 MB.  Measured when
 # each slice was its own task: on the set-1 `dual-bound` benchmark, 16 pairs
 # instead of 8 cut wall time by 16% for +3% peak RSS, and 32 pairs cut 3%
@@ -88,6 +88,10 @@ CSV_COLUMNS = (
 
 class PathError(RuntimeError):
     """A path-level failure, carrying the (seed, run, path) triple for replay."""
+
+
+class EstimateError(RuntimeError):
+    """A bound whose run means admit no certainty equivalent."""
 
 
 @dataclass(frozen=True)
@@ -351,7 +355,12 @@ def _estimate(kind: str, cfg: RunConfig, p: ModelParams, run_means: np.ndarray,
               total: int, flagged: int) -> BoundEstimate:
     mean = float(np.mean(run_means))
     stderr = float(np.std(run_means, ddof=1) / math.sqrt(cfg.runs))
-    ces = np.array([certainty_equivalent(v, p.gamma) for v in run_means])
+    ces = np.empty(cfg.runs)
+    for r, v in enumerate(run_means.tolist()):
+        try:
+            ces[r] = certainty_equivalent(v, p.gamma)
+        except ValueError as exc:
+            raise EstimateError(f"{kind} bound: run {r} has mean {v:.6g}, of the wrong sign: {exc}") from exc
     return BoundEstimate(
         kind=kind,
         penalty=cfg.penalty_kind if kind == "upper" else "none",

@@ -415,7 +415,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (dp_solver.NodeSolveError, bounds.PathError) as exc:
+    except (dp_solver.NodeSolveError, bounds.PathError, bounds.EstimateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     except finite_mdp.EnumerationGuardError as exc:

@@ -21,10 +21,6 @@ them as `duals`, and a problem whose point and multipliers verify the KKT
 conditions exits there with no Newton step, before any crossover.  Each round of
 the crossover's active-set loop is one lockstep face-Newton loop over all
 its faces, whatever their row counts, and tests the face optima as stacks.
-A face row with one nonzero coefficient, such as -x_c <= 0, fixes its
-coordinate, so a face Newton step solves a KKT system in the free
-coordinates and the face's other rows only, padded to a multiple of 8: at
-D = 40 about 26 unknowns where the full system has about 70.
 
 `maximize_batch` solves B problems of one dimension D and one row count m
 together.  Every problem keeps its own iterate, Newton count, line search,
@@ -68,6 +64,7 @@ MAX_CENTERING = 80     # Newton steps per centering stage
 KAPPA = 100.0
 MAX_FACES = 6          # active faces tried per crossover
 MAX_FACE_NEWTON = 12   # Newton steps per face
+FACE_STACK = 2 ** 16   # KKT system entries per stacked face solve
 
 
 @dataclass(frozen=True)
@@ -550,25 +547,20 @@ def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, face, problems) -> tupl
     """Equality-constrained Newton from X[j] on the face A[j, act] x = b[j, act],
     act the rows of face[j], for every j in problems in one lockstep loop.
 
-    A face row with one nonzero coefficient, a x_c <= b_i, fixes x_c = b_i / a.
-    The first such row of each coordinate leaves the Newton system: every
-    step sets x_c to its bound and solves only
-        [[H_FF, A_oF'], [A_oF, 0]] [dx_F; -nu_o] = [-(g + H dx_C)_F; b_o - A_o (x + dx_C)]
-    over the free coordinates F and the other face rows o (Nocedal & Wright,
-    Numerical Optimization, 2006, 16.2).  Row i's multiplier then follows
-    from coordinate c's stationarity, nu_i = (g + H dx - A_o' nu_o)_c / a,
-    for the faces that end.  A second row on a fixed coordinate stays in the
-    system as a zero row, singular as it is in the full one.
-    Each face's system is padded with identity to its size rounded up to a
-    multiple of 8, and the faces of one padded size form a contiguous group
-    whose gather and scatter indices are built with the group (the Hessian
-    block's as a row and a column index, summed in each step to hold less
-    memory), and whose systems are gathered in each step, solved as one
-    stack and freed.  A face's arithmetic depends only on that face, so the
-    result does not depend on which faces run together.
-    Each step evaluates the oracle once for all running faces.  Newton
-    contracts on a face that holds the optimum.  A step no shorter than the
-    one before marks a wrong face (off the optimum's face the objective can
+    Every face solves one (D + m)-square KKT system (Nocedal & Wright,
+    Numerical Optimization, 2006, 16.2),
+        [[S H S, S A_F'], [A_F S, I_off]] [S^-1 dx; -nu] = [-S g; (b - A x)_F],
+    with A_F the rows of A on the face and zero rows off it, and I_off the
+    identity on the off-face rows, whose multipliers are then exactly 0.
+    S = diag(max(|H_ii|, 1))^(-1/2) scales the coordinates to comparable
+    curvature, which keeps the steps accurate where some coordinates'
+    curvature dwarfs the others' (consumption at a small R_f).  Each step
+    evaluates the oracle once for all running faces and solves their
+    systems in stacks of at most FACE_STACK entries, each stack's rows of A
+    gathered in the step.  A face's arithmetic depends only on that face, so
+    the result does not depend on which faces run together.
+    Newton contracts on a face that holds the optimum.  A step no shorter than
+    the one before marks a wrong face (off the optimum's face the objective can
     lack curvature and the iterates diverge), unless the step is at rounding
     level, where the face is solved and the step test ends the loop.  A face
     that stops contracting or leaves the objective domain is dropped.
@@ -587,164 +579,64 @@ def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, face, problems) -> tupl
     """
     D, m = A.shape[2], A.shape[1]
     n = problems.size
-    # The face rows, by face and then row, and among them the bound rows:
-    # the first of each face and coordinate is eliminated, the others stay.
-    pi, ri = np.nonzero(face[problems])
-    flat = problems[pi] * m + ri
-    Ar, br = A.reshape(-1, D)[flat], b.reshape(-1)[flat]
-    nonzero = Ar != 0.0
-    col = nonzero.argmax(axis=1)
-    bound = np.flatnonzero(nonzero.sum(axis=1) == 1)
-    key = pi[bound] * D + col[bound]
-    order = np.argsort(key, kind="stable")
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    elim = bound[order[first]]
-    stays = np.ones(pi.size, dtype=bool)
-    stays[elim] = False
-    n_other = np.bincount(pi[stays], minlength=n)
-    n_free = D - np.bincount(pi[elim], minlength=n)
-    padded = (n_free + n_other + 7) // 8 * 8  # system size, padded
-    # Faces sorted by padded size, the outputs' order; face p becomes place[p].
-    sort = np.argsort(padded, kind="stable")
-    place = np.empty_like(sort)
-    place[sort] = np.arange(n)
-    # Per coordinate: the eliminated row that fixes it (m if none), that
-    # row's coefficient and the value it fixes the coordinate to.
-    cell = place[pi[elim]], col[elim]
-    erow, ecoef, pin = np.full((n, D), m), np.ones((n, D)), np.zeros((n, D))
-    erow[cell], ecoef[cell] = ri[elim], Ar[elim, col[elim]]
-    pin[cell] = br[elim] / ecoef[cell]
-    fixed = erow < m
-    # Each face's other rows, in order, zero-padded to O + 1.
-    on = pi[stays]
-    cell = place[on], np.arange(on.size) - np.searchsorted(on, on)   # face, and rank among its other rows
-    O = int(n_other.max(initial=0))
-    Ao, bo, orow = np.zeros((n, O + 1, D)), np.zeros((n, O + 1)), np.full((n, O + 1), m)
-    Ao[cell], bo[cell], orow[cell] = Ar[stays], br[stays], ri[stays]
-    del Ar, nonzero
-    problems, n_free, n_other, padded = problems[sort], n_free[sort], n_other[sort], padded[sort].tolist()
-    x, rows = X[problems], rows[problems]
-    g, H = oracle.gradient(x, rows), oracle.hessian(x, rows)
-    # Each face's free coordinates by curvature |H_cc| at the start, largest
-    # first, as diagonal pivoting would take them: LU then keeps the steps
-    # as accurate as on the full system where some coordinates' curvature
-    # dwarfs the others' (consumption at a small R_f), which the coordinate
-    # order does not.
-    curvature = np.where(fixed, np.inf, -np.abs(H.reshape(n, -1)[:, ::D + 1]))
-    free = np.argsort(curvature, axis=1, kind="stable")
-    cuts = [0] + [i for i in range(1, n) if padded[i] != padded[i - 1]] + [n]
-    groups = [_reduced_layout(Ao[lo:hi], free[lo:hi], n_free[lo:hi], n_other[lo:hi], padded[lo])
-              for lo, hi in zip(cuts, cuts[1:])]
+    per = max(1, FACE_STACK // (D + m) ** 2)  # faces per stacked solve
+    x, rows, face = X[problems], rows[problems], face[problems]
     at = np.arange(n)  # each running face's place in the outputs
     solved, steps, f_out, stationarity = np.zeros(n, dtype=bool), np.zeros(n, dtype=int), np.empty(n), np.empty(n)
     x_out, nu_out, violated = np.empty((n, D)), np.zeros((n, m)), np.zeros((n, m), dtype=bool)
     last = [np.inf] * n
     for step in range(1, MAX_FACE_NEWTON + 1):
-        if step > 1:
-            g, H = oracle.gradient(x, rows), oracle.hessian(x, rows)
-        # Each face's solution [dx (D), -nu_o (O + 1)] in the places of its
-        # right-hand side [-(g + H dx_C) (D), b_o - A_o (x + dx_C) (O + 1)];
-        # dx is the step onto the bounds, dx_C, until the free coordinates'
-        # step is scattered in.  From the second step on, x is on its bounds.
-        sol = np.zeros((len(x), D + O + 1))
+        g, H = oracle.gradient(x, rows), oracle.hessian(x, rows)
+        sol = np.empty((len(x), D + m))
+        for lo in range(0, len(x), per):
+            hi, p = lo + per, problems[at[lo:lo + per]]
+            sol[lo:hi] = _face_step(A[p], b[p], x[lo:hi], g[lo:hi], H[lo:hi], face[lo:hi])
+        del H
         dx = sol[:, :D]
-        if step == 1:
-            on_bound = np.where(fixed, pin, x)
-            np.subtract(on_bound, x, out=dx)
-            top = g + stacked_matvec(H, dx)
-        else:
-            on_bound, top = x, g
-        rhs = np.concatenate([-top, bo - (Ao * on_bound[:, None, :]).sum(axis=2)], axis=1)
-        lo = 0
-        for base, off_h, hrow, var, places in groups:
-            hi = lo + len(base)
-            M = np.take(H[lo:hi], hrow[:, :, None] + var[:, None, :])
-            np.copyto(M, base, where=off_h)
-            sol[lo:hi].put(places, _solve(M, np.take(rhs[lo:hi], places)))
-            del M
-            lo = hi
         finite = np.isfinite(sol).all(axis=1).tolist()
         size = np.abs(dx).max(axis=1).tolist()
         scale = np.abs(x).max(axis=1).tolist()
-        x_next = np.where(fixed, pin, x + dx) if step == 1 else x + dx
-        f = oracle.value(x_next, rows)
+        x = x + dx
+        f = oracle.value(x, rows)
         moved = [fin and ff and (sz < la or sz <= 1e-12 * (1.0 + xm)) for fin, ff, sz, la, xm in
                  zip(finite, np.isfinite(f).tolist(), size, last, scale)]
         # The docstring's end rule: a step, or its estimate of the next step.
         end = [step == MAX_FACE_NEWTON or not mv
                or (sz if step == 1 else min(sz, sz * (sz / la) ** 2)) <= 1e-14 * (1.0 + xm)
-               for mv, sz, la, xm in zip(moved, size, last, np.abs(x_next).max(axis=1).tolist())]
+               for mv, sz, la, xm in zip(moved, size, last, np.abs(x).max(axis=1).tolist())]
         last = size
-        if any(end):
-            keep = ~np.array(end)
-            ended = ~keep & np.array(moved)
-            grad = g[ended] + stacked_matvec(H, dx)[ended]   # g + H dx of the faces that end
-        del H  # before the next Hessian, or the ended faces' rows of A, are formed
         if not any(end):
-            x = x_next
             continue
+        keep = ~np.array(end)
+        ended = ~keep & np.array(moved)
         if ended.any():
             out = at[ended]
             Aj, bj = A[problems[out]], b[problems[out]]
-            AT = Aj.transpose(0, 2, 1)
-            # The other rows' multipliers, then each eliminated row's from its
-            # coordinate's stationarity; column m collects the padding.
-            nu, face_at = np.zeros((len(out), m + 1)), np.arange(len(out))[:, None]
-            nu[face_at, orow[out]] = -sol[ended, D:]
-            grad -= stacked_matvec(AT, nu[:, :m])
-            nu[face_at, erow[out]] = grad / ecoef[out]
-            solved[out], steps[out], x_out[out], f_out[out], nu_out[out] = True, step, x_next[ended], f[ended], nu[:, :m]
-            violated[out] = bj - stacked_matvec(Aj, x_next[ended]) < -1e-10 * (1.0 + np.abs(bj))
-            grad = oracle.gradient(x_next[ended], rows[ended])
-            stationarity[out] = _stationarity(grad, AT, nu_out[out])
-            del Aj, AT
-        running, lo = [], 0
-        for group in groups:
-            hi = lo + len(group[0])
-            kept = keep[lo:hi]
-            if kept.any():
-                running.append(group if kept.all() else _keep_faces(group, kept, D, O))
-            lo = hi
-        groups = running
-        if not groups:
+            solved[out], steps[out], x_out[out], f_out[out] = True, step, x[ended], f[ended]
+            nu_out[out] = -sol[ended, D:]
+            violated[out] = bj - stacked_matvec(Aj, x[ended]) < -1e-10 * (1.0 + np.abs(bj))
+            grad = oracle.gradient(x[ended], rows[ended])
+            stationarity[out] = _stationarity(grad, Aj.transpose(0, 2, 1), nu_out[out])
+            del Aj
+        if not keep.any():
             break
         last = [la for la, kp in zip(last, keep.tolist()) if kp]
-        x, rows, at, Ao, bo = x_next[keep], rows[keep], at[keep], Ao[keep], bo[keep]
+        x, rows, face, at = x[keep], rows[keep], face[keep], at[keep]
     return (problems[solved], x_out[solved], f_out[solved], nu_out[solved], violated[solved],
             stationarity[solved], steps[solved])
 
 
-def _reduced_layout(Ao, free, n_free, n_other, R) -> tuple:
-    """The reduced face systems of `_face_newton` for faces of padded size R.
-
-    Place u of face p's system is its free coordinate free[p, u] (u < nF),
-    its (u - nF)-th other row Ao[p, u - nF] (u < nF + no) or padding.
-    Returns (base, off_h, hrow, var, places): each system without its
-    Hessian block (the A_oF blocks and the padding's identity) and the mask
-    of the entries off that block; the coordinate var of each place (0 off
-    the free ones) and hrow, the flat index of its Hessian row in the faces'
-    (n, D, D) Hessian stack, so hrow[:, :, None] + var[:, None, :] indexes
-    the block; and the flat index of each place in the faces' (n, D + O + 1)
-    right-hand sides and solutions, whose column D + O is padding.
-    """
-    n, O, D = Ao.shape[0], Ao.shape[1] - 1, Ao.shape[2]
-    u = np.arange(R)
-    is_free, is_row = u < n_free[:, None], u < (n_free + n_other)[:, None]
-    var = np.where(is_free, free[:, np.minimum(u, D - 1)], 0)
-    ridx = np.where(is_row & ~is_free, u - n_free[:, None], O)     # other row of each place, O (a zero row) if none
-    face = np.arange(n)[:, None]
-    # A_oF below the Hessian block, its transpose beside it, identity on the padding.
-    lower = np.take(Ao, ((face * (O + 1) + ridx) * D)[:, :, None] + var[:, None, :]) * is_free[:, None, :]
-    base = lower + lower.transpose(0, 2, 1)
-    base.reshape(n, -1)[:, ::R + 1] += ~is_row
-    off_h = ~(is_free[:, :, None] & is_free[:, None, :])
-    places = np.where(is_free, var, D + ridx) + face * (D + O + 1)
-    return base, off_h, var * D + face * D * D, var, places
-
-
-def _keep_faces(group: tuple, kept: np.ndarray, D: int, O: int) -> tuple:
-    """The group of `_reduced_layout` without its faces outside `kept`."""
-    base, off_h, hrow, var, places = (a[kept] for a in group)
-    shift = np.cumsum(~kept)[kept][:, None]  # faces dropped before each kept one
-    return base, off_h, hrow - shift * (D * D), var, places - shift * (D + O + 1)
+def _face_step(A, b, x, g, H, face) -> np.ndarray:
+    """The solutions [dx; -nu] of `_face_newton`'s scaled KKT systems of a
+    stack of faces: A (k, m, D), b (k, m), x and g (k, D), H (k, D, D) and
+    face (k, m) bool."""
+    k, m, D = A.shape
+    s = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(H, axis1=1, axis2=2)), 1.0))
+    M = np.zeros((k, D + m, D + m))
+    M[:, :D, :D] = H * s[:, :, None] * s[:, None, :]
+    M[:, D:, :D] = A * face[:, :, None] * s[:, None, :]
+    M[:, :D, D:] = M[:, D:, :D].transpose(0, 2, 1)
+    M.reshape(k, -1)[:, D * (D + m + 1)::D + m + 1] = ~face
+    sol = _solve(M, np.concatenate([-s * g, np.where(face, b - stacked_matvec(A, x), 0.0)], axis=1))
+    sol[:, :D] *= s
+    return sol

@@ -326,10 +326,10 @@ class TestAssembleInner:
         # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
         # batch (16 pairs, 40-dim legs) the barrier from the interior start,
         # the path of a leg whose warm point does not certify, peaks at about
-        # 65 (m1), 64 (m2) and 62 KB (zero) a leg, in its crossovers' reduced
-        # face systems.  The dual search and the crossover from the
-        # recovered optima take about 48 (m1), 47.5 (m2) and 41 KB (zero);
-        # with the optima's multipliers, the path of every leg here, 7 KB.
+        # 62 KB a leg for each penalty, as much in its centring as in its
+        # crossovers' face systems.  The dual search and the crossover from
+        # the recovered optima take about 45 KB; with the optima's
+        # multipliers, the path of every leg here, 7 KB.
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
@@ -612,6 +612,33 @@ class TestUpperBound:
         est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
         assert est.total_paths == 16
         assert est.flagged_paths == 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_either_end_flags_no_leg_on_the_fallback(self, p_set1, monkeypatch, alpha):
+        # At alpha 0 (alpha 1) the dual recovers C_k = 0 (C_K = 0), outside
+        # the objective's domain, so no leg certifies at its warm point:
+        # every leg takes Newton steps in the barrier and its crossovers,
+        # the only inner solves measured that still reach `_face_newton`.
+        p = dataclasses.replace(p_set1, alpha=alpha)
+        vg = dp_solver.backward_recursion(p)
+        solve, face_newton, steps, faces = concave.maximize_batch, concave._face_newton, [], []
+
+        def counted_solve(*args, **kwargs):
+            sols = solve(*args, **kwargs)
+            steps.extend(sol.iterations for sol in sols)
+            return sols
+
+        def counted_faces(oracle, A, *args):
+            faces.append(A.shape[2])
+            return face_newton(oracle, A, *args)
+
+        monkeypatch.setattr(concave, "maximize_batch", counted_solve)
+        monkeypatch.setattr(concave, "_face_newton", counted_faces)
+        for kind in penalties.PENALTY_KINDS:
+            steps.clear(), faces.clear()
+            est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=5, penalty_kind=kind, gamma=1.5))
+            assert est.total_paths == len(steps) == 16 and est.flagged_paths == 0
+            assert min(steps) > 0 and faces and set(faces) == {p.K * (p.n + 1)}
 
     def test_gamma20_upper_bounds_flag_no_leg_and_exceed_the_lower_bound(self, solved_grid):
         # At gamma 20 the crossover from the recovered optima certified

@@ -528,6 +528,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "node solve failed at phi=-2 (status=max_iter)" in err and "Traceback" not in err
 
+    def test_upper_run_mean_of_the_wrong_sign_exits_3(self, tmp_path, capsys):
+        # At gamma 20 the m2 penalty's spread gives this small bound a
+        # positive run mean, which has no certainty equivalent.
+        grid = str(tmp_path / "g20.json")
+        assert run_cli("solve", "--set", "1", "--gamma", "20", "--out", grid) == 0
+        capsys.readouterr()
+        assert run_cli("upper", "--grid", grid, "--penalty", "m2", "--seed", "42", "--paths", "8",
+                       "--runs", "4") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: upper bound: run 1 has mean 1\.\d+e\+16, of the wrong sign: "
+                            r"\(1-gamma\)\*value = -3\.\d+e\+17 must be positive for the CE transform\n", captured.err)
+
     def test_upper_bound_finite_at_small_gross_riskfree_rate(self, tmp_path, capsys):
         # R_f = 5e-4: an inner start that consumed a fixed 1e-3 of wealth broke
         # the budget, so every leg was infeasible and the mean was -inf.

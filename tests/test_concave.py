@@ -488,16 +488,6 @@ def set1_inner_batch(p, vg, kind, pairs=16):
     return (oracle, A, b, X0), held_rows(A, b, bounds._dual_plan(p, forms, ctxs)[0])
 
 
-def padded_size(A, face) -> int:
-    """The padded size of the reduced face system of rows `face` of A (m, D):
-    the free coordinates plus the face rows that are not the first bound row
-    of their coordinate, rounded up to a multiple of 8."""
-    rows = A[face]
-    bound = (rows != 0.0).sum(axis=1) == 1
-    n_fixed = len(set((rows[bound] != 0.0).argmax(axis=1).tolist()))
-    return -(-(A.shape[1] - n_fixed + len(rows) - n_fixed) // 8) * 8
-
-
 def assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, oracle_of, rows_of=lambda i: [0]):
     """`_face_newton` on all problems at once gives each solved face bit for
     bit as its own one-face call (with oracle_of(i) on rows rows_of(i)), and
@@ -607,10 +597,10 @@ class TestWarmFace:
 
     def test_face_newton_inner_faces_equal_their_one_face_calls(self, p_set1, vg_set1):
         # The faces of the dual-recovered optima of 32 set-1 inner problems
-        # (D = 40), every fifth emptied: reduced systems of three padded sizes.
+        # (D = 40), every fifth emptied, solved in more than one stack.
         (oracle, A, b, X0), face = set1_inner_batch(p_set1, vg_set1, "m1")
         face[::5] = False
-        assert len({padded_size(A[i], face[i]) for i in range(len(A))}) >= 2
+        assert len(A) > concave.FACE_STACK // sum(A.shape[1:]) ** 2
         assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, lambda i: oracle, rows_of=lambda i: [i])
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
@@ -722,10 +712,10 @@ class TestFaceNewtonStop:
 
 
 def full_face_step(oracle, A, b, X, face):
-    """One face Newton step of each problem on the full (D + k)-square KKT
-    system [[H, A_a'], [A_a, 0]] [dx; -nu_a] = [-g; b_a - A_a x], the build
-    that predates the elimination of the bound rows.  Returns dx (n, D) and
-    the multipliers (n, m), zero off the face."""
+    """One face Newton step of each problem on the unscaled (D + k)-square KKT
+    system of its k face rows alone, [[H, A_a'], [A_a, 0]] [dx; -nu_a] =
+    [-g; b_a - A_a x].  Returns dx (n, D) and the multipliers (n, m), zero
+    off the face."""
     n, m, D = A.shape
     rows = np.arange(n)
     g, H = oracle.gradient(X, rows), oracle.hessian(X, rows)
@@ -740,7 +730,7 @@ def full_face_step(oracle, A, b, X, face):
     return dx, nu
 
 
-def reduced_face_step(monkeypatch, oracle, A, b, X, face):
+def face_step(monkeypatch, oracle, A, b, X, face):
     """One `_face_newton` step of every problem: (j, x, nu) of the faces kept."""
     monkeypatch.setattr(concave, "MAX_FACE_NEWTON", 1)
     n = A.shape[0]
@@ -749,10 +739,10 @@ def reduced_face_step(monkeypatch, oracle, A, b, X, face):
 
 
 def assert_steps_agree(monkeypatch, oracle, A, b, X, face, rtol=1e-12):
-    """The reduced step and the full-system step give the same point and the
-    same (n, m) multipliers, the eliminated rows' included, to rtol."""
+    """The `_face_newton` step and the step on the face rows' own system give
+    the same point and the same (n, m) multipliers to rtol."""
     n = A.shape[0]
-    j, x, nu = reduced_face_step(monkeypatch, oracle, A, b, X, face)
+    j, x, nu = face_step(monkeypatch, oracle, A, b, X, face)
     dx, nu_full = full_face_step(oracle, A, b, X, face)
     # A face is dropped only where the full step leaves the objective's domain.
     dropped = np.setdiff1d(np.arange(n), j)
@@ -794,8 +784,9 @@ def random_crra_faces(seed, n=24, D=6, J=9):
 
 
 class TestReducedFaceStep:
-    """A face Newton step on the free coordinates equals the step on the full
-    KKT system, bound rows included."""
+    """A face Newton step on the scaled (D + m)-square system, off-face rows
+    masked, equals the step on the reduced (D + k)-square KKT system of the
+    k face rows alone."""
 
     @pytest.mark.parametrize("kind", ["m1", "zero"])
     def test_set1_inner_faces(self, monkeypatch, p_set1, vg_set1, kind):
@@ -822,21 +813,19 @@ class TestReducedFaceStep:
 
     def test_coordinate_fixed_by_two_rows(self, monkeypatch):
         # x_0 >= 0.05 twice over (-x_0 <= -0.05 and -2 x_0 <= -0.1): the
-        # first row is eliminated, the second stays in the reduced system as
-        # a zero row, which is as singular as the full system.  The step is
-        # still the full one's, the least-squares fallback leaves the second
-        # row's multiplier at 0, and the first row's balances x_0's
-        # stationarity as the two rows' together do on the full system.
+        # two face rows are parallel, so the system is singular, as the face
+        # rows' own one is.  The least-squares fallback still takes that
+        # system's step, and the two rows' multipliers together balance x_0's
+        # stationarity as they do there.
         oracle, A, b, X, face = random_crra_faces(4, n=2, D=3)
         A, b = np.concatenate([A, 2.0 * A[:, -3:-2]], axis=1), np.concatenate([b, [[-0.1], [-0.1]]], axis=1)
         face = np.zeros(b.shape, dtype=bool)
         face[:, [-4, -1]] = True
-        j, x, nu = reduced_face_step(monkeypatch, oracle, A, b, X, face)
+        j, x, nu = face_step(monkeypatch, oracle, A, b, X, face)
         dx, nu_full = full_face_step(oracle, A, b, X, face)
         assert sorted(j.tolist()) == [0, 1]
         for r, i in enumerate(j.tolist()):
             np.testing.assert_allclose(x[r], X[i] + dx[i], rtol=0.0, atol=1e-12)
-            assert nu[r, -1] == 0.0
             np.testing.assert_allclose(A[i, face[i], 0] @ nu[r, face[i]], A[i, face[i], 0] @ nu_full[i, face[i]],
                                        rtol=1e-12)
 
