@@ -26,11 +26,11 @@ terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
 `_dual_plan` reads off the final bracket the primal optimum the dual
 recovers (the consumption that lambda prices and the wealth that the
 maximal candidates carry) and the multipliers of its rows (each
-candidate's gap below lambda_k).  They are the leg's `warm` point and
-`duals` in `concave.maximize_batch`, which certifies the leg by the KKT
-conditions at that point with those multipliers, with no Newton step
-(Boyd & Vandenberghe 2004, 5.5.3).  A leg they do not certify crosses over
-from its warm point onto the rows it holds, and then falls back to the
+candidate's gap below lambda_k, and on a floored amount's floor row the
+price its utility leaves).  They are the leg's `warm` point and `duals` in
+`concave.maximize_batch`, which certifies the leg by the KKT conditions at
+that point with those multipliers, with no Newton step (Boyd &
+Vandenberghe 2004, 5.5.3).  A leg they do not certify falls back to the
 barrier from the interior start; the reported value is the primal optimum
 f either way.
 """
@@ -57,8 +57,8 @@ LOWER_CHUNK_PAIRS = 256
 # as one batch, at inner dimension D = 40 (K = 10, n = 3);
 # `_upper_chunk_pairs` scales it by 40 / D.  A larger batch pays less
 # per-call overhead a leg but holds more solver temporaries, which grow like
-# D^2 a leg: at K = 10 about 7 KB where the dual's multipliers certify,
-# about 45 KB on the warm crossover and 62 KB where a leg falls back to the
+# D^2 a leg: at K = 10 about 7 KB where the dual's multipliers certify, the
+# path of every leg measured, and 62 KB where a leg falls back to the
 # barrier, at K = 40 about 1 MB.  Measured when
 # each slice was its own task: on the set-1 `dual-bound` benchmark, 16 pairs
 # instead of 8 cut wall time by 16% for +3% peak RSS, and 32 pairs cut 3%
@@ -398,10 +398,10 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     its own `assemble_inner` + `maximize`, so the results depend on neither
     size.  Each solve first checks the KKT conditions at the primal
     optimum its leg's dual recovers, with the dual's row multipliers, which
-    certifies every leg measured (sets 1-4 at gamma 1.5 to 20) with no
-    Newton step; a leg they do not certify crosses over from that point onto
-    the rows it holds, and then runs the barrier from the interior start.
-    Either way the leg's value is the primal optimum f.
+    certifies every leg measured (sets 1-4 at gamma 1.5 to 20, alpha 0 to
+    1, K = 10 to 40) with no Newton step; a leg they do not certify runs
+    the barrier from the interior start.  Either way the leg's value is the
+    primal optimum f.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -626,7 +626,10 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     candidates, every lambda_k is affine in lam_K between them, and Newton
     steps on G', clipped to the bracket, give lam_K; where they differ at
     one stage, one candidate at each end, lam_K is where those two tie.
-    Then C_k = (y_k / w_k)^(-1/gamma) and stage k invests
+    C_k = max((y_k / w_k)^(-1/gamma), AMOUNT_FLOOR) and C_K the same way,
+    so an amount whose utility weight w is 0 sits on its floor.  A floored
+    amount adds nothing to the curvature of those Newton steps, and where
+    C_K is floored they are taken in lam_K.  Then stage k invests
     rest_k = W_k - C_k / R_f in its maximal candidate, W_k forward from W_0.
     The tied stage puts in its high end's candidate the share of its rest
     at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
@@ -635,7 +638,9 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     end's candidates and lambda_K = lam_K: lambda_k / R_f - lambda_{k+1}
     on the budget row of stage k (-R_f B_k <= 0), lambda_k - (R_kj
     lambda_{k+1} - lin_Pi[k, j]) on the row -Pi_kj <= 0, exactly 0 for
-    every candidate maximal at either bracket end, and 0 on the floor rows.
+    every candidate maximal at either bracket end, y_k - w_k C_k^(-gamma) on
+    the floor row of a floored C_k, lam_K - w_K C_K^(-gamma) on the bequest
+    floor row where C_K is floored, and exactly 0 on every other floor row.
     A leg's rows are NaN where its bracket is open or it ties at two stages.
     Every operation acts leg by leg.
     """
@@ -655,23 +660,29 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     for k in range(K - 1, -1, -1):
         slope[..., k] = gross[..., k] * slope[..., k + 1]
         icpt[:, k] = gross[0, :, k] * icpt[:, k + 1] - offset[0, :, k]
-    w = _utility_weights(p) ** (1.0 / gamma)
+    weight = _utility_weights(p)
+    w = weight ** (1.0 / gamma)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tie = (offset[0] - offset[1]) / (gross[0] - gross[1])   # lambda_{k+1} where the ends' candidates tie
         lam_K = np.where(tied, np.where(differ, (tie - icpt[:, 1:]) / slope[0, :, 1:], 0.0).sum(axis=1), hi)
         run = usable & ~tied
         for step in range(DUAL_NEWTON_STEPS + 1):
             y = forms.lin_C + (slope[0, :, :K] * lam_K[:, None] + icpt[:, :K]) / Rf
-            C, C_K = w[:K] * y ** (-1.0 / gamma), w[K] * lam_K ** (-1.0 / gamma)
+            C = np.maximum(w[:K] * y ** (-1.0 / gamma), AMOUNT_FLOOR)
+            C_K = np.maximum(w[K] * lam_K ** (-1.0 / gamma), AMOUNT_FLOOR)
+            floored, floored_K = C == AMOUNT_FLOOR, C_K == AMOUNT_FLOOR
             # G' along each end's candidates: W_K, all of each stage's rest
             # in that candidate, less C_K.
             dG = slope[..., 0] * p.W0 - (C * slope[..., :K]).sum(axis=2) / Rf - C_K
             if step == DUAL_NEWTON_STEPS or not run.any():
                 break
             # The Newton step in C_K, in which G' is linear for the zero
-            # penalty; gamma G'' = curv.
-            curv = (C / y * slope[0, :, :K] ** 2).sum(axis=1) / Rf ** 2 + C_K / lam_K
-            nxt = np.clip((C_K * (1.0 + dG[0] / (lam_K * curv)) / w[K]) ** -gamma, lo, hi)
+            # penalty, or in lam_K where C_K is floored; gamma G'' = curv,
+            # to which a floored amount adds nothing.
+            curv = ((np.where(floored, 0.0, C / y) * slope[0, :, :K] ** 2).sum(axis=1) / Rf ** 2
+                    + np.where(floored_K, 0.0, C_K / lam_K))
+            nxt = np.clip(np.where(floored_K, lam_K - gamma * dG[0] / curv,
+                                   (C_K * (1.0 + dG[0] / (lam_K * curv)) / w[K]) ** -gamma), lo, hi)
             run &= np.abs(nxt - lam_K) > 1e-13 * lam_K
             lam_K = np.where(run, nxt, lam_K)
         # The tied stage puts the share of its rest in the high end's
@@ -696,6 +707,9 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
         gaps[top_lo | top_hi] = 0.0
         duals = np.zeros((B, 2 * K + 1 + K * p.n))
         duals[:, :2 * K:2] = gaps[:, :, 0] / Rf
+        # A floored amount's floor row takes the price its utility leaves.
+        duals[:, 1:2 * K:2] = np.where(floored, y - weight[:K] * C ** -gamma, 0.0)
+        duals[:, 2 * K] = np.where(floored_K, lam_K - weight[K] * C_K ** -gamma, 0.0)
         duals[:, 2 * K + 1:] = gaps[:, :, 1:].reshape(B, -1)
         duals[~usable] = np.nan
     return np.where(usable[:, None], np.roll(hold, -1, axis=2).reshape(B, -1), np.nan), duals

@@ -12,15 +12,13 @@ CROSSOVER_GAP ends only in a crossover, which certifies by exact KKT on its
 face, so its point only has to guess that face.  The crossover guesses as
 active the rows whose slack is small against their barrier multiplier,
 t s_i^2 <= KAPPA, and keeps its result only where the KKT conditions verify.
-A caller that knows a point near each optimum, such as an inner problem the
-optimum its dual recovers, passes it as `warm`: a crossover from that point
-onto the rows it holds runs before any barrier stage, and only the problems
-it does not certify run the barrier, from their own start.  A caller that
-also knows the point's row multipliers, as that dual gives them, passes
-them as `duals`, and a problem whose point and multipliers verify the KKT
-conditions exits there with no Newton step, before any crossover.  Each round of
-the crossover's active-set loop is one lockstep face-Newton loop over all
-its faces, whatever their row counts, and tests the face optima as stacks.
+Each round of the crossover's active-set loop is one lockstep face-Newton
+loop over all its faces, whatever their row counts, and tests the face
+optima as stacks.  A caller that knows a point at each optimum and its row
+multipliers, as an inner problem's dual gives them, passes them as `warm`
+and `duals`: a problem whose point and multipliers verify the KKT conditions
+exits there with no Newton step, and the others run the barrier from their
+own start.
 
 `maximize_batch` solves B problems of one dimension D and one row count m
 together.  Every problem keeps its own iterate, Newton count, line search,
@@ -153,17 +151,17 @@ def maximize(
     tol: float = 1e-8,
     max_newton: int = 200,
 ) -> Solution:
-    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b),
-    (A, b, warm) or (A, b, warm, duals): warm a (D,) point near the optimum
-    and duals its (m,) row multipliers (see `maximize_batch`).
+    """Barrier method for  max f(x)  s.t.  A x <= b,  with cons = (A, b) or
+    (A, b, warm, duals): warm a (D,) point at the optimum and duals its (m,)
+    row multipliers (see `maximize_batch`).
 
     The one-problem call of `maximize_batch`; the oracle is evaluated with
     rows = [0].
     """
     A, b, *plan = cons
-    if len(plan) > 2:
-        raise ValueError("cons must be (A, b), (A, b, warm) or (A, b, warm, duals)")
-    warm, duals = [np.asarray(a, dtype=float)[None] for a in plan] + [None] * (2 - len(plan))
+    if len(plan) not in (0, 2):
+        raise ValueError("cons must be (A, b) or (A, b, warm, duals)")
+    warm, duals = [np.asarray(a, dtype=float)[None] for a in plan] or [None, None]
     x0 = np.asarray(x0, dtype=float)
     return maximize_batch(oracle, np.asarray(A)[None], np.asarray(b)[None], x0[None],
                           tol=tol, max_newton=max_newton, warm=warm, duals=duals)[0]
@@ -182,15 +180,11 @@ def maximize_batch(
     """Barrier method for  max f_i(x)  s.t.  A[i] x <= b[i],  for i < B at once.
 
     A is (B, m, D), b (B, m) and X0 (B, D); returns one Solution per problem.
-    warm, if given, is a (B, D) array of points near the optima, such as a
-    nearby problem's optima, a NaN row where a problem has none.  duals, if
-    given with warm, is a (B, m) array of each warm point's row multipliers
-    (NaN rows allowed): a problem whose warm point and multipliers pass the
-    KKT conditions (`_certify`) exits converged at its warm point with 0
-    Newton steps.  The others cross over from warm[i] onto its face, the
-    rows with b - A w <= 1e-10 (1 + |b|) (`_warm_crossover`); those that
-    verify to tol exit converged (their face steps counted as Newton steps)
-    and the rest run the barrier from X0.
+    warm and duals are given together or not at all: warm a (B, D) array of
+    points at the optima and duals a (B, m) array of their row multipliers,
+    NaN rows where a problem has none.  A problem whose warm point and
+    multipliers pass the KKT conditions (`_certify`) exits converged at its
+    warm point with 0 Newton steps; the others run the barrier from X0.
     Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
     (f = -inf).  Converged: the warm point's multipliers or a crossover
     verified the KKT conditions to tol, or the barrier-KKT residual fell to
@@ -203,14 +197,14 @@ def maximize_batch(
     X = np.array(X0, dtype=float)
     if A.shape[1] == 0:
         raise ValueError("unconstrained problems are not supported; add at least one row")
+    if (warm is None) != (duals is None):
+        raise ValueError("warm and duals must be given together")
     if warm is not None:
-        warm = np.asarray(warm, dtype=float)
+        warm, duals = np.asarray(warm, dtype=float), np.asarray(duals, dtype=float)
         if warm.shape != X.shape:
             raise ValueError(f"warm must be an array of shape {X.shape}, got {warm.shape}")
-    if duals is not None:
-        duals = np.asarray(duals, dtype=float)
-        if warm is None or duals.shape != b.shape:
-            raise ValueError(f"duals must come with warm and be an array of shape {b.shape}")
+        if duals.shape != b.shape:
+            raise ValueError(f"duals must be an array of shape {b.shape}, got {duals.shape}")
     out: list = [None] * A.shape[0]
     # A trial point outside a problem's domain or feasible set evaluates to
     # NaN or -inf and is rejected, so invalid-value warnings are silenced.
@@ -221,10 +215,8 @@ def maximize_batch(
         infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
         live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
         _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
-        if duals is not None:
+        if warm is not None:
             _certify(oracle, live, warm[live.rows], duals[live.rows], tol, out)
-        if warm is not None and live.size:
-            _warm_crossover(oracle, live, warm[live.rows], tol, out)
         _barrier(oracle, live, tol, max_newton, out)
     return out
 
@@ -251,29 +243,6 @@ def _certify(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, nu: np.ndarr
     _exit(out, live, done, STATUS_CONVERGED, kkt)
 
 
-def _warm_crossover(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, tol: float, out: list) -> None:
-    """Crossover of the rows of `live` from their warm points W onto the rows
-    each holds, b - A w <= 1e-10 (1 + |b|), the violation `_face_newton`
-    tolerates.  The rows it certifies exit converged.  The others, and those
-    whose warm point is NaN, violates a row by more than that or has a
-    non-finite objective, keep their start.  It runs in place on `live`,
-    whose rows of A are not copied."""
-    near = 1e-10 * (1.0 + np.abs(live.b))
-    S = live.b - stacked_matvec(live.A, W)
-    face = S <= near
-    j = np.flatnonzero((S >= -near).all(axis=1))   # false on a NaN row
-    del S, near
-    F = oracle.value(W[j], live.rows[j])
-    j, F = j[np.isfinite(F)], F[np.isfinite(F)]
-    X0, F0 = live.X, live.F
-    live.X, live.F = X0.copy(), F0.copy()
-    live.X[j], live.F[j] = W[j], F
-    kkt = _crossover(oracle, live, face, tol, np.full(live.size, np.inf), j.tolist())
-    done = kkt <= tol
-    live.X[~done], live.F[~done] = X0[~done], F0[~done]
-    _exit(out, live, done, STATUS_CONVERGED, kkt)
-
-
 def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int, out: list) -> None:
     """Centering stages at t = T_START * MU^j and at t_cap.  Problems at the
     Newton cap exit in `_center`, the others by the tests m/t admits."""
@@ -288,7 +257,7 @@ def _barrier(oracle: ObjectiveOracle, live: "_Live", tol: float, max_newton: int
             # Crossover: exact KKT on the guessed active face certifies a
             # concave optimum directly (comp. slackness makes the measure 0).
             # Row i is guessed active where t s_i^2 <= KAPPA (see `_crossover`).
-            kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt, range(live.size))
+            kkt = _crossover(oracle, live, t * live.S ** 2 <= KAPPA, tol, kkt)
         done = kkt <= tol
         _exit(out, live, done, STATUS_CONVERGED, kkt)
         if t >= t_cap:
@@ -498,11 +467,11 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
 
 
 def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: float,
-               kkt: np.ndarray, pending) -> np.ndarray:
-    """Newton crossover of the rows `pending` of `live` from their current
-    points onto their guessed active faces, face[j] the (m,) bool mask of row
-    j (modified in place).  Returns kkt with the relative stationarity of
-    each row certified to tol, which moves to its face optimum.
+               kkt: np.ndarray) -> np.ndarray:
+    """Newton crossover of the rows of `live` from their current points onto
+    their guessed active faces, face[j] the (m,) bool mask of row j
+    (modified in place).  Returns kkt with the relative stationarity of each
+    row certified to tol, which moves to its face optimum.
 
     From a barrier point at weight t the guess is t s_i^2 <= KAPPA: row i's
     slack is at most KAPPA times its barrier multiplier nu_i = 1/(t s_i) (the
@@ -521,6 +490,7 @@ def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: floa
     """
     steps = np.zeros(live.size, dtype=int)
     seen = set()  # (problem, face) pairs tried
+    pending = range(live.size)
     for _ in range(MAX_FACES):
         fresh = [j for j in pending if (j, face[j].tobytes()) not in seen]
         if not fresh:

@@ -278,15 +278,44 @@ def bellman_node_problem(p, Rq, wq, EJ):
     return bellman_oracle(p, Rq[None], wq, np.array([EJ], dtype=float)), node_constraints(p, Rq)
 
 
+def warm_solve(oracle, A, b, X0, W, tol) -> list:
+    """`concave.maximize_batch` from the starts X0, then a crossover from each
+    warm point W[i] (a NaN row where a problem has none) onto the rows it
+    holds, b - A w <= 1e-10 (1 + |b|), the violation `concave._face_newton`
+    tolerates.  A problem whose crossover certifies to tol takes the
+    crossover's optimum, with its face Newton steps as its Newton count; the
+    others, those whose X0 is infeasible and those whose warm point breaks a
+    row by more than that or lies outside the objective's domain keep their
+    solve from X0.  The crossover runs `concave._crossover` on a `_Live` of
+    just the problems it starts from."""
+    sols = concave.maximize_batch(oracle, A, b, X0, tol=tol)
+    W = np.asarray(W, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        S = b - concave.stacked_matvec(A, W)
+        near = 1e-10 * (1.0 + np.abs(b))
+        starts = (S >= -near).all(axis=1) & [sol.status != concave.STATUS_INFEASIBLE for sol in sols]
+        j = np.flatnonzero(starts)
+        F = oracle.value(W[j], j)
+        j, F = j[np.isfinite(F)], F[np.isfinite(F)]
+        live = concave._Live(rows=j, A=A[j], b=b[j], X=W[j].copy(), F=F, newton=np.zeros(j.size, dtype=int))
+        kkt = concave._crossover(oracle, live, S[j] <= near[j], tol, np.full(j.size, np.inf))
+    for r in np.flatnonzero(kkt <= tol):
+        sols[j[r]] = concave.Solution(x=live.X[r].copy(), f=float(live.F[r]), kkt_residual=float(kkt[r]),
+                                      iterations=int(live.newton[r]), status=concave.STATUS_CONVERGED)
+    return sols
+
+
 def joint_stage(p, grid, quad, J_next, X0, warm=None) -> list:
     """One stage's G joint (pi, c) node solves on the next stage's values
-    J_next, as one `maximize_batch` call from the (G, n + 1) starts X0 and,
-    if given, the warm points `warm`."""
+    J_next, as one `maximize_batch` call from the (G, n + 1) starts X0, or,
+    given the warm points `warm`, as one `warm_solve`."""
     Rq = dp_solver.node_returns(p, quad, grid)
     A, b = node_constraints(p, Rq)
     EJ = dp_solver.build_phi_transition(grid, p) @ J_next
-    return concave.maximize_batch(bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0,
-                                  tol=dp_solver.NODE_TOL, warm=warm)
+    oracle = bellman_oracle(p, Rq, quad.weights, EJ)
+    if warm is None:
+        return concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
+    return warm_solve(oracle, A, b, X0, warm, dp_solver.NODE_TOL)
 
 
 def joint_backward_recursion(p, grid, quad) -> dp_solver.ValueGrid:
@@ -312,7 +341,7 @@ def joint_backward_recursion(p, grid, quad) -> dp_solver.ValueGrid:
 
 
 def slack(cons, x: np.ndarray) -> np.ndarray:
-    """b - A x over the rows cons = (A, b) or (A, b, warm)."""
+    """b - A x over the rows cons = (A, b) or (A, b, warm, duals)."""
     A, b = cons[:2]
     return b - A @ x
 
@@ -334,7 +363,7 @@ class KKTReport:
 def check_kkt(sol: concave.Solution, oracle: concave.ObjectiveOracle,
               cons, active_tol: float = 1e-6) -> KKTReport:
     """Reconstruct multipliers on near-active rows cons = (A, b) or
-    (A, b, warm) by nonnegative least squares.
+    (A, b, warm, duals) by nonnegative least squares.
 
     A row is near-active when its slack is at most active_tol * (1 + |b_i|).
     """

@@ -1,7 +1,11 @@
 import concurrent.futures
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from helpers import (
     single_asset_params,
     slack,
     synthetic_value_grid,
+    warm_solve,
 )
 
 
@@ -327,21 +332,20 @@ class TestAssembleInner:
         # batch (16 pairs, 40-dim legs) the barrier from the interior start,
         # the path of a leg whose warm point does not certify, peaks at about
         # 62 KB a leg for each penalty, as much in its centring as in its
-        # crossovers' face systems.  The dual search and the crossover from
-        # the recovered optima take about 45 KB; with the optima's
-        # multipliers, the path of every leg here, 7 KB.
+        # crossovers' face systems.  The dual search and the certificate at
+        # the recovered optima with their multipliers, the path of every leg
+        # here, take about 7 KB.
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
         forms = penalties.penalty_form(kind, ctxs, p)
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert len(X0) == 32
-        # No plan, the recovered optima alone, and the optima with their
-        # multipliers.
-        for use in (0, 1, 2):
+        # No plan, and the recovered optima with their multipliers.
+        for use in (0, 2):
             tracemalloc.start()
             try:
-                plan = bounds._dual_plan(p, forms, ctxs)[:use] if use else ()
+                plan = bounds._dual_plan(p, forms, ctxs) if use else ()
                 concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                        **dict(zip(("warm", "duals"), plan)))
                 del plan
@@ -597,30 +601,11 @@ class TestUpperBound:
         # its interior start.  Each set holds one leg whose last barrier stages
         # reach a rounding-level Newton decrement while Newton still contracts;
         # stopping there, without `_center`'s contraction guard, flags it.
+        # Every measured leg certifies at its warm point, so this is the
+        # barrier's test at the inner dimension D = 40.
         plan = bounds._dual_plan
         monkeypatch.setattr(bounds, "_dual_plan",
                             lambda p, forms, ctxs: tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs)))
-        p, vg = solved_grid(sid, 3.0)
-        cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
-        assert upper_bound(p, vg, cfg).flagged_paths == 0
-
-    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
-    def test_small_gross_riskfree_rate_flags_no_leg(self, small_gross_riskfree_rate, kind):
-        # Badly scaled legs: one whose crossovers all fail depends on the
-        # barrier-KKT test of the t_cap stage.
-        p, vg = small_gross_riskfree_rate
-        est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
-        assert est.total_paths == 16
-        assert est.flagged_paths == 0
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_alpha_at_either_end_flags_no_leg_on_the_fallback(self, p_set1, monkeypatch, alpha):
-        # At alpha 0 (alpha 1) the dual recovers C_k = 0 (C_K = 0), outside
-        # the objective's domain, so no leg certifies at its warm point:
-        # every leg takes Newton steps in the barrier and its crossovers,
-        # the only inner solves measured that still reach `_face_newton`.
-        p = dataclasses.replace(p_set1, alpha=alpha)
-        vg = dp_solver.backward_recursion(p)
         solve, face_newton, steps, faces = concave.maximize_batch, concave._face_newton, [], []
 
         def counted_solve(*args, **kwargs):
@@ -632,13 +617,93 @@ class TestUpperBound:
             faces.append(A.shape[2])
             return face_newton(oracle, A, *args)
 
+        p, vg = solved_grid(sid, 3.0)
         monkeypatch.setattr(concave, "maximize_batch", counted_solve)
         monkeypatch.setattr(concave, "_face_newton", counted_faces)
+        cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
+        assert upper_bound(p, vg, cfg).flagged_paths == 0
+        assert len(steps) == 600 and min(steps) > 0
+        assert faces and set(faces) == {p.K * (p.n + 1)}
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_small_gross_riskfree_rate_flags_no_leg(self, small_gross_riskfree_rate, kind):
+        # Badly scaled legs: one whose crossovers all fail depends on the
+        # barrier-KKT test of the t_cap stage.
+        p, vg = small_gross_riskfree_rate
+        est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
+        assert est.total_paths == 16
+        assert est.flagged_paths == 0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_at_either_end_certifies_every_leg(self, p_set1, monkeypatch, alpha):
+        # At alpha 0 (alpha 1) the consumption (bequest) amounts carry no
+        # utility and sit on their floor AMOUNT_FLOOR, whose rows take the
+        # prices of those amounts as multipliers; every leg certifies at its
+        # dual-recovered optimum, with no Newton step and no face Newton
+        # call.  Its f is at least the barrier's from the interior start, to
+        # 1e-10 relative (the barrier accepts W_K up to 1e-10 under its
+        # floor), and at most G at both ends of the leg's search bracket.
+        p = dataclasses.replace(p_set1, alpha=alpha)
+        vg = dp_solver.backward_recursion(p)
+        face_newton, faces = concave._face_newton, []
+
+        def counted_faces(*args):
+            faces.append(args)
+            return face_newton(*args)
+
+        monkeypatch.setattr(concave, "_face_newton", counted_faces)
         for kind in penalties.PENALTY_KINDS:
-            steps.clear(), faces.clear()
-            est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=5, penalty_kind=kind, gamma=1.5))
-            assert est.total_paths == len(steps) == 16 and est.flagged_paths == 0
-            assert min(steps) > 0 and faces and set(faces) == {p.K * (p.n + 1)}
+            cfg = RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
+            est = upper_bound(p, vg, cfg)
+            assert est.total_paths == 64 and est.flagged_paths == 0 and not faces
+            ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p),
+                                            *bounds._chunk_shocks(p, cfg, (0, 32)))
+            forms = penalties.penalty_form(kind, ctxs, p)
+            oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+            warm, duals = bounds._dual_plan(p, forms, ctxs)
+            sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
+                                          max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
+            assert [(sol.status, sol.iterations) for sol in sols] == [(concave.STATUS_CONVERGED, 0)] * 64
+            assert not faces
+            f = np.array([sol.f for sol in sols])
+            assert np.array_equal(est.run_means, [np.mean(f[:32]), np.mean(f[32:])])
+            cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            assert all(sol.status == concave.STATUS_CONVERGED for sol in cold)
+            assert (f >= np.array([sol.f for sol in cold]) - 1e-10 * np.abs(f)).all()
+            for lam_K in bounds._dual_bracket(p, forms, ctxs)[:2]:
+                G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
+                assert (f <= G).all()
+            faces.clear()
+
+    def test_forty_stage_bounds_do_not_depend_on_the_blas_thread_count(self):
+        # Set 1 at K = 40 (inner dimension D = 160): the grid and the m1, m2
+        # and zero bounds of 8 pairs x 2 runs, seed 5, run in a process with
+        # one OpenBLAS thread and in one with two.  Every leg certifies at
+        # its dual-recovered optimum and makes no D = 160 LAPACK call, so
+        # the bytes agree.
+        script = (
+            "import dataclasses, hashlib\n"
+            "from dualbound import bounds, dp_solver, market\n"
+            "p = market.parameter_set(1, gamma=1.5)\n"
+            "p = dataclasses.replace(p, K=40, delta=1 / 40)\n"
+            "vg = dp_solver.backward_recursion(p)\n"
+            "h = hashlib.sha256(vg.J.tobytes())\n"
+            "for kind in ('m1', 'm2', 'zero'):\n"
+            "    cfg = bounds.RunConfig(paths_per_run=8, runs=2, seed=5, penalty_kind=kind, gamma=1.5)\n"
+            "    est = bounds.upper_bound(p, vg, cfg)\n"
+            "    assert est.flagged_paths == 0\n"
+            "    h.update(est.run_means.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src] + [q for q in [os.environ.get("PYTHONPATH")] if q]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_gamma20_upper_bounds_flag_no_leg_and_exceed_the_lower_bound(self, solved_grid):
         # At gamma 20 the crossover from the recovered optima certified
@@ -739,14 +804,14 @@ class TestDualFace:
         lam_K is at least its certified optimum.  Check that every leg with a
         recovered point certifies it by its multipliers, with 0 Newton steps
         and an f within 1e-13 relative of the crossover's from that point
-        without them, and that the point is within 1e-8 of the crossover's
-        optimum relative to its largest coordinate.  Returns the legs that
-        have one."""
+        (`helpers.warm_solve`), and that the point is within 1e-8 of the
+        crossover's optimum relative to its largest coordinate.  Returns the
+        legs that have one."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
         warm, duals = bounds._dual_plan(p, forms, ctxs)
-        sols, crossed = (concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                                max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=nu)
-                         for nu in (duals, None))
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                      warm=warm, duals=duals)
+        crossed = warm_solve(oracle, A, b, X0, warm, bounds.INNER_TOL)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
         assert [sol.status for sol in crossed] == [concave.STATUS_CONVERGED] * 2 * pairs
         f, f_crossed = np.array([sol.f for sol in sols]), np.array([sol.f for sol in crossed])
@@ -837,11 +902,11 @@ class TestDualFace:
             concave.STATUS_CONVERGED] * 4
 
     @pytest.mark.parametrize("corruption", ["negative", "slack row", "stationarity"])
-    def test_corrupted_multipliers_fall_back_to_the_crossover(self, p_set1, vg_set1, corruption):
+    def test_corrupted_multipliers_fall_back_to_the_barrier(self, p_set1, vg_set1, corruption):
         # One leg's multipliers corrupted: a held row's made negative, 1e-12
         # put on a row its point does not hold (too little to move its
-        # stationarity past tol), or all scaled by 1.01.  That leg crosses
-        # over from its warm point as without multipliers, and certifies;
+        # stationarity past tol), or all scaled by 1.01.  That leg runs the
+        # barrier from its interior start, as without a plan, and converges;
         # the others still certify with 0 Newton steps.
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 4)
         warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
@@ -859,13 +924,13 @@ class TestDualFace:
         assert (stationarity > bounds.INNER_TOL)[leg] == (corruption != "slack row")
         assert (bad[leg] >= 0.0).all() == (corruption != "negative")
         solve = functools.partial(concave.maximize_batch, oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                  max_newton=bounds.INNER_MAX_NEWTON, warm=warm)
-        sols, crossed = solve(duals=bad), solve()
+                                  max_newton=bounds.INNER_MAX_NEWTON)
+        sols, cold = solve(warm=warm, duals=bad), solve()
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * len(sols)
         assert [sol.iterations > 0 for sol in sols] == [i == leg for i in range(len(sols))]
-        assert np.array_equal(sols[leg].x, crossed[leg].x)
+        assert np.array_equal(sols[leg].x, cold[leg].x)
         assert (sols[leg].f, sols[leg].kkt_residual, sols[leg].iterations) == (
-            crossed[leg].f, crossed[leg].kkt_residual, crossed[leg].iterations)
+            cold[leg].f, cold[leg].kkt_residual, cold[leg].iterations)
 
     def test_plan_does_not_depend_on_the_stack(self, p_set1, vg_set1):
         # The legs of four pairs under all three penalties: alone, in one

@@ -11,7 +11,7 @@ from dualbound.concave import maximize
 from helpers import (at_point, bellman_node_problem, bellman_oracle, check_kkt, fd_hessian,
                      joint_backward_recursion, joint_default_start, max_violation, node_constraints,
                      node_objective_grid_search, pointwise_oracle, qp_active_set_oracle, single_asset_params,
-                     slack)
+                     slack, warm_solve)
 
 
 def bowl_oracle(center):
@@ -111,7 +111,7 @@ class TestMaximize:
         monkeypatch.setattr(concave, "_center", traced_center)
         monkeypatch.setattr(concave, "_line_search", traced_line_search)
         # Every crossover fails, so the ladder climbs to its barrier-KKT exits.
-        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
         # A Bellman node's tolerance and rows, then the inner problems'.
         for cons, tol in ((node_cons, 1e-8), (inner_cons, 1e-6)):
             stages.clear()
@@ -430,7 +430,7 @@ class TestExits:
         # At tol 1e-12 the barrier-KKT test is out of reach, so with every
         # crossover failing the ladder ends at t_cap.
         (oracle, A, b, X0), node = set1_last_stage_nodes(p_set1)
-        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt, pending: kkt)
+        monkeypatch.setattr(concave, "_crossover", lambda oracle, live, face, tol, kkt: kkt)
         sol = maximize(node(11), (A[11], b[11]), X0[11], tol=1e-12)
         assert sol.status == concave.STATUS_MAX_ITER
         assert sol.iterations == 30
@@ -506,78 +506,49 @@ def assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, oracle_of, r
     return violated
 
 
+def shifted(oracle, i):
+    """The one-problem oracle of problem i of a batch oracle, whose rows
+    depend only on their own problem."""
+    return concave.ObjectiveOracle(*(lambda X, rows, fn=fn: fn(X, rows + i)
+                                     for fn in (oracle.value, oracle.gradient, oracle.hessian)))
+
+
 class TestWarmFace:
-    """A warm point makes the solver try a crossover from it, onto the rows it
-    holds, before the barrier."""
+    """Solves from given points: the crossover of `helpers.warm_solve` from
+    each point onto the rows it holds, and `maximize_batch`'s warm points
+    with their multipliers."""
 
-    @pytest.fixture()
-    def barrier_rows(self, monkeypatch):
-        """Rows that reach the barrier, per `maximize_batch` call."""
-        rows = []
-        barrier = concave._barrier
-
-        def traced_barrier(oracle, live, *args):
-            rows.append(live.size)
-            return barrier(oracle, live, *args)
-
-        monkeypatch.setattr(concave, "_barrier", traced_barrier)
-        return rows
-
-    @staticmethod
-    def assert_near(sols, cold):
-        for sol, ref in zip(sols, cold):
-            assert sol.status == ref.status == concave.STATUS_CONVERGED
-            assert abs(sol.f - ref.f) <= dp_solver.NODE_TOL * (1.0 + abs(ref.f))
-            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-6)
-
-    @pytest.mark.parametrize("k", [0, 4, 8])
-    def test_the_next_stage_face_certifies_every_node(self, barrier_rows, p_set1, vg_set1, k):
-        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, k)
-        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
-        barrier_rows.clear()
-        warm = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=W)
-        assert barrier_rows == [0]
-        self.assert_near(warm, cold)
-        assert all(w.kkt_residual <= dp_solver.NODE_TOL for w in warm)
-        assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
-
-    def test_wrong_guesses_still_reach_the_cold_optimum(self, barrier_rows, p_set1, vg_set1):
-        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, 4)
-        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
-        # NaN rows and points that break a row by more than the crossover's
-        # tolerance start no crossover, so every node runs the barrier from
-        # X0, as without warm points.
-        barrier_rows.clear()
-        bad = W.copy()
-        bad[::2] = np.nan
-        bad[1::2, -1] = -2e-10   # c >= 0 broken by 2e-10 > 1e-10 (1 + |b|)
-        for sol, ref in zip(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad), cold):
-            assert_same_solution(sol, ref)
-        assert barrier_rows == [A.shape[0]]
-        # The interior start holds no row: the crossover's own active-set
-        # loop adds the rows the unconstrained step violates; whatever it
-        # does not certify runs the barrier.
-        self.assert_near(concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=X0), cold)
-
-    def test_one_crossover_round_costs_its_longest_face(self, barrier_rows, p_set1, vg_set1):
+    def test_one_crossover_round_costs_its_longest_face(self, monkeypatch, p_set1, vg_set1):
         # Stage K-2 with the faces of the stage K-1 optima: faces of 1, 2 and
-        # 3 rows, all certified in one crossover round without a barrier
-        # stage.  That round takes its faces' Newton steps together, one
-        # Hessian call for all running faces per step, so it costs the
-        # longest face's steps, not the sum of each face size's longest.
+        # 3 rows, all certified in one crossover round.  That round takes its
+        # faces' Newton steps together, one Hessian call for all running
+        # faces per step, so it costs the longest face's steps, not the sum
+        # of each face size's longest.
         (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, p_set1.K - 2)
         rows = held_rows(A, b, W).sum(axis=1)
         assert len(set(rows.tolist())) > 1
-        hessian_rows = []
-        hessian = oracle.hessian
+        calls = []  # per `_crossover` call: the row counts of its Hessian calls, and its result
+        hessian, crossover = oracle.hessian, concave._crossover
+        inside = [False]
 
         def counted_hessian(X, rows):
-            hessian_rows.append(len(rows))
+            if inside[0]:
+                calls[-1][0].append(len(rows))
             return hessian(X, rows)
 
-        counted = dataclasses.replace(oracle, hessian=counted_hessian)
-        sols = concave.maximize_batch(counted, A, b, X0, tol=dp_solver.NODE_TOL, warm=W)
-        assert barrier_rows == [0]
+        def traced_crossover(*args):
+            calls.append(([], None))
+            inside[0] = True
+            kkt = crossover(*args)
+            inside[0] = False
+            calls[-1] = (calls[-1][0], kkt)
+            return kkt
+
+        monkeypatch.setattr(concave, "_crossover", traced_crossover)
+        sols = warm_solve(dataclasses.replace(oracle, hessian=counted_hessian), A, b, X0, W, dp_solver.NODE_TOL)
+        # The last crossover is the one from the warm points; it certifies every node.
+        hessian_rows, kkt = calls[-1]
+        assert kkt.size == A.shape[0] and (kkt <= dp_solver.NODE_TOL).all()
         assert all(sol.status == concave.STATUS_CONVERGED for sol in sols)
         steps = np.array([sol.iterations for sol in sols])
         assert len(hessian_rows) == steps.max()
@@ -604,50 +575,43 @@ class TestWarmFace:
         assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, lambda i: oracle, rows_of=lambda i: [i])
 
     def test_batch_rows_equal_their_one_problem_solves(self, p_set1, vg_set1):
-        (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, 2)
-        guesses = W.copy()
-        guesses[1::4] = np.nan     # no warm point: the barrier from X0
-        guesses[2::4, 0] = -1.0    # breaks pi >= 0: the barrier from X0
-        guesses[3::4] = X0[3::4]   # holds no row: repaired by the active-set loop
-        batch = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=guesses)
+        # Eight set-1 inner problems with their dual-recovered optima and
+        # multipliers: those that certify exit there with 0 Newton steps,
+        # the others run the barrier from X0.
+        cfg = bounds.RunConfig(paths_per_run=4, runs=2, seed=5, penalty_kind="m1", gamma=1.5)
+        ctxs = penalties.build_contexts(p_set1, vg_set1, dp_solver.make_grid_policy(vg_set1, p_set1),
+                                        *bounds._chunk_shocks(p_set1, cfg, (0, 4)))
+        forms = penalties.penalty_form("m1", ctxs, p_set1)
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)
+        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        warm[1::4] = duals[1::4] = np.nan   # no plan
+        duals[2::4] *= 1.01                 # multipliers off by 1%
+        warm[3::4] = X0[3::4]               # a point that holds no row
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                       warm=warm, duals=duals)
+        assert [sol.iterations == 0 for sol in batch] == [i % 4 == 0 for i in range(len(batch))]
         for i, sol in enumerate(batch):
-            assert_same_solution(sol, maximize(node(i), (A[i], b[i], guesses[i]), X0[i], tol=dp_solver.NODE_TOL))
+            assert sol.status == concave.STATUS_CONVERGED
+            assert_same_solution(sol, maximize(shifted(oracle, i), (A[i], b[i], warm[i], duals[i]), X0[i],
+                                               tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON))
 
     def test_malformed_guess_is_rejected(self, p_set1, vg_set1):
         (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, 2)
-        for bad in (W[0], W[:1], W[:, :-1], W[:, :, None]):
-            with pytest.raises(ValueError, match="warm"):
-                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad)
         nu = np.zeros_like(b)
+        for bad in (W[0], W[:1], W[:, :-1], W[:, :, None]):
+            with pytest.raises(ValueError, match="warm must be"):
+                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=bad, duals=nu)
         for bad in (nu[0], nu[:, :-1], nu[:, :, None]):
-            with pytest.raises(ValueError, match="duals"):
+            with pytest.raises(ValueError, match="duals must be"):
                 concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, warm=W, duals=bad)
-        with pytest.raises(ValueError, match="duals"):
-            concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, duals=nu)
-        for cons in ((A[0], b[0], W[0][:-1]), (A[0], b[0], W[:1]), (A[0], b[0], W[0], nu[0][:-1]),
-                     (A[0], b[0], W[0], nu[0], nu[0])):
+        # A warm point without its multipliers, and multipliers without a point.
+        for plan in (dict(warm=W), dict(duals=nu)):
+            with pytest.raises(ValueError, match="together"):
+                concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL, **plan)
+        for cons in ((A[0], b[0], W[0]), (A[0], b[0], W[0][:-1], nu[0]), (A[0], b[0], W[:1], nu[0]),
+                     (A[0], b[0], W[0], nu[0][:-1]), (A[0], b[0], W[0], nu[0], nu[0])):
             with pytest.raises(ValueError):
                 maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
-
-    def test_warm_point_outside_the_domain_falls_back_to_x0(self):
-        # max log x + log(2 - x) on -1 <= x <= 2: x = -0.5 breaks no row but
-        # lies outside the objective's domain x > 0, so its problem runs the
-        # barrier from X0 as without a warm point.  A point that breaks a row
-        # by less than 1e-10 (1 + |b|) still starts the crossover, which
-        # keeps a face optimum no worse than that point.
-        oracle = pointwise_oracle(
-            value=lambda x: float(np.log(x[0]) + np.log(2.0 - x[0])) if 0.0 < x[0] < 2.0 else -np.inf,
-            gradient=lambda x: np.array([1.0 / x[0] - 1.0 / (2.0 - x[0])]),
-            hessian=lambda x: np.array([[-1.0 / x[0] ** 2 - 1.0 / (2.0 - x[0]) ** 2]]),
-        )
-        cons = np.array([[-1.0], [1.0]]), np.array([1.0, 2.0])
-        x0 = np.array([1.5])
-        cold = maximize(oracle, cons, x0, tol=1e-10)
-        assert_same_solution(maximize(oracle, cons + (np.array([-0.5]),), x0, tol=1e-10), cold)
-        near = maximize(oracle, (np.array([[1.0], [-1.0]]), np.array([0.5, 0.0]), np.array([0.5 + 5e-11])),
-                        np.array([0.25]), tol=1e-10)
-        assert near.status == concave.STATUS_CONVERGED and near.iterations <= 2
-        assert near.x[0] == 0.5
 
 
 def fixed_and_free_face(value, gradient, curvature):
@@ -683,7 +647,7 @@ class TestFaceNewtonStop:
         assert x[0, 0] == 0.0 and abs(x[0, 1] - 1.0) <= 1e-12
         assert nu[0].tolist() == [1.0, 0.0] and not violated.any()
         assert stationarity[0] <= 1e-12
-        sol = maximize(oracle, (A[0], b[0], start[0]), np.array([1.0, 1.0]), tol=1e-10)
+        sol, = warm_solve(oracle, A, b, np.array([[1.0, 1.0]]), start, 1e-10)
         assert sol.status == concave.STATUS_CONVERGED and sol.iterations == steps[0]
         np.testing.assert_array_equal(sol.x, x[0])
 
