@@ -518,6 +518,60 @@ class TestWarmFace:
     each point onto the rows it holds, and `maximize_batch`'s warm points
     with their multipliers."""
 
+    @pytest.fixture()
+    def crossover_kkt(self, monkeypatch):
+        """The KKT residuals each `_crossover` call returns, one array a call;
+        the last call of a `warm_solve` is its crossover from the given
+        points."""
+        results = []
+        crossover = concave._crossover
+
+        def traced_crossover(*args):
+            results.append(crossover(*args))
+            return results[-1]
+
+        monkeypatch.setattr(concave, "_crossover", traced_crossover)
+        return results
+
+    @staticmethod
+    def assert_near(sols, cold):
+        for sol, ref in zip(sols, cold):
+            assert sol.status == ref.status == concave.STATUS_CONVERGED
+            assert abs(sol.f - ref.f) <= dp_solver.NODE_TOL * (1.0 + abs(ref.f))
+            np.testing.assert_allclose(sol.x, ref.x, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_the_next_stage_face_certifies_every_node(self, crossover_kkt, p_set1, vg_set1, k):
+        # Every node starts a crossover from its stage k+1 optimum and
+        # certifies there, in fewer face Newton steps than the cold solve's
+        # Newton steps.
+        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, k)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
+        warm = warm_solve(oracle, A, b, X0, W, dp_solver.NODE_TOL)
+        kkt = crossover_kkt[-1]
+        assert kkt.size == A.shape[0] and (kkt <= dp_solver.NODE_TOL).all()
+        self.assert_near(warm, cold)
+        assert all(w.kkt_residual <= dp_solver.NODE_TOL for w in warm)
+        assert sum(w.iterations for w in warm) < sum(c.iterations for c in cold)
+
+    def test_wrong_guesses_still_reach_the_cold_optimum(self, crossover_kkt, p_set1, vg_set1):
+        (oracle, A, b, X0), W, _ = set1_stage_nodes(p_set1, vg_set1, 4)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=dp_solver.NODE_TOL)
+        # NaN rows and points that break a row by more than the crossover's
+        # tolerance start no crossover, so every node keeps its solve from
+        # X0.
+        bad = W.copy()
+        bad[::2] = np.nan
+        bad[1::2, -1] = -2e-10   # c >= 0 broken by 2e-10 > 1e-10 (1 + |b|)
+        for sol, ref in zip(warm_solve(oracle, A, b, X0, bad, dp_solver.NODE_TOL), cold):
+            assert_same_solution(sol, ref)
+        assert crossover_kkt[-1].size == 0
+        # The interior start holds no row: the crossover's own active-set
+        # loop adds the rows the unconstrained step violates; whatever it
+        # does not certify keeps its solve from X0.
+        self.assert_near(warm_solve(oracle, A, b, X0, X0, dp_solver.NODE_TOL), cold)
+        assert crossover_kkt[-1].size == A.shape[0]
+
     def test_one_crossover_round_costs_its_longest_face(self, monkeypatch, p_set1, vg_set1):
         # Stage K-2 with the faces of the stage K-1 optima: faces of 1, 2 and
         # 3 rows, all certified in one crossover round.  That round takes its
@@ -612,6 +666,29 @@ class TestWarmFace:
                      (A[0], b[0], W[0], nu[0][:-1]), (A[0], b[0], W[0], nu[0], nu[0])):
             with pytest.raises(ValueError):
                 maximize(node(0), cons, X0[0], tol=dp_solver.NODE_TOL)
+
+    def test_warm_point_outside_the_domain_falls_back_to_x0(self, crossover_kkt):
+        # max log x + log(2 - x) on -1 <= x <= 2: x = -0.5 breaks no row but
+        # lies outside the objective's domain x > 0, so it starts no
+        # crossover and its problem keeps its solve from X0.  A point that
+        # breaks a row by less than 1e-10 (1 + |b|) still starts the
+        # crossover, which keeps a face optimum no worse than that point.
+        oracle = pointwise_oracle(
+            value=lambda x: float(np.log(x[0]) + np.log(2.0 - x[0])) if 0.0 < x[0] < 2.0 else -np.inf,
+            gradient=lambda x: np.array([1.0 / x[0] - 1.0 / (2.0 - x[0])]),
+            hessian=lambda x: np.array([[-1.0 / x[0] ** 2 - 1.0 / (2.0 - x[0]) ** 2]]),
+        )
+        A, b = np.array([[[-1.0], [1.0]]]), np.array([[1.0, 2.0]])
+        x0 = np.array([[1.5]])
+        cold = maximize(oracle, (A[0], b[0]), x0[0], tol=1e-10)
+        sol, = warm_solve(oracle, A, b, x0, np.array([[-0.5]]), 1e-10)
+        assert_same_solution(sol, cold)
+        assert crossover_kkt[-1].size == 0
+        near, = warm_solve(oracle, np.array([[[1.0], [-1.0]]]), np.array([[0.5, 0.0]]), np.array([[0.25]]),
+                           np.array([[0.5 + 5e-11]]), 1e-10)
+        assert crossover_kkt[-1].size == 1 and crossover_kkt[-1][0] <= 1e-10
+        assert near.status == concave.STATUS_CONVERGED and near.iterations <= 2
+        assert near.x[0] == 0.5
 
 
 def fixed_and_free_face(value, gradient, curvature):
