@@ -21,18 +21,21 @@ tasks nor the slices depend on the worker count.
 
 Each inner solve is warm-started from the inner problem's Lagrangian dual,
 which the floor chain of the wealth multipliers makes a function of the
-terminal multiplier lambda_K alone (`_floor_chain`): a search of lambda_K
-(`_dual_bracket`) finds where the dual's slope changes sign, and
-`_dual_plan` reads off the final bracket the primal optimum the dual
-recovers (the consumption that lambda prices and the wealth that the
-maximal candidates carry) and the multipliers of its rows (each
-candidate's gap below lambda_k, and on a floored amount's floor row the
-price its utility leaves).  They are the leg's `warm` point and `duals` in
-`concave.maximize_batch`, which certifies the leg by the KKT conditions at
-that point with those multipliers, with no Newton step (Boyd &
-Vandenberghe 2004, 5.5.3).  A leg they do not certify falls back to the
-barrier from the interior start; the reported value is the primal optimum
-f either way.
+terminal multiplier lambda_K alone (`_floor_chain`).  Every gross return is
+positive, so each wealth multiplier is a convex, increasing, piecewise-linear
+function of lambda_K: `_breakpoints` finds each leg's breakpoints in one
+pass, `_dual_search` bisects the dual's slope over the pieces between them
+to two adjacent pieces, and `_dual_plan` finds in them, in closed form or by
+Newton steps along one piece, where that slope changes sign.  It reads off
+there the primal optimum the dual recovers (the consumption that lambda
+prices and the wealth that the maximal candidates carry) and the
+multipliers of its rows (each candidate's gap below lambda_k, and on a
+floored amount's floor row the price its utility leaves).  They are the
+leg's `warm` point and `duals` in `concave.maximize_batch`, which certifies
+the leg by the KKT conditions at that point with those multipliers, with no
+Newton step (Boyd & Vandenberghe 2004, 5.5.3).  A leg they do not certify
+falls back to the barrier from the interior start; the reported value is
+the primal optimum f either way.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import concave, dp_solver, penalties
-from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths, step_wealth
+from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths
 
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
@@ -69,15 +72,13 @@ UPPER_CHUNK_PAIRS = 16
 # and penalties and runs the dual search once for all its slices, work that
 # pays a fixed cost a call: on the `dual-bound` benchmark, 64-pair tasks
 # take a fifth less wall time than 16-pair ones, and their own stages peak
-# at about 4.7 KB a leg, an eighth of a slice's solve.  A multiple of the
+# at about 5.1 KB a leg, an eighth of a slice's solve.  A multiple of the
 # slice keeps the task's memory scaling with D like the slices'.
 UPPER_SLICES_PER_TASK = 4
-# The search of `_dual_bracket` stops a leg at this relative bracket width,
-# or after this many floor-chain evaluations.
-DUAL_REL_WIDTH = 1e-6
-DUAL_MAX_EVALS = 40
-# `_dual_plan`'s Newton steps on lam_K per leg, at most; the set-1, -2 and
-# -4 legs measured take at most 4.
+# `_dual_plan`'s Newton steps on lam_K per leg, at most.  From the breakpoint
+# that ends its piece, every leg measured (sets 1-4 at gamma 1.5 to 20, K = 20
+# and 40, R_f = 5e-4, alpha 0 and 1) takes at most 4, and a zero-penalty leg
+# 1.
 DUAL_NEWTON_STEPS = 20
 
 CSV_COLUMNS = (
@@ -514,10 +515,22 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
     return oracle, (A[0], b[0], warm[0], duals[0]), X0[0]
 
 
-def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
+def _candidate_lines(p: ModelParams, forms, ctxs) -> tuple:
+    """Each stage's candidate lines for lambda_k as (gross, offset), each
+    (n+1, K, B), the bond's last, in the order of x's stage coordinates
+    (see `_floor_chain`)."""
+    B, K, n = ctxs.R.shape
+    gross, offset = np.full((n + 1, K, B), p.R_f), np.zeros((n + 1, K, B))
+    gross[:n] = ctxs.R.transpose(2, 1, 0)
+    offset[:n] = forms.lin_Pi.transpose(2, 1, 0)
+    return gross, offset
+
+
+def _floor_chain(p: ModelParams, lines, lin_C, constant, w, lam_K):
     """The inner problem's Lagrangian dual G and its slope G' at lam_K, along
-    the floor chain, for each leg of a stack: R (B, K, n) and the form's
-    lin_Pi (B, K, n), lin_C (B, K) and constant (B,).
+    the floor chain, for each leg of a stack: its candidate lines
+    (`_candidate_lines`), the form's lin_C (B, K) and constant (B,), and
+    w = `_utility_weights(p)` ** (1/gamma).
 
     Stage k's candidates for lambda_k are the bond's R_f lambda_{k+1} and
     asset j's R_kj lambda_{k+1} - lin_Pi[k, j].  lambda_k is their maximum,
@@ -530,20 +543,18 @@ def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
     at C = (y / w)^(-1/gamma), and dc/dy = -C.  Any lam_K > 0 gives G >= the
     inner maximum (weak duality; the floors on C_k and W_K only lower it).
     Returns (G, G', top) with top (B, K, n+1) marking the maximal
-    candidates, the bond first.  A leg with some y_k <= 0 has G = +inf, and
-    G' = -inf so that a search moves its lam_K up.
+    candidates, the bond last.  A leg with some y_k <= 0 has G = +inf and
+    G' = -inf: its lam_K is below the minimizer.
     """
+    gross, offset = lines
     B, K = lam_K.size, p.K
-    # Stage-major candidate lines (K, B, n+1), the bond's first.
-    gross = np.concatenate([np.full((K, B, 1), p.R_f), R.transpose(1, 0, 2)], axis=2)
-    offset = np.concatenate([np.zeros((K, B, 1)), lin_Pi.transpose(1, 0, 2)], axis=2)
     lam = np.empty((K + 1, B))
     lam[K] = lam_K
     for k in range(K - 1, -1, -1):
-        lam[k] = np.maximum.reduce(gross[k] * lam[k + 1, :, None] - offset[k], axis=1)
-    top = gross * lam[1:, :, None] - offset == lam[:-1, :, None]
+        lam[k] = np.maximum.reduce(gross[:, k] * lam[k + 1] - offset[:, k], axis=0)
+    top = gross * lam[1:] - offset == lam[:-1]
     # d lambda_k / d lam_K: the product of the stage growths from K-1 down to k.
-    growth = np.maximum.reduce(np.where(top, gross, 0.0), axis=2)
+    growth = np.maximum.reduce(np.where(top, gross, 0.0), axis=0)
     slopes = np.multiply.accumulate(growth[::-1], axis=0)[::-1]
     # Leg-major copies, so that each leg's sums over k run on a contiguous
     # row in the same order whatever B is.
@@ -551,168 +562,208 @@ def _floor_chain(p: ModelParams, R, lin_Pi, lin_C, constant, lam_K):
     y = lin_C + lams / p.R_f
     feasible = y.min(axis=1) > 0.0
     y = np.where(feasible[:, None], y, 1.0)
-    w = _utility_weights(p) ** (1.0 / p.gamma)
     C = w[:K] * y ** (-1.0 / p.gamma)
     C_K = w[K] * lam_K ** (-1.0 / p.gamma)
     G = (lams[:, 0] * p.W0 - constant
          + p.gamma / (1.0 - p.gamma) * ((C * y).sum(axis=1) + C_K * lam_K))
     dG = slopes[:, 0] * p.W0 - (C * slopes).sum(axis=1) / p.R_f - C_K
-    return np.where(feasible, G, np.inf), np.where(feasible, dG, -np.inf), top.transpose(1, 0, 2)
+    return np.where(feasible, G, np.inf), np.where(feasible, dG, -np.inf), top.transpose(2, 1, 0)
 
 
-def _dual_bracket(p: ModelParams, forms, ctxs) -> tuple:
-    """Each leg's search of lam_K for the sign change of G' (`_floor_chain`).
+def _breakpoints(lines) -> tuple:
+    """Each leg's breakpoints in lam_K, where a stage's maximal candidate
+    changes, from its candidate lines (`_candidate_lines`).
 
-    Multipliers lambda_k on the wealth equations W_{k+1} = R_f B_k + R_k'Pi_k
-    (bond holding B_k = W_k - 1'Pi_k - C_k / R_f) make the inner problem's
-    dual a function of lambda_K alone: every stage of the optimum holds
-    something, so lambda_k sits on its floor max(R_f lambda_{k+1},
-    max_j(R_kj lambda_{k+1} - lin_Pi[k, j])) (Boyd & Vandenberghe 2004,
-    5.1-5.5).  The search starts at the baseline's terminal marginal utility
-    w_K W_K^-gamma, doubles or halves lam_K until G' changes sign, then takes
-    tangent-intersection steps, bisecting where the intersection is not
-    inside the bracket.  A leg stops when its bracket's relative width is at
-    most DUAL_REL_WIDTH, when its two ends mark the same candidates maximal
-    (each candidate is maximal on an interval of lam_K, so every lam_K
-    between them then does too), or after DUAL_MAX_EVALS evaluations.
+    Every gross return is positive, so stage k's floor h_k(v) = max_j(g_kj v
+    - o_kj) is convex, increasing and piecewise linear in v = lambda_{k+1},
+    and so is each lambda_k in lam_K, a composition of such floors
+    (Rockafellar 1970, section 5).  Candidate j is maximal on the interval
+    of v between its ties (o_j - o_i) / (g_j - g_i) with the flatter lines i
+    (the largest) and with the steeper ones (the smallest), where that
+    interval is not empty; at its right end a steeper candidate takes over.
+    The inverse floors h_m^-1(v) = min_i (v + o_mi) / g_mi, m = k+1, ...,
+    K-1, map that end to lam_K; an end that maps to lam_K <= 0 lies below
+    lambda_{k+1}(0+) and is never reached.  A stage has at most n
+    breakpoints, so a leg has at most K n.
 
-    Returns (lo, hi, top_lo, top_hi): each leg's bracket, G' < 0 at lo and
-    >= 0 at hi, with the maximal candidates at its ends.  A side not found
-    within the cap reads lo = 0 or hi = inf and takes the other's candidates.
-    Every operation acts leg by leg, so a leg gets the same bracket alone or
-    in any stack.
+    Returns (edge, right, steep): edge (B, K n + 2) each leg's breakpoints
+    in increasing order after a 0 and padded with +inf, so that its piece i
+    is (edge[i], edge[i+1]); right (n+1, K, B) each candidate's right end in
+    lam_K, +inf where it has none; and steep (K, B) each stage's steepest
+    candidate, maximal above all its right ends.  Every operation acts leg
+    by leg.
     """
-    K = p.K
-    W_K = step_wealth(ctxs.W[:, -1], ctxs.Pi[:, -1], ctxs.C[:, -1], ctxs.R[:, -1], p)
+    gross, offset = lines
+    J, K, B = gross.shape
+    left, right = np.full((J, K, B), -np.inf), np.full((J, K, B), np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = _utility_weights(p)[K] * W_K ** -p.gamma
-        x = np.where(np.isfinite(x) & (x > 0.0), x, 1.0)  # w_K = 0 where alpha = 1
-        G, dG, top = _floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, x)
-        below = dG < 0.0
-        lo, hi = np.where(below, x, 0.0), np.where(below, np.inf, x)
-        G_lo, G_hi, dG_lo, dG_hi = G, G.copy(), dG, dG.copy()
-        top_lo, top_hi = top, top.copy()
-        for _ in range(DUAL_MAX_EVALS - 1):
-            bracketed = (lo > 0.0) & (hi < np.inf)
-            searching = ~bracketed | ((hi - lo > DUAL_REL_WIDTH * hi) & ~(top_lo == top_hi).all(axis=(1, 2)))
-            j = np.flatnonzero(searching)
-            if j.size == 0:
-                break
-            a, z = lo[j], hi[j]
-            cut = (G_hi[j] - G_lo[j] + dG_lo[j] * a - dG_hi[j] * z) / (dG_lo[j] - dG_hi[j])
-            x = np.where(z == np.inf, 2.0 * a, np.where(a == 0.0, 0.5 * z,
-                         np.where((cut > a) & (cut < z), cut, 0.5 * (a + z))))
-            G, dG, top = _floor_chain(p, ctxs.R[j], forms.lin_Pi[j], forms.lin_C[j], forms.constant[j], x)
-            below = dG < 0.0
-            up, down = j[below], j[~below]
-            lo[up], G_lo[up], dG_lo[up], top_lo[up] = x[below], G[below], dG[below], top[below]
-            hi[down], G_hi[down], dG_hi[down], top_hi[down] = x[~below], G[~below], dG[~below], top[~below]
-    return lo, hi, top_lo, top_hi
+        for i in range(J):
+            tie = (offset - offset[i]) / (gross - gross[i])
+            np.maximum(left, np.where(gross > gross[i], tie, -np.inf), out=left)
+            np.minimum(right, np.where(gross < gross[i], tie, np.inf), out=right)
+        # A candidate never maximal maps to lam_K <= 0 from 0, and so does
+        # every tie at some v <= 0.
+        right = np.where(left < right, right, 0.0)
+        # The inverse floors keep an end <= 0 there and +inf at +inf, so
+        # where no leg has another (the zero penalty) neither they nor the
+        # ordering below need run.
+        reached = ((right > 0.0) & (right < np.inf)).any()
+        if reached:
+            for m in range(1, K):
+                part, right[:, :m] = right[:, :m].copy(), np.inf
+                for i in range(J):
+                    np.minimum(right[:, :m], (part + offset[i, m]) / gross[i, m], out=right[:, :m])
+    right = np.where(right > 0.0, right, np.inf)
+    e = right.transpose(2, 1, 0).reshape(B, -1)
+    if reached:
+        # Each end's place in its leg's order is the count of ends below it,
+        # one candidate at a time: numpy's sort code would add about 0.2 MB of
+        # resident pages to a process that sorts nothing else.  Every +inf
+        # goes to the last column.
+        below = np.stack([(e[:, None, :] < end[:, :, None]).sum(axis=2) for end in right.transpose(0, 2, 1)], axis=2)
+        place = np.where(e < np.inf, below.reshape(B, -1) + 1, K * J + 1)
+    edge = np.full((B, K * J + 2), np.inf)
+    edge[:, 0] = 0.0
+    if reached:
+        np.put_along_axis(edge, place, e, axis=1)
+    return edge[:, :K * (J - 1) + 2], right, gross.argmax(axis=0)
 
 
-def _candidate_lines(p: ModelParams, forms, ctxs) -> tuple:
-    """Each stage's candidate lines for lambda_k as (gross, offset), each
-    (B, K, n+1), the bond's first (see `_floor_chain`)."""
-    B, K = ctxs.R.shape[:2]
-    return (np.concatenate([np.full((B, K, 1), p.R_f), ctxs.R], axis=2),
-            np.concatenate([np.zeros((B, K, 1)), forms.lin_Pi], axis=2))
+def _dual_search(p: ModelParams, lines, forms, w) -> tuple:
+    """Each leg's two adjacent pieces around the sign change of G'
+    (`_floor_chain`), by bisection over the pieces of `_breakpoints`.
+
+    G is convex in lam_K, so G' increases.  A leg starts with its outermost
+    pieces, 0 and its last, and evaluates G' at the midpoint of the piece
+    halfway between its two, which takes the low one's place where G' < 0
+    there and the high one's where not.  It stops when its two pieces are
+    adjacent, after about log2 of its piece count evaluations; the outermost
+    pieces are never evaluated, and a leg with no breakpoint evaluates
+    nothing.  Returns (ends, at): ends (3, B) the low piece's left end, the
+    breakpoint where the two meet and the high piece's right end, (0, inf,
+    inf) where a leg has no breakpoint and one piece; and at (2, K, B) each
+    stage's maximal candidate on the low and the high piece, the one with
+    the first right end at or above the piece's, or the steepest where
+    there is none.  Every operation acts leg by leg.
+    """
+    edge, right, steep = _breakpoints(lines)
+    high = (edge < np.inf).sum(axis=1) - 1
+    low = 0 * high
+    while (j := np.flatnonzero(high - low > 1)).size:
+        piece = (low[j] + high[j]) >> 1   # a shift: numpy's integer // adds 64 KB of resident code
+        x = 0.5 * (edge[j, piece] + edge[j, piece + 1])
+        below = _floor_chain(p, (lines[0][..., j], lines[1][..., j]), forms.lin_C[j], forms.constant[j], w, x)[1] < 0.0
+        low[j], high[j] = np.where(below, piece, low[j]), np.where(below, high[j], piece)
+    ends = edge[np.arange(len(edge)), low + np.arange(3)[:, None]]
+    ahead = np.where(right[:, None] >= ends[1:, None], right[:, None], np.inf)
+    return ends, np.where(ahead.min(axis=0) < np.inf, ahead.argmin(axis=0), steep)
 
 
 def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     """Each leg's primal optimum as its dual recovers it (Boyd & Vandenberghe
     2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, and
-    its rows' multipliers, (B, m) in the rows' order there, from one
-    `_dual_bracket` search.  Where the bracket's ends mark the same
-    candidates, every lambda_k is affine in lam_K between them, and Newton
-    steps on G', clipped to the bracket, give lam_K; where they differ at
-    one stage, one candidate at each end, lam_K is where those two tie.
-    C_k = max((y_k / w_k)^(-1/gamma), AMOUNT_FLOOR) and C_K the same way,
-    so an amount whose utility weight w is 0 sits on its floor.  A floored
-    amount adds nothing to the curvature of those Newton steps, and where
-    C_K is floored they are taken in lam_K.  Then stage k invests
-    rest_k = W_k - C_k / R_f in its maximal candidate, W_k forward from W_0.
-    The tied stage puts in its high end's candidate the share of its rest
-    at which W_K = C_K: W_K - C_K is G' along the low end's candidates at
-    share 0 and along the high end's at share 1, and affine in between.
-    The multipliers take lambda_k = slope_k lam_K + icpt_k along the low
-    end's candidates and lambda_K = lam_K: lambda_k / R_f - lambda_{k+1}
-    on the budget row of stage k (-R_f B_k <= 0), lambda_k - (R_kj
-    lambda_{k+1} - lin_Pi[k, j]) on the row -Pi_kj <= 0, exactly 0 for
-    every candidate maximal at either bracket end, y_k - w_k C_k^(-gamma) on
-    the floor row of a floored C_k, lam_K - w_K C_K^(-gamma) on the bequest
-    floor row where C_K is floored, and exactly 0 on every other floor row.
-    A leg's rows are NaN where its bracket is open or it ties at two stages.
-    Every operation acts leg by leg.
+    its rows' multipliers, (B, m) in the rows' order there.
+
+    Each lambda_k is affine in lam_K on each piece between the breakpoints
+    of `_breakpoints`, and `_dual_search` finds two adjacent pieces around
+    the sign change of G', which meet at a breakpoint e.  G' at e along
+    each piece's candidates decides: where G' along the low piece's is >= 0
+    at e, lam_K is in the low piece; where G' along the high piece's is < 0
+    at e, it is in the high piece; and otherwise G' jumps across 0 at e and
+    lam_K = e.  In a piece, Newton steps on G' from e, clipped to the piece,
+    give lam_K; a leg with no breakpoint starts them at lam_K = 1.
+    C_k = max((y_k / w_k)^(-1/gamma), AMOUNT_FLOOR) and C_K the same way, so
+    an amount whose utility weight w is 0 sits on its floor.  A floored
+    amount adds nothing to the curvature of those Newton steps, which are
+    taken in lam_K^(-1/gamma), where G' is linear for the zero penalty: its
+    first step lands on lam_K = (b / a)^gamma for G' = a - b lam_K^(-1/gamma).
+    Then stage k invests rest_k = W_k - C_k / R_f in its maximal candidate,
+    W_k forward from W_0.  At lam_K = e the stage whose candidate changes
+    there puts in the high piece's candidate the share of its rest at which
+    W_K = C_K: W_K - C_K is G' along the low piece's candidates at share 0
+    and along the high piece's at share 1, and affine in between.  The
+    multipliers take lambda_k = slope_k lam_K + icpt_k along the low piece's
+    candidates and lambda_K = lam_K: lambda_k / R_f - lambda_{k+1} on the
+    budget row of stage k (-R_f B_k <= 0), lambda_k - (R_kj lambda_{k+1} -
+    lin_Pi[k, j]) on the row -Pi_kj <= 0, exactly 0 for every candidate
+    maximal on either piece, y_k - w_k C_k^(-gamma) on the floor row of a
+    floored C_k, lam_K - w_K C_K^(-gamma) on the bequest floor row where C_K
+    is floored, and exactly 0 on every other floor row.  Every operation
+    acts leg by leg.
     """
     K, Rf, gamma = p.K, p.R_f, p.gamma
-    lo, hi, top_lo, top_hi = _dual_bracket(p, forms, ctxs)
-    B = lo.size
-    # The gross return and offset of each stage's maximal candidate at the
-    # low end ([0]) and the high end ([1]).
-    at = np.stack([top_lo, top_hi]).argmax(axis=3)[..., None]
-    gross, offset = (np.take_along_axis(line[None], at, 3)[..., 0] for line in _candidate_lines(p, forms, ctxs))
-    differ = at[0, ..., 0] != at[1, ..., 0]
-    tied = differ.any(axis=1)
-    usable = (lo > 0.0) & (hi < np.inf) & (differ.sum(axis=1) <= 1)
-    # lambda_k = slope_k lam_K + icpt_k along the low end's candidates, and
-    # the slopes along the high end's, which differ up to the tie.
-    slope, icpt = np.ones((2, B, K + 1)), np.zeros((B, K + 1))
-    for k in range(K - 1, -1, -1):
-        slope[..., k] = gross[..., k] * slope[..., k + 1]
-        icpt[:, k] = gross[0, :, k] * icpt[:, k + 1] - offset[0, :, k]
+    lines = _candidate_lines(p, forms, ctxs)
     weight = _utility_weights(p)
     w = weight ** (1.0 / gamma)
+    ends, at = _dual_search(p, lines, forms, w)
+    B = ends.shape[1]
+    # Each stage's candidate on the low piece ([0]) and the high piece ([1]),
+    # and lambda_k = slope_k lam_K + icpt_k along each.
+    gross, offset = (np.take_along_axis(line, at, 0).transpose(0, 2, 1) for line in lines)
+    at = at.transpose(0, 2, 1)
+    slope, icpt = np.ones((2, B, K + 1)), np.zeros((2, B, K + 1))
+    for k in range(K - 1, -1, -1):
+        slope[..., k] = gross[..., k] * slope[..., k + 1]
+        icpt[..., k] = gross[..., k] * icpt[..., k + 1] - offset[..., k]
+
+    def marginal(lam_K):
+        """y and the amounts C, C_K along the low piece's candidates, and G'
+        along each piece's (2, B), at lam_K."""
+        y = forms.lin_C + (slope[0, :, :K] * lam_K[:, None] + icpt[0, :, :K]) / Rf
+        C = np.maximum(w[:K] * y ** (-1.0 / gamma), AMOUNT_FLOOR)
+        C_K = np.maximum(w[K] * lam_K ** (-1.0 / gamma), AMOUNT_FLOOR)
+        # G' along each piece's candidates: W_K, all of each stage's rest in
+        # that candidate, less C_K.
+        return y, C, C_K, slope[..., 0] * p.W0 - (C * slope[..., :K]).sum(axis=2) / Rf - C_K
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tie = (offset[0] - offset[1]) / (gross[0] - gross[1])   # lambda_{k+1} where the ends' candidates tie
-        lam_K = np.where(tied, np.where(differ, (tie - icpt[:, 1:]) / slope[0, :, 1:], 0.0).sum(axis=1), hi)
-        run = usable & ~tied
+        lam_K = np.where(ends[1] < np.inf, ends[1], 1.0)
+        dG = marginal(lam_K)[3]
+        in_low = (dG[0] >= 0.0) | (ends[1] == np.inf)
+        in_high = ~in_low & ~(dG[1] >= 0.0)
+        # A leg in one piece takes its candidates twice and its ends as the
+        # bounds of lam_K; a tied leg keeps both pieces.
+        pick = np.stack([in_high, ~in_low])[..., None]
+        at, gross, slope, icpt = (np.where(pick, a[1], a[0]) for a in (at, gross, slope, icpt))
+        lower, upper = np.where(in_high, ends[1:], ends[:2])
+        run = in_low | in_high
         for step in range(DUAL_NEWTON_STEPS + 1):
-            y = forms.lin_C + (slope[0, :, :K] * lam_K[:, None] + icpt[:, :K]) / Rf
-            C = np.maximum(w[:K] * y ** (-1.0 / gamma), AMOUNT_FLOOR)
-            C_K = np.maximum(w[K] * lam_K ** (-1.0 / gamma), AMOUNT_FLOOR)
+            y, C, C_K, dG = marginal(lam_K)
             floored, floored_K = C == AMOUNT_FLOOR, C_K == AMOUNT_FLOOR
-            # G' along each end's candidates: W_K, all of each stage's rest
-            # in that candidate, less C_K.
-            dG = slope[..., 0] * p.W0 - (C * slope[..., :K]).sum(axis=2) / Rf - C_K
             if step == DUAL_NEWTON_STEPS or not run.any():
                 break
-            # The Newton step in C_K, in which G' is linear for the zero
-            # penalty, or in lam_K where C_K is floored; gamma G'' = curv,
-            # to which a floored amount adds nothing.
+            # The Newton step in lam_K^(-1/gamma); gamma G'' = curv, to which
+            # a floored amount adds nothing.
             curv = ((np.where(floored, 0.0, C / y) * slope[0, :, :K] ** 2).sum(axis=1) / Rf ** 2
                     + np.where(floored_K, 0.0, C_K / lam_K))
-            nxt = np.clip(np.where(floored_K, lam_K - gamma * dG[0] / curv,
-                                   (C_K * (1.0 + dG[0] / (lam_K * curv)) / w[K]) ** -gamma), lo, hi)
+            nxt = np.clip(lam_K * (1.0 + dG[0] / (lam_K * curv)) ** -gamma, lower, upper)
             run &= np.abs(nxt - lam_K) > 1e-13 * lam_K
             lam_K = np.where(run, nxt, lam_K)
-        # The tied stage puts the share of its rest in the high end's
+        # The tied stage puts the share of its rest in the high piece's
         # candidate at which W_K = C_K; W_K is affine in that share.
-        share = np.where(differ, (dG[0] / (dG[0] - dG[1]))[:, None], 0.0)
+        share = np.where(at[0] != at[1], (dG[0] / (dG[0] - dG[1]))[:, None], 0.0)
         growth = gross[0] + share * (gross[1] - gross[0])
         W, rest = np.full(B, p.W0), np.empty((B, K, 1))
         for k in range(K):
             rest[:, k, 0] = W - C[:, k] / Rf
             W = rest[:, k, 0] * growth[:, k]
-        share = share[..., None]
-        hold = rest * (top_lo * (1.0 - share) + (top_hi > top_lo) * share)
-        hold[:, :, 0] = C   # the bond's place takes C_k, last in x's stage order
+        top = at[..., None] == np.arange(p.n + 1)
+        hold = rest * np.where(top[0], 1.0 - share[..., None], top[1] * share[..., None])
+        hold[:, :, p.n] = C   # the bond's place takes C_k, as in x's stage order
         # The rows' multipliers: each candidate's gap below lambda_k along the
-        # low end's candidates, the bond's per unit of the budget row (-R_f B_k).
-        lam = slope[0] * lam_K[:, None] + icpt
-        lines = _candidate_lines(p, forms, ctxs)
-        gaps = lines[0] * lam[:, 1:, None]   # in place from here: the task's memory peaks here
-        gaps -= lines[1]
-        del lines
+        # low piece's candidates, the bond's per unit of the budget row (-R_f B_k).
+        lam = slope[0] * lam_K[:, None] + icpt[0]
+        gaps = lines[0].transpose(2, 1, 0) * lam[:, 1:, None]   # in place from here, to spare the task's memory
+        gaps -= lines[1].transpose(2, 1, 0)
         np.subtract(lam[:, :K, None], gaps, out=gaps)
-        gaps[top_lo | top_hi] = 0.0
+        gaps[top[0] | top[1]] = 0.0
         duals = np.zeros((B, 2 * K + 1 + K * p.n))
-        duals[:, :2 * K:2] = gaps[:, :, 0] / Rf
+        duals[:, :2 * K:2] = gaps[:, :, p.n] / Rf
         # A floored amount's floor row takes the price its utility leaves.
         duals[:, 1:2 * K:2] = np.where(floored, y - weight[:K] * C ** -gamma, 0.0)
         duals[:, 2 * K] = np.where(floored_K, lam_K - weight[K] * C_K ** -gamma, 0.0)
-        duals[:, 2 * K + 1:] = gaps[:, :, 1:].reshape(B, -1)
-        duals[~usable] = np.nan
-    return np.where(usable[:, None], np.roll(hold, -1, axis=2).reshape(B, -1), np.nan), duals
+        duals[:, 2 * K + 1:] = gaps[:, :, :p.n].reshape(B, -1)
+    return hold.reshape(B, -1), duals
 
 
 def gap_fraction(lower: float, uppers) -> float:

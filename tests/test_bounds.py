@@ -307,15 +307,15 @@ class TestAssembleInner:
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
         warm, duals = bounds._dual_plan(p, forms, ctxs)
         assert duals.shape == b.shape
-        bracket = np.stack(bounds._dual_bracket(p, forms, ctxs)[:2], axis=1)
+        ends, at = _dual_search(p, forms, ctxs)
         batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
                                        max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
-        for sp, kind, leg_warm, leg_duals, leg_start, leg_bracket, got in zip(
-                legs, kinds, warm, duals, X0, bracket, batch):
+        for sp, kind, leg_warm, leg_duals, leg_start, leg_ends, leg_at, got in zip(
+                legs, kinds, warm, duals, X0, ends.T, at.transpose(2, 0, 1), batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
             form = penalties.penalty_form(kind, ctx, p)
-            one_bracket = bounds._dual_bracket(p, penalties.as_stack(form), penalties.as_stack(ctx))[:2]
-            assert np.array_equal(np.concatenate(one_bracket), leg_bracket)
+            one_ends, one_at = _dual_search(p, penalties.as_stack(form), penalties.as_stack(ctx))
+            assert np.array_equal(one_ends[:, 0], leg_ends) and np.array_equal(one_at[..., 0], leg_at)
             problem = assemble_inner(p, form, ctx)
             assert np.array_equal(problem[1][2], leg_warm, equal_nan=True)
             assert np.array_equal(problem[1][3], leg_duals, equal_nan=True)
@@ -358,8 +358,8 @@ class TestAssembleInner:
     def test_upper_task_stages_peak_per_leg(self, p_set1, vg_set1, kind):
         # A task's stages before its slices (shocks, contexts, forms, dual
         # search, recovered optima and multipliers) on a 64-pair task:
-        # measured 4.7 KB a leg for each penalty, of which the slices keep
-        # 1.7 KB; the bound leaves about 25% margin.  A first call also allocates one-time state, so
+        # measured 5.1 KB a leg for m1 and m2 and 5.0 KB for zero, of which
+        # the slices keep 1.7 KB; the bound leaves about 18% margin.  A first call also allocates one-time state, so
         # the stages run once untraced.
         p, cfg = p_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
@@ -441,6 +441,37 @@ class TestWorkerPool:
 def _coarse_grid(p):
     """p and its grid solved on 5 nodes with 3 quadrature points a dimension."""
     return p, dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5), quad=dp_solver.build_quadrature(3, p.n))
+
+
+def _root_weights(p):
+    """The utility weights to the power 1/gamma, as `_floor_chain` takes them."""
+    return bounds._utility_weights(p) ** (1.0 / p.gamma)
+
+
+def _dual_search(p, forms, ctxs):
+    """`bounds._dual_search` of a stack of legs: (ends, at)."""
+    return bounds._dual_search(p, bounds._candidate_lines(p, forms, ctxs), forms, _root_weights(p))
+
+
+def _sides(p, forms, ctxs, e):
+    """Where each leg's lam_K lies against the breakpoint e between the two
+    pieces its search keeps, read off G' (`bounds._floor_chain`) just below
+    and just above e: "low" in the low piece, "high" in the high piece,
+    "tie" at e where G' jumps across 0, and "one" where the leg has no
+    breakpoint (e = inf)."""
+    lines, w = bounds._candidate_lines(p, forms, ctxs), _root_weights(p)
+    at = np.where(e < np.inf, e, 1.0)
+    below, above = (bounds._floor_chain(p, lines, forms.lin_C, forms.constant, w, at * factor)[1]
+                    for factor in (1.0 - 1e-9, 1.0 + 1e-9))
+    return np.select([e == np.inf, below >= 0.0, above < 0.0], ["one", "low", "high"], "tie")
+
+
+def _dual_value(p, forms, ctxs, lam_K):
+    """G of `bounds._floor_chain` at lam_K, where lam_K is finite and
+    positive, and at 1 elsewhere: any lam_K > 0 bounds the inner maximum."""
+    lam_K = np.where((lam_K > 0.0) & (lam_K < np.inf), lam_K, 1.0)
+    return bounds._floor_chain(p, bounds._candidate_lines(p, forms, ctxs), forms.lin_C, forms.constant,
+                               _root_weights(p), lam_K)[0]
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +673,8 @@ class TestUpperBound:
         # dual-recovered optimum, with no Newton step and no face Newton
         # call.  Its f is at least the barrier's from the interior start, to
         # 1e-10 relative (the barrier accepts W_K up to 1e-10 under its
-        # floor), and at most G at both ends of the leg's search bracket.
+        # floor), and at most G at the ends of the two pieces its search
+        # keeps.
         p = dataclasses.replace(p_set1, alpha=alpha)
         vg = dp_solver.backward_recursion(p)
         face_newton, faces = concave._face_newton, []
@@ -670,9 +702,8 @@ class TestUpperBound:
             cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
             assert all(sol.status == concave.STATUS_CONVERGED for sol in cold)
             assert (f >= np.array([sol.f for sol in cold]) - 1e-10 * np.abs(f)).all()
-            for lam_K in bounds._dual_bracket(p, forms, ctxs)[:2]:
-                G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
-                assert (f <= G).all()
+            for lam_K in _dual_search(p, forms, ctxs)[0]:
+                assert (f <= _dual_value(p, forms, ctxs, lam_K)).all()
             faces.clear()
 
     def test_forty_stage_bounds_do_not_depend_on_the_blas_thread_count(self):
@@ -716,6 +747,37 @@ class TestUpperBound:
             up = upper_bound(p, vg, RunConfig(paths_per_run=16, runs=4, seed=42, penalty_kind=kind, gamma=20.0))
             assert up.flagged_paths == 0
             assert up.ce_mean > lo.ce_mean
+
+    @pytest.mark.parametrize("case", ["gamma 20", "K 20", "K 40", "R_f 5e-4", "alpha 0", "alpha 1"])
+    def test_every_leg_certifies_with_no_newton_step(self, p_set1, solved_grid, small_gross_riskfree_rate,
+                                                     monkeypatch, case):
+        # The exact dual search across the configurations that stretch it:
+        # high risk aversion, longer floor chains (47-85 pieces a leg at
+        # K = 40 against 12-25 at K = 10), the R_f = 5e-4 legs that reach the
+        # outermost pieces, and amounts without utility on their floors.  Every leg of every
+        # penalty certifies at its recovered optimum with 0 Newton steps.
+        name, value = case.split()
+        if name == "gamma":
+            p, vg = solved_grid(1, 20.0)
+        elif name == "R_f":
+            p, vg = small_gross_riskfree_rate
+        else:
+            p = dataclasses.replace(p_set1, **({"K": int(value), "delta": 1.0 / int(value)} if name == "K"
+                                               else {"alpha": float(value)}))
+            vg = dp_solver.backward_recursion(p)
+        solve, steps = concave.maximize_batch, []
+
+        def counted(*args, **kwargs):
+            sols = solve(*args, **kwargs)
+            steps.extend(sol.iterations for sol in sols)
+            return sols
+
+        monkeypatch.setattr(concave, "maximize_batch", counted)
+        pairs = 8 if p.K == 40 else 16
+        for kind in penalties.PENALTY_KINDS:
+            est = upper_bound(p, vg, RunConfig(paths_per_run=pairs, runs=2, seed=7, penalty_kind=kind))
+            assert est.flagged_paths == 0
+        assert len(steps) == 3 * 4 * pairs and not any(steps)
 
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
@@ -784,8 +846,10 @@ class TestUpperBound:
 
 class TestDualFace:
     """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
-    whose search (`bounds._dual_bracket`) gives each leg the primal optimum
-    it recovers (`bounds._dual_plan`), the warm point of its inner solve."""
+    whose search over the pieces between its breakpoints
+    (`bounds._breakpoints`, `bounds._dual_search`) gives each leg the primal
+    optimum it recovers (`bounds._dual_plan`), the warm point of its inner
+    solve."""
 
     @staticmethod
     def _chunk(p, vg, kind, seed, pairs):
@@ -800,8 +864,8 @@ class TestDualFace:
     @staticmethod
     def _check_weak_duality(p, vg, kind, seed, pairs):
         """Solve the legs of flat pairs [0, pairs) as `upper_bound` does and
-        check that G at both ends of each leg's search bracket and at a random
-        lam_K is at least its certified optimum.  Check that every leg with a
+        check that G at the ends of the two pieces each leg's search keeps and
+        at a random lam_K is at least its certified optimum.  Check that every leg with a
         recovered point certifies it by its multipliers, with 0 Newton steps
         and an f within 1e-13 relative of the crossover's from that point
         (`helpers.warm_solve`), and that the point is within 1e-8 of the
@@ -815,12 +879,11 @@ class TestDualFace:
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
         assert [sol.status for sol in crossed] == [concave.STATUS_CONVERGED] * 2 * pairs
         f, f_crossed = np.array([sol.f for sol in sols]), np.array([sol.f for sol in crossed])
-        lo, hi, _, _ = bounds._dual_bracket(p, forms, ctxs)
-        assert (lo > 0.0).all() and (hi < np.inf).all()
+        ends = _dual_search(p, forms, ctxs)[0]
+        assert (ends[0] < ends[1]).all() and (ends[1] <= ends[2]).all()
         rng = np.random.default_rng(seed)
-        for lam_K in (lo, hi, hi * np.exp(rng.uniform(-2.0, 2.0, hi.size))):
-            G = bounds._floor_chain(p, ctxs.R, forms.lin_Pi, forms.lin_C, forms.constant, lam_K)[0]
-            assert (G >= f - 1e-12 * np.abs(f)).all()
+        for lam_K in (*ends, np.where(ends[1] < np.inf, ends[1], 1.0) * np.exp(rng.uniform(-2.0, 2.0, f.size))):
+            assert (_dual_value(p, forms, ctxs, lam_K) >= f - 1e-12 * np.abs(f)).all()
         used = np.isfinite(warm).all(axis=1)
         assert (np.isnan(warm) == ~used[:, None]).all() and (np.isnan(duals) == ~used[:, None]).all()
         steps = np.array([sol.iterations for sol in sols])
@@ -851,42 +914,82 @@ class TestDualFace:
             assert self._check_weak_duality(p, vg, kind, seed=2, pairs=2).all()
 
     def test_tied_legs_start_at_their_optimum(self, p_set1, vg_set1):
-        # A leg whose bracket ends differ at one stage, one candidate each,
-        # has lam_K at their tie and splits that stage between the two.
+        # A leg whose G' jumps across 0 at the breakpoint between its two
+        # pieces has lam_K there and splits the stage whose candidate changes
+        # between the two candidates.
         forms, ctxs, _ = self._chunk(p_set1, vg_set1, "m1", 5, 16)
-        _, _, top_lo, top_hi = bounds._dual_bracket(p_set1, forms, ctxs)
-        stages = (top_lo != top_hi).any(axis=2).sum(axis=1)
-        assert (stages == 1).sum() >= 8
+        ends, at = _dual_search(p_set1, forms, ctxs)
+        assert ((at[0] != at[1]).sum(axis=0) == 1).all()
+        tied = _sides(p_set1, forms, ctxs, ends[1]) == "tie"
+        assert tied.sum() >= 8
         used = self._check_weak_duality(p_set1, vg_set1, "m1", seed=5, pairs=16)
-        assert used[stages == 1].all()
+        assert used[tied].all()
 
-    def test_open_bracket_and_two_tied_stages_keep_the_interior_start(self, p_set1, vg_set1, monkeypatch):
-        forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 16)
-        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
-        search = bounds._dual_bracket
-        lo, hi, top_lo, top_hi = search(p_set1, forms, ctxs)
-        is_tied = (top_lo != top_hi).any(axis=(1, 2))
-        tied, untied = np.flatnonzero(is_tied), np.flatnonzero(~is_tied)
-        # Legs untied[0] and untied[1] lose their low and high end; leg
-        # tied[0] gets a second tied stage, whose high end holds another
-        # candidate.
-        k = int(np.flatnonzero((top_lo[tied[0]] == top_hi[tied[0]]).all(axis=1))[0])
-        top_hi[tied[0], k] = np.roll(top_hi[tied[0], k], 1)
-        lo[untied[0]], hi[untied[1]] = 0.0, np.inf
-        monkeypatch.setattr(bounds, "_dual_bracket", lambda *args: (lo, hi, top_lo, top_hi))
-        got, got_duals = bounds._dual_plan(p_set1, forms, ctxs)
-        changed = sorted([untied[0], untied[1], tied[0]])
-        assert np.isnan(got[changed]).all() and np.isfinite(warm[changed]).all()
-        assert np.isnan(got_duals[changed]).all() and np.isfinite(duals[changed]).all()
-        others = np.setdiff1d(np.arange(len(X0)), changed)
-        assert np.array_equal(got[others], warm[others]) and np.array_equal(got_duals[others], duals[others])
-        # Those legs run the barrier from the interior start, as without a plan.
-        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
-                                      warm=got, duals=got_duals)
-        cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
-        for i in changed:
-            assert np.array_equal(sols[i].x, cold[i].x)
-            assert (sols[i].f, sols[i].iterations, sols[i].status) == (cold[i].f, cold[i].iterations, cold[i].status)
+    @pytest.mark.parametrize("kind", ["m1", "m2"])
+    def test_breakpoints_are_where_the_maximal_candidates_change(self, p_set1, vg_set1, kind):
+        # On 2,000 log-spaced lam_K from a tenth of each leg's first
+        # breakpoint to ten times its last, `_floor_chain` marks other
+        # maximal candidates only across a breakpoint, and just below and
+        # just above each breakpoint it marks different ones.
+        p = p_set1
+        forms, ctxs, _ = self._chunk(p, vg_set1, kind, 5, 4)
+        lines, w = bounds._candidate_lines(p, forms, ctxs), _root_weights(p)
+        edge = bounds._breakpoints(lines)[0]
+        assert edge.shape == (8, p.K * p.n + 2)
+
+        def top(leg, lam_K):
+            rows = np.full(lam_K.size, leg)
+            return bounds._floor_chain(p, (lines[0][..., rows], lines[1][..., rows]), forms.lin_C[rows],
+                                       forms.constant[rows], w, lam_K)[2]
+
+        for leg, row in enumerate(edge):
+            e = row[1:][row[1:] < np.inf]
+            assert e.size >= 10 and (np.diff(e) > 0.0).all()
+            grid = np.geomspace(e[0] / 10.0, e[-1] * 10.0, 2000)
+            tops = top(leg, grid)
+            changes = np.flatnonzero((tops[1:] != tops[:-1]).any(axis=(1, 2)))
+            crossed = np.searchsorted(e, grid[changes + 1]) - np.searchsorted(e, grid[changes])
+            assert changes.size and (crossed >= 1).all()
+            assert (top(leg, e * (1.0 - 1e-9)) != top(leg, e * (1.0 + 1e-9))).any(axis=(1, 2)).all()
+
+    def test_outermost_pieces_ties_and_single_pieces_certify(self, p_set1, vg_set1, small_gross_riskfree_rate):
+        # The outermost pieces, (0, e_first) and (e_last, inf), take no G'
+        # evaluation: G' at the breakpoint along each piece's candidates
+        # decides, and Newton steps clipped to the piece find lam_K.  The
+        # R_f = 5e-4 legs (K = 2, 3-7 pieces) reach both outermost pieces,
+        # and ties next to them; the zero penalty's legs have no breakpoint
+        # and one piece, (0, inf).  Each such leg certifies at its
+        # recovered optimum with 0 Newton steps.
+        p, vg = small_gross_riskfree_rate
+        forms, ctxs, _ = self._chunk(p, vg, "m1", 1, 16)
+        ends = _dual_search(p, forms, ctxs)[0]
+        side = _sides(p, forms, ctxs, ends[1])
+        assert ((side == "low") & (ends[0] == 0.0)).sum() >= 2
+        assert ((side == "high") & (ends[2] == np.inf)).sum() >= 2
+        assert ((side == "tie") & ((ends[0] == 0.0) | (ends[2] == np.inf))).sum() >= 2
+        assert self._check_weak_duality(p, vg, "m1", seed=1, pairs=16).all()
+        forms, ctxs, _ = self._chunk(p_set1, vg_set1, "zero", 5, 4)
+        ends = _dual_search(p_set1, forms, ctxs)[0]
+        assert (ends.T == [0.0, np.inf, np.inf]).all()
+        assert self._check_weak_duality(p_set1, vg_set1, "zero", seed=5, pairs=4).all()
+
+    @pytest.mark.parametrize("kind, cap", [("m1", 7), ("m2", 7), ("zero", 2)])
+    def test_floor_chain_calls_per_task(self, p_set1, vg_set1, monkeypatch, kind, cap):
+        # A 64-pair set-1 task bisects over its legs' 13-25 pieces, about 5
+        # evaluations of the floor chain (13 for the search it replaced);
+        # the zero penalty's legs have one piece and evaluate none (3-4).
+        chain, calls = bounds._floor_chain, []
+
+        def counted(*args):
+            calls.append(args[-1].size)
+            return chain(*args)
+
+        monkeypatch.setattr(bounds, "_floor_chain", counted)
+        cfg = RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
+        bounds._init_worker(p_set1, vg_set1, cfg)
+        values, flagged = bounds._upper_task((0, 64))
+        assert len(values) == 128 and flagged == 0
+        assert len(calls) <= cap
 
     def test_start_that_is_not_strictly_feasible_is_reported_despite_its_plan(self, p_set1, vg_set1):
         # An interior start outside the feasible set: the leg's solve reports
