@@ -13,11 +13,12 @@ generator, bit-identical to `shock_path`.  Both bounds cut the flat
 (run, path) list into fixed-size chunks that cross run boundaries.  A
 lower-bound chunk simulates its legs as one batch, each path bit-identical
 to its one-path simulation.  An upper-bound task draws the shocks, builds
-the contexts and penalties and runs the dual search of all its legs at
-once, and then solves their inner problems in slices of a quarter of the
-task, the size the solver's memory allows, each slice as one lockstep
-batch; every leg is bit-identical to its one-problem solve.  Neither the
-tasks nor the slices depend on the worker count.
+the contexts and penalties, runs the dual search and checks the
+certificate of all its legs at once; only a leg the certificate misses has
+its inner problem built and solved, in slices of a quarter of the task,
+the size the solver's memory allows, each slice as one lockstep batch.
+Every leg is bit-identical to its one-problem solve, and neither the tasks
+nor the slices depend on the worker count.
 
 Each inner solve is warm-started from the inner problem's Lagrangian dual,
 which the floor chain of the wealth multipliers makes a function of the
@@ -30,12 +31,15 @@ Newton steps along one piece, where that slope changes sign.  It reads off
 there the primal optimum the dual recovers (the consumption that lambda
 prices and the wealth that the maximal candidates carry) and the
 multipliers of its rows (each candidate's gap below lambda_k, and on a
-floored amount's floor row the price its utility leaves).  They are the
-leg's `warm` point and `duals` in `concave.maximize_batch`, which certifies
-the leg by the KKT conditions at that point with those multipliers, with no
-Newton step (Boyd & Vandenberghe 2004, 5.5.3).  A leg they do not certify
-falls back to the barrier from the interior start; the reported value is
-the primal optimum f either way.
+floored amount's floor row the price its utility leaves).  The task
+certifies each leg by the KKT conditions at that point with those
+multipliers (Boyd & Vandenberghe 2004, 5.5.3), the test
+`concave.maximize_batch` makes with them as `warm` and `duals`, but read
+off the wealth chain in O(K n) a leg (`_certify_legs`), so that a certified
+leg needs neither its (m, D) rows nor a Newton step.  A leg it misses is
+solved as one problem of a slice, which falls back to the barrier from the
+interior start where the dense test misses too; the reported value is the
+primal optimum f either way.
 """
 
 from __future__ import annotations
@@ -56,24 +60,26 @@ INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 # (run, path) pairs per lower-bound task, simulated as one batch.
 LOWER_CHUNK_PAIRS = 256
-# (run, path) pairs per upper-bound slice, whose inner problems are solved
-# as one batch, at inner dimension D = 40 (K = 10, n = 3);
-# `_upper_chunk_pairs` scales it by 40 / D.  A larger batch pays less
-# per-call overhead a leg but holds more solver temporaries, which grow like
-# D^2 a leg: at K = 10 about 7 KB where the dual's multipliers certify, the
-# path of every leg measured, and 62 KB where a leg falls back to the
-# barrier, at K = 40 about 1 MB.  Measured when
-# each slice was its own task: on the set-1 `dual-bound` benchmark, 16 pairs
-# instead of 8 cut wall time by 16% for +3% peak RSS, and 32 pairs cut 3%
-# more for +10%; at K = 40, 4 pairs take 5-9% less time a leg than 16 at a
-# third of the tracemalloc peak, and 1 pair, a (40 / D)^2 scaling, 3-6% more.
+# (run, path) pairs per upper-bound slice at inner dimension D = 40 (K = 10,
+# n = 3); `_upper_chunk_pairs` scales it by 40 / D.  A slice holds only legs
+# the task's certificate misses, none of the legs measured, and solves their
+# inner problems as one batch; the certificate builds the objective stacks
+# (3.8 KB a leg at D = 40) of as many legs at a time.  A larger batch pays
+# less per-call overhead a leg but holds more solver temporaries, which grow
+# like D^2 a leg: at K = 10 about 62 KB where a leg falls back to the
+# barrier, at K = 40 about 1 MB.  Measured when every leg was solved in a
+# slice: on the set-1 `dual-bound` benchmark, 16 pairs instead of 8 cut
+# wall time by 16% for +3% peak RSS, and 32 pairs cut 3% more for +10%; at
+# K = 40, 4 pairs took 5-9% less time a leg than 16 at a third of the
+# tracemalloc peak, and 1 pair, a (40 / D)^2 scaling, 3-6% more.
 UPPER_CHUNK_PAIRS = 16
 # Slices per upper-bound task.  A task draws its shocks, builds its contexts
-# and penalties and runs the dual search once for all its slices, work that
-# pays a fixed cost a call: on the `dual-bound` benchmark, 64-pair tasks
-# take a fifth less wall time than 16-pair ones, and their own stages peak
-# at about 5.1 KB a leg, an eighth of a slice's solve.  A multiple of the
-# slice keeps the task's memory scaling with D like the slices'.
+# and penalties, runs the dual search and checks the certificate once for
+# all its legs, work that pays a fixed cost a call: on the `dual-bound`
+# benchmark, 64-pair tasks took a fifth less wall time than 16-pair ones,
+# and a task peaks at about 5.1 KB a leg, in the dual search.  Its slices
+# hold only the legs it misses.  A multiple of the slice keeps the task's
+# memory scaling with D like the slices'.
 UPPER_SLICES_PER_TASK = 4
 # `_dual_plan`'s Newton steps on lam_K per leg, at most.  From the breakpoint
 # that ends its piece, every leg measured (sets 1-4 at gamma 1.5 to 20, K = 20
@@ -276,11 +282,13 @@ def _upper_task(span):
     """Inner optima and cap flags of the legs of flat pairs [start, stop).
 
     The task builds the contexts and forms of all its legs and runs their
-    dual search as one stack (`_dual_plan`); then each slice of
-    `_upper_chunk_pairs(p)` pairs solves its legs as one batch
-    (`_upper_slice`), each warm-started from the optimum its dual recovers.
-    A leg whose interior start is not strictly feasible has no inner optimum
-    (its f is -inf) and raises PathError."""
+    dual search as one stack (`_dual_plan`).  It then certifies all its
+    legs at the optima their duals recover in one pass (`_certify_legs`,
+    whose objective stacks take `_upper_chunk_pairs(p)` pairs at a time),
+    and solves only the legs that miss, in slices of that size
+    (`_upper_slice`).  A leg that misses and whose interior start is not
+    strictly feasible has no inner optimum (its f is -inf) and raises
+    PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
         ctxs = penalties.build_contexts(p, vg, policy, *_chunk_shocks(p, cfg, span))
@@ -288,28 +296,67 @@ def _upper_task(span):
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
     warm, duals = _dual_plan(p, forms, ctxs)
-    ctxs = _Baseline(ctxs.R, ctxs.Pi, ctxs.C)   # frees the rest while the slices run
     step = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
-    values, flagged = [], 0
-    for first in range(0, len(warm), step):
-        for leg, sol in enumerate(_upper_slice(p, forms, ctxs, warm, duals, slice(first, first + step)), first):
+    certified, values = _certify_legs(p, forms, ctxs.R, warm, duals, step)
+    missed, flagged = np.flatnonzero(~certified), 0
+    for first in range(0, len(missed), step):
+        legs = missed[first:first + step]
+        for leg, sol in zip(legs.tolist(), _upper_slice(p, forms, ctxs, warm, duals, legs)):
             if sol.status == concave.STATUS_INFEASIBLE:
                 raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
-            values.append(sol.f)
+            values[leg] = sol.f
             flagged += sol.status != concave.STATUS_CONVERGED
-    return values, flagged
+    return values.tolist(), flagged
 
 
-@dataclass(frozen=True)
-class _Baseline:
-    """The fields of a stack of contexts that `assemble_inner_batch` reads."""
+def _certify_legs(p: ModelParams, forms, R, warm, duals, block: int) -> tuple:
+    """(certified, f) of a stack of legs with returns R at their
+    `_dual_plan` points and multipliers: `concave.certificate`, the test
+    `maximize_batch` makes on their `assemble_inner_batch` problems, with
+    each quantity read off the wealth chain in O(K n) a leg instead of the
+    (B, m, D) rows; and f at each point, `crra_oracle`'s bits from the
+    objective stacks of `block` legs at a time.
 
-    R: np.ndarray    # (B, K, n) realized gross returns
-    Pi: np.ndarray   # (B, K, n) baseline invested amounts
-    C: np.ndarray    # (B, K) baseline consumption amounts
+    With x = (Pi_k, C_k), W_0 = W0 and W_{k+1} = R_f W_k + (R_k - R_f)'Pi_k
+    - C_k, the rows' slacks are R_f (W_k - 1'Pi_k) - C_k (budget), C_k -
+    AMOUNT_FLOOR (floor), W_K - AMOUNT_FLOOR (bequest) and Pi_kj.  With
+    om = w_K W_K^-gamma, df/dPi_kj = om (R_kj - R_f) R_f^(K-1-k) - lin_Pi
+    and df/dC_k = w_k C_k^-gamma - om R_f^(K-1-k) - lin_C.  With
+    mu_{K-1} = nu_bequest and mu_k = R_f (mu_{k+1} + nu_budget,k+1),
+    (A'nu)_C_k = nu_budget,k + mu_k - nu_floor,k and (A'nu)_Pi_kj =
+    R_f nu_budget,k - (R_kj - R_f) mu_k - nu_Pi,kj.
+    """
+    K, n, Rf, gamma = p.K, p.n, p.R_f, p.gamma
+    B = len(warm)
+    excess = R - Rf
+    Pi, C = warm.reshape(B, K, n + 1)[..., :n], warm[:, n::n + 1]
+    nu = duals[:, :2 * K].reshape(B, K, 2)   # each stage's (budget, floor)
+    weight = _utility_weights(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flow, W, mu = (excess * Pi).sum(axis=2) - C, np.full((B, K + 1), p.W0), np.empty((B, K))
+        mu[:, K - 1] = duals[:, 2 * K]
+        for k in range(K):
+            W[:, k + 1] = Rf * W[:, k] + flow[:, k]
+        for k in range(K - 2, -1, -1):
+            mu[:, k] = Rf * (mu[:, k + 1] + nu[:, k + 1, 0])
+        budget = Rf * (W[:, :K] - Pi.sum(axis=2)) - C
+        S = np.concatenate([np.stack([budget, C - AMOUNT_FLOOR], axis=2).reshape(B, -1), W[:, K:] - AMOUNT_FLOOR,
+                            Pi.reshape(B, -1)], axis=1)
+        om = (weight[K] * W[:, K] ** -gamma)[:, None] * Rf ** np.arange(K - 1, -1, -1.0)
+        grad, ATnu = np.empty((2, B, K, n + 1))
+        grad[..., :n] = om[..., None] * excess - forms.lin_Pi
+        grad[..., n] = weight[:K] * C ** -gamma - om - forms.lin_C
+        ATnu[..., :n] = Rf * nu[..., :1] - excess * mu[..., None] - duals[:, 2 * K + 1:].reshape(B, K, n)
+        ATnu[..., n] = nu[..., 0] + mu - nu[..., 1]
+        F = np.concatenate([concave.crra_value(warm[i:i + block], *_objective(
+            p, penalties.take(forms, slice(i, i + block)), excess[i:i + block]), weight, gamma)
+            for i in range(0, B, block)])
+        certified, _ = concave.certificate(S, _row_bounds(p)[0], duals, F,
+                                           lambda ok: (grad.reshape(B, -1), ATnu.reshape(B, -1)), INNER_TOL)
+    return certified, F
 
 
-def _upper_slice(p, forms, ctxs, warm, duals, legs: slice):
+def _upper_slice(p, forms, ctxs, warm, duals, legs):
     """Solutions of the inner problems of legs `legs` of a task's stacks,
     solved as one batch from the warm points and multipliers of
     `_dual_plan`.  Called once per slice, so that a slice's problem stacks
@@ -393,16 +440,17 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
 
     The flat (run, path) list is cut into tasks of UPPER_SLICES_PER_TASK
     slices of `_upper_chunk_pairs(p)` pairs (across run boundaries).  Each
-    task runs the dual search of all its legs at once (`_dual_plan`), and
-    each slice solves the inner problems of its legs as one
-    `concave.maximize_batch` call; every leg's optimum is bit-identical to
-    its own `assemble_inner` + `maximize`, so the results depend on neither
-    size.  Each solve first checks the KKT conditions at the primal
-    optimum its leg's dual recovers, with the dual's row multipliers, which
-    certifies every leg measured (sets 1-4 at gamma 1.5 to 20, alpha 0 to
-    1, K = 10 to 40) with no Newton step; a leg they do not certify runs
-    the barrier from the interior start.  Either way the leg's value is the
-    primal optimum f.
+    task runs the dual search of all its legs at once (`_dual_plan`) and
+    checks the KKT conditions at the primal optimum each leg's dual
+    recovers, with the dual's row multipliers, from the wealth chain
+    (`_certify_legs`).  That certifies every leg measured (sets 1-4 at
+    gamma 1.5 to 20, alpha 0 to 1, K = 10 to 40, R_f = 5e-4) with no inner
+    problem built and no Newton step.  A slice solves the inner problems of
+    the legs the task misses as one `concave.maximize_batch` call, which
+    runs the barrier from the interior start where its own certificate
+    misses too.  Either way the leg's value is the primal optimum f,
+    bit-identical to its own `assemble_inner` + `maximize`, so the results
+    depend on neither size.
 
     Paths whose inner solve stops at the iteration cap keep the last iterate
     and are counted in flagged_paths.  That iterate understates the inner
@@ -422,14 +470,50 @@ def _utility_weights(p: ModelParams) -> np.ndarray:
                      (1.0 - p.alpha) * p.beta ** (p.K * p.delta))
 
 
+def _row_bounds(p: ModelParams) -> tuple:
+    """The inner problem's b (m,), the same for every leg, and W_K's
+    constant R_f^K W_0 (see `assemble_inner_batch`)."""
+    K = p.K
+    w_const = np.multiply.accumulate(np.append(p.W0, np.full(K, p.R_f)))   # R_f^k W_0
+    b = np.zeros(2 * K + 1 + K * p.n)
+    b[:2 * K:2] = p.R_f * w_const[:K]
+    b[1:2 * K:2] = -AMOUNT_FLOOR
+    b[2 * K] = w_const[K] - AMOUNT_FLOOR
+    return b, w_const[K]
+
+
+def _objective(p: ModelParams, forms, excess) -> tuple:
+    """The inner objective of legs with excess returns R - R_f (B, K, n) as
+    `concave.crra_oracle`'s (P, z0): CRRA in Y = (C_0, ..., C_{K-1}, W_K),
+    less the penalty lin'x + constant.  W_K's coefficients are stage k's
+    (R_k - R_f, -1) times R_f, K-1-k times in turn, and its constant
+    R_f^K W_0, as forward substitution rounds them."""
+    K, n = p.K, p.n
+    B, D = len(excess), K * (n + 1)
+    a_term = np.concatenate([excess, np.full((B, K, 1), -1.0)], axis=2)
+    for k in range(K - 1, 0, -1):
+        a_term[:, :k] *= p.R_f
+    c_idx = np.arange(K) * (n + 1) + n
+    P = np.zeros((B, D, K + 2))
+    P[:, c_idx, np.arange(K)] = 1.0
+    P[:, :, K] = a_term.reshape(B, D)
+    P[:, np.arange(D).reshape(K, n + 1)[:, :n], K + 1] = forms.lin_Pi
+    P[:, c_idx, K + 1] = forms.lin_C
+    z0 = np.zeros((B, K + 2))
+    z0[:, K] = _row_bounds(p)[1]
+    z0[:, K + 1] = forms.constant
+    return P, z0
+
+
 def assemble_inner_batch(p: ModelParams, forms, ctxs):
     """Inner problems of B path legs, stacked for `concave.maximize_batch`.
 
     `forms` and `ctxs` are stacks of B legs (see `penalties.penalty_form`);
-    of the contexts only R, Pi and C are read (`_Baseline`).  Leg i maximizes utility minus its form over x = (Pi_0, C_0, ...,
-    Pi_{K-1}, C_{K-1}) along its context.  Wealth is eliminated by forward
-    substitution, making every W_k affine in x; constraints are the per-stage
-    budget C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
+    of the contexts only R, Pi and C are read.  Leg i maximizes utility
+    minus its form over x = (Pi_0, C_0, ..., Pi_{K-1}, C_{K-1}) along its
+    context.  Wealth is eliminated by forward substitution, making every
+    W_k affine in x; constraints are the per-stage budget
+    C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
     nonnegativity of Pi.
     Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and the interior
     start X0 (B, D); the oracle evaluates point j on leg rows[j].  All
@@ -443,43 +527,25 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     excess = ctxs.R - Rf                             # (B, K, n)
     pi_idx = np.arange(D).reshape(K, n + 1)[:, :n]   # Pi_k coordinates, (K, n)
     c_idx = np.arange(K) * (n + 1) + n               # C_k coordinates, (K,)
-
-    # W_k(x) = w_const[k] + w_coef[:, k] . x  for k = 0..K
-    w_coef = np.zeros((B, K + 1, D))
-    w_const = np.zeros(K + 1)
-    w_const[0] = p.W0
-    for k in range(K):
+    P, z0 = _objective(p, forms, excess)
+    # W_k(x) = R_f^k W_0 + w_coef[:, k] . x  for k < K; W_K's row is P[:, :, K].
+    w_coef = np.zeros((B, K, D))
+    for k in range(K - 1):
         w_coef[:, k + 1] = Rf * w_coef[:, k]
         w_coef[:, k + 1, pi_idx[k]] += excess[:, k]
         w_coef[:, k + 1, c_idx[k]] -= 1.0
-        w_const[k + 1] = Rf * w_const[k]
-    a_term = w_coef[:, K]
+    b, _ = _row_bounds(p)
 
     # Rows: (budget_k, floor_k) for each stage, the bequest floor, then -Pi <= 0.
-    m = 2 * K + 1 + K * n
-    A = np.zeros((B, m, D))
-    b = np.zeros((B, m))
+    A = np.zeros((B, b.size, D))
+    b = np.tile(b, (B, 1))
     budget = 2 * np.arange(K)   # budget_k's row; floor_k's is the next
-    A[:, budget] = -Rf * w_coef[:, :K]
+    A[:, budget] = -Rf * w_coef
     A[:, budget[:, None], pi_idx] += Rf
     A[:, budget, c_idx] += 1.0
     A[:, budget + 1, c_idx] = -1.0
-    b[:, budget] = Rf * w_const[:K]
-    b[:, budget + 1] = -AMOUNT_FLOOR
-    A[:, 2 * K] = -a_term
-    b[:, 2 * K] = w_const[K] - AMOUNT_FLOOR
+    A[:, 2 * K] = -P[:, :, K]
     A[:, 2 * K + 1:] = -np.eye(D)[pi_idx.reshape(-1)]
-
-    # The utility terms are CRRA in Y = (C_0, ..., C_{K-1}, W_K), which is
-    # affine in x, and the penalty is lin'x + constant.
-    P = np.zeros((B, D, K + 2))
-    P[:, c_idx, np.arange(K)] = 1.0
-    P[:, :, K] = a_term
-    P[:, pi_idx, K + 1] = forms.lin_Pi
-    P[:, c_idx, K + 1] = forms.lin_C
-    z0 = np.zeros((B, K + 2))
-    z0[:, K] = w_const[K]
-    z0[:, K + 1] = forms.constant
     oracle = concave.crra_oracle(P, z0, _utility_weights(p), p.gamma)
 
     # Start: baseline decisions pulled a tenth of the way toward a strictly
@@ -507,8 +573,8 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
     """Inner problem of one path leg as (oracle, (A, b, warm, duals), X0),
     its warm point, that point's row multipliers and its interior start, for
     `concave.maximize`; the N = 1 call of `_dual_plan`, which `upper_bound`
-    makes per task, and of `assemble_inner_batch`, which it makes per
-    slice."""
+    makes per task, and of `assemble_inner_batch`, which it makes per slice
+    of the legs its certificate misses."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
     warm, duals = _dual_plan(p, form, ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)

@@ -102,37 +102,47 @@ def crra_oracle(P: np.ndarray, z0: np.ndarray, w: np.ndarray, gamma: float) -> O
     """
     J = P.shape[2] - 1
     w = np.asarray(w, dtype=float)
-    value_weights = np.broadcast_to(w / (1.0 - gamma), (P.shape[0], J))
+    weights = np.broadcast_to(w, (P.shape[0], J))
     lin = np.ascontiguousarray(P[:, :, J])
     dY = np.ascontiguousarray(P[:, :, :J].transpose(0, 2, 1))  # (B, J, D)
     # gradient: Y^-gamma @ grad_rows - lin;  Hessian: (cols * Y^(-gamma-1)) @ dY
     # with cols = -gamma grad_rows' of the problems asked for.
     grad_rows = w[..., None] * dY
 
-    def args(X, rows):  # the CRRA arguments Y = Z_{<J} and the penalty Z_J
-        Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
-        return Z[:, :J], Z[:, J]
-
     def value(X, rows):
-        Y, penalty = args(X, rows)
-        vw = value_weights[rows]
-        if (Y > 0.0).all():
-            return (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty
-        inside = Y.min(axis=1) > 0.0
-        Y = np.where(inside[:, None], Y, 1.0)
-        return np.where(inside, (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
+        return crra_value(X, P[rows], z0[rows], weights[rows], gamma)
 
     def gradient(X, rows):
-        Y, _ = args(X, rows)
+        Y = _crra_args(X, P[rows], z0[rows])[0]
         return ((Y ** (-gamma))[:, None, :] @ grad_rows[rows])[:, 0] - lin[rows]
 
     def hessian(X, rows):
-        Y, _ = args(X, rows)
+        Y = _crra_args(X, P[rows], z0[rows])[0]
         # One expression, so that each temporary is freed before the next.
         return np.multiply((-gamma * grad_rows[rows]).transpose(0, 2, 1), (Y ** (-gamma - 1.0))[:, None, :],
                            order="C") @ dY[rows]
 
     return ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
+
+
+def _crra_args(X, P, z0):
+    """The CRRA arguments Y = Z_{<J} and the penalty Z_J of `crra_oracle`'s
+    Z = x P + z0, one point a problem."""
+    Z = (X[:, None, :] @ P)[:, 0] + z0
+    return Z[:, :-1], Z[:, -1]
+
+
+def crra_value(X: np.ndarray, P: np.ndarray, z0: np.ndarray, w, gamma: float) -> np.ndarray:
+    """The objectives of `crra_oracle` at the points X[i] of the problems
+    (P[i], z0[i]) with weights w, -inf outside their domains; the oracle's
+    value, so that a caller that holds only P and z0 gets its bits."""
+    Y, penalty = _crra_args(X, P, z0)
+    vw = w / (1.0 - gamma)
+    if (Y > 0.0).all():
+        return (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty
+    inside = Y.min(axis=1) > 0.0
+    Y = np.where(inside[:, None], Y, 1.0)
+    return np.where(inside, (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
 
 
 @dataclass
@@ -184,11 +194,11 @@ def maximize_batch(
     points at the optima and duals a (B, m) array of their row multipliers,
     NaN rows where a problem has none.  A problem whose warm point and
     multipliers pass the KKT conditions (`_certify`) exits converged at its
-    warm point with 0 Newton steps; the others run the barrier from X0.
-    Infeasible: X0[i] is not strictly feasible or outside the domain of f_i
-    (f = -inf).  Converged: the warm point's multipliers or a crossover
-    verified the KKT conditions to tol, or the barrier-KKT residual fell to
-    tol at a stage with m/t <= tol.  Max_iter: the next Newton step would
+    warm point with 0 Newton steps, whatever its start; the others run the
+    barrier from X0.  Infeasible: X0[i] is not strictly feasible or outside
+    the domain of f_i, and no certificate holds (f = -inf).  Converged: the
+    warm point's multipliers or a crossover verified the KKT conditions to
+    tol, or the barrier-KKT residual fell to tol at a stage with m/t <= tol.  Max_iter: the next Newton step would
     pass max_newton (the Solution holds the last iterate), or the stage at
     t_cap ended uncertified.
     """
@@ -211,34 +221,46 @@ def maximize_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         rows = np.arange(A.shape[0])
         S = b - stacked_matvec(A, X)
-        F = oracle.value(X, rows)
-        infeasible = (S.min(axis=1) <= 0.0) | ~np.isfinite(F)
-        live = _Live.start(rows, A, b, X, S, np.where(infeasible, -np.inf, F))
-        _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
+        live = _Live.start(rows, A, b, X, S, oracle.value(X, rows))
         if warm is not None:
-            _certify(oracle, live, warm[live.rows], duals[live.rows], tol, out)
+            _certify(oracle, live, warm, duals, tol, out)
+        infeasible = (live.S.min(axis=1) <= 0.0) | ~np.isfinite(live.F)
+        live.F[infeasible] = -np.inf
+        _exit(out, live, infeasible, STATUS_INFEASIBLE, np.full(live.size, np.inf))
         _barrier(oracle, live, tol, max_newton, out)
     return out
+
+
+def certificate(S: np.ndarray, b: np.ndarray, nu: np.ndarray, F: np.ndarray, terms: Callable,
+                tol: float) -> tuple:
+    """The KKT test of points at the optima of a stack of problems (Boyd &
+    Vandenberghe, Convex Optimization, 2004, 5.5.3), from their slacks
+    S = b - A x and row multipliers nu: x violates no row by more than
+    1e-10 (1 + |b|), the violation `_face_newton` tolerates; nu >= 0, and
+    nu_i = 0 wherever S_i exceeds that; f(x) = F is finite; and the
+    relative stationarity (`_stationarity`) of (grad f(x), A' nu) =
+    `terms(ok)`, read only where ok holds the other tests, is at most tol.
+    Returns (certified, kkt), kkt that stationarity where the other tests
+    hold and inf elsewhere.  A NaN row fails."""
+    near = 1e-10 * (1.0 + np.abs(b))
+    ok = ((S >= -near) & (nu >= 0.0) & ((nu == 0.0) | (S <= near))).all(axis=1) & np.isfinite(F)
+    kkt = np.where(ok, _stationarity(*terms(ok)), np.inf)
+    return kkt <= tol, kkt
 
 
 def _certify(oracle: ObjectiveOracle, live: "_Live", W: np.ndarray, nu: np.ndarray, tol: float,
              out: list) -> None:
     """Exit converged, with 0 Newton steps, the rows of `live` whose warm
-    points W and multipliers nu certify themselves (Boyd & Vandenberghe,
-    Convex Optimization, 2004, 5.5.3): w violates no row by more than
-    1e-10 (1 + |b|), the violation `_face_newton` tolerates; nu >= 0, and
-    nu_i = 0 wherever b_i - A_i w exceeds that; f(w) is finite; and
-    `_stationarity(grad f(w), A', nu)` <= tol.  A NaN row fails."""
-    near = 1e-10 * (1.0 + np.abs(live.b))
-    S = live.b - stacked_matvec(live.A, W)
+    points W and multipliers nu pass `certificate`."""
     F = oracle.value(W, live.rows)
-    ok = ((S >= -near) & (nu >= 0.0) & ((nu == 0.0) | (S <= near))).all(axis=1) & np.isfinite(F)
-    del S, near
-    grad = np.zeros_like(W)
-    grad[ok] = oracle.gradient(W[ok], live.rows[ok])
-    # A' as a view: a copy per call would cost more than the rest of the test.
-    kkt = np.where(ok, _stationarity(grad, live.A.transpose(0, 2, 1), nu), np.inf)
-    done = kkt <= tol
+
+    def terms(ok):
+        grad = np.zeros_like(W)
+        grad[ok] = oracle.gradient(W[ok], live.rows[ok])
+        # A' as a view: a copy per call would cost more than the rest of the test.
+        return grad, stacked_matvec(live.A.transpose(0, 2, 1), nu)
+
+    done, kkt = certificate(live.b - stacked_matvec(live.A, W), live.b, nu, F, terms, tol)
     live.X[done], live.F[done] = W[done], F[done]
     _exit(out, live, done, STATUS_CONVERGED, kkt)
 
@@ -453,9 +475,9 @@ def _solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _stationarity(grad: np.ndarray, AT: np.ndarray, nu: np.ndarray) -> np.ndarray:
+def _stationarity(grad: np.ndarray, ATnu: np.ndarray) -> np.ndarray:
     """|grad - A' nu|_inf relative to the gradient scale, max(1, |grad|_inf)."""
-    return np.abs(grad - stacked_matvec(AT, nu)).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
+    return np.abs(grad - ATnu).max(axis=1) / np.maximum(1.0, np.abs(grad).max(axis=1))
 
 
 def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
@@ -463,7 +485,7 @@ def _kkt(oracle: ObjectiveOracle, live: _Live, t: float) -> np.ndarray:
     barrier multipliers nu_i = 1/(t s_i)."""
     nu = 1.0 / (t * (live.b - stacked_matvec(live.A, live.X)))
     AT = np.ascontiguousarray(live.A.transpose(0, 2, 1))
-    return _stationarity(oracle.gradient(live.X, live.rows), AT, nu)
+    return _stationarity(oracle.gradient(live.X, live.rows), stacked_matvec(AT, nu))
 
 
 def _crossover(oracle: ObjectiveOracle, live: _Live, face: np.ndarray, tol: float,
@@ -586,7 +608,7 @@ def _face_newton(oracle: ObjectiveOracle, A, b, X, rows, face, problems) -> tupl
             nu_out[out] = -sol[ended, D:]
             violated[out] = bj - stacked_matvec(Aj, x[ended]) < -1e-10 * (1.0 + np.abs(bj))
             grad = oracle.gradient(x[ended], rows[ended])
-            stationarity[out] = _stationarity(grad, Aj.transpose(0, 2, 1), nu_out[out])
+            stationarity[out] = _stationarity(grad, stacked_matvec(Aj.transpose(0, 2, 1), nu_out[out]))
             del Aj
         if not keep.any():
             break

@@ -332,9 +332,9 @@ class TestAssembleInner:
         # batch (16 pairs, 40-dim legs) the barrier from the interior start,
         # the path of a leg whose warm point does not certify, peaks at about
         # 62 KB a leg for each penalty, as much in its centring as in its
-        # crossovers' face systems.  The dual search and the certificate at
-        # the recovered optima with their multipliers, the path of every leg
-        # here, take about 7 KB.
+        # crossovers' face systems.  The dual search and the dense
+        # certificate at the recovered optima with their multipliers, which
+        # a slice runs first, take about 7 KB.
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
@@ -356,24 +356,20 @@ class TestAssembleInner:
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_upper_task_stages_peak_per_leg(self, p_set1, vg_set1, kind):
-        # A task's stages before its slices (shocks, contexts, forms, dual
-        # search, recovered optima and multipliers) on a 64-pair task:
-        # measured 5.1 KB a leg for m1 and m2 and 5.0 KB for zero, of which
-        # the slices keep 1.7 KB; the bound leaves about 18% margin.  A first call also allocates one-time state, so
-        # the stages run once untraced.
-        p, cfg = p_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
-        policy = dp_solver.make_grid_policy(vg_set1, p)
-
-        def stages():
-            ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 64)))
-            forms = penalties.penalty_form(kind, ctxs, p)
-            return bounds._dual_plan(p, forms, ctxs)
-
-        warm, duals = stages()
-        assert len(warm) == len(duals) == 128
+        # A whole 64-pair task (shocks, contexts, forms, dual search,
+        # recovered optima and multipliers, and the certificate, whose
+        # objective stacks are built a slice's legs at a time): measured
+        # 5.1 KB a leg for m1 and m2 and 5.0 KB for zero, the dual search's
+        # peak; the certificate stays below it, and no leg reaches a slice.
+        # The bound leaves about 18% margin.  A first call also allocates
+        # one-time state, so the task runs once untraced.
+        bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind,
+                                                       gamma=1.5))
+        values, flagged = bounds._upper_task((0, 64))
+        assert len(values) == 128 and flagged == 0
         tracemalloc.start()
         try:
-            stages()
+            bounds._upper_task((0, 64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -483,15 +479,36 @@ def small_gross_riskfree_rate():
     return _coarse_grid(market.ModelParams.from_dict(data))
 
 
+def _withhold_plans(monkeypatch):
+    """Withhold the dual plan (NaN warm point and multipliers) of every leg
+    whose first normal draw is positive, one leg of each antithetic pair,
+    in `bounds._dual_plan`, whose N = 1 call `assemble_inner` makes too.
+    Which legs lose their plan depends only on each leg, so such a leg
+    misses the certificate and runs the barrier in its task's slices and
+    in its one-leg solve alike."""
+    plan = bounds._dual_plan
+
+    def withheld(p, forms, ctxs):
+        warm, duals = plan(p, forms, ctxs)
+        miss = ctxs.Z[:, 0, 0] > 0.0
+        warm[miss], duals[miss] = np.nan, np.nan
+        return warm, duals
+
+    monkeypatch.setattr(bounds, "_dual_plan", withheld)
+
+
 @pytest.fixture(scope="module")
 def upper_reference(p_set1, vg_set1):
     """Run means and flagged count of `_upper_leg_by_leg`, per penalty, for
-    10 pairs x 2 runs at seed 33."""
+    10 pairs x 2 runs at seed 33, with the plans of `_withhold_plans`
+    withheld."""
     cache = {}
 
     def reference(cfg):
         if cfg not in cache:
-            cache[cfg] = _upper_leg_by_leg(p_set1, vg_set1, cfg)
+            with pytest.MonkeyPatch.context() as patched:
+                _withhold_plans(patched)
+                cache[cfg] = _upper_leg_by_leg(p_set1, vg_set1, cfg)
         return cache[cfg]
     return reference
 
@@ -514,21 +531,27 @@ def _record_upper_calls(monkeypatch):
 class TestUpperBound:
     @pytest.mark.parametrize("penalty", ["m1", "zero"])
     @pytest.mark.parametrize("slice_pairs, per_task, spans, slices", [
-        # Tasks of 6 pairs: the run boundary at pair 10 lies inside the slice
-        # [9, 12), and the last task, [18, 20), is shorter than one slice.
-        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)], [6] * 6 + [4]),
+        # Tasks of 6 pairs, each with 6 legs whose plans are withheld, one
+        # slice of 6 legs; the run boundary at pair 10 lies inside the task
+        # [6, 12), and the last task, [18, 20), is shorter than one slice.
+        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)], [6, 6, 6, 2]),
         # One slice a task: the second task straddles the run boundary.
-        (8, 1, [(0, 8), (8, 16), (16, 20)], [16, 16, 8]),
-        # The default sizes: one task, whose first slice holds both runs.
-        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)], [32, 8]),
+        (8, 1, [(0, 8), (8, 16), (16, 20)], [8, 8, 4]),
+        # The default sizes: one task, whose 20 missed legs fit one slice.
+        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)], [20]),
         # A task shorter than one slice.
-        (32, 1, [(0, 20)], [40]),
+        (32, 1, [(0, 20)], [20]),
     ], ids=["slice3-two-a-task", "slice8-one-a-task", "default-sizes", "task-below-a-slice"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, upper_reference, monkeypatch,
                                                       penalty, slice_pairs, per_task, spans, slices, workers):
+        # Half the legs miss the certificate (`_withhold_plans`) and are
+        # solved in slices of the legs their task missed; the other half are
+        # certified in blocks of a slice's size.  Every leg equals its one-leg
+        # solve whatever its task, block or slice.
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", slice_pairs)
         monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", per_task)
+        _withhold_plans(monkeypatch)   # a forked worker inherits the patch
         cfg = RunConfig(paths_per_run=10, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
         # The recorders run in this process only; a pool pickles its task by name.
         recorded = _record_upper_calls(monkeypatch) if workers == 1 else (spans, slices)
@@ -541,15 +564,18 @@ class TestUpperBound:
 
     def test_task_size_scales_with_the_inner_dimension(self, p_set1, vg_set1, monkeypatch):
         # At K = 10 (D = 40) a task spans 64 pairs and a slice 16; at K = 40
-        # (D = 160) 16 and 4.  Every leg's optimum is its own, so the run
-        # means equal those of one slice for all the legs.
+        # (D = 160) 16 and 4.  With the plans of one leg a pair withheld, a
+        # task's missed legs fill slices of 32 and 8 legs.  Every leg's
+        # optimum is its own, so the run means equal those of one slice for
+        # all the legs.
         p40 = dataclasses.replace(p_set1, K=40, delta=1 / 40)
         assert bounds._upper_chunk_pairs(p_set1) == bounds.UPPER_CHUNK_PAIRS == 16
         assert bounds._upper_chunk_pairs(p40) == 4 and bounds.UPPER_SLICES_PER_TASK == 4
         vg40 = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
+        _withhold_plans(monkeypatch)
         for p, vg, pairs, spans, slices in (
-                (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)], [32] * 5),
-                (p40, vg40, (9, 2), [(0, 16), (16, 18)], [8] * 4 + [4])):
+                (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)], [32, 32, 16]),
+                (p40, vg40, (9, 2), [(0, 16), (16, 18)], [8, 8, 2])):
             cfg = RunConfig(paths_per_run=pairs[0], runs=pairs[1], seed=5, penalty_kind="m1", gamma=1.5)
             with monkeypatch.context() as patched:
                 recorded = _record_upper_calls(patched)
@@ -560,7 +586,7 @@ class TestUpperBound:
                 patched.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
                 recorded = _record_upper_calls(patched)
                 assert np.array_equal(upper_bound(p, vg, cfg).run_means, sliced.run_means)
-                assert recorded == ([(0, 2 * pairs[0])], [4 * pairs[0]])
+                assert recorded == ([(0, 2 * pairs[0])], [2 * pairs[0]])
 
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
         p = market.parameter_set(1)
@@ -587,27 +613,32 @@ class TestUpperBound:
 
     def test_infeasible_inner_start_raises_path_error_naming_its_leg(self, p_set1, vg_set1, monkeypatch):
         # Slices of 3 pairs, two a task: the second task holds flat pairs
-        # [6, 12), and its second slice pairs 9, 10, 11, i.e. (run, path)
-        # (1, 4), (2, 0), (2, 1); that slice's leg 1 is the antithetic leg of
-        # (1, 4).  Every slice assembles its own problems.
-        assemble = bounds.assemble_inner_batch
-        calls = []
+        # [6, 12), and pair 9 is (run, path) (1, 4).  Its antithetic leg
+        # misses the certificate, its plan withheld, and its interior start
+        # is not strictly feasible; it is the only leg a slice solves.
+        named = -shock_path(p_set1, 7, 1, 4).Z
+        plan, assemble, calls = bounds._dual_plan, bounds.assemble_inner_batch, []
+
+        def withheld(p, forms, ctxs):
+            warm, duals = plan(p, forms, ctxs)
+            miss = (ctxs.Z == named).all(axis=(1, 2))
+            warm[miss], duals[miss] = np.nan, np.nan
+            return warm, duals
 
         def broken(p, forms, ctxs):
             oracle, A, b, X0 = assemble(p, forms, ctxs)
             calls.append(len(X0))
-            if len(calls) == 4:
-                X0 = X0.copy()
-                X0[1] = -1.0
+            X0[(ctxs.Z == named).all(axis=(1, 2))] = -1.0
             return oracle, A, b, X0
 
+        monkeypatch.setattr(bounds, "_dual_plan", withheld)
         monkeypatch.setattr(bounds, "assemble_inner_batch", broken)
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 3)
         monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 2)
         cfg = RunConfig(paths_per_run=5, runs=3, seed=7, penalty_kind="m1", gamma=1.5)
         with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\)"):
             upper_bound(p_set1, vg_set1, cfg)
-        assert calls == [6, 6, 6, 6]
+        assert calls == [1]
 
     @pytest.mark.parametrize("gamma, kind", [(3.0, "m2"), (5.0, "m1")])
     def test_published_size_set1_flags_no_leg(self, solved_grid, gamma, kind):
@@ -664,6 +695,27 @@ class TestUpperBound:
         est = upper_bound(p, vg, RunConfig(paths_per_run=4, runs=2, seed=1, penalty_kind=kind))
         assert est.total_paths == 16
         assert est.flagged_paths == 0
+
+    @pytest.mark.parametrize("kind", ["m1", "zero"])
+    def test_small_gross_riskfree_rate_over_ten_stages_certifies_without_a_start(self, kind):
+        # Set 1 at R_f = 5e-4 and K = 10: the grid policy spends its whole
+        # bond budget, so the interior start of most legs is not strictly
+        # feasible (24 of these 32).  Every leg still certifies at its
+        # recovered optimum, which is checked before the start, and equals
+        # its one-leg solve.
+        data = market.parameter_set(1, gamma=1.5).to_dict()
+        data.update(r_f=-9.995)
+        p = market.ModelParams.from_dict(data)
+        assert p.K == 10
+        vg = dp_solver.backward_recursion(p)
+        cfg = RunConfig(paths_per_run=8, runs=2, seed=42, penalty_kind=kind)
+        ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, 16)))
+        _, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form(kind, ctxs, p), ctxs)
+        assert ((b - concave.stacked_matvec(A, X0)).min(axis=1) <= 0.0).sum() >= 16
+        est = upper_bound(p, vg, cfg)
+        run_means, flagged = _upper_leg_by_leg(p, vg, cfg)
+        assert est.flagged_paths == flagged == 0
+        assert np.array_equal(est.run_means, run_means)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_alpha_at_either_end_certifies_every_leg(self, p_set1, monkeypatch, alpha):
@@ -755,7 +807,8 @@ class TestUpperBound:
         # high risk aversion, longer floor chains (47-85 pieces a leg at
         # K = 40 against 12-25 at K = 10), the R_f = 5e-4 legs that reach the
         # outermost pieces, and amounts without utility on their floors.  Every leg of every
-        # penalty certifies at its recovered optimum with 0 Newton steps.
+        # penalty certifies at its recovered optimum in its task's certificate
+        # pass, so no leg reaches a slice and none takes a Newton step.
         name, value = case.split()
         if name == "gamma":
             p, vg = solved_grid(1, 20.0)
@@ -765,19 +818,12 @@ class TestUpperBound:
             p = dataclasses.replace(p_set1, **({"K": int(value), "delta": 1.0 / int(value)} if name == "K"
                                                else {"alpha": float(value)}))
             vg = dp_solver.backward_recursion(p)
-        solve, steps = concave.maximize_batch, []
-
-        def counted(*args, **kwargs):
-            sols = solve(*args, **kwargs)
-            steps.extend(sol.iterations for sol in sols)
-            return sols
-
-        monkeypatch.setattr(concave, "maximize_batch", counted)
+        spans, slices = _record_upper_calls(monkeypatch)
         pairs = 8 if p.K == 40 else 16
         for kind in penalties.PENALTY_KINDS:
             est = upper_bound(p, vg, RunConfig(paths_per_run=pairs, runs=2, seed=7, penalty_kind=kind))
-            assert est.flagged_paths == 0
-        assert len(steps) == 3 * 4 * pairs and not any(steps)
+            assert est.total_paths == 4 * pairs and est.flagged_paths == 0
+        assert len(spans) == 3 and slices == []
 
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
@@ -801,29 +847,24 @@ class TestUpperBound:
             assert sol.f >= realized - 1e-9
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
-    def test_every_leg_is_at_least_its_baseline_objective(self, p_set1, vg_set1, monkeypatch, kind):
+    def test_every_leg_is_at_least_its_baseline_objective(self, p_set1, vg_set1, kind):
         # The baseline decisions are feasible in their leg's inner problem,
         # so its optimum f is at least utility(baseline) - M(baseline), up to
         # rounding, on every leg.
+        # The legs are solved here as one slice would solve them, and their
+        # optima give the bound's run means.
         cfg = RunConfig(paths_per_run=4, runs=2, seed=11, penalty_kind=kind, gamma=1.5)
-        solved = []
-        batch = concave.maximize_batch
-
-        def recorded(*args, **kwargs):
-            sols = batch(*args, **kwargs)
-            solved.extend(sols)
-            return sols
-
-        monkeypatch.setattr(concave, "maximize_batch", recorded)
         est = upper_bound(p_set1, vg_set1, cfg)
-        f = np.array([sol.f for sol in solved])
-        assert f.size == est.total_paths == 16
-        assert np.array_equal(est.run_means, [np.mean(f[:8]), np.mean(f[8:])])
         policy = dp_solver.make_grid_policy(vg_set1, p_set1)
         Z, Ztilde = bounds._chunk_shocks(p_set1, cfg, (0, 8))
+        ctxs = penalties.build_contexts(p_set1, vg_set1, policy, Z, Ztilde)
+        forms = penalties.penalty_form(kind, ctxs, p_set1)
+        sols = bounds._upper_slice(p_set1, forms, ctxs, *bounds._dual_plan(p_set1, forms, ctxs), slice(None))
+        f = np.array([sol.f for sol in sols])
+        assert f.size == est.total_paths == 16
+        assert np.array_equal(est.run_means, [np.mean(f[:8]), np.mean(f[8:])])
         path = market.simulate_paths(p_set1, policy, Z, Ztilde)
-        M = penalties.penalty_form(kind, penalties.build_contexts(p_set1, vg_set1, policy, Z, Ztilde),
-                                   p_set1).evaluate(path.Pi, path.C)
+        M = forms.evaluate(path.Pi, path.C)
         utility = path_utility(p_set1, path.C, path.W[:, -1])
         assert np.all(f >= utility - M - 1e-12 * (1.0 + np.abs(utility) + np.abs(M)))
 
@@ -991,18 +1032,22 @@ class TestDualFace:
         assert len(values) == 128 and flagged == 0
         assert len(calls) <= cap
 
-    def test_start_that_is_not_strictly_feasible_is_reported_despite_its_plan(self, p_set1, vg_set1):
-        # An interior start outside the feasible set: the leg's solve reports
-        # it whatever its warm point, and the other legs certify from theirs.
+    def test_start_that_is_not_strictly_feasible_is_reported_only_without_a_certificate(self, p_set1, vg_set1):
+        # Interior starts outside the feasible set on legs 3 and 5: leg 3
+        # still certifies at its warm point, before its start is checked;
+        # leg 5, its plan withheld, is reported infeasible, and the other
+        # legs certify from theirs.
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
-        bad[3] = -1.0
+        bad[[3, 5]] = -1.0
         warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
         assert np.isfinite(warm).all() and np.isfinite(duals).all()
+        warm[5], duals[5] = np.nan, np.nan
         sols = concave.maximize_batch(oracle, A, b, bad, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
-        assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 3 + [concave.STATUS_INFEASIBLE] + [
-            concave.STATUS_CONVERGED] * 4
+        assert [(sol.status, sol.iterations) for sol in sols] == [(concave.STATUS_CONVERGED, 0)] * 5 + [
+            (concave.STATUS_INFEASIBLE, 0)] + [(concave.STATUS_CONVERGED, 0)] * 2
+        assert np.array_equal(sols[3].x, warm[3]) and sols[5].f == -np.inf
 
     @pytest.mark.parametrize("corruption", ["negative", "slack row", "stationarity"])
     def test_corrupted_multipliers_fall_back_to_the_barrier(self, p_set1, vg_set1, corruption):
@@ -1023,7 +1068,8 @@ class TestDualFace:
         else:
             bad[leg] *= 1.01
         AT = np.ascontiguousarray(A.transpose(0, 2, 1))
-        stationarity = concave._stationarity(oracle.gradient(warm, np.arange(len(warm))), AT, bad)
+        stationarity = concave._stationarity(oracle.gradient(warm, np.arange(len(warm))),
+                                             concave.stacked_matvec(AT, bad))
         assert (stationarity > bounds.INNER_TOL)[leg] == (corruption != "slack row")
         assert (bad[leg] >= 0.0).all() == (corruption != "negative")
         solve = functools.partial(concave.maximize_batch, oracle, A, b, X0, tol=bounds.INNER_TOL,
@@ -1058,20 +1104,18 @@ class TestDualFace:
         # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed
         # 5) sent 3 and 5 of 160 legs to the barrier from the interior start:
         # their face Newton steps from it were dropped, although the dual
-        # face was right.  From the recovered optimum every leg certifies.
-        barrier, sent = concave._barrier, []
-
-        def counted(oracle, live, *args):
-            sent.append(live.size)
-            return barrier(oracle, live, *args)
-
-        monkeypatch.setattr(concave, "_barrier", counted)
+        # face was right.  From the recovered optimum every leg certifies in
+        # its task's certificate pass: no leg reaches a slice, and the
+        # solver never runs.
+        solve, solved = concave.maximize_batch, []
+        monkeypatch.setattr(concave, "maximize_batch", lambda *args, **kwargs: solved.append(args) or solve(
+            *args, **kwargs))
+        spans, slices = _record_upper_calls(monkeypatch)
         for sid, kind in ((2, "m2"), (4, "m1")):
             p, vg = solved_grid(sid, 5.0)
-            sent.clear()
             est = upper_bound(p, vg, RunConfig(paths_per_run=8, runs=10, seed=5, penalty_kind=kind))
-            assert est.total_paths == 160 and len(sent) == 5   # one solve a 16-pair slice
-            assert sum(sent) == 0 and est.flagged_paths == 0
+            assert est.total_paths == 160 and est.flagged_paths == 0
+        assert len(spans) == 4 and slices == [] and not solved
 
 
     def test_seed43_set2_gamma5_m2_leg_converges(self, solved_grid):
@@ -1084,6 +1128,93 @@ class TestDualFace:
         bounds._init_worker(p, vg, cfg)
         values, flagged = bounds._upper_task((268, 269))
         assert len(values) == 2 and flagged == 0
+
+
+def _record_certificates(monkeypatch):
+    """Record (S, b, kkt, certified, F) of each `concave.certificate` call,
+    b as wide as S."""
+    rule, calls = concave.certificate, []
+
+    def recorded(S, b, nu, F, terms, tol):
+        done, kkt = rule(S, b, nu, F, terms, tol)
+        calls.append((S, np.broadcast_to(b, S.shape), kkt, done, F))
+        return done, kkt
+
+    monkeypatch.setattr(concave, "certificate", recorded)
+    return calls
+
+
+class TestTaskCertificate:
+    """`bounds._certify_legs`, each upper-bound task's certificate read off
+    the wealth chain, against `concave._certify`'s test of the same legs on
+    their dense `assemble_inner_batch` problems: both call one decision
+    rule, `concave.certificate`."""
+
+    @staticmethod
+    def _both(monkeypatch, p, vg, kind, corrupt=lambda warm, duals, b: None):
+        """The two certificates' recorded calls (`_record_certificates`),
+        dense then structured (objective stacks of 5 legs at a time), on the
+        legs of 8 pairs at seed 3, their plans changed in place by
+        `corrupt(warm, duals, b)`."""
+        forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, 3, 8)
+        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        corrupt(warm, duals, b)
+        calls = _record_certificates(monkeypatch)
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                                      warm=warm, duals=duals)
+        certified, f = bounds._certify_legs(p, forms, ctxs.R, warm, duals, block=5)
+        assert len(calls) == 2
+        dense, structured = calls
+        assert np.array_equal(certified, structured[3]) and np.array_equal(f, structured[4], equal_nan=True)
+        assert [sol.iterations == 0 and sol.status == concave.STATUS_CONVERGED for sol in sols] == dense[3].tolist()
+        return dense, structured
+
+    @pytest.mark.parametrize("case", [f"set {sid} {gamma}" for sid in (1, 2, 3, 4) for gamma in (1.5, 5.0)]
+                             + ["alpha 0", "alpha 1", "K 20", "K 40"])
+    def test_structured_certificate_equals_the_dense_one(self, p_set1, solved_grid, monkeypatch, case):
+        # The slacks and relative stationarity agree to 1e-12 (measured:
+        # 1.0e-15 and 2.2e-13), f bit for bit, and every leg certifies in
+        # both.  The alpha and K cases run on a coarse grid.
+        name, *value = case.split()
+        if name == "set":
+            p, vg = solved_grid(int(value[0]), float(value[1]))
+        else:
+            p, vg = _coarse_grid(dataclasses.replace(p_set1, **({"K": int(value[0]), "delta": 1.0 / int(value[0])}
+                                                              if name == "K" else {"alpha": float(value[0])})))
+        for kind in penalties.PENALTY_KINDS:
+            (S, b, kkt, done, F), (S1, b1, kkt1, done1, F1) = self._both(monkeypatch, p, vg, kind)
+            assert np.array_equal(b, b1) and np.array_equal(F, F1)
+            assert done.all() and done1.all()
+            assert np.abs(S - S1).max() <= 1e-12 and np.abs(kkt - kkt1).max() <= 1e-12
+
+    def test_corrupted_plans_are_rejected_by_both(self, p_set1, vg_set1, monkeypatch):
+        # Leg 1: a zero multiplier of a Pi row set to -1e-9.  Leg 3: every multiplier scaled by 1.01.  Leg 4: a Pi row it
+        # holds broken by 2e-10 (1 + |b|), twice the tolerance.  Leg 6: a
+        # NaN warm point and multipliers.  Both tests reject exactly those
+        # legs, under each penalty.
+        def corrupt(warm, duals, b):
+            m = 2 * p_set1.K + 1
+            duals[1, np.flatnonzero(duals[1, m:] == 0.0)[0] + m] = -1e-9
+            duals[3] *= 1.01
+            held = np.flatnonzero(warm[4].reshape(p_set1.K, -1)[:, :p_set1.n].reshape(-1) == 0.0)[0]
+            warm[4, held // p_set1.n * (p_set1.n + 1) + held % p_set1.n] = -2e-10 * (1.0 + abs(b[4, m + held]))
+            warm[6], duals[6] = np.nan, np.nan
+
+        for kind in penalties.PENALTY_KINDS:
+            dense, structured = self._both(monkeypatch, p_set1, vg_set1, kind, corrupt)
+            assert np.flatnonzero(~dense[3]).tolist() == np.flatnonzero(~structured[3]).tolist() == [1, 3, 4, 6]
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_certified_task_builds_and_solves_no_dense_problem(self, p_set1, vg_set1, monkeypatch, kind):
+        # A 64-pair set-1 task certifies every leg in its certificate pass,
+        # so it calls neither the dense assembly nor the solver.
+        calls = []
+        for module, name in ((bounds, "assemble_inner_batch"), (concave, "maximize_batch")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+        bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind))
+        values, flagged = bounds._upper_task((0, 64))
+        assert len(values) == 128 and np.isfinite(values).all() and flagged == 0
+        assert calls == []
 
 
 class TestRobustnessMatrix:

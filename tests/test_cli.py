@@ -309,12 +309,18 @@ class TestBounds:
         assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_upper_exits_3_naming_a_leg_with_an_infeasible_start(self, grid_file_set1, monkeypatch, capsys):
-        assemble = bounds.assemble_inner_batch
+        # Every leg's plan is withheld, so that each misses the certificate
+        # and is solved from its interior start, which is not feasible.
+        plan, assemble = bounds._dual_plan, bounds.assemble_inner_batch
+
+        def withheld(p, forms, ctxs):
+            return tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs))
 
         def infeasible_start(p, forms, ctxs):
             oracle, A, b, X0 = assemble(p, forms, ctxs)
             return oracle, A, b, np.full_like(X0, -1.0)
 
+        monkeypatch.setattr(bounds, "_dual_plan", withheld)
         monkeypatch.setattr(bounds, "assemble_inner_batch", infeasible_start)
         assert run_cli("upper", "--grid", grid_file_set1, "--penalty", "m1",
                        "--seed", "1", "--paths", "2", "--runs", "2", "--out", "-") == 3

@@ -152,47 +152,45 @@ class TestMaximize:
 
         monkeypatch.setattr(concave, "maximize_batch", counted)
         dp_solver.backward_recursion(p_set1)
-        node_mean = np.mean(counts)
+        assert np.mean(counts) <= 7
+        # The inner problems of an upper bound's legs (6 pairs x 2 runs, seed
+        # 3, m1), solved as a slice solves them: each first checks the KKT
+        # conditions at the primal optimum its leg's dual recovers, with
+        # that dual's multipliers, which certifies every leg here with 0
+        # Newton steps (about 1.08 face Newton steps by a crossover from that
+        # point, 2.0 from that point moved 1e-9 of the way toward the
+        # interior start, 6.2 from the interior start, about 17 by the
+        # barrier).
+        problem, plan = upper_legs(p_set1, vg_set1, "m1", seed=3, pairs=12, per_run=6)
         counts.clear()
-        bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind="m1"))
-        assert node_mean <= 7
-        # Each inner solve first checks the KKT conditions at the primal
-        # optimum its leg's dual recovers, with that dual's multipliers,
-        # which certifies every leg here with 0 Newton steps (about 1.08
-        # face Newton steps by a crossover from that point, 2.0 from that
-        # point moved 1e-9 of the way toward the interior start, 6.2 from
-        # the interior start, about 17 by the barrier).
-        assert np.mean(counts) <= 0.1
+        concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                               warm=plan[0], duals=plan[1])
+        assert len(counts) == 24 and np.mean(counts) <= 0.1
 
     def test_set1_inner_problems_mostly_exit_at_the_first_crossover(self, monkeypatch, p_set1, vg_set1):
         # The first crossover runs at duality measure m/t ~ 1e-3; with the
         # absolute near-active face cut it certified none of these solves.
+        # The legs of upper bounds (6 pairs x 2 runs, seed 3) are solved
+        # without their warm points and multipliers, so that the first
+        # crossover is the barrier's, which the legs whose warm point does
+        # not certify rely on.
         certified = []
         crossover = concave._crossover
-        first = [True]
 
         def traced_crossover(*args):
             kkt = crossover(*args)
-            if first[0]:
-                certified.extend((kkt <= bounds.INNER_TOL).tolist())
-                first[0] = False
+            certified.append((kkt <= bounds.INNER_TOL).tolist())
             return kkt
 
-        batch = concave.maximize_batch
-
-        def traced_batch(*args, warm=None, duals=None, **kwargs):
-            # Without the warm points and their multipliers, so that the first
-            # crossover is the barrier's, which the legs whose warm point does
-            # not certify rely on.
-            first[0] = True
-            return batch(*args, **kwargs)
-
         monkeypatch.setattr(concave, "_crossover", traced_crossover)
-        monkeypatch.setattr(concave, "maximize_batch", traced_batch)
+        firsts = []
         for kind in ("m1", "m2", "zero"):
-            bounds.upper_bound(p_set1, vg_set1, bounds.RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind=kind))
-        assert len(certified) == 72
-        assert np.mean(certified) >= 0.85
+            certified.clear()
+            problem, _ = upper_legs(p_set1, vg_set1, kind, seed=3, pairs=12, per_run=6)
+            concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            firsts += certified[0]
+        assert len(firsts) == 72
+        assert np.mean(firsts) >= 0.85
 
     def test_certified_optimum_does_not_depend_on_crossover_stage_centering(self, monkeypatch, p_set1,
                                                                               vg_set1):
@@ -477,15 +475,22 @@ def set1_stage_nodes(p, vg, k):
     return (bellman_oracle(p, Rq, quad.weights, EJ), A, b, X0), W, node
 
 
+def upper_legs(p, vg, kind, seed, pairs, per_run):
+    """The inner problems of flat pairs [0, pairs) at `seed`, in runs of
+    `per_run` pairs, as an upper bound's slice poses them: (oracle, A, b,
+    X0) and the legs' dual plan (warm, duals)."""
+    cfg = bounds.RunConfig(paths_per_run=per_run, runs=2, seed=seed, penalty_kind=kind)
+    ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
+    forms = penalties.penalty_form(kind, ctxs, p)
+    return bounds.assemble_inner_batch(p, forms, ctxs), bounds._dual_plan(p, forms, ctxs)
+
+
 def set1_inner_batch(p, vg, kind, pairs=16):
     """The inner problems of the first `pairs` antithetic pairs of set 1
     (seed 5) as `upper_bound` poses them, (oracle, A, b, X0), and the faces
     their dual-recovered optima hold; X0 is the interior start, off the face."""
-    cfg = bounds.RunConfig(paths_per_run=pairs, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
-    ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
-    forms = penalties.penalty_form(kind, ctxs, p)
-    oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
-    return (oracle, A, b, X0), held_rows(A, b, bounds._dual_plan(p, forms, ctxs)[0])
+    (oracle, A, b, X0), (warm, _) = upper_legs(p, vg, kind, seed=5, pairs=pairs, per_run=pairs)
+    return (oracle, A, b, X0), held_rows(A, b, warm)
 
 
 def assert_faces_equal_their_one_face_calls(oracle, A, b, X0, face, oracle_of, rows_of=lambda i: [0]):
