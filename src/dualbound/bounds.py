@@ -14,15 +14,12 @@ generator, bit-identical to `shock_path`.  Both bounds cut the flat
 lower-bound chunk simulates its legs as one batch, each path bit-identical
 to its one-path simulation.  An upper-bound task draws the shocks, builds
 the contexts and penalties, runs the dual search and checks the
-certificate of all its legs at once; only a leg the certificate misses has
-its inner problem built and solved, in slices of a quarter of the task,
-the size the solver's memory allows, each slice as one lockstep batch.
-Every leg is bit-identical to its one-problem solve, and neither the tasks
-nor the slices depend on the worker count.
+certificate of all its legs at once.  Every leg is bit-identical to its
+one-leg computation, and the tasks do not depend on the worker count.
 
-Each inner solve is warm-started from the inner problem's Lagrangian dual,
-which the floor chain of the wealth multipliers makes a function of the
-terminal multiplier lambda_K alone (`_floor_chain`).  Every gross return is
+Each leg's bound comes from the inner problem's Lagrangian dual, which the
+floor chain of the wealth multipliers makes a function of the terminal
+multiplier lambda_K alone (`_floor_chain`).  Every gross return is
 positive, so each wealth multiplier is a convex, increasing, piecewise-linear
 function of lambda_K: `_breakpoints` finds each leg's breakpoints in one
 pass, `_dual_search` bisects the dual's slope over the pieces between them
@@ -36,10 +33,9 @@ certifies each leg by the KKT conditions at that point with those
 multipliers (Boyd & Vandenberghe 2004, 5.5.3), the test
 `concave.maximize_batch` makes with them as `warm` and `duals`, but read
 off the wealth chain in O(K n) a leg (`_certify_legs`), so that a certified
-leg needs neither its (m, D) rows nor a Newton step.  A leg it misses is
-solved as one problem of a slice, which falls back to the barrier from the
-interior start where the dense test misses too; the reported value is the
-primal optimum f either way.
+leg needs neither its (m, D) rows nor a Newton step; it reports the primal
+optimum f.  A leg it misses reports G at its lambda_K, an upper bound on
+its inner maximum by weak duality.
 """
 
 from __future__ import annotations
@@ -60,26 +56,21 @@ INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 # (run, path) pairs per lower-bound task, simulated as one batch.
 LOWER_CHUNK_PAIRS = 256
-# (run, path) pairs per upper-bound slice at inner dimension D = 40 (K = 10,
-# n = 3); `_upper_chunk_pairs` scales it by 40 / D.  A slice holds only legs
-# the task's certificate misses, none of the legs measured, and solves their
-# inner problems as one batch; the certificate builds the objective stacks
-# (3.8 KB a leg at D = 40) of as many legs at a time.  A larger batch pays
-# less per-call overhead a leg but holds more solver temporaries, which grow
-# like D^2 a leg: at K = 10 about 62 KB where a leg falls back to the
-# barrier, at K = 40 about 1 MB.  Measured when every leg was solved in a
-# slice: on the set-1 `dual-bound` benchmark, 16 pairs instead of 8 cut
-# wall time by 16% for +3% peak RSS, and 32 pairs cut 3% more for +10%; at
-# K = 40, 4 pairs took 5-9% less time a leg than 16 at a third of the
-# tracemalloc peak, and 1 pair, a (40 / D)^2 scaling, 3-6% more.
+# (run, path) pairs per block of an upper-bound task's certificate at inner
+# dimension D = 40 (K = 10, n = 3); `_upper_chunk_pairs` scales it by 40 / D.
+# `_certify_legs` builds the objective stacks of a block's legs at a time,
+# about D (K + 2) floats a leg (3.8 KB at D = 40, 54 KB at D = 160), so the
+# block keeps them below the dual search's peak: stacks of a whole task at
+# once raised its tracemalloc peak from 5.1 to 8.3 KB a leg at K = 10, and
+# from 30 to 71 KB at K = 40.
 UPPER_CHUNK_PAIRS = 16
-# Slices per upper-bound task.  A task draws its shocks, builds its contexts
-# and penalties, runs the dual search and checks the certificate once for
-# all its legs, work that pays a fixed cost a call: on the `dual-bound`
-# benchmark, 64-pair tasks took a fifth less wall time than 16-pair ones,
-# and a task peaks at about 5.1 KB a leg, in the dual search.  Its slices
-# hold only the legs it misses.  A multiple of the slice keeps the task's
-# memory scaling with D like the slices'.
+# Certificate blocks per upper-bound task.  A task draws its shocks, builds
+# its contexts and penalties, runs the dual search and checks the
+# certificate once for all its legs, work that pays a fixed cost a call: on
+# the `dual-bound` benchmark, 64-pair tasks took a fifth less wall time than
+# 16-pair ones, and a task peaks at about 5.1 KB a leg, in the dual search.
+# A multiple of the block keeps the task's memory scaling with D like the
+# blocks'.
 UPPER_SLICES_PER_TASK = 4
 # `_dual_plan`'s Newton steps on lam_K per leg, at most.  From the breakpoint
 # that ends its piece, every leg measured (sets 1-4 at gamma 1.5 to 20, K = 20
@@ -279,15 +270,16 @@ def _lower_task(span):
 
 
 def _upper_task(span):
-    """Inner optima and cap flags of the legs of flat pairs [start, stop).
+    """Inner upper bounds of the legs of flat pairs [start, stop), and the
+    count of those not certified.
 
     The task builds the contexts and forms of all its legs and runs their
     dual search as one stack (`_dual_plan`).  It then certifies all its
     legs at the optima their duals recover in one pass (`_certify_legs`,
-    whose objective stacks take `_upper_chunk_pairs(p)` pairs at a time),
-    and solves only the legs that miss, in slices of that size
-    (`_upper_slice`).  A leg that misses and whose interior start is not
-    strictly feasible has no inner optimum (its f is -inf) and raises
+    whose objective stacks take `_upper_chunk_pairs(p)` pairs at a time);
+    a certified leg reports its optimum's f.  A leg that misses reports its
+    dual value G at its lam_K (`_floor_chain`, on the missed legs only), a
+    bound by weak duality, and is counted; one whose G is not finite raises
     PathError."""
     p, vg, cfg, policy = _STATE["p"], _STATE["vg"], _STATE["cfg"], _STATE["policy"]
     try:
@@ -295,18 +287,18 @@ def _upper_task(span):
     except AdmissibilityError as exc:
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
-    warm, duals = _dual_plan(p, forms, ctxs)
-    step = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
-    certified, values = _certify_legs(p, forms, ctxs.R, warm, duals, step)
-    missed, flagged = np.flatnonzero(~certified), 0
-    for first in range(0, len(missed), step):
-        legs = missed[first:first + step]
-        for leg, sol in zip(legs.tolist(), _upper_slice(p, forms, ctxs, warm, duals, legs)):
-            if sol.status == concave.STATUS_INFEASIBLE:
-                raise _path_error("upper", cfg, span, leg, "the inner problem's start is not strictly feasible")
-            values[leg] = sol.f
-            flagged += sol.status != concave.STATUS_CONVERGED
-    return values.tolist(), flagged
+    warm, duals, lam_K = _dual_plan(p, forms, ctxs)
+    block = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
+    certified, values = _certify_legs(p, forms, ctxs.R, warm, duals, block)
+    missed = np.flatnonzero(~certified)
+    if missed.size:
+        legs = penalties.take(forms, missed)
+        values[missed] = _floor_chain(p, _candidate_lines(p, legs, penalties.take(ctxs, missed)), legs.lin_C,
+                                      legs.constant, _utility_weights(p) ** (1.0 / p.gamma), lam_K[missed])[0]
+        bad = missed[~np.isfinite(values[missed])]
+        if bad.size:
+            raise _path_error("upper", cfg, span, int(bad[0]), "the inner problem's dual value is not finite")
+    return values.tolist(), missed.size
 
 
 def _certify_legs(p: ModelParams, forms, R, warm, duals, block: int) -> tuple:
@@ -356,16 +348,6 @@ def _certify_legs(p: ModelParams, forms, R, warm, duals, block: int) -> tuple:
     return certified, F
 
 
-def _upper_slice(p, forms, ctxs, warm, duals, legs):
-    """Solutions of the inner problems of legs `legs` of a task's stacks,
-    solved as one batch from the warm points and multipliers of
-    `_dual_plan`.  Called once per slice, so that a slice's problem stacks
-    are freed before the next slice's are built."""
-    oracle, A, b, X0 = assemble_inner_batch(p, penalties.take(forms, legs), penalties.take(ctxs, legs))
-    return concave.maximize_batch(oracle, A, b, X0, tol=INNER_TOL, max_newton=INNER_MAX_NEWTON,
-                                  warm=warm[legs], duals=duals[legs])
-
-
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
     # A fork-started pool forks all its workers up front; start no idle ones.
     workers = min(workers, len(tasks))
@@ -387,7 +369,7 @@ def _spans(cfg: RunConfig, chunk: int) -> list:
 
 
 def _upper_chunk_pairs(p: ModelParams) -> int:
-    """Pairs per upper-bound slice for inner problems of dimension D = K (n + 1)."""
+    """Pairs per certificate block for inner problems of dimension D = K (n + 1)."""
     return max(1, UPPER_CHUNK_PAIRS * 40 // (p.K * (p.n + 1)))
 
 
@@ -436,26 +418,23 @@ def lower_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
 
 def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
                 workers: int = 1) -> BoundEstimate:
-    """Dual bound: mean of per-path inner optima under the configured penalty.
+    """Dual bound: mean of per-path inner upper bounds under the configured
+    penalty.
 
     The flat (run, path) list is cut into tasks of UPPER_SLICES_PER_TASK
-    slices of `_upper_chunk_pairs(p)` pairs (across run boundaries).  Each
+    blocks of `_upper_chunk_pairs(p)` pairs (across run boundaries).  Each
     task runs the dual search of all its legs at once (`_dual_plan`) and
     checks the KKT conditions at the primal optimum each leg's dual
     recovers, with the dual's row multipliers, from the wealth chain
-    (`_certify_legs`).  That certifies every leg measured (sets 1-4 at
-    gamma 1.5 to 20, alpha 0 to 1, K = 10 to 40, R_f = 5e-4) with no inner
-    problem built and no Newton step.  A slice solves the inner problems of
-    the legs the task misses as one `concave.maximize_batch` call, which
-    runs the barrier from the interior start where its own certificate
-    misses too.  Either way the leg's value is the primal optimum f,
-    bit-identical to its own `assemble_inner` + `maximize`, so the results
-    depend on neither size.
-
-    Paths whose inner solve stops at the iteration cap keep the last iterate
-    and are counted in flagged_paths.  That iterate understates the inner
-    maximum, which biases the bound down and can make it no upper bound at
-    all; the estimate is a valid upper bound only when flagged_paths == 0.
+    (`_certify_legs`).  A certified leg reports that optimum's f,
+    bit-identical to its own `assemble_inner` + `maximize`, with no inner
+    problem built and no Newton step; every leg measured (sets 1-4 at gamma
+    1.5 to 20, alpha 0 to 1, K = 10 to 40, R_f = 5e-4) certifies.  A leg
+    the check misses reports its dual value G at its lam_K, an upper bound
+    on its inner maximum by weak duality, bit-identical to its one-leg
+    value; it is counted in flagged_paths, valid but not certified to be
+    the maximum.  So the results depend on neither the task size nor the
+    worker count.
     """
     results = _run_tasks(_upper_task, _spans(cfg, UPPER_SLICES_PER_TASK * _upper_chunk_pairs(p)),
                          p, vg, cfg, workers)
@@ -573,10 +552,10 @@ def assemble_inner(p: ModelParams, form: penalties.PenaltyForm, ctx: penalties.P
     """Inner problem of one path leg as (oracle, (A, b, warm, duals), X0),
     its warm point, that point's row multipliers and its interior start, for
     `concave.maximize`; the N = 1 call of `_dual_plan`, which `upper_bound`
-    makes per task, and of `assemble_inner_batch`, which it makes per slice
-    of the legs its certificate misses."""
+    makes per task, and of `assemble_inner_batch`.  A certified leg's
+    `maximize` gives `upper_bound`'s f bit for bit."""
     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
-    warm, duals = _dual_plan(p, form, ctx)
+    warm, duals, _ = _dual_plan(p, form, ctx)
     oracle, A, b, X0 = assemble_inner_batch(p, form, ctx)
     return oracle, (A[0], b[0], warm[0], duals[0]), X0[0]
 
@@ -727,8 +706,8 @@ def _dual_search(p: ModelParams, lines, forms, w) -> tuple:
 
 def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
     """Each leg's primal optimum as its dual recovers it (Boyd & Vandenberghe
-    2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, and
-    its rows' multipliers, (B, m) in the rows' order there.
+    2004, 5.5.5), (B, D) in the coordinates of `assemble_inner_batch`, its
+    rows' multipliers, (B, m) in the rows' order there, and its lam_K (B,).
 
     Each lambda_k is affine in lam_K on each piece between the breakpoints
     of `_breakpoints`, and `_dual_search` finds two adjacent pieces around
@@ -829,7 +808,7 @@ def _dual_plan(p: ModelParams, forms, ctxs) -> tuple:
         duals[:, 1:2 * K:2] = np.where(floored, y - weight[:K] * C ** -gamma, 0.0)
         duals[:, 2 * K] = np.where(floored_K, lam_K - weight[K] * C_K ** -gamma, 0.0)
         duals[:, 2 * K + 1:] = gaps[:, :, :p.n].reshape(B, -1)
-    return hold.reshape(B, -1), duals
+    return hold.reshape(B, -1), duals, lam_K
 
 
 def gap_fraction(lower: float, uppers) -> float:

@@ -86,7 +86,7 @@ def take(x, legs):
     # Keyword arguments from a dict, not a tuple from a generator: CPython
     # sizes such a tuple for ten items and shrinks it, so each one freed
     # parks in the free list of its final size, which grows to 2,000 tuples
-    # (about 0.27 MB for the 3- and 8-field tuples of three calls a slice).
+    # (about 0.27 MB for the 3- and 8-field tuples of forms and contexts).
     return type(x)(**{name: value[legs] for name, value in vars(x).items()})
 
 

@@ -305,7 +305,7 @@ class TestAssembleInner:
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
         oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
         assert duals.shape == b.shape
         ends, at = _dual_search(p, forms, ctxs)
         batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
@@ -328,13 +328,13 @@ class TestAssembleInner:
 
     @pytest.mark.parametrize("kind, kb_per_leg", [("m1", 75), ("m2", 75), ("zero", 90)])
     def test_upper_chunk_solve_peak_per_leg(self, p_set1, vg_set1, kind, kb_per_leg):
-        # The solver's per-leg temporaries cap UPPER_CHUNK_PAIRS.  On this
-        # batch (16 pairs, 40-dim legs) the barrier from the interior start,
-        # the path of a leg whose warm point does not certify, peaks at about
-        # 62 KB a leg for each penalty, as much in its centring as in its
-        # crossovers' face systems.  The dual search and the dense
-        # certificate at the recovered optima with their multipliers, which
-        # a slice runs first, take about 7 KB.
+        # The solver's per-leg temporaries on the dense inner problems that
+        # the one-leg replay and the weak-duality tests solve.  On this batch
+        # (16 pairs, 40-dim legs) the barrier from the interior start peaks
+        # at about 62 KB a leg for each penalty, as much in its centring as in
+        # its crossovers' face systems.  The dual search and the dense
+        # certificate at the recovered optima with their multipliers take
+        # about 7 KB.
         p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
@@ -360,7 +360,7 @@ class TestAssembleInner:
         # recovered optima and multipliers, and the certificate, whose
         # objective stacks are built a slice's legs at a time): measured
         # 5.1 KB a leg for m1 and m2 and 5.0 KB for zero, the dual search's
-        # peak; the certificate stays below it, and no leg reaches a slice.
+        # peak; the certificate stays below it, and every leg certifies.
         # The bound leaves about 18% margin.  A first call also allocates
         # one-time state, so the task runs once untraced.
         bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind,
@@ -378,7 +378,9 @@ class TestAssembleInner:
 
 def _upper_leg_by_leg(p, vg, cfg):
     """Run means and flagged count of a per-leg loop of shock_path ->
-    build_context -> penalty_form -> assemble_inner -> maximize."""
+    build_context -> penalty_form -> assemble_inner -> maximize, in which a
+    leg that does not certify at its warm point (0 Newton steps) takes G at
+    its one-leg lam_K in place of its solve and is flagged."""
     policy = dp_solver.make_grid_policy(vg, p)
     run_means, flagged = [], 0
     for r in range(cfg.runs):
@@ -390,8 +392,12 @@ def _upper_leg_by_leg(p, vg, cfg):
                 form = penalties.penalty_form(cfg.penalty_kind, ctx, p)
                 sol = concave.maximize(*assemble_inner(p, form, ctx), tol=bounds.INNER_TOL,
                                        max_newton=bounds.INNER_MAX_NEWTON)
-                vals.append(sol.f)
-                flagged += sol.status != concave.STATUS_CONVERGED
+                if sol.iterations == 0 and sol.status == concave.STATUS_CONVERGED:
+                    vals.append(sol.f)
+                else:
+                    form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
+                    vals.append(float(_dual_value(p, form, ctx, bounds._dual_plan(p, form, ctx)[2])[0]))
+                    flagged += 1
         run_means.append(float(np.mean(vals)))
     return run_means, flagged
 
@@ -480,19 +486,19 @@ def small_gross_riskfree_rate():
 
 
 def _withhold_plans(monkeypatch):
-    """Withhold the dual plan (NaN warm point and multipliers) of every leg
+    """Withhold the recovered optimum and multipliers (NaN) of every leg
     whose first normal draw is positive, one leg of each antithetic pair,
-    in `bounds._dual_plan`, whose N = 1 call `assemble_inner` makes too.
-    Which legs lose their plan depends only on each leg, so such a leg
-    misses the certificate and runs the barrier in its task's slices and
-    in its one-leg solve alike."""
+    in `bounds._dual_plan`, whose N = 1 call `assemble_inner` makes too;
+    each leg keeps its lam_K.  Which legs lose their plan depends only on
+    each leg, so such a leg misses the certificate in its task and in its
+    one-leg solve alike, and reports G at its lam_K."""
     plan = bounds._dual_plan
 
     def withheld(p, forms, ctxs):
-        warm, duals = plan(p, forms, ctxs)
+        warm, duals, lam_K = plan(p, forms, ctxs)
         miss = ctxs.Z[:, 0, 0] > 0.0
         warm[miss], duals[miss] = np.nan, np.nan
-        return warm, duals
+        return warm, duals, lam_K
 
     monkeypatch.setattr(bounds, "_dual_plan", withheld)
 
@@ -513,80 +519,71 @@ def upper_reference(p_set1, vg_set1):
     return reference
 
 
-def _record_upper_calls(monkeypatch):
-    """Record each task's span and each slice's leg count of `upper_bound`."""
-    spans, slices = [], []
-    task, solve = bounds._upper_task, bounds._upper_slice
+def _record_upper_spans(monkeypatch):
+    """Record each task's span of `upper_bound`."""
+    spans, task = [], bounds._upper_task
     monkeypatch.setattr(bounds, "_upper_task", lambda span: spans.append(span) or task(span))
-
-    def counted(*args):
-        sols = solve(*args)
-        slices.append(len(sols))
-        return sols
-
-    monkeypatch.setattr(bounds, "_upper_slice", counted)
-    return spans, slices
+    return spans
 
 
 class TestUpperBound:
     @pytest.mark.parametrize("penalty", ["m1", "zero"])
-    @pytest.mark.parametrize("slice_pairs, per_task, spans, slices", [
-        # Tasks of 6 pairs, each with 6 legs whose plans are withheld, one
-        # slice of 6 legs; the run boundary at pair 10 lies inside the task
-        # [6, 12), and the last task, [18, 20), is shorter than one slice.
-        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)], [6, 6, 6, 2]),
-        # One slice a task: the second task straddles the run boundary.
-        (8, 1, [(0, 8), (8, 16), (16, 20)], [8, 8, 4]),
-        # The default sizes: one task, whose 20 missed legs fit one slice.
-        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)], [20]),
-        # A task shorter than one slice.
-        (32, 1, [(0, 20)], [20]),
+    @pytest.mark.parametrize("slice_pairs, per_task, spans", [
+        # Tasks of 6 pairs, blocks of 3; the run boundary at pair 10 lies
+        # inside the task [6, 12), and the last task, [18, 20), is shorter
+        # than one block.
+        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)]),
+        # One block a task: the second task straddles the run boundary.
+        (8, 1, [(0, 8), (8, 16), (16, 20)]),
+        # The default sizes: one task.
+        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)]),
+        # A task shorter than one block.
+        (32, 1, [(0, 20)]),
     ], ids=["slice3-two-a-task", "slice8-one-a-task", "default-sizes", "task-below-a-slice"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, upper_reference, monkeypatch,
-                                                      penalty, slice_pairs, per_task, spans, slices, workers):
-        # Half the legs miss the certificate (`_withhold_plans`) and are
-        # solved in slices of the legs their task missed; the other half are
-        # certified in blocks of a slice's size.  Every leg equals its one-leg
-        # solve whatever its task, block or slice.
+                                                      penalty, slice_pairs, per_task, spans, workers):
+        # Half the legs miss the certificate (`_withhold_plans`) and report
+        # G at their lam_K; the other half are certified in blocks of
+        # `slice_pairs` pairs.  Every leg equals its one-leg value whatever
+        # its task or block, and each missed leg is flagged.
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", slice_pairs)
         monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", per_task)
         _withhold_plans(monkeypatch)   # a forked worker inherits the patch
         cfg = RunConfig(paths_per_run=10, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
-        # The recorders run in this process only; a pool pickles its task by name.
-        recorded = _record_upper_calls(monkeypatch) if workers == 1 else (spans, slices)
+        # The recorder runs in this process only; a pool pickles its task by name.
+        recorded = _record_upper_spans(monkeypatch) if workers == 1 else spans
         est = upper_bound(p_set1, vg_set1, cfg, workers=workers)
         run_means, flagged = upper_reference(cfg)
         assert np.array_equal(est.run_means, run_means)
-        assert est.flagged_paths == flagged
+        assert est.flagged_paths == flagged == 20
         assert est.total_paths == 40
-        assert recorded == (spans, slices)
+        assert recorded == spans
 
     def test_task_size_scales_with_the_inner_dimension(self, p_set1, vg_set1, monkeypatch):
-        # At K = 10 (D = 40) a task spans 64 pairs and a slice 16; at K = 40
-        # (D = 160) 16 and 4.  With the plans of one leg a pair withheld, a
-        # task's missed legs fill slices of 32 and 8 legs.  Every leg's
-        # optimum is its own, so the run means equal those of one slice for
-        # all the legs.
+        # At K = 10 (D = 40) a task spans 64 pairs and a certificate block
+        # 16; at K = 40 (D = 160) 16 and 4.  With the plans of one leg a
+        # pair withheld, every leg's value is still its own, so the run
+        # means equal those of one task for all the legs.
         p40 = dataclasses.replace(p_set1, K=40, delta=1 / 40)
         assert bounds._upper_chunk_pairs(p_set1) == bounds.UPPER_CHUNK_PAIRS == 16
         assert bounds._upper_chunk_pairs(p40) == 4 and bounds.UPPER_SLICES_PER_TASK == 4
         vg40 = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
         _withhold_plans(monkeypatch)
-        for p, vg, pairs, spans, slices in (
-                (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)], [32, 32, 16]),
-                (p40, vg40, (9, 2), [(0, 16), (16, 18)], [8, 8, 2])):
+        for p, vg, pairs, spans in (
+                (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)]),
+                (p40, vg40, (9, 2), [(0, 16), (16, 18)])):
             cfg = RunConfig(paths_per_run=pairs[0], runs=pairs[1], seed=5, penalty_kind="m1", gamma=1.5)
             with monkeypatch.context() as patched:
-                recorded = _record_upper_calls(patched)
-                sliced = upper_bound(p, vg, cfg)
-                assert recorded == (spans, slices)
+                recorded = _record_upper_spans(patched)
+                tasked = upper_bound(p, vg, cfg)
+                assert recorded == spans and tasked.flagged_paths == pairs[0] * pairs[1]
             with monkeypatch.context() as patched:
                 patched.setattr(bounds, "UPPER_CHUNK_PAIRS", 1000)
                 patched.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
-                recorded = _record_upper_calls(patched)
-                assert np.array_equal(upper_bound(p, vg, cfg).run_means, sliced.run_means)
-                assert recorded == ([(0, 2 * pairs[0])], [2 * pairs[0]])
+                recorded = _record_upper_spans(patched)
+                assert np.array_equal(upper_bound(p, vg, cfg).run_means, tasked.run_means)
+                assert recorded == [(0, 2 * pairs[0])]
 
     def test_path_error_names_first_failing_path_inside_a_chunk(self, monkeypatch):
         p = market.parameter_set(1)
@@ -611,34 +608,66 @@ class TestUpperBound:
             upper_bound(p, vg, cfg)
         assert f"upper-bound path failed (seed=6, run={r}, path={i}): {message}" in str(err.value)
 
-    def test_infeasible_inner_start_raises_path_error_naming_its_leg(self, p_set1, vg_set1, monkeypatch):
-        # Slices of 3 pairs, two a task: the second task holds flat pairs
-        # [6, 12), and pair 9 is (run, path) (1, 4).  Its antithetic leg
-        # misses the certificate, its plan withheld, and its interior start
-        # is not strictly feasible; it is the only leg a slice solves.
+    def test_leg_without_a_finite_dual_value_raises_path_error_naming_it(self, p_set1, vg_set1, monkeypatch):
+        # Blocks of 3 pairs, two a task: the second task holds flat pairs
+        # [6, 12), and pair 9 is (run, path) (1, 4).  Its antithetic leg's
+        # whole plan is withheld, lam_K too, so it misses the certificate
+        # and its G is not finite; every other leg certifies.
         named = -shock_path(p_set1, 7, 1, 4).Z
-        plan, assemble, calls = bounds._dual_plan, bounds.assemble_inner_batch, []
+        plan = bounds._dual_plan
 
         def withheld(p, forms, ctxs):
-            warm, duals = plan(p, forms, ctxs)
+            warm, duals, lam_K = plan(p, forms, ctxs)
             miss = (ctxs.Z == named).all(axis=(1, 2))
-            warm[miss], duals[miss] = np.nan, np.nan
-            return warm, duals
-
-        def broken(p, forms, ctxs):
-            oracle, A, b, X0 = assemble(p, forms, ctxs)
-            calls.append(len(X0))
-            X0[(ctxs.Z == named).all(axis=(1, 2))] = -1.0
-            return oracle, A, b, X0
+            warm[miss], duals[miss], lam_K[miss] = np.nan, np.nan, np.nan
+            return warm, duals, lam_K
 
         monkeypatch.setattr(bounds, "_dual_plan", withheld)
-        monkeypatch.setattr(bounds, "assemble_inner_batch", broken)
         monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 3)
         monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 2)
         cfg = RunConfig(paths_per_run=5, runs=3, seed=7, penalty_kind="m1", gamma=1.5)
-        with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\)"):
+        with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\): "
+                                                   r"the inner problem's dual value is not finite"):
             upper_bound(p_set1, vg_set1, cfg)
-        assert calls == [1]
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_missed_leg_reports_its_one_leg_dual_value(self, p_set1, vg_set1, monkeypatch, kind):
+        # One leg of each pair misses the certificate (`_withhold_plans`)
+        # and reports G at its lam_K: bit for bit its one-leg value, at least
+        # a tight cold barrier solve's f less 1e-12 |f| and within 1e-12 |f|
+        # of it, and flagged.  The other legs keep their certified f bit for
+        # bit.  The bound builds no dense problem and calls no solver.
+        p, cfg = p_set1, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
+        bounds._init_worker(p, vg_set1, cfg)
+        certified, flagged = bounds._upper_task((0, 32))
+        assert flagged == 0
+        _withhold_plans(monkeypatch)
+        with monkeypatch.context() as patched:
+            def refuse(name):
+                def called(*args, **kwargs):
+                    raise AssertionError(f"upper_bound called {name}")
+                return called
+
+            patched.setattr(bounds, "assemble_inner_batch", refuse("assemble_inner_batch"))
+            patched.setattr(concave, "maximize_batch", refuse("maximize_batch"))
+            est = upper_bound(p, vg_set1, cfg)
+            values, flagged = bounds._upper_task((0, 32))
+        values = np.array(values)
+        assert est.flagged_paths == flagged == 32
+        assert np.array_equal(est.run_means, [np.mean(values[:32]), np.mean(values[32:])])
+        ctxs = penalties.build_contexts(p, vg_set1, dp_solver.make_grid_policy(vg_set1, p),
+                                        *bounds._chunk_shocks(p, cfg, (0, 32)))
+        forms = penalties.penalty_form(kind, ctxs, p)
+        miss = ctxs.Z[:, 0, 0] > 0.0
+        assert np.array_equal(values[~miss], np.array(certified)[~miss])
+        for leg in np.flatnonzero(miss):
+            form, ctx = penalties.take(forms, [leg]), penalties.take(ctxs, [leg])
+            assert values[leg] == _dual_value(p, form, ctx, bounds._dual_plan(p, form, ctx)[2])[0]
+        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=1e-10, max_newton=bounds.INNER_MAX_NEWTON)
+        assert all(sol.status == concave.STATUS_CONVERGED for sol in cold)
+        G, f = values[miss], np.array([sol.f for sol in cold])[miss]
+        assert (G >= f - 1e-12 * np.abs(f)).all() and (np.abs(G - f) <= 1e-12 * np.abs(f)).all()
 
     @pytest.mark.parametrize("gamma, kind", [(3.0, "m2"), (5.0, "m1")])
     def test_published_size_set1_flags_no_leg(self, solved_grid, gamma, kind):
@@ -659,32 +688,29 @@ class TestUpperBound:
 
     @pytest.mark.parametrize("sid", [2, 4])
     def test_published_size_gamma3_m2_cold_path_flags_no_leg(self, solved_grid, monkeypatch, sid):
-        # The same legs without warm points, so that each runs the barrier from
-        # its interior start.  Each set holds one leg whose last barrier stages
-        # reach a rounding-level Newton decrement while Newton still contracts;
+        # The same legs' dense inner problems solved without warm points, so
+        # that each runs the barrier from its interior start, 16 pairs at a
+        # time.  Each set holds one leg whose last barrier stages reach a
+        # rounding-level Newton decrement while Newton still contracts;
         # stopping there, without `_center`'s contraction guard, flags it.
-        # Every measured leg certifies at its warm point, so this is the
-        # barrier's test at the inner dimension D = 40.
-        plan = bounds._dual_plan
-        monkeypatch.setattr(bounds, "_dual_plan",
-                            lambda p, forms, ctxs: tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs)))
-        solve, face_newton, steps, faces = concave.maximize_batch, concave._face_newton, [], []
-
-        def counted_solve(*args, **kwargs):
-            sols = solve(*args, **kwargs)
-            steps.extend(sol.iterations for sol in sols)
-            return sols
+        # `upper_bound` never runs the barrier, so this is the barrier's test
+        # at the inner dimension D = 40.
+        face_newton, faces = concave._face_newton, []
 
         def counted_faces(oracle, A, *args):
             faces.append(A.shape[2])
             return face_newton(oracle, A, *args)
 
-        p, vg = solved_grid(sid, 3.0)
-        monkeypatch.setattr(concave, "maximize_batch", counted_solve)
         monkeypatch.setattr(concave, "_face_newton", counted_faces)
+        p, vg = solved_grid(sid, 3.0)
         cfg = RunConfig(paths_per_run=30, runs=10, seed=42, penalty_kind="m2", gamma=3.0, parameter_set_id=sid)
-        assert upper_bound(p, vg, cfg).flagged_paths == 0
-        assert len(steps) == 600 and min(steps) > 0
+        policy, sols = dp_solver.make_grid_policy(vg, p), []
+        for span in bounds._spans(cfg, 16):
+            ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, span))
+            sols += concave.maximize_batch(*bounds.assemble_inner_batch(p, penalties.penalty_form("m2", ctxs, p), ctxs),
+                                           tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+        assert len(sols) == 600 and all(sol.status == concave.STATUS_CONVERGED for sol in sols)
+        assert min(sol.iterations for sol in sols) > 0
         assert faces and set(faces) == {p.K * (p.n + 1)}
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
@@ -744,7 +770,7 @@ class TestUpperBound:
                                             *bounds._chunk_shocks(p, cfg, (0, 32)))
             forms = penalties.penalty_form(kind, ctxs, p)
             oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
-            warm, duals = bounds._dual_plan(p, forms, ctxs)
+            warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
             sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
                                           max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
             assert [(sol.status, sol.iterations) for sol in sols] == [(concave.STATUS_CONVERGED, 0)] * 64
@@ -808,7 +834,7 @@ class TestUpperBound:
         # K = 40 against 12-25 at K = 10), the R_f = 5e-4 legs that reach the
         # outermost pieces, and amounts without utility on their floors.  Every leg of every
         # penalty certifies at its recovered optimum in its task's certificate
-        # pass, so no leg reaches a slice and none takes a Newton step.
+        # pass, so no leg is flagged and none takes a Newton step.
         name, value = case.split()
         if name == "gamma":
             p, vg = solved_grid(1, 20.0)
@@ -818,12 +844,12 @@ class TestUpperBound:
             p = dataclasses.replace(p_set1, **({"K": int(value), "delta": 1.0 / int(value)} if name == "K"
                                                else {"alpha": float(value)}))
             vg = dp_solver.backward_recursion(p)
-        spans, slices = _record_upper_calls(monkeypatch)
+        spans = _record_upper_spans(monkeypatch)
         pairs = 8 if p.K == 40 else 16
         for kind in penalties.PENALTY_KINDS:
             est = upper_bound(p, vg, RunConfig(paths_per_run=pairs, runs=2, seed=7, penalty_kind=kind))
             assert est.total_paths == 4 * pairs and est.flagged_paths == 0
-        assert len(spans) == 3 and slices == []
+        assert len(spans) == 3
 
     def test_exceeds_lower_bound_statistically(self, p_set1, vg_set1):
         lo = lower_bound(p_set1, vg_set1, RunConfig(paths_per_run=30, runs=4, seed=3, gamma=1.5))
@@ -851,7 +877,7 @@ class TestUpperBound:
         # The baseline decisions are feasible in their leg's inner problem,
         # so its optimum f is at least utility(baseline) - M(baseline), up to
         # rounding, on every leg.
-        # The legs are solved here as one slice would solve them, and their
+        # The legs are solved here from their plans as one batch, and their
         # optima give the bound's run means.
         cfg = RunConfig(paths_per_run=4, runs=2, seed=11, penalty_kind=kind, gamma=1.5)
         est = upper_bound(p_set1, vg_set1, cfg)
@@ -859,7 +885,9 @@ class TestUpperBound:
         Z, Ztilde = bounds._chunk_shocks(p_set1, cfg, (0, 8))
         ctxs = penalties.build_contexts(p_set1, vg_set1, policy, Z, Ztilde)
         forms = penalties.penalty_form(kind, ctxs, p_set1)
-        sols = bounds._upper_slice(p_set1, forms, ctxs, *bounds._dual_plan(p_set1, forms, ctxs), slice(None))
+        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
+        sols = concave.maximize_batch(*bounds.assemble_inner_batch(p_set1, forms, ctxs), tol=bounds.INNER_TOL,
+                                      max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
         f = np.array([sol.f for sol in sols])
         assert f.size == est.total_paths == 16
         assert np.array_equal(est.run_means, [np.mean(f[:8]), np.mean(f[8:])])
@@ -913,7 +941,7 @@ class TestDualFace:
         crossover's optimum relative to its largest coordinate.  Returns the
         legs that have one."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
-        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
         sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
         crossed = warm_solve(oracle, A, b, X0, warm, bounds.INNER_TOL)
@@ -1040,7 +1068,7 @@ class TestDualFace:
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
         bad[[3, 5]] = -1.0
-        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
         assert np.isfinite(warm).all() and np.isfinite(duals).all()
         warm[5], duals[5] = np.nan, np.nan
         sols = concave.maximize_batch(oracle, A, b, bad, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
@@ -1057,7 +1085,7 @@ class TestDualFace:
         # barrier from its interior start, as without a plan, and converges;
         # the others still certify with 0 Newton steps.
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 4)
-        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
         held = b - concave.stacked_matvec(A, warm) <= 1e-10 * (1.0 + np.abs(b))
         bad, leg = duals.copy(), 3
         if corruption == "negative":
@@ -1089,33 +1117,35 @@ class TestDualFace:
         forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
                                         for f in dataclasses.fields(penalties.PenaltyForm)))
         ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
-        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, lam_K = bounds._dual_plan(p_set1, forms, ctxs)
         X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)[3]
         order = np.random.default_rng(0).permutation(len(warm))
         shuffled = bounds._dual_plan(p_set1, take(forms, order), take(ctxs, order))
         assert np.array_equal(shuffled[0], warm[order], equal_nan=True)
         assert np.array_equal(shuffled[1], duals[order], equal_nan=True)
+        assert np.array_equal(shuffled[2], lam_K[order])
         for i in range(len(warm)):
             _, (_, _, leg_warm, leg_duals), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
             assert np.array_equal(leg_warm, warm[i], equal_nan=True) and np.array_equal(leg_start, X0[i])
             assert np.array_equal(leg_duals, duals[i], equal_nan=True)
+            assert bounds._dual_plan(p_set1, take(forms, [i]), take(ctxs, [i]))[2][0] == lam_K[i]
 
     def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
         # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed
         # 5) sent 3 and 5 of 160 legs to the barrier from the interior start:
         # their face Newton steps from it were dropped, although the dual
         # face was right.  From the recovered optimum every leg certifies in
-        # its task's certificate pass: no leg reaches a slice, and the
-        # solver never runs.
+        # its task's certificate pass: no leg is flagged, and the solver
+        # never runs.
         solve, solved = concave.maximize_batch, []
         monkeypatch.setattr(concave, "maximize_batch", lambda *args, **kwargs: solved.append(args) or solve(
             *args, **kwargs))
-        spans, slices = _record_upper_calls(monkeypatch)
+        spans = _record_upper_spans(monkeypatch)
         for sid, kind in ((2, "m2"), (4, "m1")):
             p, vg = solved_grid(sid, 5.0)
             est = upper_bound(p, vg, RunConfig(paths_per_run=8, runs=10, seed=5, penalty_kind=kind))
             assert est.total_paths == 160 and est.flagged_paths == 0
-        assert len(spans) == 4 and slices == [] and not solved
+        assert len(spans) == 4 and not solved
 
 
     def test_seed43_set2_gamma5_m2_leg_converges(self, solved_grid):
@@ -1157,7 +1187,7 @@ class TestTaskCertificate:
         legs of 8 pairs at seed 3, their plans changed in place by
         `corrupt(warm, duals, b)`."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, 3, 8)
-        warm, duals = bounds._dual_plan(p, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
         corrupt(warm, duals, b)
         calls = _record_certificates(monkeypatch)
         sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,

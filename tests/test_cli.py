@@ -308,24 +308,20 @@ class TestBounds:
                        "--runs", "2", "--workers", workers, "--out", "-") == 2
         assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
 
-    def test_upper_exits_3_naming_a_leg_with_an_infeasible_start(self, grid_file_set1, monkeypatch, capsys):
-        # Every leg's plan is withheld, so that each misses the certificate
-        # and is solved from its interior start, which is not feasible.
-        plan, assemble = bounds._dual_plan, bounds.assemble_inner_batch
+    def test_upper_exits_3_naming_a_leg_without_a_finite_dual_value(self, grid_file_set1, monkeypatch, capsys):
+        # Every leg's plan is withheld, lam_K too, so that each misses the
+        # certificate and has no finite dual value.
+        plan = bounds._dual_plan
 
         def withheld(p, forms, ctxs):
             return tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs))
 
-        def infeasible_start(p, forms, ctxs):
-            oracle, A, b, X0 = assemble(p, forms, ctxs)
-            return oracle, A, b, np.full_like(X0, -1.0)
-
         monkeypatch.setattr(bounds, "_dual_plan", withheld)
-        monkeypatch.setattr(bounds, "assemble_inner_batch", infeasible_start)
         assert run_cli("upper", "--grid", grid_file_set1, "--penalty", "m1",
                        "--seed", "1", "--paths", "2", "--runs", "2", "--out", "-") == 3
         captured = capsys.readouterr()
-        assert "(seed=1, run=0, path=0)" in captured.err
+        assert captured.err.splitlines() == [
+            "error: upper-bound path failed (seed=1, run=0, path=0): the inner problem's dual value is not finite"]
         assert captured.out == ""
 
     def test_workers_do_not_change_csv_bytes(self, grid_file_set1, tmp_path):

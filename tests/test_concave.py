@@ -482,7 +482,7 @@ def upper_legs(p, vg, kind, seed, pairs, per_run):
     cfg = bounds.RunConfig(paths_per_run=per_run, runs=2, seed=seed, penalty_kind=kind)
     ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
     forms = penalties.penalty_form(kind, ctxs, p)
-    return bounds.assemble_inner_batch(p, forms, ctxs), bounds._dual_plan(p, forms, ctxs)
+    return bounds.assemble_inner_batch(p, forms, ctxs), bounds._dual_plan(p, forms, ctxs)[:2]
 
 
 def set1_inner_batch(p, vg, kind, pairs=16):
@@ -642,7 +642,7 @@ class TestWarmFace:
                                         *bounds._chunk_shocks(p_set1, cfg, (0, 4)))
         forms = penalties.penalty_form("m1", ctxs, p_set1)
         oracle, A, b, X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)
-        warm, duals = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
         warm[1::4] = duals[1::4] = np.nan   # no plan
         duals[2::4] *= 1.01                 # multipliers off by 1%
         warm[3::4] = X0[3::4]               # a point that holds no row
