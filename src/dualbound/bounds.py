@@ -1,8 +1,8 @@
 """Monte Carlo lower and dual upper bounds on the expected utility.
 
 Lower bounds simulate the grid policy; upper bounds solve one perfect-
-foresight inner problem per path (utility minus penalty, concave after
-eliminating wealth by forward substitution).  Statistics follow the
+foresight inner problem per path (utility minus penalty, concave in the
+decisions, with terminal wealth read off the wealth chain: `inner_oracle`).  Statistics follow the
 run-of-runs protocol: per-run means over paths, mean and standard error
 across run means.  Path i of run r draws its Gaussians from a counter-based
 generator keyed by (seed, r, i); the antithetic partner negates the draws,
@@ -32,9 +32,9 @@ floored amount's floor row the price its utility leaves).  The task
 certifies each leg by the KKT conditions at that point with those
 multipliers (Boyd & Vandenberghe 2004, 5.5.3), the test
 `concave.maximize_batch` makes with them as `warm` and `duals`, but read
-off the wealth chain in O(K n) a leg (`_certify_legs`), so that a certified
-leg needs neither its (m, D) rows nor a Newton step; it reports the primal
-optimum f.  A leg it misses reports G at its lambda_K, an upper bound on
+off the wealth chain in O(K n) a leg (`_certify_legs`, with f and its
+gradient from `inner_oracle`), so that a certified leg needs neither its
+(m, D) rows nor a Newton step; it reports the primal optimum f.  A leg it misses reports G at its lambda_K, an upper bound on
 its inner maximum by weak duality.
 """
 
@@ -49,29 +49,22 @@ from typing import Optional
 import numpy as np
 
 from . import concave, dp_solver, penalties
-from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths
+from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths, step_wealth
 
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
 AMOUNT_FLOOR = 1e-10
 # (run, path) pairs per lower-bound task, simulated as one batch.
 LOWER_CHUNK_PAIRS = 256
-# (run, path) pairs per block of an upper-bound task's certificate at inner
-# dimension D = 40 (K = 10, n = 3); `_upper_chunk_pairs` scales it by 40 / D.
-# `_certify_legs` builds the objective stacks of a block's legs at a time,
-# about D (K + 2) floats a leg (3.8 KB at D = 40, 54 KB at D = 160), so the
-# block keeps them below the dual search's peak: stacks of a whole task at
-# once raised its tracemalloc peak from 5.1 to 8.3 KB a leg at K = 10, and
-# from 30 to 71 KB at K = 40.
-UPPER_CHUNK_PAIRS = 16
-# Certificate blocks per upper-bound task.  A task draws its shocks, builds
-# its contexts and penalties, runs the dual search and checks the
+# (run, path) pairs per upper-bound task at inner dimension D = 40 (K = 10,
+# n = 3); `_upper_task_pairs` scales it by 40 / D.  A task draws its shocks,
+# builds its contexts and penalties, runs the dual search and checks the
 # certificate once for all its legs, work that pays a fixed cost a call: on
 # the `dual-bound` benchmark, 64-pair tasks took a fifth less wall time than
-# 16-pair ones, and a task peaks at about 5.1 KB a leg, in the dual search.
-# A multiple of the block keeps the task's memory scaling with D like the
-# blocks'.
-UPPER_SLICES_PER_TASK = 4
+# 16-pair ones.  A task's tracemalloc peak is about 5.2 KB a leg at D = 40
+# and 25 KB at D = 160, so the scaling keeps a task's memory about the same
+# at every D.
+UPPER_TASK_PAIRS = 64
 # `_dual_plan`'s Newton steps on lam_K per leg, at most.  From the breakpoint
 # that ends its piece, every leg measured (sets 1-4 at gamma 1.5 to 20, K = 20
 # and 40, R_f = 5e-4, alpha 0 and 1) takes at most 4, and a zero-penalty leg
@@ -275,8 +268,7 @@ def _upper_task(span):
 
     The task builds the contexts and forms of all its legs and runs their
     dual search as one stack (`_dual_plan`).  It then certifies all its
-    legs at the optima their duals recover in one pass (`_certify_legs`,
-    whose objective stacks take `_upper_chunk_pairs(p)` pairs at a time);
+    legs at the optima their duals recover in one pass (`_certify_legs`);
     a certified leg reports its optimum's f.  A leg that misses reports its
     dual value G at its lam_K (`_floor_chain`, on the missed legs only), a
     bound by weak duality, and is counted; one whose G is not finite raises
@@ -288,8 +280,7 @@ def _upper_task(span):
         raise _path_error("upper", cfg, span, exc.row, exc) from exc
     forms = penalties.penalty_form(cfg.penalty_kind, ctxs, p)
     warm, duals, lam_K = _dual_plan(p, forms, ctxs)
-    block = _upper_chunk_pairs(p) * (2 if cfg.antithetic else 1)
-    certified, values = _certify_legs(p, forms, ctxs.R, warm, duals, block)
+    certified, values = _certify_legs(p, forms, ctxs.R, warm, duals)
     missed = np.flatnonzero(~certified)
     if missed.size:
         legs = penalties.take(forms, missed)
@@ -301,54 +292,44 @@ def _upper_task(span):
     return values.tolist(), missed.size
 
 
-def _certify_legs(p: ModelParams, forms, R, warm, duals, block: int) -> tuple:
+def _certify_legs(p: ModelParams, forms, R, warm, duals) -> tuple:
     """(certified, f) of a stack of legs with returns R at their
     `_dual_plan` points and multipliers: `concave.certificate`, the test
     `maximize_batch` makes on their `assemble_inner_batch` problems, with
-    each quantity read off the wealth chain in O(K n) a leg instead of the
-    (B, m, D) rows; and f at each point, `crra_oracle`'s bits from the
-    objective stacks of `block` legs at a time.
+    f and its gradient from `inner_oracle` and the rows' slacks and A'nu
+    read off the wealth chain in O(K n) a leg instead of the (B, m, D) rows.
 
-    With x = (Pi_k, C_k), W_0 = W0 and W_{k+1} = R_f W_k + (R_k - R_f)'Pi_k
-    - C_k, the rows' slacks are R_f (W_k - 1'Pi_k) - C_k (budget), C_k -
-    AMOUNT_FLOOR (floor), W_K - AMOUNT_FLOOR (bequest) and Pi_kj.  With
-    om = w_K W_K^-gamma, df/dPi_kj = om (R_kj - R_f) R_f^(K-1-k) - lin_Pi
-    and df/dC_k = w_k C_k^-gamma - om R_f^(K-1-k) - lin_C.  With
+    With x = (Pi_k, C_k) and W_k the wealth chain (`_wealth`), the rows'
+    slacks are R_f (W_k - 1'Pi_k) - C_k (budget), C_k - AMOUNT_FLOOR
+    (floor), W_K - AMOUNT_FLOOR (bequest) and Pi_kj.  With
     mu_{K-1} = nu_bequest and mu_k = R_f (mu_{k+1} + nu_budget,k+1),
     (A'nu)_C_k = nu_budget,k + mu_k - nu_floor,k and (A'nu)_Pi_kj =
     R_f nu_budget,k - (R_kj - R_f) mu_k - nu_Pi,kj.
     """
-    K, n, Rf, gamma = p.K, p.n, p.R_f, p.gamma
-    B = len(warm)
-    excess = R - Rf
+    K, n, Rf, B = p.K, p.n, p.R_f, len(warm)
+    legs, oracle = np.arange(B), inner_oracle(p, forms, R)
     Pi, C = warm.reshape(B, K, n + 1)[..., :n], warm[:, n::n + 1]
     nu = duals[:, :2 * K].reshape(B, K, 2)   # each stage's (budget, floor)
-    weight = _utility_weights(p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        flow, W, mu = (excess * Pi).sum(axis=2) - C, np.full((B, K + 1), p.W0), np.empty((B, K))
+        W, mu = _wealth(p, Pi, C, R), np.empty((B, K))
         mu[:, K - 1] = duals[:, 2 * K]
-        for k in range(K):
-            W[:, k + 1] = Rf * W[:, k] + flow[:, k]
         for k in range(K - 2, -1, -1):
             mu[:, k] = Rf * (mu[:, k + 1] + nu[:, k + 1, 0])
         budget = Rf * (W[:, :K] - Pi.sum(axis=2)) - C
-        S = np.concatenate([np.stack([budget, C - AMOUNT_FLOOR], axis=2).reshape(B, -1), W[:, K:] - AMOUNT_FLOOR,
-                            Pi.reshape(B, -1)], axis=1)
-        om = (weight[K] * W[:, K] ** -gamma)[:, None] * Rf ** np.arange(K - 1, -1, -1.0)
-        grad, ATnu = np.empty((2, B, K, n + 1))
-        grad[..., :n] = om[..., None] * excess - forms.lin_Pi
-        grad[..., n] = weight[:K] * C ** -gamma - om - forms.lin_C
-        ATnu[..., :n] = Rf * nu[..., :1] - excess * mu[..., None] - duals[:, 2 * K + 1:].reshape(B, K, n)
+        S = np.concatenate([np.stack([budget, C - AMOUNT_FLOOR], axis=2).reshape(B, 2 * K), W[:, K:] - AMOUNT_FLOOR,
+                            Pi.reshape(B, K * n)], axis=1)
+        ATnu = np.empty((B, K, n + 1))
+        ATnu[..., :n] = Rf * nu[..., :1] - (R - Rf) * mu[..., None] - duals[:, 2 * K + 1:].reshape(B, K, n)
         ATnu[..., n] = nu[..., 0] + mu - nu[..., 1]
-        F = np.concatenate([concave.crra_value(warm[i:i + block], *_objective(
-            p, penalties.take(forms, slice(i, i + block)), excess[i:i + block]), weight, gamma)
-            for i in range(0, B, block)])
-        certified, _ = concave.certificate(S, _row_bounds(p)[0], duals, F,
-                                           lambda ok: (grad.reshape(B, -1), ATnu.reshape(B, -1)), INNER_TOL)
+        F = oracle.value(warm, legs)
+        certified, _ = concave.certificate(S, _row_bounds(p), duals, F,
+                                           lambda ok: (oracle.gradient(warm, legs), ATnu.reshape(B, -1)), INNER_TOL)
     return certified, F
 
 
 def _run_tasks(task_fn, tasks, p, vg, cfg, workers):
+    if cfg.gamma is not None and cfg.gamma != p.gamma:   # the gamma a bound's CSV row names
+        raise ValueError(f"cfg.gamma = {cfg.gamma!r} does not match the parameters' gamma = {p.gamma!r}")
     # A fork-started pool forks all its workers up front; start no idle ones.
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -368,9 +349,9 @@ def _spans(cfg: RunConfig, chunk: int) -> list:
     return [(start, min(start + chunk, n_pairs)) for start in range(0, n_pairs, chunk)]
 
 
-def _upper_chunk_pairs(p: ModelParams) -> int:
-    """Pairs per certificate block for inner problems of dimension D = K (n + 1)."""
-    return max(1, UPPER_CHUNK_PAIRS * 40 // (p.K * (p.n + 1)))
+def _upper_task_pairs(p: ModelParams) -> int:
+    """Pairs per upper-bound task for inner problems of dimension D = K (n + 1)."""
+    return max(1, UPPER_TASK_PAIRS * 40 // (p.K * (p.n + 1)))
 
 
 def _collect(cfg: RunConfig, values) -> np.ndarray:
@@ -421,23 +402,22 @@ def upper_bound(p: ModelParams, vg: dp_solver.ValueGrid, cfg: RunConfig,
     """Dual bound: mean of per-path inner upper bounds under the configured
     penalty.
 
-    The flat (run, path) list is cut into tasks of UPPER_SLICES_PER_TASK
-    blocks of `_upper_chunk_pairs(p)` pairs (across run boundaries).  Each
-    task runs the dual search of all its legs at once (`_dual_plan`) and
-    checks the KKT conditions at the primal optimum each leg's dual
-    recovers, with the dual's row multipliers, from the wealth chain
-    (`_certify_legs`).  A certified leg reports that optimum's f,
-    bit-identical to its own `assemble_inner` + `maximize`, with no inner
-    problem built and no Newton step; every leg measured (sets 1-4 at gamma
-    1.5 to 20, alpha 0 to 1, K = 10 to 40, R_f = 5e-4) certifies.  A leg
+    The flat (run, path) list is cut into tasks of `_upper_task_pairs(p)`
+    pairs (across run boundaries).  Each task runs the dual search of all
+    its legs at once (`_dual_plan`) and checks the KKT conditions at the
+    primal optimum each leg's dual recovers, with the dual's row
+    multipliers, from the wealth chain (`_certify_legs`).  A certified leg
+    reports that optimum's f (`inner_oracle`), bit-identical to its own
+    `assemble_inner` + `maximize`, with no inner problem built and no
+    Newton step; every leg measured (sets 1-4 at gamma 1.5 to 20, alpha 0
+    to 1, K = 10 to 40, R_f = 5e-4) certifies.  A leg
     the check misses reports its dual value G at its lam_K, an upper bound
     on its inner maximum by weak duality, bit-identical to its one-leg
     value; it is counted in flagged_paths, valid but not certified to be
     the maximum.  So the results depend on neither the task size nor the
     worker count.
     """
-    results = _run_tasks(_upper_task, _spans(cfg, UPPER_SLICES_PER_TASK * _upper_chunk_pairs(p)),
-                         p, vg, cfg, workers)
+    results = _run_tasks(_upper_task, _spans(cfg, _upper_task_pairs(p)), p, vg, cfg, workers)
     values = [f for task_values, _ in results for f in task_values]
     flagged = sum(task_flagged for _, task_flagged in results)
     return _estimate("upper", cfg, p, _collect(cfg, values), len(values), flagged=flagged)
@@ -449,39 +429,71 @@ def _utility_weights(p: ModelParams) -> np.ndarray:
                      (1.0 - p.alpha) * p.beta ** (p.K * p.delta))
 
 
-def _row_bounds(p: ModelParams) -> tuple:
-    """The inner problem's b (m,), the same for every leg, and W_K's
-    constant R_f^K W_0 (see `assemble_inner_batch`)."""
+def _row_bounds(p: ModelParams) -> np.ndarray:
+    """The inner problem's b (m,), the same for every leg (`assemble_inner_batch`)."""
     K = p.K
     w_const = np.multiply.accumulate(np.append(p.W0, np.full(K, p.R_f)))   # R_f^k W_0
     b = np.zeros(2 * K + 1 + K * p.n)
     b[:2 * K:2] = p.R_f * w_const[:K]
     b[1:2 * K:2] = -AMOUNT_FLOOR
     b[2 * K] = w_const[K] - AMOUNT_FLOOR
-    return b, w_const[K]
+    return b
 
 
-def _objective(p: ModelParams, forms, excess) -> tuple:
-    """The inner objective of legs with excess returns R - R_f (B, K, n) as
-    `concave.crra_oracle`'s (P, z0): CRRA in Y = (C_0, ..., C_{K-1}, W_K),
-    less the penalty lin'x + constant.  W_K's coefficients are stage k's
-    (R_k - R_f, -1) times R_f, K-1-k times in turn, and its constant
-    R_f^K W_0, as forward substitution rounds them."""
-    K, n = p.K, p.n
-    B, D = len(excess), K * (n + 1)
-    a_term = np.concatenate([excess, np.full((B, K, 1), -1.0)], axis=2)
-    for k in range(K - 1, 0, -1):
-        a_term[:, :k] *= p.R_f
+def _wealth(p: ModelParams, Pi, C, R) -> np.ndarray:
+    """The wealth chain (N, K + 1) of legs with amounts Pi (N, K, n), C (N, K)
+    and returns R (N, K, n): W_0 = W0, W_{k+1} = `step_wealth`(W_k, Pi_k, C_k, R_k)."""
+    W = np.empty((len(C), p.K + 1))
+    W[:, 0] = p.W0
+    for k in range(p.K):
+        W[:, k + 1] = step_wealth(W[:, k], Pi[:, k], C[:, k], R[:, k], p)
+    return W
+
+
+def inner_oracle(p: ModelParams, forms, R) -> concave.ObjectiveOracle:
+    """The inner objectives of a stack of legs with penalty forms `forms`
+    and returns R (B, K, n), in x = (Pi_0, C_0, ..., Pi_{K-1}, C_{K-1}):
+    CRRA in Y = (C_0, ..., C_{K-1}, W_K) with weights `_utility_weights(p)`,
+    less the form, and -inf where some Y_j <= 0.
+
+    W_K comes off the wealth chain (`_wealth`), so it is linear in x, with
+    dW_K/dPi_kj = R_f^(K-1-k) (R_kj - R_f) and dW_K/dC_k = -R_f^(K-1-k); the
+    Hessian is the C_k diagonal plus W_K's rank-one term.  Every operation
+    acts leg by leg, so a leg gives the same bits alone or in any batch.
+    """
+    K, n, gamma = p.K, p.n, p.gamma
+    B, D = len(R), K * (n + 1)
+    weight = _utility_weights(p)
     c_idx = np.arange(K) * (n + 1) + n
-    P = np.zeros((B, D, K + 2))
-    P[:, c_idx, np.arange(K)] = 1.0
-    P[:, :, K] = a_term.reshape(B, D)
-    P[:, np.arange(D).reshape(K, n + 1)[:, :n], K + 1] = forms.lin_Pi
-    P[:, c_idx, K + 1] = forms.lin_C
-    z0 = np.zeros((B, K + 2))
-    z0[:, K] = _row_bounds(p)[1]
-    z0[:, K + 1] = forms.constant
-    return P, z0
+    dW = np.concatenate([R - p.R_f, np.full((B, K, 1), -1.0)], axis=2)
+    dW = (dW * p.R_f ** np.arange(K - 1, -1, -1.0)[:, None]).reshape(B, D)
+    lin = np.concatenate([forms.lin_Pi, forms.lin_C[..., None]], axis=2).reshape(B, D)
+
+    def args(X, rows):   # X's stage view (N, K, n + 1) and Y (N, K + 1)
+        x = X.reshape(len(X), K, n + 1)
+        return x, np.concatenate([x[..., n], _wealth(p, x[..., :n], x[..., n], R[rows])[:, K:]], axis=1)
+
+    def value(X, rows):
+        x, Y = args(X, rows)
+        inside = Y.min(axis=1) > 0.0
+        utility = (weight / (1.0 - gamma) * np.where(inside[:, None], Y, 1.0) ** (1.0 - gamma)).sum(axis=1)
+        return np.where(inside, utility - penalties.take(forms, rows).evaluate(x[..., :n], x[..., n]), -np.inf)
+
+    def gradient(X, rows):
+        marginal = weight * args(X, rows)[1] ** -gamma
+        g = marginal[:, K:] * dW[rows] - lin[rows]
+        g[:, c_idx] += marginal[:, :K]
+        return g
+
+    def hessian(X, rows):
+        curvature = -gamma * weight * args(X, rows)[1] ** (-gamma - 1.0)
+        a = dW[rows]
+        H = a[:, :, None] * a[:, None, :]
+        H *= curvature[:, K:, None]
+        H[:, c_idx, c_idx] += curvature[:, :K]
+        return H
+
+    return concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
 
 
 def assemble_inner_batch(p: ModelParams, forms, ctxs):
@@ -494,10 +506,10 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     W_k affine in x; constraints are the per-stage budget
     C_k <= R_f (W_k - 1'Pi_k), floors on C_k and W_K, and last the
     nonnegativity of Pi.
-    Returns (oracle, A, b, X0) with A (B, m, D), b (B, m) and the interior
-    start X0 (B, D); the oracle evaluates point j on leg rows[j].  All
-    per-leg arithmetic is elementwise or a stacked BLAS slice, so leg i
-    gives the same problem alone or in any batch.
+    Returns (oracle, A, b, X0) with the legs' `inner_oracle`, A (B, m, D),
+    b (B, m) and the interior start X0 (B, D).  All per-leg arithmetic is
+    elementwise or a stacked BLAS slice, so leg i gives the same problem
+    alone or in any batch.
     """
     K, n = p.K, p.n
     B = ctxs.C.shape[0]
@@ -506,26 +518,25 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     excess = ctxs.R - Rf                             # (B, K, n)
     pi_idx = np.arange(D).reshape(K, n + 1)[:, :n]   # Pi_k coordinates, (K, n)
     c_idx = np.arange(K) * (n + 1) + n               # C_k coordinates, (K,)
-    P, z0 = _objective(p, forms, excess)
-    # W_k(x) = R_f^k W_0 + w_coef[:, k] . x  for k < K; W_K's row is P[:, :, K].
-    w_coef = np.zeros((B, K, D))
-    for k in range(K - 1):
+    # W_k(x) = R_f^k W_0 + w_coef[:, k] . x, k <= K.
+    w_coef = np.zeros((B, K + 1, D))
+    for k in range(K):
         w_coef[:, k + 1] = Rf * w_coef[:, k]
         w_coef[:, k + 1, pi_idx[k]] += excess[:, k]
         w_coef[:, k + 1, c_idx[k]] -= 1.0
-    b, _ = _row_bounds(p)
+    b = _row_bounds(p)
 
     # Rows: (budget_k, floor_k) for each stage, the bequest floor, then -Pi <= 0.
     A = np.zeros((B, b.size, D))
     b = np.tile(b, (B, 1))
     budget = 2 * np.arange(K)   # budget_k's row; floor_k's is the next
-    A[:, budget] = -Rf * w_coef
+    A[:, budget] = -Rf * w_coef[:, :K]
     A[:, budget[:, None], pi_idx] += Rf
     A[:, budget, c_idx] += 1.0
     A[:, budget + 1, c_idx] = -1.0
-    A[:, 2 * K] = -P[:, :, K]
+    A[:, 2 * K] = -w_coef[:, K]
     A[:, 2 * K + 1:] = -np.eye(D)[pi_idx.reshape(-1)]
-    oracle = concave.crra_oracle(P, z0, _utility_weights(p), p.gamma)
+    oracle = inner_oracle(p, forms, ctxs.R)
 
     # Start: baseline decisions pulled a tenth of the way toward a strictly
     # interior trajectory built forward with the realized returns, so the
@@ -542,8 +553,7 @@ def assemble_inner_batch(p: ModelParams, forms, ctxs):
     for k in range(K):
         x_int[:, pi_idx[k]] = (eta * Wk / n)[:, None]
         x_int[:, c_idx[k]] = eta * Wk
-        invested = (excess[:, k, None, :] @ x_int[:, pi_idx[k], None])[:, 0, 0]
-        Wk = Wk * Rf + invested - eta * Wk
+        Wk = step_wealth(Wk, x_int[:, pi_idx[k]], x_int[:, c_idx[k]], ctxs.R[:, k], p)
     X0 = 0.9 * x_base + 0.1 * x_int
     return oracle, A, b, X0
 

@@ -31,7 +31,8 @@ its own one-problem solve, and `maximize` is that one-problem call.
 Problems here are tiny (dimension <= ~40, up to ~130 inequality rows), so
 dense linear algebra per Newton step is cheap and exact Hessians are
 supplied analytically: `crra_oracle` gives them for the CRRA objectives of
-both the grid nodes' portfolio problems and the inner problems.
+the grid nodes' portfolio problems, and `bounds.inner_oracle` for the inner
+problems.
 """
 
 from __future__ import annotations
@@ -109,40 +110,27 @@ def crra_oracle(P: np.ndarray, z0: np.ndarray, w: np.ndarray, gamma: float) -> O
     # with cols = -gamma grad_rows' of the problems asked for.
     grad_rows = w[..., None] * dY
 
+    def args(X, rows):   # the CRRA arguments Y = Z_{<J} and the penalty Z_J
+        Z = (X[:, None, :] @ P[rows])[:, 0] + z0[rows]
+        return Z[:, :J], Z[:, J]
+
     def value(X, rows):
-        return crra_value(X, P[rows], z0[rows], weights[rows], gamma)
+        Y, penalty = args(X, rows)
+        inside = Y.min(axis=1) > 0.0
+        Y = np.where(inside[:, None], Y, 1.0)
+        return np.where(inside, (weights[rows] / (1.0 - gamma) * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
 
     def gradient(X, rows):
-        Y = _crra_args(X, P[rows], z0[rows])[0]
+        Y = args(X, rows)[0]
         return ((Y ** (-gamma))[:, None, :] @ grad_rows[rows])[:, 0] - lin[rows]
 
     def hessian(X, rows):
-        Y = _crra_args(X, P[rows], z0[rows])[0]
+        Y = args(X, rows)[0]
         # One expression, so that each temporary is freed before the next.
         return np.multiply((-gamma * grad_rows[rows]).transpose(0, 2, 1), (Y ** (-gamma - 1.0))[:, None, :],
                            order="C") @ dY[rows]
 
     return ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
-
-
-def _crra_args(X, P, z0):
-    """The CRRA arguments Y = Z_{<J} and the penalty Z_J of `crra_oracle`'s
-    Z = x P + z0, one point a problem."""
-    Z = (X[:, None, :] @ P)[:, 0] + z0
-    return Z[:, :-1], Z[:, -1]
-
-
-def crra_value(X: np.ndarray, P: np.ndarray, z0: np.ndarray, w, gamma: float) -> np.ndarray:
-    """The objectives of `crra_oracle` at the points X[i] of the problems
-    (P[i], z0[i]) with weights w, -inf outside their domains; the oracle's
-    value, so that a caller that holds only P and z0 gets its bits."""
-    Y, penalty = _crra_args(X, P, z0)
-    vw = w / (1.0 - gamma)
-    if (Y > 0.0).all():
-        return (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty
-    inside = Y.min(axis=1) > 0.0
-    Y = np.where(inside[:, None], Y, 1.0)
-    return np.where(inside, (vw * Y ** (1.0 - gamma)).sum(axis=1) - penalty, -np.inf)
 
 
 @dataclass

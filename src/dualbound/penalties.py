@@ -44,9 +44,10 @@ class PenaltyForm:
     lin_C: np.ndarray             # (K,), or (N, K)
 
     def evaluate(self, Pi: np.ndarray, C: np.ndarray):
-        """M at one leg's decisions (a float) or at each leg's of a stack (N,)."""
+        """M at one leg's decisions (a float) or at each leg's of a stack (N,),
+        N = 0 included."""
         terms = self.lin_Pi * Pi
-        total = (self.constant + terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+        total = (self.constant + terms.reshape(terms.shape[:-2] + (math.prod(terms.shape[-2:]),)).sum(axis=-1)
                  + (self.lin_C * C).sum(axis=-1))
         return float(total) if np.ndim(total) == 0 else total
 

@@ -132,6 +132,15 @@ class TestRunConfig:
             RunConfig(paths_per_run=paths, runs=runs, seed=0)
         RunConfig(paths_per_run=min(paths, 2**32 - 1), runs=min(runs, 2**32 - 1), seed=0)
 
+    @pytest.mark.parametrize("bound", [lower_bound, upper_bound])
+    def test_bound_refuses_a_gamma_other_than_the_parameters(self, p_set1, vg_set1, bound):
+        # The CSV row names cfg.gamma, so a gamma-3 label on a gamma-1.5
+        # bound would misname it.  An unset gamma labels nothing.
+        cfg = RunConfig(paths_per_run=2, runs=2, seed=1, gamma=3.0)
+        with pytest.raises(ValueError, match=r"cfg.gamma = 3.0 does not match the parameters' gamma = 1.5"):
+            bound(p_set1, vg_set1, cfg)
+        assert bound(p_set1, vg_set1, dataclasses.replace(cfg, gamma=None)).config.gamma is None
+
 
 def _wealth_emptying_grid(p):
     """Consumption 0.01 up to phi = 1, rising to the whole budget at phi = 2:
@@ -357,11 +366,11 @@ class TestAssembleInner:
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_upper_task_stages_peak_per_leg(self, p_set1, vg_set1, kind):
         # A whole 64-pair task (shocks, contexts, forms, dual search,
-        # recovered optima and multipliers, and the certificate, whose
-        # objective stacks are built a slice's legs at a time): measured
-        # 5.1 KB a leg for m1 and m2 and 5.0 KB for zero, the dual search's
-        # peak; the certificate stays below it, and every leg certifies.
-        # The bound leaves about 18% margin.  A first call also allocates
+        # recovered optima and multipliers, and the certificate, which
+        # reads f and its gradient off the wealth chain): measured 5.1 KB a
+        # leg for m1 and m2 and 5.0 KB for zero, the dual search's peak;
+        # the certificate stays below it, and every leg certifies.  The
+        # bound leaves about 18% margin.  A first call also allocates
         # one-time state, so the task runs once untraced.
         bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind,
                                                        gamma=1.5))
@@ -374,6 +383,100 @@ class TestAssembleInner:
         finally:
             tracemalloc.stop()
         assert peak <= 6e3 * 128
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_forty_stage_task_peak_per_leg(self, forty_stage_grid, kind):
+        # A whole task at K = 40 (D = 160), 16 pairs: measured 24.8 KB a leg
+        # for m1 and m2 and 19.7 KB for zero, and every leg certifies.  The
+        # bound leaves about 12% margin; a dense objective stack of
+        # D (K + 2) floats a leg (54 KB) held for all of a task's legs, or
+        # for a few at a time, breaks it.
+        p, vg = forty_stage_grid
+        bounds._init_worker(p, vg, RunConfig(paths_per_run=16, runs=2, seed=5, penalty_kind=kind, gamma=1.5))
+        values, flagged = bounds._upper_task((0, 16))
+        assert len(values) == 32 and flagged == 0
+        tracemalloc.start()
+        try:
+            bounds._upper_task((0, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e3 * 32
+
+
+class TestInnerOracle:
+    """`bounds.inner_oracle`, the inner objective read off the wealth chain,
+    at points near the `_dual_plan` optima of set-1 m1 and m2 legs."""
+
+    @staticmethod
+    def _legs(p, vg, kind, pairs=4):
+        """(forms, ctxs, X) of the legs of flat pairs [0, pairs) at seed 5,
+        X each leg's recovered optimum moved by up to 1% of each amount."""
+        cfg = RunConfig(paths_per_run=pairs, runs=2, seed=5, penalty_kind=kind)
+        ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p),
+                                        *bounds._chunk_shocks(p, cfg, (0, pairs)))
+        forms = penalties.penalty_form(kind, ctxs, p)
+        warm = bounds._dual_plan(p, forms, ctxs)[0]
+        rng = np.random.default_rng(9)
+        return forms, ctxs, warm * rng.uniform(0.99, 1.01, warm.shape) + 1e-3 * rng.uniform(0.0, 1.0, warm.shape)
+
+    @pytest.mark.parametrize("kind", ["m1", "m2"])
+    def test_matches_utility_and_finite_differences(self, p_set1, vg_set1, kind):
+        p = p_set1
+        forms, ctxs, X = self._legs(p, vg_set1, kind)
+        B, D = X.shape
+        oracle, rows = bounds.inner_oracle(p, forms, ctxs.R), np.arange(B)
+        x = X.reshape(B, p.K, p.n + 1)
+        Pi, C = x[..., :p.n], x[..., p.n]
+        W = np.full(B, p.W0)
+        for k in range(p.K):
+            W = W * p.R_f + ((ctxs.R[:, k] - p.R_f) * Pi[:, k]).sum(axis=1) - C[:, k]
+        f = oracle.value(X, rows)
+        np.testing.assert_allclose(f, path_utility(p, C, W) - forms.evaluate(Pi, C), rtol=1e-13)
+        g, H = oracle.gradient(X, rows), oracle.hessian(X, rows)
+        h = 1e-7
+        for j in range(D):
+            e = np.zeros(D)
+            e[j] = h
+            fd = (oracle.value(X + e, rows) - oracle.value(X - e, rows)) / (2 * h)
+            np.testing.assert_allclose(g[:, j], fd, rtol=1e-6, atol=1e-6)
+            fd_g = (oracle.gradient(X + e, rows) - oracle.gradient(X - e, rows)) / (2 * h)
+            np.testing.assert_allclose(H[:, :, j], fd_g, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["m1", "m2"])
+    def test_rows_equal_their_one_row_calls_and_leave_the_domain_alone(self, p_set1, vg_set1, kind):
+        # Leg 2 consumes -1e-3 at stage 3 and leg 5 consumes all its wealth
+        # and more at the last stage (W_K < 0): both evaluate to -inf, and
+        # every other row, in any order and alone, keeps its bits.
+        p = p_set1
+        forms, ctxs, X = self._legs(p, vg_set1, kind)
+        B, D = X.shape
+        oracle = bounds.inner_oracle(p, forms, ctxs.R)
+        c_idx = np.arange(p.K) * (p.n + 1) + p.n
+        X[2, c_idx[3]] = -1e-3
+        X[5, c_idx[-1]] += 10.0
+        rows = np.random.default_rng(3).permutation(B)
+        with np.errstate(invalid="ignore"):  # legs 2 and 5 have no derivatives there
+            f, g, H = (fn(X[rows], rows) for fn in (oracle.value, oracle.gradient, oracle.hessian))
+        out = np.isin(rows, [2, 5])
+        assert np.isneginf(f[out]).all() and np.isfinite(f[~out]).all()
+        for at, i in enumerate(rows.tolist()):
+            if i in (2, 5):
+                continue
+            one = bounds.inner_oracle(p, penalties.take(forms, [i]), ctxs.R[i:i + 1])
+            for oracle_i, row in ((oracle, np.array([i])), (one, np.array([0]))):
+                assert oracle_i.value(X[i:i + 1], row)[0] == f[at]
+                assert np.array_equal(oracle_i.gradient(X[i:i + 1], row)[0], g[at])
+                assert np.array_equal(oracle_i.hessian(X[i:i + 1], row)[0], H[at])
+
+    def test_a_call_with_no_points_returns_empty_arrays(self, p_set1, vg_set1):
+        p = p_set1
+        forms, ctxs, X = self._legs(p, vg_set1, "m2", pairs=1)
+        oracle, D = bounds.inner_oracle(p, forms, ctxs.R), X.shape[1]
+        none, rows = np.empty((0, D)), np.empty(0, dtype=int)
+        assert oracle.value(none, rows).shape == (0,)
+        assert oracle.gradient(none, rows).shape == (0, D)
+        assert oracle.hessian(none, rows).shape == (0, D, D)
 
 
 def _upper_leg_by_leg(p, vg, cfg):
@@ -434,8 +537,7 @@ class TestWorkerPool:
         cfg = RunConfig(paths_per_run=2, runs=2, seed=8, penalty_kind="zero", gamma=1.5)
         upper_bound(p_set1, vg_set1, cfg, workers=64)  # one task of 4 pairs: no pool
         assert sizes == [9]
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 1)
-        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
+        monkeypatch.setattr(bounds, "UPPER_TASK_PAIRS", 1)
         upper_bound(p_set1, vg_set1, cfg, workers=64)
         assert sizes == [9, 4]
 
@@ -474,6 +576,14 @@ def _dual_value(p, forms, ctxs, lam_K):
     lam_K = np.where((lam_K > 0.0) & (lam_K < np.inf), lam_K, 1.0)
     return bounds._floor_chain(p, bounds._candidate_lines(p, forms, ctxs), forms.lin_C, forms.constant,
                                _root_weights(p), lam_K)[0]
+
+
+@pytest.fixture(scope="module")
+def forty_stage_grid(p_set1):
+    """Set 1 at K = 40 (delta 0.025, inner dimension D = 160) and its grid
+    solved on 5 nodes."""
+    p = dataclasses.replace(p_set1, K=40, delta=1 / 40)
+    return p, dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5))
 
 
 @pytest.fixture(scope="module")
@@ -528,27 +638,25 @@ def _record_upper_spans(monkeypatch):
 
 class TestUpperBound:
     @pytest.mark.parametrize("penalty", ["m1", "zero"])
-    @pytest.mark.parametrize("slice_pairs, per_task, spans", [
-        # Tasks of 6 pairs, blocks of 3; the run boundary at pair 10 lies
-        # inside the task [6, 12), and the last task, [18, 20), is shorter
-        # than one block.
-        (3, 2, [(0, 6), (6, 12), (12, 18), (18, 20)]),
-        # One block a task: the second task straddles the run boundary.
-        (8, 1, [(0, 8), (8, 16), (16, 20)]),
-        # The default sizes: one task.
-        (bounds.UPPER_CHUNK_PAIRS, bounds.UPPER_SLICES_PER_TASK, [(0, 20)]),
-        # A task shorter than one block.
-        (32, 1, [(0, 20)]),
-    ], ids=["slice3-two-a-task", "slice8-one-a-task", "default-sizes", "task-below-a-slice"])
+    @pytest.mark.parametrize("task_pairs, spans", [
+        # Tasks of 6 pairs: the run boundary at pair 10 lies inside the task
+        # [6, 12), and the last task, [18, 20), is shorter than the others.
+        (6, [(0, 6), (6, 12), (12, 18), (18, 20)]),
+        # Tasks of 8 pairs: the second task straddles the run boundary.
+        (8, [(0, 8), (8, 16), (16, 20)]),
+        # The default size: one task.
+        (bounds.UPPER_TASK_PAIRS, [(0, 20)]),
+        # One task, shorter than its 32 pairs.
+        (32, [(0, 20)]),
+    ], ids=["task6", "task8", "default-size", "task32"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_means_equal_single_leg_recomputation(self, p_set1, vg_set1, upper_reference, monkeypatch,
-                                                      penalty, slice_pairs, per_task, spans, workers):
+                                                      penalty, task_pairs, spans, workers):
         # Half the legs miss the certificate (`_withhold_plans`) and report
-        # G at their lam_K; the other half are certified in blocks of
-        # `slice_pairs` pairs.  Every leg equals its one-leg value whatever
-        # its task or block, and each missed leg is flagged.
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", slice_pairs)
-        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", per_task)
+        # G at their lam_K; the other half are certified in their task.
+        # Every leg equals its one-leg value whatever its task, and each
+        # missed leg is flagged.
+        monkeypatch.setattr(bounds, "UPPER_TASK_PAIRS", task_pairs)
         _withhold_plans(monkeypatch)   # a forked worker inherits the patch
         cfg = RunConfig(paths_per_run=10, runs=2, seed=33, penalty_kind=penalty, gamma=1.5)
         # The recorder runs in this process only; a pool pickles its task by name.
@@ -560,15 +668,14 @@ class TestUpperBound:
         assert est.total_paths == 40
         assert recorded == spans
 
-    def test_task_size_scales_with_the_inner_dimension(self, p_set1, vg_set1, monkeypatch):
-        # At K = 10 (D = 40) a task spans 64 pairs and a certificate block
-        # 16; at K = 40 (D = 160) 16 and 4.  With the plans of one leg a
-        # pair withheld, every leg's value is still its own, so the run
-        # means equal those of one task for all the legs.
-        p40 = dataclasses.replace(p_set1, K=40, delta=1 / 40)
-        assert bounds._upper_chunk_pairs(p_set1) == bounds.UPPER_CHUNK_PAIRS == 16
-        assert bounds._upper_chunk_pairs(p40) == 4 and bounds.UPPER_SLICES_PER_TASK == 4
-        vg40 = dp_solver.backward_recursion(p40, grid=np.linspace(-2.0, 2.0, 5))
+    def test_task_size_scales_with_the_inner_dimension(self, p_set1, vg_set1, forty_stage_grid, monkeypatch):
+        # At K = 10 (D = 40) a task spans 64 pairs, at K = 40 (D = 160) 16.
+        # With the plans of one leg a pair withheld, every leg's value is
+        # still its own, so the run means equal those of one task for all
+        # the legs.
+        p40, vg40 = forty_stage_grid
+        assert bounds._upper_task_pairs(p_set1) == bounds.UPPER_TASK_PAIRS == 64
+        assert bounds._upper_task_pairs(p40) == 16
         _withhold_plans(monkeypatch)
         for p, vg, pairs, spans in (
                 (p_set1, vg_set1, (40, 2), [(0, 64), (64, 80)]),
@@ -579,8 +686,7 @@ class TestUpperBound:
                 tasked = upper_bound(p, vg, cfg)
                 assert recorded == spans and tasked.flagged_paths == pairs[0] * pairs[1]
             with monkeypatch.context() as patched:
-                patched.setattr(bounds, "UPPER_CHUNK_PAIRS", 1000)
-                patched.setattr(bounds, "UPPER_SLICES_PER_TASK", 1)
+                patched.setattr(bounds, "UPPER_TASK_PAIRS", 1000)
                 recorded = _record_upper_spans(patched)
                 assert np.array_equal(upper_bound(p, vg, cfg).run_means, tasked.run_means)
                 assert recorded == [(0, 2 * pairs[0])]
@@ -602,15 +708,15 @@ class TestUpperBound:
                             return r, i, str(exc)
 
         r, i, message = first_failure()
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 2)
+        monkeypatch.setattr(bounds, "UPPER_TASK_PAIRS", 8)
         assert (r, i) == (1, 3)  # flat pair 15, the last of its task [8, 16)
         with pytest.raises(bounds.PathError) as err:
             upper_bound(p, vg, cfg)
         assert f"upper-bound path failed (seed=6, run={r}, path={i}): {message}" in str(err.value)
 
     def test_leg_without_a_finite_dual_value_raises_path_error_naming_it(self, p_set1, vg_set1, monkeypatch):
-        # Blocks of 3 pairs, two a task: the second task holds flat pairs
-        # [6, 12), and pair 9 is (run, path) (1, 4).  Its antithetic leg's
+        # Tasks of 6 pairs: the second task holds flat pairs [6, 12), and
+        # pair 9 is (run, path) (1, 4).  Its antithetic leg's
         # whole plan is withheld, lam_K too, so it misses the certificate
         # and its G is not finite; every other leg certifies.
         named = -shock_path(p_set1, 7, 1, 4).Z
@@ -623,8 +729,7 @@ class TestUpperBound:
             return warm, duals, lam_K
 
         monkeypatch.setattr(bounds, "_dual_plan", withheld)
-        monkeypatch.setattr(bounds, "UPPER_CHUNK_PAIRS", 3)
-        monkeypatch.setattr(bounds, "UPPER_SLICES_PER_TASK", 2)
+        monkeypatch.setattr(bounds, "UPPER_TASK_PAIRS", 6)
         cfg = RunConfig(paths_per_run=5, runs=3, seed=7, penalty_kind="m1", gamma=1.5)
         with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\): "
                                                    r"the inner problem's dual value is not finite"):
@@ -1183,16 +1288,15 @@ class TestTaskCertificate:
     @staticmethod
     def _both(monkeypatch, p, vg, kind, corrupt=lambda warm, duals, b: None):
         """The two certificates' recorded calls (`_record_certificates`),
-        dense then structured (objective stacks of 5 legs at a time), on the
-        legs of 8 pairs at seed 3, their plans changed in place by
-        `corrupt(warm, duals, b)`."""
+        dense then structured, on the legs of 8 pairs at seed 3, their plans
+        changed in place by `corrupt(warm, duals, b)`."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, 3, 8)
         warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
         corrupt(warm, duals, b)
         calls = _record_certificates(monkeypatch)
         sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
-        certified, f = bounds._certify_legs(p, forms, ctxs.R, warm, duals, block=5)
+        certified, f = bounds._certify_legs(p, forms, ctxs.R, warm, duals)
         assert len(calls) == 2
         dense, structured = calls
         assert np.array_equal(certified, structured[3]) and np.array_equal(f, structured[4], equal_nan=True)
