@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import concave, dp_solver, penalties
-from .market import AdmissibilityError, ModelParams, ShockPath, simulate_paths, step_wealth
+from .market import AdmissibilityError, ModelParams, ShockPath, reduce_last, simulate_paths, step_wealth
 
 INNER_TOL = 1e-6
 INNER_MAX_NEWTON = 200
@@ -296,8 +296,9 @@ def _certify_legs(p: ModelParams, forms, R, warm, duals) -> tuple:
     """(certified, f) of a stack of legs with returns R at their
     `_dual_plan` points and multipliers: `concave.certificate`, the test
     `maximize_batch` makes on their `assemble_inner_batch` problems, with
-    f and its gradient from `inner_oracle` and the rows' slacks and A'nu
-    read off the wealth chain in O(K n) a leg instead of the (B, m, D) rows.
+    f and its gradient from `inner_oracle`'s terms (`_inner_terms`) and the
+    rows' slacks and A'nu read off the wealth chain in O(K n) a leg instead
+    of the (B, m, D) rows.  The chain is stepped once, for all of them.
 
     With x = (Pi_k, C_k) and W_k the wealth chain (`_wealth`), the rows'
     slacks are R_f (W_k - 1'Pi_k) - C_k (budget), C_k - AMOUNT_FLOOR
@@ -307,23 +308,25 @@ def _certify_legs(p: ModelParams, forms, R, warm, duals) -> tuple:
     R_f nu_budget,k - (R_kj - R_f) mu_k - nu_Pi,kj.
     """
     K, n, Rf, B = p.K, p.n, p.R_f, len(warm)
-    legs, oracle = np.arange(B), inner_oracle(p, forms, R)
-    Pi, C = warm.reshape(B, K, n + 1)[..., :n], warm[:, n::n + 1]
+    legs, (value, gradient, _) = np.arange(B), _inner_terms(p, forms, R)
+    x = warm.reshape(B, K, n + 1)
+    Pi, C = x[..., :n], x[..., n]
     nu = duals[:, :2 * K].reshape(B, K, 2)   # each stage's (budget, floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         W, mu = _wealth(p, Pi, C, R), np.empty((B, K))
+        Y = np.concatenate([C, W[:, K:]], axis=1)
         mu[:, K - 1] = duals[:, 2 * K]
         for k in range(K - 2, -1, -1):
             mu[:, k] = Rf * (mu[:, k + 1] + nu[:, k + 1, 0])
-        budget = Rf * (W[:, :K] - Pi.sum(axis=2)) - C
+        budget = Rf * (W[:, :K] - reduce_last(np.add, Pi)) - C
         S = np.concatenate([np.stack([budget, C - AMOUNT_FLOOR], axis=2).reshape(B, 2 * K), W[:, K:] - AMOUNT_FLOOR,
                             Pi.reshape(B, K * n)], axis=1)
         ATnu = np.empty((B, K, n + 1))
         ATnu[..., :n] = Rf * nu[..., :1] - (R - Rf) * mu[..., None] - duals[:, 2 * K + 1:].reshape(B, K, n)
         ATnu[..., n] = nu[..., 0] + mu - nu[..., 1]
-        F = oracle.value(warm, legs)
+        F = value(x, Y, legs)
         certified, _ = concave.certificate(S, _row_bounds(p), duals, F,
-                                           lambda ok: (oracle.gradient(warm, legs), ATnu.reshape(B, -1)), INNER_TOL)
+                                           lambda ok: (gradient(x, Y, legs), ATnu.reshape(B, -1)), INNER_TOL)
     return certified, F
 
 
@@ -461,6 +464,23 @@ def inner_oracle(p: ModelParams, forms, R) -> concave.ObjectiveOracle:
     Hessian is the C_k diagonal plus W_K's rank-one term.  Every operation
     acts leg by leg, so a leg gives the same bits alone or in any batch.
     """
+    K, n = p.K, p.n
+
+    def on_chain(term):   # a `_inner_terms` term as an oracle callable of (X, rows)
+        def call(X, rows):
+            x = X.reshape(len(X), K, n + 1)
+            W = _wealth(p, x[..., :n], x[..., n], R[rows])
+            return term(x, np.concatenate([x[..., n], W[:, K:]], axis=1), rows)
+        return call
+
+    return concave.ObjectiveOracle(*map(on_chain, _inner_terms(p, forms, R)))
+
+
+def _inner_terms(p: ModelParams, forms, R) -> tuple:
+    """`inner_oracle`'s (value, gradient, hessian), each a function of the
+    points' stage view x (N, K, n + 1), their Y = (C_0, ..., C_{K-1}, W_K)
+    (N, K + 1) and rows, so that a caller holding the wealth chain
+    (`_certify_legs`) steps it once."""
     K, n, gamma = p.K, p.n, p.gamma
     B, D = len(R), K * (n + 1)
     weight = _utility_weights(p)
@@ -469,31 +489,26 @@ def inner_oracle(p: ModelParams, forms, R) -> concave.ObjectiveOracle:
     dW = (dW * p.R_f ** np.arange(K - 1, -1, -1.0)[:, None]).reshape(B, D)
     lin = np.concatenate([forms.lin_Pi, forms.lin_C[..., None]], axis=2).reshape(B, D)
 
-    def args(X, rows):   # X's stage view (N, K, n + 1) and Y (N, K + 1)
-        x = X.reshape(len(X), K, n + 1)
-        return x, np.concatenate([x[..., n], _wealth(p, x[..., :n], x[..., n], R[rows])[:, K:]], axis=1)
-
-    def value(X, rows):
-        x, Y = args(X, rows)
+    def value(x, Y, rows):
         inside = Y.min(axis=1) > 0.0
         utility = (weight / (1.0 - gamma) * np.where(inside[:, None], Y, 1.0) ** (1.0 - gamma)).sum(axis=1)
         return np.where(inside, utility - penalties.take(forms, rows).evaluate(x[..., :n], x[..., n]), -np.inf)
 
-    def gradient(X, rows):
-        marginal = weight * args(X, rows)[1] ** -gamma
+    def gradient(x, Y, rows):
+        marginal = weight * Y ** -gamma
         g = marginal[:, K:] * dW[rows] - lin[rows]
         g[:, c_idx] += marginal[:, :K]
         return g
 
-    def hessian(X, rows):
-        curvature = -gamma * weight * args(X, rows)[1] ** (-gamma - 1.0)
+    def hessian(x, Y, rows):
+        curvature = -gamma * weight * Y ** (-gamma - 1.0)
         a = dW[rows]
         H = a[:, :, None] * a[:, None, :]
         H *= curvature[:, K:, None]
         H[:, c_idx, c_idx] += curvature[:, :K]
         return H
 
-    return concave.ObjectiveOracle(value=value, gradient=gradient, hessian=hessian)
+    return value, gradient, hessian
 
 
 def assemble_inner_batch(p: ModelParams, forms, ctxs):

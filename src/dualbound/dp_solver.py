@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import concave
-from .market import ModelParams, log_return_mean
+from .market import ModelParams, log_return_mean, reduce_last
 
 logger = logging.getLogger(__name__)
 
@@ -301,7 +301,7 @@ def policy_lookup(vg: ValueGrid, k: int, phi, p: ModelParams) -> tuple:
         pi[:, j] = np.interp(x, g, vg.policy_pi[k, :, j])
     c = np.interp(x, g, vg.policy_c[k])
     np.maximum(pi, 0.0, out=pi)
-    total = pi.sum(axis=-1)
+    total = reduce_last(np.add, pi)
     pi /= np.maximum(total, 1.0)[:, None]  # back onto the simplex where 1'pi > 1
     c = np.minimum(np.maximum(c, 0.0), p.R_f * (1.0 - np.minimum(total, 1.0)))
     if np.ndim(phi) == 0:

@@ -11,6 +11,13 @@ by stage, to a whole batch of paths at once, and enforces the admissible set
 with strictly positive wealth along the way.  Per-path arithmetic is
 elementwise or a reduction over the last axis, never a product across the
 batch, so every path comes out bit-identical at any batch size.
+
+A sum (or `any`) over a short last axis, the n assets, is taken column by
+column (`reduce_last`), in the order numpy reduces an axis shorter than 8,
+so the bits are numpy's at a fraction of a reduction call's fixed cost.
+The simulator forms the state's shock terms of all K stages at once
+(`state_shocks`), so its stage loops step only the state's drift, the
+policy and the wealth.
 """
 
 from __future__ import annotations
@@ -285,18 +292,34 @@ class MarketPath:
     Pi: np.ndarray     # (K, n) invested amounts Pi_k = pi_k * W_k
 
 
-def step_state(phi_k, z: np.ndarray, ztilde, p: ModelParams):
-    """Advance the market state one period: OU drift plus both shock loadings.
+def reduce_last(ufunc, a):
+    """`ufunc.reduce(a, axis=-1)` over a short last axis, one column at a time.
 
-    phi_k is a state or an (N,) batch of states, with z of shape (..., n)
-    and ztilde of shape (..., d) or a scalar.
+    numpy reduces an axis shorter than 8 from its identity (+0.0 for add)
+    through the columns left to right, so this gives its bits, signed zeros
+    and NaNs included, without a reduction call's fixed cost (about six
+    times the column calls' on a (512, 10, 3) stack).  Longer axes, such
+    as the K stages, keep numpy's pairwise `sum`.
     """
-    zt = np.asarray(ztilde, dtype=float)
-    if zt.ndim:
-        zt = zt[..., 0]
-    drift = -p.lam * phi_k * p.delta
-    diff = ((p.sigma_phi1 * z).sum(axis=-1) + p.sigma_phi2 * zt) * p.sqrt_delta
-    return phi_k + drift + diff
+    a = np.asarray(a)
+    if a.ndim == 0:   # one column, as numpy takes it
+        a = a.reshape(1)
+    out = ufunc(ufunc.identity, a[..., 0])
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j])
+    return out
+
+
+def state_shocks(z: np.ndarray, ztilde: np.ndarray, p: ModelParams):
+    """The market state's shock term (sigma_phi1'z + sigma_phi2 ztilde) sqrt(delta)
+    of shocks z (..., n) and ztilde (..., d), one per leading index."""
+    return (reduce_last(np.add, p.sigma_phi1 * z) + p.sigma_phi2 * ztilde[..., 0]) * p.sqrt_delta
+
+
+def step_state(phi_k, shock_k, p: ModelParams):
+    """Advance the market state one period: the OU drift, then the shock term
+    `state_shocks` gives for the period (a state or an (N,) batch)."""
+    return phi_k + -p.lam * phi_k * p.delta + shock_k
 
 
 def log_return_mean(phi_k, p: ModelParams) -> np.ndarray:
@@ -307,20 +330,22 @@ def log_return_mean(phi_k, p: ModelParams) -> np.ndarray:
 
 def step_return(phi_k, z: np.ndarray, p: ModelParams) -> np.ndarray:
     """Gross returns over one period given state phi_k and shock z (..., n)."""
-    sigma_z = (p.sigma * z[..., None, :]).sum(axis=-1)
+    sigma_z = 0.0   # sigma z a column at a time, in `reduce_last`'s order
+    for j in range(p.n):
+        sigma_z = sigma_z + p.sigma[:, j] * z[..., j, None]
     return np.exp(log_return_mean(phi_k, p) + sigma_z * p.sqrt_delta)
 
 
 def step_wealth(W_k, Pi_k: np.ndarray, C_k, R_next: np.ndarray, p: ModelParams):
     """Wealth recursion in invested amounts; exactly linear in (Pi_k, C_k)."""
-    return W_k * p.R_f + ((R_next - p.R_f) * Pi_k).sum(axis=-1) - C_k
+    return W_k * p.R_f + reduce_last(np.add, (R_next - p.R_f) * Pi_k) - C_k
 
 
 def _admissibility(pi: np.ndarray, c, p: ModelParams, tol: float) -> tuple:
     """Masks (negative pi, negative c, over budget) and the budget R_f(1 - 1'pi),
     over the leading axes of pi (..., n) and c (...)."""
-    budget = p.R_f * (1.0 - np.sum(pi, axis=-1))
-    return np.any(pi < -tol, axis=-1), c < -tol, c > budget + tol, budget
+    budget = p.R_f * (1.0 - reduce_last(np.add, pi))
+    return reduce_last(np.logical_or, pi < -tol), c < -tol, c > budget + tol, budget
 
 
 def check_admissible(pi: np.ndarray, c: float, p: ModelParams, tol: float = FEAS_TOL) -> Optional[str]:
@@ -366,10 +391,11 @@ def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: n
     if Z.shape[1] != K:
         raise ValueError(f"shock path has {Z.shape[1]} stages, params have K={K}")
     N = Z.shape[0]
+    shock = state_shocks(Z, Ztilde, p)
     phi = np.empty((N, K + 1))
     phi[:, 0] = p.phi0
     for k in range(K):
-        phi[:, k + 1] = step_state(phi[:, k], Z[:, k], Ztilde[:, k], p)
+        phi[:, k + 1] = step_state(phi[:, k], shock[:, k], p)
     R = step_return(phi[:, :K], Z, p)
     W = np.empty((N, K + 1))
     W[:, 0] = p.W0
@@ -383,7 +409,7 @@ def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: n
         raw_c[:, k] = c_k
         # Clip float-level fuzz so the wealth recursion sees a point of A.
         pi_k = np.maximum(raw_pi[:, k], 0.0)
-        c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), p.R_f * (1.0 - pi_k.sum(axis=-1)))
+        c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), p.R_f * (1.0 - reduce_last(np.add, pi_k)))
         Pi[:, k] = W[:, k, None] * pi_k
         C[:, k] = W[:, k] * c_k
         W[:, k + 1] = step_wealth(W[:, k], Pi[:, k], C[:, k], R[:, k], p)

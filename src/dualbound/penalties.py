@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import dp_solver
-from .market import ModelParams, ShockPath, as_batch_policy, simulate_paths
+from .market import ModelParams, ShockPath, as_batch_policy, reduce_last, simulate_paths
 
 PENALTY_KINDS = ("zero", "m1", "m2")
 FEAS_CHUNK_PAIRS = 128  # antithetic pairs whose contexts are built in one batch
@@ -140,7 +140,7 @@ def penalty_form(kind: str, ctx: PenaltyContext, p: ModelParams) -> PenaltyForm:
         excess_prev = ctx.R[..., :-1, :] - p.R_f
         lin_Pi[..., :-1, :] += slope[..., None] * excess_prev
         lin_C[..., :-1] = -slope
-        anchor = (excess_prev * ctx.Pi[..., :-1, :]).sum(axis=-1) - ctx.C[..., :-1]
+        anchor = reduce_last(np.add, excess_prev * ctx.Pi[..., :-1, :]) - ctx.C[..., :-1]
         constant = constant - (slope * anchor).sum(axis=-1)
     return PenaltyForm(constant, lin_Pi, lin_C)
 

@@ -192,6 +192,55 @@ def synthetic_value_grid(p, policy_pi=None, policy_c=None, J0=None):
     return dp_solver.ValueGrid(grid=grid, J=J, policy_pi=pi, policy_c=c)
 
 
+def reference_simulate_paths(p, policy, Z, Ztilde) -> market.MarketPath:
+    """The batch simulator stepped stage by stage with numpy's own
+    reductions (`.sum` and `.any` over the asset axis, and the (N, K, n, n)
+    product for sigma z): the reference `market.simulate_paths` must equal
+    bit for bit, in every field and in the AdmissibilityError it raises."""
+    K, n, Rf, sd = p.K, p.n, p.R_f, p.sqrt_delta
+    Z, Ztilde = np.asarray(Z, dtype=float), np.asarray(Ztilde, dtype=float)
+    N = Z.shape[0]
+    phi = np.empty((N, K + 1))
+    phi[:, 0] = p.phi0
+    for k in range(K):
+        drift = -p.lam * phi[:, k] * p.delta
+        diff = ((p.sigma_phi1 * Z[:, k]).sum(axis=-1) + p.sigma_phi2 * Ztilde[:, k, 0]) * sd
+        phi[:, k + 1] = phi[:, k] + drift + diff
+    R = np.exp(market.log_return_mean(phi[:, :K], p) + (p.sigma * Z[..., None, :]).sum(axis=-1) * sd)
+    W, C, Pi = np.empty((N, K + 1)), np.empty((N, K)), np.empty((N, K, n))
+    W[:, 0] = p.W0
+    raw_pi, raw_c = np.empty((N, K, n)), np.empty((N, K))
+    for k in range(K):
+        raw_pi[:, k], raw_c[:, k] = policy(k, phi[:, k], W[:, k])
+        pi_k = np.maximum(raw_pi[:, k], 0.0)
+        c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), Rf * (1.0 - pi_k.sum(axis=-1)))
+        Pi[:, k] = W[:, k, None] * pi_k
+        C[:, k] = W[:, k] * c_k
+        W[:, k + 1] = W[:, k] * Rf + ((R[:, k] - Rf) * Pi[:, k]).sum(axis=-1) - C[:, k]
+    budget = Rf * (1.0 - raw_pi.sum(axis=-1))
+    events = np.empty((N, 2 * K), dtype=bool)
+    tol = market.FEAS_TOL
+    events[:, 0::2] = (raw_pi < -tol).any(axis=-1) | (raw_c < -tol) | (raw_c > budget + tol)
+    events[:, 1::2] = W[:, 1:] <= market.WEALTH_FLOOR
+    failed = np.flatnonzero(events.any(axis=1))
+    if failed.size:
+        row = int(failed[0])
+        first = int(np.argmax(events[row]))
+        k = first // 2
+        if first % 2 == 0:
+            pi, c = raw_pi[row, k], raw_c[row, k]
+            if (pi < -tol).any():
+                reason = f"pi has negative component {float(np.min(pi)):.3e}"
+            elif c < -tol:
+                reason = f"c = {float(c):.3e} is negative"
+            else:
+                reason = f"c = {float(c):.6g} exceeds budget R_f(1 - 1'pi) = {float(budget[row, k]):.6g}"
+            raise market.AdmissibilityError(k, reason, row=row)
+        raise market.AdmissibilityError(
+            k + 1, f"wealth {W[row, k + 1]:.3e} at or below floor {market.WEALTH_FLOOR:g}", row=row)
+    return market.MarketPath(phi=phi, R=R, W=W, C=C, Pi=Pi)
+
+
 ROW0 = np.zeros(1, dtype=int)
 
 

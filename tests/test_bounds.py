@@ -1339,6 +1339,19 @@ class TestTaskCertificate:
             assert np.flatnonzero(~dense[3]).tolist() == np.flatnonzero(~structured[3]).tolist() == [1, 3, 4, 6]
 
     @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_steps_the_wealth_chain_once(self, p_set1, vg_set1, monkeypatch, kind):
+        # The slacks, f and grad f share one `_wealth` call, and f is the
+        # oracle's bit for bit.
+        forms, ctxs, _ = TestDualFace._chunk(p_set1, vg_set1, kind, 3, 8)
+        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
+        f_oracle = bounds.inner_oracle(p_set1, forms, ctxs.R).value(warm, np.arange(len(warm)))
+        chain, chains = bounds._wealth, []
+        monkeypatch.setattr(bounds, "_wealth", lambda *args: chains.append(1) or chain(*args))
+        certified, f = bounds._certify_legs(p_set1, forms, ctxs.R, warm, duals)
+        assert certified.all() and len(chains) == 1
+        assert f.tobytes() == f_oracle.tobytes()
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
     def test_certified_task_builds_and_solves_no_dense_problem(self, p_set1, vg_set1, monkeypatch, kind):
         # A 64-pair set-1 task certifies every leg in its certificate pass,
         # so it calls neither the dense assembly nor the solver.

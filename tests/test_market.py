@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from dualbound import bounds, dp_solver, market
 from dualbound.market import AdmissibilityError, ModelParams, ShockPath, parameter_set
 
-from helpers import single_asset_params
+from helpers import reference_simulate_paths, single_asset_params
 
 
 class TestParameterSets:
@@ -150,20 +151,90 @@ class TestParamsValidation:
             ModelParams.from_dict(data)
 
 
+class TestReduceLast:
+    """`market.reduce_last` against numpy's own reduction over the last axis,
+    bit for bit."""
+
+    @staticmethod
+    def _stacks(n):
+        """Views of a (64, 10, n) stack with signed entries whose exponents
+        spread over 1e-8..1e8: contiguous, strided on the leading axes, in
+        Fortran order, strided on the last axis, one path (1, n) and one
+        1-D row (n,)."""
+        rng = np.random.default_rng(n)
+        wide = rng.standard_normal((64, 10, 2 * n)) * 10.0 ** rng.uniform(-8.0, 8.0, (64, 10, 2 * n))
+        a = np.ascontiguousarray(wide[..., :n])
+        return [a, a[::3, 1::2], np.asfortranarray(a), wide[..., ::2], a[:1, 0], a[5, 3]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sum_equals_numpys_bit_for_bit(self, n):
+        for v in self._stacks(n):
+            want, got = np.add.reduce(v, axis=-1), market.reduce_last(np.add, v)
+            assert np.shape(got) == want.shape and np.asarray(got).tobytes() == np.asarray(want).tobytes(), v.shape
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_any_equals_numpys(self, n):
+        for v in self._stacks(n):
+            mask = v < -1.0
+            want, got = np.logical_or.reduce(mask, axis=-1), market.reduce_last(np.logical_or, mask)
+            assert np.asarray(got).dtype == bool and np.array_equal(got, want), v.shape
+
+    def test_signed_zeros_infinities_and_nans_as_numpy(self):
+        vals = [0.0, -0.0, 1.0, -1.0, 1e16, -1e16, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+        for n in (1, 2, 3):
+            every = np.array(list(itertools.product(vals, repeat=n)))
+            with np.errstate(invalid="ignore"):
+                assert market.reduce_last(np.add, every).tobytes() == np.add.reduce(every, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("value", [-0.0, 2.5, np.nan])
+    def test_zero_dimensional_input_as_numpy(self, value):
+        for a in (np.float64(value), np.array(value)):
+            got, want = market.reduce_last(np.add, a), np.add.reduce(a, axis=-1)
+            assert np.ndim(got) == 0 and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert market.reduce_last(np.logical_or, np.array(True)) == np.logical_or.reduce(np.array(True), axis=-1)
+
+    def test_one_column_is_a_new_array(self):
+        a = np.arange(6.0).reshape(6, 1)
+        out = market.reduce_last(np.add, a)
+        assert not np.shares_memory(out, a)
+        out[:] = -1.0
+        assert np.array_equal(a[:, 0], np.arange(6.0))
+
+    def test_check_admissible_on_one_decision(self):
+        p = parameter_set(1)
+        assert market.check_admissible(np.array([0.2, 0.3, 0.1]), 0.1, p) is None
+        assert "negative component" in market.check_admissible(np.array([0.2, -0.3, 0.1]), 0.1, p)
+        assert "exceeds budget R_f(1 - 1'pi) = 0.4004" in market.check_admissible(np.array([0.2, 0.3, 0.1]), 0.5, p)
+
+
 class TestStepState:
     def test_zero_everything_is_fixed_point(self):
         p = parameter_set(1)
-        assert market.step_state(0.0, np.zeros(3), np.zeros(1), p) == 0.0
+        assert market.step_state(0.0, market.state_shocks(np.zeros(3), np.zeros(1), p), p) == 0.0
 
     def test_ou_drift_set1(self):
         p = parameter_set(1)
-        out = market.step_state(1.0, np.zeros(3), np.zeros(1), p)
+        out = market.step_state(1.0, market.state_shocks(np.zeros(3), np.zeros(1), p), p)
         assert out == pytest.approx(1.0 - 0.336 * 0.1, abs=1e-15)
 
     def test_extra_shock_loading_set1(self):
         p = parameter_set(1)
-        out = market.step_state(0.0, np.zeros(3), np.array([1.0]), p)
+        out = market.step_state(0.0, market.state_shocks(np.zeros(3), np.array([1.0]), p), p)
         assert out == pytest.approx(0.284 * math.sqrt(0.1), rel=1e-12)
+
+    def test_return_shock_loading_set1(self):
+        p = parameter_set(1)
+        out = market.state_shocks(np.array([0.0, 1.0, 0.0]), np.zeros(1), p)
+        assert out == pytest.approx(-0.037 * math.sqrt(0.1), rel=1e-12)
+
+    def test_shocks_of_every_stage_equal_each_stages(self):
+        p = parameter_set(2)
+        rng = np.random.default_rng(4)
+        Z, Zt = rng.standard_normal((7, p.K, 3)), rng.standard_normal((7, p.K, 1))
+        every = market.state_shocks(Z, Zt, p)
+        assert every.shape == (7, p.K)
+        for k in range(p.K):
+            assert np.array_equal(every[:, k], market.state_shocks(Z[:, k], Zt[:, k], p))
 
     def test_ou_contraction_at_zero_shocks(self):
         # |phi'| <= |phi| whenever lam * delta lies in (0, 1]
@@ -171,7 +242,7 @@ class TestStepState:
             p = single_asset_params(lam=lam)
             assert 0.0 < p.lam * p.delta <= 1.0
             for phi in (-1.7, -0.2, 0.4, 2.0):
-                nxt = market.step_state(phi, np.zeros(1), np.zeros(1), p)
+                nxt = market.step_state(phi, market.state_shocks(np.zeros(1), np.zeros(1), p), p)
                 assert abs(nxt) <= abs(phi)
 
 
@@ -191,6 +262,15 @@ class TestStepReturn:
         p = ModelParams(**kwargs)
         R = market.step_return(0.7, np.zeros(3), p)
         np.testing.assert_allclose(R, np.exp(p.mu0 * p.delta), rtol=1e-9)
+
+    def test_equals_numpys_sum_of_the_product_bit_for_bit(self):
+        # sigma z is added a column at a time; signed zero shocks included.
+        p = parameter_set(3)
+        Z = np.random.default_rng(8).standard_normal((16, p.K, 3))
+        Z[0], Z[1], Z[2, :, 1] = 0.0, -0.0, -0.0
+        phi = np.linspace(-3.0, 3.0, 16 * p.K).reshape(16, p.K)
+        want = np.exp(market.log_return_mean(phi, p) + (p.sigma * Z[..., None, :]).sum(axis=-1) * p.sqrt_delta)
+        assert market.step_return(phi, Z, p).tobytes() == want.tobytes()
 
     def test_antithetic_log_symmetry(self):
         p = parameter_set(2)
@@ -306,6 +386,64 @@ class TestSimulatePaths:
                 assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), (i, name)
         if set_id == 2:  # both extrapolation branches are exercised
             assert batch.phi.min() < vg.grid[0] and batch.phi.max() > vg.grid[-1]
+
+    @staticmethod
+    def _assert_equals_reference(p, policy, Z, Ztilde):
+        path, ref = market.simulate_paths(p, policy, Z, Ztilde), reference_simulate_paths(p, policy, Z, Ztilde)
+        for name in ("phi", "R", "W", "C", "Pi"):
+            got, want = getattr(path, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("set_id", [1, 2, 3, 4])
+    def test_equals_the_stage_by_stage_reference(self, set_id):
+        # Grid policy on antithetic legs; set 2's states leave the grid.
+        p = parameter_set(set_id, gamma=1.5)
+        vg = dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5))
+        legs = self._legs(p, seed=23, pairs=40)
+        self._assert_equals_reference(p, dp_solver.make_grid_policy(vg, p), np.array([sp.Z for sp in legs]),
+                                      np.array([sp.Ztilde for sp in legs]))
+
+    def test_equals_the_reference_on_one_asset(self):
+        p = single_asset_params(K=10, lam=1.671, sigma_phi2=1.725)
+        vg = dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5))
+        legs = self._legs(p, seed=5, pairs=30)
+        self._assert_equals_reference(p, dp_solver.make_grid_policy(vg, p), np.array([sp.Z for sp in legs]),
+                                      np.array([sp.Ztilde for sp in legs]))
+
+    def test_equals_the_reference_under_clipped_fuzz(self):
+        # Decisions a rounding error outside A, which the simulator clips.
+        p = parameter_set(1)
+        legs = self._legs(p, seed=9, pairs=25)
+
+        def policy(k, phi, W):
+            pi = np.stack([0.3 + 0.1 * np.tanh(phi), np.full(phi.shape, -1e-12), 0.2 * W / (1.0 + W)], axis=1)
+            return pi, p.R_f * (1.0 - pi.sum(axis=1)) * (1.0 + 1e-12)
+
+        self._assert_equals_reference(p, policy, np.array([sp.Z for sp in legs]), np.array([sp.Ztilde for sp in legs]))
+
+    @pytest.mark.parametrize("fault", ["budget", "negative pi", "negative c", "wealth floor"])
+    def test_raises_the_references_error(self, fault):
+        p = parameter_set(1)
+        rng = np.random.default_rng(2)
+        Z, Zt = rng.standard_normal((6, 10, 3)), rng.standard_normal((6, 10, 1))
+
+        def policy(k, phi, W):
+            pi, c = np.full(phi.shape + (3,), 0.2), np.full(phi.shape, 0.1)
+            if fault == "budget" and k == 4:
+                c[3] = 1.0
+            elif fault == "negative pi" and k == 7:
+                pi[2:, 1] = -0.01
+            elif fault == "negative c" and k == 1:
+                c[5] = -0.5
+            elif fault == "wealth floor" and k == 2:
+                pi[4], c[4] = 0.0, p.R_f
+            return pi, c
+
+        with pytest.raises(AdmissibilityError) as want:
+            reference_simulate_paths(p, policy, Z, Zt)
+        with pytest.raises(AdmissibilityError) as got:
+            market.simulate_paths(p, policy, Z, Zt)
+        assert (got.value.row, got.value.stage, str(got.value)) == (want.value.row, want.value.stage, str(want.value))
 
     def test_first_failing_row_and_stage_are_reported(self):
         p = parameter_set(1)
