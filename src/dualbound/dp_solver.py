@@ -7,7 +7,9 @@ state expectation.  Under CRRA utility each node's Bellman maximization
 separates into a portfolio problem that no stage changes and a consumption
 share in closed form: the G portfolio problems of a grid are solved once,
 as one lockstep batch of the barrier engine, and each stage is arithmetic
-(`backward_recursion`).
+(`backward_recursion`).  The stored policy is looked up by np.interp's
+arithmetic for every stage and column at once, from tables stacked once per
+grid (`policy_lookup`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,6 +133,21 @@ class ValueGrid:
     @property
     def K(self) -> int:
         return self.J.shape[0] - 1
+
+    @cached_property
+    def policy_table(self) -> tuple:
+        """(values, slopes) of the nodal policy, stacked asset-major for
+        `policy_lookup`: each is (n + 1, K G), row j < n for pi_j and row n
+        for c, column k G + i for stage k at node i.  slopes[:, k G + i] is
+        the slope of segment [grid[i], grid[i+1]], as np.interp forms it (0,
+        never read, at i = G - 1).  Built from the nodal arrays on first use."""
+        K, G, n = self.policy_pi.shape
+        values = np.empty((n + 1, K, G))
+        values[:n] = self.policy_pi.transpose(2, 0, 1)
+        values[n] = self.policy_c
+        slopes = np.zeros((n + 1, K, G))
+        np.divide(np.diff(values, axis=2), np.diff(self.grid), out=slopes[:, :, :-1])
+        return values.reshape(n + 1, K * G), slopes.reshape(n + 1, K * G)
 
 
 def node_returns(p: ModelParams, quad: QuadratureRule, phi) -> np.ndarray:
@@ -286,36 +304,58 @@ def gradient_J(vg: ValueGrid, k, phi):
     return _scalar_or_array(np.where(at_node, 0.5 * (left + right), left))
 
 
-def policy_lookup(vg: ValueGrid, k: int, phi, p: ModelParams) -> tuple:
+def policy_lookup(vg: ValueGrid, k, phi, p: ModelParams) -> tuple:
     """Componentwise interpolation of the nodal policy, projected back into A.
 
-    Beyond the outermost nodes the nearest nodal policy is used (constant
-    extrapolation) before projection.  phi is one state, giving (pi[n], c),
-    or an (N,) array of states, giving (pi[N, n], c[N]).
+    k (a stage or an array of stages) broadcasts against phi (one state or
+    an array of states), as in `interpolate_J`; the result is pi (..., n)
+    and c (...) over their broadcast shape, pi[n] and a float c for a
+    scalar k and phi.  Each column is np.interp's, bit for bit and branch
+    by branch: the first node's value left of the grid, the last node's at
+    or right of the last node, a node's own value on it, and
+    slope (x - g_j) + y_j between nodes g_j < x < g_{j+1}.  One search
+    places every state for all n + 1 columns and all stages, whose rows
+    are gathered from `ValueGrid.policy_table`.
     """
     g = vg.grid
-    x = np.asarray(phi, dtype=float).reshape(-1)  # np.interp extrapolates constantly
-    n = vg.policy_pi.shape[2]
-    pi = np.empty((x.size, n))
-    for j in range(n):
-        pi[:, j] = np.interp(x, g, vg.policy_pi[k, :, j])
-    c = np.interp(x, g, vg.policy_c[k])
+    values, slopes = vg.policy_table
+    shape = np.broadcast(k, phi).shape
+    x = np.broadcast_to(np.asarray(phi, dtype=float), shape).reshape(-1)
+    rows = g.searchsorted(x, side="right")
+    rows -= 1
+    np.maximum(rows, 0, out=rows)  # node j with g_j <= x < g_{j+1}, or the first node
+    dx = g.take(rows)
+    on = (x <= dx) | (x >= g[-1])  # left of the grid, on node j, or at or right of its end: y_j
+    np.subtract(x, dx, out=dx)
+    np.copyto(dx, 0.0, where=on)  # so that slope * dx stays finite at x = +-inf
+    stage_rows = rows.reshape(shape)
+    stage_rows += k * g.size  # column k G + j of the stacked tables
+    out = slopes.take(rows, axis=1)
+    out *= dx
+    for column, nodal in zip(out, values):  # one (M,) gather of nodal values at a time
+        y = nodal.take(rows)
+        column += y
+        np.copyto(column, y, where=on)
+    n = values.shape[0] - 1
+    pi, c = out[:n], out[n]
     np.maximum(pi, 0.0, out=pi)
-    total = reduce_last(np.add, pi)
-    pi /= np.maximum(total, 1.0)[:, None]  # back onto the simplex where 1'pi > 1
-    c = np.minimum(np.maximum(c, 0.0), p.R_f * (1.0 - np.minimum(total, 1.0)))
-    if np.ndim(phi) == 0:
-        return pi[0], float(c[0])
-    return pi, c
+    total = reduce_last(np.add, pi.T)
+    pi /= np.maximum(total, 1.0)  # back onto the simplex where 1'pi > 1
+    np.maximum(c, 0.0, out=c)
+    np.minimum(c, p.R_f * (1.0 - np.minimum(total, 1.0)), out=c)
+    pi = pi.T.reshape(shape + (n,))
+    return (pi, float(c[0])) if shape == () else (pi, c.reshape(shape))
 
 
 def make_grid_policy(vg: ValueGrid, p: ModelParams):
-    """Stage policy callback for simulation; wealth-independent under CRRA.
+    """Stage policy callback for simulation: wealth fractions from (stage,
+    state), independent of wealth under CRRA.
 
-    Takes one state or an (N,) batch of states, like `policy_lookup`.
+    Takes the arguments of `policy_lookup` and a wealth it does not read.
     """
+    vg.policy_table  # the grid's stacked tables, built here once
 
-    def policy(k: int, phi, W):
+    def policy(k, phi, W):
         return policy_lookup(vg, k, phi, p)
 
     return policy

@@ -3,8 +3,9 @@
 The model family is a one-dimensional Ornstein-Uhlenbeck market state driving
 the drift of n risky assets, advanced on a fixed grid of K periods of length
 delta.  All stepping functions are stateless and take one path or a batch of
-paths along a leading axis.  Path simulation applies a policy callback stage
-by stage, to a whole batch of paths at once, and enforces the admissible set
+paths along a leading axis.  Path simulation runs a policy of wealth
+fractions over a whole batch of paths at once and enforces the admissible
+set
 
     A = {(pi, c) : pi >= 0, c >= 0, c <= R_f (1 - 1'pi)}
 
@@ -15,9 +16,11 @@ batch, so every path comes out bit-identical at any batch size.
 A sum (or `any`) over a short last axis, the n assets, is taken column by
 column (`reduce_last`), in the order numpy reduces an axis shorter than 8,
 so the bits are numpy's at a fraction of a reduction call's fixed cost.
-The simulator forms the state's shock terms of all K stages at once
-(`state_shocks`), so its stage loops step only the state's drift, the
-policy and the wealth.
+States and returns do not depend on the decisions, and a policy decides
+fractions of wealth from the stage and the state alone, so the simulator
+forms the state's shock terms of all K stages at once (`state_shocks`),
+steps the states, calls the policy once for every stage, and leaves only
+the wealth to its stage loop.
 """
 
 from __future__ import annotations
@@ -361,35 +364,62 @@ def check_admissible(pi: np.ndarray, c: float, p: ModelParams, tol: float = FEAS
     return None
 
 
-Policy = Callable[[int, float, float], tuple]
-BatchPolicy = Callable[[int, np.ndarray, np.ndarray], tuple]
+# A policy decides wealth fractions (pi, c) from the stage and the state:
+# the grid policy is wealth-independent under CRRA, so the simulator
+# decides every stage before it steps wealth and passes W = None.  The
+# one-path form takes (k, phi, W) and gives (pi[n], c); the batch form
+# takes stages k (K,) and states phi (N, K) and gives pi (N, K, n), c (N, K).
+Policy = Callable[[int, float, None], tuple]
+BatchPolicy = Callable[[np.ndarray, np.ndarray, None], tuple]
 
 
 def as_batch_policy(policy: Policy) -> BatchPolicy:
-    """Adapt a one-path policy `(k, phi, W) -> (pi, c)` to a batch of one path."""
+    """Adapt a one-path policy `(k, phi, W) -> (pi, c)` to a batch of one
+    path, called stage by stage in stage order with W = None."""
 
     def batch(k, phi, W):
-        pi, c = policy(k, phi[0], W[0])
-        return np.asarray(pi, dtype=float)[None], np.asarray(c, dtype=float).reshape(1)
+        pis, cs = zip(*(policy(k_j, phi_j, None) for k_j, phi_j in zip(k.tolist(), phi[0])))
+        return np.array(pis, dtype=float)[None], np.array(cs, dtype=float)[None]
 
     return batch
 
 
-def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: np.ndarray) -> MarketPath:
-    """Run `policy(k, phi[N], W[N]) -> (pi[N, n], c[N])` along N shock paths.
+def _wealth_paths(p: ModelParams, pi: np.ndarray, c: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Wealth W (N, K+1) from W0 under fractions pi (N, K, n) and c (N, K)
+    of each stage's wealth and returns R (N, K, n): `step_wealth` on
+    Pi_k = W_k pi_k and C_k = W_k c_k, its asset sum in `reduce_last`'s
+    order.  The excess returns are taken once, asset- and stage-major."""
+    N, K, n = pi.shape
+    excess = np.subtract(R.T, p.R_f, order="C")   # (n, K, N)
+    W = np.empty((K + 1, N))
+    W[0] = p.W0
+    for k in range(K):
+        W_k = W[k]
+        gain = 0.0
+        for j in range(n):
+            gain = gain + excess[j, k] * (W_k * pi[:, k, j])
+        W[k + 1] = W_k * p.R_f + gain - W_k * c[:, k]
+    return np.ascontiguousarray(W.T)
 
-    Z is (N, K, n) and Ztilde (N, K, d); the result carries a leading N axis.
-    States and returns do not depend on the decisions, so they are stepped
-    first; the admissibility of every decision and the wealth floor are
-    checked once the paths are complete.  Raises AdmissibilityError for the
-    lowest-numbered failing path (its `row`), naming the stage of its first
-    failure.
+
+def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: np.ndarray) -> MarketPath:
+    """Run `policy(k[K], phi[N, K], None) -> (pi[N, K, n], c[N, K])` along N
+    shock paths.
+
+    Z is (N, K, n) and Ztilde (N, K, d), or ValueError; the result carries a
+    leading N axis.  States and returns do not depend on the decisions, so
+    they are stepped first, then the policy decides all K stages in one
+    call, and the stage loop steps only the wealth.  The admissibility of
+    every decision and the wealth floor are checked once the paths are
+    complete.  Raises AdmissibilityError for the lowest-numbered failing
+    path (its `row`), naming the stage of its first failure.
     """
-    K = p.K
+    K, n = p.K, p.n
     Z = np.asarray(Z, dtype=float)
     Ztilde = np.asarray(Ztilde, dtype=float)
-    if Z.shape[1] != K:
-        raise ValueError(f"shock path has {Z.shape[1]} stages, params have K={K}")
+    if Z.ndim != 3 or Z.shape[1:] != (K, n) or Ztilde.shape != (Z.shape[0], K, p.d):
+        raise ValueError(f"need shocks Z (N, {K}, {n}) and Ztilde (N, {K}, {p.d}), "
+                         f"got Z {Z.shape} and Ztilde {Ztilde.shape}")
     N = Z.shape[0]
     shock = state_shocks(Z, Ztilde, p)
     phi = np.empty((N, K + 1))
@@ -397,22 +427,16 @@ def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: n
     for k in range(K):
         phi[:, k + 1] = step_state(phi[:, k], shock[:, k], p)
     R = step_return(phi[:, :K], Z, p)
-    W = np.empty((N, K + 1))
-    W[:, 0] = p.W0
-    C = np.empty((N, K))
-    Pi = np.empty((N, K, p.n))
-    raw_pi = np.empty((N, K, p.n))
-    raw_c = np.empty((N, K))
-    for k in range(K):
-        pi_k, c_k = policy(k, phi[:, k], W[:, k])
-        raw_pi[:, k] = pi_k
-        raw_c[:, k] = c_k
-        # Clip float-level fuzz so the wealth recursion sees a point of A.
-        pi_k = np.maximum(raw_pi[:, k], 0.0)
-        c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), p.R_f * (1.0 - reduce_last(np.add, pi_k)))
-        Pi[:, k] = W[:, k, None] * pi_k
-        C[:, k] = W[:, k] * c_k
-        W[:, k + 1] = step_wealth(W[:, k], Pi[:, k], C[:, k], R[:, k], p)
+    raw_pi, raw_c = policy(np.arange(K), phi[:, :K], None)
+    raw_pi = np.broadcast_to(np.asarray(raw_pi, dtype=float), (N, K, n))
+    raw_c = np.broadcast_to(np.asarray(raw_c, dtype=float), (N, K))
+    # Clip float-level fuzz so the wealth recursion sees a point of A.
+    pi = np.maximum(raw_pi, 0.0, order="C")
+    c = np.maximum(raw_c, 0.0, order="C")
+    np.minimum(c, p.R_f * (1.0 - reduce_last(np.add, pi)), out=c)
+    W = _wealth_paths(p, pi, c, R)
+    Pi = np.multiply(pi, W[:, :K, None], out=pi)  # the amounts W_k pi_k and W_k c_k, in place
+    C = np.multiply(c, W[:, :K], out=c)
     # Failure events in time order: decision k at 2k, wealth W_{k+1} at 2k+1.
     events = np.empty((N, 2 * K), dtype=bool)
     neg_pi, neg_c, over, _ = _admissibility(raw_pi, raw_c, p, FEAS_TOL)
@@ -431,10 +455,11 @@ def simulate_paths(p: ModelParams, policy: BatchPolicy, Z: np.ndarray, Ztilde: n
 
 
 def simulate_policy_path(p: ModelParams, policy: Policy, shocks: ShockPath) -> MarketPath:
-    """Run `policy(k, phi_k, W_k) -> (pi, c)` along one shock path.
+    """Run `policy(k, phi_k, None) -> (pi, c)` along one shock path.
 
-    The N = 1 call of `simulate_paths`.  Raises AdmissibilityError naming the
-    stage if the policy leaves A or wealth falls to the floor.
+    The N = 1 call of `simulate_paths`, deciding stage by stage.  Raises
+    AdmissibilityError naming the stage if the policy leaves A or wealth
+    falls to the floor.
     """
     b = simulate_paths(p, as_batch_policy(policy), shocks.Z[None], shocks.Ztilde[None])
     return MarketPath(phi=b.phi[0], R=b.R[0], W=b.W[0], C=b.C[0], Pi=b.Pi[0])

@@ -95,9 +95,10 @@ def build_contexts(p: ModelParams, vg: dp_solver.ValueGrid, policy, Z: np.ndarra
                    Ztilde: np.ndarray) -> PenaltyContext:
     """The stacked context of N baseline trajectories, simulated as one batch.
 
-    `policy(k, phi[N], W[N]) -> (pi[N, n], c[N])` is a batch policy; Z is
-    (N, K, n) and Ztilde (N, K, d).  Leg i is bit-identical to the context
-    `build_context` gives for path i alone.
+    `policy(k[K], phi[N, K], None) -> (pi[N, K, n], c[N, K])` is a batch
+    policy (`market.simulate_paths`); Z is (N, K, n) and Ztilde (N, K, d).
+    Leg i is bit-identical to the context `build_context` gives for path i
+    alone.
     """
     path = simulate_paths(p, policy, Z, Ztilde)
     K = p.K

@@ -192,11 +192,27 @@ def synthetic_value_grid(p, policy_pi=None, policy_c=None, J0=None):
     return dp_solver.ValueGrid(grid=grid, J=J, policy_pi=pi, policy_c=c)
 
 
+def reference_policy_lookup(vg, k, phi, p):
+    """The grid policy of stage k at states phi (M,) by one np.interp call
+    per policy column, then the projection into A with numpy's own sum:
+    the reference `dp_solver.policy_lookup` must equal bit for bit."""
+    g = vg.grid
+    x = np.asarray(phi, dtype=float)
+    pi = np.stack([np.interp(x, g, vg.policy_pi[k, :, j]) for j in range(vg.policy_pi.shape[2])], axis=-1)
+    c = np.interp(x, g, vg.policy_c[k])
+    np.maximum(pi, 0.0, out=pi)
+    total = pi.sum(axis=-1)
+    pi /= np.maximum(total, 1.0)[:, None]
+    return pi, np.minimum(np.maximum(c, 0.0), p.R_f * (1.0 - np.minimum(total, 1.0)))
+
+
 def reference_simulate_paths(p, policy, Z, Ztilde) -> market.MarketPath:
     """The batch simulator stepped stage by stage with numpy's own
     reductions (`.sum` and `.any` over the asset axis, and the (N, K, n, n)
-    product for sigma z): the reference `market.simulate_paths` must equal
-    bit for bit, in every field and in the AdmissibilityError it raises."""
+    product for sigma z), deciding each stage by its own policy call on
+    one-column slices (stages k:k+1, states phi[:, k:k+1]): the reference
+    `market.simulate_paths` must equal bit for bit, in every field and in
+    the AdmissibilityError it raises."""
     K, n, Rf, sd = p.K, p.n, p.R_f, p.sqrt_delta
     Z, Ztilde = np.asarray(Z, dtype=float), np.asarray(Ztilde, dtype=float)
     N = Z.shape[0]
@@ -210,8 +226,10 @@ def reference_simulate_paths(p, policy, Z, Ztilde) -> market.MarketPath:
     W, C, Pi = np.empty((N, K + 1)), np.empty((N, K)), np.empty((N, K, n))
     W[:, 0] = p.W0
     raw_pi, raw_c = np.empty((N, K, n)), np.empty((N, K))
+    stages = np.arange(K)
     for k in range(K):
-        raw_pi[:, k], raw_c[:, k] = policy(k, phi[:, k], W[:, k])
+        pi_k, c_k = policy(stages[k:k + 1], phi[:, k:k + 1], None)
+        raw_pi[:, k], raw_c[:, k] = pi_k[:, 0], c_k[:, 0]
         pi_k = np.maximum(raw_pi[:, k], 0.0)
         c_k = np.minimum(np.maximum(raw_c[:, k], 0.0), Rf * (1.0 - pi_k.sum(axis=-1)))
         Pi[:, k] = W[:, k, None] * pi_k

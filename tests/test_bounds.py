@@ -238,6 +238,25 @@ class TestLowerBound:
                 lower_bound(p, vg, cfg)
             assert f"(seed=6, run={r}, path={i}): {message}" in str(err.value)
 
+    def test_lower_task_peak_per_leg(self, p_set1, vg_set1):
+        # A whole 256-pair task (shocks, states and returns, one policy
+        # lookup for all K stages, the wealth chain and the utilities):
+        # measured 1.81 KB a leg.  The bound leaves about 10% margin; a
+        # simulator that also holds asset-major copies of the clipped
+        # decisions, and a lookup that gathers all n + 1 columns of nodal
+        # values at once beside their slopes, measured 2.67 KB a leg and
+        # breaks it.  A first call also allocates one-time state, so the
+        # task runs once untraced.
+        bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=256, runs=2, seed=5, gamma=1.5))
+        assert bounds._lower_task((0, 256)).shape == (512,)
+        tracemalloc.start()
+        try:
+            bounds._lower_task((0, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e3 * 512
+
 
 class TestAssembleInner:
     def _setup(self, p, vg, seed=0, kind="m1"):

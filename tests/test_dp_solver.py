@@ -21,7 +21,8 @@ from dualbound.dp_solver import (
     value_grid_to_dict,
 )
 
-from helpers import at_point, joint_backward_recursion, node_objective_grid_search, single_asset_params
+from helpers import (at_point, joint_backward_recursion, node_objective_grid_search, reference_policy_lookup,
+                     single_asset_params)
 
 
 class TestQuadrature:
@@ -226,6 +227,66 @@ class TestBatchedLookups:
         for i, x in enumerate(self.PHI):
             pi_i, c_i = policy_lookup(vg_set1, 2, x, p_set1)
             assert np.array_equal(pi[i], pi_i) and c[i] == c_i
+
+
+def _probe_states(g):
+    """Every node, the nodes' float neighbours, points between nodes and
+    beyond both edges (at infinity, slope * (x - g_j) + y_j is NaN)."""
+    inner = g[:-1] + np.array([[1 / 3], [1 / 2], [0.9]]) * np.diff(g)
+    return np.concatenate([g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf), inner.ravel(),
+                           [-np.inf, g[0] - 1.5, g[0] - 1e-3, g[-1] + 1e-3, g[-1] + 0.7, np.inf]])
+
+
+class TestStackedLookup:
+    """policy_lookup is np.interp column by column, then the projection into
+    A, bit for bit, at one stage or all stages at once."""
+
+    @staticmethod
+    def _assert_is_interp(vg, p, xs):
+        K, n = vg.policy_c.shape[0], p.n
+        for k in range(K):
+            want_pi, want_c = reference_policy_lookup(vg, k, xs, p)
+            pi, c = policy_lookup(vg, k, xs, p)
+            assert pi.shape == (xs.size, n) and pi.tobytes() == want_pi.tobytes() and c.tobytes() == want_c.tobytes()
+            for i, x in enumerate(xs):
+                pi, c = policy_lookup(vg, k, float(x), p)
+                assert pi.tobytes() == want_pi[i].tobytes() and np.float64(c).tobytes() == want_c[i].tobytes()
+        phi = np.stack([np.random.default_rng(k).permutation(xs) for k in range(K)], axis=1)
+        want = [reference_policy_lookup(vg, k, phi[:, k], p) for k in range(K)]
+        pi, c = policy_lookup(vg, np.arange(K), phi, p)
+        assert pi.shape == (xs.size, K, n) and c.shape == (xs.size, K)
+        assert pi.tobytes() == np.stack([w[0] for w in want], axis=1).tobytes()
+        assert c.tobytes() == np.stack([w[1] for w in want], axis=1).tobytes()
+
+    @pytest.mark.parametrize("set_id", [1, 2, 3, 4])
+    def test_published_grids(self, solved_grid, set_id):
+        p, vg = solved_grid(set_id, 1.5)
+        self._assert_is_interp(vg, p, _probe_states(vg.grid))
+
+    @pytest.mark.parametrize("grid", [[-2.0, -1.3, -0.2, 0.05, 0.9, 2.5], [-1.0, 1.0]], ids=["non-uniform", "two-node"])
+    def test_synthetic_grids(self, grid):
+        # Tables that the projection acts on: negative weights, 1'pi > 1,
+        # consumption above its budget and below zero.
+        p = market.parameter_set(1)
+        rng = np.random.default_rng(len(grid))
+        G = len(grid)
+        vg = ValueGrid(grid=np.array(grid), J=np.zeros((p.K + 1, G)),
+                       policy_pi=rng.uniform(-0.2, 0.6, (p.K, G, p.n)), policy_c=rng.uniform(-0.01, 0.5, (p.K, G)))
+        self._assert_is_interp(vg, p, _probe_states(vg.grid))
+
+    def test_signed_zeros_on_the_nodes(self):
+        # On a node np.interp returns the node's own entry, -0.0 included,
+        # where slope * 0 + y can give +0.0; the projection's max(., 0.0)
+        # then returns +0.0 either way.
+        p = market.parameter_set(1)
+        G = 5
+        pi = np.zeros((p.K, G, p.n))
+        pi[:, ::2, 0] = -0.0
+        pi[:, 1::2, 1] = 0.3
+        c = np.full((p.K, G), -0.0)
+        c[:, 1] = 0.01
+        vg = ValueGrid(grid=np.linspace(-2.0, 2.0, G), J=np.zeros((p.K + 1, G)), policy_pi=pi, policy_c=c)
+        self._assert_is_interp(vg, p, _probe_states(vg.grid))
 
 
 class TestBackwardRecursion:

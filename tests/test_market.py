@@ -416,8 +416,9 @@ class TestSimulatePaths:
         legs = self._legs(p, seed=9, pairs=25)
 
         def policy(k, phi, W):
-            pi = np.stack([0.3 + 0.1 * np.tanh(phi), np.full(phi.shape, -1e-12), 0.2 * W / (1.0 + W)], axis=1)
-            return pi, p.R_f * (1.0 - pi.sum(axis=1)) * (1.0 + 1e-12)
+            pi = np.stack([0.3 + 0.1 * np.tanh(phi), np.full(phi.shape, -1e-12),
+                           0.2 * phi**2 / (1.0 + phi**2) + 0.01 * k], axis=-1)
+            return pi, p.R_f * (1.0 - pi.sum(axis=-1)) * (1.0 + 1e-12)
 
         self._assert_equals_reference(p, policy, np.array([sp.Z for sp in legs]), np.array([sp.Ztilde for sp in legs]))
 
@@ -429,14 +430,14 @@ class TestSimulatePaths:
 
         def policy(k, phi, W):
             pi, c = np.full(phi.shape + (3,), 0.2), np.full(phi.shape, 0.1)
-            if fault == "budget" and k == 4:
-                c[3] = 1.0
-            elif fault == "negative pi" and k == 7:
-                pi[2:, 1] = -0.01
-            elif fault == "negative c" and k == 1:
-                c[5] = -0.5
-            elif fault == "wealth floor" and k == 2:
-                pi[4], c[4] = 0.0, p.R_f
+            if fault == "budget":
+                c[3, k == 4] = 1.0
+            elif fault == "negative pi":
+                pi[2:, k == 7, 1] = -0.01
+            elif fault == "negative c":
+                c[5, k == 1] = -0.5
+            elif fault == "wealth floor":
+                pi[4, k == 2], c[4, k == 2] = 0.0, p.R_f
             return pi, c
 
         with pytest.raises(AdmissibilityError) as want:
@@ -452,13 +453,37 @@ class TestSimulatePaths:
 
         def policy(k, phi, W):
             c = np.zeros(phi.shape)
-            c[1] = 2.0 if k == 6 else 0.0   # budget violation, row 1, stage 6
-            c[2] = p.R_f if k == 2 else 0.0  # wealth hits the floor, row 2, stage 3
+            c[1, k == 6] = 2.0   # budget violation, row 1, stage 6
+            c[2, k == 2] = p.R_f  # wealth hits the floor, row 2, stage 3
             return np.zeros(phi.shape + (3,)), c
 
         with pytest.raises(AdmissibilityError, match="stage 6: c = 2 exceeds budget") as err:
             market.simulate_paths(p, policy, Z, Zt)
         assert err.value.row == 1 and err.value.stage == 6
+
+    def test_decides_every_stage_in_one_policy_call(self, p_set1, vg_set1):
+        grid_policy = dp_solver.make_grid_policy(vg_set1, p_set1)
+        calls = []
+
+        def policy(k, phi, W):
+            calls.append((k.copy(), phi.shape, W))
+            return grid_policy(k, phi, W)
+
+        legs = self._legs(p_set1, seed=3, pairs=7)
+        Z, Zt = np.array([sp.Z for sp in legs]), np.array([sp.Ztilde for sp in legs])
+        market.simulate_paths(p_set1, policy, Z, Zt)
+        assert len(calls) == 1
+        k, shape, W = calls[0]
+        assert np.array_equal(k, np.arange(p_set1.K)) and shape == (14, p_set1.K) and W is None
+
+    @pytest.mark.parametrize("bad", ["one Ztilde row for all paths", "two Ztilde columns at d = 1"])
+    def test_rejects_mis_shaped_shocks(self, bad):
+        p = parameter_set(1)
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((5, p.K, p.n))
+        Zt = rng.standard_normal((1, p.K, 1) if bad.startswith("one") else (5, p.K, 2))
+        with pytest.raises(ValueError, match=rf"Z \(5, 10, 3\) and Ztilde \({Zt.shape[0]}, 10, {Zt.shape[2]}\)"):
+            market.simulate_paths(p, lambda k, phi, W: (np.zeros(phi.shape + (3,)), np.zeros(phi.shape)), Z, Zt)
 
 
 class TestShockPath:
