@@ -2,7 +2,7 @@
 control, with an exact finite-MDP duality core and a full dynamic portfolio
 choice pipeline (grid DP, penalties, Monte Carlo bound estimation, CLI)."""
 
-from . import bounds, concave, dp_solver, finite_mdp, market, penalties
+from . import bounds, concave, dp_solver, dual, finite_mdp, market, penalties
 from .bounds import (
     BoundEstimate,
     RunConfig,
@@ -27,6 +27,7 @@ __all__ = [
     "certainty_equivalent",
     "concave",
     "dp_solver",
+    "dual",
     "duality_gap",
     "finite_mdp",
     "lower_bound",

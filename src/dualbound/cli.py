@@ -112,11 +112,6 @@ def cmd_gen_params(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.debug_solver:
-        import logging
-
-        logging.basicConfig(stream=sys.stderr)
-        logging.getLogger("dualbound.dp_solver").setLevel(logging.DEBUG)
     params = _load_params(args)
     if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
         raise CliError(EXIT_INPUT, "the grid needs finite nodes: got --grid-min "
@@ -343,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid-max", type=float, default=float(dp_solver.DEFAULT_GRID[-1]))
     sp.add_argument("--quad", type=int, default=dp_solver.DEFAULT_QUAD_POINTS,
                     help="quadrature points per dimension")
-    sp.add_argument("--debug-solver", action="store_true",
-                    help="log one line per portfolio solve (phi, Newton steps, status, KKT residual) to stderr")
     add_common(sp)
     sp.set_defaults(fn=cmd_solve)
 

@@ -31,7 +31,7 @@ its own one-problem solve, and `maximize` is that one-problem call.
 Problems here are tiny (dimension <= ~40, up to ~130 inequality rows), so
 dense linear algebra per Newton step is cheap and exact Hessians are
 supplied analytically: `crra_oracle` gives them for the CRRA objectives of
-the grid nodes' portfolio problems, and `bounds.inner_oracle` for the inner
+the grid nodes' portfolio problems, and `dual.inner_oracle` for the inner
 problems.
 """
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -26,8 +25,6 @@ import numpy as np
 
 from . import concave
 from .market import ModelParams, log_return_mean, reduce_last
-
-logger = logging.getLogger(__name__)
 
 SERIAL_VERSION = 2
 U_FLOOR = 1e-10  # lower guard on portfolio growth at quadrature nodes
@@ -231,8 +228,6 @@ def backward_recursion(
         sols = [solver(portfolio_oracle(p, Rq[i:i + 1], quad.weights), (A_w, b_w), w0, tol=NODE_TOL)
                 for i in range(G)]
     for i, sol in enumerate(sols):
-        logger.debug("node phi=%+.3f: %d newton steps, %s, kkt %.2e",
-                     grid[i], sol.iterations, sol.status, sol.kkt_residual)
         if sol.status != concave.STATUS_CONVERGED:
             raise NodeSolveError(float(grid[i]), sol.status)
     w = np.array([sol.x for sol in sols])

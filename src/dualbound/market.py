@@ -110,10 +110,6 @@ class ModelParams:
             raise ValueError(f"W0 must be positive, got {self.W0}")
 
     @property
-    def T(self) -> float:
-        return self.K * self.delta
-
-    @property
     def R_f(self) -> float:
         # Simple-rate convention: 1 + r_f*delta, not e^{r_f*delta}.
         return 1.0 + self.r_f * self.delta

@@ -192,6 +192,16 @@ def synthetic_value_grid(p, policy_pi=None, policy_c=None, J0=None):
     return dp_solver.ValueGrid(grid=grid, J=J, policy_pi=pi, policy_c=c)
 
 
+def known_optimum(p) -> float:
+    """The optimal value V* = J_0(phi0) W0^(1-gamma) of params p with
+    mu1 = 0.  Returns are then i.i.d. and J flat in phi, so the grid
+    recursion is the exact dynamic program up to its quadrature, and the
+    q = 7 rule agrees with q = 17 to about 4e-15 relative."""
+    assert not np.any(p.mu1), "V* is known only for i.i.d. returns (mu1 = 0)"
+    vg = dp_solver.backward_recursion(p, grid=np.linspace(-2.0, 2.0, 5), quad=dp_solver.build_quadrature(7, p.n))
+    return dp_solver.interpolate_J(vg, 0, p.phi0) * p.W0 ** (1.0 - p.gamma)
+
+
 def reference_policy_lookup(vg, k, phi, p):
     """The grid policy of stage k at states phi (M,) by one np.interp call
     per policy column, then the projection into A with numpy's own sum:

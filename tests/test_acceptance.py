@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dualbound import bounds, concave, dp_solver, market, penalties
+from dualbound import bounds, concave, dp_solver, dual, market, penalties
 from dualbound.bounds import RunConfig, certainty_equivalent, duality_gap
 from dualbound.cli import main as cli_main
 
@@ -167,7 +167,7 @@ def test_criterion_7_statistical_weak_duality_and_dominance(grids, estimates):
         path = market.simulate_policy_path(p, policy, sp)
         realized = bounds.path_utility(p, path.C, float(path.W[-1]))
         ctx = penalties.build_context(p, vg, policy, sp)
-        oracle, cons, x0 = bounds.assemble_inner(p, penalties.penalty_form("zero", ctx, p), ctx)
+        oracle, cons, x0 = dual.assemble_inner(p, penalties.penalty_form("zero", ctx, p), ctx)
         sol = concave.maximize(oracle, cons, x0, tol=1e-6)
         if sol.f >= realized - 1e-9:
             dominated += 1
@@ -188,7 +188,7 @@ def test_criterion_8_oracle_equivalence():
             sp = bounds.shock_path(p, seed, 0, 0)
             ctx = penalties.build_context(p, vg, policy, sp)
             form = penalties.penalty_form(kind, ctx, p)
-            oracle, cons, x0 = bounds.assemble_inner(p, form, ctx)
+            oracle, cons, x0 = dual.assemble_inner(p, form, ctx)
             sol = concave.maximize(oracle, cons, x0, tol=1e-8)
             ref, _ = inner_objective_grid_search(p, form, ctx, step=1e-3)
             assert sol.f >= ref - 1e-12
@@ -214,7 +214,7 @@ def test_criterion_9_gradient_checks(p_set1, vg_set1):
     sp = bounds.shock_path(p_set1, 0, 0, 0)
     ctx = penalties.build_context(p_set1, vg_set1, policy, sp)
     form = penalties.penalty_form("m1", ctx, p_set1)
-    oracle, cons, _ = bounds.assemble_inner(p_set1, form, ctx)
+    oracle, cons, _ = dual.assemble_inner(p_set1, form, ctx)
     h = 1e-6
     worst = 0.0
     for _ in range(100):

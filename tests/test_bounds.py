@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbound import bounds, concave, dp_solver, market, penalties
+from dualbound import bounds, concave, dp_solver, dual, market, penalties
 from dualbound.bounds import (
     RunConfig,
-    assemble_inner,
     certainty_equivalent,
     duality_gap,
     lower_bound,
@@ -23,9 +22,11 @@ from dualbound.bounds import (
     shock_path,
     upper_bound,
 )
+from dualbound.dual import assemble_inner
 from helpers import (
     at_point,
     inner_objective_grid_search,
+    known_optimum,
     random_feasible_fractions,
     single_asset_params,
     slack,
@@ -331,13 +332,13 @@ class TestAssembleInner:
             constant=np.array([stacks[kind].constant[i] for i, kind in enumerate(kinds)]),
             lin_Pi=np.array([stacks[kind].lin_Pi[i] for i, kind in enumerate(kinds)]),
             lin_C=np.array([stacks[kind].lin_C[i] for i, kind in enumerate(kinds)]))
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+        oracle, A, b, X0 = dual.assemble_inner_batch(p, forms, ctxs)
         assert A.shape == (12, 51, 40) and b.shape == (12, 51) and X0.shape == (12, 40)
-        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
+        warm, duals, _ = dual._dual_plan(p, forms, ctxs)
         assert duals.shape == b.shape
         ends, at = _dual_search(p, forms, ctxs)
-        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                       max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL,
+                                       max_newton=dual.INNER_MAX_NEWTON, warm=warm, duals=duals)
         for sp, kind, leg_warm, leg_duals, leg_start, leg_ends, leg_at, got in zip(
                 legs, kinds, warm, duals, X0, ends.T, at.transpose(2, 0, 1), batch):
             ctx = penalties.build_context(p, vg_set1, policy, sp)
@@ -348,7 +349,7 @@ class TestAssembleInner:
             assert np.array_equal(problem[1][2], leg_warm, equal_nan=True)
             assert np.array_equal(problem[1][3], leg_duals, equal_nan=True)
             assert np.array_equal(problem[2], leg_start)
-            one = concave.maximize(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            one = concave.maximize(*problem, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
             assert np.array_equal(got.x, one.x)
             assert (got.f, got.kkt_residual, got.iterations, got.status) == (
                 one.f, one.kkt_residual, one.iterations, one.status)
@@ -367,14 +368,14 @@ class TestAssembleInner:
         policy = dp_solver.make_grid_policy(vg_set1, p)
         ctxs = penalties.build_contexts(p, vg_set1, policy, *bounds._chunk_shocks(p, cfg, (0, 16)))
         forms = penalties.penalty_form(kind, ctxs, p)
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
+        oracle, A, b, X0 = dual.assemble_inner_batch(p, forms, ctxs)
         assert len(X0) == 32
         # No plan, and the recovered optima with their multipliers.
         for use in (0, 2):
             tracemalloc.start()
             try:
-                plan = bounds._dual_plan(p, forms, ctxs) if use else ()
-                concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+                plan = dual._dual_plan(p, forms, ctxs) if use else ()
+                concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                        **dict(zip(("warm", "duals"), plan)))
                 del plan
                 peak = tracemalloc.get_traced_memory()[1]
@@ -424,7 +425,7 @@ class TestAssembleInner:
 
 
 class TestInnerOracle:
-    """`bounds.inner_oracle`, the inner objective read off the wealth chain,
+    """`dual.inner_oracle`, the inner objective read off the wealth chain,
     at points near the `_dual_plan` optima of set-1 m1 and m2 legs."""
 
     @staticmethod
@@ -435,7 +436,7 @@ class TestInnerOracle:
         ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p),
                                         *bounds._chunk_shocks(p, cfg, (0, pairs)))
         forms = penalties.penalty_form(kind, ctxs, p)
-        warm = bounds._dual_plan(p, forms, ctxs)[0]
+        warm = dual._dual_plan(p, forms, ctxs)[0]
         rng = np.random.default_rng(9)
         return forms, ctxs, warm * rng.uniform(0.99, 1.01, warm.shape) + 1e-3 * rng.uniform(0.0, 1.0, warm.shape)
 
@@ -444,7 +445,7 @@ class TestInnerOracle:
         p = p_set1
         forms, ctxs, X = self._legs(p, vg_set1, kind)
         B, D = X.shape
-        oracle, rows = bounds.inner_oracle(p, forms, ctxs.R), np.arange(B)
+        oracle, rows = dual.inner_oracle(p, forms, ctxs.R), np.arange(B)
         x = X.reshape(B, p.K, p.n + 1)
         Pi, C = x[..., :p.n], x[..., p.n]
         W = np.full(B, p.W0)
@@ -470,7 +471,7 @@ class TestInnerOracle:
         p = p_set1
         forms, ctxs, X = self._legs(p, vg_set1, kind)
         B, D = X.shape
-        oracle = bounds.inner_oracle(p, forms, ctxs.R)
+        oracle = dual.inner_oracle(p, forms, ctxs.R)
         c_idx = np.arange(p.K) * (p.n + 1) + p.n
         X[2, c_idx[3]] = -1e-3
         X[5, c_idx[-1]] += 10.0
@@ -482,7 +483,7 @@ class TestInnerOracle:
         for at, i in enumerate(rows.tolist()):
             if i in (2, 5):
                 continue
-            one = bounds.inner_oracle(p, penalties.take(forms, [i]), ctxs.R[i:i + 1])
+            one = dual.inner_oracle(p, penalties.take(forms, [i]), ctxs.R[i:i + 1])
             for oracle_i, row in ((oracle, np.array([i])), (one, np.array([0]))):
                 assert oracle_i.value(X[i:i + 1], row)[0] == f[at]
                 assert np.array_equal(oracle_i.gradient(X[i:i + 1], row)[0], g[at])
@@ -491,7 +492,7 @@ class TestInnerOracle:
     def test_a_call_with_no_points_returns_empty_arrays(self, p_set1, vg_set1):
         p = p_set1
         forms, ctxs, X = self._legs(p, vg_set1, "m2", pairs=1)
-        oracle, D = bounds.inner_oracle(p, forms, ctxs.R), X.shape[1]
+        oracle, D = dual.inner_oracle(p, forms, ctxs.R), X.shape[1]
         none, rows = np.empty((0, D)), np.empty(0, dtype=int)
         assert oracle.value(none, rows).shape == (0,)
         assert oracle.gradient(none, rows).shape == (0, D)
@@ -512,13 +513,13 @@ def _upper_leg_by_leg(p, vg, cfg):
             for sp in (base, base.antithetic()):
                 ctx = penalties.build_context(p, vg, policy, sp)
                 form = penalties.penalty_form(cfg.penalty_kind, ctx, p)
-                sol = concave.maximize(*assemble_inner(p, form, ctx), tol=bounds.INNER_TOL,
-                                       max_newton=bounds.INNER_MAX_NEWTON)
+                sol = concave.maximize(*assemble_inner(p, form, ctx), tol=dual.INNER_TOL,
+                                       max_newton=dual.INNER_MAX_NEWTON)
                 if sol.iterations == 0 and sol.status == concave.STATUS_CONVERGED:
                     vals.append(sol.f)
                 else:
                     form, ctx = penalties.as_stack(form), penalties.as_stack(ctx)
-                    vals.append(float(_dual_value(p, form, ctx, bounds._dual_plan(p, form, ctx)[2])[0]))
+                    vals.append(float(_dual_value(p, form, ctx, dual._dual_plan(p, form, ctx)[2])[0]))
                     flagged += 1
         run_means.append(float(np.mean(vals)))
     return run_means, flagged
@@ -568,32 +569,32 @@ def _coarse_grid(p):
 
 def _root_weights(p):
     """The utility weights to the power 1/gamma, as `_floor_chain` takes them."""
-    return bounds._utility_weights(p) ** (1.0 / p.gamma)
+    return dual._utility_weights(p) ** (1.0 / p.gamma)
 
 
 def _dual_search(p, forms, ctxs):
-    """`bounds._dual_search` of a stack of legs: (ends, at)."""
-    return bounds._dual_search(p, bounds._candidate_lines(p, forms, ctxs), forms, _root_weights(p))
+    """`dual._dual_search` of a stack of legs: (ends, at)."""
+    return dual._dual_search(p, dual._candidate_lines(p, forms, ctxs), forms, _root_weights(p))
 
 
 def _sides(p, forms, ctxs, e):
     """Where each leg's lam_K lies against the breakpoint e between the two
-    pieces its search keeps, read off G' (`bounds._floor_chain`) just below
+    pieces its search keeps, read off G' (`dual._floor_chain`) just below
     and just above e: "low" in the low piece, "high" in the high piece,
     "tie" at e where G' jumps across 0, and "one" where the leg has no
     breakpoint (e = inf)."""
-    lines, w = bounds._candidate_lines(p, forms, ctxs), _root_weights(p)
+    lines, w = dual._candidate_lines(p, forms, ctxs), _root_weights(p)
     at = np.where(e < np.inf, e, 1.0)
-    below, above = (bounds._floor_chain(p, lines, forms.lin_C, forms.constant, w, at * factor)[1]
+    below, above = (dual._floor_chain(p, lines, forms.lin_C, forms.constant, w, at * factor)[1]
                     for factor in (1.0 - 1e-9, 1.0 + 1e-9))
     return np.select([e == np.inf, below >= 0.0, above < 0.0], ["one", "low", "high"], "tie")
 
 
 def _dual_value(p, forms, ctxs, lam_K):
-    """G of `bounds._floor_chain` at lam_K, where lam_K is finite and
+    """G of `dual._floor_chain` at lam_K, where lam_K is finite and
     positive, and at 1 elsewhere: any lam_K > 0 bounds the inner maximum."""
     lam_K = np.where((lam_K > 0.0) & (lam_K < np.inf), lam_K, 1.0)
-    return bounds._floor_chain(p, bounds._candidate_lines(p, forms, ctxs), forms.lin_C, forms.constant,
+    return dual._floor_chain(p, dual._candidate_lines(p, forms, ctxs), forms.lin_C, forms.constant,
                                _root_weights(p), lam_K)[0]
 
 
@@ -617,11 +618,11 @@ def small_gross_riskfree_rate():
 def _withhold_plans(monkeypatch):
     """Withhold the recovered optimum and multipliers (NaN) of every leg
     whose first normal draw is positive, one leg of each antithetic pair,
-    in `bounds._dual_plan`, whose N = 1 call `assemble_inner` makes too;
+    in `dual._dual_plan`, whose N = 1 call `assemble_inner` makes too;
     each leg keeps its lam_K.  Which legs lose their plan depends only on
     each leg, so such a leg misses the certificate in its task and in its
     one-leg solve alike, and reports G at its lam_K."""
-    plan = bounds._dual_plan
+    plan = dual._dual_plan
 
     def withheld(p, forms, ctxs):
         warm, duals, lam_K = plan(p, forms, ctxs)
@@ -629,7 +630,7 @@ def _withhold_plans(monkeypatch):
         warm[miss], duals[miss] = np.nan, np.nan
         return warm, duals, lam_K
 
-    monkeypatch.setattr(bounds, "_dual_plan", withheld)
+    monkeypatch.setattr(dual, "_dual_plan", withheld)
 
 
 @pytest.fixture(scope="module")
@@ -739,7 +740,7 @@ class TestUpperBound:
         # whole plan is withheld, lam_K too, so it misses the certificate
         # and its G is not finite; every other leg certifies.
         named = -shock_path(p_set1, 7, 1, 4).Z
-        plan = bounds._dual_plan
+        plan = dual._dual_plan
 
         def withheld(p, forms, ctxs):
             warm, duals, lam_K = plan(p, forms, ctxs)
@@ -747,7 +748,7 @@ class TestUpperBound:
             warm[miss], duals[miss], lam_K[miss] = np.nan, np.nan, np.nan
             return warm, duals, lam_K
 
-        monkeypatch.setattr(bounds, "_dual_plan", withheld)
+        monkeypatch.setattr(dual, "_dual_plan", withheld)
         monkeypatch.setattr(bounds, "UPPER_TASK_PAIRS", 6)
         cfg = RunConfig(paths_per_run=5, runs=3, seed=7, penalty_kind="m1", gamma=1.5)
         with pytest.raises(bounds.PathError, match=r"upper-bound path failed \(seed=7, run=1, path=4\): "
@@ -772,7 +773,7 @@ class TestUpperBound:
                     raise AssertionError(f"upper_bound called {name}")
                 return called
 
-            patched.setattr(bounds, "assemble_inner_batch", refuse("assemble_inner_batch"))
+            patched.setattr(dual, "assemble_inner_batch", refuse("assemble_inner_batch"))
             patched.setattr(concave, "maximize_batch", refuse("maximize_batch"))
             est = upper_bound(p, vg_set1, cfg)
             values, flagged = bounds._upper_task((0, 32))
@@ -786,9 +787,9 @@ class TestUpperBound:
         assert np.array_equal(values[~miss], np.array(certified)[~miss])
         for leg in np.flatnonzero(miss):
             form, ctx = penalties.take(forms, [leg]), penalties.take(ctxs, [leg])
-            assert values[leg] == _dual_value(p, form, ctx, bounds._dual_plan(p, form, ctx)[2])[0]
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
-        cold = concave.maximize_batch(oracle, A, b, X0, tol=1e-10, max_newton=bounds.INNER_MAX_NEWTON)
+            assert values[leg] == _dual_value(p, form, ctx, dual._dual_plan(p, form, ctx)[2])[0]
+        oracle, A, b, X0 = dual.assemble_inner_batch(p, forms, ctxs)
+        cold = concave.maximize_batch(oracle, A, b, X0, tol=1e-10, max_newton=dual.INNER_MAX_NEWTON)
         assert all(sol.status == concave.STATUS_CONVERGED for sol in cold)
         G, f = values[miss], np.array([sol.f for sol in cold])[miss]
         assert (G >= f - 1e-12 * np.abs(f)).all() and (np.abs(G - f) <= 1e-12 * np.abs(f)).all()
@@ -831,8 +832,8 @@ class TestUpperBound:
         policy, sols = dp_solver.make_grid_policy(vg, p), []
         for span in bounds._spans(cfg, 16):
             ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, span))
-            sols += concave.maximize_batch(*bounds.assemble_inner_batch(p, penalties.penalty_form("m2", ctxs, p), ctxs),
-                                           tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            sols += concave.maximize_batch(*dual.assemble_inner_batch(p, penalties.penalty_form("m2", ctxs, p), ctxs),
+                                           tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
         assert len(sols) == 600 and all(sol.status == concave.STATUS_CONVERGED for sol in sols)
         assert min(sol.iterations for sol in sols) > 0
         assert faces and set(faces) == {p.K * (p.n + 1)}
@@ -860,7 +861,7 @@ class TestUpperBound:
         vg = dp_solver.backward_recursion(p)
         cfg = RunConfig(paths_per_run=8, runs=2, seed=42, penalty_kind=kind)
         ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, 16)))
-        _, A, b, X0 = bounds.assemble_inner_batch(p, penalties.penalty_form(kind, ctxs, p), ctxs)
+        _, A, b, X0 = dual.assemble_inner_batch(p, penalties.penalty_form(kind, ctxs, p), ctxs)
         assert ((b - concave.stacked_matvec(A, X0)).min(axis=1) <= 0.0).sum() >= 16
         est = upper_bound(p, vg, cfg)
         run_means, flagged = _upper_leg_by_leg(p, vg, cfg)
@@ -893,15 +894,15 @@ class TestUpperBound:
             ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p),
                                             *bounds._chunk_shocks(p, cfg, (0, 32)))
             forms = penalties.penalty_form(kind, ctxs, p)
-            oracle, A, b, X0 = bounds.assemble_inner_batch(p, forms, ctxs)
-            warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
-            sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                          max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
+            oracle, A, b, X0 = dual.assemble_inner_batch(p, forms, ctxs)
+            warm, duals, _ = dual._dual_plan(p, forms, ctxs)
+            sols = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL,
+                                          max_newton=dual.INNER_MAX_NEWTON, warm=warm, duals=duals)
             assert [(sol.status, sol.iterations) for sol in sols] == [(concave.STATUS_CONVERGED, 0)] * 64
             assert not faces
             f = np.array([sol.f for sol in sols])
             assert np.array_equal(est.run_means, [np.mean(f[:32]), np.mean(f[32:])])
-            cold = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            cold = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
             assert all(sol.status == concave.STATUS_CONVERGED for sol in cold)
             assert (f >= np.array([sol.f for sol in cold]) - 1e-10 * np.abs(f)).all()
             for lam_K in _dual_search(p, forms, ctxs)[0]:
@@ -1009,9 +1010,9 @@ class TestUpperBound:
         Z, Ztilde = bounds._chunk_shocks(p_set1, cfg, (0, 8))
         ctxs = penalties.build_contexts(p_set1, vg_set1, policy, Z, Ztilde)
         forms = penalties.penalty_form(kind, ctxs, p_set1)
-        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
-        sols = concave.maximize_batch(*bounds.assemble_inner_batch(p_set1, forms, ctxs), tol=bounds.INNER_TOL,
-                                      max_newton=bounds.INNER_MAX_NEWTON, warm=warm, duals=duals)
+        warm, duals, _ = dual._dual_plan(p_set1, forms, ctxs)
+        sols = concave.maximize_batch(*dual.assemble_inner_batch(p_set1, forms, ctxs), tol=dual.INNER_TOL,
+                                      max_newton=dual.INNER_MAX_NEWTON, warm=warm, duals=duals)
         f = np.array([sol.f for sol in sols])
         assert f.size == est.total_paths == 16
         assert np.array_equal(est.run_means, [np.mean(f[:8]), np.mean(f[8:])])
@@ -1038,10 +1039,10 @@ class TestUpperBound:
 
 
 class TestDualFace:
-    """The 1-D Lagrangian dual of the inner problem (`bounds._floor_chain`),
+    """The 1-D Lagrangian dual of the inner problem (`dual._floor_chain`),
     whose search over the pieces between its breakpoints
-    (`bounds._breakpoints`, `bounds._dual_search`) gives each leg the primal
-    optimum it recovers (`bounds._dual_plan`), the warm point of its inner
+    (`dual._breakpoints`, `dual._dual_search`) gives each leg the primal
+    optimum it recovers (`dual._dual_plan`), the warm point of its inner
     solve."""
 
     @staticmethod
@@ -1052,7 +1053,7 @@ class TestDualFace:
         policy = dp_solver.make_grid_policy(vg, p)
         ctxs = penalties.build_contexts(p, vg, policy, *bounds._chunk_shocks(p, cfg, (0, pairs)))
         forms = penalties.penalty_form(kind, ctxs, p)
-        return forms, ctxs, bounds.assemble_inner_batch(p, forms, ctxs)
+        return forms, ctxs, dual.assemble_inner_batch(p, forms, ctxs)
 
     @staticmethod
     def _check_weak_duality(p, vg, kind, seed, pairs):
@@ -1065,10 +1066,10 @@ class TestDualFace:
         crossover's optimum relative to its largest coordinate.  Returns the
         legs that have one."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, seed, pairs)
-        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
-        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+        warm, duals, _ = dual._dual_plan(p, forms, ctxs)
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
-        crossed = warm_solve(oracle, A, b, X0, warm, bounds.INNER_TOL)
+        crossed = warm_solve(oracle, A, b, X0, warm, dual.INNER_TOL)
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * 2 * pairs
         assert [sol.status for sol in crossed] == [concave.STATUS_CONVERGED] * 2 * pairs
         f, f_crossed = np.array([sol.f for sol in sols]), np.array([sol.f for sol in crossed])
@@ -1126,13 +1127,13 @@ class TestDualFace:
         # just above each breakpoint it marks different ones.
         p = p_set1
         forms, ctxs, _ = self._chunk(p, vg_set1, kind, 5, 4)
-        lines, w = bounds._candidate_lines(p, forms, ctxs), _root_weights(p)
-        edge = bounds._breakpoints(lines)[0]
+        lines, w = dual._candidate_lines(p, forms, ctxs), _root_weights(p)
+        edge = dual._breakpoints(lines)[0]
         assert edge.shape == (8, p.K * p.n + 2)
 
         def top(leg, lam_K):
             rows = np.full(lam_K.size, leg)
-            return bounds._floor_chain(p, (lines[0][..., rows], lines[1][..., rows]), forms.lin_C[rows],
+            return dual._floor_chain(p, (lines[0][..., rows], lines[1][..., rows]), forms.lin_C[rows],
                                        forms.constant[rows], w, lam_K)[2]
 
         for leg, row in enumerate(edge):
@@ -1171,13 +1172,13 @@ class TestDualFace:
         # A 64-pair set-1 task bisects over its legs' 13-25 pieces, about 5
         # evaluations of the floor chain (13 for the search it replaced);
         # the zero penalty's legs have one piece and evaluate none (3-4).
-        chain, calls = bounds._floor_chain, []
+        chain, calls = dual._floor_chain, []
 
         def counted(*args):
             calls.append(args[-1].size)
             return chain(*args)
 
-        monkeypatch.setattr(bounds, "_floor_chain", counted)
+        monkeypatch.setattr(dual, "_floor_chain", counted)
         cfg = RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind, gamma=1.5)
         bounds._init_worker(p_set1, vg_set1, cfg)
         values, flagged = bounds._upper_task((0, 64))
@@ -1192,10 +1193,10 @@ class TestDualFace:
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m2", 5, 4)
         bad = X0.copy()
         bad[[3, 5]] = -1.0
-        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, _ = dual._dual_plan(p_set1, forms, ctxs)
         assert np.isfinite(warm).all() and np.isfinite(duals).all()
         warm[5], duals[5] = np.nan, np.nan
-        sols = concave.maximize_batch(oracle, A, b, bad, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+        sols = concave.maximize_batch(oracle, A, b, bad, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
         assert [(sol.status, sol.iterations) for sol in sols] == [(concave.STATUS_CONVERGED, 0)] * 5 + [
             (concave.STATUS_INFEASIBLE, 0)] + [(concave.STATUS_CONVERGED, 0)] * 2
@@ -1209,7 +1210,7 @@ class TestDualFace:
         # barrier from its interior start, as without a plan, and converges;
         # the others still certify with 0 Newton steps.
         forms, ctxs, (oracle, A, b, X0) = self._chunk(p_set1, vg_set1, "m1", 5, 4)
-        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
+        warm, duals, _ = dual._dual_plan(p_set1, forms, ctxs)
         held = b - concave.stacked_matvec(A, warm) <= 1e-10 * (1.0 + np.abs(b))
         bad, leg = duals.copy(), 3
         if corruption == "negative":
@@ -1222,10 +1223,10 @@ class TestDualFace:
         AT = np.ascontiguousarray(A.transpose(0, 2, 1))
         stationarity = concave._stationarity(oracle.gradient(warm, np.arange(len(warm))),
                                              concave.stacked_matvec(AT, bad))
-        assert (stationarity > bounds.INNER_TOL)[leg] == (corruption != "slack row")
+        assert (stationarity > dual.INNER_TOL)[leg] == (corruption != "slack row")
         assert (bad[leg] >= 0.0).all() == (corruption != "negative")
-        solve = functools.partial(concave.maximize_batch, oracle, A, b, X0, tol=bounds.INNER_TOL,
-                                  max_newton=bounds.INNER_MAX_NEWTON)
+        solve = functools.partial(concave.maximize_batch, oracle, A, b, X0, tol=dual.INNER_TOL,
+                                  max_newton=dual.INNER_MAX_NEWTON)
         sols, cold = solve(warm=warm, duals=bad), solve()
         assert [sol.status for sol in sols] == [concave.STATUS_CONVERGED] * len(sols)
         assert [sol.iterations > 0 for sol in sols] == [i == leg for i in range(len(sols))]
@@ -1241,18 +1242,18 @@ class TestDualFace:
         forms = penalties.PenaltyForm(*(np.concatenate([np.asarray(getattr(form, f.name)) for form, _ in parts])
                                         for f in dataclasses.fields(penalties.PenaltyForm)))
         ctxs = take(parts[0][1], np.tile(np.arange(8), 3))
-        warm, duals, lam_K = bounds._dual_plan(p_set1, forms, ctxs)
-        X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)[3]
+        warm, duals, lam_K = dual._dual_plan(p_set1, forms, ctxs)
+        X0 = dual.assemble_inner_batch(p_set1, forms, ctxs)[3]
         order = np.random.default_rng(0).permutation(len(warm))
-        shuffled = bounds._dual_plan(p_set1, take(forms, order), take(ctxs, order))
+        shuffled = dual._dual_plan(p_set1, take(forms, order), take(ctxs, order))
         assert np.array_equal(shuffled[0], warm[order], equal_nan=True)
         assert np.array_equal(shuffled[1], duals[order], equal_nan=True)
         assert np.array_equal(shuffled[2], lam_K[order])
         for i in range(len(warm)):
-            _, (_, _, leg_warm, leg_duals), leg_start = bounds.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
+            _, (_, _, leg_warm, leg_duals), leg_start = dual.assemble_inner(p_set1, take(forms, i), take(ctxs, i))
             assert np.array_equal(leg_warm, warm[i], equal_nan=True) and np.array_equal(leg_start, X0[i])
             assert np.array_equal(leg_duals, duals[i], equal_nan=True)
-            assert bounds._dual_plan(p_set1, take(forms, [i]), take(ctxs, [i]))[2][0] == lam_K[i]
+            assert dual._dual_plan(p_set1, take(forms, [i]), take(ctxs, [i]))[2][0] == lam_K[i]
 
     def test_no_leg_falls_back_to_the_barrier(self, solved_grid, monkeypatch):
         # Set 2, gamma 5, m2 and set 4, gamma 5, m1 (8 pairs x 10 runs, seed
@@ -1299,7 +1300,7 @@ def _record_certificates(monkeypatch):
 
 
 class TestTaskCertificate:
-    """`bounds._certify_legs`, each upper-bound task's certificate read off
+    """`dual._certify_legs`, each upper-bound task's certificate read off
     the wealth chain, against `concave._certify`'s test of the same legs on
     their dense `assemble_inner_batch` problems: both call one decision
     rule, `concave.certificate`."""
@@ -1310,12 +1311,12 @@ class TestTaskCertificate:
         dense then structured, on the legs of 8 pairs at seed 3, their plans
         changed in place by `corrupt(warm, duals, b)`."""
         forms, ctxs, (oracle, A, b, X0) = TestDualFace._chunk(p, vg, kind, 3, 8)
-        warm, duals, _ = bounds._dual_plan(p, forms, ctxs)
+        warm, duals, _ = dual._dual_plan(p, forms, ctxs)
         corrupt(warm, duals, b)
         calls = _record_certificates(monkeypatch)
-        sols = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+        sols = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                       warm=warm, duals=duals)
-        certified, f = bounds._certify_legs(p, forms, ctxs.R, warm, duals)
+        certified, f = dual._certify_legs(p, forms, ctxs.R, warm, duals)
         assert len(calls) == 2
         dense, structured = calls
         assert np.array_equal(certified, structured[3]) and np.array_equal(f, structured[4], equal_nan=True)
@@ -1362,11 +1363,11 @@ class TestTaskCertificate:
         # The slacks, f and grad f share one `_wealth` call, and f is the
         # oracle's bit for bit.
         forms, ctxs, _ = TestDualFace._chunk(p_set1, vg_set1, kind, 3, 8)
-        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
-        f_oracle = bounds.inner_oracle(p_set1, forms, ctxs.R).value(warm, np.arange(len(warm)))
-        chain, chains = bounds._wealth, []
-        monkeypatch.setattr(bounds, "_wealth", lambda *args: chains.append(1) or chain(*args))
-        certified, f = bounds._certify_legs(p_set1, forms, ctxs.R, warm, duals)
+        warm, duals, _ = dual._dual_plan(p_set1, forms, ctxs)
+        f_oracle = dual.inner_oracle(p_set1, forms, ctxs.R).value(warm, np.arange(len(warm)))
+        chain, chains = dual._wealth, []
+        monkeypatch.setattr(dual, "_wealth", lambda *args: chains.append(1) or chain(*args))
+        certified, f = dual._certify_legs(p_set1, forms, ctxs.R, warm, duals)
         assert certified.all() and len(chains) == 1
         assert f.tobytes() == f_oracle.tobytes()
 
@@ -1375,7 +1376,7 @@ class TestTaskCertificate:
         # A 64-pair set-1 task certifies every leg in its certificate pass,
         # so it calls neither the dense assembly nor the solver.
         calls = []
-        for module, name in ((bounds, "assemble_inner_batch"), (concave, "maximize_batch")):
+        for module, name in ((dual, "assemble_inner_batch"), (concave, "maximize_batch")):
             monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
         bounds._init_worker(p_set1, vg_set1, RunConfig(paths_per_run=64, runs=2, seed=5, penalty_kind=kind))
         values, flagged = bounds._upper_task((0, 64))
@@ -1393,6 +1394,31 @@ class TestRobustnessMatrix:
             cfg = RunConfig(paths_per_run=6, runs=2, seed=3, penalty_kind=kind, gamma=gamma,
                             parameter_set_id=sid)
             assert upper_bound(p, vg, cfg).flagged_paths == 0
+
+
+class TestKnownOptimum:
+    """Set 1 with mu1 = 0, where returns are i.i.d. and the optimal value
+    V* is known (`known_optimum`): the grid policy's lower bound estimates
+    it, and every penalty's upper bound lies above it."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.5], ids=["alpha0", "alpha0.5"])
+    def iid(self, request):
+        data = market.parameter_set(1, gamma=1.5).to_dict()
+        data.update(mu1=[0.0, 0.0, 0.0], alpha=request.param)
+        p = market.ModelParams.from_dict(data)
+        return p, dp_solver.backward_recursion(p), known_optimum(p)
+
+    def test_lower_bound_lies_within_three_stderr(self, iid):
+        p, vg, v_star = iid
+        est = lower_bound(p, vg, RunConfig(paths_per_run=500, runs=10, seed=11))
+        assert abs(est.mean - v_star) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("kind", ["m1", "m2", "zero"])
+    def test_upper_bound_lies_above(self, iid, kind):
+        p, vg, v_star = iid
+        est = upper_bound(p, vg, RunConfig(paths_per_run=50, runs=10, seed=11, penalty_kind=kind))
+        assert est.flagged_paths == 0
+        assert est.mean >= v_star - 3.0 * est.stderr
 
 
 class TestDualityGap:

@@ -1,6 +1,5 @@
 import argparse
 import json
-import logging
 import os
 import re
 import subprocess
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import dualbound
-from dualbound import bounds, cli, dp_solver, finite_mdp, market
+from dualbound import bounds, cli, dp_solver, dual, finite_mdp, market
 from dualbound.cli import main
 
 from helpers import joint_stage, matching_mdp
@@ -99,16 +98,6 @@ class TestSolve:
             assert run_cli("solve", "--set", "1", "--gamma", "1.5",
                            "--grid-nodes", "5", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_debug_solver_prints_one_line_per_node(self, caplog):
-        # One portfolio solve per node serves every stage.
-        with caplog.at_level(logging.DEBUG, logger="dualbound.dp_solver"):
-            assert run_cli("solve", "--set", "1", "--grid-nodes", "5", "--debug-solver") == 0
-        lines = [r.getMessage() for r in caplog.records if r.name == "dualbound.dp_solver"]
-        assert len(lines) == 5
-        pattern = re.compile(r"^node phi=[+-]\d\.\d{3}: \d+ newton steps, converged, kkt \S+$")
-        assert all(pattern.match(line) for line in lines), lines[:3]
-        assert [line.split()[1] for line in lines] == [f"phi={x:+.3f}:" for x in np.linspace(-2.0, 2.0, 5)]
 
     @pytest.mark.parametrize("gamma", ["10", "20"])
     def test_high_risk_aversion_solves(self, capsys, gamma):
@@ -311,12 +300,12 @@ class TestBounds:
     def test_upper_exits_3_naming_a_leg_without_a_finite_dual_value(self, grid_file_set1, monkeypatch, capsys):
         # Every leg's plan is withheld, lam_K too, so that each misses the
         # certificate and has no finite dual value.
-        plan = bounds._dual_plan
+        plan = dual._dual_plan
 
         def withheld(p, forms, ctxs):
             return tuple(np.full_like(a, np.nan) for a in plan(p, forms, ctxs))
 
-        monkeypatch.setattr(bounds, "_dual_plan", withheld)
+        monkeypatch.setattr(dual, "_dual_plan", withheld)
         assert run_cli("upper", "--grid", grid_file_set1, "--penalty", "m1",
                        "--seed", "1", "--paths", "2", "--runs", "2", "--out", "-") == 3
         captured = capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualbound import bounds, concave, dp_solver, penalties
+from dualbound import bounds, concave, dp_solver, dual, penalties
 from dualbound.concave import maximize
 
 from helpers import (at_point, bellman_node_problem, bellman_oracle, check_kkt, fd_hessian,
@@ -163,7 +163,7 @@ class TestMaximize:
         # barrier).
         problem, plan = upper_legs(p_set1, vg_set1, "m1", seed=3, pairs=12, per_run=6)
         counts.clear()
-        concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+        concave.maximize_batch(*problem, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                warm=plan[0], duals=plan[1])
         assert len(counts) == 24 and np.mean(counts) <= 0.1
 
@@ -179,7 +179,7 @@ class TestMaximize:
 
         def traced_crossover(*args):
             kkt = crossover(*args)
-            certified.append((kkt <= bounds.INNER_TOL).tolist())
+            certified.append((kkt <= dual.INNER_TOL).tolist())
             return kkt
 
         monkeypatch.setattr(concave, "_crossover", traced_crossover)
@@ -187,7 +187,7 @@ class TestMaximize:
         for kind in ("m1", "m2", "zero"):
             certified.clear()
             problem, _ = upper_legs(p_set1, vg_set1, kind, seed=3, pairs=12, per_run=6)
-            concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            concave.maximize_batch(*problem, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
             firsts += certified[0]
         assert len(firsts) == 72
         assert np.mean(firsts) >= 0.85
@@ -201,11 +201,11 @@ class TestMaximize:
         legs += [sp.antithetic() for sp in legs]
         ctxs = penalties.build_contexts(p_set1, vg_set1, policy, np.array([sp.Z for sp in legs]),
                                         np.array([sp.Ztilde for sp in legs]))
-        problems = {kind: bounds.assemble_inner_batch(p_set1, penalties.penalty_form(kind, ctxs, p_set1), ctxs)
+        problems = {kind: dual.assemble_inner_batch(p_set1, penalties.penalty_form(kind, ctxs, p_set1), ctxs)
                     for kind in ("m1", "zero")}
 
         def solve_inner():
-            return {kind: concave.maximize_batch(*problem, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+            return {kind: concave.maximize_batch(*problem, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
                     for kind, problem in problems.items()}
 
         inner = solve_inner()
@@ -230,7 +230,7 @@ class TestMaximize:
             assert len(inner[kind]) == 12
             for sol, exact in zip(inner[kind], exact_inner[kind]):
                 assert sol.status == exact.status == concave.STATUS_CONVERGED
-                assert abs(sol.f - exact.f) <= bounds.INNER_TOL * (1.0 + abs(exact.f))
+                assert abs(sol.f - exact.f) <= dual.INNER_TOL * (1.0 + abs(exact.f))
 
     def test_halving_tol_does_not_lose_objective(self):
         p = single_asset_params(gamma=1.5)
@@ -348,12 +348,12 @@ class TestMaximize:
             for sp in (base, base.antithetic()):
                 ctx = penalties.build_context(p_set1, vg_set1, policy, sp)
                 form = penalties.penalty_form(kind, ctx, p_set1)
-                oracle, cons, x0 = bounds.assemble_inner(p_set1, form, ctx)
-                sol = maximize(oracle, cons, x0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON)
+                oracle, cons, x0 = dual.assemble_inner(p_set1, form, ctx)
+                sol = maximize(oracle, cons, x0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON)
                 assert sol.status == concave.STATUS_CONVERGED
-                tight = maximize(oracle, cons, x0, tol=bounds.INNER_TOL / 100,
-                                 max_newton=bounds.INNER_MAX_NEWTON)
-                assert sol.f == pytest.approx(tight.f, abs=bounds.INNER_TOL)
+                tight = maximize(oracle, cons, x0, tol=dual.INNER_TOL / 100,
+                                 max_newton=dual.INNER_MAX_NEWTON)
+                assert sol.f == pytest.approx(tight.f, abs=dual.INNER_TOL)
                 # A barrier exit leaves active slacks near 1e-6, beyond the
                 # default near-active cut.  Rows with slack above the 1e-3 cut
                 # carry barrier multipliers 1/(t s) summing to at most about
@@ -482,7 +482,7 @@ def upper_legs(p, vg, kind, seed, pairs, per_run):
     cfg = bounds.RunConfig(paths_per_run=per_run, runs=2, seed=seed, penalty_kind=kind)
     ctxs = penalties.build_contexts(p, vg, dp_solver.make_grid_policy(vg, p), *bounds._chunk_shocks(p, cfg, (0, pairs)))
     forms = penalties.penalty_form(kind, ctxs, p)
-    return bounds.assemble_inner_batch(p, forms, ctxs), bounds._dual_plan(p, forms, ctxs)[:2]
+    return dual.assemble_inner_batch(p, forms, ctxs), dual._dual_plan(p, forms, ctxs)[:2]
 
 
 def set1_inner_batch(p, vg, kind, pairs=16):
@@ -641,18 +641,18 @@ class TestWarmFace:
         ctxs = penalties.build_contexts(p_set1, vg_set1, dp_solver.make_grid_policy(vg_set1, p_set1),
                                         *bounds._chunk_shocks(p_set1, cfg, (0, 4)))
         forms = penalties.penalty_form("m1", ctxs, p_set1)
-        oracle, A, b, X0 = bounds.assemble_inner_batch(p_set1, forms, ctxs)
-        warm, duals, _ = bounds._dual_plan(p_set1, forms, ctxs)
+        oracle, A, b, X0 = dual.assemble_inner_batch(p_set1, forms, ctxs)
+        warm, duals, _ = dual._dual_plan(p_set1, forms, ctxs)
         warm[1::4] = duals[1::4] = np.nan   # no plan
         duals[2::4] *= 1.01                 # multipliers off by 1%
         warm[3::4] = X0[3::4]               # a point that holds no row
-        batch = concave.maximize_batch(oracle, A, b, X0, tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON,
+        batch = concave.maximize_batch(oracle, A, b, X0, tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON,
                                        warm=warm, duals=duals)
         assert [sol.iterations == 0 for sol in batch] == [i % 4 == 0 for i in range(len(batch))]
         for i, sol in enumerate(batch):
             assert sol.status == concave.STATUS_CONVERGED
             assert_same_solution(sol, maximize(shifted(oracle, i), (A[i], b[i], warm[i], duals[i]), X0[i],
-                                               tol=bounds.INNER_TOL, max_newton=bounds.INNER_MAX_NEWTON))
+                                               tol=dual.INNER_TOL, max_newton=dual.INNER_MAX_NEWTON))
 
     def test_malformed_guess_is_rejected(self, p_set1, vg_set1):
         (oracle, A, b, X0), W, node = set1_stage_nodes(p_set1, vg_set1, 2)

@@ -46,8 +46,7 @@ class TestParameterSets:
             assert (p.n, p.d, p.K) == (3, 1, 10)
             assert (p.r_f, p.delta, p.alpha, p.beta) == (0.01, 0.1, 0.5, 1.0)
             assert (p.phi0, p.W0, p.gamma) == (0.0, 1.0, 3.0)
-            assert abs(p.T - 1.0) < 1e-12
-            assert abs(p.K * p.delta - p.T) <= 1e-12
+            assert abs(p.K * p.delta - 1.0) < 1e-12
 
     def test_unknown_set_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter set"):
