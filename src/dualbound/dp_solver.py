@@ -7,9 +7,9 @@ state expectation.  Under CRRA utility each node's Bellman maximization
 separates into a portfolio problem that no stage changes and a consumption
 share in closed form: the G portfolio problems of a grid are solved once,
 as one lockstep batch of the barrier engine, and each stage is arithmetic
-(`backward_recursion`).  The stored policy is looked up by np.interp's
-arithmetic for every stage and column at once, from tables stacked once per
-grid (`policy_lookup`).
+(`backward_recursion`).  J, its slope (`J_and_slope`) and the stored policy
+(`policy_lookup`, np.interp's arithmetic bit for bit) are gathered through
+one search (`_place`) from tables of one layout, stacked once per grid.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class QuadratureRule:
 
     nodes: np.ndarray    # (Q, n)
     weights: np.ndarray  # (Q,)
-
-    @property
-    def count(self) -> int:
-        return self.nodes.shape[0]
 
 
 def build_quadrature(q: int, n: int) -> QuadratureRule:
@@ -132,19 +128,34 @@ class ValueGrid:
         return self.J.shape[0] - 1
 
     @cached_property
+    def J_table(self) -> tuple:
+        """(values, slopes) of J in the layout of `_tables`: one row over the
+        K + 1 stages, for `J_and_slope`."""
+        return _tables(self.J[None], self.grid)
+
+    @cached_property
     def policy_table(self) -> tuple:
-        """(values, slopes) of the nodal policy, stacked asset-major for
-        `policy_lookup`: each is (n + 1, K G), row j < n for pi_j and row n
-        for c, column k G + i for stage k at node i.  slopes[:, k G + i] is
-        the slope of segment [grid[i], grid[i+1]], as np.interp forms it (0,
-        never read, at i = G - 1).  Built from the nodal arrays on first use."""
+        """(values, slopes) of the nodal policy in the layout of `_tables`,
+        stacked asset-major for `policy_lookup`: row j < n for pi_j and row n
+        for c over the K stages.  Built from the nodal arrays on first use."""
         K, G, n = self.policy_pi.shape
         values = np.empty((n + 1, K, G))
         values[:n] = self.policy_pi.transpose(2, 0, 1)
         values[n] = self.policy_c
-        slopes = np.zeros((n + 1, K, G))
-        np.divide(np.diff(values, axis=2), np.diff(self.grid), out=slopes[:, :, :-1])
-        return values.reshape(n + 1, K * G), slopes.reshape(n + 1, K * G)
+        return _tables(values, self.grid)
+
+
+def _tables(values: np.ndarray, grid: np.ndarray) -> tuple:
+    """Nodal values (rows, stages, G) and their segment slopes, each as a
+    (rows, stages G) array whose column k G + i holds stage k at node i.
+    slopes[:, k G + i] is the slope of segment [grid[i], grid[i+1]], as
+    np.interp forms it; at i = G - 1 it repeats the last segment's, so both
+    edge segments extend outward."""
+    rows, stages, G = values.shape
+    slopes = np.empty(values.shape)
+    np.divide(np.diff(values, axis=2), np.diff(grid), out=slopes[:, :, :-1])
+    slopes[:, :, -1] = slopes[:, :, -2]
+    return values.reshape(rows, stages * G), slopes.reshape(rows, stages * G)
 
 
 def node_returns(p: ModelParams, quad: QuadratureRule, phi) -> np.ndarray:
@@ -258,77 +269,71 @@ def backward_recursion(
     return ValueGrid(grid=grid, J=J, policy_pi=policy_pi, policy_c=policy_c)
 
 
-def _segments(g: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
-    """Index j of the grid segment [g[j], g[j+1]] holding x; edge segments extend outward."""
-    j = np.searchsorted(g, x, side=side) - 1
-    return np.minimum(np.maximum(j, 0), g.size - 2)
+def _place(vg: ValueGrid, k, phi) -> tuple:
+    """States phi at stages k on the grid: the states x (M,), flattened
+    over the broadcast shape of k and phi; dx = x - g_i at node i, with
+    g_i <= x < g_{i+1} (the first node left of the grid, the last at or
+    right of its end or for NaN); the table columns k G + i; the shape."""
+    g = vg.grid
+    shape = np.broadcast(k, phi).shape
+    x = np.broadcast_to(np.asarray(phi, dtype=float), shape).reshape(-1)
+    columns = g.searchsorted(x, side="right")
+    columns -= 1
+    np.maximum(columns, 0, out=columns)
+    dx = g.take(columns)
+    np.subtract(x, dx, out=dx)
+    stage_columns = columns.reshape(shape)
+    stage_columns += k * g.size
+    return x, dx, columns, shape
 
 
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
+def J_and_slope(vg: ValueGrid, k, phi) -> tuple:
+    """J and its slope at stages k and states phi, from one placement.
+
+    k (a stage or an array of stages) broadcasts against phi (one state or
+    an array of states); a scalar k and phi give floats.  J is the
+    piecewise-linear nodal interpolant, np.interp inside the grid and
+    continued linearly beyond both edges.  The slope is that of the segment
+    holding phi, and the mean of the two adjacent segments' exactly at an
+    interior node.
+    """
+    g = vg.grid
+    (values,), (slopes,) = vg.J_table
+    x, dx, columns, shape = _place(vg, k, phi)
+    dJ = slopes.take(columns)
+    J = values.take(columns)
+    J += dx * dJ
+    node = (dx == 0.0) & (g[0] < x) & (x < g[-1])
+    dJ[node] = 0.5 * (slopes.take(columns[node] - 1) + dJ[node])
+    return (float(J[0]), float(dJ[0])) if shape == () else (J.reshape(shape), dJ.reshape(shape))
 
 
 def interpolate_J(vg: ValueGrid, k, phi):
-    """Piecewise-linear nodal interpolation; linear continuation beyond the grid.
-
-    k (a stage or an array of stages) broadcasts against phi (one state or
-    an array of states); a scalar k and phi give a float.  Inside the grid
-    this is np.interp, exact at the nodes.
-    """
-    g, J = vg.grid, vg.J
-    x = np.asarray(phi, dtype=float)
-    j = _segments(g, x, "right")
-    slope = (J[k, j + 1] - J[k, j]) / (g[j + 1] - g[j])
-    anchor = np.where(x >= g[-1], g.size - 1, j)
-    return _scalar_or_array(J[k, anchor] + (x - g[anchor]) * slope)
-
-
-def gradient_J(vg: ValueGrid, k, phi):
-    """Slope of the interpolant; averaged adjacent slopes exactly at interior nodes.
-
-    k and phi broadcast as in `interpolate_J`.
-    """
-    g, J = vg.grid, vg.J
-    k = np.minimum(k, vg.K)
-    x = np.asarray(phi, dtype=float)
-    j = _segments(g, x, "left")  # g[j] < x <= g[j+1] inside the grid
-    left = (J[k, j + 1] - J[k, j]) / (g[j + 1] - g[j])
-    i = np.minimum(j + 1, g.size - 2)  # the segment right of node j+1
-    right = (J[k, i + 1] - J[k, i]) / (g[i + 1] - g[i])
-    at_node = (x == g[j + 1]) & (x < g[-1])
-    return _scalar_or_array(np.where(at_node, 0.5 * (left + right), left))
+    """J of `J_and_slope`: a float for a scalar k and phi, else an array."""
+    return J_and_slope(vg, k, phi)[0]
 
 
 def policy_lookup(vg: ValueGrid, k, phi, p: ModelParams) -> tuple:
     """Componentwise interpolation of the nodal policy, projected back into A.
 
     k (a stage or an array of stages) broadcasts against phi (one state or
-    an array of states), as in `interpolate_J`; the result is pi (..., n)
+    an array of states), as in `J_and_slope`; the result is pi (..., n)
     and c (...) over their broadcast shape, pi[n] and a float c for a
     scalar k and phi.  Each column is np.interp's, bit for bit and branch
     by branch: the first node's value left of the grid, the last node's at
     or right of the last node, a node's own value on it, and
-    slope (x - g_j) + y_j between nodes g_j < x < g_{j+1}.  One search
-    places every state for all n + 1 columns and all stages, whose rows
-    are gathered from `ValueGrid.policy_table`.
+    slope (x - g_j) + y_j between nodes g_j < x < g_{j+1}.  One placement
+    (`_place`) serves all n + 1 columns and all stages, whose rows are
+    gathered from `ValueGrid.policy_table`.
     """
-    g = vg.grid
     values, slopes = vg.policy_table
-    shape = np.broadcast(k, phi).shape
-    x = np.broadcast_to(np.asarray(phi, dtype=float), shape).reshape(-1)
-    rows = g.searchsorted(x, side="right")
-    rows -= 1
-    np.maximum(rows, 0, out=rows)  # node j with g_j <= x < g_{j+1}, or the first node
-    dx = g.take(rows)
-    on = (x <= dx) | (x >= g[-1])  # left of the grid, on node j, or at or right of its end: y_j
-    np.subtract(x, dx, out=dx)
+    x, dx, columns, shape = _place(vg, k, phi)
+    on = (dx <= 0.0) | (x >= vg.grid[-1])  # left of the grid, on node j, or at or right of its end: y_j
     np.copyto(dx, 0.0, where=on)  # so that slope * dx stays finite at x = +-inf
-    stage_rows = rows.reshape(shape)
-    stage_rows += k * g.size  # column k G + j of the stacked tables
-    out = slopes.take(rows, axis=1)
+    out = slopes.take(columns, axis=1)
     out *= dx
     for column, nodal in zip(out, values):  # one (M,) gather of nodal values at a time
-        y = nodal.take(rows)
+        y = nodal.take(columns)
         column += y
         np.copyto(column, y, where=on)
     n = values.shape[0] - 1

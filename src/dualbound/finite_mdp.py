@@ -21,6 +21,8 @@ import numpy as np
 
 ENUMERATION_GUARD = 1_000_000
 PROB_TOL = 1e-12
+STRONG_TOL = 1e-10  # |optimal-penalty bound - V0| of `verify_duality`
+MARTINGALE_TOL = 1e-12  # |E[M*]| under the argmax policy of `verify_duality`
 
 
 class EnumerationGuardError(RuntimeError):
@@ -324,14 +326,13 @@ class DualityReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def verify_duality(mdp: FiniteMDP, strong_tol: float = 1e-10, martingale_tol: float = 1e-12,
-                   raise_on_failure: bool = True) -> DualityReport:
+def verify_duality(mdp: FiniteMDP, raise_on_failure: bool = True) -> DualityReport:
     """Exact weak/strong duality and zero-mean checks on one instance.
 
     Computes the primal value, the zero-penalty (pure foresight) bound and the
     optimal-penalty bound by enumeration, plus the exact expectation of the
     optimal penalty under the argmax policy.  Every tolerance (the weak-duality
-    1e-12, strong_tol, martingale_tol) is multiplied by max(1, max|V|) over the
+    1e-12, STRONG_TOL, MARTINGALE_TOL) is multiplied by max(1, max|V|) over the
     stage values, so rounding on large rewards does not fail a valid instance.
     Failures raise a DualityCheckError carrying the report unless
     raise_on_failure is False.
@@ -345,8 +346,8 @@ def verify_duality(mdp: FiniteMDP, strong_tol: float = 1e-10, martingale_tol: fl
     e_mstar = expected_penalty_under_policy(mdp, mstar, sv.policy)
     checks = {
         "weak_duality_zero_penalty": zero_bound >= v0 - 1e-12 * scale,
-        "strong_duality_optimal_penalty": abs(opt_bound - v0) <= strong_tol * scale,
-        "zero_mean_under_optimal_policy": abs(e_mstar) <= martingale_tol * scale,
+        "strong_duality_optimal_penalty": abs(opt_bound - v0) <= STRONG_TOL * scale,
+        "zero_mean_under_optimal_policy": abs(e_mstar) <= MARTINGALE_TOL * scale,
     }
     report = DualityReport(v0=v0, zero_penalty_bound=zero_bound, optimal_penalty_bound=opt_bound,
                            expected_optimal_penalty=e_mstar, checks=checks)

@@ -102,11 +102,8 @@ def build_contexts(p: ModelParams, vg: dp_solver.ValueGrid, policy, Z: np.ndarra
     """
     path = simulate_paths(p, policy, Z, Ztilde)
     K = p.K
-    stages = np.arange(K)
-    return PenaltyContext(W=path.W[:, :K], Pi=path.Pi, C=path.C, R=path.R,
-                          J=dp_solver.interpolate_J(vg, stages, path.phi[:, :K]),
-                          gradJ=dp_solver.gradient_J(vg, stages, path.phi[:, :K]),
-                          Z=Z, Ztilde=Ztilde)
+    J, gradJ = dp_solver.J_and_slope(vg, np.arange(K), path.phi[:, :K])
+    return PenaltyContext(W=path.W[:, :K], Pi=path.Pi, C=path.C, R=path.R, J=J, gradJ=gradJ, Z=Z, Ztilde=Ztilde)
 
 
 def build_context(p: ModelParams, vg: dp_solver.ValueGrid, policy, shocks: ShockPath) -> PenaltyContext:

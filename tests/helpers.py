@@ -216,6 +216,33 @@ def reference_policy_lookup(vg, k, phi, p):
     return pi, np.minimum(np.maximum(c, 0.0), p.R_f * (1.0 - np.minimum(total, 1.0)))
 
 
+def reference_J_and_slope(vg, k, phi):
+    """J and its slope at stages k and states phi (broadcast against each
+    other) by the segment formulas `dp_solver.J_and_slope` must equal bit
+    for bit.  J: the segment [g_j, g_j+1] of a side="right" search, edge
+    segments extended outward, anchored at the last node at or right of
+    the grid's end.  The slope: the segment of a side="left" search
+    (g_j < x <= g_j+1 inside the grid), averaged with the next segment's
+    exactly at an interior node.  Returns two arrays, 0-d for a scalar k
+    and phi."""
+    g, J = vg.grid, vg.J
+    x = np.asarray(phi, dtype=float)
+
+    def segment(side):
+        return np.minimum(np.maximum(np.searchsorted(g, x, side=side) - 1, 0), g.size - 2)
+
+    def slope(j):
+        return (J[k, j + 1] - J[k, j]) / (g[j + 1] - g[j])
+
+    j = segment("right")
+    anchor = np.where(x >= g[-1], g.size - 1, j)
+    value = J[k, anchor] + (x - g[anchor]) * slope(j)
+    j = segment("left")
+    left, right = slope(j), slope(np.minimum(j + 1, g.size - 2))
+    at_node = (x == g[j + 1]) & (x < g[-1])
+    return value, np.where(at_node, 0.5 * (left + right), left)
+
+
 def reference_simulate_paths(p, policy, Z, Ztilde) -> market.MarketPath:
     """The batch simulator stepped stage by stage with numpy's own
     reductions (`.sum` and `.any` over the asset axis, and the (N, K, n, n)

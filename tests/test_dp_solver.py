@@ -10,19 +10,19 @@ from scipy.stats import norm
 
 from dualbound import bounds, concave, dp_solver, market
 from dualbound.dp_solver import (
+    J_and_slope,
     ValueGrid,
     backward_recursion,
     build_phi_transition,
     build_quadrature,
-    gradient_J,
     interpolate_J,
     policy_lookup,
     value_grid_from_dict,
     value_grid_to_dict,
 )
 
-from helpers import (at_point, joint_backward_recursion, node_objective_grid_search, reference_policy_lookup,
-                     single_asset_params)
+from helpers import (at_point, joint_backward_recursion, node_objective_grid_search, reference_J_and_slope,
+                     reference_policy_lookup, single_asset_params)
 
 
 class TestQuadrature:
@@ -34,13 +34,13 @@ class TestQuadrature:
     @pytest.mark.parametrize("q,n", [(3, 1), (3, 3), (5, 2), (7, 1)])
     def test_weights_sum_to_one_and_symmetric(self, q, n):
         rule = build_quadrature(q, n)
-        assert rule.count == q**n
+        assert rule.weights.size == q**n
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(rule.nodes.sum(axis=0), np.zeros(n), atol=1e-12)
 
     def test_integrates_constant(self):
         rule = build_quadrature(3, 3)
-        assert float(rule.weights @ np.ones(rule.count)) == pytest.approx(1.0, abs=1e-12)
+        assert float(rule.weights @ np.ones(rule.weights.size)) == pytest.approx(1.0, abs=1e-12)
 
     def test_second_and_fourth_moments(self):
         rule = build_quadrature(3, 1)
@@ -149,22 +149,22 @@ class TestInterpolation:
         assert interpolate_J(vg, 0, -2.5) == pytest.approx(1.0 - 0.5 * 1.0)
 
     def test_gradient_inside_segment(self, vg):
-        assert gradient_J(vg, 0, 0.5) == pytest.approx(1.0)
-        assert gradient_J(vg, 0, -1.2) == pytest.approx(1.0)
+        assert J_and_slope(vg, 0, 0.5)[1] == pytest.approx(1.0)
+        assert J_and_slope(vg, 0, -1.2)[1] == pytest.approx(1.0)
 
     def test_gradient_at_interior_node_averages_segments(self, vg):
         # at phi = 0 the adjacent segment slopes are 2 and 1
-        assert gradient_J(vg, 0, 0.0) == pytest.approx(1.5)
+        assert J_and_slope(vg, 0, 0.0)[1] == pytest.approx(1.5)
 
     def test_gradient_beyond_boundary_uses_boundary_segment(self, vg):
-        assert gradient_J(vg, 0, 5.0) == pytest.approx(2.0)
-        assert gradient_J(vg, 0, -2.0) == pytest.approx(1.0)
+        assert J_and_slope(vg, 0, 5.0)[1] == pytest.approx(2.0)
+        assert J_and_slope(vg, 0, -2.0)[1] == pytest.approx(1.0)
 
     def test_gradient_of_constant_is_zero(self):
         vg = ValueGrid(grid=np.linspace(-2, 2, 5), J=np.full((2, 5), 3.3),
                        policy_pi=np.zeros((1, 5, 1)), policy_c=np.zeros((1, 5)))
         for phi in (-3.0, -1.0, 0.0, 0.3, 2.0, 2.7):
-            assert gradient_J(vg, 0, phi) == 0.0
+            assert J_and_slope(vg, 0, phi)[1] == 0.0
 
 
 class TestPolicyLookup:
@@ -205,10 +205,10 @@ class TestBatchedLookups:
 
     def test_interpolant_and_slope(self, vg_set1):
         for k in (0, 4, vg_set1.K):
-            J = interpolate_J(vg_set1, k, self.PHI)
-            dJ = gradient_J(vg_set1, k, self.PHI)
+            J, dJ = J_and_slope(vg_set1, k, self.PHI)
+            assert np.array_equal(J, interpolate_J(vg_set1, k, self.PHI))
             assert np.array_equal(J, [interpolate_J(vg_set1, k, x) for x in self.PHI])
-            assert np.array_equal(dJ, [gradient_J(vg_set1, k, x) for x in self.PHI])
+            assert np.array_equal(dJ, [J_and_slope(vg_set1, k, x)[1] for x in self.PHI])
 
     def test_interpolant_is_np_interp_inside_the_grid(self, vg_set1):
         inside = self.PHI[np.abs(self.PHI) < 2.0]
@@ -217,9 +217,9 @@ class TestBatchedLookups:
     def test_stage_array_broadcasts(self, vg_set1):
         stages = np.arange(vg_set1.K)
         phi = np.tile(self.PHI[:, None], (1, vg_set1.K))
-        for fn in (interpolate_J, gradient_J):
-            expect = np.stack([fn(vg_set1, k, self.PHI) for k in stages], axis=1)
-            assert np.array_equal(fn(vg_set1, stages, phi), expect)
+        J, dJ = J_and_slope(vg_set1, stages, phi)
+        for got, want in zip((J, dJ), zip(*(J_and_slope(vg_set1, k, self.PHI) for k in stages))):
+            assert np.array_equal(got, np.stack(want, axis=1))
 
     def test_policy_lookup(self, p_set1, vg_set1):
         pi, c = policy_lookup(vg_set1, 2, self.PHI, p_set1)
@@ -287,6 +287,49 @@ class TestStackedLookup:
         c[:, 1] = 0.01
         vg = ValueGrid(grid=np.linspace(-2.0, 2.0, G), J=np.zeros((p.K + 1, G)), policy_pi=pi, policy_c=c)
         self._assert_is_interp(vg, p, _probe_states(vg.grid))
+
+
+class TestJAndSlope:
+    """J_and_slope is the segment formulas of `reference_J_and_slope` bit
+    for bit, at every stage from 0 to K, in scalar and array calls, and at
+    all stages at once."""
+
+    @staticmethod
+    def _assert_is_reference(vg, xs):
+        xs = np.concatenate([xs, [np.nan, -0.0]])
+        stages = np.arange(vg.K + 1)
+        with np.errstate(invalid="ignore"):  # (+-inf - g_j) * 0 on a flat row
+            for k in stages:
+                want_J, want_dJ = reference_J_and_slope(vg, k, xs)
+                J, dJ = J_and_slope(vg, k, xs)
+                assert J.shape == dJ.shape == xs.shape
+                assert J.tobytes() == want_J.tobytes() and dJ.tobytes() == want_dJ.tobytes()
+                for i, x in enumerate(xs):
+                    J, dJ = J_and_slope(vg, k, float(x))
+                    assert type(J) is float and type(dJ) is float
+                    assert np.float64(J).tobytes() == want_J[i].tobytes()
+                    assert np.float64(dJ).tobytes() == want_dJ[i].tobytes()
+            phi = np.stack([np.random.default_rng(k).permutation(xs) for k in stages], axis=1)
+            want_J, want_dJ = reference_J_and_slope(vg, stages, phi)
+            J, dJ = J_and_slope(vg, stages, phi)
+        assert J.shape == phi.shape and J.tobytes() == want_J.tobytes() and dJ.tobytes() == want_dJ.tobytes()
+
+    @pytest.mark.parametrize("set_id", [1, 2, 3, 4])
+    def test_published_grids(self, solved_grid, set_id):
+        p, vg = solved_grid(set_id, 1.5)
+        self._assert_is_reference(vg, _probe_states(vg.grid))
+
+    @pytest.mark.parametrize("grid", [[-2.0, -1.3, -0.2, 0.05, 0.9, 2.5], [-1.0, 1.0]], ids=["non-uniform", "two-node"])
+    def test_synthetic_grids(self, grid):
+        p = market.parameter_set(1)
+        G = len(grid)
+        J = np.random.default_rng(G).normal(size=(p.K + 1, G))
+        vg = ValueGrid(grid=np.array(grid), J=J, policy_pi=np.zeros((p.K, G, p.n)), policy_c=np.zeros((p.K, G)))
+        self._assert_is_reference(vg, _probe_states(vg.grid))
+
+    def test_stage_beyond_the_last_raises(self, vg_set1):
+        with pytest.raises(IndexError):
+            J_and_slope(vg_set1, vg_set1.K + 1, 0.0)
 
 
 class TestBackwardRecursion:

@@ -173,22 +173,24 @@ class TestVerifyDuality:
         rep = fm.verify_duality(deterministic_chain_mdp())
         assert rep.v0 == rep.zero_penalty_bound == rep.optimal_penalty_bound == 2.0
 
-    def test_failure_surfaces_as_error_with_report(self):
+    def test_failure_surfaces_as_error_with_report(self, monkeypatch):
         mdp = matching_mdp()
+        monkeypatch.setattr(fm, "STRONG_TOL", -1.0)  # unattainable on purpose
         with pytest.raises(fm.DualityCheckError) as err:
-            fm.verify_duality(mdp, strong_tol=-1.0)  # unattainable on purpose
+            fm.verify_duality(mdp)
         assert isinstance(err.value.report, fm.DualityReport)
 
     @pytest.mark.parametrize("scale", [1e-7, 1e7, 1e12])
-    def test_tolerances_scale_with_the_values(self, scale):
+    def test_tolerances_scale_with_the_values(self, scale, monkeypatch):
         # Rounding on rewards of size 1e7 exceeds the absolute tolerances.
         for seed in range(20):
             mdp = random_mdp(np.random.default_rng(seed), max_horizon=4)
             mdp = dataclasses.replace(mdp, stage_reward=scale * mdp.stage_reward,
                                       terminal_reward=scale * mdp.terminal_reward)
             assert fm.verify_duality(mdp).passed
-            with pytest.raises(fm.DualityCheckError):
-                fm.verify_duality(mdp, strong_tol=-1.0)
+            with monkeypatch.context() as patch, pytest.raises(fm.DualityCheckError):
+                patch.setattr(fm, "STRONG_TOL", -1.0)
+                fm.verify_duality(mdp)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from dualbound.penalties import (
     penalty_form,
 )
 
-from helpers import single_asset_params
+from helpers import reference_J_and_slope, single_asset_params
 
 
 def all_cash_policy(k, phi, W):
@@ -69,6 +69,18 @@ class TestBuildContext:
         assert ctx.K == 1
         assert ctx.W.shape == (1,)
 
+
+    def test_J_and_slope_off_the_grid_match_the_segment_formulas(self, solved_grid):
+        # A set-2 chunk whose states leave the grid at both edges.
+        p, vg = solved_grid(2, 1.5)
+        rng = np.random.default_rng(11)
+        Z, Ztilde = rng.standard_normal((256, p.K, p.n)), rng.standard_normal((256, p.K, p.d))
+        policy = dp_solver.make_grid_policy(vg, p)
+        ctxs = build_contexts(p, vg, policy, Z, Ztilde)
+        phi = market.simulate_paths(p, policy, Z, Ztilde).phi[:, :p.K]
+        assert phi.min() < vg.grid[0] and phi.max() > vg.grid[-1]
+        J, gradJ = reference_J_and_slope(vg, np.arange(p.K), phi)
+        assert ctxs.J.tobytes() == J.tobytes() and ctxs.gradJ.tobytes() == gradJ.tobytes()
 
 class TestM1Form:
     def test_zero_shocks_give_zero_form(self, p_set1, vg_set1):
